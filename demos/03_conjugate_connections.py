@@ -36,11 +36,9 @@ print("cubic form of D*: ", cubic_form_at(line, Cstar, p)[0, 0, 0])
 fisher = fisher_normal()
 Cf = explicit_connection(fisher, {(0, 0, 0): "0.5*m", (1, 0, 1): "s"})
 Cf_star = conjugate(Cf, fisher)
-rng = np.random.default_rng(0)
 pt = fisher.sample_points(1, 3)[0]
-X, Y, Z, W = rng.uniform(-1, 1, (4, 2))
 print("\ncurvature-duality residual on the Fisher chart:",
-      curvature_duality_residual(fisher, Cf, Cf_star, pt, X, Y, Z, W))
+      curvature_duality_residual(fisher, Cf, Cf_star, pt))
 
 # -- statistical structures ------------------------------------------------------
 

@@ -176,19 +176,19 @@ def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
 
 
 def torsion_relation_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
-                              p, X, Y, Z) -> float:
-    """Residual of g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) - (nabla* g)(Y,X,Z)."""
+                              p) -> float:
+    """l1 norm of D_abk = g_mk (T - T*)^m_ab - (nabla* g)_abk + (nabla* g)_bak.
+
+    D is the tensor of g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) -
+    (nabla* g)(Y,X,Z); its l1 norm bounds that residual for all X, Y, Z in
+    [-1, 1]^d.
+    """
     x = _coords_of(p)
-    X, Y, Z = (np.asarray(_vec(v), dtype=float) for v in (X, Y, Z))
     g = M.metric_at(x)
-    T = torsion_at(C, x)
-    Tstar = torsion_at(Cstar, x)
     cubic_star = cubic_form_at(M, Cstar, x)
-    lhs = np.einsum("kij,i,j,kl,l->", T, X, Y, g, Z)
-    rhs = (np.einsum("kij,i,j,kl,l->", Tstar, X, Y, g, Z)
-           + np.einsum("ijk,i,j,k->", cubic_star, X, Y, Z)
-           - np.einsum("ijk,j,i,k->", cubic_star, X, Y, Z))
-    return float(abs(lhs - rhs))
+    D = (np.einsum("mab,mk->abk", torsion_at(C, x) - torsion_at(Cstar, x), g)
+         - cubic_star + np.transpose(cubic_star, (1, 0, 2)))
+    return float(np.sum(np.abs(D)))
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,3 @@ def dgamma_fd_defect(C: ConnectionField, samples: int = 16, seed: int = 42) -> f
             fd = numdiff.central_diff(lambda z: C.gamma_at(z), x, l, h, order=4)
             worst = max(worst, float(np.max(np.abs(exact[l] - fd))))
     return worst
-
-
-def _vec(v):
-    components = getattr(v, "components", v)
-    return components

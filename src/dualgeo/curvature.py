@@ -50,16 +50,17 @@ def riemann_at(C: ConnectionField, p) -> np.ndarray:
 
 
 def curvature_duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
-                               p, X, Y, Z, W) -> float:
-    """|g(R(X,Y)Z, W) + g(R*(X,Y)W, Z)| for a conjugate pair."""
+                               p) -> float:
+    """l1 norm of D_ijkm = R^l_ijk g_lm + R*^l_ijm g_lk for a conjugate pair.
+
+    D is the tensor of g(R(X,Y)Z, W) + g(R*(X,Y)W, Z); its l1 norm bounds that
+    residual for all X, Y, Z, W in [-1, 1]^d.
+    """
     x = _coords_of(p)
     g = M.metric_at(x)
-    X, Y, Z, W = (np.asarray(getattr(v, "components", v), dtype=float) for v in (X, Y, Z, W))
-    R = riemann_at(C, x)
-    Rstar = riemann_at(Cstar, x)
-    lhs = np.einsum("lijk,i,j,k,lm,m->", R, X, Y, Z, g, W)
-    rhs = np.einsum("lijk,i,j,k,lm,m->", Rstar, X, Y, W, g, Z)
-    return float(abs(lhs + rhs))
+    D = (np.einsum("lijk,lm->ijkm", riemann_at(C, x), g)
+         + np.einsum("lijm,lk->ijkm", riemann_at(Cstar, x), g))
+    return float(np.sum(np.abs(D)))
 
 
 def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
@@ -79,13 +80,18 @@ def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     return frame
 
 
+def _ricci(R: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
+    return np.einsum("ia,lajk,lm,im->jk", E, R, g, E)
+
+
+def _scalar(ric: np.ndarray, E: np.ndarray) -> float:
+    return float(np.einsum("ij,ik,jk->", E, E, ric))
+
+
 def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """Ric_jk = sum_i g(R(E_i, d_j) d_k, E_i) in the coordinate frame."""
     x = _coords_of(p)
-    g = M.metric_at(x)
-    E = orthonormal_frame_at(M, x)
-    R = riemann_at(C, x)
-    return np.einsum("ia,lajk,lm,im->jk", E, R, g, E)
+    return _ricci(riemann_at(C, x), M.metric_at(x), orthonormal_frame_at(M, x))
 
 
 def ricci_contraction_at(C: ConnectionField, p) -> np.ndarray:
@@ -98,8 +104,7 @@ def scalar_at(M: ManifoldSpec, C: ConnectionField, p) -> float:
     """S = sum_i Ric(E_i, E_i) over the orthonormal frame."""
     x = _coords_of(p)
     E = orthonormal_frame_at(M, x)
-    ric = ricci_at(M, C, x)
-    return float(np.einsum("ij,ik,jk->", E, E, ric))
+    return _scalar(_ricci(riemann_at(C, x), M.metric_at(x), E), E)
 
 
 def ricci_operator_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
@@ -117,15 +122,20 @@ def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -
     the second slot instead of its Ricci trace; it is computed only so the
     two can be compared.
     """
-    m = M.dim
-    if m <= 2:
-        raise DimensionError(f"Weyl tensor needs dim >= 3, got {m}")
+    if M.dim <= 2:
+        raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
     x = _coords_of(p)
     g = M.metric_at(x)
+    E = orthonormal_frame_at(M, x)
     R = riemann_at(C, x)
-    ric = ricci_at(M, C, x)
-    Q = M.inverse_metric_at(x) @ ric
-    S = scalar_at(M, C, x)
+    ric = _ricci(R, g, E)
+    return _weyl(g, M.inverse_metric_at(x), R, ric, _scalar(ric, E), variant)
+
+
+def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S: float,
+          variant: str) -> np.ndarray:
+    m = len(g)
+    Q = ginv @ ric
     eye = np.eye(m)
     if variant == "standard":
         second = np.einsum("jk,li->lijk", ric, eye)
@@ -167,7 +177,7 @@ def first_bianchi_defect(C: ConnectionField, p) -> float:
     return float(np.max(np.abs(cyc)))
 
 
-def sectional_at(M: ManifoldSpec, p, X, Y, lc: ConnectionField | None = None) -> float:
+def sectional_at(M: ManifoldSpec, p, X, Y) -> float:
     """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2), metric connection."""
     x = _coords_of(p)
     X = np.asarray(getattr(X, "components", X), dtype=float)
@@ -176,7 +186,7 @@ def sectional_at(M: ManifoldSpec, p, X, Y, lc: ConnectionField | None = None) ->
     denom = float((X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2)
     if denom < 1e-12:
         raise DegeneratePlaneError("X and Y do not span a 2-plane")
-    R = riemann_at(lc or levi_civita(M), x)
+    R = riemann_at(levi_civita(M), x)
     num = float(np.einsum("lijk,i,j,k,lm,m->", R, X, Y, Y, g, X))
     return num / denom
 
@@ -207,25 +217,34 @@ class ConstantSectionalResult:
 
 
 def is_constant_sectional(M: ManifoldSpec, samples: int = 32, tol: float = 1e-8,
-                          seed: int = 42, planes_per_point: int = 4) -> ConstantSectionalResult:
-    """Estimate sectional curvature over sampled points and random planes."""
-    if M.dim < 2:
+                          seed: int = 42) -> ConstantSectionalResult:
+    """Constant sectional curvature, checked as a tensor equation on samples.
+
+    At each point kappa(p) = S / (n(n-1)), and D is the lowered
+    R - kappa(p) (delta g - delta g) in the orthonormal frame; the l1 norm of
+    D bounds |K(plane) - kappa(p)| for every 2-plane at p.  The deviation is
+    the larger of that bound and the spread of kappa(p) over the samples.
+    """
+    n = M.dim
+    if n < 2:
         raise DimensionError("sectional curvature needs dim >= 2")
     lc = levi_civita(M)
-    rng = np.random.default_rng(seed)
-    values = []
+    eye = np.eye(n)
+    model = np.einsum("ab,cd->abcd", eye, eye) - np.einsum("ac,bd->abcd", eye, eye)
+    kappas = []
+    tensor_dev = 0.0
     for pt in M.sample_points(samples, seed):
-        for _ in range(planes_per_point if M.dim > 2 else 1):
-            while True:
-                X = rng.uniform(-1.0, 1.0, M.dim)
-                Y = rng.uniform(-1.0, 1.0, M.dim)
-                try:
-                    values.append(sectional_at(M, pt, X, Y, lc=lc))
-                    break
-                except DegeneratePlaneError:
-                    continue
-    kappa = float(np.mean(values))
-    deviation = float(np.max(np.abs(np.array(values) - kappa)))
+        g = M.metric_at(pt)
+        E = orthonormal_frame_at(M, pt)
+        R = riemann_at(lc, pt)
+        kappa = _scalar(_ricci(R, g, E), E) / (n * (n - 1))
+        framed = np.einsum("lm,lijk->mijk", g, R)
+        for _ in range(4):  # map the leading slot into the frame, rotate it to the back
+            framed = np.tensordot(framed, E, axes=([0], [1]))
+        kappas.append(kappa)
+        tensor_dev = max(tensor_dev, float(np.sum(np.abs(framed - kappa * model))))
+    kappa = float(np.mean(kappas))
+    deviation = max(float(np.max(np.abs(np.array(kappas) - kappa))), tensor_dev)
     return ConstantSectionalResult(deviation < tol, kappa, deviation, samples, tol)
 
 
@@ -253,8 +272,10 @@ class CurvatureReport:
 
 def curvature_report(M: ManifoldSpec, C: ConnectionField, p, tol: float = 1e-8) -> CurvatureReport:
     x = _coords_of(p)
+    g = M.metric_at(x)
+    E = orthonormal_frame_at(M, x)
     R = riemann_at(C, x)
-    ric = ricci_at(M, C, x)
-    S = scalar_at(M, C, x)
-    W = weyl_at(M, C, x) if M.dim >= 3 else None
+    ric = _ricci(R, g, E)
+    S = _scalar(ric, E)
+    W = _weyl(g, M.inverse_metric_at(x), R, ric, S, "standard") if M.dim >= 3 else None
     return CurvatureReport(x, R, ric, S, W, bool(np.max(np.abs(R)) < tol), tol)

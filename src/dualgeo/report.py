@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not (math.isfinite(self.tol_exact) and math.isfinite(self.tol_fd)):
+            raise ValueError("tolerances must be finite")
         if self.tol_exact <= 0 or self.tol_fd <= 0:
             raise ValueError("tolerances must be positive")
 

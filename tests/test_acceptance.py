@@ -69,8 +69,8 @@ def test_criterion_2_identity_suite():
                 lhs = np.einsum("lijk,i,j,k,lm,m->", R, X, Y, Z, g, W)
                 rhs = np.einsum("lijk,i,j,k,lm,m->", Rstar, X, Y, W, g, Z)
                 worst_curv = max(worst_curv, float(abs(lhs + rhs)))
-                worst_torsion_rel = max(worst_torsion_rel, torsion_relation_residual(
-                    M, C, Cstar, pt, X, Y, Z))
+            worst_torsion_rel = max(worst_torsion_rel, torsion_relation_residual(
+                M, C, Cstar, pt))
     ok = (worst_cubic < tol_exact and worst_torsion_rel < tol_exact
           and worst_curv < tol_curv)
     report_line(2, "identity-suite", ok,
@@ -110,7 +110,7 @@ def test_criterion_4_twisted_block_formulas():
     worst = {"R(X,Y)Z": 0.0, "R(X,Y)U": 0.0, "R(U,V)X": 0.0, "R(X,U)Y": 0.0}
     for P in _criterion4_products():
         worst_lc = max(worst_lc, block_levi_civita_defect(P, samples=16, seed=SEED))
-        rep = curvature_block_report(P, samples=10, seed=SEED, draws=3)
+        rep = curvature_block_report(P, samples=10, seed=SEED)
         for name in worst:
             worst[name] = max(worst[name], rep.residuals[name])
     ok = worst_lc < tol_lc and all(v < tol_block for v in worst.values())

@@ -114,6 +114,16 @@ class TestExitCodes:
         assert main(["curvature", str(spec_dir / "sphere2.json"),
                      "--point", "1.0,abc"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--tol-exact", "--tol-fd"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, spec_dir, tmp_path, capsys, flag, value):
+        report = tmp_path / "r.json"
+        code = main(["check", str(spec_dir / "sphere2.json"), flag, value,
+                     "--report", str(report)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

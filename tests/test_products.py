@@ -171,7 +171,7 @@ class TestHessian:
 class TestCurvatureBlocks:
     def test_direct_product_splits(self, standard_twists):
         P = standard_twists["direct"]
-        report = curvature_block_report(P, samples=6, seed=4, draws=2)
+        report = curvature_block_report(P, samples=6, seed=4)
         assert report.all_passed
 
     def test_direct_product_block_structure(self):
@@ -188,14 +188,14 @@ class TestCurvatureBlocks:
     def test_warped_blocks_match(self, standard_twists):
         for name in ("warped-exp", "warped-sphere-fiber", "hyperbolic-4d"):
             report = curvature_block_report(standard_twists[name], samples=6,
-                                            seed=5, draws=2, tol=1e-8)
+                                            seed=5, tol=1e-8)
             assert report.all_passed, report.residuals
             # for base-only twists both fiber-block pairings coincide
             assert report.ruvw_printed < 1e-8
 
     def test_proper_twisted_blocks_match(self, standard_twists):
         report = curvature_block_report(standard_twists["twisted-wide-fiber"],
-                                        samples=6, seed=6, draws=2)
+                                        samples=6, seed=6)
         assert report.all_passed, report.residuals
         assert report.ruvw_adopted == "index-consistent"
         assert report.ruvw_printed > 0.01

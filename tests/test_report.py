@@ -21,6 +21,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(tol_fd=-1.0)
 
+    @pytest.mark.parametrize("bad", [{"tol_exact": float("nan")}, {"tol_exact": float("inf")},
+                                     {"tol_fd": float("nan")}, {"tol_fd": float("inf")}])
+    def test_non_finite_tolerance_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(**bad)
+
     def test_tolerance_only_tightens(self):
         cfg = RunConfig(tol_exact=1e-15)
         assert cfg.exact_tol(1e-10) == 1e-15
