@@ -13,7 +13,8 @@ operators satisfy g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z).
 import numpy as np
 
 from dualgeo import (conjugate, cubic_form_at, duality_residual, explicit_connection,
-                     is_statistical, levi_civita, make_dualistic, dually_flat_verdict)
+                     is_statistical, levi_civita, make_dualistic, dually_flat_verdict,
+                     riemann_at)
 from dualgeo.curvature import curvature_duality_residual
 from dualgeo.fixtures import euclidean, fisher_normal, hessian_exp2, sphere2
 
@@ -38,7 +39,8 @@ Cf = explicit_connection(fisher, {(0, 0, 0): "0.5*m", (1, 0, 1): "s"})
 Cf_star = conjugate(Cf, fisher)
 pt = fisher.sample_points(1, 3)[0]
 print("\ncurvature-duality residual on the Fisher chart:",
-      curvature_duality_residual(fisher, Cf, Cf_star, pt))
+      curvature_duality_residual(fisher.metric_at(pt), riemann_at(Cf, pt),
+                                 riemann_at(Cf_star, pt)))
 
 # -- statistical structures ------------------------------------------------------
 

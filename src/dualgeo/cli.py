@@ -468,8 +468,8 @@ def main(argv=None) -> int:
                 if not isinstance(loaded, LoadedProduct):
                     raise SpecFileError(args.spec, "twist expects a product spec")
             elif args.base and args.fiber and args.twist:
-                base = load_spec(args.base)
-                fiber = load_spec(args.fiber)
+                base = _load_factor(args.base, Path.cwd(), "--base")
+                fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
                 P = twisted_product(base.manifold, fiber.manifold, args.twist)
                 digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
                 loaded = LoadedProduct(P, base, fiber, digest)

@@ -175,18 +175,16 @@ def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     return dg - np.einsum("mij,mk->ijk", gam, g) - np.einsum("mik,jm->ijk", gam, g)
 
 
-def torsion_relation_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
-                              p) -> float:
+def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,
+                              cubic_star: np.ndarray) -> float:
     """l1 norm of D_abk = g_mk (T - T*)^m_ab - (nabla* g)_abk + (nabla* g)_bak.
 
     D is the tensor of g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) -
     (nabla* g)(Y,X,Z); its l1 norm bounds that residual for all X, Y, Z in
-    [-1, 1]^d.
+    [-1, 1]^d.  T and T* are the torsions of the pair and cubic_star is
+    nabla* g.
     """
-    x = _coords_of(p)
-    g = M.metric_at(x)
-    cubic_star = cubic_form_at(M, Cstar, x)
-    D = (np.einsum("mab,mk->abk", torsion_at(C, x) - torsion_at(Cstar, x), g)
+    D = (np.einsum("mab,mk->abk", T - Tstar, g)
          - cubic_star + np.transpose(cubic_star, (1, 0, 2)))
     return float(np.sum(np.abs(D)))
 

@@ -25,7 +25,7 @@ __all__ = [
     "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
     "DimensionError", "DegeneratePlaneError",
     "riemann_at", "curvature_duality_residual", "orthonormal_frame_at",
-    "ricci_at", "ricci_contraction_at", "scalar_at", "ricci_operator_at",
+    "ricci_at", "ricci_contraction", "scalar_at", "ricci_operator_at",
     "weyl_at", "weyl_trace_defect", "sectional_at", "first_bianchi_defect",
     "is_flat", "is_constant_sectional", "curvature_report",
 ]
@@ -49,17 +49,13 @@ def riemann_at(C: ConnectionField, p) -> np.ndarray:
     return dterm + qterm
 
 
-def curvature_duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
-                               p) -> float:
+def curvature_duality_residual(g: np.ndarray, R: np.ndarray, Rstar: np.ndarray) -> float:
     """l1 norm of D_ijkm = R^l_ijk g_lm + R*^l_ijm g_lk for a conjugate pair.
 
     D is the tensor of g(R(X,Y)Z, W) + g(R*(X,Y)W, Z); its l1 norm bounds that
     residual for all X, Y, Z, W in [-1, 1]^d.
     """
-    x = _coords_of(p)
-    g = M.metric_at(x)
-    D = (np.einsum("lijk,lm->ijkm", riemann_at(C, x), g)
-         + np.einsum("lijm,lk->ijkm", riemann_at(Cstar, x), g))
+    D = np.einsum("lijk,lm->ijkm", R, g) + np.einsum("lijm,lk->ijkm", Rstar, g)
     return float(np.sum(np.abs(D)))
 
 
@@ -94,9 +90,8 @@ def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     return _ricci(riemann_at(C, x), M.metric_at(x), orthonormal_frame_at(M, x))
 
 
-def ricci_contraction_at(C: ConnectionField, p) -> np.ndarray:
+def ricci_contraction(R: np.ndarray) -> np.ndarray:
     """Frame-free route Ric_jk = R^a_ajk; agrees with ricci_at by completeness."""
-    R = riemann_at(C, p)
     return np.einsum("aajk->jk", R)
 
 
@@ -149,12 +144,8 @@ def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S: fl
     return R + corr / (m - 2) - (S / ((m - 1) * (m - 2))) * trace_part
 
 
-def weyl_trace_defect(M: ManifoldSpec, C: ConnectionField, p) -> float:
+def weyl_trace_defect(g: np.ndarray, ginv: np.ndarray, W: np.ndarray) -> float:
     """Max absolute value over all single traces/metric contractions of Weyl."""
-    x = _coords_of(p)
-    W = weyl_at(M, C, x)
-    g = M.metric_at(x)
-    ginv = M.inverse_metric_at(x)
     lowered = np.einsum("lm,mijk->lijk", g, W)
     contractions = [
         np.einsum("aajk->jk", W),
@@ -170,9 +161,8 @@ def weyl_trace_defect(M: ManifoldSpec, C: ConnectionField, p) -> float:
     return max(float(np.max(np.abs(c))) for c in contractions)
 
 
-def first_bianchi_defect(C: ConnectionField, p) -> float:
+def first_bianchi_defect(R: np.ndarray) -> float:
     """Max |R(X,Y)Z + R(Y,Z)X + R(Z,X)Y| over coordinate triples."""
-    R = riemann_at(C, p)
     cyc = R + np.einsum("ljki->lijk", R) + np.einsum("lkij->lijk", R)
     return float(np.max(np.abs(cyc)))
 

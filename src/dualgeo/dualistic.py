@@ -301,7 +301,7 @@ class ReductionChain:
     fiber_constant_sectional: ConstantSectionalResult | None
     reduced_fiber_constant_sectional: ConstantSectionalResult | None
     fiber_dim_warning: str | None
-    predicted_dually_flat: bool | None
+    predicted_dually_flat: bool
     notes: tuple[str, ...]
 
 
@@ -346,6 +346,17 @@ def _reduction_chain(induced: ProductDualisticStructure, samples: int,
                           predicted, tuple(notes))
 
 
+def _compare(chain: ReductionChain, direct: FlatnessVerdict,
+             notes: list[str]) -> tuple[bool, bool]:
+    """The chain's prediction and its agreement with the direct verdict; notes a mismatch."""
+    predicted = chain.predicted_dually_flat
+    agreement = predicted == direct.dually_flat
+    if not agreement:
+        notes.append("DISAGREEMENT: the biconditional's prediction does not match "
+                     "the direct flatness verdict")
+    return predicted, agreement
+
+
 @dataclass(frozen=True)
 class Theorem41Record:
     mixed_ricci_max: float
@@ -365,18 +376,13 @@ def theorem41_analyze(induced: ProductDualisticStructure, samples: int = 32,
     table = mixed_ricci_table(P, samples=samples, seed=seed)
     mixed_flat = table["max_direct"] < tol
     direct = dually_flat_verdict(induced, samples=samples, tol=tol, seed=seed)
+    chain = _reduction_chain(induced, samples, tol, seed)
     if not mixed_flat:
         notes.append(f"not mixed-Ricci-flat (max |Ric(X,V)| = {table['max_direct']:.3e}); "
                      "theorem precondition fails")
-        chain = _reduction_chain(induced, samples, tol, seed)
         return Theorem41Record(table["max_direct"], False, chain, direct,
                                None, None, tuple(notes))
-    chain = _reduction_chain(induced, samples, tol, seed)
-    predicted = chain.predicted_dually_flat
-    agreement = None if predicted is None else (predicted == direct.dually_flat)
-    if agreement is False:
-        notes.append("DISAGREEMENT: the biconditional's prediction does not match "
-                     "the direct flatness verdict")
+    predicted, agreement = _compare(chain, direct, notes)
     return Theorem41Record(table["max_direct"], True, chain, direct,
                            predicted, agreement, tuple(notes))
 
@@ -410,11 +416,7 @@ def theorem42_analyze(induced: ProductDualisticStructure, samples: int = 32,
         return Theorem42Record(report.cond_xyv_max, report.cond_vwx_max, False,
                                None, direct, None, None, tuple(notes))
     chain = _reduction_chain(induced, samples, 1e-9, seed)
-    predicted = chain.predicted_dually_flat
-    agreement = None if predicted is None else (predicted == direct.dually_flat)
-    if agreement is False:
-        notes.append("DISAGREEMENT: the biconditional's prediction does not match "
-                     "the direct flatness verdict")
+    predicted, agreement = _compare(chain, direct, notes)
     return Theorem42Record(report.cond_xyv_max, report.cond_vwx_max, True,
                            chain, direct, predicted, agreement, tuple(notes))
 
@@ -466,10 +468,6 @@ def theorem43_analyze(induced: ProductDualisticStructure, samples: int = 32,
         return Theorem43Record(parallel_defect, parallel, hess.defect, hess.holds,
                                None, None, direct, None, None, tuple(notes))
     chain = _reduction_chain(induced, samples, 1e-9, seed)
-    predicted = chain.predicted_dually_flat
-    agreement = None if predicted is None else (predicted == direct.dually_flat)
-    if agreement is False:
-        notes.append("DISAGREEMENT: the biconditional's prediction does not match "
-                     "the direct flatness verdict")
+    predicted, agreement = _compare(chain, direct, notes)
     return Theorem43Record(parallel_defect, parallel, hess.defect, hess.holds,
                            branch, chain, direct, predicted, agreement, tuple(notes))

@@ -563,25 +563,19 @@ def mixed_weyl_report(P: ProductSpec, samples: int = 12, seed: int = 42,
         raise DimensionError("mixed Weyl analysis needs product dimension >= 3")
     c_xyv = (1 - s) / (n - 2)
     c_vwx = (r - 1) / (n - 2)
+    eye = np.eye(n)
+    base, fib = eye[:, :r], eye[:, r:]  # coordinate directions as output components
     d1 = d2 = cond1 = cond2 = mixed = 0.0
     for pt in P.manifold.sample_points(samples, seed):
         W = weyl_at(P.manifold, P.chart_levi_civita, pt)
         _, _, k2 = P.twist_data_at(pt)
         cross = k2[:r, r:]  # XV(k) on coordinate directions
-        for a in range(r):
-            for b_ in range(r):
-                for w in range(s):
-                    form = np.zeros(n)
-                    form[b_] = c_xyv * cross[a, w]
-                    form[a] -= c_xyv * cross[b_, w]
-                    d1 = max(d1, float(np.max(np.abs(W[:, a, b_, r + w] - form))))
-        for v in range(s):
-            for w in range(s):
-                for a in range(r):
-                    form = np.zeros(n)
-                    form[r + w] = c_vwx * cross[a, v]
-                    form[r + v] -= c_vwx * cross[a, w]
-                    d2 = max(d2, float(np.max(np.abs(W[:, r + v, r + w, a] - form))))
+        xyv = c_xyv * (np.einsum("lb,aw->labw", base, cross)
+                       - np.einsum("la,bw->labw", base, cross))
+        vwx = c_vwx * (np.einsum("lw,av->lvwa", fib, cross)
+                       - np.einsum("lv,aw->lvwa", fib, cross))
+        d1 = max(d1, float(np.max(np.abs(W[:, :r, :r, r:] - xyv))))
+        d2 = max(d2, float(np.max(np.abs(W[:, r:, r:, :r] - vwx))))
         cond1 = max(cond1, float(np.max(np.abs(W[:, :r, :r, r:]))))
         cond2 = max(cond2, float(np.max(np.abs(W[:, r:, r:, :r]))))
         mixed = max(mixed, float(np.max(np.abs(W[:, :r, r:, :]))))

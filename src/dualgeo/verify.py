@@ -16,11 +16,11 @@ from .report import RunConfig, VerificationReport, sha256_of
 from .exprlang import to_source
 from .geometry import validate_metric
 from .connections import (conjugate, cubic_form_at, dgamma_fd_defect, duality_residual,
-                          explicit_connection, is_statistical, levi_civita,
+                          explicit_connection, is_statistical, levi_civita, torsion_at,
                           torsion_relation_residual)
-from .curvature import (curvature_duality_residual, first_bianchi_defect,
-                        is_constant_sectional, ricci_at, ricci_contraction_at, riemann_at,
-                        scalar_at, sectional_at, weyl_at, weyl_trace_defect)
+from .curvature import (curvature_duality_residual, curvature_report, first_bianchi_defect,
+                        is_constant_sectional, ricci_contraction, riemann_at, scalar_at,
+                        sectional_at, weyl_at, weyl_trace_defect)
 from .products import (MIXED_RICCI_SIGN, block_levi_civita_defect, curvature_block_report,
                        hessian_at, hessian_condition_defect, lift_lemma_residual,
                        mixed_ricci_table, mixed_weyl_report, product_metric_residual,
@@ -38,33 +38,34 @@ _SEPARABLE_TWISTS = ("direct", "warped-exp", "twisted-poly", "warped-sphere-fibe
 _CRITERION4_TWISTS = ("direct", "warped-exp", "twisted-exp", "twisted-poly")
 
 
-def fixture_digest() -> str:
-    """Deterministic digest of the built-in fixture definitions."""
+def fixture_digest(manifolds: list, twists: dict, suite: list) -> str:
+    """Deterministic digest of the built-in fixtures, as ``verify_paper`` builds them."""
     parts = []
-    for M in fixtures.standard_manifolds() + [fixtures.hessian_exp2(),
-                                              fixtures.bumpy_sphere2()]:
+    for M in manifolds + [fixtures.hessian_exp2(), fixtures.bumpy_sphere2()]:
         parts.append(M.name)
         parts.append(",".join(M.coords))
         parts.append(";".join(f"{lo}:{hi}" for lo, hi in M.domain))
         parts.extend(to_source(e) for row in M.metric for e in row)
-    for name, P in fixtures.standard_twists():
+    for name, P in twists.items():
         parts.append(name)
         parts.append(to_source(P.twist))
-    parts.extend(entry["name"] for entry in fixtures.dualistic_suite())
+    parts.extend(entry["name"] for entry in suite)
     return sha256_of("|".join(parts).encode())
 
 
 def verify_paper(config: RunConfig) -> VerificationReport:
+    manifolds = fixtures.standard_manifolds()
+    twists = dict(fixtures.standard_twists())
+    suite = fixtures.dualistic_suite()
     rep = VerificationReport(
         tool="dualgeo", version=VERSION,
         config={"samples": config.samples, "seed": config.seed,
                 "tol_exact": config.tol_exact, "tol_fd": config.tol_fd},
-        inputs={"fixture_suite_digest": fixture_digest()})
+        inputs={"fixture_suite_digest": fixture_digest(manifolds, twists, suite)})
     samples = config.samples
     seed = config.seed
 
     # ---------------------------------------------------------------- charts
-    manifolds = fixtures.standard_manifolds()
     spd_ok = True
     inv_worst = 0.0
     for M in manifolds:
@@ -96,19 +97,20 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             worst["duality"] = max(worst["duality"], duality_residual(M, C, Cs, pt))
             worst["involution"] = max(worst["involution"], float(np.max(np.abs(
                 double.gamma_at(pt) - C.gamma_at(pt)))))
-            cubic = cubic_form_at(M, C, pt)
+            g = M.metric_at(pt)
             cubic_star = cubic_form_at(M, Cs, pt)
-            worst["cubic-sign"] = max(worst["cubic-sign"],
-                                      float(np.max(np.abs(cubic + cubic_star))))
+            worst["cubic-sign"] = max(worst["cubic-sign"], float(np.max(np.abs(
+                cubic_form_at(M, C, pt) + cubic_star))))
             R = riemann_at(C, pt)
+            Rs = riemann_at(Cs, pt)
             max_r = max(max_r, float(np.max(np.abs(R))))
-            max_rs = max(max_rs, float(np.max(np.abs(riemann_at(Cs, pt)))))
+            max_rs = max(max_rs, float(np.max(np.abs(Rs))))
             worst["antisymmetry"] = max(worst["antisymmetry"], float(np.max(np.abs(
                 R + np.einsum("ljik->lijk", R)))))
             worst["curvature-duality"] = max(worst["curvature-duality"],
-                                             curvature_duality_residual(M, C, Cs, pt))
-            worst["torsion-relation"] = max(worst["torsion-relation"],
-                                            torsion_relation_residual(M, C, Cs, pt))
+                                             curvature_duality_residual(g, R, Rs))
+            worst["torsion-relation"] = max(worst["torsion-relation"], torsion_relation_residual(
+                g, torsion_at(C, pt), torsion_at(Cs, pt), cubic_star))
         flags_agree = flags_agree and ((max_r < 1e-9) == (max_rs < 1e-9))
 
     rep.add("conjugation-duality",
@@ -183,19 +185,19 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     bianchi = trace_free = scalar_routes = ricci_routes = 0.0
     for M in manifolds:
         lc = levi_civita(M)
-        ginv_pts = M.sample_points(min(samples, 12), seed)
-        for pt in ginv_pts:
-            bianchi = max(bianchi, first_bianchi_defect(lc, pt))
-            ric = ricci_at(M, lc, pt)
+        for pt in M.sample_points(min(samples, 12), seed):
+            cr = curvature_report(M, lc, pt)
+            ginv = M.inverse_metric_at(pt)
+            bianchi = max(bianchi, first_bianchi_defect(cr.riemann))
             scalar_routes = max(scalar_routes, abs(
-                scalar_at(M, lc, pt)
-                - float(np.einsum("jk,jk->", M.inverse_metric_at(pt), ric))))
-            if M.dim >= 3:
-                trace_free = max(trace_free, weyl_trace_defect(M, lc, pt))
+                cr.scalar - float(np.einsum("jk,jk->", ginv, cr.ricci))))
+            if cr.weyl is not None:
+                trace_free = max(trace_free, weyl_trace_defect(M.metric_at(pt), ginv, cr.weyl))
     for M, cname, C, _ in pairs:
         for pt in M.sample_points(4, seed):
+            cr = curvature_report(M, C, pt)
             ricci_routes = max(ricci_routes, float(np.max(np.abs(
-                ricci_at(M, C, pt) - ricci_contraction_at(C, pt)))))
+                cr.ricci - ricci_contraction(cr.riemann)))))
     rep.add("first-bianchi", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the metric connection",
             bianchi, config.exact_tol(1e-9))
     rep.add("weyl-trace-free", "all traces of the conformal tensor vanish (metric connection)",
@@ -215,7 +217,6 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             fd_defect, config.fd_tol(1e-5))
 
     # ---------------------------------------------------------------- products
-    twists = dict(fixtures.standard_twists())
     lemma_lift = max(lift_lemma_residual(P, min(samples, 12), seed)
                      for P in twists.values())
     rep.add("lift-lemma", "derivatives of factor metrics commute with lifts",
@@ -336,7 +337,6 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             wp_twisted, None, informational=True)
 
     # ---------------------------------------------------------- dualistic suite
-    suite = fixtures.dualistic_suite()
     induced_duality = 0.0
     induced_curv_duality = 0.0
     proj_worst = 0.0
@@ -350,7 +350,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             induced_duality = max(induced_duality,
                                   duality_residual(P.manifold, st.primal, st.dual, pt))
             induced_curv_duality = max(induced_curv_duality, curvature_duality_residual(
-                P.manifold, st.primal, st.dual, pt))
+                P.manifold.metric_at(pt), riemann_at(st.primal, pt), riemann_at(st.dual, pt)))
         proj_worst = max(proj_worst,
                          projection_check(st, min(samples, 12), seed).max_residual())
         inherit_all = inherit_all and torsion_inheritance_check(

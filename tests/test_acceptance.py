@@ -9,7 +9,7 @@ independent of the code path it checks.
 import numpy as np
 
 from dualgeo.connections import (conjugate, cubic_form_at, duality_residual,
-                                 levi_civita, torsion_relation_residual)
+                                 levi_civita, torsion_at, torsion_relation_residual)
 from dualgeo.curvature import riemann_at, scalar_at, sectional_at
 from dualgeo.dualistic import (dually_flat_verdict, make_dualistic, projection_check,
                                theorem41_analyze, torsion_inheritance_check)
@@ -70,7 +70,7 @@ def test_criterion_2_identity_suite():
                 rhs = np.einsum("lijk,i,j,k,lm,m->", Rstar, X, Y, W, g, Z)
                 worst_curv = max(worst_curv, float(abs(lhs + rhs)))
             worst_torsion_rel = max(worst_torsion_rel, torsion_relation_residual(
-                M, C, Cstar, pt))
+                g, torsion_at(C, pt), torsion_at(Cstar, pt), cubic_star))
     ok = (worst_cubic < tol_exact and worst_torsion_rel < tol_exact
           and worst_curv < tol_curv)
     report_line(2, "identity-suite", ok,

@@ -204,6 +204,16 @@ class TestTwistCommand:
         assert code == 2
         assert "clash" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, base, fiber", [
+        ("--base", "twisted_xu.json", "sphere2.json"),
+        ("--fiber", "line.json", "twisted_xu.json"),
+    ])
+    def test_product_spec_as_factor_is_usage_error(self, spec_dir, capsys, flag, base, fiber):
+        code = main(["twist", "--base", str(spec_dir / base), "--fiber", str(spec_dir / fiber),
+                     "--twist", "1"])
+        assert code == 2
+        assert f"{flag}: factor file must describe a manifold" in capsys.readouterr().err
+
     def test_missing_arguments(self, capsys):
         assert main(["twist"]) == 2
         assert "provide a product spec" in capsys.readouterr().err

@@ -140,20 +140,26 @@ class TestTorsionRelation:
     def test_metric_pair_random_vectors(self, sphere):
         lc = levi_civita(sphere)
         for pt in sphere.sample_points(8, 4):
-            assert torsion_relation_residual(sphere, lc, lc, pt) < 1e-10
+            assert torsion_relation_residual(sphere.metric_at(pt), torsion_at(lc, pt),
+                                             torsion_at(lc, pt),
+                                             cubic_form_at(sphere, lc, pt)) < 1e-10
 
     def test_torsionful_pair(self, euclid2):
         C = explicit_connection(euclid2, {(0, 0, 1): "1", (1, 0, 0): "x"})
         Cstar = conjugate(C, euclid2)
         for pt in euclid2.sample_points(16, 8):
-            assert torsion_relation_residual(euclid2, C, Cstar, pt) < 1e-10
+            assert torsion_relation_residual(euclid2.metric_at(pt), torsion_at(C, pt),
+                                             torsion_at(Cstar, pt),
+                                             cubic_form_at(euclid2, Cstar, pt)) < 1e-10
 
     def test_non_conjugate_pair_fails(self, euclid1):
         C = explicit_connection(euclid1, {(0, 0, 0): "0.7"})
         # needs a torsion mismatch to show: use a 2d example with torsion
         M = fx.euclidean(2)
         C = explicit_connection(M, {(0, 0, 1): "1"})
-        res = torsion_relation_residual(M, C, C, [0.0, 0.0])
+        pt = [0.0, 0.0]
+        res = torsion_relation_residual(M.metric_at(pt), torsion_at(C, pt), torsion_at(C, pt),
+                                        cubic_form_at(M, C, pt))
         assert res > 0.1
 
 

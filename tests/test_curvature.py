@@ -7,7 +7,7 @@ from dualgeo.connections import conjugate, explicit_connection, levi_civita
 from dualgeo.curvature import (DegeneratePlaneError, DimensionError,
                                curvature_duality_residual, curvature_report,
                                first_bianchi_defect, is_constant_sectional, is_flat,
-                               orthonormal_frame_at, ricci_at, ricci_contraction_at,
+                               orthonormal_frame_at, ricci_at, ricci_contraction,
                                ricci_operator_at, riemann_at, scalar_at, sectional_at,
                                weyl_at, weyl_trace_defect)
 from dualgeo import fixtures as fx
@@ -50,20 +50,29 @@ class TestRiemann:
         for M in fx.standard_manifolds():
             lc = levi_civita(M)
             for pt in M.sample_points(8, 2):
-                assert first_bianchi_defect(lc, pt) < 1e-9
+                assert first_bianchi_defect(riemann_at(lc, pt)) < 1e-9
+
+    def test_first_bianchi_defect_of_violating_tensor(self):
+        R = np.zeros((3, 3, 3, 3))
+        R[0, 0, 1, 2] = 1.0  # the cyclic sum at (X, Y, Z) = (d0, d1, d2) is d0
+        assert first_bianchi_defect(R) == 1.0
+        R[0, 1, 2, 0] = R[0, 2, 0, 1] = 1.0  # all three cyclic terms add up
+        assert first_bianchi_defect(R) == 3.0
 
 
 class TestCurvatureDuality:
     def test_metric_pair_on_sphere(self, sphere):
         lc = levi_civita(sphere)
         for pt in sphere.sample_points(8, 0):
-            assert curvature_duality_residual(sphere, lc, lc, pt) < 1e-8
+            R = riemann_at(lc, pt)
+            assert curvature_duality_residual(sphere.metric_at(pt), R, R) < 1e-8
 
     def test_explicit_pair_on_fisher(self, fisher):
         C = explicit_connection(fisher, {(0, 0, 0): "0.5*m", (1, 0, 1): "s"})
         Cstar = conjugate(C, fisher)
         for pt in fisher.sample_points(16, 1):
-            assert curvature_duality_residual(fisher, C, Cstar, pt) < 1e-8
+            assert curvature_duality_residual(fisher.metric_at(pt), riemann_at(C, pt),
+                                              riemann_at(Cstar, pt)) < 1e-8
 
     def test_flat_iff_dual_flat(self, euclid2, sphere):
         flat = explicit_connection(euclid2, {})
@@ -94,7 +103,7 @@ class TestRicci:
     def test_frame_equals_contraction_for_any_connection(self, fisher):
         C = explicit_connection(fisher, {(0, 1, 0): "m*s", (1, 0, 0): "1"})
         for pt in fisher.sample_points(6, 5):
-            assert np.allclose(ricci_at(fisher, C, pt), ricci_contraction_at(C, pt),
+            assert np.allclose(ricci_at(fisher, C, pt), ricci_contraction(riemann_at(C, pt)),
                                atol=1e-10)
 
     def test_orthonormal_frame(self, fisher):
@@ -164,9 +173,23 @@ class TestWeyl:
 
     def test_trace_free(self, euclid3, standard_twists):
         P = standard_twists["hyperbolic-4d"]
-        for pt in P.manifold.sample_points(3, 4):
-            assert weyl_trace_defect(P.manifold, P.chart_levi_civita, pt) < 1e-8
-        assert weyl_trace_defect(euclid3, levi_civita(euclid3), [0, 0, 0]) < 1e-12
+        M = P.manifold
+        for pt in M.sample_points(3, 4):
+            assert weyl_trace_defect(M.metric_at(pt), M.inverse_metric_at(pt),
+                                     weyl_at(M, P.chart_levi_civita, pt)) < 1e-8
+        origin = [0, 0, 0]
+        assert weyl_trace_defect(euclid3.metric_at(origin), euclid3.inverse_metric_at(origin),
+                                 weyl_at(euclid3, levi_civita(euclid3), origin)) < 1e-12
+
+    def test_trace_defect_of_violating_tensors(self):
+        g = np.diag([4.0, 2.0, 1.0])
+        ginv = np.diag([0.25, 0.5, 1.0])
+        W = np.zeros((3, 3, 3, 3))
+        W[0, 0, 1, 0] = 1.0  # plain trace over (l, i)
+        assert weyl_trace_defect(g, ginv, W) == 1.0
+        W = np.zeros((3, 3, 3, 3))
+        W[1, 0, 0, 2] = 1.0  # no plain trace; g^{ij} W_lijk = 0.25 * 2 = 0.5
+        assert weyl_trace_defect(g, ginv, W) == 0.5
 
     def test_variant_differs_when_ricci_nonzero(self, standard_twists):
         P = standard_twists["hyperbolic-4d"]

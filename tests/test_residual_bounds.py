@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualgeo.connections import ConnectionField, conjugate, explicit_connection
-from dualgeo.connections import torsion_relation_residual
-from dualgeo.curvature import curvature_duality_residual
+from dualgeo.connections import cubic_form_at, torsion_at, torsion_relation_residual
+from dualgeo.curvature import curvature_duality_residual, riemann_at
 from dualgeo.products import riemann_block_residuals, twisted_product
 from dualgeo import fixtures as fx
 
@@ -49,7 +49,9 @@ COSH_TWIST = twisted_product(fx.euclidean(1, ("x",), "lineB"),
 @given(seeds, vectors(3, 2))
 def test_torsion_relation_bound(seed, vecs):
     pt = PLANE.sample_points(1, seed)[0]
-    residual = torsion_relation_residual(PLANE, TORSIONFUL, TORSIONFUL, pt)
+    T = torsion_at(TORSIONFUL, pt)
+    residual = torsion_relation_residual(PLANE.metric_at(pt), T, T,
+                                         cubic_form_at(PLANE, TORSIONFUL, pt))
     assert residual > 0.1
     assert torsion_relation_contraction(PLANE, TORSIONFUL, TORSIONFUL, pt.coords,
                                         *vecs) <= residual + SLACK
@@ -59,7 +61,8 @@ def test_torsion_relation_bound(seed, vecs):
 @given(seeds, vectors(4, 2))
 def test_curvature_duality_bound(seed, vecs):
     pt = FISHER.sample_points(1, seed)[0]
-    residual = curvature_duality_residual(FISHER, _C, PERTURBED_DUAL, pt)
+    residual = curvature_duality_residual(FISHER.metric_at(pt), riemann_at(_C, pt),
+                                          riemann_at(PERTURBED_DUAL, pt))
     assert residual > 1e-3
     assert curvature_duality_contraction(FISHER, _C, PERTURBED_DUAL, pt.coords,
                                          *vecs) <= residual + SLACK
