@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import Expr, differentiate, evaluate, parse
+from .exprlang import Expr, compile_array, differentiate, parse
 from .geometry import ManifoldSpec, _coords_of
 from . import numdiff
 
@@ -99,19 +99,20 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
     exprs = [[[e if e is not None else zero for e in row] for row in plane] for plane in exprs]
     dexprs = [[[[differentiate(exprs[k][i][j], M.coords[l])
                  for j in range(d)] for i in range(d)] for k in range(d)] for l in range(d)]
+    return ConnectionField(M, "explicit", _lazy_kernel(exprs, M.coords),
+                           _lazy_kernel(dexprs, M.coords))
 
-    def gamma(x: np.ndarray) -> np.ndarray:
-        env = M.env(x)
-        return np.array([[[evaluate(exprs[k][i][j], env)
-                           for j in range(d)] for i in range(d)] for k in range(d)])
 
-    def dgamma(x: np.ndarray) -> np.ndarray:
-        env = M.env(x)
-        return np.array([[[[evaluate(dexprs[l][k][i][j], env)
-                            for j in range(d)] for i in range(d)]
-                          for k in range(d)] for l in range(d)])
+def _lazy_kernel(exprs, coords) -> Callable[[np.ndarray], np.ndarray]:
+    """compile_array(exprs, coords), compiled on the first call."""
+    kernel = None
 
-    return ConnectionField(M, "explicit", gamma, dgamma)
+    def call(x: np.ndarray) -> np.ndarray:
+        nonlocal kernel
+        if kernel is None:
+            kernel = compile_array(exprs, coords)
+        return kernel(x)
+    return call
 
 
 def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionField:

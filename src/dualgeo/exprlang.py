@@ -2,7 +2,8 @@
 
 Small expression language used for metric entries, connection coefficients
 and twisting functions.  Supports parsing, exact symbolic differentiation,
-light simplification and pointwise evaluation.
+light simplification, pointwise evaluation, and compilation of whole
+expression arrays into straight-line kernels.
 
 Grammar::
 
@@ -21,21 +22,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NoReturn
+
+import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary",
     "ParseError", "UnknownIdentifierError", "ArityError", "DomainError",
     "parse", "differentiate", "evaluate", "simplify", "substitute",
-    "free_vars", "to_source", "FUNCTIONS",
+    "free_vars", "to_source", "compile_array", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")
-
-_UNARY_FN = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp,
-}
 
 
 class ParseError(ValueError):
@@ -301,24 +299,10 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
         try:
             return float(env[e.name])
         except KeyError:
-            raise DomainError(f"no value bound for coordinate {e.name!r}") from None
+            _unbound(e.name)
     if isinstance(e, Unary):
         x = _eval(e.arg, env)
-        op = e.op
-        if op == "neg":
-            return -x
-        if op == "log":
-            if x <= 0.0:
-                raise DomainError(f"log of non-positive value {x}")
-            return math.log(x)
-        if op == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        try:
-            return _UNARY_FN[op](x)
-        except OverflowError:
-            raise DomainError(f"overflow in {op}({x})") from None
+        return -x if e.op == "neg" else _UNARY[e.op](x)
     assert isinstance(e, Binary)
     a = _eval(e.left, env)
     b = _eval(e.right, env)
@@ -330,10 +314,24 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
     if op == "mul":
         return a * b
     if op == "div":
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
+        return _div(a, b)
     assert op == "pow"
+    return _pow(a, b)
+
+
+# -- domain-guarded operations, shared by _eval and the compiled kernels -----
+
+def _unbound(name: str) -> NoReturn:
+    raise DomainError(f"no value bound for coordinate {name!r}") from None
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise DomainError("zero raised to a negative power")
     if a < 0.0 and b != int(b):
@@ -342,6 +340,154 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
         return math.pow(a, b)
     except OverflowError:
         raise DomainError(f"overflow in pow({a}, {b})") from None
+
+
+def _log(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"log of non-positive value {x}")
+    return math.log(x)
+
+
+def _sqrt(x: float) -> float:
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x}")
+    return math.sqrt(x)
+
+
+def _overflow_checked(op: str, f):
+    def call(x: float) -> float:
+        try:
+            return f(x)
+        except OverflowError:
+            raise DomainError(f"overflow in {op}({x})") from None
+    return call
+
+
+_UNARY = {op: _overflow_checked(op, getattr(math, op)) for op in FUNCTIONS}
+_UNARY.update(log=_log, sqrt=_sqrt)
+
+
+# -- compiled tensor kernels ---------------------------------------------------
+
+# Source templates of the binary ops; an op missing here never reaches a kernel.
+_BINARY_SRC = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}",
+               "div": "_div({}, {})", "pow": "_pow({}, {})"}
+
+
+def _flatten(exprs) -> tuple[tuple[int, ...], list[Expr]]:
+    """Shape and row-major entries of a nested list of expressions."""
+    if isinstance(exprs, Expr):
+        return (), [exprs]
+    if not isinstance(exprs, (list, tuple)):
+        raise TypeError(f"expected an Expr or a list of them, got {type(exprs).__name__}")
+    parts = [_flatten(e) for e in exprs]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) > 1:
+        raise ValueError(f"ragged expression array: entry shapes {sorted(shapes)}")
+    inner = shapes.pop() if shapes else ()
+    return (len(parts),) + inner, [e for _, flat in parts for e in flat]
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    return ()
+
+
+def compile_array(exprs, coords):
+    """Compile a nested list of expressions into one kernel ``x -> ndarray``.
+
+    ``x`` holds the values of ``coords`` in order; the result has the nesting
+    shape of ``exprs``.  The kernel is one generated straight-line function
+    with an assignment per distinct node (shared subtrees, by identity or by
+    structure, are computed once); constants live in its namespace, never in
+    its source.  It uses the same domain-guarded operations as ``evaluate``.
+    When any node leaves the domain or any entry is not finite, the kernel
+    evaluates the entries in row-major order with ``evaluate``, so it raises
+    exactly the error ``evaluate`` raises for the first failing entry.
+    """
+    coords = tuple(coords)
+    shape, flat = _flatten(exprs)
+    slot = {name: i for i, name in enumerate(coords)}
+    namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound, **_UNARY}
+    by_id: dict[int, str] = {}
+    by_key: dict[tuple, str] = {}
+    lines = []
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Const):
+            key = ("const", type(e.value), repr(e.value))
+        elif isinstance(e, Var):
+            key = ("var", e.name)
+        elif isinstance(e, Unary):
+            if e.op != "neg" and e.op not in FUNCTIONS:
+                raise ValueError(f"unknown unary op {e.op!r}")
+            key = (e.op, by_id[id(e.arg)])
+        elif isinstance(e, Binary):
+            if e.op not in _BINARY_SRC:
+                raise ValueError(f"unknown binary op {e.op!r}")
+            key = (e.op, by_id[id(e.left)], by_id[id(e.right)])
+        else:
+            raise ValueError(f"cannot compile {type(e).__name__} node")
+        name = by_key.get(key)
+        if name is not None:
+            return name
+        n = len(by_key)
+        if isinstance(e, Const):
+            name = f"c{n}"
+            namespace[name] = e.value
+        else:
+            name = f"t{n}"
+            if isinstance(e, Var):
+                if e.name in slot:
+                    rhs = f"x[{slot[e.name]}]"
+                else:
+                    namespace[f"c{n}"] = e.name
+                    rhs = f"_unbound(c{n})"
+            elif isinstance(e, Unary):
+                rhs = f"-{key[1]}" if e.op == "neg" else f"{e.op}({key[1]})"
+            else:
+                rhs = _BINARY_SRC[e.op].format(*key[1:])
+            lines.append(f"    {name} = {rhs}")
+        by_key[key] = name
+        return name
+
+    for root in flat:
+        # post-order without recursion, so no tree is too deep to compile
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in by_id:
+                stack.pop()
+                continue
+            pending = [c for c in _children(e) if id(c) not in by_id]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            by_id[id(e)] = emit(e)
+    outputs = ", ".join(by_id[id(e)] for e in flat)
+    source = "\n".join(["def kernel(x):", *lines, f"    return [{outputs}]"])
+    exec(compile(source, "<compile_array>", "exec"), namespace)
+    straight = namespace["kernel"]
+
+    def kernel(x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float).tolist()
+        out = np.empty(shape)
+        try:
+            out.ravel()[:] = straight(xs)
+        except (ArithmeticError, ValueError, LookupError):
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+        env = dict(zip(coords, xs))
+        out.ravel()[:] = [evaluate(e, env) for e in flat]
+        return out
+
+    return kernel
 
 
 def differentiate(e: Expr, var: str) -> Expr:

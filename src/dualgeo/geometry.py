@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprlang import Expr, differentiate, evaluate, parse
+from .exprlang import Expr, compile_array, differentiate, evaluate, parse
 
 __all__ = [
     "ManifoldSpec", "Point", "TangentVector",
@@ -97,6 +97,20 @@ class ManifoldSpec:
         return [[[[differentiate(self._metric_d1[j][k][l], self.coords[i])
                    for l in range(d)] for k in range(d)] for j in range(d)] for i in range(d)]
 
+    # Kernels are compiled on first evaluation, not at construction.
+
+    @cached_property
+    def _metric_kernel(self):
+        return compile_array(self.metric, self.coords)
+
+    @cached_property
+    def _metric_d1_kernel(self):
+        return compile_array(self._metric_d1, self.coords)
+
+    @cached_property
+    def _metric_d2_kernel(self):
+        return compile_array(self._metric_d2, self.coords)
+
     # -- pointwise metric algebra ------------------------------------------
     # Evaluations are memoized per point (callers repeatedly visit the same
     # seeded samples); cached arrays are treated as read-only internally.
@@ -113,13 +127,7 @@ class ManifoldSpec:
 
     def metric_at(self, p) -> np.ndarray:
         x = _coords_of(p)
-
-        def build():
-            env = self.env(x)
-            d = self.dim
-            return np.array([[evaluate(self.metric[i][j], env)
-                              for j in range(d)] for i in range(d)])
-        return self._memo("g", x, build)
+        return self._memo("g", x, lambda: self._metric_kernel(x))
 
     def inverse_metric_at(self, p) -> np.ndarray:
         x = _coords_of(p)
@@ -135,25 +143,12 @@ class ManifoldSpec:
     def metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dG[i, j, k] = d_i g_jk (exact symbolic derivatives)."""
         x = _coords_of(p)
-
-        def build():
-            env = self.env(x)
-            d = self.dim
-            return np.array([[[evaluate(self._metric_d1[i][j][k], env)
-                               for k in range(d)] for j in range(d)] for i in range(d)])
-        return self._memo("dg", x, build)
+        return self._memo("dg", x, lambda: self._metric_d1_kernel(x))
 
     def metric_second_derivatives_at(self, p) -> np.ndarray:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""
         x = _coords_of(p)
-
-        def build():
-            env = self.env(x)
-            d = self.dim
-            return np.array([[[[evaluate(self._metric_d2[i][j][k][l], env)
-                                for l in range(d)] for k in range(d)]
-                              for j in range(d)] for i in range(d)])
-        return self._memo("d2g", x, build)
+        return self._memo("d2g", x, lambda: self._metric_d2_kernel(x))
 
     def gradient_at(self, f: Expr, p) -> "TangentVector":
         """Metric gradient: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""

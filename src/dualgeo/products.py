@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exprlang
-from .exprlang import Const, Expr, differentiate, evaluate, fn, free_vars, mul, pow_, simplify, sub, substitute
+from .exprlang import (Const, Expr, compile_array, differentiate, evaluate, fn, free_vars, mul,
+                       pow_, simplify, sub, substitute)
 from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of
 from .connections import ConnectionField, levi_civita
 from .curvature import DimensionError, ricci_at, riemann_at, weyl_at
@@ -91,20 +92,30 @@ class ProductSpec:
     def _b2(self):
         return [[differentiate(e, c) for c in self.manifold.coords] for e in self._b1]
 
+    # Entries are listed in the order the tuples return them, so a point
+    # outside the domain raises the error of the first failing entry.
+
+    @cached_property
+    def _twist_data_kernel(self):
+        return compile_array([self.twist, *self._k1, *(e for row in self._k2 for e in row)],
+                             self.manifold.coords)
+
+    @cached_property
+    def _twist_hessian_b_kernel(self):
+        return compile_array([*self._b1, *(e for row in self._b2 for e in row)],
+                             self.manifold.coords)
+
     def twist_data_at(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         """(b, d_i k, d_i d_j k) at a product point."""
-        env = self.manifold.env(_coords_of(x))
-        b = evaluate(self.twist, env)
-        k1 = np.array([evaluate(e, env) for e in self._k1])
-        k2 = np.array([[evaluate(e, env) for e in row] for row in self._k2])
-        return b, k1, k2
+        n = self.n
+        t = self._twist_data_kernel(_coords_of(x))
+        return float(t[0]), t[1:n + 1], t[n + 1:].reshape(n, n)
 
     def twist_hessian_b_at(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(d_i b, d_i d_j b) at a product point."""
-        env = self.manifold.env(_coords_of(x))
-        b1 = np.array([evaluate(e, env) for e in self._b1])
-        b2 = np.array([[evaluate(e, env) for e in row] for row in self._b2])
-        return b1, b2
+        n = self.n
+        t = self._twist_hessian_b_kernel(_coords_of(x))
+        return t[:n], t[n:].reshape(n, n)
 
     # -- cached connections ---------------------------------------------------
 
@@ -229,16 +240,15 @@ def lift_lemma_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> fl
     norm of the difference).
     """
     r = P.r
+    # sigma-pullback of d g_F, evaluated on the product chart
+    pulled_at = compile_array(P.fiber._metric_d1, P.manifold.coords)
     worst = 0.0
     for pt in P.manifold.sample_points(samples, seed):
         xb, xf = P.split(pt.coords)
-        env = P.manifold.env(pt.coords)
         dg = P.manifold.metric_derivatives_at(pt)
         dgB = P.base.metric_derivatives_at(xb)
         dgF = P.fiber.metric_derivatives_at(xf)
-        # sigma-pullback of g_F evaluated on the product chart
-        pulled = np.array([[[evaluate(P.fiber._metric_d1[w][t][q], env)
-                             for q in range(P.s)] for t in range(P.s)] for w in range(P.s)])
+        pulled = pulled_at(pt.coords)
         worst = max(worst, float(np.sum(np.abs(dg[:r, :r, :r] - dgB))),
                     float(np.sum(np.abs(pulled - dgF))))
     return worst

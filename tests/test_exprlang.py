@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualgeo.exprlang import (ArityError, Const, DomainError, ParseError,
-                              UnknownIdentifierError, Var, differentiate, evaluate,
-                              free_vars, parse, simplify, substitute, to_source)
+from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError, ParseError,
+                              Unary, UnknownIdentifierError, Var, compile_array,
+                              differentiate, evaluate, free_vars, parse, simplify,
+                              substitute, to_source)
 
 from oracles import fd1
 
@@ -275,3 +276,140 @@ def test_eval_matches_python(x, u):
     e = parse("x^2*u - sin(x) + exp(0.1*u)", ["x", "u"])
     expected = x * x * u - math.sin(x) + math.exp(0.1 * u)
     assert evaluate(e, {"x": x, "u": u}) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# -- compiled tensor kernels ---------------------------------------------------
+
+def _outcome(call):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _reference(exprs, coords, x):
+    """Per-entry evaluate in row-major order: the oracle for compile_array."""
+    env = dict(zip(coords, x))
+    return np.array([[evaluate(e, env) for e in row] for row in exprs])
+
+
+_leaves = st.one_of(
+    st.sampled_from([Var("x"), Var("u"), Const(0.0), Const(-0.0), Const(2.0)]),
+    st.floats(-3, 3).map(Const),
+)
+_nodes = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(Unary, st.sampled_from(("neg",) + FUNCTIONS), kids),
+    st.builds(Binary, st.sampled_from(("add", "sub", "mul", "div", "pow")), kids, kids),
+), max_leaves=10)
+# each row is an expression with its two partials, which share its subtrees
+_tensors = st.lists(_nodes, min_size=1, max_size=3).map(
+    lambda es: [[e, differentiate(e, "x"), differentiate(e, "u")] for e in es])
+_points = st.tuples(st.floats(-3, 3), st.one_of(st.just(0.0), st.floats(-3, 3)))
+
+
+@given(_tensors, _points)
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_bitwise_evaluate(exprs, x):
+    coords = ("x", "u")
+    got, got_err = _outcome(lambda: compile_array(exprs, coords)(x))
+    want, want_err = _outcome(lambda: _reference(exprs, coords, x))
+    assert got_err == want_err
+    if want_err is None:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros count
+
+
+_FAILING = ["log(x - 5)", "sqrt(x - 5)", "1/(x - x)", "(x - 5)^0.5", "0^(x - 5)",
+            "exp(1000*x)", "x*1e308*10", "sin(x*1e308*10)", "(x - 2)^(1e308*10)"]
+_FINE = ["x", "sin(x)", "x^2", "exp(x)/3"]
+
+
+@given(st.lists(st.sampled_from(_FAILING + _FINE), min_size=6, max_size=6)
+       .filter(lambda srcs: set(srcs) & set(_FAILING)))
+@settings(max_examples=100, deadline=None)
+def test_kernel_raises_first_failing_entry(srcs):
+    exprs = [[parse(src, ["x"]) for src in srcs[:3]], [parse(src, ["x"]) for src in srcs[3:]]]
+    first = next(parse(src, ["x"]) for src in srcs if src in _FAILING)
+    _, want = _outcome(lambda: evaluate(first, {"x": 1.0}))
+    assert want is not None
+    _, got = _outcome(lambda: compile_array(exprs, ["x"])([1.0]))
+    assert got == want
+
+
+def test_kernel_rejects_non_finite_result():
+    e = parse("x*x", ["x"])
+    kernel = compile_array([e, Const(1.0)], ["x"])
+    with pytest.raises(DomainError, match=r"non-finite result inf for x\*x"):
+        kernel([1e200])
+    assert kernel([3.0]).tolist() == [9.0, 1.0]
+
+
+def test_kernel_constants_stay_out_of_the_source():
+    # repr(inf) and repr(nan) are not Python expressions
+    kernel = compile_array([Const(float("inf")), Binary("mul", Const(float("nan")), Const(0.0))],
+                           [])
+    with pytest.raises(DomainError, match="non-finite result inf for inf"):
+        kernel([])
+
+
+def test_kernel_scalar_and_empty_shapes():
+    assert compile_array(parse("x + 1", ["x"]), ["x"])([2.0]).shape == ()
+    assert compile_array([[], []], ["x"])([2.0]).shape == (2, 0)
+    with pytest.raises(ValueError, match="ragged"):
+        compile_array([[Var("x")], []], ["x"])
+    with pytest.raises(TypeError, match="got str"):
+        compile_array([Var("x"), "x"], ["x"])
+
+
+def test_kernel_computes_shared_subtrees_once():
+    # a tree walk would visit 2^200 paths; the kernel has 201 assignments
+    e = Var("x")
+    for _ in range(200):
+        e = Binary("add", e, e)
+    assert compile_array([e], ["x"])([1.0]).tolist() == [2.0 ** 200]
+
+
+@pytest.mark.parametrize("node", [
+    Unary("__import__", Var("x")),
+    Unary("sin)\nimport os\n(", Var("x")),
+    Binary("floordiv", Var("x"), Var("x")),
+    Binary("__add__", Var("x"), Var("x")),
+])
+def test_kernel_rejects_ops_outside_the_grammar(node):
+    with pytest.raises(ValueError, match="unknown (unary|binary) op"):
+        compile_array([Var("x"), node], ["x"])
+
+
+def test_kernel_unbound_coordinate_matches_evaluate():
+    e = parse("x + y", ["x", "y"])
+    kernel = compile_array([[Var("x"), e]], ["x"])
+    with pytest.raises(DomainError, match="no value bound for coordinate 'y'") as err:
+        kernel([1.0])
+    _, want = _outcome(lambda: evaluate(e, {"x": 1.0}))
+    assert (type(err.value), str(err.value)) == want
+
+
+def _deepest_parse(source_at_depth) -> int:
+    """Largest nesting depth parse accepts, by bisection over RecursionError."""
+    lo, hi = 1, 8000
+    with pytest.raises(RecursionError):
+        parse(source_at_depth(hi), ["x"])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(source_at_depth(mid), ["x"])
+            lo = mid
+        except RecursionError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("source_at_depth", [
+    lambda n: "1/(2 + " * n + "x" + ")" * n,
+    lambda n: "sin(" * n + "x" + ")" * n,
+], ids=["continued-fraction", "sin-chain"])
+def test_kernel_compiles_deepest_parsed_nesting(source_at_depth):
+    e = parse(source_at_depth(_deepest_parse(source_at_depth)), ["x"])
+    got = compile_array([e], ["x"])([0.5])
+    assert got.tobytes() == np.array([evaluate(e, {"x": 0.5})]).tobytes()

@@ -79,6 +79,19 @@ class TestMetricDerivatives:
         fd = fd1(sphere.metric_derivatives_at, x, 0)
         assert np.allclose(d2[0], fd, atol=1e-7)
 
+    def test_kernels_compile_on_first_evaluation(self):
+        M = ManifoldSpec.from_strings("lazy", ("a", "b"), [(-1, 1), (-1, 1)],
+                                      [["2 + a*b", "0"], ["0", "exp(a)"]])
+        kernels = ("_metric_kernel", "_metric_d1_kernel", "_metric_d2_kernel")
+        assert not any(k in vars(M) for k in kernels)
+        x = [0.3, -0.4]
+        M.metric_second_derivatives_at(x)
+        assert [k in vars(M) for k in kernels] == [False, False, True]
+        env = {"a": 0.3, "b": -0.4}
+        expected = [[[[evaluate(M._metric_d2[i][j][k][l], env) for l in range(2)]
+                      for k in range(2)] for j in range(2)] for i in range(2)]
+        assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
+
 
 class TestGradient:
     def test_coordinate_function_euclidean(self, euclid2):
