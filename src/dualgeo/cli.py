@@ -182,28 +182,23 @@ def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = Non
 def cmd_check(loaded: LoadedManifold, config: RunConfig) -> int:
     M = loaded.manifold
     rep = _new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
-    inv_worst = 0.0
-    sym_worst = 0.0
-    for pt in M.sample_points(min(config.samples, 32), config.seed):
-        g = M.metric_at(pt)
-        sym_worst = max(sym_worst, float(np.max(np.abs(g - g.T))))
-        inv_worst = max(inv_worst, float(np.max(np.abs(
-            g @ M.inverse_metric_at(pt) - np.eye(M.dim)))))
+    x = M.sample_array(min(config.samples, 32), config.seed)
+    g = M.metric_at(x)
+    sym_worst = float(np.max(np.abs(g - g.swapaxes(-1, -2))))
+    inv_worst = float(np.max(np.abs(g @ M.inverse_metric_at(x) - np.eye(M.dim))))
     rep.add("metric-symmetry", "g_ij = g_ji", sym_worst, config.exact_tol(1e-12))
     rep.add("inverse-metric", "g . g^{-1} = id", inv_worst, config.exact_tol(1e-12))
 
     C = loaded.connection
     Cstar = loaded.dual_connection or conjugate(C, M)
     declared = loaded.dual_connection is not None
-    worst_duality = max(duality_residual(M, C, Cstar, pt)
-                        for pt in M.sample_points(config.samples, config.seed))
+    worst_duality = duality_residual(M, C, Cstar, M.sample_array(config.samples, config.seed))
     rep.add("duality-residual",
             "X.g(Y,Z) = g(D_X Y, Z) + g(Y, D*_X Z)"
             + ("" if declared else " (dual computed by conjugation)"),
             worst_duality, config.exact_tol(1e-9))
     double = conjugate(Cstar, M)
-    worst_inv = max(float(np.max(np.abs(double.gamma_at(pt) - C.gamma_at(pt))))
-                    for pt in M.sample_points(min(config.samples, 32), config.seed))
+    worst_inv = float(np.max(np.abs(double.gamma_at(x) - C.gamma_at(x))))
     rep.add("conjugation-involution", "dual of the dual returns the primal",
             worst_inv, config.exact_tol(1e-9))
     stat = is_statistical(M, C, min(config.samples, 32), config.seed)
@@ -222,8 +217,8 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
     Cstar = conjugate(loaded.connection, M)
     gam = Cstar.gamma_at(point)
     rep = _new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
-    worst = max(duality_residual(M, loaded.connection, Cstar, pt)
-                for pt in M.sample_points(min(config.samples, 32), config.seed))
+    worst = duality_residual(M, loaded.connection, Cstar,
+                             M.sample_array(min(config.samples, 32), config.seed))
     rep.add("duality-residual", "computed conjugate satisfies the duality relation",
             worst, config.exact_tol(1e-10))
     print(f"conjugate connection at {point.coords.tolist()} "

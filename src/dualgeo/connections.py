@@ -4,7 +4,8 @@ A connection is stored as a provider of its coefficients Gamma^k_ij and of
 their first derivatives d_l Gamma^k_ij at a point.  Index convention:
 ``gamma[k, i, j]`` is the k-th component of the covariant derivative of the
 j-th coordinate field along the i-th, and ``dgamma[l, k, i, j]`` its
-derivative along the l-th coordinate.
+derivative along the l-th coordinate.  Every accessor takes one point (d,)
+or a batch of points (N, d); a batch puts its point axis first.
 
 Derivative providers are assembled symbolically (from exact metric
 derivatives or expression ASTs), never by finite differences; curvature
@@ -40,11 +41,11 @@ class ConnectionField:
     _dgamma: Callable[[np.ndarray], np.ndarray]
 
     def gamma_at(self, p) -> np.ndarray:
-        """Rank-3 array Gamma[k, i, j] at the point."""
+        """Rank-3 array Gamma[..., k, i, j] at the point or points."""
         return self._gamma(_coords_of(p))
 
     def dgamma_at(self, p) -> np.ndarray:
-        """Rank-4 array dGamma[l, k, i, j] = d_l Gamma^k_ij at the point."""
+        """Rank-4 array dGamma[..., l, k, i, j] = d_l Gamma^k_ij at the point or points."""
         return self._dgamma(_coords_of(p))
 
     def __repr__(self) -> str:
@@ -53,7 +54,13 @@ class ConnectionField:
 
 def _dginv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     # d_q (g^{-1}) = -g^{-1} (d_q g) g^{-1}
-    return -np.einsum("ab,qbc,cd->qad", ginv, dg, ginv)
+    return -np.einsum("...ab,...qbc,...cd->...qad", ginv, dg, ginv)
+
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    # d_i g_jl + d_j g_il - d_l g_ij, or its q-derivative with q leading
+    swapped = dg.swapaxes(-3, -2)
+    return dg + swapped - swapped.swapaxes(-2, -1)
 
 
 def levi_civita(M: ManifoldSpec) -> ConnectionField:
@@ -61,19 +68,16 @@ def levi_civita(M: ManifoldSpec) -> ConnectionField:
 
     def gamma(x: np.ndarray) -> np.ndarray:
         ginv = M.inverse_metric_at(x)
-        dg = M.metric_derivatives_at(x)
-        bracket = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-        return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+        bracket = _bracket(M.metric_derivatives_at(x))
+        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
 
     def dgamma(x: np.ndarray) -> np.ndarray:
         ginv = M.inverse_metric_at(x)
         dg = M.metric_derivatives_at(x)
-        d2g = M.metric_second_derivatives_at(x)
         dginv = _dginv(ginv, dg)
-        bracket = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-        dbracket = d2g + np.einsum("qjil->qijl", d2g) - np.einsum("qlij->qijl", d2g)
-        return 0.5 * (np.einsum("qkl,ijl->qkij", dginv, bracket)
-                      + np.einsum("kl,qijl->qkij", ginv, dbracket))
+        dbracket = _bracket(M.metric_second_derivatives_at(x))
+        return 0.5 * (np.einsum("...qkl,...ijl->...qkij", dginv, _bracket(dg))
+                      + np.einsum("...kl,...qijl->...qkij", ginv, dbracket))
 
     return ConnectionField(M, "levi-civita", gamma, dgamma)
 
@@ -130,8 +134,8 @@ def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionFi
         ginv = M.inverse_metric_at(x)
         dg = M.metric_derivatives_at(x)
         gam = C.gamma_at(x)
-        term = dg - np.einsum("mij,mk->ijk", gam, g)
-        return np.einsum("lj,ijk->lik", ginv, term)
+        term = dg - np.einsum("...mij,...mk->...ijk", gam, g)
+        return np.einsum("...lj,...ijk->...lik", ginv, term)
 
     def dgamma(x: np.ndarray) -> np.ndarray:
         g = M.metric_at(x)
@@ -141,30 +145,39 @@ def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionFi
         dginv = _dginv(ginv, dg)
         gam = C.gamma_at(x)
         dgam = C.dgamma_at(x)
-        term = dg - np.einsum("mij,mk->ijk", gam, g)
-        dterm = (d2g - np.einsum("qmij,mk->qijk", dgam, g)
-                 - np.einsum("mij,qmk->qijk", gam, dg))
-        return (np.einsum("qlj,ijk->qlik", dginv, term)
-                + np.einsum("lj,qijk->qlik", ginv, dterm))
+        term = dg - np.einsum("...mij,...mk->...ijk", gam, g)
+        dterm = (d2g - np.einsum("...qmij,...mk->...qijk", dgam, g)
+                 - np.einsum("...mij,...qmk->...qijk", gam, dg))
+        return (np.einsum("...qlj,...ijk->...qlik", dginv, term)
+                + np.einsum("...lj,...qijk->...qlik", ginv, dterm))
 
     return ConnectionField(M, "conjugate-of", gamma, dgamma)
 
 
-def duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField, p) -> float:
-    """Max |d_i g_jk - Gamma^m_ij g_mk - Gamma*^m_ik g_jm|; zero iff conjugate at p."""
+def _duality_defect(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
+                    p) -> np.ndarray:
+    """D_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma*^m_ik g_jm at the point or points."""
     x = _coords_of(p)
     g = M.metric_at(x)
     dg = M.metric_derivatives_at(x)
     gam = C.gamma_at(x)
     gam_star = Cstar.gamma_at(x)
-    res = dg - np.einsum("mij,mk->ijk", gam, g) - np.einsum("mik,jm->ijk", gam_star, g)
-    return float(np.max(np.abs(res)))
+    return (dg - np.einsum("...mij,...mk->...ijk", gam, g)
+            - np.einsum("...mik,...jm->...ijk", gam_star, g))
+
+
+def duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField, p) -> float:
+    """Max |d_i g_jk - Gamma^m_ij g_mk - Gamma*^m_ik g_jm|; zero iff conjugate at p.
+
+    Over a batch of points the maximum is taken over every point.
+    """
+    return float(np.max(np.abs(_duality_defect(M, C, Cstar, p))))
 
 
 def torsion_at(C: ConnectionField, p) -> np.ndarray:
     """T^k_ij = Gamma^k_ij - Gamma^k_ji, antisymmetric in (i, j)."""
     gam = C.gamma_at(p)
-    return gam - np.transpose(gam, (0, 2, 1))
+    return gam - gam.swapaxes(-1, -2)
 
 
 def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
@@ -173,7 +186,8 @@ def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     g = M.metric_at(x)
     dg = M.metric_derivatives_at(x)
     gam = C.gamma_at(x)
-    return dg - np.einsum("mij,mk->ijk", gam, g) - np.einsum("mik,jm->ijk", gam, g)
+    return (dg - np.einsum("...mij,...mk->...ijk", gam, g)
+            - np.einsum("...mik,...jm->...ijk", gam, g))
 
 
 def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,
@@ -183,11 +197,11 @@ def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,
     D is the tensor of g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) -
     (nabla* g)(Y,X,Z); its l1 norm bounds that residual for all X, Y, Z in
     [-1, 1]^d.  T and T* are the torsions of the pair and cubic_star is
-    nabla* g.
+    nabla* g.  Over a batch the norm is taken per point, then maximized.
     """
-    D = (np.einsum("mab,mk->abk", T - Tstar, g)
-         - cubic_star + np.transpose(cubic_star, (1, 0, 2)))
-    return float(np.sum(np.abs(D)))
+    D = (np.einsum("...mab,...mk->...abk", T - Tstar, g)
+         - cubic_star + cubic_star.swapaxes(-3, -2))
+    return float(np.max(np.sum(np.abs(D), axis=(-3, -2, -1))))
 
 
 @dataclass(frozen=True)
@@ -206,12 +220,10 @@ def is_statistical(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
     The cubic form is symmetric in its last two slots by construction, so
     only the first-pair asymmetry is measured.
     """
-    worst_torsion = 0.0
-    worst_cubic = 0.0
-    for pt in M.sample_points(samples, seed):
-        worst_torsion = max(worst_torsion, float(np.max(np.abs(torsion_at(C, pt)))))
-        cubic = cubic_form_at(M, C, pt)
-        worst_cubic = max(worst_cubic, float(np.max(np.abs(cubic - np.transpose(cubic, (1, 0, 2))))))
+    x = M.sample_array(samples, seed)
+    worst_torsion = float(np.max(np.abs(torsion_at(C, x))))
+    cubic = cubic_form_at(M, C, x)
+    worst_cubic = float(np.max(np.abs(cubic - cubic.swapaxes(-3, -2))))
     ok = worst_torsion < tol and worst_cubic < tol
     return StatisticalVerdict(ok, worst_torsion, worst_cubic, samples, tol)
 

@@ -10,6 +10,10 @@ Index and sign conventions, shared by every oracle in the test suite:
 
 Under these conventions the unit sphere has Ric = g, S = 2 and sectional
 curvature +1.
+
+riemann_at, the residual kernels and is_flat take one point (d,) or a batch
+of points (N, d); the frame-based quantities (Ricci, scalar, Weyl,
+sectional) take one point and raise ValueError on a batch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionField, levi_civita
-from .geometry import ManifoldSpec, _coords_of
+from .geometry import ManifoldSpec, _coords_of, _one_point
 
 __all__ = [
     "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
@@ -40,12 +44,13 @@ class DegeneratePlaneError(ArithmeticError):
 
 
 def riemann_at(C: ConnectionField, p) -> np.ndarray:
-    """Rank-4 array R[l, i, j, k]; antisymmetric in (i, j) to round-off."""
+    """Rank-4 array R[..., l, i, j, k]; antisymmetric in (i, j) to round-off."""
     x = _coords_of(p)
     gam = C.gamma_at(x)
-    dgam = C.dgamma_at(x)
-    dterm = np.einsum("iljk->lijk", dgam) - np.einsum("jlik->lijk", dgam)
-    qterm = np.einsum("lim,mjk->lijk", gam, gam) - np.einsum("ljm,mik->lijk", gam, gam)
+    d_gam = C.dgamma_at(x).swapaxes(-4, -3)  # [l, i, j, k] = d_i Gamma^l_jk
+    dterm = d_gam - d_gam.swapaxes(-3, -2)
+    qterm = (np.einsum("...lim,...mjk->...lijk", gam, gam)
+             - np.einsum("...ljm,...mik->...lijk", gam, gam))
     return dterm + qterm
 
 
@@ -53,15 +58,17 @@ def curvature_duality_residual(g: np.ndarray, R: np.ndarray, Rstar: np.ndarray) 
     """l1 norm of D_ijkm = R^l_ijk g_lm + R*^l_ijm g_lk for a conjugate pair.
 
     D is the tensor of g(R(X,Y)Z, W) + g(R*(X,Y)W, Z); its l1 norm bounds that
-    residual for all X, Y, Z, W in [-1, 1]^d.
+    residual for all X, Y, Z, W in [-1, 1]^d.  Over a batch the norm is taken
+    per point, then maximized.
     """
-    D = np.einsum("lijk,lm->ijkm", R, g) + np.einsum("lijm,lk->ijkm", Rstar, g)
-    return float(np.sum(np.abs(D)))
+    D = (np.einsum("...lijk,...lm->...ijkm", R, g)
+         + np.einsum("...lijm,...lk->...ijkm", Rstar, g))
+    return float(np.max(np.sum(np.abs(D), axis=(-4, -3, -2, -1))))
 
 
 def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     """Gram-Schmidt of the coordinate frame in coordinate order; rows are E_i."""
-    g = M.metric_at(p)
+    g = M.metric_at(_one_point(M, p))
     d = M.dim
     frame = np.zeros((d, d))
     for i in range(d):
@@ -86,7 +93,7 @@ def _scalar(ric: np.ndarray, E: np.ndarray) -> float:
 
 def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """Ric_jk = sum_i g(R(E_i, d_j) d_k, E_i) in the coordinate frame."""
-    x = _coords_of(p)
+    x = _one_point(M, p)
     return _ricci(riemann_at(C, x), M.metric_at(x), orthonormal_frame_at(M, x))
 
 
@@ -97,14 +104,14 @@ def ricci_contraction(R: np.ndarray) -> np.ndarray:
 
 def scalar_at(M: ManifoldSpec, C: ConnectionField, p) -> float:
     """S = sum_i Ric(E_i, E_i) over the orthonormal frame."""
-    x = _coords_of(p)
+    x = _one_point(M, p)
     E = orthonormal_frame_at(M, x)
     return _scalar(_ricci(riemann_at(C, x), M.metric_at(x), E), E)
 
 
 def ricci_operator_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """Q with g(QX, Y) = Ric(X, Y); as a matrix Q = g^{-1} Ric."""
-    x = _coords_of(p)
+    x = _one_point(M, p)
     return M.inverse_metric_at(x) @ ricci_at(M, C, x)
 
 
@@ -119,7 +126,7 @@ def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -
     """
     if M.dim <= 2:
         raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
-    x = _coords_of(p)
+    x = _one_point(M, p)
     g = M.metric_at(x)
     E = orthonormal_frame_at(M, x)
     R = riemann_at(C, x)
@@ -169,7 +176,7 @@ def first_bianchi_defect(R: np.ndarray) -> float:
 
 def sectional_at(M: ManifoldSpec, p, X, Y) -> float:
     """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2), metric connection."""
-    x = _coords_of(p)
+    x = _one_point(M, p)
     X = np.asarray(getattr(X, "components", X), dtype=float)
     Y = np.asarray(getattr(Y, "components", Y), dtype=float)
     g = M.metric_at(x)
@@ -191,9 +198,7 @@ class FlatnessResult:
 
 def is_flat(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
             tol: float = 1e-8, seed: int = 42) -> FlatnessResult:
-    worst = 0.0
-    for pt in M.sample_points(samples, seed):
-        worst = max(worst, float(np.max(np.abs(riemann_at(C, pt)))))
+    worst = float(np.max(np.abs(riemann_at(C, M.sample_array(samples, seed)))))
     return FlatnessResult(worst < tol, worst, samples, tol)
 
 
@@ -261,7 +266,7 @@ class CurvatureReport:
 
 
 def curvature_report(M: ManifoldSpec, C: ConnectionField, p, tol: float = 1e-8) -> CurvatureReport:
-    x = _coords_of(p)
+    x = _one_point(M, p)
     g = M.metric_at(x)
     E = orthonormal_frame_at(M, x)
     R = riemann_at(C, x)

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldSpec
-from .connections import ConnectionField, conjugate, duality_residual, torsion_at
+from .geometry import ManifoldSpec, Point
+from .connections import ConnectionField, _duality_defect, conjugate, torsion_at
 from .curvature import (ConstantSectionalResult, DimensionError, is_constant_sectional,
                         riemann_at)
-from .products import (ProductSpec, block_connection, hessian_condition_defect,
-                       mixed_ricci_table, mixed_weyl_report, product_metric_residual,
-                       riemann_block_residuals, separability_test, to_warped,
-                       twisted_product, weyl_parallel_defect)
+from .products import (ProductSpec, _mv, _per_point, block_connection,
+                       hessian_condition_defect, mixed_ricci_table, mixed_weyl_report,
+                       product_metric_residual, riemann_block_residuals, separability_test,
+                       to_warped, twisted_product, weyl_parallel_defect)
 
 __all__ = [
     "DualisticStructure", "ProductDualisticStructure", "ConjugacyError",
@@ -69,28 +69,35 @@ class ProductDualisticStructure(DualisticStructure):
     fiber_structure: DualisticStructure = None
 
 
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def make_dualistic(M: ManifoldSpec, C: ConnectionField,
                    Cstar: ConnectionField | None = None,
                    samples: int = 64, seed: int = 42, tol: float = 1e-9,
                    involution_tol: float = 1e-10,
                    _cls=DualisticStructure, **extra) -> DualisticStructure:
-    """Validate (g, C, C*) as a dualistic structure; C* defaults to conjugate(C)."""
+    """Validate (g, C, C*) as a dualistic structure; C* defaults to conjugate(C).
+
+    A residual that is not below its tolerance, NaN included, raises
+    ConjugacyError; the duality error names the first sample point where the
+    residual is largest.
+    """
     if Cstar is None:
         Cstar = conjugate(C, M)
-    pts = M.sample_points(samples, seed)
-    worst, worst_pt = 0.0, None
-    for pt in pts:
-        res = duality_residual(M, C, Cstar, pt)
-        if res > worst:
-            worst, worst_pt = res, pt
-    if worst >= tol:
+    x = M.sample_array(samples, seed)
+    per_point = np.max(np.abs(_duality_defect(M, C, Cstar, x)), axis=(-3, -2, -1))
+    first_worst = int(np.argmax(per_point))
+    worst = float(per_point[first_worst])
+    if not worst < tol:
+        worst_pt = Point(M, x[first_worst])
         raise ConjugacyError(
             f"duality residual {worst:.3e} >= {tol:.1e} at {worst_pt.coords.tolist()}",
             worst_point=worst_pt, residual=worst)
     double_dual = conjugate(Cstar, M)
-    involution = max(float(np.max(np.abs(double_dual.gamma_at(pt) - C.gamma_at(pt))))
-                     for pt in pts)
-    if involution >= involution_tol:
+    involution = _max_abs(double_dual.gamma_at(x) - C.gamma_at(x))
+    if not involution < involution_tol:
         raise ConjugacyError(
             f"dual of the dual deviates from the primal by {involution:.3e}",
             residual=involution)
@@ -146,56 +153,43 @@ def projection_check(induced: ProductDualisticStructure,
     P = induced.product
     dB, dF = induced.base_structure, induced.fiber_structure
     r = P.r
-    base_p = base_d = fib_p = fib_d = conj_b = conj_f = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        x = pt.coords
-        xb, xf = P.split(x)
-        b, k1, _ = P.twist_data_at(x)
-        gB = P.base.metric_at(xb)
-        gF = P.fiber.metric_at(xf)
-        gFinv = P.fiber.inverse_metric_at(xf)
-        gBinv = P.base.inverse_metric_at(xb)
-        dgB = P.base.metric_derivatives_at(xb)
-        dg = P.manifold.metric_derivatives_at(x)
-        kb, kf = k1[:r], k1[r:]
-        eye_s = np.eye(P.s)
-        cross_fiber = (np.einsum("u,wv->wuv", kf, eye_s)
-                       + np.einsum("v,wu->wuv", kf, eye_s)
-                       - np.einsum("uv,w->wuv", gF, gFinv @ kf))
-        cross_base = -(b**2) * np.einsum("uv,c->cuv", gF, gBinv @ kb)
+    x = P.manifold.sample_array(samples, seed)
+    xb, xf = P.split(x)
+    b, k1, _ = P.twist_data_at(x)
+    b_sq = _per_point(b**2)
+    gB = P.base.metric_at(xb)
+    gF = P.fiber.metric_at(xf)
+    gFinv = P.fiber.inverse_metric_at(xf)
+    gBinv = P.base.inverse_metric_at(xb)
+    dgB = P.base.metric_derivatives_at(xb)
+    dg = P.manifold.metric_derivatives_at(x)
+    kb, kf = k1[..., :r], k1[..., r:]
+    eye_s = np.eye(P.s)
+    cross_fiber = (np.einsum("...u,wv->...wuv", kf, eye_s)
+                   + np.einsum("...v,wu->...wuv", kf, eye_s)
+                   - np.einsum("...uv,...w->...wuv", gF, _mv(gFinv, kf)))
+    cross_base = -b_sq * np.einsum("...uv,...c->...cuv", gF, _mv(gBinv, kb))
 
-        for conn, factor_conn, sink in ((induced.primal, dB.primal, "p"),
-                                        (induced.dual, dB.dual, "d")):
-            G = conn.gamma_at(x)
-            dev = max(float(np.max(np.abs(G[:r, :r, :r] - factor_conn.gamma_at(xb)))),
-                      float(np.max(np.abs(G[r:, :r, :r]))))
-            if sink == "p":
-                base_p = max(base_p, dev)
-            else:
-                base_d = max(base_d, dev)
-        for conn, factor_conn, sink in ((induced.primal, dF.primal, "p"),
-                                        (induced.dual, dF.dual, "d")):
-            G = conn.gamma_at(x)
-            dev = max(float(np.max(np.abs(G[r:, r:, r:] - cross_fiber
-                                          - factor_conn.gamma_at(xf)))),
-                      float(np.max(np.abs(G[:r, r:, r:] - cross_base))))
-            if sink == "p":
-                fib_p = max(fib_p, dev)
-            else:
-                fib_d = max(fib_d, dev)
+    def base_dev(G, factor_conn) -> float:
+        return max(_max_abs(G[..., :r, :r, :r] - factor_conn.gamma_at(xb)),
+                   _max_abs(G[..., r:, :r, :r]))
 
-        Gp = induced.primal.gamma_at(x)
-        Gd = induced.dual.gamma_at(x)
-        res_b = (dgB
-                 - np.einsum("mab,mc->abc", Gp[:r, :r, :r], gB)
-                 - np.einsum("mac,bm->abc", Gd[:r, :r, :r], gB))
-        conj_b = max(conj_b, float(np.max(np.abs(res_b))))
-        # b^-2 U.g(V,W) = g_F(sigma(D_U V), W) + g_F(V, sigma(D*_U W))
-        res_f = (dg[r:, r:, r:] / b**2
-                 - np.einsum("muv,mw->uvw", Gp[r:, r:, r:], gF)
-                 - np.einsum("muw,vm->uvw", Gd[r:, r:, r:], gF))
-        conj_f = max(conj_f, float(np.max(np.abs(res_f))))
-    return ProjectionReport(base_p, base_d, fib_p, fib_d, conj_b, conj_f, samples)
+    def fiber_dev(G, factor_conn) -> float:
+        return max(_max_abs(G[..., r:, r:, r:] - cross_fiber - factor_conn.gamma_at(xf)),
+                   _max_abs(G[..., :r, r:, r:] - cross_base))
+
+    Gp = induced.primal.gamma_at(x)
+    Gd = induced.dual.gamma_at(x)
+    res_b = (dgB
+             - np.einsum("...mab,...mc->...abc", Gp[..., :r, :r, :r], gB)
+             - np.einsum("...mac,...bm->...abc", Gd[..., :r, :r, :r], gB))
+    # b^-2 U.g(V,W) = g_F(sigma(D_U V), W) + g_F(V, sigma(D*_U W))
+    res_f = (dg[..., r:, r:, r:] / b_sq
+             - np.einsum("...muv,...mw->...uvw", Gp[..., r:, r:, r:], gF)
+             - np.einsum("...muw,...vm->...uvw", Gd[..., r:, r:, r:], gF))
+    return ProjectionReport(base_dev(Gp, dB.primal), base_dev(Gd, dB.dual),
+                            fiber_dev(Gp, dF.primal), fiber_dev(Gd, dF.dual),
+                            _max_abs(res_b), _max_abs(res_f), samples)
 
 
 @dataclass(frozen=True)
@@ -213,17 +207,13 @@ def torsion_inheritance_check(induced: ProductDualisticStructure,
     """Torsion-free factor connections must induce torsion-free D and D*."""
     P = induced.product
     dB, dF = induced.base_structure, induced.fiber_structure
-    factor_t = 0.0
-    for pt in P.base.sample_points(samples, seed):
-        factor_t = max(factor_t, float(np.max(np.abs(torsion_at(dB.primal, pt)))),
-                       float(np.max(np.abs(torsion_at(dB.dual, pt)))))
-    for pt in P.fiber.sample_points(samples, seed):
-        factor_t = max(factor_t, float(np.max(np.abs(torsion_at(dF.primal, pt)))),
-                       float(np.max(np.abs(torsion_at(dF.dual, pt)))))
-    tp = td = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        tp = max(tp, float(np.max(np.abs(torsion_at(induced.primal, pt)))))
-        td = max(td, float(np.max(np.abs(torsion_at(induced.dual, pt)))))
+    xb = P.base.sample_array(samples, seed)
+    xf = P.fiber.sample_array(samples, seed)
+    x = P.manifold.sample_array(samples, seed)
+    factor_t = max(_max_abs(torsion_at(dB.primal, xb)), _max_abs(torsion_at(dB.dual, xb)),
+                   _max_abs(torsion_at(dF.primal, xf)), _max_abs(torsion_at(dF.dual, xf)))
+    tp = _max_abs(torsion_at(induced.primal, x))
+    td = _max_abs(torsion_at(induced.dual, x))
     inherited = (factor_t >= tol) or (tp < tol and td < tol)
     return TorsionInheritanceReport(factor_t, tp, td, inherited, tol)
 
@@ -255,12 +245,11 @@ def dually_flat_verdict(d: DualisticStructure, samples: int = 64,
     Also cross-checks that R = 0 and R* = 0 verdicts agree, which must hold
     for any genuine conjugate pair.
     """
-    tp = td = rp = rd = 0.0
-    for pt in d.manifold.sample_points(samples, seed):
-        tp = max(tp, float(np.max(np.abs(torsion_at(d.primal, pt)))))
-        td = max(td, float(np.max(np.abs(torsion_at(d.dual, pt)))))
-        rp = max(rp, float(np.max(np.abs(riemann_at(d.primal, pt)))))
-        rd = max(rd, float(np.max(np.abs(riemann_at(d.dual, pt)))))
+    x = d.manifold.sample_array(samples, seed)
+    tp = _max_abs(torsion_at(d.primal, x))
+    td = _max_abs(torsion_at(d.dual, x))
+    rp = _max_abs(riemann_at(d.primal, x))
+    rd = _max_abs(riemann_at(d.dual, x))
     primal_flat, dual_flat = rp < tol, rd < tol
     torsion_free = tp < tol and td < tol
     return FlatnessVerdict(tp, td, rp, rd, primal_flat, dual_flat, torsion_free,

@@ -112,12 +112,16 @@ class ManifoldSpec:
         return compile_array(self._metric_d2, self.coords)
 
     # -- pointwise metric algebra ------------------------------------------
-    # Evaluations are memoized per point (callers repeatedly visit the same
-    # seeded samples); cached arrays are treated as read-only internally.
+    # Each accessor takes one point (d,) or a batch of points (N, d) and
+    # returns its arrays with the same leading shape.  Evaluations are
+    # memoized per point or batch (callers repeatedly visit the same seeded
+    # samples); cached arrays are treated as read-only internally.
 
     def _memo(self, kind: str, x: np.ndarray, build):
         cache = self.__dict__.setdefault("_point_cache", {})
-        key = (kind, x.tobytes())
+        # a batch's key carries its shape: a (1, d) batch and the (d,) point
+        # have equal bytes
+        key = (kind, x.tobytes()) if x.ndim == 1 else (kind, x.shape, x.tobytes())
         hit = cache.get(key)
         if hit is None:
             if len(cache) > 16384:
@@ -134,9 +138,11 @@ class ManifoldSpec:
 
         def build():
             g = self.metric_at(x)
-            if np.linalg.cond(g) > _COND_LIMIT:
+            singular = np.linalg.cond(g) > _COND_LIMIT
+            if singular.any():
+                first = np.argwhere(singular)[0]
                 raise SingularMetricError(
-                    f"metric of {self.name!r} is near-singular at {x}")
+                    f"metric of {self.name!r} is near-singular at {x[tuple(first)]}")
             return np.linalg.inv(g)
         return self._memo("ginv", x, build)
 
@@ -157,16 +163,19 @@ class ManifoldSpec:
         df = np.array([evaluate(differentiate(f, c), env) for c in self.coords])
         return TangentVector(self.point(x), self.inverse_metric_at(x) @ df)
 
-    def sample_points(self, n: int, seed: int) -> list["Point"]:
-        """Deterministic interior samples, 5% margin from every box face."""
+    def sample_array(self, n: int, seed: int) -> np.ndarray:
+        """Deterministic interior samples as an (n, d) batch, 5% margin from every box face."""
         if n < 1:
             raise GeometryError("need at least one sample")
         rng = np.random.default_rng(seed)
         lo = np.array([l for l, _ in self.domain])
         hi = np.array([h for _, h in self.domain])
         margin = 0.05 * (hi - lo)
-        raw = rng.uniform(lo + margin, hi - margin, size=(n, self.dim))
-        return [Point(self, row) for row in raw]
+        return rng.uniform(lo + margin, hi - margin, size=(n, self.dim))
+
+    def sample_points(self, n: int, seed: int) -> list["Point"]:
+        """The rows of ``sample_array(n, seed)`` as points."""
+        return [Point(self, row) for row in self.sample_array(n, seed)]
 
     def __repr__(self) -> str:
         return f"ManifoldSpec({self.name!r}, dim={self.dim})"
@@ -210,6 +219,15 @@ def _coords_of(p) -> np.ndarray:
     if isinstance(p, Point):
         return p.coords
     return np.asarray(p, dtype=float)
+
+
+def _one_point(M: ManifoldSpec, p) -> np.ndarray:
+    """Coordinates of a single point of M; a batch of points raises ValueError."""
+    x = _coords_of(p)
+    if x.shape != (M.dim,):
+        raise ValueError(f"expected one point of {M.name!r} with shape ({M.dim},), "
+                         f"got an array of shape {x.shape}")
+    return x
 
 
 def validate_metric(M: ManifoldSpec, samples: int = 64, seed: int = 42,

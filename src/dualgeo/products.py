@@ -71,8 +71,9 @@ class ProductSpec:
         return self.manifold.dim
 
     def split(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Base and fiber coordinates of a product point or batch of points."""
         x = _coords_of(x)
-        return x[: self.r], x[self.r:]
+        return x[..., : self.r], x[..., self.r:]
 
     # -- cached symbolic derivative data for b and k = log b -----------------
 
@@ -105,17 +106,17 @@ class ProductSpec:
         return compile_array([*self._b1, *(e for row in self._b2 for e in row)],
                              self.manifold.coords)
 
-    def twist_data_at(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        """(b, d_i k, d_i d_j k) at a product point."""
+    def twist_data_at(self, x) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+        """(b, d_i k, d_i d_j k) at a product point or points; b has the leading shape."""
         n = self.n
         t = self._twist_data_kernel(_coords_of(x))
-        return float(t[0]), t[1:n + 1], t[n + 1:].reshape(n, n)
+        return t[..., 0][()], t[..., 1:n + 1], t[..., n + 1:].reshape(t.shape[:-1] + (n, n))
 
     def twist_hessian_b_at(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(d_i b, d_i d_j b) at a product point."""
+        """(d_i b, d_i d_j b) at a product point or points."""
         n = self.n
         t = self._twist_hessian_b_kernel(_coords_of(x))
-        return t[:n], t[n:].reshape(n, n)
+        return t[..., :n], t[..., n:].reshape(t.shape[:-1] + (n, n))
 
     # -- cached connections ---------------------------------------------------
 
@@ -242,16 +243,14 @@ def lift_lemma_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> fl
     r = P.r
     # sigma-pullback of d g_F, evaluated on the product chart
     pulled_at = compile_array(P.fiber._metric_d1, P.manifold.coords)
-    worst = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        xb, xf = P.split(pt.coords)
-        dg = P.manifold.metric_derivatives_at(pt)
-        dgB = P.base.metric_derivatives_at(xb)
-        dgF = P.fiber.metric_derivatives_at(xf)
-        pulled = pulled_at(pt.coords)
-        worst = max(worst, float(np.sum(np.abs(dg[:r, :r, :r] - dgB))),
-                    float(np.sum(np.abs(pulled - dgF))))
-    return worst
+    x = P.manifold.sample_array(samples, seed)
+    xb, xf = P.split(x)
+    dg = P.manifold.metric_derivatives_at(x)
+    dgB = P.base.metric_derivatives_at(xb)
+    dgF = P.fiber.metric_derivatives_at(xf)
+    base_side = np.sum(np.abs(dg[..., :r, :r, :r] - dgB), axis=(-3, -2, -1))
+    fiber_side = np.sum(np.abs(pulled_at(x) - dgF), axis=(-3, -2, -1))
+    return float(max(np.max(base_side), np.max(fiber_side)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +278,17 @@ def block_connection(P: ProductSpec, base_conn: ConnectionField,
         gF = P.fiber.metric_at(xf)
         gFinv = P.fiber.inverse_metric_at(xf)
         gBinv = P.base.inverse_metric_at(xb)
-        kb, kf = k1[:r], k1[r:]
-        G = np.zeros((n, n, n))
-        G[:r, :r, :r] = base_conn.gamma_at(xb)
-        G[r:, :r, r:] = np.einsum("a,wv->wav", kb, eye_s)
-        G[r:, r:, :r] = np.einsum("a,wv->wva", kb, eye_s)
-        G[r:, r:, r:] = (fiber_conn.gamma_at(xf)
-                         + np.einsum("u,wv->wuv", kf, eye_s)
-                         + np.einsum("v,wu->wuv", kf, eye_s)
-                         - np.einsum("uv,w->wuv", gF, gFinv @ kf))
-        G[:r, r:, r:] = -(b**2) * np.einsum("uv,c->cuv", gF, gBinv @ kb)
+        kb, kf = k1[..., :r], k1[..., r:]
+        G = np.zeros(x.shape[:-1] + (n, n, n))
+        G[..., :r, :r, :r] = base_conn.gamma_at(xb)
+        G[..., r:, :r, r:] = np.einsum("...a,wv->...wav", kb, eye_s)
+        G[..., r:, r:, :r] = np.einsum("...a,wv->...wva", kb, eye_s)
+        G[..., r:, r:, r:] = (fiber_conn.gamma_at(xf)
+                              + np.einsum("...u,wv->...wuv", kf, eye_s)
+                              + np.einsum("...v,wu->...wuv", kf, eye_s)
+                              - np.einsum("...uv,...w->...wuv", gF, _mv(gFinv, kf)))
+        G[..., :r, r:, r:] = (-_per_point(b**2)
+                              * np.einsum("...uv,...c->...cuv", gF, _mv(gBinv, kb)))
         return G
 
     def dgamma(x: np.ndarray) -> np.ndarray:
@@ -299,44 +299,55 @@ def block_connection(P: ProductSpec, base_conn: ConnectionField,
         gBinv = P.base.inverse_metric_at(xb)
         dgB = P.base.metric_derivatives_at(xb)
         dgF = P.fiber.metric_derivatives_at(xf)
-        kb, kf = k1[:r], k1[r:]
-        gradFk = gFinv @ kf
-        gradBk = gBinv @ kb
+        kb, kf = k1[..., :r], k1[..., r:]
+        gradFk = _mv(gFinv, kf)
+        gradBk = _mv(gBinv, kb)
         dGb = base_conn.dgamma_at(xb)
         dGf = fiber_conn.dgamma_at(xf)
-        out = np.zeros((n, n, n, n))
+        out = np.zeros(x.shape[:-1] + (n, n, n, n))
         for q in range(n):
-            blk = out[q]
+            blk = out[..., q, :, :, :]
+            kqb, kqf = k2[..., q, :r], k2[..., q, r:]
             # base block
             if q < r:
-                blk[:r, :r, :r] = dGb[q]
+                blk[..., :r, :r, :r] = dGb[..., q, :, :, :]
             # mixed blocks: d_q (k1[a] delta_wv)
-            blk[r:, :r, r:] = np.einsum("a,wv->wav", k2[q, :r], eye_s)
-            blk[r:, r:, :r] = np.einsum("a,wv->wva", k2[q, :r], eye_s)
+            blk[..., r:, :r, r:] = np.einsum("...a,wv->...wav", kqb, eye_s)
+            blk[..., r:, r:, :r] = np.einsum("...a,wv->...wva", kqb, eye_s)
             # fiber block
-            term = (np.einsum("u,wv->wuv", k2[q, r:], eye_s)
-                    + np.einsum("v,wu->wuv", k2[q, r:], eye_s))
+            term = (np.einsum("...u,wv->...wuv", kqf, eye_s)
+                    + np.einsum("...v,wu->...wuv", kqf, eye_s))
             if q >= r:
-                qf = q - r
-                dgFinv_q = -gFinv @ dgF[qf] @ gFinv
-                term = term + dGf[qf]
-                term = term - np.einsum("uv,w->wuv", dgF[qf], gradFk)
-                term = term - np.einsum("uv,w->wuv", gF, dgFinv_q @ kf)
-            term = term - np.einsum("uv,w->wuv", gF, gFinv @ k2[q, r:])
-            blk[r:, r:, r:] = term
+                dgF_q = dgF[..., q - r, :, :]
+                dgFinv_q = -gFinv @ dgF_q @ gFinv
+                term = term + dGf[..., q - r, :, :, :]
+                term = term - np.einsum("...uv,...w->...wuv", dgF_q, gradFk)
+                term = term - np.einsum("...uv,...w->...wuv", gF, _mv(dgFinv_q, kf))
+            term = term - np.einsum("...uv,...w->...wuv", gF, _mv(gFinv, kqf))
+            blk[..., r:, r:, r:] = term
             # base components of the fiber block:
             #   d_q ( -b^2 gF_uv (gB^{-1} kb)_c ),  d_q b^2 = 2 b^2 k1[q]
-            grad_term = gBinv @ k2[q, :r]
+            grad_term = _mv(gBinv, kqb)
             if q < r:
-                grad_term = grad_term + (-gBinv @ dgB[q] @ gBinv) @ kb
-            part = 2.0 * k1[q] * np.einsum("uv,c->cuv", gF, gradBk)
-            part = part + np.einsum("uv,c->cuv", gF, grad_term)
+                grad_term = grad_term + _mv(-gBinv @ dgB[..., q, :, :] @ gBinv, kb)
+            part = 2.0 * _per_point(k1[..., q]) * np.einsum("...uv,...c->...cuv", gF, gradBk)
+            part = part + np.einsum("...uv,...c->...cuv", gF, grad_term)
             if q >= r:
-                part = part + np.einsum("uv,c->cuv", dgF[q - r], gradBk)
-            blk[:r, r:, r:] = -(b**2) * part
+                part = part + np.einsum("...uv,...c->...cuv", dgF[..., q - r, :, :], gradBk)
+            blk[..., :r, r:, r:] = -_per_point(b**2) * part
         return out
 
     return ConnectionField(P.manifold, "induced-product", gamma, dgamma)
+
+
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over leading point axes, rounded as ``A @ v`` is."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _per_point(c) -> np.ndarray:
+    """A per-point scalar, shaped to scale rank-3 tensors point by point."""
+    return np.asarray(c)[..., None, None, None]
 
 
 def block_levi_civita(P: ProductSpec, p) -> np.ndarray:
@@ -346,11 +357,9 @@ def block_levi_civita(P: ProductSpec, p) -> np.ndarray:
 
 def block_levi_civita_defect(P: ProductSpec, samples: int = 32, seed: int = 42) -> float:
     """Max deviation between the block assembly and the direct chart computation."""
-    worst = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        delta = P.block_levi_civita_connection.gamma_at(pt) - P.chart_levi_civita.gamma_at(pt)
-        worst = max(worst, float(np.max(np.abs(delta))))
-    return worst
+    x = P.manifold.sample_array(samples, seed)
+    delta = P.block_levi_civita_connection.gamma_at(x) - P.chart_levi_civita.gamma_at(x)
+    return float(np.max(np.abs(delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +624,9 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42,
     """
     r = P.r
     anchor = P.manifold.center().coords
-    worst = 0.0
-    pts = P.manifold.sample_points(samples, seed)
-    for pt in pts:
-        _, _, k2 = P.twist_data_at(pt)
-        worst = max(worst, float(np.max(np.abs(k2[:r, r:]))))
+    X = P.manifold.sample_array(samples, seed)
+    _, _, k2 = P.twist_data_at(X)
+    worst = float(np.max(np.abs(k2[..., :r, r:])))
     if worst >= tol:
         return SeparabilityResult(False, worst, None, None, None, anchor)
     base_env = dict(zip(P.base.coords, anchor[:r].tolist()))
@@ -628,8 +635,8 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42,
     alpha = simplify(sub(substitute(P.log_twist, fiber_env), Const(k0 / 2.0)))
     beta = simplify(sub(substitute(P.log_twist, base_env), Const(k0 / 2.0)))
     recon = 0.0
-    for pt in pts:
-        env = P.manifold.env(pt.coords)
+    for x in X:
+        env = P.manifold.env(x)
         recon = max(recon, abs(evaluate(P.log_twist, env)
                                - evaluate(alpha, env) - evaluate(beta, env)))
     return SeparabilityResult(True, worst, alpha, beta, float(recon), anchor)
@@ -664,12 +671,8 @@ def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42,
 def product_metric_residual(P1: ProductSpec, P2: ProductSpec,
                             samples: int = 32, seed: int = 42) -> float:
     """Max pointwise deviation between two product metrics on shared coordinates."""
-    worst = 0.0
-    for pt in P1.manifold.sample_points(samples, seed):
-        g1 = P1.manifold.metric_at(pt)
-        g2 = P2.manifold.metric_at(pt.coords)
-        worst = max(worst, float(np.max(np.abs(g1 - g2))))
-    return worst
+    x = P1.manifold.sample_array(samples, seed)
+    return float(np.max(np.abs(P1.manifold.metric_at(x) - P2.manifold.metric_at(x))))
 
 
 # ---------------------------------------------------------------------------

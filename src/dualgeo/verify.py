@@ -26,7 +26,7 @@ from .products import (MIXED_RICCI_SIGN, block_levi_civita_defect, curvature_blo
                        mixed_ricci_table, mixed_weyl_report, product_metric_residual,
                        ricci_base_block_residual, separability_test, to_warped,
                        weyl_parallel_defect)
-from .dualistic import (dually_flat_verdict, lemma_dual_block_report, make_dualistic,
+from .dualistic import (_max_abs, dually_flat_verdict, lemma_dual_block_report, make_dualistic,
                         projection_check, theorem41_analyze, theorem42_analyze,
                         theorem43_analyze, torsion_inheritance_check)
 from . import fixtures
@@ -73,10 +73,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             validate_metric(M, samples=min(samples, 64), seed=seed)
         except Exception:  # pragma: no cover - fixtures are valid by construction
             spd_ok = False
-        for pt in M.sample_points(min(samples, 16), seed):
-            g = M.metric_at(pt)
-            inv_worst = max(inv_worst, float(np.max(np.abs(
-                g @ M.inverse_metric_at(pt) - np.eye(M.dim)))))
+        x = M.sample_array(min(samples, 16), seed)
+        inv_worst = max(inv_worst, _max_abs(M.metric_at(x) @ M.inverse_metric_at(x)
+                                            - np.eye(M.dim)))
     rep.add_flag("metric-spd", "g symmetric and positive definite on all fixtures", spd_ok)
     rep.add("inverse-metric", "g . g^{-1} = id", inv_worst, config.exact_tol(1e-12))
 
@@ -91,27 +90,23 @@ def verify_paper(config: RunConfig) -> VerificationReport:
                                   "antisymmetry")}
     flags_agree = True
     for M, cname, C, Cs in pairs:
-        double = conjugate(Cs, M)
-        max_r = max_rs = 0.0
-        for pt in M.sample_points(samples, seed):
-            worst["duality"] = max(worst["duality"], duality_residual(M, C, Cs, pt))
-            worst["involution"] = max(worst["involution"], float(np.max(np.abs(
-                double.gamma_at(pt) - C.gamma_at(pt)))))
-            g = M.metric_at(pt)
-            cubic_star = cubic_form_at(M, Cs, pt)
-            worst["cubic-sign"] = max(worst["cubic-sign"], float(np.max(np.abs(
-                cubic_form_at(M, C, pt) + cubic_star))))
-            R = riemann_at(C, pt)
-            Rs = riemann_at(Cs, pt)
-            max_r = max(max_r, float(np.max(np.abs(R))))
-            max_rs = max(max_rs, float(np.max(np.abs(Rs))))
-            worst["antisymmetry"] = max(worst["antisymmetry"], float(np.max(np.abs(
-                R + np.einsum("ljik->lijk", R)))))
-            worst["curvature-duality"] = max(worst["curvature-duality"],
-                                             curvature_duality_residual(g, R, Rs))
-            worst["torsion-relation"] = max(worst["torsion-relation"], torsion_relation_residual(
-                g, torsion_at(C, pt), torsion_at(Cs, pt), cubic_star))
-        flags_agree = flags_agree and ((max_r < 1e-9) == (max_rs < 1e-9))
+        x = M.sample_array(samples, seed)
+        g = M.metric_at(x)
+        cubic_star = cubic_form_at(M, Cs, x)
+        R = riemann_at(C, x)
+        Rs = riemann_at(Cs, x)
+        pair_worst = {
+            "duality": duality_residual(M, C, Cs, x),
+            "involution": _max_abs(conjugate(Cs, M).gamma_at(x) - C.gamma_at(x)),
+            "cubic-sign": _max_abs(cubic_form_at(M, C, x) + cubic_star),
+            "antisymmetry": _max_abs(R + R.swapaxes(-3, -2)),
+            "curvature-duality": curvature_duality_residual(g, R, Rs),
+            "torsion-relation": torsion_relation_residual(
+                g, torsion_at(C, x), torsion_at(Cs, x), cubic_star),
+        }
+        for key, value in pair_worst.items():
+            worst[key] = max(worst[key], value)
+        flags_agree = flags_agree and ((_max_abs(R) < 1e-9) == (_max_abs(Rs) < 1e-9))
 
     rep.add("conjugation-duality",
             "X.g(Y,Z) = g(conj_X Y, Z) + g(Y, conj*_X Z) for conjugate(.)",
@@ -132,10 +127,8 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     lc_self = 0.0
     for M in manifolds:
         lc = levi_civita(M)
-        lc_star = conjugate(lc, M)
-        for pt in M.sample_points(min(samples, 16), seed):
-            lc_self = max(lc_self, float(np.max(np.abs(
-                lc_star.gamma_at(pt) - lc.gamma_at(pt)))))
+        x = M.sample_array(min(samples, 16), seed)
+        lc_self = max(lc_self, _max_abs(conjugate(lc, M).gamma_at(x) - lc.gamma_at(x)))
     rep.add("levi-civita-self-conjugate", "conjugate(levi_civita) = levi_civita",
             lc_self, config.exact_tol(1e-10))
 
@@ -346,11 +339,11 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     for entry in suite:
         st = entry["structure"]
         P = st.product
-        for pt in P.manifold.sample_points(min(samples, 24), seed):
-            induced_duality = max(induced_duality,
-                                  duality_residual(P.manifold, st.primal, st.dual, pt))
-            induced_curv_duality = max(induced_curv_duality, curvature_duality_residual(
-                P.manifold.metric_at(pt), riemann_at(st.primal, pt), riemann_at(st.dual, pt)))
+        x = P.manifold.sample_array(min(samples, 24), seed)
+        induced_duality = max(induced_duality,
+                              duality_residual(P.manifold, st.primal, st.dual, x))
+        induced_curv_duality = max(induced_curv_duality, curvature_duality_residual(
+            P.manifold.metric_at(x), riemann_at(st.primal, x), riemann_at(st.dual, x)))
         proj_worst = max(proj_worst,
                          projection_check(st, min(samples, 12), seed).max_residual())
         inherit_all = inherit_all and torsion_inheritance_check(

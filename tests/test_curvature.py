@@ -226,6 +226,27 @@ class TestSectional:
             sectional_at(sphere, [1.0, 1.0], [1, 0], [2, 0])
 
 
+class TestPerPointOnly:
+    """Frame-based quantities take one point; a batch raises instead of broadcasting."""
+
+    @pytest.mark.parametrize("call", [
+        lambda M, C, p: orthonormal_frame_at(M, p),
+        lambda M, C, p: ricci_at(M, C, p),
+        lambda M, C, p: scalar_at(M, C, p),
+        lambda M, C, p: ricci_operator_at(M, C, p),
+        lambda M, C, p: weyl_at(M, C, p),
+        lambda M, C, p: curvature_report(M, C, p),
+        lambda M, C, p: sectional_at(M, p, [1, 0, 0], [0, 1, 0]),
+    ], ids=["frame", "ricci", "scalar", "ricci-operator", "weyl", "report", "sectional"])
+    def test_batch_rejected(self, call, standard_twists):
+        M = standard_twists["warped-sphere-fiber"].manifold
+        C = levi_civita(M)
+        X = M.sample_array(3, 1)  # N == d, so a broadcast would not fail by itself
+        call(M, C, X[0])
+        with pytest.raises(ValueError, match=r"one point .* got an array of shape \(3, 3\)"):
+            call(M, C, X)
+
+
 class TestFlatness:
     def test_euclidean_flat(self, euclid3):
         result = is_flat(euclid3, levi_civita(euclid3), samples=16)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualgeo.connections import explicit_connection, levi_civita
+from dualgeo.connections import ConnectionField, explicit_connection, levi_civita
 from dualgeo.dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
                                lemma_dual_block_report, make_dualistic, projection_check,
                                theorem41_analyze, theorem42_analyze, theorem43_analyze,
@@ -39,6 +39,30 @@ class TestMakeDualistic:
         with pytest.raises(ConjugacyError) as err:
             make_dualistic(euclid1, c, c, samples=16)
         assert err.value.residual == pytest.approx(1.4)
+
+    def test_zero_tolerance_names_the_first_sample_point(self, euclid2):
+        # every residual of the exact pair is 0.0, which is not below tol = 0.0
+        with pytest.raises(ConjugacyError) as err:
+            make_dualistic(euclid2, levi_civita(euclid2), tol=0.0, samples=8, seed=3)
+        first = euclid2.sample_array(8, 3)[0].tolist()
+        assert err.value.residual == 0.0
+        assert err.value.worst_point.coords.tolist() == first
+        assert str(err.value).endswith(f"at {first}")
+
+    def test_nan_residual_rejected(self, euclid1):
+        def gamma(x):  # NaN coefficients wherever x > 0
+            return np.where(x[..., :, None, None] > 0, np.nan, 0.0)
+
+        def dgamma(x):
+            return np.zeros(x.shape[:-1] + (1, 1, 1, 1))
+
+        C = ConnectionField(euclid1, "explicit", gamma, dgamma)
+        X = euclid1.sample_array(16, 42)
+        first_nan = X[np.argmax(X[:, 0] > 0)].tolist()
+        with pytest.raises(ConjugacyError) as err:
+            make_dualistic(euclid1, C, explicit_connection(euclid1, {}), samples=16)
+        assert np.isnan(err.value.residual)
+        assert err.value.worst_point.coords.tolist() == first_nan
 
     def test_hessian_metric_flat_pair(self):
         st = fx._hessian_structure()

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError,
                               Unary, UnknownIdentifierError, Var, compile_array,
                               differentiate, evaluate, free_vars, parse, simplify,
                               substitute, to_source)
+from dualgeo.geometry import ManifoldSpec
 
 from oracles import fd1
 
@@ -413,3 +415,38 @@ def test_kernel_compiles_deepest_parsed_nesting(source_at_depth):
     e = parse(source_at_depth(_deepest_parse(source_at_depth)), ["x"])
     got = compile_array([e], ["x"])([0.5])
     assert got.tobytes() == np.array([evaluate(e, {"x": 0.5})]).tobytes()
+
+
+_batches = st.lists(_points, min_size=1, max_size=5)
+
+
+@given(_tensors, _batches)
+@settings(max_examples=200, deadline=None)
+def test_kernel_batch_is_the_stack_of_its_points(exprs, xs):
+    coords = ("x", "u")
+    kernel = compile_array(exprs, coords)
+    got, got_err = _outcome(lambda: kernel(np.array(xs)))
+    want, want_err = _outcome(lambda: np.stack([_reference(exprs, coords, x) for x in xs]))
+    assert got_err == want_err  # the first failing point raises its first failing entry
+    if want_err is None:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_batch_of_no_points():
+    kernel = compile_array([[Var("x"), Const(1.0)]], ["x"])
+    assert kernel(np.empty((0, 1))).shape == (0, 1, 2)
+
+
+def test_kernels_of_one_structure_share_compiled_code():
+    def code_of(kernel):
+        return inspect.getclosurevars(kernel).nonlocals["straight"].__code__
+
+    shape = [["a^2 + {c}", "0"], ["0", "exp({c}*b)"]]
+    M1, M2 = (ManifoldSpec.from_strings(f"m{c}", ("a", "b"), [(-1, 1), (-1, 1)],
+                                        [[src.format(c=c) for src in row] for row in shape])
+              for c in (1.5, 2.5))
+    assert code_of(M1._metric_kernel) is code_of(M2._metric_kernel)
+    x = [0.5, 0.2]
+    assert M1.metric_at(x).tolist() == [[1.75, 0.0], [0.0, math.exp(1.5 * 0.2)]]
+    assert M2.metric_at(x).tolist() == [[2.75, 0.0], [0.0, math.exp(2.5 * 0.2)]]

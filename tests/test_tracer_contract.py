@@ -10,7 +10,7 @@ from pathlib import Path
 
 import dualgeo.cli  # noqa: F401  the tracer looks modules up in sys.modules
 import dualgeo.numdiff  # noqa: F401
-from dualgeo import conjugate, curvature_report, levi_civita
+from dualgeo import conjugate, curvature, curvature_report, levi_civita
 from dualgeo import fixtures as fx
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -46,3 +46,23 @@ def test_traced_call_shapes():
     assert metrics["curvature.riemann_at.calls"]["value"] == 1
     assert metrics["connections.gamma_at.conjugate-of.calls"]["value"] >= 1
     assert metrics["geometry.metric_at.calls"]["value"] >= 1
+
+
+def test_traced_batch_is_one_call():
+    tracer = load_tracer()
+    M = fx.sphere2()
+    C = conjugate(levi_civita(M), M)
+    X = M.sample_array(8, 3)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with t.operation(0):
+            R = curvature.riemann_at(C, X)  # looked up when called, as traced
+    finally:
+        t.uninstall()
+    assert R.shape == (8, 2, 2, 2, 2)
+    metrics = t.metrics(0.0)
+    assert metrics["curvature.riemann_at.calls"]["value"] == 1
+    assert metrics["curvature.riemann_per_point"]["value"] == 1.0
+    assert metrics["connections.gamma_at.conjugate-of.calls"]["value"] == 1
+    assert metrics["connections.dgamma_at.conjugate-of.calls"]["value"] == 1
