@@ -378,7 +378,10 @@ def cmd_verify_paper(config: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=64, help="sample points per check")
+    parser.add_argument("--samples", type=int, default=64,
+                        help="sample points per check, an upper bound: in verify-paper only "
+                             "the conjugation identities use the full count, every other "
+                             "check caps it at 64 or less and several use a fixed count")
     parser.add_argument("--seed", type=int, default=42, help="RNG seed")
     parser.add_argument("--tol-exact", type=float, default=1e-8,
                         help="tightening override for exact-identity tolerances")

@@ -11,9 +11,10 @@ Index and sign conventions, shared by every oracle in the test suite:
 Under these conventions the unit sphere has Ric = g, S = 2 and sectional
 curvature +1.
 
-riemann_at, the residual kernels and is_flat take one point (d,) or a batch
-of points (N, d); the frame-based quantities (Ricci, scalar, Weyl,
-sectional) take one point and raise ValueError on a batch.
+Every pointwise function takes one point (d,) or a batch of points (N, d)
+and puts the batch axis first in its result; a per-point scalar is a float
+for one point and an array of N values for a batch.  The frame of each point
+of a batch is built with the same operations as its own call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionField, levi_civita
-from .geometry import ManifoldSpec, _coords_of, _one_point
+from .geometry import ManifoldSpec, _coords_of
 
 __all__ = [
     "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
@@ -67,52 +68,60 @@ def curvature_duality_residual(g: np.ndarray, R: np.ndarray, Rstar: np.ndarray) 
 
 
 def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
-    """Gram-Schmidt of the coordinate frame in coordinate order; rows are E_i."""
-    g = M.metric_at(_one_point(M, p))
-    d = M.dim
-    frame = np.zeros((d, d))
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        for j in range(i):
-            v = v - (frame[j] @ g @ v) * frame[j]
-        norm = float(v @ g @ v)
-        if norm <= 0.0:
+    """Gram-Schmidt of the coordinate frame in coordinate order; rows are E_i.
+
+    Once E_j is found it is projected out of every later row at once, so each
+    row sees the same operations, in the same order, as in the textbook loop.
+    """
+    g = M.metric_at(p)
+    rest = np.eye(M.dim)  # rows not yet normalized, after the projections so far
+    rows = []
+    for _ in range(M.dim):
+        v = rest[..., :1, :]
+        norm = (v @ g) @ v.swapaxes(-1, -2)
+        if (norm <= 0.0).any():
             raise ArithmeticError("metric not positive definite while orthonormalizing")
-        frame[i] = v / np.sqrt(norm)
-    return frame
+        e = v / np.sqrt(norm)
+        rows.append(e)
+        rest = rest[..., 1:, :]
+        if rest.shape[-2]:
+            rest = rest - (rest @ (e @ g).swapaxes(-1, -2)) * e
+    return np.concatenate(rows, axis=-2)
+
+
+def _item(a):
+    """A per-point value: a Python scalar for one point, an array for a batch."""
+    a = np.asarray(a)
+    return a.item() if a.ndim == 0 else a
 
 
 def _ricci(R: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
-    return np.einsum("ia,lajk,lm,im->jk", E, R, g, E)
+    return np.einsum("...ia,...lajk,...lm,...im->...jk", E, R, g, E)
 
 
-def _scalar(ric: np.ndarray, E: np.ndarray) -> float:
-    return float(np.einsum("ij,ik,jk->", E, E, ric))
+def _scalar(ric: np.ndarray, E: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ik,...jk->...", E, E, ric)
 
 
 def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """Ric_jk = sum_i g(R(E_i, d_j) d_k, E_i) in the coordinate frame."""
-    x = _one_point(M, p)
-    return _ricci(riemann_at(C, x), M.metric_at(x), orthonormal_frame_at(M, x))
+    return _ricci(riemann_at(C, p), M.metric_at(p), orthonormal_frame_at(M, p))
 
 
 def ricci_contraction(R: np.ndarray) -> np.ndarray:
     """Frame-free route Ric_jk = R^a_ajk; agrees with ricci_at by completeness."""
-    return np.einsum("aajk->jk", R)
+    return np.einsum("...aajk->...jk", R)
 
 
-def scalar_at(M: ManifoldSpec, C: ConnectionField, p) -> float:
+def scalar_at(M: ManifoldSpec, C: ConnectionField, p):
     """S = sum_i Ric(E_i, E_i) over the orthonormal frame."""
-    x = _one_point(M, p)
-    E = orthonormal_frame_at(M, x)
-    return _scalar(_ricci(riemann_at(C, x), M.metric_at(x), E), E)
+    E = orthonormal_frame_at(M, p)
+    return _item(_scalar(_ricci(riemann_at(C, p), M.metric_at(p), E), E))
 
 
 def ricci_operator_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """Q with g(QX, Y) = Ric(X, Y); as a matrix Q = g^{-1} Ric."""
-    x = _one_point(M, p)
-    return M.inverse_metric_at(x) @ ricci_at(M, C, x)
+    return M.inverse_metric_at(p) @ ricci_at(M, C, p)
 
 
 def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -> np.ndarray:
@@ -126,66 +135,70 @@ def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -
     """
     if M.dim <= 2:
         raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
-    x = _one_point(M, p)
-    g = M.metric_at(x)
-    E = orthonormal_frame_at(M, x)
-    R = riemann_at(C, x)
+    g = M.metric_at(p)
+    E = orthonormal_frame_at(M, p)
+    R = riemann_at(C, p)
     ric = _ricci(R, g, E)
-    return _weyl(g, M.inverse_metric_at(x), R, ric, _scalar(ric, E), variant)
+    return _weyl(g, M.inverse_metric_at(p), R, ric, _scalar(ric, E), variant)
 
 
-def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S: float,
+def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S,
           variant: str) -> np.ndarray:
-    m = len(g)
+    m = g.shape[-1]
     Q = ginv @ ric
     eye = np.eye(m)
     if variant == "standard":
-        second = np.einsum("jk,li->lijk", ric, eye)
+        second = np.einsum("...jk,li->...lijk", ric, eye)
     elif variant == "as-printed":
-        second = np.einsum("ljki->lijk", R)
+        second = np.einsum("...ljki->...lijk", R)
     else:
         raise ValueError(f"unknown Weyl variant {variant!r}")
-    corr = (np.einsum("ik,lj->lijk", ric, eye) - second
-            + np.einsum("ik,lj->lijk", g, Q) - np.einsum("jk,li->lijk", g, Q))
-    trace_part = np.einsum("ik,lj->lijk", g, eye) - np.einsum("jk,li->lijk", g, eye)
-    return R + corr / (m - 2) - (S / ((m - 1) * (m - 2))) * trace_part
+    corr = (np.einsum("...ik,lj->...lijk", ric, eye) - second
+            + np.einsum("...ik,...lj->...lijk", g, Q) - np.einsum("...jk,...li->...lijk", g, Q))
+    trace_part = np.einsum("...ik,lj->...lijk", g, eye) - np.einsum("...jk,li->...lijk", g, eye)
+    S_part = np.asarray(S / ((m - 1) * (m - 2)))[..., None, None, None, None]
+    return R + corr / (m - 2) - S_part * trace_part
 
 
 def weyl_trace_defect(g: np.ndarray, ginv: np.ndarray, W: np.ndarray) -> float:
     """Max absolute value over all single traces/metric contractions of Weyl."""
-    lowered = np.einsum("lm,mijk->lijk", g, W)
+    lowered = np.einsum("...lm,...mijk->...lijk", g, W)
     contractions = [
-        np.einsum("aajk->jk", W),
-        np.einsum("aiak->ik", W),
-        np.einsum("aija->ij", W),
-        np.einsum("li,lijk->jk", ginv, lowered),
-        np.einsum("lj,lijk->ik", ginv, lowered),
-        np.einsum("lk,lijk->ij", ginv, lowered),
-        np.einsum("ij,lijk->lk", ginv, lowered),
-        np.einsum("ik,lijk->lj", ginv, lowered),
-        np.einsum("jk,lijk->li", ginv, lowered),
+        np.einsum("...aajk->...jk", W),
+        np.einsum("...aiak->...ik", W),
+        np.einsum("...aija->...ij", W),
+        np.einsum("...li,...lijk->...jk", ginv, lowered),
+        np.einsum("...lj,...lijk->...ik", ginv, lowered),
+        np.einsum("...lk,...lijk->...ij", ginv, lowered),
+        np.einsum("...ij,...lijk->...lk", ginv, lowered),
+        np.einsum("...ik,...lijk->...lj", ginv, lowered),
+        np.einsum("...jk,...lijk->...li", ginv, lowered),
     ]
     return max(float(np.max(np.abs(c))) for c in contractions)
 
 
 def first_bianchi_defect(R: np.ndarray) -> float:
     """Max |R(X,Y)Z + R(Y,Z)X + R(Z,X)Y| over coordinate triples."""
-    cyc = R + np.einsum("ljki->lijk", R) + np.einsum("lkij->lijk", R)
+    cyc = R + np.einsum("...ljki->...lijk", R) + np.einsum("...lkij->...lijk", R)
     return float(np.max(np.abs(cyc)))
 
 
-def sectional_at(M: ManifoldSpec, p, X, Y) -> float:
+def sectional_at(M: ManifoldSpec, p, X, Y):
     """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2), metric connection."""
-    x = _one_point(M, p)
     X = np.asarray(getattr(X, "components", X), dtype=float)
     Y = np.asarray(getattr(Y, "components", Y), dtype=float)
-    g = M.metric_at(x)
-    denom = float((X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2)
-    if denom < 1e-12:
+    g = M.metric_at(p)
+    denom = _pair(g, X, X) * _pair(g, Y, Y) - _pair(g, X, Y) ** 2
+    if (denom < 1e-12).any():
         raise DegeneratePlaneError("X and Y do not span a 2-plane")
-    R = riemann_at(levi_civita(M), x)
-    num = float(np.einsum("lijk,i,j,k,lm,m->", R, X, Y, Y, g, X))
-    return num / denom
+    R = riemann_at(levi_civita(M), p)
+    num = np.einsum("...lijk,...i,...j,...k,...lm,...m->...", R, X, Y, Y, g, X)
+    return _item(num / denom)
+
+
+def _pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^T g Y per point, rounded as ``X @ g @ Y`` is."""
+    return ((X[..., None, :] @ g) @ Y[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -223,34 +236,34 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32, tol: float = 1e-8,
     n = M.dim
     if n < 2:
         raise DimensionError("sectional curvature needs dim >= 2")
-    lc = levi_civita(M)
+    x = M.sample_array(samples, seed)
+    g = M.metric_at(x)
+    E = orthonormal_frame_at(M, x)
+    R = riemann_at(levi_civita(M), x)
+    kappas = _scalar(_ricci(R, g, E), E) / (n * (n - 1))
+    framed = np.einsum("...lm,...lijk->...mijk", g, R)
+    for _ in range(4):  # map the leading slot into the frame, rotate it to the back
+        rest = np.moveaxis(framed, -4, -1).reshape(x.shape[:-1] + (n ** 3, n))
+        framed = (rest @ E.swapaxes(-1, -2)).reshape(framed.shape)
     eye = np.eye(n)
     model = np.einsum("ab,cd->abcd", eye, eye) - np.einsum("ac,bd->abcd", eye, eye)
-    kappas = []
-    tensor_dev = 0.0
-    for pt in M.sample_points(samples, seed):
-        g = M.metric_at(pt)
-        E = orthonormal_frame_at(M, pt)
-        R = riemann_at(lc, pt)
-        kappa = _scalar(_ricci(R, g, E), E) / (n * (n - 1))
-        framed = np.einsum("lm,lijk->mijk", g, R)
-        for _ in range(4):  # map the leading slot into the frame, rotate it to the back
-            framed = np.tensordot(framed, E, axes=([0], [1]))
-        kappas.append(kappa)
-        tensor_dev = max(tensor_dev, float(np.sum(np.abs(framed - kappa * model))))
+    tensor_dev = np.sum(np.abs(framed - kappas[:, None, None, None, None] * model),
+                        axis=(-4, -3, -2, -1))
     kappa = float(np.mean(kappas))
-    deviation = max(float(np.max(np.abs(np.array(kappas) - kappa))), tensor_dev)
+    deviation = max(float(np.max(np.abs(kappas - kappa))), float(np.max(tensor_dev)))
     return ConstantSectionalResult(deviation < tol, kappa, deviation, samples, tol)
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
+    """Curvature at a point, or at each point of a batch (leading axis)."""
+
     point: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
     weyl: np.ndarray | None
-    flat_at_point: bool
+    flat_at_point: bool | np.ndarray
     tol: float
 
     def to_dict(self) -> dict:
@@ -258,19 +271,20 @@ class CurvatureReport:
             "point": self.point.tolist(),
             "riemann": self.riemann.tolist(),
             "ricci": self.ricci.tolist(),
-            "scalar": self.scalar,
+            "scalar": np.asarray(self.scalar).tolist(),
             "weyl": None if self.weyl is None else self.weyl.tolist(),
-            "flat_at_point": self.flat_at_point,
+            "flat_at_point": np.asarray(self.flat_at_point).tolist(),
             "tolerance": self.tol,
         }
 
 
 def curvature_report(M: ManifoldSpec, C: ConnectionField, p, tol: float = 1e-8) -> CurvatureReport:
-    x = _one_point(M, p)
+    x = _coords_of(p)
     g = M.metric_at(x)
     E = orthonormal_frame_at(M, x)
     R = riemann_at(C, x)
     ric = _ricci(R, g, E)
     S = _scalar(ric, E)
     W = _weyl(g, M.inverse_metric_at(x), R, ric, S, "standard") if M.dim >= 3 else None
-    return CurvatureReport(x, R, ric, S, W, bool(np.max(np.abs(R)) < tol), tol)
+    flat = np.max(np.abs(R), axis=(-4, -3, -2, -1)) < tol
+    return CurvatureReport(x, R, ric, _item(S), W, _item(flat), tol)

@@ -17,7 +17,7 @@ from .geometry import ManifoldSpec, Point
 from .connections import ConnectionField, _duality_defect, conjugate, torsion_at
 from .curvature import (ConstantSectionalResult, DimensionError, is_constant_sectional,
                         riemann_at)
-from .products import (ProductSpec, _mv, _per_point, block_connection,
+from .products import (ProductSpec, _max_abs, _mv, _per_point, block_connection,
                        hessian_condition_defect, mixed_ricci_table, mixed_weyl_report,
                        product_metric_residual, riemann_block_residuals, separability_test,
                        to_warped, twisted_product, weyl_parallel_defect)
@@ -67,10 +67,6 @@ class ProductDualisticStructure(DualisticStructure):
     product: ProductSpec = None
     base_structure: DualisticStructure = None
     fiber_structure: DualisticStructure = None
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
 
 
 def make_dualistic(M: ManifoldSpec, C: ConnectionField,

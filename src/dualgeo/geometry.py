@@ -221,26 +221,24 @@ def _coords_of(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def _one_point(M: ManifoldSpec, p) -> np.ndarray:
-    """Coordinates of a single point of M; a batch of points raises ValueError."""
-    x = _coords_of(p)
-    if x.shape != (M.dim,):
-        raise ValueError(f"expected one point of {M.name!r} with shape ({M.dim},), "
-                         f"got an array of shape {x.shape}")
-    return x
-
-
 def validate_metric(M: ManifoldSpec, samples: int = 64, seed: int = 42,
                     sym_tol: float = 1e-12, eig_floor: float = 1e-10) -> None:
-    """Check value-level symmetry and positive-definiteness on interior samples."""
-    for pt in M.sample_points(samples, seed):
-        g = M.metric_at(pt)
-        asym = float(np.max(np.abs(g - g.T)))
-        if asym >= sym_tol:
+    """Check value-level symmetry and positive-definiteness on interior samples.
+
+    The error names the first failing sample; an expression error at any
+    sample is raised first, by the evaluation of the whole sample set.
+    """
+    x = M.sample_array(samples, seed)
+    g = M.metric_at(x)
+    gT = g.swapaxes(-1, -2)
+    asym = np.max(np.abs(g - gT), axis=(-2, -1))
+    smallest = np.min(np.linalg.eigvalsh(0.5 * (g + gT)), axis=-1)
+    failing = (asym >= sym_tol) | (smallest <= eig_floor)
+    if failing.any():
+        i = int(np.argmax(failing))
+        if asym[i] >= sym_tol:
             raise GeometryError(
-                f"metric of {M.name!r} asymmetric by {asym:.3e} at {pt.coords.tolist()}")
-        smallest = float(np.min(np.linalg.eigvalsh(0.5 * (g + g.T))))
-        if smallest <= eig_floor:
-            raise GeometryError(
-                f"metric of {M.name!r} not positive definite at {pt.coords.tolist()} "
-                f"(smallest eigenvalue {smallest:.3e})")
+                f"metric of {M.name!r} asymmetric by {asym[i]:.3e} at {x[i].tolist()}")
+        raise GeometryError(
+            f"metric of {M.name!r} not positive definite at {x[i].tolist()} "
+            f"(smallest eigenvalue {smallest[i]:.3e})")

@@ -12,32 +12,33 @@ from typing import Callable
 import numpy as np
 
 
-def step_for(x: float, rel_step: float = 1e-4) -> float:
-    """Step proportional to the coordinate scale, floored at the relative step."""
-    return rel_step * max(1.0, abs(x))
+def step_for(x, rel_step: float = 1e-4):
+    """Step proportional to the coordinate scale, floored at the relative step; elementwise."""
+    return rel_step * np.maximum(1.0, np.abs(x))
 
 
 def central_diff(f: Callable[[np.ndarray], float | np.ndarray], x, i: int,
-                 h: float | None = None, order: int = 2):
+                 h=None, order: int = 2):
     """Central difference of f along coordinate i at x.
 
     order=2 is the classic two-point stencil, order=4 the five-point one.
-    Works for scalar- or array-valued f.
+    Works for scalar- or array-valued f.  x is one point (d,) or a batch of
+    points (N, d), which f must accept; h is one step, or one step per point
+    of the batch, and each stencil offset is one call of f.
     """
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = step_for(x[i])
+    h = np.asarray(step_for(x[..., i]) if h is None else h, dtype=float)
     e = np.zeros_like(x)
-    e[i] = 1.0
+    e[..., i] = 1.0
+
+    def f_at(offset) -> np.ndarray:
+        return np.asarray(f(x + (offset * h)[..., None] * e))
+
     if order == 2:
-        return (np.asarray(f(x + h * e)) - np.asarray(f(x - h * e))) / (2.0 * h)
-    if order == 4:
-        return (-np.asarray(f(x + 2 * h * e)) + 8.0 * np.asarray(f(x + h * e))
-                - 8.0 * np.asarray(f(x - h * e)) + np.asarray(f(x - 2 * h * e))) / (12.0 * h)
-    raise ValueError(f"unsupported FD order {order}")
-
-
-def gradient(f: Callable[[np.ndarray], float], x, h: float | None = None,
-             order: int = 4) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.array([central_diff(f, x, i, h, order) for i in range(len(x))])
+        diff, scale = f_at(1) - f_at(-1), 2.0 * h
+    elif order == 4:
+        diff = -f_at(2) + 8.0 * f_at(1) - 8.0 * f_at(-1) + f_at(-2)
+        scale = 12.0 * h
+    else:
+        raise ValueError(f"unsupported FD order {order}")
+    return diff / scale.reshape(scale.shape + (1,) * (diff.ndim - scale.ndim))

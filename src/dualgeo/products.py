@@ -26,7 +26,7 @@ from .exprlang import (Const, Expr, compile_array, differentiate, evaluate, fn, 
                        pow_, simplify, sub, substitute)
 from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of
 from .connections import ConnectionField, levi_civita
-from .curvature import DimensionError, ricci_at, riemann_at, weyl_at
+from .curvature import DimensionError, _pair, ricci_at, riemann_at, weyl_at
 from . import numdiff
 
 __all__ = [
@@ -144,7 +144,9 @@ class ProductSpec:
         b, k1, _ = self.twist_data_at(x)
         gBinv = self.base.inverse_metric_at(xb)
         gFinv = self.fiber.inverse_metric_at(xf)
-        return np.concatenate([gBinv @ k1[: self.r], (gFinv @ k1[self.r:]) / b**2])
+        return np.concatenate([_mv(gBinv, k1[..., : self.r]),
+                               _mv(gFinv, k1[..., self.r:]) / np.asarray(b**2)[..., None]],
+                              axis=-1)
 
     def pad_base(self, v) -> np.ndarray:
         return np.concatenate([np.asarray(v, dtype=float), np.zeros(self.s)])
@@ -179,10 +181,11 @@ def twisted_product(B: ManifoldSpec, F: ManifoldSpec, twist) -> ProductSpec:
     product = ManifoldSpec(f"{B.name}*{F.name}", coords, B.domain + F.domain,
                            tuple(tuple(row) for row in metric))
 
-    for pt in product.sample_points(32, seed=7):
-        value = evaluate(twist, product.env(pt.coords))
-        if value <= 0.0:
-            raise GeometryError(f"twist {twist} is not positive at {pt.coords.tolist()}")
+    x = product.sample_array(32, seed=7)
+    not_positive = compile_array([twist], coords)(x)[:, 0] <= 0.0
+    if not_positive.any():
+        raise GeometryError(
+            f"twist {twist} is not positive at {x[np.argmax(not_positive)].tolist()}")
 
     deps = free_vars(twist)
     if not deps and abs(evaluate(twist, {}) - 1.0) < 1e-15:
@@ -368,6 +371,8 @@ def block_levi_civita_defect(P: ProductSpec, samples: int = 32, seed: int = 42) 
 
 @dataclass(frozen=True)
 class HessianData:
+    """Hessian data at a point, or at each point of a batch (leading axis)."""
+
     point: np.ndarray
     base_block: np.ndarray   # XY(k) - (B-nabla_X Y)(k), base directions
     mixed_block: np.ndarray  # XV(k) - X(k)V(k)
@@ -386,13 +391,18 @@ def hessian_at(P: ProductSpec, p) -> HessianData:
     r = P.r
     b, k1, k2 = P.twist_data_at(x)
     gam_b = P.base_levi_civita.gamma_at(xb)
-    base_block = k2[:r, :r] - np.einsum("cab,c->ab", gam_b, k1[:r])
-    mixed_block = k2[:r, r:] - np.outer(k1[:r], k1[r:])
+    base_block = k2[..., :r, :r] - np.einsum("...cab,...c->...ab", gam_b, k1[..., :r])
+    mixed_block = k2[..., :r, r:] - _outer(k1[..., :r], k1[..., r:])
     gam = P.chart_levi_civita.gamma_at(x)
-    full = k2 - np.einsum("mij,m->ij", gam, k1)
+    full = k2 - np.einsum("...mij,...m->...ij", gam, k1)
     ginv = P.manifold.inverse_metric_at(x)
-    operator = full[:r, :] @ ginv.T
+    operator = full[..., :r, :] @ ginv.swapaxes(-1, -2)
     return HessianData(x, base_block, mixed_block, full, operator)
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Outer product per point."""
+    return u[..., :, None] * v[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -428,56 +438,59 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
     block is evaluated both as printed and with the index-consistent pairing.
     """
     r, s, n = P.r, P.s, P.n
-    worst = {"R(X,Y)Z": 0.0, "R(X,Y)U": 0.0, "R(X,U)Y": 0.0, "R(U,V)X": 0.0,
-             "R(X,U)V": 0.0, "R(U,V)W[index-consistent]": 0.0,
-             "R(U,V)W[as-printed]": 0.0}
     fiber_out = np.eye(n)[:, r:]  # fiber_out[l, u]: component l of the lifted d_u
-    for pt in P.manifold.sample_points(samples, seed):
-        x = pt.coords
-        xb, xf = P.split(x)
-        gFF = P.manifold.metric_at(x)[r:, r:]
-        gBinv = P.base.inverse_metric_at(xb)
-        R = riemann_at(conn, x)
-        R_B = riemann_at(base_conn, xb)
-        R_F = riemann_at(fiber_conn, xf)
-        b, k1, k2 = P.twist_data_at(x)
-        b1, b2 = P.twist_hessian_b_at(x)
-        gam_b = P.base_levi_civita.gamma_at(xb)
-        hess = hessian_at(P, x)
-        gradk = P.gradient_of_log_twist(x)
-        grad_b_norm_sq = float(b1[:r] @ gBinv @ b1[:r])  # |grad_B b|^2 in g_B
-        hbB = b2[:r, :r] - np.einsum("cab,c->ab", gam_b, b1[:r])
-        kUX = k2[r:, :r]  # UX(k) on coordinate directions
-        gradB_Uk = np.zeros((n, s))  # gradB_Uk[l, u]: components of grad_B(d_u(k))
-        gradB_Uk[:r] = gBinv @ kUX.T
+    x = P.manifold.sample_array(samples, seed)
+    xb, xf = P.split(x)
+    gFF = P.manifold.metric_at(x)[..., r:, r:]
+    gBinv = P.base.inverse_metric_at(xb)
+    R = riemann_at(conn, x)
+    R_B = riemann_at(base_conn, xb)
+    R_F = riemann_at(fiber_conn, xf)
+    b, k1, k2 = P.twist_data_at(x)
+    b1, b2 = P.twist_hessian_b_at(x)
+    gam_b = P.base_levi_civita.gamma_at(xb)
+    hess = hessian_at(P, x)
+    gradk = P.gradient_of_log_twist(x)
+    grad_b_norm_sq = _pair(gBinv, b1[..., :r], b1[..., :r])  # |grad_B b|^2 in g_B
+    hbB = b2[..., :r, :r] - np.einsum("...cab,...c->...ab", gam_b, b1[..., :r])
+    kUX = k2[..., r:, :r]  # UX(k) on coordinate directions
+    gradB_Uk = np.zeros(x.shape[:-1] + (n, s))  # [l, u]: components of grad_B(d_u(k))
+    gradB_Uk[..., :r, :] = gBinv @ kUX.swapaxes(-1, -2)
 
-        R_UVW = R[:, r:, r:, r:]
-        common = (np.pad(R_F, ((r, 0), (0, 0), (0, 0), (0, 0)))
-                  - (grad_b_norm_sq / b**2) * (np.einsum("vw,lu->luvw", gFF, fiber_out)
-                                               - np.einsum("uw,lv->luvw", gFF, fiber_out))
-                  + np.einsum("uw,lv->luvw", gFF, gradB_Uk))
-        d = {
-            "R(X,Y)Z": R[:, :r, :r, :r] - np.pad(R_B, ((0, s), (0, 0), (0, 0), (0, 0))),
-            "R(X,Y)U": R[:, :r, :r, r:],
-            "R(X,U)Y": R[:, :r, r:, :r] - np.einsum("ab,lu->laub", hbB / b, fiber_out),
-            "R(U,V)X": (R[:, r:, r:, :r] - np.einsum("ua,lv->luva", kUX, fiber_out)
-                        + np.einsum("va,lu->luva", kUX, fiber_out)),
-            "R(X,U)V": (R[:, :r, r:, r:]
-                        - np.einsum("av,lu->lauv", np.outer(k1[:r], k1[r:]) + hess.mixed_block,
-                                    fiber_out)
-                        + np.einsum("uv,al->lauv", gFF,
-                                    np.outer(k1[:r], gradk) + hess.operator)),
-            "R(U,V)W[index-consistent]": (R_UVW - common
-                                          + np.einsum("vw,lu->luvw", gFF, gradB_Uk)),
-            # the printed g(V,U) grad_B(U(k)) is quadratic in U, not trilinear:
-            # it is evaluated on coordinate triples (constant in the W slot)
-            "R(U,V)W[as-printed]": (R_UVW - common
-                                    + np.einsum("vu,lu->luv", gFF, gradB_Uk)[..., None]),
-        }
-        for block, diff in d.items():
-            l1 = np.sum(np.abs(diff), axis=(1, 2, 3))
-            worst[block] = max(worst[block], float(np.max(l1)))
-    return worst
+    R_UVW = R[..., :, r:, r:, r:]
+    common = (_pad_out(R_F, r, 0)
+              - _per_point(grad_b_norm_sq / b**2)[..., None]
+              * (np.einsum("...vw,lu->...luvw", gFF, fiber_out)
+                 - np.einsum("...uw,lv->...luvw", gFF, fiber_out))
+              + np.einsum("...uw,...lv->...luvw", gFF, gradB_Uk))
+    d = {
+        "R(X,Y)Z": R[..., :, :r, :r, :r] - _pad_out(R_B, 0, s),
+        "R(X,Y)U": R[..., :, :r, :r, r:],
+        "R(X,U)Y": (R[..., :, :r, r:, :r]
+                    - np.einsum("...ab,lu->...laub", hbB / np.asarray(b)[..., None, None],
+                                fiber_out)),
+        "R(U,V)X": (R[..., :, r:, r:, :r] - np.einsum("...ua,lv->...luva", kUX, fiber_out)
+                    + np.einsum("...va,lu->...luva", kUX, fiber_out)),
+        "R(X,U)V": (R[..., :, :r, r:, r:]
+                    - np.einsum("...av,lu->...lauv",
+                                _outer(k1[..., :r], k1[..., r:]) + hess.mixed_block, fiber_out)
+                    + np.einsum("...uv,...al->...lauv", gFF,
+                                _outer(k1[..., :r], gradk) + hess.operator)),
+        "R(U,V)W[index-consistent]": (R_UVW - common
+                                      + np.einsum("...vw,...lu->...luvw", gFF, gradB_Uk)),
+        # the printed g(V,U) grad_B(U(k)) is quadratic in U, not trilinear:
+        # it is evaluated on coordinate triples (constant in the W slot)
+        "R(U,V)W[as-printed]": (R_UVW - common
+                                + np.einsum("...vu,...lu->...luv", gFF, gradB_Uk)[..., None]),
+    }
+    # l1 norm over the three input slots, per output index and point
+    return {block: float(np.max(np.sum(np.abs(diff), axis=(-3, -2, -1))))
+            for block, diff in d.items()}
+
+
+def _pad_out(T: np.ndarray, before: int, after: int) -> np.ndarray:
+    """T[..., l, i, j, k] with zero output components added before and after."""
+    return np.pad(T, [(0, 0)] * (T.ndim - 4) + [(before, after), (0, 0), (0, 0), (0, 0)])
 
 
 def curvature_block_report(P: ProductSpec, samples: int = 16, seed: int = 42,
@@ -516,35 +529,30 @@ def mixed_ricci_at(P: ProductSpec, p, X, V) -> tuple[float, float]:
 
 def mixed_ricci_table(P: ProductSpec, samples: int = 16, seed: int = 42) -> dict[str, float]:
     """Worst-case mixed Ricci values over samples and coordinate directions."""
-    max_direct = 0.0
-    max_closed = 0.0
-    max_sign_residual = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        ric = ricci_at(P.manifold, P.chart_levi_civita, pt)
-        _, _, k2 = P.twist_data_at(pt)
-        direct = ric[: P.r, P.r:]
-        closed = (P.s - 1) * k2[: P.r, P.r:]
-        max_direct = max(max_direct, float(np.max(np.abs(direct))))
-        max_closed = max(max_closed, float(np.max(np.abs(closed))))
-        max_sign_residual = max(max_sign_residual,
-                                float(np.max(np.abs(direct - MIXED_RICCI_SIGN * closed))))
-    return {"max_direct": max_direct, "max_closed_form": max_closed,
-            "max_residual_with_adopted_sign": max_sign_residual}
+    x = P.manifold.sample_array(samples, seed)
+    ric = ricci_at(P.manifold, P.chart_levi_civita, x)
+    _, _, k2 = P.twist_data_at(x)
+    direct = ric[..., : P.r, P.r:]
+    closed = (P.s - 1) * k2[..., : P.r, P.r:]
+    return {"max_direct": _max_abs(direct), "max_closed_form": _max_abs(closed),
+            "max_residual_with_adopted_sign": _max_abs(direct - MIXED_RICCI_SIGN * closed)}
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def ricci_base_block_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> float:
     """Residual of Ric(X,Y) = Ric_B(X,Y) - s [h^k_B(X,Y) + X(k)Y(k)] on base pairs."""
     r, s = P.r, P.s
-    worst = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        xb, _ = P.split(pt.coords)
-        ric = ricci_at(P.manifold, P.chart_levi_civita, pt)
-        ric_b = ricci_at(P.base, P.base_levi_civita, xb)
-        _, k1, _ = P.twist_data_at(pt)
-        hess = hessian_at(P, pt)
-        formula = ric_b - s * (hess.base_block + np.outer(k1[:r], k1[:r]))
-        worst = max(worst, float(np.max(np.abs(ric[:r, :r] - formula))))
-    return worst
+    x = P.manifold.sample_array(samples, seed)
+    xb, _ = P.split(x)
+    ric = ricci_at(P.manifold, P.chart_levi_civita, x)
+    ric_b = ricci_at(P.base, P.base_levi_civita, xb)
+    _, k1, _ = P.twist_data_at(x)
+    hess = hessian_at(P, x)
+    formula = ric_b - s * (hess.base_block + _outer(k1[..., :r], k1[..., :r]))
+    return _max_abs(ric[..., :r, :r] - formula)
 
 
 # ---------------------------------------------------------------------------
@@ -584,21 +592,17 @@ def mixed_weyl_report(P: ProductSpec, samples: int = 12, seed: int = 42,
     c_vwx = (r - 1) / (n - 2)
     eye = np.eye(n)
     base, fib = eye[:, :r], eye[:, r:]  # coordinate directions as output components
-    d1 = d2 = cond1 = cond2 = mixed = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        W = weyl_at(P.manifold, P.chart_levi_civita, pt)
-        _, _, k2 = P.twist_data_at(pt)
-        cross = k2[:r, r:]  # XV(k) on coordinate directions
-        xyv = c_xyv * (np.einsum("lb,aw->labw", base, cross)
-                       - np.einsum("la,bw->labw", base, cross))
-        vwx = c_vwx * (np.einsum("lw,av->lvwa", fib, cross)
-                       - np.einsum("lv,aw->lvwa", fib, cross))
-        d1 = max(d1, float(np.max(np.abs(W[:, :r, :r, r:] - xyv))))
-        d2 = max(d2, float(np.max(np.abs(W[:, r:, r:, :r] - vwx))))
-        cond1 = max(cond1, float(np.max(np.abs(W[:, :r, :r, r:]))))
-        cond2 = max(cond2, float(np.max(np.abs(W[:, r:, r:, :r]))))
-        mixed = max(mixed, float(np.max(np.abs(W[:, :r, r:, :]))))
-    return MixedWeylReport(d1, d2, cond1, cond2, mixed, tol, samples)
+    x = P.manifold.sample_array(samples, seed)
+    W = weyl_at(P.manifold, P.chart_levi_civita, x)
+    _, _, k2 = P.twist_data_at(x)
+    cross = k2[..., :r, r:]  # XV(k) on coordinate directions
+    xyv = c_xyv * (np.einsum("lb,...aw->...labw", base, cross)
+                   - np.einsum("la,...bw->...labw", base, cross))
+    vwx = c_vwx * (np.einsum("lw,...av->...lvwa", fib, cross)
+                   - np.einsum("lv,...aw->...lvwa", fib, cross))
+    W_xyv, W_vwx = W[..., :, :r, :r, r:], W[..., :, r:, r:, :r]
+    return MixedWeylReport(_max_abs(W_xyv - xyv), _max_abs(W_vwx - vwx), _max_abs(W_xyv),
+                           _max_abs(W_vwx), _max_abs(W[..., :, :r, r:, :]), tol, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +638,8 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42,
     k0 = evaluate(P.log_twist, P.manifold.env(anchor))
     alpha = simplify(sub(substitute(P.log_twist, fiber_env), Const(k0 / 2.0)))
     beta = simplify(sub(substitute(P.log_twist, base_env), Const(k0 / 2.0)))
-    recon = 0.0
-    for x in X:
-        env = P.manifold.env(x)
-        recon = max(recon, abs(evaluate(P.log_twist, env)
-                               - evaluate(alpha, env) - evaluate(beta, env)))
-    return SeparabilityResult(True, worst, alpha, beta, float(recon), anchor)
+    k, k_base, k_fiber = compile_array([P.log_twist, alpha, beta], P.manifold.coords)(X).T
+    return SeparabilityResult(True, worst, alpha, beta, _max_abs(k - k_base - k_fiber), anchor)
 
 
 def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42,
@@ -689,14 +689,10 @@ class HessianConditionResult:
 def hessian_condition_defect(P: ProductSpec, samples: int = 16, seed: int = 42,
                              tol: float = 1e-8) -> HessianConditionResult:
     """Max |H^k(X) + X(k) grad k| over base coordinate directions."""
-    r = P.r
-    worst = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        hess = hessian_at(P, pt)
-        _, k1, _ = P.twist_data_at(pt)
-        gradk = P.gradient_of_log_twist(pt.coords)
-        defect = hess.operator + np.outer(k1[:r], gradk)
-        worst = max(worst, float(np.max(np.abs(defect))))
+    x = P.manifold.sample_array(samples, seed)
+    hess = hessian_at(P, x)
+    _, k1, _ = P.twist_data_at(x)
+    worst = _max_abs(hess.operator + _outer(k1[..., :P.r], P.gradient_of_log_twist(x)))
     return HessianConditionResult(worst, worst < tol, tol)
 
 
@@ -711,18 +707,17 @@ def weyl_parallel_defect(P: ProductSpec, samples: int = 8, seed: int = 42) -> fl
         raise DimensionError("Weyl-parallel check needs product dimension >= 4")
     M = P.manifold
     conn = P.chart_levi_civita
+    x = M.sample_array(samples, seed)
+    W = weyl_at(M, conn, x)
+    gam = conn.gamma_at(x)
     worst = 0.0
-    for pt in M.sample_points(samples, seed):
-        x = pt.coords
-        W = weyl_at(M, conn, x)
-        gam = conn.gamma_at(x)
-        for q in range(P.n):
-            h = numdiff.step_for(x[q])
-            dW = numdiff.central_diff(lambda z: weyl_at(M, conn, z), x, q, h, order=4)
-            nabla = (dW
-                     + np.einsum("lm,mijk->lijk", gam[:, q, :], W)
-                     - np.einsum("mi,lmjk->lijk", gam[:, q, :], W)
-                     - np.einsum("mj,limk->lijk", gam[:, q, :], W)
-                     - np.einsum("mk,lijm->lijk", gam[:, q, :], W))
-            worst = max(worst, float(np.max(np.abs(nabla))))
+    for q in range(P.n):
+        dW = numdiff.central_diff(lambda z: weyl_at(M, conn, z), x, q, order=4)
+        gam_q = gam[..., :, q, :]
+        nabla = (dW
+                 + np.einsum("...lm,...mijk->...lijk", gam_q, W)
+                 - np.einsum("...mi,...lmjk->...lijk", gam_q, W)
+                 - np.einsum("...mj,...limk->...lijk", gam_q, W)
+                 - np.einsum("...mk,...lijm->...lijk", gam_q, W))
+        worst = max(worst, _max_abs(nabla))
     return worst

@@ -34,6 +34,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.tol_exact) and math.isfinite(self.tol_fd)):
             raise ValueError("tolerances must be finite")
         if self.tol_exact <= 0 or self.tol_fd <= 0:

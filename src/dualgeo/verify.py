@@ -21,12 +21,12 @@ from .connections import (conjugate, cubic_form_at, dgamma_fd_defect, duality_re
 from .curvature import (curvature_duality_residual, curvature_report, first_bianchi_defect,
                         is_constant_sectional, ricci_contraction, riemann_at, scalar_at,
                         sectional_at, weyl_at, weyl_trace_defect)
-from .products import (MIXED_RICCI_SIGN, block_levi_civita_defect, curvature_block_report,
-                       hessian_at, hessian_condition_defect, lift_lemma_residual,
-                       mixed_ricci_table, mixed_weyl_report, product_metric_residual,
-                       ricci_base_block_residual, separability_test, to_warped,
-                       weyl_parallel_defect)
-from .dualistic import (_max_abs, dually_flat_verdict, lemma_dual_block_report, make_dualistic,
+from .products import (MIXED_RICCI_SIGN, _max_abs, block_levi_civita_defect,
+                       curvature_block_report, hessian_at, hessian_condition_defect,
+                       lift_lemma_residual, mixed_ricci_table, mixed_weyl_report,
+                       product_metric_residual, ricci_base_block_residual, separability_test,
+                       to_warped, weyl_parallel_defect)
+from .dualistic import (dually_flat_verdict, lemma_dual_block_report, make_dualistic,
                         projection_check, theorem41_analyze, theorem42_analyze,
                         theorem43_analyze, torsion_inheritance_check)
 from . import fixtures
@@ -154,14 +154,12 @@ def verify_paper(config: RunConfig) -> VerificationReport:
 
     # ------------------------------------------------------ classical values
     sphere, hyp, fisher = fixtures.sphere2(), fixtures.hyperbolic2(), fixtures.fisher_normal()
-    dev = 0.0
-    for pt in sphere.sample_points(10, seed):
-        dev = max(dev, abs(scalar_at(sphere, levi_civita(sphere), pt) - 2.0),
-                  abs(sectional_at(sphere, pt, [1.0, 0.0], [0.0, 1.0]) - 1.0))
-    for pt in hyp.sample_points(10, seed):
-        dev = max(dev, abs(scalar_at(hyp, levi_civita(hyp), pt) + 2.0))
-    for pt in fisher.sample_points(10, seed):
-        dev = max(dev, abs(sectional_at(fisher, pt, [1.0, 0.0], [0.0, 1.0]) + 0.5))
+    plane = ([1.0, 0.0], [0.0, 1.0])
+    xs, xh, xf = (M.sample_array(10, seed) for M in (sphere, hyp, fisher))
+    dev = max(_max_abs(scalar_at(sphere, levi_civita(sphere), xs) - 2.0),
+              _max_abs(sectional_at(sphere, xs, *plane) - 1.0),
+              _max_abs(scalar_at(hyp, levi_civita(hyp), xh) + 2.0),
+              _max_abs(sectional_at(fisher, xf, *plane) + 0.5))
     rep.add("classical-curvature",
             "sphere: S=2, K=1; half-plane: S=-2; normal-family Fisher: K=-1/2",
             dev, config.exact_tol(1e-6))
@@ -177,20 +175,17 @@ def verify_paper(config: RunConfig) -> VerificationReport:
 
     bianchi = trace_free = scalar_routes = ricci_routes = 0.0
     for M in manifolds:
-        lc = levi_civita(M)
-        for pt in M.sample_points(min(samples, 12), seed):
-            cr = curvature_report(M, lc, pt)
-            ginv = M.inverse_metric_at(pt)
-            bianchi = max(bianchi, first_bianchi_defect(cr.riemann))
-            scalar_routes = max(scalar_routes, abs(
-                cr.scalar - float(np.einsum("jk,jk->", ginv, cr.ricci))))
-            if cr.weyl is not None:
-                trace_free = max(trace_free, weyl_trace_defect(M.metric_at(pt), ginv, cr.weyl))
+        x = M.sample_array(min(samples, 12), seed)
+        cr = curvature_report(M, levi_civita(M), x)
+        ginv = M.inverse_metric_at(x)
+        bianchi = max(bianchi, first_bianchi_defect(cr.riemann))
+        scalar_routes = max(scalar_routes, _max_abs(
+            cr.scalar - np.einsum("...jk,...jk->...", ginv, cr.ricci)))
+        if cr.weyl is not None:
+            trace_free = max(trace_free, weyl_trace_defect(M.metric_at(x), ginv, cr.weyl))
     for M, cname, C, _ in pairs:
-        for pt in M.sample_points(4, seed):
-            cr = curvature_report(M, C, pt)
-            ricci_routes = max(ricci_routes, float(np.max(np.abs(
-                cr.ricci - ricci_contraction(cr.riemann)))))
+        cr = curvature_report(M, C, M.sample_array(4, seed))
+        ricci_routes = max(ricci_routes, _max_abs(cr.ricci - ricci_contraction(cr.riemann)))
     rep.add("first-bianchi", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the metric connection",
             bianchi, config.exact_tol(1e-9))
     rep.add("weyl-trace-free", "all traces of the conformal tensor vanish (metric connection)",
@@ -277,12 +272,10 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     rep.add("mixed-weyl-separable", "separable twists satisfy both Weyl-flat-along conditions",
             max(mw_sep.cond_xyv_max, mw_sep.cond_vwx_max), config.exact_tol(1e-7))
 
-    weyl_variant_diff = 0.0
     P4 = twists["hyperbolic-4d"]
-    for pt in P4.manifold.sample_points(4, seed):
-        std = weyl_at(P4.manifold, P4.chart_levi_civita, pt, "standard")
-        printed = weyl_at(P4.manifold, P4.chart_levi_civita, pt, "as-printed")
-        weyl_variant_diff = max(weyl_variant_diff, float(np.max(np.abs(std - printed))))
+    x = P4.manifold.sample_array(4, seed)
+    weyl_variant_diff = _max_abs(weyl_at(P4.manifold, P4.chart_levi_civita, x, "standard")
+                                 - weyl_at(P4.manifold, P4.chart_levi_civita, x, "as-printed"))
     rep.add("weyl-variant-difference",
             "standard conformal tensor vs the printed variant with a curvature term",
             weyl_variant_diff, None, informational=True,
@@ -302,11 +295,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     hess_restrict = 0.0
     for name in _CRITERION4_TWISTS:
         P = twists[name]
-        for pt in P.manifold.sample_points(6, seed):
-            h = hessian_at(P, pt)
-            hess_restrict = max(hess_restrict, float(np.max(np.abs(
-                h.full[: P.r, : P.r] - h.base_block))), float(np.max(np.abs(
-                    h.full[: P.r, P.r:] - h.mixed_block))))
+        h = hessian_at(P, P.manifold.sample_array(6, seed))
+        hess_restrict = max(hess_restrict, _max_abs(h.full[..., : P.r, : P.r] - h.base_block),
+                            _max_abs(h.full[..., : P.r, P.r:] - h.mixed_block))
     rep.add("hessian-block-restriction",
             "the product Hessian of k restricts to the displayed base and mixed blocks",
             hess_restrict, config.exact_tol(1e-10))

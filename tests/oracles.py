@@ -8,12 +8,16 @@ a library bug cannot hide in its own oracle.
 The *_contraction oracles evaluate the multilinear identities on explicit
 vectors, the way a textbook states them, as a check on the library's
 whole-tensor residuals.
+
+The *_per_point oracles are the product block reports written as loops over
+sample points, each point through the library's one-point calls, as a check
+on the reports' batched evaluation.
 """
 
 import numpy as np
 
-from dualgeo.curvature import riemann_at
-from dualgeo.products import hessian_at
+from dualgeo.curvature import ricci_at, riemann_at, weyl_at
+from dualgeo.products import MIXED_RICCI_SIGN, hessian_at
 
 
 def fd1(f, x, i, h=1e-6):
@@ -170,3 +174,96 @@ def curvature_block_contractions(P, conn, base_conn, fiber_conn, x, X, Y, Z, U, 
         "R(U,V)W[index-consistent]": apply(conn, x, Ul, Vl, Wl) - displayed_UVW,
     }
     return {block: float(np.max(np.abs(v))) for block, v in d.items()}
+
+
+def riemann_block_residuals_per_point(P, conn, base_conn, fiber_conn, samples, seed):
+    """Worst l1 residual of each displayed curvature block, one point at a time."""
+    r, s, n = P.r, P.s, P.n
+    worst = dict.fromkeys(("R(X,Y)Z", "R(X,Y)U", "R(X,U)Y", "R(U,V)X", "R(X,U)V",
+                           "R(U,V)W[index-consistent]", "R(U,V)W[as-printed]"), 0.0)
+    fiber_out = np.eye(n)[:, r:]
+    for pt in P.manifold.sample_points(samples, seed):
+        x = pt.coords
+        xb, xf = P.split(x)
+        gFF = P.manifold.metric_at(x)[r:, r:]
+        gBinv = P.base.inverse_metric_at(xb)
+        R = riemann_at(conn, x)
+        R_B = riemann_at(base_conn, xb)
+        R_F = riemann_at(fiber_conn, xf)
+        b, k1, k2 = P.twist_data_at(x)
+        b1, b2 = P.twist_hessian_b_at(x)
+        gam_b = P.base_levi_civita.gamma_at(xb)
+        hess = hessian_at(P, x)
+        gradk = P.gradient_of_log_twist(x)
+        grad_b_norm_sq = float(b1[:r] @ gBinv @ b1[:r])
+        hbB = b2[:r, :r] - np.einsum("cab,c->ab", gam_b, b1[:r])
+        kUX = k2[r:, :r]
+        gradB_Uk = np.zeros((n, s))
+        gradB_Uk[:r] = gBinv @ kUX.T
+        R_UVW = R[:, r:, r:, r:]
+        common = (np.pad(R_F, ((r, 0), (0, 0), (0, 0), (0, 0)))
+                  - (grad_b_norm_sq / b**2) * (np.einsum("vw,lu->luvw", gFF, fiber_out)
+                                               - np.einsum("uw,lv->luvw", gFF, fiber_out))
+                  + np.einsum("uw,lv->luvw", gFF, gradB_Uk))
+        d = {
+            "R(X,Y)Z": R[:, :r, :r, :r] - np.pad(R_B, ((0, s), (0, 0), (0, 0), (0, 0))),
+            "R(X,Y)U": R[:, :r, :r, r:],
+            "R(X,U)Y": R[:, :r, r:, :r] - np.einsum("ab,lu->laub", hbB / b, fiber_out),
+            "R(U,V)X": (R[:, r:, r:, :r] - np.einsum("ua,lv->luva", kUX, fiber_out)
+                        + np.einsum("va,lu->luva", kUX, fiber_out)),
+            "R(X,U)V": (R[:, :r, r:, r:]
+                        - np.einsum("av,lu->lauv", np.outer(k1[:r], k1[r:]) + hess.mixed_block,
+                                    fiber_out)
+                        + np.einsum("uv,al->lauv", gFF,
+                                    np.outer(k1[:r], gradk) + hess.operator)),
+            "R(U,V)W[index-consistent]": (R_UVW - common
+                                          + np.einsum("vw,lu->luvw", gFF, gradB_Uk)),
+            "R(U,V)W[as-printed]": (R_UVW - common
+                                    + np.einsum("vu,lu->luv", gFF, gradB_Uk)[..., None]),
+        }
+        for block, diff in d.items():
+            worst[block] = max(worst[block], float(np.max(np.sum(np.abs(diff), axis=(1, 2, 3)))))
+    return worst
+
+
+def mixed_ricci_table_per_point(P, samples, seed):
+    """(max |Ric(X,V)|, max |(s-1)XV(k)|, max residual with the adopted sign)."""
+    out = np.zeros(3)
+    for pt in P.manifold.sample_points(samples, seed):
+        direct = ricci_at(P.manifold, P.chart_levi_civita, pt)[: P.r, P.r:]
+        closed = (P.s - 1) * P.twist_data_at(pt)[2][: P.r, P.r:]
+        out = np.maximum(out, [np.max(np.abs(direct)), np.max(np.abs(closed)),
+                               np.max(np.abs(direct - MIXED_RICCI_SIGN * closed))])
+    return tuple(out)
+
+
+def ricci_base_block_residual_per_point(P, samples, seed):
+    r, s = P.r, P.s
+    worst = 0.0
+    for pt in P.manifold.sample_points(samples, seed):
+        xb, _ = P.split(pt.coords)
+        ric = ricci_at(P.manifold, P.chart_levi_civita, pt)
+        ric_b = ricci_at(P.base, P.base_levi_civita, xb)
+        _, k1, _ = P.twist_data_at(pt)
+        formula = ric_b - s * (hessian_at(P, pt).base_block + np.outer(k1[:r], k1[:r]))
+        worst = max(worst, float(np.max(np.abs(ric[:r, :r] - formula))))
+    return worst
+
+
+def mixed_weyl_report_per_point(P, samples, seed):
+    """The five maxima of MixedWeylReport, in its field order."""
+    n, r, s = P.n, P.r, P.s
+    base, fib = np.eye(n)[:, :r], np.eye(n)[:, r:]
+    out = np.zeros(5)
+    for pt in P.manifold.sample_points(samples, seed):
+        W = weyl_at(P.manifold, P.chart_levi_civita, pt)
+        cross = P.twist_data_at(pt)[2][:r, r:]
+        xyv = ((1 - s) / (n - 2)) * (np.einsum("lb,aw->labw", base, cross)
+                                     - np.einsum("la,bw->labw", base, cross))
+        vwx = ((r - 1) / (n - 2)) * (np.einsum("lw,av->lvwa", fib, cross)
+                                     - np.einsum("lv,aw->lvwa", fib, cross))
+        W_xyv, W_vwx = W[:, :r, :r, r:], W[:, r:, r:, :r]
+        out = np.maximum(out, [np.max(np.abs(W_xyv - xyv)), np.max(np.abs(W_vwx - vwx)),
+                               np.max(np.abs(W_xyv)), np.max(np.abs(W_vwx)),
+                               np.max(np.abs(W[:, :r, r:, :]))])
+    return tuple(out)

@@ -1,30 +1,62 @@
 """A batch of points (N, d) gives the stack of the per-point results.
 
-The per-point calls are the reference.  Metric arrays, the inverse metric
-and the coefficients of Levi-Civita, explicit and block-assembled
-connections must match bitwise.  Quantities that contract arrays on the
-batch path (conjugate coefficients, curvature, cubic form) must match to
-1e-14 (1 + max|.|).
+The per-point calls are the reference.  Metric arrays, the inverse metric,
+the orthonormal frame and the coefficients of Levi-Civita, explicit and
+block-assembled connections must match bitwise.  Quantities that contract
+arrays on the batch path (conjugate coefficients, curvature, Ricci, scalar,
+Weyl, sectional curvature, cubic form, the Hessian of log b) must match to
+1e-14 (1 + max|.|).  The product block reports must match their per-point
+oracles in ``oracles.py``.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualgeo import fixtures as fx
-from dualgeo.connections import (conjugate, cubic_form_at, explicit_connection, torsion_at,
+from dualgeo import numdiff
+from dualgeo.connections import (conjugate, cubic_form_at, dgamma_fd_defect,
+                                 explicit_connection, levi_civita, torsion_at,
                                  torsion_relation_residual)
-from dualgeo.curvature import curvature_duality_residual, riemann_at
-from dualgeo.geometry import ManifoldSpec, SingularMetricError
+from dualgeo.curvature import (curvature_duality_residual, curvature_report,
+                               is_constant_sectional, orthonormal_frame_at, ricci_at,
+                               ricci_operator_at, riemann_at, scalar_at, sectional_at, weyl_at)
+from dualgeo.dualistic import lemma_dual_block_report
+from dualgeo.exprlang import evaluate, parse
+from dualgeo.geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
+from dualgeo.products import (hessian_at, mixed_ricci_table, mixed_weyl_report,
+                              ricci_base_block_residual, riemann_block_residuals,
+                              twisted_product, weyl_parallel_defect)
+
+import oracles
 
 _MANIFOLDS = fx.standard_manifolds()
 _TWISTS = dict(fx.standard_twists())
 _SUITE = fx.dualistic_suite()
 
 
+def _dense_charts():
+    """Charts whose metric has no zero entry, so every sum in the frame is rounded."""
+    def entry(i, j, names):
+        a, b = names[i], names[j]
+        if i == j:
+            return f"2.5 + 0.4*sin({a} + 0.5*{b})" if i % 2 else f"2.5 + 0.3*{a}^2"
+        return f"0.2*cos({a}*{b} + {i + j})" if (i + j) % 2 else f"0.15*{a}*{b} + 0.1"
+    charts = []
+    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+        d = len(names)
+        metric = [[entry(min(i, j), max(i, j), names) for j in range(d)] for i in range(d)]
+        charts.append(ManifoldSpec.from_strings(f"dense{d}", names, [(-1, 1)] * d, metric))
+    return charts
+
+
+_DENSE = _dense_charts()
+
+
 def _connections():
-    """(manifold, connection) for every provenance on the standard fixtures."""
+    """(manifold, connection) for every provenance on the fixtures and the dense charts."""
     out = []
-    for M in _MANIFOLDS:
+    for M in _MANIFOLDS + _DENSE:
         for _, C in fx.connection_suite(M):
             out.append((M, C))
             out.append((M, conjugate(C, M)))
@@ -38,7 +70,7 @@ def _connections():
 
 
 _CONNECTIONS = _connections()
-_CHARTS = _MANIFOLDS + [P.manifold for P in _TWISTS.values()]
+_CHARTS = _MANIFOLDS + _DENSE + [P.manifold for P in _TWISTS.values()]
 _BITWISE = ("levi-civita", "explicit", "induced-product")
 
 
@@ -141,3 +173,229 @@ def test_batch_residuals_are_the_worst_point(euclid2):
     per_point = np.array([residuals(x) for x in X])
     assert np.all(per_point > 0.0)
     assert residuals(X) == tuple(per_point.max(axis=0))
+
+
+# N == d == 3: a contraction over the wrong axis would still broadcast
+_N_EQ_D = next(pair for pair in _CONNECTIONS
+               if pair[0].dim == 3 and pair[1].provenance == "conjugate-of")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CONNECTIONS), st.integers(0, 2**16), _picks)
+@example(_N_EQ_D, 1, [0, 1, 2])
+def test_frame_layer_stacks(pair, seed, picks):
+    M, C = pair
+    X = _subset(M, seed, picks)
+
+    def point(f):
+        return _stack(lambda x: np.asarray(f(x)), X)
+
+    frame = orthonormal_frame_at(M, X)
+    assert frame.tobytes() == point(lambda x: orthonormal_frame_at(M, x)).tobytes()
+    # the textbook loop rounds the same way, which keeps every report byte-stable
+    assert frame.tobytes() == point(lambda x: oracles.gram_schmidt_frame(M.metric_at(x))).tobytes()
+    _assert_close(ricci_at(M, C, X), point(lambda x: ricci_at(M, C, x)))
+    _assert_close(ricci_operator_at(M, C, X), point(lambda x: ricci_operator_at(M, C, x)))
+    _assert_close(scalar_at(M, C, X), point(lambda x: scalar_at(M, C, x)))
+    if M.dim >= 2:
+        def sectional(x):
+            return sectional_at(M, x, frame[0, 0], frame[0, 1])
+        _assert_close(sectional(X), point(sectional))
+    if M.dim >= 3:
+        _assert_close(weyl_at(M, C, X), point(lambda x: weyl_at(M, C, x)))
+    # a tolerance inside the range of per-point |R| makes the flat flags differ
+    tol = float(np.median(np.max(np.abs(riemann_at(C, X)), axis=(-4, -3, -2, -1))))
+    report = curvature_report(M, C, X, tol)
+    singles = [curvature_report(M, C, x, tol) for x in X]
+    assert report.point.tobytes() == X.tobytes()
+    for field in ("riemann", "ricci", "scalar", "weyl"):
+        if getattr(report, field) is not None:
+            _assert_close(np.asarray(getattr(report, field)),
+                          np.array([getattr(one, field) for one in singles]))
+    assert np.asarray(report.flat_at_point).tolist() == [one.flat_at_point for one in singles]
+
+
+@pytest.mark.parametrize("M", _DENSE, ids=lambda M: M.name)
+def test_frame_rounds_like_the_textbook_loop(M):
+    # every entry of a dense metric is rounded into each dot product, so a
+    # change in summation order shows in the bytes
+    X = M.sample_array(32, 0)
+    oracle = _stack(lambda x: oracles.gram_schmidt_frame(M.metric_at(x)), X)
+    assert orthonormal_frame_at(M, X).tobytes() == oracle.tobytes()
+    assert orthonormal_frame_at(M, X[5]).tobytes() == oracle[5].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_TWISTS)), st.integers(0, 2**16), _picks)
+def test_hessian_stacks(name, seed, picks):
+    P = _TWISTS[name]
+    X = _subset(P.manifold, seed, picks)
+    batch = hessian_at(P, X)
+    singles = [hessian_at(P, x) for x in X]
+    for field in ("point", "base_block", "mixed_block", "full", "operator"):
+        _assert_close(getattr(batch, field), np.array([getattr(h, field) for h in singles]))
+
+
+def _probe_twists():
+    """Twisted products with a fiber-dependent k outside the standard fixtures.
+
+    The first three are the probes whose fiber-fiber block fails; the last
+    has r = s = 2 and a point-dependent XV(k), so the mixed Weyl displays
+    are not identically zero.
+    """
+    line = fx.euclidean(1, ("x",), "line")
+    space = fx.euclidean(3, ("u", "v", "w"), "space")
+    plane = fx.euclidean(2, ("u", "v"), "plane")
+    return {"exp(x*u) over R^3": twisted_product(line, space, "exp(x*u)"),
+            "cosh(0.8*x*u) over R^2": twisted_product(line, plane, "cosh(0.8*x*u)"),
+            "exp(0.3*u^2+x) over R^2": twisted_product(line, plane, "exp(0.3*u^2+x)"),
+            "exp(0.3*x*u+0.2*y*v^2) on R^2 x R^2": twisted_product(
+                fx.euclidean(2), plane, "exp(0.3*x*u + 0.2*y*v^2)")}
+
+
+_REPORT_TWISTS = {**_TWISTS, **_probe_twists()}
+
+
+def _assert_values_close(batch, per_point):
+    assert len(batch) == len(per_point)
+    for got, want in zip(batch, per_point):
+        assert abs(got - want) <= 1e-14 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_TWISTS))
+def test_block_reports_match_per_point_oracles(name):
+    # the fiber-fiber residuals of the probe twists are large (a missing term
+    # of the block formula); batching must reproduce them, not repair them
+    P = _REPORT_TWISTS[name]
+    conns = (P.chart_levi_civita, P.base_levi_civita, P.fiber_levi_civita)
+    blocks = riemann_block_residuals(P, *conns, samples=7, seed=3)
+    oracle = oracles.riemann_block_residuals_per_point(P, *conns, samples=7, seed=3)
+    assert list(blocks) == list(oracle)
+    _assert_values_close(list(blocks.values()), list(oracle.values()))
+    _assert_values_close(list(mixed_ricci_table(P, 7, 3).values()),
+                         oracles.mixed_ricci_table_per_point(P, 7, 3))
+    _assert_values_close([ricci_base_block_residual(P, 7, 3)],
+                         [oracles.ricci_base_block_residual_per_point(P, 7, 3)])
+    if P.n >= 3:
+        mw = mixed_weyl_report(P, samples=7, seed=3)
+        _assert_values_close([mw.display_xyv_residual, mw.display_vwx_residual, mw.cond_xyv_max,
+                              mw.cond_vwx_max, mw.mixed_block_max],
+                             oracles.mixed_weyl_report_per_point(P, 7, 3))
+
+
+@pytest.mark.parametrize("entry", _SUITE, ids=[e["name"] for e in _SUITE])
+def test_dual_block_report_matches_per_point_oracle(entry):
+    induced = entry["structure"]
+    report = lemma_dual_block_report(induced, samples=5, seed=8)
+    for label, conns in (("primal", (induced.primal, induced.base_structure.primal,
+                                     induced.fiber_structure.primal)),
+                         ("dual", (induced.dual, induced.base_structure.dual,
+                                   induced.fiber_structure.dual))):
+        oracle = oracles.riemann_block_residuals_per_point(induced.product, *conns, 5, 8)
+        _assert_values_close(list(report[label].values()), list(oracle.values()))
+
+
+def test_central_diff_takes_a_step_per_point():
+    C = levi_civita(fx.sphere2())
+    X = C.manifold.sample_array(5, 4)
+    h = numdiff.step_for(X[:, 1])
+    assert len(set(h.tolist())) > 1  # the steps differ from point to point
+    for order in (2, 4):
+        batch = numdiff.central_diff(C.gamma_at, X, 1, h, order)
+        stacked = _stack(lambda x: numdiff.central_diff(C.gamma_at, x, 1, order=order), X)
+        assert batch.tobytes() == stacked.tobytes()
+
+
+def test_fd_checks_match_their_point_loops():
+    # the loops are the checks as they were written one point at a time
+    def dgamma_loop(C, samples, seed):
+        worst = 0.0
+        for x in C.manifold.sample_array(samples, seed):
+            exact = C.dgamma_at(x)
+            for l in range(C.manifold.dim):
+                fd = numdiff.central_diff(C.gamma_at, x, l, order=4)
+                worst = max(worst, float(np.max(np.abs(exact[l] - fd))))
+        return worst
+
+    def weyl_loop(P, samples, seed):
+        M, conn = P.manifold, P.chart_levi_civita
+        worst = 0.0
+        for x in M.sample_array(samples, seed):
+            W, gam = weyl_at(M, conn, x), conn.gamma_at(x)
+            for q in range(M.dim):
+                dW = numdiff.central_diff(lambda z: weyl_at(M, conn, z), x, q, order=4)
+                nabla = (dW + np.einsum("lm,mijk->lijk", gam[:, q, :], W)
+                         - np.einsum("mi,lmjk->lijk", gam[:, q, :], W)
+                         - np.einsum("mj,limk->lijk", gam[:, q, :], W)
+                         - np.einsum("mk,lijm->lijk", gam[:, q, :], W))
+                worst = max(worst, float(np.max(np.abs(nabla))))
+        return worst
+
+    for M in (fx.sphere2(), fx.fisher_normal()):
+        C = conjugate(explicit_connection(M, {(0, 0, 1): "0.3"}), M)
+        assert dgamma_fd_defect(C, 4, 6) == dgamma_loop(C, 4, 6)
+    for name in ("hyperbolic-4d", "twisted-4d"):
+        assert weyl_parallel_defect(_TWISTS[name], 2, 6) == weyl_loop(_TWISTS[name], 2, 6)
+
+
+def test_constant_sectional_matches_its_point_loop():
+    M = fx.bumpy_sphere2()
+    eye = np.eye(2)
+    model = np.einsum("ab,cd->abcd", eye, eye) - np.einsum("ac,bd->abcd", eye, eye)
+    kappas, tensor_dev = [], 0.0
+    for x in M.sample_array(6, 2):
+        E = orthonormal_frame_at(M, x)
+        lowered = np.einsum("lm,lijk->mijk", M.metric_at(x), riemann_at(levi_civita(M), x))
+        framed = np.einsum("mijk,am,bi,cj,dk->abcd", lowered, E, E, E, E)
+        kappas.append(scalar_at(M, levi_civita(M), x) / 2.0)
+        tensor_dev = max(tensor_dev, float(np.sum(np.abs(framed - kappas[-1] * model))))
+    result = is_constant_sectional(M, samples=6, seed=2)
+    assert result.kappa == pytest.approx(np.mean(kappas), abs=1e-14)
+    spread = float(np.max(np.abs(np.array(kappas) - np.mean(kappas))))
+    assert result.max_deviation == pytest.approx(max(spread, tensor_dev), rel=1e-12)
+
+
+def _error_of(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_metric_names_the_first_failing_sample():
+    # asymmetric where y > 0.3, and there also indefinite once the asymmetry
+    # is large; not positive definite where x < -0.2
+    M = ManifoldSpec.from_strings("patchy", ("x", "y"), [(-1, 1), (-1, 1)],
+                                  [["x + 0.2", "2*(y - 0.3 + sqrt((y - 0.3)^2))"], ["0", "1"]])
+
+    def point_loop(samples, seed):
+        for x in M.sample_array(samples, seed):
+            g = M.metric_at(x)
+            asym = float(np.max(np.abs(g - g.T)))
+            if asym >= 1e-12:
+                raise GeometryError(f"metric of 'patchy' asymmetric by {asym:.3e} at {x.tolist()}")
+            smallest = float(np.min(np.linalg.eigvalsh(0.5 * (g + g.T))))
+            if smallest <= 1e-10:
+                raise GeometryError(f"metric of 'patchy' not positive definite at {x.tolist()} "
+                                    f"(smallest eigenvalue {smallest:.3e})")
+
+    kinds = set()
+    for seed in range(8):
+        want = _error_of(lambda: point_loop(16, seed))
+        assert want is not None
+        assert _error_of(lambda: validate_metric(M, samples=16, seed=seed)) == want
+        kinds.add("asymmetric" in want[1])
+    assert kinds == {True, False}  # each check decides some sample set
+
+
+def test_twist_positivity_names_the_first_failing_sample():
+    base, fiber = fx.euclidean(1, ("x",), "line"), fx.euclidean(1, ("u",), "fiber")
+    X = twisted_product(base, fiber, "1").manifold.sample_array(32, 7)
+    for twist in ("x + 0.3", "0.3 - x*u", "u - x"):
+        values = [evaluate(parse(twist, ("x", "u")), {"x": x, "u": u}) for x, u in X]
+        first = next(i for i, value in enumerate(values) if value <= 0.0)
+        assert first > 0
+        with pytest.raises(GeometryError) as err:
+            twisted_product(base, fiber, twist)
+        assert str(err.value).endswith(f" is not positive at {X[first].tolist()}")

@@ -273,6 +273,16 @@ class TestVerifyPaper:
         assert a.read_bytes() != b.read_bytes()
         assert [c["status"] for c in pa["checks"]] == [c["status"] for c in pb["checks"]]
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_fixtures():
+            raise AssertionError("fixtures built before the seed was checked")
+
+        monkeypatch.setattr("dualgeo.fixtures.standard_manifolds", no_fixtures)
+        report = tmp_path / "r.json"
+        assert main(["verify-paper", "--seed", "-1", "--report", str(report)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not report.exists()
+
     def test_impossible_tolerance_fails_honestly(self, tmp_path, capsys):
         code = main(["verify-paper", "--samples", "8", "--tol-exact", "1e-18"])
         assert code == 1

@@ -226,8 +226,8 @@ class TestSectional:
             sectional_at(sphere, [1.0, 1.0], [1, 0], [2, 0])
 
 
-class TestPerPointOnly:
-    """Frame-based quantities take one point; a batch raises instead of broadcasting."""
+class TestBatchOfPoints:
+    """Frame-based quantities over a batch are the stack of their per-point values."""
 
     @pytest.mark.parametrize("call", [
         lambda M, C, p: orthonormal_frame_at(M, p),
@@ -235,16 +235,17 @@ class TestPerPointOnly:
         lambda M, C, p: scalar_at(M, C, p),
         lambda M, C, p: ricci_operator_at(M, C, p),
         lambda M, C, p: weyl_at(M, C, p),
-        lambda M, C, p: curvature_report(M, C, p),
+        lambda M, C, p: curvature_report(M, C, p).weyl,
         lambda M, C, p: sectional_at(M, p, [1, 0, 0], [0, 1, 0]),
     ], ids=["frame", "ricci", "scalar", "ricci-operator", "weyl", "report", "sectional"])
-    def test_batch_rejected(self, call, standard_twists):
+    def test_batch_is_the_stack(self, call, standard_twists):
         M = standard_twists["warped-sphere-fiber"].manifold
-        C = levi_civita(M)
-        X = M.sample_array(3, 1)  # N == d, so a broadcast would not fail by itself
-        call(M, C, X[0])
-        with pytest.raises(ValueError, match=r"one point .* got an array of shape \(3, 3\)"):
-            call(M, C, X)
+        C = conjugate(levi_civita(M), M)
+        X = M.sample_array(3, 1)  # N == d: a broadcast over the wrong axis would not fail
+        batch = np.asarray(call(M, C, X))
+        stacked = np.array([call(M, C, x) for x in X])
+        assert batch.shape == stacked.shape
+        assert np.max(np.abs(batch - stacked)) <= 1e-14 * (1.0 + np.max(np.abs(stacked)))
 
 
 class TestFlatness:

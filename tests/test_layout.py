@@ -1,0 +1,78 @@
+"""Source layout rules for src/dualgeo, checked on the syntax tree.
+
+* No code calls ``ManifoldSpec.sample_points``: checks evaluate a sample set
+  as one batch from ``sample_array`` instead of looping over points.
+* Only ``connections.py`` and ``products.py`` import ``numdiff``, so finite
+  differences cannot spread to new verdict paths.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "dualgeo"
+NUMDIFF_IMPORTERS = {"connections.py", "products.py"}
+
+
+def _trees():
+    return [(path.name, ast.parse(path.read_text(), str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def _imports_numdiff(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "numdiff" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[-1] == "numdiff" or any(alias.name == "numdiff" for alias in node.names)
+    return False
+
+
+def sample_points_calls(trees) -> list[str]:
+    return [f"{name}:{node.lineno}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "sample_points"]
+
+
+def numdiff_importers(trees) -> set[str]:
+    return {name for name, tree in trees for node in ast.walk(tree) if _imports_numdiff(node)}
+
+
+def test_scan_sees_the_package():
+    names = {name for name, _ in _trees()}
+    assert {"geometry.py", "curvature.py", "products.py", "verify.py"} <= names
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "sample_points"
+               for name, tree in _trees() if name == "geometry.py" for node in ast.walk(tree))
+
+
+def test_no_code_loops_over_sample_points():
+    assert sample_points_calls(_trees()) == []
+
+
+def test_numdiff_stays_in_its_two_modules():
+    assert numdiff_importers(_trees()) <= NUMDIFF_IMPORTERS
+
+
+@pytest.mark.parametrize("source, calls, importers", [
+    ("for pt in M.sample_points(4, 1):\n    pass\n", 1, set()),
+    ("xs = [p.coords for p in sample_points(M, 3, 1)]\n", 1, set()),
+    ("x = M.sample_array(4, 1)\n", 0, set()),
+    ("from . import numdiff\n", 0, {"probe.py"}),
+    ("from .numdiff import central_diff\n", 0, {"probe.py"}),
+    ("import dualgeo.numdiff\n", 0, {"probe.py"}),
+    ("from dualgeo import exprlang, numdiff\n", 0, {"probe.py"}),
+    ("from . import exprlang\n", 0, set()),
+])
+def test_scan_flags_each_form(source, calls, importers):
+    trees = [("probe.py", ast.parse(source))]
+    assert len(sample_points_calls(trees)) == calls
+    assert numdiff_importers(trees) == importers

@@ -20,6 +20,9 @@ class TestRunConfig:
             RunConfig(tol_exact=0.0)
         with pytest.raises(ValueError):
             RunConfig(tol_fd=-1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RunConfig(seed=-1)
+        assert RunConfig(seed=0).seed == 0
 
     @pytest.mark.parametrize("bad", [{"tol_exact": float("nan")}, {"tol_exact": float("inf")},
                                      {"tol_fd": float("nan")}, {"tol_fd": float("inf")}])
