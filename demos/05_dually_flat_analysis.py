@@ -3,14 +3,14 @@
 Factor structures (g_B, B-D, B-D*) and (g_F, F-D, F-D*) induce a structure
 (g, D, D*) on the twisted product: D follows the twisted block pattern with
 the factor primal connections substituted, and D* is derived by
-conjugation.  The analyzers evaluate each characterization's hypotheses
-(mixed Ricci, mixed Weyl, parallel Weyl / Hessian condition), run the
-warped-reduction chain, and always compare the predicted verdict against a
-direct flatness computation.
+conjugation.  The direct flatness verdict and the warped-reduction chain are
+built once per structure; each analyzer evaluates its characterization's
+hypotheses (mixed Ricci, mixed Weyl, parallel Weyl / Hessian condition) and
+compares the chain's prediction against that direct verdict.
 """
 
 from dualgeo import (dually_flat_verdict, explicit_connection, induce_on_product,
-                     levi_civita, make_dualistic, projection_check,
+                     levi_civita, make_dualistic, projection_check, reduction_chain,
                      theorem41_analyze, theorem42_analyze, theorem43_analyze)
 from dualgeo.fixtures import euclidean, sphere2
 
@@ -18,6 +18,11 @@ from dualgeo.fixtures import euclidean, sphere2
 def flat_line(name, coord):
     M = euclidean(1, (coord,), name)
     return make_dualistic(M, explicit_connection(M, {}))
+
+
+def verdict_and_chain(st):
+    """The direct verdict and the reduction chain every analyzer of st receives."""
+    return dually_flat_verdict(st, samples=32), reduction_chain(st, 32, 1e-9, 42)
 
 
 def show(title, record):
@@ -36,14 +41,14 @@ dF = flat_line("lineF", "u")
 st = induce_on_product(dB, dF, "exp(u)")
 print("induced structure residual:", st.residual)
 print("projection recovery:", projection_check(st).max_residual())
-show("mixed-Ricci chain on b = exp(u)", theorem41_analyze(st))
+show("mixed-Ricci chain on b = exp(u)", theorem41_analyze(st, *verdict_and_chain(st)))
 
 # -- a proper twist with a 2-dimensional fiber: hypothesis fails ----------------
 
 plane = euclidean(2, ("u", "v"), "planeF")
 dF2 = make_dualistic(plane, explicit_connection(plane, {}))
 st2 = induce_on_product(dB, dF2, "exp(x*u)")
-rec2 = theorem41_analyze(st2)
+rec2 = theorem41_analyze(st2, *verdict_and_chain(st2))
 show("mixed-Ricci chain on b = exp(x*u)", rec2)
 print(f"  max |Ric(X,V)| = {rec2.mixed_ricci_max}")
 
@@ -52,7 +57,7 @@ print(f"  max |Ric(X,V)| = {rec2.mixed_ricci_max}")
 sphere = sphere2()
 d_sphere = make_dualistic(sphere, levi_civita(sphere))
 st3 = induce_on_product(d_sphere, dF, "1")
-rec3 = theorem41_analyze(st3)
+rec3 = theorem41_analyze(st3, *verdict_and_chain(st3))
 show("direct product over a sphere base", rec3)
 print(f"  base dually flat: {rec3.chain.base_verdict.dually_flat}")
 
@@ -61,15 +66,15 @@ print(f"  base dually flat: {rec3.chain.base_verdict.dually_flat}")
 space = euclidean(3, ("u", "v", "w"), "spaceF")
 dF3 = make_dualistic(space, explicit_connection(space, {}))
 st4 = induce_on_product(dB, dF3, "1")
-rec42 = theorem42_analyze(st4)
+verdict, chain = verdict_and_chain(st4)
+rec42 = theorem42_analyze(st4, verdict, chain)
 print(f"\nmixed-Weyl hypothesis holds: {rec42.weyl_flat_along_holds}, "
       f"agreement: {rec42.agreement}")
-rec43 = theorem43_analyze(st4)
+rec43 = theorem43_analyze(st4, verdict, chain)
 print(f"parallel-Weyl/Hessian branch: {rec43.branch} "
       f"(Weyl parallel: {rec43.weyl_parallel}, "
       f"Hessian defect: {rec43.hessian_defect}), agreement: {rec43.agreement}")
 
 # -- direct verdict is always the ground truth ----------------------------------
 
-verdict = dually_flat_verdict(st4)
 print(f"\ndirect verdict for the 4d direct product: dually flat = {verdict.dually_flat}")

@@ -16,8 +16,9 @@ from .products import (ProductSpec, twisted_product, lift, block_levi_civita,
                        hessian_at, curvature_block_report, mixed_ricci_at,
                        mixed_weyl_report, separability_test, to_warped)
 from .dualistic import (DualisticStructure, make_dualistic, induce_on_product,
-                        projection_check, dually_flat_verdict,
-                        theorem41_analyze, theorem42_analyze, theorem43_analyze)
+                        projection_check, dually_flat_verdict, ReductionChain,
+                        reduction_chain, theorem41_analyze, theorem42_analyze,
+                        theorem43_analyze)
 from .report import RunConfig, VerificationReport
 from .verify import VERSION, verify_paper
 

@@ -24,8 +24,8 @@ from .products import (ProductSpec, block_levi_civita_defect, curvature_block_re
                        lift_lemma_residual, mixed_ricci_table, mixed_weyl_report,
                        separability_test, twisted_product)
 from .dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
-                        make_dualistic, theorem41_analyze, theorem42_analyze,
-                        theorem43_analyze)
+                        make_dualistic, reduction_chain, theorem41_analyze,
+                        theorem42_analyze, theorem43_analyze)
 from .report import RunConfig, VerificationReport, jsonable, sha256_of
 from .verify import VERSION, verify_paper
 
@@ -305,15 +305,13 @@ def cmd_twist(loaded: LoadedProduct, config: RunConfig) -> int:
 def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     rep = _new_report(config, {"spec_digest": loaded.digest})
     details: dict = {}
+    samples, seed = config.samples, config.seed
     try:
         dB = make_dualistic(loaded.base.manifold, loaded.base.connection,
-                            loaded.base.dual_connection,
-                            samples=min(config.samples, 32), seed=config.seed)
+                            loaded.base.dual_connection, min(samples, 32), seed)
         dF = make_dualistic(loaded.fiber.manifold, loaded.fiber.connection,
-                            loaded.fiber.dual_connection,
-                            samples=min(config.samples, 32), seed=config.seed)
-        induced = induce_on_product(dB, dF, loaded.product.twist,
-                                    samples=min(config.samples, 32), seed=config.seed)
+                            loaded.fiber.dual_connection, min(samples, 32), seed)
+        induced = induce_on_product(dB, dF, loaded.product.twist, min(samples, 32), seed)
     except ConjugacyError as exc:
         rep.add("conjugacy", "declared pair satisfies the duality relation",
                 exc.residual, config.exact_tol(1e-9), notes=str(exc))
@@ -321,9 +319,9 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     rep.add("induced-duality", "induced pair (D, D*) satisfies the duality relation",
             induced.residual, config.exact_tol(1e-9))
 
-    fv = dually_flat_verdict(induced, min(config.samples, 32), 1e-9, config.seed)
-    fb = dually_flat_verdict(dB, min(config.samples, 32), 1e-9, config.seed)
-    ff = dually_flat_verdict(dF, min(config.samples, 32), 1e-9, config.seed)
+    fv = dually_flat_verdict(induced, min(samples, 32), 1e-9, seed)
+    fb = dually_flat_verdict(dB, min(samples, 32), 1e-9, seed)
+    ff = dually_flat_verdict(dF, min(samples, 32), 1e-9, seed)
     failing = []
     if not fb.dually_flat:
         failing.append(f"base {dB.manifold.name!r}")
@@ -338,7 +336,8 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
                    + (f"; failing factors: {', '.join(failing)}" if failing else "")))
     rep.add_flag("flat-flags-agree", "R = 0 exactly when R* = 0", fv.flat_flags_agree)
 
-    rec41 = theorem41_analyze(induced, samples=min(config.samples, 16), seed=config.seed)
+    chain = reduction_chain(induced, min(samples, 16), 1e-9, seed)
+    rec41 = theorem41_analyze(induced, fv, chain, samples=min(samples, 16), seed=seed)
     rep.add("analyzer-mixed-ricci", "mixed-Ricci-flat biconditional vs direct verdict",
             rec41.mixed_ricci_max, None, informational=True,
             notes=(f"precondition={'holds' if rec41.mixed_ricci_flat else 'fails'}, "
@@ -347,14 +346,14 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
                    + ("; " + "; ".join(rec41.notes) if rec41.notes else "")))
     details["mixed_ricci_analysis"] = rec41
     if induced.product.n >= 3:
-        rec42 = theorem42_analyze(induced, samples=min(config.samples, 12), seed=config.seed)
+        rec42 = theorem42_analyze(induced, fv, chain, samples=min(samples, 12), seed=seed)
         rep.add("analyzer-mixed-weyl", "Weyl-flat-along biconditional vs direct verdict",
                 max(rec42.weyl_xyv_max, rec42.weyl_vwx_max), None, informational=True,
                 notes=(f"hypothesis={'holds' if rec42.weyl_flat_along_holds else 'fails'}, "
                        f"predicted={rec42.predicted_dually_flat}, "
                        f"direct={rec42.direct.dually_flat}, agreement={rec42.agreement}"))
         details["mixed_weyl_analysis"] = rec42
-    rec43 = theorem43_analyze(induced, samples=min(config.samples, 12), seed=config.seed)
+    rec43 = theorem43_analyze(induced, fv, chain, samples=min(samples, 12), seed=seed)
     rep.add("analyzer-weyl-parallel", "parallel-Weyl/Hessian branches vs direct verdict",
             rec43.hessian_defect, None, informational=True,
             notes=(f"branch={rec43.branch}, predicted={rec43.predicted_dually_flat}, "

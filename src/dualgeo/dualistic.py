@@ -17,17 +17,17 @@ from .geometry import ManifoldSpec, Point
 from .connections import ConnectionField, _duality_defect, conjugate, torsion_at
 from .curvature import (ConstantSectionalResult, DimensionError, is_constant_sectional,
                         riemann_at)
-from .products import (ProductSpec, _max_abs, _mv, _per_point, block_connection,
-                       hessian_condition_defect, mixed_ricci_table, mixed_weyl_report,
-                       product_metric_residual, riemann_block_residuals, separability_test,
-                       to_warped, twisted_product, weyl_parallel_defect)
+from .products import (ProductSpec, _max_abs, _mv, _per_point, _warped_reduction,
+                       block_connection, hessian_condition_defect, mixed_ricci_table,
+                       mixed_weyl_report, riemann_block_residuals, separability_test,
+                       twisted_product, weyl_parallel_defect)
 
 __all__ = [
     "DualisticStructure", "ProductDualisticStructure", "ConjugacyError",
     "FlatnessVerdict", "make_dualistic", "induce_on_product",
     "ProjectionReport", "projection_check", "TorsionInheritanceReport",
-    "torsion_inheritance_check", "dually_flat_verdict",
-    "lemma_dual_block_report",
+    "torsion_inheritance_check", "dually_flat_verdict", "verdict_from_tensors",
+    "lemma_dual_block_report", "ReductionChain", "reduction_chain",
     "Theorem41Record", "theorem41_analyze",
     "Theorem42Record", "theorem42_analyze",
     "Theorem43Record", "theorem43_analyze",
@@ -242,10 +242,15 @@ def dually_flat_verdict(d: DualisticStructure, samples: int = 64,
     for any genuine conjugate pair.
     """
     x = d.manifold.sample_array(samples, seed)
-    tp = _max_abs(torsion_at(d.primal, x))
-    td = _max_abs(torsion_at(d.dual, x))
-    rp = _max_abs(riemann_at(d.primal, x))
-    rd = _max_abs(riemann_at(d.dual, x))
+    return verdict_from_tensors(torsion_at(d.primal, x), torsion_at(d.dual, x),
+                                riemann_at(d.primal, x), riemann_at(d.dual, x),
+                                samples, seed, tol)
+
+
+def verdict_from_tensors(T, Tstar, R, Rstar, samples: int, seed: int,
+                         tol: float = 1e-9) -> FlatnessVerdict:
+    """The flatness verdict from the torsions and curvatures of a pair over one sample set."""
+    tp, td, rp, rd = (_max_abs(a) for a in (T, Tstar, R, Rstar))
     primal_flat, dual_flat = rp < tol, rd < tol
     torsion_free = tp < tol and td < tol
     return FlatnessVerdict(tp, td, rp, rd, primal_flat, dual_flat, torsion_free,
@@ -275,6 +280,9 @@ def lemma_dual_block_report(induced: ProductDualisticStructure,
 
 # ---------------------------------------------------------------------------
 # theorem analyzers
+# Callers build the direct verdict and the reduction chain once per structure
+# and pass both to every analyzer; an analyzer's samples and tolerances govern
+# its own hypothesis check only.
 
 
 @dataclass(frozen=True)
@@ -290,24 +298,19 @@ class ReductionChain:
     notes: tuple[str, ...]
 
 
-def _reduction_chain(induced: ProductDualisticStructure, samples: int,
-                     tol: float, seed: int) -> ReductionChain:
+def reduction_chain(induced: ProductDualisticStructure, samples: int,
+                    tol: float, seed: int) -> ReductionChain:
     """Shared tail of the three theorems: factorize, reduce, predict."""
     P = induced.product
     notes: list[str] = []
     sep = separability_test(P, samples=samples, seed=seed)
-    recon = None
-    reduced = None
+    recon = reduced = None
     if sep.separable:
-        warped = to_warped(P, samples=samples, seed=seed)
-        recon = product_metric_residual(P, warped, samples=samples, seed=seed)
-        reduced = warped
+        reduced, recon = _warped_reduction(P, sep, samples, seed)
     else:
         notes.append("twist is not separable; warped reduction unavailable")
-    base_verdict = dually_flat_verdict(induced.base_structure, samples=samples,
-                                       tol=tol, seed=seed)
-    warning = None
-    fiber_cs = reduced_cs = None
+    base_verdict = dually_flat_verdict(induced.base_structure, samples, tol, seed)
+    warning = fiber_cs = reduced_cs = None
     if P.s < 2:
         warning = ("fiber is 1-dimensional: the constant-sectional-curvature "
                    "condition is vacuous and the biconditional is outside the "
@@ -331,15 +334,19 @@ def _reduction_chain(induced: ProductDualisticStructure, samples: int,
                           predicted, tuple(notes))
 
 
-def _compare(chain: ReductionChain, direct: FlatnessVerdict,
-             notes: list[str]) -> tuple[bool, bool]:
-    """The chain's prediction and its agreement with the direct verdict; notes a mismatch."""
-    predicted = chain.predicted_dually_flat
-    agreement = predicted == direct.dually_flat
+def _compare(applies: bool, chain: ReductionChain, direct: FlatnessVerdict,
+             notes: list[str]) -> tuple[ReductionChain | None, bool | None, bool | None]:
+    """The kept chain, its prediction and its agreement with the direct verdict.
+
+    All three are None when the theorem does not apply; a mismatch is noted.
+    """
+    if not applies:
+        return None, None, None
+    agreement = chain.predicted_dually_flat == direct.dually_flat
     if not agreement:
         notes.append("DISAGREEMENT: the biconditional's prediction does not match "
                      "the direct flatness verdict")
-    return predicted, agreement
+    return chain, chain.predicted_dually_flat, agreement
 
 
 @dataclass(frozen=True)
@@ -353,23 +360,19 @@ class Theorem41Record:
     notes: tuple[str, ...]
 
 
-def theorem41_analyze(induced: ProductDualisticStructure, samples: int = 32,
-                      tol: float = 1e-9, seed: int = 42) -> Theorem41Record:
-    """Mixed-Ricci-flat hypothesis, factorization chain, and verdict comparison."""
-    P = induced.product
+def theorem41_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
+                      chain: ReductionChain, samples: int = 32, tol: float = 1e-9,
+                      seed: int = 42) -> Theorem41Record:
+    """Mixed-Ricci-flat hypothesis, then the chain against the direct verdict."""
     notes: list[str] = []
-    table = mixed_ricci_table(P, samples=samples, seed=seed)
-    mixed_flat = table["max_direct"] < tol
-    direct = dually_flat_verdict(induced, samples=samples, tol=tol, seed=seed)
-    chain = _reduction_chain(induced, samples, tol, seed)
+    worst = mixed_ricci_table(induced.product, samples=samples, seed=seed)["max_direct"]
+    mixed_flat = worst < tol
     if not mixed_flat:
-        notes.append(f"not mixed-Ricci-flat (max |Ric(X,V)| = {table['max_direct']:.3e}); "
+        notes.append(f"not mixed-Ricci-flat (max |Ric(X,V)| = {worst:.3e}); "
                      "theorem precondition fails")
-        return Theorem41Record(table["max_direct"], False, chain, direct,
-                               None, None, tuple(notes))
-    predicted, agreement = _compare(chain, direct, notes)
-    return Theorem41Record(table["max_direct"], True, chain, direct,
-                           predicted, agreement, tuple(notes))
+    _, predicted, agreement = _compare(mixed_flat, chain, direct, notes)
+    return Theorem41Record(worst, mixed_flat, chain, direct, predicted, agreement,
+                           tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -384,26 +387,23 @@ class Theorem42Record:
     notes: tuple[str, ...]
 
 
-def theorem42_analyze(induced: ProductDualisticStructure, samples: int = 32,
-                      tol: float = 1e-7, seed: int = 42) -> Theorem42Record:
+def theorem42_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
+                      chain: ReductionChain, samples: int = 32, tol: float = 1e-7,
+                      seed: int = 42) -> Theorem42Record:
     """Weyl-flat-along hypothesis (either direction), then the common chain."""
     P = induced.product
     if P.n <= 2:
         raise DimensionError("mixed Weyl hypothesis needs product dimension >= 3")
     report = mixed_weyl_report(P, samples=min(samples, 12), seed=seed, tol=tol)
     holds = report.xyv_flat or report.vwx_flat
-    direct = dually_flat_verdict(induced, samples=samples, tol=1e-9, seed=seed)
     notes: list[str] = []
     if not holds:
         notes.append(f"neither Weyl-flat-along condition holds "
                      f"(|C(X,Y)V| = {report.cond_xyv_max:.3e}, "
                      f"|C(V,W)X| = {report.cond_vwx_max:.3e})")
-        return Theorem42Record(report.cond_xyv_max, report.cond_vwx_max, False,
-                               None, direct, None, None, tuple(notes))
-    chain = _reduction_chain(induced, samples, 1e-9, seed)
-    predicted, agreement = _compare(chain, direct, notes)
-    return Theorem42Record(report.cond_xyv_max, report.cond_vwx_max, True,
-                           chain, direct, predicted, agreement, tuple(notes))
+    kept, predicted, agreement = _compare(holds, chain, direct, notes)
+    return Theorem42Record(report.cond_xyv_max, report.cond_vwx_max, holds,
+                           kept, direct, predicted, agreement, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -420,9 +420,9 @@ class Theorem43Record:
     notes: tuple[str, ...]
 
 
-def theorem43_analyze(induced: ProductDualisticStructure, samples: int = 32,
-                      tol: float = 1e-8, tol_fd: float = 1e-4,
-                      seed: int = 42) -> Theorem43Record:
+def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
+                      chain: ReductionChain, samples: int = 32, tol: float = 1e-8,
+                      tol_fd: float = 1e-4, seed: int = 42) -> Theorem43Record:
     """Parallel-Weyl / Hessian-condition branches, then the common chain."""
     P = induced.product
     notes: list[str] = []
@@ -444,15 +444,9 @@ def theorem43_analyze(induced: ProductDualisticStructure, samples: int = 32,
         branch = 1
     elif hess.holds:
         branch = 2
-    direct = dually_flat_verdict(induced, samples=samples, tol=1e-9, seed=seed)
     if branch is None:
-        if P.r == 1 and not hess.holds:
-            notes.append("branch 1 needs dim B != 1 and branch 2 fails: theorem inapplicable")
-        else:
-            notes.append("neither branch condition holds: theorem inapplicable")
-        return Theorem43Record(parallel_defect, parallel, hess.defect, hess.holds,
-                               None, None, direct, None, None, tuple(notes))
-    chain = _reduction_chain(induced, samples, 1e-9, seed)
-    predicted, agreement = _compare(chain, direct, notes)
+        notes.append("branch 1 needs dim B != 1 and branch 2 fails: theorem inapplicable"
+                     if P.r == 1 else "neither branch condition holds: theorem inapplicable")
+    kept, predicted, agreement = _compare(branch is not None, chain, direct, notes)
     return Theorem43Record(parallel_defect, parallel, hess.defect, hess.holds,
-                           branch, chain, direct, predicted, agreement, tuple(notes))
+                           branch, kept, direct, predicted, agreement, tuple(notes))

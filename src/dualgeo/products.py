@@ -650,7 +650,12 @@ def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42,
     into the fiber metric and delta becomes the warping function.  The
     product metric is identical to the original (checked on samples).
     """
-    sep = separability_test(P, samples, seed)
+    return _warped_reduction(P, separability_test(P, samples, seed), samples, seed, tol)[0]
+
+
+def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int, seed: int,
+                      tol: float = 1e-9) -> tuple[ProductSpec, float]:
+    """The warped product of a separability result, and its metric residual against P."""
     if not sep.separable:
         raise GeometryError(
             f"twist is not separable (max cross-derivative {sep.max_cross_derivative:.3e})")
@@ -665,7 +670,7 @@ def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42,
     if residual >= tol:
         raise ArithmeticError(f"warped reduction failed to reconstruct the metric "
                               f"(residual {residual:.3e})")
-    return warped
+    return warped, residual
 
 
 def product_metric_residual(P1: ProductSpec, P2: ProductSpec,

@@ -21,14 +21,15 @@ from .connections import (conjugate, cubic_form_at, dgamma_fd_defect, duality_re
 from .curvature import (curvature_duality_residual, curvature_report, first_bianchi_defect,
                         is_constant_sectional, ricci_contraction, riemann_at, scalar_at,
                         sectional_at, weyl_at, weyl_trace_defect)
-from .products import (MIXED_RICCI_SIGN, _max_abs, block_levi_civita_defect,
-                       curvature_block_report, hessian_at, hessian_condition_defect,
-                       lift_lemma_residual, mixed_ricci_table, mixed_weyl_report,
-                       product_metric_residual, ricci_base_block_residual, separability_test,
-                       to_warped, weyl_parallel_defect)
+from .products import (MIXED_RICCI_SIGN, _max_abs, _warped_reduction,
+                       block_levi_civita_defect, curvature_block_report, hessian_at,
+                       hessian_condition_defect, lift_lemma_residual, mixed_ricci_table,
+                       mixed_weyl_report, ricci_base_block_residual, separability_test,
+                       weyl_parallel_defect)
 from .dualistic import (dually_flat_verdict, lemma_dual_block_report, make_dualistic,
-                        projection_check, theorem41_analyze, theorem42_analyze,
-                        theorem43_analyze, torsion_inheritance_check)
+                        projection_check, reduction_chain, theorem41_analyze,
+                        theorem42_analyze, theorem43_analyze, torsion_inheritance_check,
+                        verdict_from_tensors)
 from . import fixtures
 
 VERSION = "0.1.0"
@@ -285,11 +286,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     rep.add("separability-detects-coupling", "d2 k / dx du = 1 for k = x u",
             abs(sep_bad.max_cross_derivative - 1.0), config.exact_tol(1e-10))
     sep_good = separability_test(twists["twisted-poly"], min(samples, 16), seed)
-    recon = sep_good.reconstruction_residual if sep_good.separable else float("inf")
-    warped = to_warped(twists["twisted-poly"], min(samples, 16), seed)
-    recon2 = product_metric_residual(twists["twisted-poly"], warped, min(samples, 16), seed)
+    warped, recon = _warped_reduction(twists["twisted-poly"], sep_good, min(samples, 16), seed)
     rep.add("separability-reconstruction", "k = alpha(base) + beta(fiber) on separable twists",
-            max(recon, recon2), config.exact_tol(1e-10),
+            max(sep_good.reconstruction_residual, recon), config.exact_tol(1e-10),
             notes=f"reduced classification: {warped.classification}")
 
     hess_restrict = 0.0
@@ -325,23 +324,22 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     induced_curv_duality = 0.0
     proj_worst = 0.0
     inherit_all = True
-    flags_all = True
-    verdict_ok = True
+    verdicts = []
     for entry in suite:
         st = entry["structure"]
         P = st.product
         x = P.manifold.sample_array(min(samples, 24), seed)
+        R, Rs = riemann_at(st.primal, x), riemann_at(st.dual, x)
         induced_duality = max(induced_duality,
                               duality_residual(P.manifold, st.primal, st.dual, x))
         induced_curv_duality = max(induced_curv_duality, curvature_duality_residual(
-            P.manifold.metric_at(x), riemann_at(st.primal, x), riemann_at(st.dual, x)))
+            P.manifold.metric_at(x), R, Rs))
         proj_worst = max(proj_worst,
                          projection_check(st, min(samples, 12), seed).max_residual())
         inherit_all = inherit_all and torsion_inheritance_check(
             st, min(samples, 12), seed).inherited
-        fv = dually_flat_verdict(st, min(samples, 24), 1e-9, seed)
-        flags_all = flags_all and fv.flat_flags_agree
-        verdict_ok = verdict_ok and (fv.dually_flat == entry["expect_dually_flat"])
+        verdicts.append(verdict_from_tensors(torsion_at(st.primal, x), torsion_at(st.dual, x),
+                                             R, Rs, min(samples, 24), seed))
     rep.add("induced-duality", "the induced pair (D, D*) satisfies the duality relation",
             induced_duality, config.exact_tol(1e-9))
     rep.add("induced-curvature-duality", "g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z) for induced pairs",
@@ -351,9 +349,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     rep.add_flag("torsion-inheritance",
                  "torsion-free factors induce torsion-free D and D*", inherit_all)
     rep.add_flag("induced-flat-flags", "R = 0 exactly when R* = 0 for induced pairs",
-                 flags_all)
+                 all(fv.flat_flags_agree for fv in verdicts))
     rep.add_flag("dually-flat-verdicts", "direct flatness verdicts match the fixture suite",
-                 verdict_ok)
+                 all(fv.dually_flat == e["expect_dually_flat"] for fv, e in zip(verdicts, suite)))
 
     sphere_struct = make_dualistic(sphere, levi_civita(sphere), samples=16, seed=seed)
     fv_sphere = dually_flat_verdict(sphere_struct, min(samples, 24), 1e-9, seed)
@@ -372,10 +370,11 @@ def verify_paper(config: RunConfig) -> VerificationReport:
                   "auxiliaries verbatim for R*")
 
     # ------------------------------------------------------- theorem analyzers
-    for entry in suite:
+    for entry, direct in zip(suite, verdicts):
         st = entry["structure"]
         name = entry["name"]
-        rec = theorem41_analyze(st, samples=min(samples, 16), tol=1e-9, seed=seed)
+        chain = reduction_chain(st, min(samples, 16), 1e-9, seed)
+        rec = theorem41_analyze(st, direct, chain, samples=min(samples, 16), seed=seed)
         if entry["expect_agreement"] is True:
             rep.add_flag(f"theorem-mixed-ricci [{name}]",
                          "mixed-Ricci-flat biconditional matches the direct verdict",
@@ -391,7 +390,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
                     None, None, informational=True,
                     notes="; ".join(rec.notes) or "prediction disagrees with direct verdict")
         if st.product.n >= 3:
-            rec42 = theorem42_analyze(st, samples=min(samples, 12), seed=seed)
+            rec42 = theorem42_analyze(st, direct, chain, samples=min(samples, 12), seed=seed)
             if entry["expect_agreement"] is True:
                 rep.add_flag(f"theorem-mixed-weyl [{name}]",
                              "Weyl-flat-along chain is consistent with the direct verdict",
@@ -402,7 +401,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
                         "Weyl-flat-along chain reported",
                         max(rec42.weyl_xyv_max, rec42.weyl_vwx_max), None,
                         informational=True, notes="; ".join(rec42.notes))
-        rec43 = theorem43_analyze(st, samples=min(samples, 12), seed=seed)
+        rec43 = theorem43_analyze(st, direct, chain, samples=min(samples, 12), seed=seed)
         if entry["expect_agreement"] is True:
             rep.add_flag(f"theorem-weyl-parallel [{name}]",
                          "parallel-Weyl/Hessian branch chain matches the direct verdict",

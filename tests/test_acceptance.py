@@ -12,7 +12,7 @@ from dualgeo.connections import (conjugate, cubic_form_at, duality_residual,
                                  levi_civita, torsion_at, torsion_relation_residual)
 from dualgeo.curvature import riemann_at, scalar_at, sectional_at
 from dualgeo.dualistic import (dually_flat_verdict, make_dualistic, projection_check,
-                               theorem41_analyze, torsion_inheritance_check)
+                               reduction_chain, theorem41_analyze, torsion_inheritance_check)
 from dualgeo.products import (MIXED_RICCI_SIGN, block_levi_civita_defect,
                               curvature_block_report, mixed_ricci_at, mixed_ricci_table,
                               mixed_weyl_report, twisted_product)
@@ -152,7 +152,9 @@ def test_criterion_6_theorem_41_pipeline():
     dB = make_dualistic(B, explicit_connection(B, {}), samples=16)
     dF = make_dualistic(F, explicit_connection(F, {}), samples=16)
     st = induce_on_product(dB, dF, "exp(u)", samples=SAMPLES)
-    rec = theorem41_analyze(st, samples=32, seed=SEED)
+    rec = theorem41_analyze(st, dually_flat_verdict(st, 32, 1e-9, SEED),
+                            reduction_chain(st, 32, 1e-9, SEED),
+                            samples=32, seed=SEED)
     sep_ok = (rec.mixed_ricci_flat and rec.chain.separable
               and rec.chain.cross_derivative_max < tol
               and rec.chain.reconstruction_residual < tol
@@ -162,7 +164,9 @@ def test_criterion_6_theorem_41_pipeline():
     F2 = fx.euclidean(2, ("u", "v"), "F2")
     dF2 = make_dualistic(F2, explicit_connection(F2, {}), samples=16)
     st2 = induce_on_product(dB, dF2, "exp(x*u)", samples=SAMPLES)
-    rec2 = theorem41_analyze(st2, samples=32, seed=SEED)
+    rec2 = theorem41_analyze(st2, dually_flat_verdict(st2, 32, 1e-9, SEED),
+                             reduction_chain(st2, 32, 1e-9, SEED),
+                             samples=32, seed=SEED)
     cross = rec2.chain.cross_derivative_max
     nonsep_ok = (not rec2.mixed_ricci_flat and abs(cross - 1.0) < tol
                  and any("precondition" in n for n in rec2.notes))

@@ -247,6 +247,17 @@ class TestFlatnessCommand:
             path.unlink()
 
 
+    @pytest.mark.parametrize("spec", ["warped_sphere.json", "twisted_xu.json"])
+    def test_analyzers_report_the_direct_verdict(self, spec_dir, tmp_path, capsys, spec):
+        report = tmp_path / "flatness.json"
+        main(["flatness", str(spec_dir / spec), "--samples", "16", "--report", str(report)])
+        details = json.loads(report.read_text())["details"]
+        analyses = ("mixed_ricci_analysis", "mixed_weyl_analysis", "weyl_parallel_analysis")
+        assert set(analyses) < set(details)
+        for name in analyses:
+            assert details[name]["direct"] == details["direct_verdict"], name
+
+
 class TestVerifyPaper:
     def test_full_suite_passes(self, tmp_path, capsys):
         report = tmp_path / "verify.json"

@@ -4,8 +4,8 @@ import pytest
 from dualgeo.connections import ConnectionField, explicit_connection, levi_civita
 from dualgeo.dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
                                lemma_dual_block_report, make_dualistic, projection_check,
-                               theorem41_analyze, theorem42_analyze, theorem43_analyze,
-                               torsion_inheritance_check)
+                               reduction_chain, theorem41_analyze, theorem42_analyze,
+                               theorem43_analyze, torsion_inheritance_check)
 from dualgeo.report import jsonable
 from dualgeo import fixtures as fx
 
@@ -18,6 +18,12 @@ def flat_structure(name, coord):
 def constant_pair(name, coord, c):
     M = fx.euclidean(1, (coord,), name)
     return make_dualistic(M, explicit_connection(M, {(0, 0, 0): repr(c)}), samples=16)
+
+
+def verdict_and_chain(st, samples, seed=42):
+    """The direct verdict and the reduction chain an analyzer receives."""
+    return (dually_flat_verdict(st, samples, 1e-9, seed),
+            reduction_chain(st, samples, 1e-9, seed))
 
 
 class TestMakeDualistic:
@@ -184,7 +190,8 @@ class TestDuallyFlatVerdict:
 class TestTheorem41:
     def test_fiber_twist_agrees(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "flat-fiber-twist")
-        rec = theorem41_analyze(entry["structure"], samples=16)
+        st = entry["structure"]
+        rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
         assert rec.mixed_ricci_flat
         assert rec.chain.separable
         assert rec.chain.cross_derivative_max < 1e-10
@@ -197,7 +204,8 @@ class TestTheorem41:
     def test_coupled_twist_precondition_fails(self, dualistic_suite):
         entry = next(e for e in dualistic_suite
                      if e["name"] == "proper-twisted-wide-fiber")
-        rec = theorem41_analyze(entry["structure"], samples=16)
+        st = entry["structure"]
+        rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
         assert not rec.mixed_ricci_flat
         assert rec.mixed_ricci_max == pytest.approx(1.0, abs=1e-6)
         assert rec.predicted_dually_flat is None
@@ -206,7 +214,8 @@ class TestTheorem41:
 
     def test_curved_base_fails_via_base(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "sphere-base-direct")
-        rec = theorem41_analyze(entry["structure"], samples=16)
+        st = entry["structure"]
+        rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
         assert rec.mixed_ricci_flat
         assert rec.predicted_dually_flat is False
         assert not rec.chain.base_verdict.dually_flat
@@ -214,7 +223,8 @@ class TestTheorem41:
 
     def test_curved_fiber_documents_gap(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "curved-fiber-direct")
-        rec = theorem41_analyze(entry["structure"], samples=16)
+        st = entry["structure"]
+        rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
         # fiber has constant curvature but a non-flat connection: the printed
         # biconditional predicts flat while the direct verdict says otherwise
         assert rec.predicted_dually_flat is True
@@ -226,7 +236,8 @@ class TestTheorem41:
 class TestTheorem42:
     def test_separable_conditions_hold(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "hessian-base-direct")
-        rec = theorem42_analyze(entry["structure"], samples=12)
+        st = entry["structure"]
+        rec = theorem42_analyze(st, *verdict_and_chain(st, 12), samples=12)
         assert rec.weyl_flat_along_holds
         assert rec.agreement is True
 
@@ -236,14 +247,15 @@ class TestTheorem42:
         dB = make_dualistic(B, explicit_connection(B, {}), samples=8)
         dF = make_dualistic(F, explicit_connection(F, {}), samples=8)
         st = induce_on_product(dB, dF, "exp(x*u)", samples=16)
-        rec = theorem42_analyze(st, samples=8)
+        rec = theorem42_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert not rec.weyl_flat_along_holds
         assert rec.weyl_xyv_max == pytest.approx(0.5, abs=1e-6)
         assert rec.chain is None
 
     def test_direct_flat_product(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "hessian-base-direct")
-        rec = theorem42_analyze(entry["structure"], samples=12)
+        st = entry["structure"]
+        rec = theorem42_analyze(st, *verdict_and_chain(st, 12), samples=12)
         assert rec.predicted_dually_flat is True
         assert rec.direct.dually_flat is True
 
@@ -251,7 +263,8 @@ class TestTheorem42:
 class TestTheorem43:
     def test_constant_twist_branch_two(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "flat-pair-direct")
-        rec = theorem43_analyze(entry["structure"], samples=8)
+        st = entry["structure"]
+        rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert rec.branch == 2
         assert rec.hessian_defect < 1e-12
         assert rec.agreement is True
@@ -260,7 +273,7 @@ class TestTheorem43:
         dB = flat_structure("b", "x")
         dF = flat_structure("f", "u")
         st = induce_on_product(dB, dF, "exp(x)", samples=16)
-        rec = theorem43_analyze(st, samples=8)
+        rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert rec.branch is None
         assert rec.hessian_defect == pytest.approx(1.0, abs=1e-9)
         assert any("inapplicable" in note for note in rec.notes)
@@ -271,12 +284,54 @@ class TestTheorem43:
         dB = make_dualistic(B, explicit_connection(B, {}), samples=8)
         dF = make_dualistic(F, explicit_connection(F, {}), samples=8)
         st = induce_on_product(dB, dF, "1", samples=16)
-        rec = theorem43_analyze(st, samples=8)
+        rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         # k = 0 satisfies the Hessian condition, so the chain proceeds
         assert rec.branch == 2
         assert rec.weyl_parallel is True
         assert rec.weyl_parallel_defect < 1e-4
         assert rec.agreement is True
+
+
+class TestSharedVerdictAndChain:
+    """verify-paper builds one verdict (24 samples) and one chain (16) per structure."""
+
+    @staticmethod
+    def records(st, verdicts, seed):
+        """Each applicable analyzer's record; ``verdicts[n]`` is the pair an analyzer
+        checking its hypothesis on n samples receives."""
+        recs = [theorem41_analyze(st, *verdicts[16], samples=16, seed=seed)]
+        if st.product.n >= 3:
+            recs.append(theorem42_analyze(st, *verdicts[12], samples=12, seed=seed))
+        recs.append(theorem43_analyze(st, *verdicts[12], samples=12, seed=seed))
+        return recs
+
+    @pytest.mark.parametrize("seed", [42, 3])
+    def test_shared_inputs_give_the_per_analyzer_outcomes(self, dualistic_suite, seed):
+        for entry in dualistic_suite:
+            st = entry["structure"]
+            shared = (dually_flat_verdict(st, 24, 1e-9, seed), reduction_chain(st, 16, 1e-9, seed))
+            own = {n: verdict_and_chain(st, n, seed) for n in (16, 12)}
+            pairs = zip(self.records(st, {16: shared, 12: shared}, seed),
+                        self.records(st, own, seed))
+            for rec, oracle in pairs:
+                for field in ("predicted_dually_flat", "agreement", "branch", "notes"):
+                    assert getattr(rec, field, None) == getattr(oracle, field, None), \
+                        (entry["name"], type(rec).__name__, field)
+
+    def test_records_keep_what_they_receive(self, dualistic_suite):
+        kept = 0
+        for entry in dualistic_suite:
+            st = entry["structure"]
+            direct, chain = verdict_and_chain(st, 12)
+            rec41, *others = self.records(st, {16: (direct, chain), 12: (direct, chain)}, 42)
+            assert rec41.direct is direct and rec41.chain is chain
+            for rec in others:
+                assert rec.direct is direct
+                applies = (rec.weyl_flat_along_holds if hasattr(rec, "weyl_flat_along_holds")
+                           else rec.branch is not None)
+                assert rec.chain is (chain if applies else None)
+                kept += applies
+        assert kept > 0
 
 
 class TestLemmaBlocks:
@@ -303,6 +358,7 @@ class TestLemmaBlocks:
 def test_records_are_json_serializable(dualistic_suite):
     import json
     entry = next(e for e in dualistic_suite if e["name"] == "flat-fiber-twist")
-    rec = theorem41_analyze(entry["structure"], samples=8)
+    st = entry["structure"]
+    rec = theorem41_analyze(st, *verdict_and_chain(st, 8), samples=8)
     text = json.dumps(jsonable(rec), sort_keys=True)
     assert "reconstruction_residual" in text

@@ -4,6 +4,8 @@
   as one batch from ``sample_array`` instead of looping over points.
 * Only ``connections.py`` and ``products.py`` import ``numdiff``, so finite
   differences cannot spread to new verdict paths.
+* The theorem analyzers build no flatness verdict and no reduction chain:
+  callers build each once per structure and pass it in.
 """
 
 import ast
@@ -13,6 +15,8 @@ import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "dualgeo"
 NUMDIFF_IMPORTERS = {"connections.py", "products.py"}
+ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
+ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_chain"}
 
 
 def _trees():
@@ -47,6 +51,13 @@ def numdiff_importers(trees) -> set[str]:
     return {name for name, tree in trees for node in ast.walk(tree) if _imports_numdiff(node)}
 
 
+def analyzer_input_calls(trees) -> list[str]:
+    return [f"{name}:{call.lineno}" for name, tree in trees for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in ANALYZERS
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and _called_name(call) in ANALYZER_INPUTS]
+
+
 def test_scan_sees_the_package():
     names = {name for name, _ in _trees()}
     assert {"geometry.py", "curvature.py", "products.py", "verify.py"} <= names
@@ -60,6 +71,13 @@ def test_no_code_loops_over_sample_points():
 
 def test_numdiff_stays_in_its_two_modules():
     assert numdiff_importers(_trees()) <= NUMDIFF_IMPORTERS
+
+
+def test_analyzers_receive_their_verdict_and_chain():
+    trees = _trees()
+    assert ANALYZERS <= {node.name for name, tree in trees if name == "dualistic.py"
+                         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert analyzer_input_calls(trees) == []
 
 
 @pytest.mark.parametrize("source, calls, importers", [
@@ -76,3 +94,13 @@ def test_scan_flags_each_form(source, calls, importers):
     trees = [("probe.py", ast.parse(source))]
     assert len(sample_points_calls(trees)) == calls
     assert numdiff_importers(trees) == importers
+
+
+@pytest.mark.parametrize("source, calls", [
+    ("def theorem41_analyze(st, direct, chain):\n    return direct, chain\n", 0),
+    ("def theorem42_analyze(st):\n    return dually_flat_verdict(st, 12)\n", 1),
+    ("def theorem43_analyze(st):\n    return dualistic.reduction_chain(st, 12, 1e-9, 1)\n", 1),
+    ("def verdicts(st):\n    return dually_flat_verdict(st, 12), reduction_chain(st)\n", 0),
+])
+def test_scan_flags_analyzer_rebuilds(source, calls):
+    assert len(analyzer_input_calls([("probe.py", ast.parse(source))])) == calls
