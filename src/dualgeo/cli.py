@@ -320,10 +320,10 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
             induced.residual, config.exact_tol(1e-9))
 
     fv = dually_flat_verdict(induced, min(samples, 32), 1e-9, seed)
-    fb = dually_flat_verdict(dB, min(samples, 32), 1e-9, seed)
     ff = dually_flat_verdict(dF, min(samples, 32), 1e-9, seed)
+    chain = reduction_chain(induced, min(samples, 16), 1e-9, seed)
     failing = []
-    if not fb.dually_flat:
+    if not chain.base_verdict.dually_flat:
         failing.append(f"base {dB.manifold.name!r}")
     if not ff.dually_flat:
         failing.append(f"fiber {dF.manifold.name!r}")
@@ -336,7 +336,6 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
                    + (f"; failing factors: {', '.join(failing)}" if failing else "")))
     rep.add_flag("flat-flags-agree", "R = 0 exactly when R* = 0", fv.flat_flags_agree)
 
-    chain = reduction_chain(induced, min(samples, 16), 1e-9, seed)
     rec41 = theorem41_analyze(induced, fv, chain, samples=min(samples, 16), seed=seed)
     rep.add("analyzer-mixed-ricci", "mixed-Ricci-flat biconditional vs direct verdict",
             rec41.mixed_ricci_max, None, informational=True,

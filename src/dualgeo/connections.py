@@ -182,12 +182,7 @@ def torsion_at(C: ConnectionField, p) -> np.ndarray:
 
 def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """(nabla g)(d_i, d_j, d_k) = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm."""
-    x = _coords_of(p)
-    g = M.metric_at(x)
-    dg = M.metric_derivatives_at(x)
-    gam = C.gamma_at(x)
-    return (dg - np.einsum("...mij,...mk->...ijk", gam, g)
-            - np.einsum("...mik,...jm->...ijk", gam, g))
+    return _duality_defect(M, C, C, p)
 
 
 def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,

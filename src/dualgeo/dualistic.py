@@ -203,9 +203,8 @@ def torsion_inheritance_check(induced: ProductDualisticStructure,
     """Torsion-free factor connections must induce torsion-free D and D*."""
     P = induced.product
     dB, dF = induced.base_structure, induced.fiber_structure
-    xb = P.base.sample_array(samples, seed)
-    xf = P.fiber.sample_array(samples, seed)
     x = P.manifold.sample_array(samples, seed)
+    xb, xf = P.split(x)
     factor_t = max(_max_abs(torsion_at(dB.primal, xb)), _max_abs(torsion_at(dB.dual, xb)),
                    _max_abs(torsion_at(dF.primal, xf)), _max_abs(torsion_at(dF.dual, xf)))
     tp = _max_abs(torsion_at(induced.primal, x))

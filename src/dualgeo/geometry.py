@@ -113,20 +113,26 @@ class ManifoldSpec:
 
     # -- pointwise metric algebra ------------------------------------------
     # Each accessor takes one point (d,) or a batch of points (N, d) and
-    # returns its arrays with the same leading shape.  Evaluations are
-    # memoized per point or batch (callers repeatedly visit the same seeded
-    # samples); cached arrays are treated as read-only internally.
+    # returns its arrays with the same leading shape.  Only the arrays of the
+    # last point or batch asked for are kept: callers ask for g, g^-1, dg and
+    # d2g of one sample set in turn, then move on.  Cached arrays are treated
+    # as read-only internally.
+
+    _last_batch = None  # ((shape, bytes), {kind: array}), replaced whole
 
     def _memo(self, kind: str, x: np.ndarray, build):
-        cache = self.__dict__.setdefault("_point_cache", {})
-        # a batch's key carries its shape: a (1, d) batch and the (d,) point
-        # have equal bytes
-        key = (kind, x.tobytes()) if x.ndim == 1 else (kind, x.shape, x.tobytes())
-        hit = cache.get(key)
+        # the key carries the shape: a (1, d) batch and the (d,) point have
+        # equal bytes.  A new key replaces key and arrays in one assignment,
+        # so a concurrent caller never pairs one batch's key with another's
+        # arrays.
+        key = (x.shape, x.tobytes())
+        last = self._last_batch
+        if last is None or last[0] != key:
+            last = self._last_batch = (key, {})
+        arrays = last[1]
+        hit = arrays.get(kind)
         if hit is None:
-            if len(cache) > 16384:
-                cache.clear()
-            hit = cache[key] = build()
+            hit = arrays[kind] = build()
         return hit
 
     def metric_at(self, p) -> np.ndarray:

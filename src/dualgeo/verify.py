@@ -330,6 +330,8 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         P = st.product
         x = P.manifold.sample_array(min(samples, 24), seed)
         R, Rs = riemann_at(st.primal, x), riemann_at(st.dual, x)
+        verdicts.append(verdict_from_tensors(torsion_at(st.primal, x), torsion_at(st.dual, x),
+                                             R, Rs, min(samples, 24), seed))
         induced_duality = max(induced_duality,
                               duality_residual(P.manifold, st.primal, st.dual, x))
         induced_curv_duality = max(induced_curv_duality, curvature_duality_residual(
@@ -338,8 +340,6 @@ def verify_paper(config: RunConfig) -> VerificationReport:
                          projection_check(st, min(samples, 12), seed).max_residual())
         inherit_all = inherit_all and torsion_inheritance_check(
             st, min(samples, 12), seed).inherited
-        verdicts.append(verdict_from_tensors(torsion_at(st.primal, x), torsion_at(st.dual, x),
-                                             R, Rs, min(samples, 24), seed))
     rep.add("induced-duality", "the induced pair (D, D*) satisfies the duality relation",
             induced_duality, config.exact_tol(1e-9))
     rep.add("induced-curvature-duality", "g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z) for induced pairs",

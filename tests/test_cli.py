@@ -247,15 +247,24 @@ class TestFlatnessCommand:
             path.unlink()
 
 
-    @pytest.mark.parametrize("spec", ["warped_sphere.json", "twisted_xu.json"])
+    @pytest.mark.parametrize("spec", ["warped_sphere.json", "twisted_xu.json",
+                                      "flat_dual_product.json"])
     def test_analyzers_report_the_direct_verdict(self, spec_dir, tmp_path, capsys, spec):
         report = tmp_path / "flatness.json"
         main(["flatness", str(spec_dir / spec), "--samples", "16", "--report", str(report)])
         details = json.loads(report.read_text())["details"]
-        analyses = ("mixed_ricci_analysis", "mixed_weyl_analysis", "weyl_parallel_analysis")
-        assert set(analyses) < set(details)
+        plane = spec == "flat_dual_product.json"  # dimension 2: no theorem-4.2 record
+        analyses = {"mixed_ricci_analysis", "weyl_parallel_analysis"}
+        if not plane:
+            analyses.add("mixed_weyl_analysis")
+        assert set(details) == analyses | {"direct_verdict"}
         for name in analyses:
             assert details[name]["direct"] == details["direct_verdict"], name
+        if plane:
+            rec43 = details["weyl_parallel_analysis"]
+            assert rec43["branch"] == 2
+            assert rec43["chain"] is not None
+            assert rec43["chain"] == details["mixed_ricci_analysis"]["chain"]
 
 
 class TestVerifyPaper:

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,6 +94,66 @@ class TestMetricDerivatives:
         expected = [[[[evaluate(M._metric_d2[i][j][k][l], env) for l in range(2)]
                       for k in range(2)] for j in range(2)] for i in range(2)]
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
+
+
+def _accessors(M):
+    return (M.metric_at, M.inverse_metric_at, M.metric_derivatives_at,
+            M.metric_second_derivatives_at)
+
+
+def _kernel_values(M, x):
+    """The four accessors' arrays at x, evaluated without the manifold's cache."""
+    g = M._metric_kernel(x)
+    return g, np.linalg.inv(g), M._metric_d1_kernel(x), M._metric_d2_kernel(x)
+
+
+class TestLastBatchCache:
+    @pytest.fixture
+    def twisted4(self):
+        return dict(fx.standard_twists())["twisted-4d"].manifold
+
+    def test_memory_stays_bounded(self, twisted4):
+        X = twisted4.sample_array(2001, 11)
+        for f in _accessors(twisted4):
+            f(X[0])  # compiles the kernels
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for x in X[1:]:
+                for f in _accessors(twisted4):
+                    f(x)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20
+
+    def test_interleaved_points_and_batches(self, twisted4):
+        X = twisted4.sample_array(6, 3)
+        inputs = [X[0], X[:4], X[1], X[2:], X[0], X[:4]]
+        for x in inputs + inputs[::-1]:
+            for f, want in zip(_accessors(twisted4), _kernel_values(twisted4, x)):
+                assert f(x).tobytes() == want.tobytes()
+
+    def test_concurrent_callers_get_their_own_batch(self, twisted4):
+        batches = [twisted4.sample_array(n, seed) for seed, n in enumerate((3, 3, 5, 8))]
+        expected = [_kernel_values(twisted4, X) for X in batches]
+
+        def worker(t):
+            mine, other = batches[t], batches[(t + 1) % len(batches)]
+            for _ in range(500):
+                twisted4.metric_at(other)
+                for f, want in zip(_accessors(twisted4), expected[t]):
+                    if f(mine).tobytes() != want.tobytes():
+                        return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert all(pool.map(worker, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGradient:

@@ -6,6 +6,9 @@
   differences cannot spread to new verdict paths.
 * The theorem analyzers build no flatness verdict and no reduction chain:
   callers build each once per structure and pass it in.
+* Only ``geometry.py`` calls ``.tobytes()``: the manifold's one-batch cache
+  is the only cache keyed by point bytes, so no unbounded point cache grows
+  back elsewhere.
 """
 
 import ast
@@ -17,6 +20,7 @@ SRC = Path(__file__).parent.parent / "src" / "dualgeo"
 NUMDIFF_IMPORTERS = {"connections.py", "products.py"}
 ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
 ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_chain"}
+TOBYTES_CALLERS = {"geometry.py"}
 
 
 def _trees():
@@ -58,6 +62,12 @@ def analyzer_input_calls(trees) -> list[str]:
             if isinstance(call, ast.Call) and _called_name(call) in ANALYZER_INPUTS]
 
 
+def tobytes_callers(trees) -> set[str]:
+    return {name for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tobytes"}
+
+
 def test_scan_sees_the_package():
     names = {name for name, _ in _trees()}
     assert {"geometry.py", "curvature.py", "products.py", "verify.py"} <= names
@@ -71,6 +81,10 @@ def test_no_code_loops_over_sample_points():
 
 def test_numdiff_stays_in_its_two_modules():
     assert numdiff_importers(_trees()) <= NUMDIFF_IMPORTERS
+
+
+def test_point_bytes_stay_in_geometry():
+    assert tobytes_callers(_trees()) == TOBYTES_CALLERS
 
 
 def test_analyzers_receive_their_verdict_and_chain():
@@ -104,3 +118,12 @@ def test_scan_flags_each_form(source, calls, importers):
 ])
 def test_scan_flags_analyzer_rebuilds(source, calls):
     assert len(analyzer_input_calls([("probe.py", ast.parse(source))])) == calls
+
+
+@pytest.mark.parametrize("source, callers", [
+    ("cache[(kind, x.tobytes())] = build()\n", {"probe.py"}),
+    ("key = np.asarray(p).tobytes()\n", {"probe.py"}),
+    ("g = M.metric_at(x)\n", set()),
+])
+def test_scan_flags_point_bytes(source, callers):
+    assert tobytes_callers([("probe.py", ast.parse(source))]) == callers
