@@ -27,7 +27,7 @@ from .dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
                         make_dualistic, reduction_chain, theorem41_analyze,
                         theorem42_analyze, theorem43_analyze)
 from .report import RunConfig, VerificationReport, jsonable, sha256_of
-from .verify import VERSION, verify_paper
+from .verify import new_report, verify_paper
 
 __all__ = ["main", "load_spec", "LoadedManifold", "LoadedProduct", "SpecFileError"]
 
@@ -159,14 +159,6 @@ def _load_product_doc(doc: dict, path: Path, digest: str) -> LoadedProduct:
 # commands
 
 
-def _new_report(config: RunConfig, inputs: dict) -> VerificationReport:
-    return VerificationReport(
-        tool="dualgeo", version=VERSION,
-        config={"samples": config.samples, "seed": config.seed,
-                "tol_exact": config.tol_exact, "tol_fd": config.tol_fd},
-        inputs=inputs)
-
-
 def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = None) -> int:
     print(rep.render_table())
     if config.report_path:
@@ -181,7 +173,7 @@ def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = Non
 
 def cmd_check(loaded: LoadedManifold, config: RunConfig) -> int:
     M = loaded.manifold
-    rep = _new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
+    rep = new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
     x = M.sample_array(min(config.samples, 32), config.seed)
     g = M.metric_at(x)
     sym_worst = float(np.max(np.abs(g - g.swapaxes(-1, -2))))
@@ -216,7 +208,7 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
     point = M.point(config.point) if config.point else M.center()
     Cstar = conjugate(loaded.connection, M)
     gam = Cstar.gamma_at(point)
-    rep = _new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
+    rep = new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
     worst = duality_residual(M, loaded.connection, Cstar,
                              M.sample_array(min(config.samples, 32), config.seed))
     rep.add("duality-residual", "computed conjugate satisfies the duality relation",
@@ -257,9 +249,9 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) ->
 
 def cmd_twist(loaded: LoadedProduct, config: RunConfig) -> int:
     P = loaded.product
-    rep = _new_report(config, {"spec_digest": loaded.digest,
-                               "product": P.manifold.name,
-                               "classification": P.classification})
+    rep = new_report(config, {"spec_digest": loaded.digest,
+                              "product": P.manifold.name,
+                              "classification": P.classification})
     rep.add("twist-classification", "direct / warped / proper-twisted from the twist's "
             "coordinate dependence", None, None, informational=True,
             notes=P.classification)
@@ -303,7 +295,7 @@ def cmd_twist(loaded: LoadedProduct, config: RunConfig) -> int:
 
 
 def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
-    rep = _new_report(config, {"spec_digest": loaded.digest})
+    rep = new_report(config, {"spec_digest": loaded.digest})
     details: dict = {}
     samples, seed = config.samples, config.seed
     try:
@@ -361,14 +353,6 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     details["weyl_parallel_analysis"] = rec43
     details["direct_verdict"] = fv
     return _finish(rep, config, extra=details)
-
-
-def cmd_verify_paper(config: RunConfig) -> int:
-    rep = verify_paper(config)
-    print(rep.render_table())
-    if config.report_path:
-        rep.write(config.report_path)
-    return 0 if rep.overall == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -441,44 +425,33 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # built per call, so the cmd_* functions are looked up when main runs
+    spec_commands = {"check": (LoadedManifold, cmd_check),
+                     "conjugate": (LoadedManifold, cmd_conjugate),
+                     "curvature": (LoadedManifold, cmd_curvature),
+                     "twist": (LoadedProduct, cmd_twist),
+                     "flatness": (LoadedProduct, cmd_flatness)}
     try:
         config = _config_from(args)
-        if args.command == "check":
-            loaded = load_spec(args.spec)
-            if not isinstance(loaded, LoadedManifold):
-                raise SpecFileError(args.spec, "check expects a manifold spec")
-            return cmd_check(loaded, config)
-        if args.command == "conjugate":
-            loaded = load_spec(args.spec)
-            if not isinstance(loaded, LoadedManifold):
-                raise SpecFileError(args.spec, "conjugate expects a manifold spec")
-            return cmd_conjugate(loaded, config)
-        if args.command == "curvature":
-            loaded = load_spec(args.spec)
-            if not isinstance(loaded, LoadedManifold):
-                raise SpecFileError(args.spec, "curvature expects a manifold spec")
-            return cmd_curvature(loaded, config, args.weyl)
-        if args.command == "twist":
-            if args.spec:
-                loaded = load_spec(args.spec)
-                if not isinstance(loaded, LoadedProduct):
-                    raise SpecFileError(args.spec, "twist expects a product spec")
-            elif args.base and args.fiber and args.twist:
-                base = _load_factor(args.base, Path.cwd(), "--base")
-                fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
-                P = twisted_product(base.manifold, fiber.manifold, args.twist)
-                digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
-                loaded = LoadedProduct(P, base, fiber, digest)
-            else:
+        if args.command == "verify-paper":
+            return _finish(verify_paper(config), config)
+        kind, command = spec_commands[args.command]
+        if args.command == "twist" and not args.spec:
+            if not (args.base and args.fiber and args.twist):
                 raise SpecFileError("twist", "provide a product spec or --base/--fiber/--twist")
-            return cmd_twist(loaded, config)
-        if args.command == "flatness":
+            base = _load_factor(args.base, Path.cwd(), "--base")
+            fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
+            P = twisted_product(base.manifold, fiber.manifold, args.twist)
+            digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
+            loaded = LoadedProduct(P, base, fiber, digest)
+        else:
             loaded = load_spec(args.spec)
-            if not isinstance(loaded, LoadedProduct):
-                raise SpecFileError(args.spec, "flatness expects a product spec")
-            return cmd_flatness(loaded, config)
-        assert args.command == "verify-paper"
-        return cmd_verify_paper(config)
+            if not isinstance(loaded, kind):
+                expected = "manifold" if kind is LoadedManifold else "product"
+                raise SpecFileError(args.spec, f"{args.command} expects a {expected} spec")
+        if args.command == "curvature":
+            return command(loaded, config, args.weyl)
+        return command(loaded, config)
     except (SpecFileError, ParseError, GeometryError, DomainError,
             DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -407,11 +407,12 @@ def compile_array(exprs, coords):
     distinct node (shared subtrees, by identity or by structure, are computed
     once); constants live in its namespace, never in its source, so kernels
     of the same structure share one code object.  It uses the same
-    domain-guarded operations as ``evaluate``.  When any node leaves the
-    domain or any entry is not finite, the kernel evaluates the points in
-    order, replaying a failing point's entries in row-major order with
-    ``evaluate``, so it raises exactly the error ``evaluate`` raises for the
-    first failing entry of the first failing point.
+    domain-guarded operations as ``evaluate``.  A point where a node leaves
+    the domain or an entry is not finite gets a NaN row in the one pass over
+    the points; only those rows are then evaluated again, in point order and
+    with ``evaluate`` entry by entry in row-major order, so the kernel raises
+    exactly the error ``evaluate`` raises for the first failing entry of the
+    first failing point.
     """
     coords = tuple(coords)
     shape, flat = _flatten(exprs)
@@ -479,33 +480,22 @@ def compile_array(exprs, coords):
     straight = namespace["kernel"]
     size = len(flat)
 
-    def replay(xs: list) -> list:
-        try:
-            values = straight(xs)
-        except (ArithmeticError, ValueError, LookupError):
-            pass
-        else:
-            if all(map(math.isfinite, values)):
-                return values
-        env = dict(zip(coords, xs))
-        return [evaluate(e, env) for e in flat]
-
     def kernel(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         count = math.prod(x.shape[:-1])
         points = x.reshape(count, x.shape[-1]).tolist()
         out = np.empty(x.shape[:-1] + shape)
         rows = out.reshape(count, size)
-        try:
-            for i, xs in enumerate(points):
-                rows[i] = straight(xs)
-        except (ArithmeticError, ValueError, LookupError):
-            pass
-        else:
-            if np.isfinite(out).all():
-                return out
         for i, xs in enumerate(points):
-            rows[i] = replay(xs)
+            try:
+                rows[i] = straight(xs)
+            except (ArithmeticError, ValueError, LookupError):
+                rows[i] = math.nan
+        if np.isfinite(rows).all():
+            return out
+        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+            env = dict(zip(coords, points[i]))
+            rows[i] = [evaluate(e, env) for e in flat]
         return out
 
     return kernel

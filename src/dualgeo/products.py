@@ -106,16 +106,19 @@ class ProductSpec:
         return compile_array([*self._b1, *(e for row in self._b2 for e in row)],
                              self.manifold.coords)
 
+    # Both read through the product chart's one-batch cache, so the arrays
+    # they return are shared and read-only.
+
     def twist_data_at(self, x) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
         """(b, d_i k, d_i d_j k) at a product point or points; b has the leading shape."""
-        n = self.n
-        t = self._twist_data_kernel(_coords_of(x))
+        n, x = self.n, _coords_of(x)
+        t = self.manifold._memo("twist", x, lambda: self._twist_data_kernel(x))
         return t[..., 0][()], t[..., 1:n + 1], t[..., n + 1:].reshape(t.shape[:-1] + (n, n))
 
     def twist_hessian_b_at(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(d_i b, d_i d_j b) at a product point or points."""
-        n = self.n
-        t = self._twist_hessian_b_kernel(_coords_of(x))
+        n, x = self.n, _coords_of(x)
+        t = self.manifold._memo("twist_b", x, lambda: self._twist_hessian_b_kernel(x))
         return t[..., :n], t[..., n:].reshape(t.shape[:-1] + (n, n))
 
     # -- cached connections ---------------------------------------------------
@@ -275,12 +278,14 @@ def block_connection(P: ProductSpec, base_conn: ConnectionField,
     r, s, n = P.r, P.s, P.n
     eye_s = np.eye(s)
 
-    def gamma(x: np.ndarray) -> np.ndarray:
+    def factor_data(x: np.ndarray):
         xb, xf = P.split(x)
-        b, k1, _ = P.twist_data_at(x)
-        gF = P.fiber.metric_at(xf)
-        gFinv = P.fiber.inverse_metric_at(xf)
-        gBinv = P.base.inverse_metric_at(xb)
+        b, k1, k2 = P.twist_data_at(x)
+        return (xb, xf, b, k1, k2, P.fiber.metric_at(xf), P.fiber.inverse_metric_at(xf),
+                P.base.inverse_metric_at(xb))
+
+    def gamma(x: np.ndarray) -> np.ndarray:
+        xb, xf, b, k1, _, gF, gFinv, gBinv = factor_data(x)
         kb, kf = k1[..., :r], k1[..., r:]
         G = np.zeros(x.shape[:-1] + (n, n, n))
         G[..., :r, :r, :r] = base_conn.gamma_at(xb)
@@ -295,49 +300,35 @@ def block_connection(P: ProductSpec, base_conn: ConnectionField,
         return G
 
     def dgamma(x: np.ndarray) -> np.ndarray:
-        xb, xf = P.split(x)
-        b, k1, k2 = P.twist_data_at(x)
-        gF = P.fiber.metric_at(xf)
-        gFinv = P.fiber.inverse_metric_at(xf)
-        gBinv = P.base.inverse_metric_at(xb)
-        dgB = P.base.metric_derivatives_at(xb)
-        dgF = P.fiber.metric_derivatives_at(xf)
+        # d_q of each block of gamma for all q at once, q on axis -4; a factor
+        # array's derivative along the other factor's coordinates is zero
+        xb, xf, b, k1, k2, gF, gFinv, gBinv = factor_data(x)
         kb, kf = k1[..., :r], k1[..., r:]
-        gradFk = _mv(gFinv, kf)
-        gradBk = _mv(gBinv, kb)
-        dGb = base_conn.dgamma_at(xb)
-        dGf = fiber_conn.dgamma_at(xf)
+        kqb, kqf = k2[..., :r], k2[..., r:]
+        gradFk, gradBk = _mv(gFinv, kf), _mv(gBinv, kb)
+        dgF = P.fiber.metric_derivatives_at(xf)
+        dgB = P.base.metric_derivatives_at(xb)
+        dgF_q = _zero_pad(dgF, -3, r, 0)
+        dgFinv_q = _zero_pad(-gFinv[..., None, :, :] @ dgF @ gFinv[..., None, :, :], -3, r, 0)
+        dgBinv_q = _zero_pad(-gBinv[..., None, :, :] @ dgB @ gBinv[..., None, :, :], -3, 0, s)
         out = np.zeros(x.shape[:-1] + (n, n, n, n))
-        for q in range(n):
-            blk = out[..., q, :, :, :]
-            kqb, kqf = k2[..., q, :r], k2[..., q, r:]
-            # base block
-            if q < r:
-                blk[..., :r, :r, :r] = dGb[..., q, :, :, :]
-            # mixed blocks: d_q (k1[a] delta_wv)
-            blk[..., r:, :r, r:] = np.einsum("...a,wv->...wav", kqb, eye_s)
-            blk[..., r:, r:, :r] = np.einsum("...a,wv->...wva", kqb, eye_s)
-            # fiber block
-            term = (np.einsum("...u,wv->...wuv", kqf, eye_s)
-                    + np.einsum("...v,wu->...wuv", kqf, eye_s))
-            if q >= r:
-                dgF_q = dgF[..., q - r, :, :]
-                dgFinv_q = -gFinv @ dgF_q @ gFinv
-                term = term + dGf[..., q - r, :, :, :]
-                term = term - np.einsum("...uv,...w->...wuv", dgF_q, gradFk)
-                term = term - np.einsum("...uv,...w->...wuv", gF, _mv(dgFinv_q, kf))
-            term = term - np.einsum("...uv,...w->...wuv", gF, _mv(gFinv, kqf))
-            blk[..., r:, r:, r:] = term
-            # base components of the fiber block:
-            #   d_q ( -b^2 gF_uv (gB^{-1} kb)_c ),  d_q b^2 = 2 b^2 k1[q]
-            grad_term = _mv(gBinv, kqb)
-            if q < r:
-                grad_term = grad_term + _mv(-gBinv @ dgB[..., q, :, :] @ gBinv, kb)
-            part = 2.0 * _per_point(k1[..., q]) * np.einsum("...uv,...c->...cuv", gF, gradBk)
-            part = part + np.einsum("...uv,...c->...cuv", gF, grad_term)
-            if q >= r:
-                part = part + np.einsum("...uv,...c->...cuv", dgF[..., q - r, :, :], gradBk)
-            blk[..., :r, r:, r:] = -_per_point(b**2) * part
+        out[..., :r, :r, :r, :r] = base_conn.dgamma_at(xb)
+        out[..., r:, :r, r:] = np.einsum("...qa,wv->...qwav", kqb, eye_s)
+        out[..., r:, r:, :r] = np.einsum("...qa,wv->...qwva", kqb, eye_s)
+        out[..., r:, r:, r:] = (
+            np.einsum("...qu,wv->...qwuv", kqf, eye_s)
+            + np.einsum("...qv,wu->...qwuv", kqf, eye_s)
+            + _zero_pad(fiber_conn.dgamma_at(xf), -4, r, 0)
+            - np.einsum("...quv,...w->...qwuv", dgF_q, gradFk)
+            - np.einsum("...uv,...qw->...qwuv", gF, _mv(dgFinv_q, kf[..., None, :]))
+            - np.einsum("...uv,...qw->...qwuv", gF, _mv(gFinv[..., None, :, :], kqf)))
+        # base components of the fiber block:
+        #   d_q ( -b^2 gF_uv (gB^{-1} kb)_c ),  d_q b^2 = 2 b^2 k1[q]
+        grad_term = _mv(gBinv[..., None, :, :], kqb) + _mv(dgBinv_q, kb[..., None, :])
+        out[..., :r, r:, r:] = -_per_point(b**2)[..., None] * (
+            2.0 * _per_point(k1) * np.einsum("...uv,...c->...cuv", gF, gradBk)[..., None, :, :, :]
+            + np.einsum("...uv,...qc->...qcuv", gF, grad_term)
+            + np.einsum("...quv,...c->...qcuv", dgF_q, gradBk))
         return out
 
     return ConnectionField(P.manifold, "induced-product", gamma, dgamma)
@@ -458,13 +449,13 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
     gradB_Uk[..., :r, :] = gBinv @ kUX.swapaxes(-1, -2)
 
     R_UVW = R[..., :, r:, r:, r:]
-    common = (_pad_out(R_F, r, 0)
+    common = (_zero_pad(R_F, -4, r, 0)
               - _per_point(grad_b_norm_sq / b**2)[..., None]
               * (np.einsum("...vw,lu->...luvw", gFF, fiber_out)
                  - np.einsum("...uw,lv->...luvw", gFF, fiber_out))
               + np.einsum("...uw,...lv->...luvw", gFF, gradB_Uk))
     d = {
-        "R(X,Y)Z": R[..., :, :r, :r, :r] - _pad_out(R_B, 0, s),
+        "R(X,Y)Z": R[..., :, :r, :r, :r] - _zero_pad(R_B, -4, 0, s),
         "R(X,Y)U": R[..., :, :r, :r, r:],
         "R(X,U)Y": (R[..., :, :r, r:, :r]
                     - np.einsum("...ab,lu->...laub", hbB / np.asarray(b)[..., None, None],
@@ -488,9 +479,11 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
             for block, diff in d.items()}
 
 
-def _pad_out(T: np.ndarray, before: int, after: int) -> np.ndarray:
-    """T[..., l, i, j, k] with zero output components added before and after."""
-    return np.pad(T, [(0, 0)] * (T.ndim - 4) + [(before, after), (0, 0), (0, 0), (0, 0)])
+def _zero_pad(a: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
+    """``a`` with zero slices added before and after along a negative ``axis``."""
+    widths = [(0, 0)] * a.ndim
+    widths[axis] = (before, after)
+    return np.pad(a, widths)
 
 
 def curvature_block_report(P: ProductSpec, samples: int = 16, seed: int = 42,

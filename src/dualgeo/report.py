@@ -120,11 +120,6 @@ class VerificationReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
 
 def jsonable(obj):
     """Recursively convert report payloads to JSON-serializable structures."""

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from dualgeo.cli import LoadedManifold, LoadedProduct, SpecFileError, load_spec, main
+from dualgeo.report import RunConfig
+from dualgeo.verify import verify_paper
 
 
 def write(tmp_path, name, payload):
@@ -107,8 +109,17 @@ class TestExitCodes:
         assert code == 2
         assert "dim >= 3" in capsys.readouterr().err
 
-    def test_wrong_spec_kind(self, spec_dir):
-        assert main(["flatness", str(spec_dir / "sphere2.json")]) == 2
+    @pytest.mark.parametrize("command, spec, kind", [
+        ("check", "twisted_xu.json", "manifold"),
+        ("conjugate", "twisted_xu.json", "manifold"),
+        ("curvature", "warped_sphere.json", "manifold"),
+        ("twist", "fisher_normal.json", "product"),
+        ("flatness", "sphere2.json", "product"),
+    ], ids=["check", "conjugate", "curvature", "twist", "flatness"])
+    def test_wrong_spec_kind(self, spec_dir, capsys, command, spec, kind):
+        path = spec_dir / spec
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {command} expects a {kind} spec\n"
 
     def test_bad_point_flag(self, spec_dir):
         assert main(["curvature", str(spec_dir / "sphere2.json"),
@@ -283,6 +294,7 @@ class TestVerifyPaper:
         assert main(["verify-paper", "--samples", "16", "--report", str(a)]) == 0
         assert main(["verify-paper", "--samples", "16", "--report", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert a.read_text() == verify_paper(RunConfig(samples=16)).to_json() + "\n"
 
     def test_seed_changes_points_not_verdicts(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -127,12 +127,21 @@ class TestLastBatchCache:
             tracemalloc.stop()
         assert grown < 1 << 20
 
-    def test_interleaved_points_and_batches(self, twisted4):
-        X = twisted4.sample_array(6, 3)
+    def test_interleaved_points_and_batches(self):
+        P = dict(fx.standard_twists())["twisted-4d"]
+        X = P.manifold.sample_array(6, 3)
         inputs = [X[0], X[:4], X[1], X[2:], X[0], X[:4]]
         for x in inputs + inputs[::-1]:
-            for f, want in zip(_accessors(twisted4), _kernel_values(twisted4, x)):
+            for f, want in zip(_accessors(P.manifold), _kernel_values(P.manifold, x)):
                 assert f(x).tobytes() == want.tobytes()
+            # the twist kinds share the product chart's cache
+            b, k1, k2 = P.twist_data_at(x)
+            b1, b2 = P.twist_hessian_b_at(x)
+            got = np.concatenate([np.asarray(b)[..., None], k1, k2.reshape(x.shape[:-1] + (-1,))],
+                                 axis=-1)
+            assert got.tobytes() == P._twist_data_kernel(x).tobytes()
+            got = np.concatenate([b1, b2.reshape(x.shape[:-1] + (-1,))], axis=-1)
+            assert got.tobytes() == P._twist_hessian_b_kernel(x).tobytes()
 
     def test_concurrent_callers_get_their_own_batch(self, twisted4):
         batches = [twisted4.sample_array(n, seed) for seed, n in enumerate((3, 3, 5, 8))]

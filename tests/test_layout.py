@@ -9,6 +9,8 @@
 * Only ``geometry.py`` calls ``.tobytes()``: the manifold's one-batch cache
   is the only cache keyed by point bytes, so no unbounded point cache grows
   back elsewhere.
+* Only ``verify.new_report`` constructs a ``VerificationReport``, so the
+  report header cannot drift between ``verify-paper`` and the CLI commands.
 """
 
 import ast
@@ -68,6 +70,24 @@ def tobytes_callers(trees) -> set[str]:
             and node.func.attr == "tobytes"}
 
 
+def report_constructors(trees) -> set[str]:
+    """``file:function`` of every ``VerificationReport(...)`` call, by innermost function."""
+    found = set()
+
+    def visit(name, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(name, child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _called_name(child) == "VerificationReport":
+                found.add(f"{name}:{where}")
+            visit(name, child, where)
+
+    for name, tree in trees:
+        visit(name, tree, "<module>")
+    return found
+
+
 def test_scan_sees_the_package():
     names = {name for name, _ in _trees()}
     assert {"geometry.py", "curvature.py", "products.py", "verify.py"} <= names
@@ -85,6 +105,10 @@ def test_numdiff_stays_in_its_two_modules():
 
 def test_point_bytes_stay_in_geometry():
     assert tobytes_callers(_trees()) == TOBYTES_CALLERS
+
+
+def test_only_new_report_builds_a_report():
+    assert report_constructors(_trees()) == {"verify.py:new_report"}
 
 
 def test_analyzers_receive_their_verdict_and_chain():
@@ -127,3 +151,15 @@ def test_scan_flags_analyzer_rebuilds(source, calls):
 ])
 def test_scan_flags_point_bytes(source, callers):
     assert tobytes_callers([("probe.py", ast.parse(source))]) == callers
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def new_report(c, i):\n    return VerificationReport('dualgeo', V, {}, i)\n",
+     {"probe.py:new_report"}),
+    ("def cmd(c):\n    def make():\n        return report.VerificationReport('x', V, {}, {})\n",
+     {"probe.py:make"}),
+    ("REP = VerificationReport('dualgeo', V, {}, {})\n", {"probe.py:<module>"}),
+    ("def cmd(c):\n    return new_report(c, {'spec_digest': 'x'})\n", set()),
+])
+def test_scan_flags_report_constructors(source, found):
+    assert report_constructors([("probe.py", ast.parse(source))]) == found

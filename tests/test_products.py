@@ -121,10 +121,27 @@ class TestBlockLeviCivita:
                      "warped-sphere-fiber", "twisted-4d"):
             assert block_levi_civita_defect(standard_twists[name], 16, 42) < 1e-8
 
-    def test_block_dgamma_matches_fd(self, standard_twists):
+    def test_dgamma_matches_chart(self, standard_twists):
+        products = {**standard_twists,
+                    "curved-2d-base": twisted_product(fx.fisher_normal(), fx.sphere2(),
+                                                      "exp(0.5*m*th + 0.2*s*ph)"),
+                    "sphere-base": twisted_product(fx.sphere2(), line("lineF", "u"),
+                                                   "exp(th*u)")}
+        for name, P in products.items():
+            X = P.manifold.sample_array(12, 5)
+            chart = P.chart_levi_civita.dgamma_at(X)
+            block = P.block_levi_civita_connection.dgamma_at(X)
+            assert np.max(np.abs(block - chart)) <= 1e-13 * (1 + np.max(np.abs(chart))), name
+
+    def test_block_dgamma_matches_fd(self, standard_twists, dualistic_suite):
         from dualgeo.connections import dgamma_fd_defect
         P = standard_twists["twisted-poly"]
         assert dgamma_fd_defect(P.block_levi_civita_connection, samples=4, seed=3) < 1e-5
+        # D and D* assemble non-Levi-Civita factor connections
+        for entry in dualistic_suite:
+            st = entry["structure"]
+            for C in (st.primal, st.dual):
+                assert dgamma_fd_defect(C, samples=4, seed=3) < 1e-8, entry["name"]
 
 
 class TestHessian:
