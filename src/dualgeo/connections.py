@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import Expr, compile_array, differentiate, parse
-from .geometry import ManifoldSpec, _coords_of
+from .geometry import ManifoldSpec, _coords_of, one_batch
 from . import numdiff
 
 __all__ = [
@@ -40,13 +40,20 @@ class ConnectionField:
     _gamma: Callable[[np.ndarray], np.ndarray]
     _dgamma: Callable[[np.ndarray], np.ndarray]
 
+    _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
+
+    def _memo(self, kind: str, x: np.ndarray, build):
+        return one_batch(self, kind, x, build)
+
     def gamma_at(self, p) -> np.ndarray:
         """Rank-3 array Gamma[..., k, i, j] at the point or points."""
-        return self._gamma(_coords_of(p))
+        x = _coords_of(p)
+        return self._memo("gamma", x, lambda: self._gamma(x))
 
     def dgamma_at(self, p) -> np.ndarray:
         """Rank-4 array dGamma[..., l, k, i, j] = d_l Gamma^k_ij at the point or points."""
-        return self._dgamma(_coords_of(p))
+        x = _coords_of(p)
+        return self._memo("dgamma", x, lambda: self._dgamma(x))
 
     def __repr__(self) -> str:
         return f"ConnectionField({self.provenance!r} on {self.manifold.name!r})"

@@ -14,7 +14,9 @@ curvature +1.
 Every pointwise function takes one point (d,) or a batch of points (N, d)
 and puts the batch axis first in its result; a per-point scalar is a float
 for one point and an array of N values for a batch.  The frame of each point
-of a batch is built with the same operations as its own call.
+of a batch is built with the same operations as its own call.  R and the
+frame of the last point or batch are kept on the connection and the chart
+(``geometry.one_batch``) and handed out read-only.
 """
 
 from __future__ import annotations
@@ -47,8 +49,11 @@ class DegeneratePlaneError(ArithmeticError):
 def riemann_at(C: ConnectionField, p) -> np.ndarray:
     """Rank-4 array R[..., l, i, j, k]; antisymmetric in (i, j) to round-off."""
     x = _coords_of(p)
-    gam = C.gamma_at(x)
-    d_gam = C.dgamma_at(x).swapaxes(-4, -3)  # [l, i, j, k] = d_i Gamma^l_jk
+    return C._memo("R", x, lambda: _riemann(C.gamma_at(x), C.dgamma_at(x)))
+
+
+def _riemann(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
+    d_gam = dgam.swapaxes(-4, -3)  # [l, i, j, k] = d_i Gamma^l_jk
     dterm = d_gam - d_gam.swapaxes(-3, -2)
     qterm = (np.einsum("...lim,...mjk->...lijk", gam, gam)
              - np.einsum("...ljm,...mik->...lijk", gam, gam))
@@ -73,10 +78,15 @@ def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     Once E_j is found it is projected out of every later row at once, so each
     row sees the same operations, in the same order, as in the textbook loop.
     """
-    g = M.metric_at(p)
-    rest = np.eye(M.dim)  # rows not yet normalized, after the projections so far
+    x = _coords_of(p)
+    return M._memo("frame", x, lambda: _frame(M.metric_at(x)))
+
+
+def _frame(g: np.ndarray) -> np.ndarray:
+    d = g.shape[-1]
+    rest = np.eye(d)  # rows not yet normalized, after the projections so far
     rows = []
-    for _ in range(M.dim):
+    for _ in range(d):
         v = rest[..., :1, :]
         norm = (v @ g) @ v.swapaxes(-1, -2)
         if (norm <= 0.0).any():

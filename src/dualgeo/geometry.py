@@ -30,6 +30,35 @@ class SingularMetricError(ArithmeticError):
     """Metric is numerically singular at the requested point."""
 
 
+def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
+    """owner's array of this kind at x: cached if x is its last batch, else build().
+
+    Only the arrays of the last point or batch asked for are kept: callers
+    ask for the arrays of one sample set in turn, then move on.  A chart
+    (``ManifoldSpec``) holds g, g^-1, dg, d2g and the orthonormal frame, and a
+    product chart also its twist data; a ``ConnectionField`` holds Gamma,
+    dGamma and R.  Each connection keeps its own batch, so a connection built
+    per call is freed with its arrays and the chart's entries stay fixed.
+
+    The key carries the shape: a (1, d) batch and the (d,) point have equal
+    bytes.  A new key replaces key and arrays in one assignment, so a
+    concurrent caller never pairs one batch's key with another's arrays.
+    Kinds are filled lazily.  Every stored array is made read-only, since
+    callers share it: an in-place edit raises instead of changing later reads.
+    """
+    key = (x.shape, x.tobytes())
+    last = owner._last_batch
+    if last is None or last[0] != key:
+        last = owner._last_batch = (key, {})
+    arrays = last[1]
+    hit = arrays.get(kind)
+    if hit is None:
+        hit = build()
+        hit.flags.writeable = False
+        arrays[kind] = hit
+    return hit
+
+
 @dataclass(eq=False)
 class ManifoldSpec:
     """A named chart: ordered coordinates, box domain, metric expression matrix.
@@ -113,27 +142,13 @@ class ManifoldSpec:
 
     # -- pointwise metric algebra ------------------------------------------
     # Each accessor takes one point (d,) or a batch of points (N, d) and
-    # returns its arrays with the same leading shape.  Only the arrays of the
-    # last point or batch asked for are kept: callers ask for g, g^-1, dg and
-    # d2g of one sample set in turn, then move on.  Cached arrays are treated
-    # as read-only internally.
+    # returns its arrays with the same leading shape, through the chart's
+    # one-batch cache (see one_batch).
 
-    _last_batch = None  # ((shape, bytes), {kind: array}), replaced whole
+    _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
 
     def _memo(self, kind: str, x: np.ndarray, build):
-        # the key carries the shape: a (1, d) batch and the (d,) point have
-        # equal bytes.  A new key replaces key and arrays in one assignment,
-        # so a concurrent caller never pairs one batch's key with another's
-        # arrays.
-        key = (x.shape, x.tobytes())
-        last = self._last_batch
-        if last is None or last[0] != key:
-            last = self._last_batch = (key, {})
-        arrays = last[1]
-        hit = arrays.get(kind)
-        if hit is None:
-            hit = arrays[kind] = build()
-        return hit
+        return one_batch(self, kind, x, build)
 
     def metric_at(self, p) -> np.ndarray:
         x = _coords_of(p)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dualgeo.curvature import (DegeneratePlaneError, DimensionError,
                                orthonormal_frame_at, ricci_at, ricci_contraction,
                                ricci_operator_at, riemann_at, scalar_at, sectional_at,
                                weyl_at, weyl_trace_defect)
-from dualgeo import fixtures as fx
+from dualgeo import curvature, fixtures as fx
 
 from oracles import gram_schmidt_frame, ricci_frame_oracle, riemann_fd, scalar_frame_oracle
 
@@ -246,6 +247,40 @@ class TestBatchOfPoints:
         stacked = np.array([call(M, C, x) for x in X])
         assert batch.shape == stacked.shape
         assert np.max(np.abs(batch - stacked)) <= 1e-14 * (1.0 + np.max(np.abs(stacked)))
+
+
+class TestOneBuildPerBatch:
+    """Gamma, dGamma, R and the frame of a point or batch are each built once."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    def test_each_provider_runs_once(self, monkeypatch, batch):
+        M = dict(fx.standard_twists())["twisted-4d"].manifold
+        X = M.sample_array(5, 13)
+        x = X if batch else X[0]
+        builds = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                builds[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(curvature, "_frame", counted("frame", curvature._frame))
+        monkeypatch.setattr(curvature, "_riemann", counted("R", curvature._riemann))
+        E = explicit_connection(M, {(0, 0, 0): "0.3", (1, 0, 1): "0.2*x", (2, 3, 1): "x*u"})
+        conns = {"levi-civita": levi_civita(M), "explicit": E, "conjugate": conjugate(E, M)}
+        for name, C in conns.items():
+            C._gamma = counted(f"{name} gamma", C._gamma)
+            C._dgamma = counted(f"{name} dgamma", C._dgamma)
+        for C in conns.values():
+            riemann_at(C, x)
+            ricci_at(M, C, x)
+            scalar_at(M, C, x)
+            weyl_at(M, C, x)
+            curvature_report(M, C, x)
+        assert builds == Counter({"frame": 1, "R": len(conns),
+                                  **{f"{name} {kind}": 1 for name in conns
+                                     for kind in ("gamma", "dgamma")}})
 
 
 class TestFlatness:

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -6,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from dualgeo.connections import conjugate, explicit_connection, levi_civita
+from dualgeo.curvature import _frame, orthonormal_frame_at, riemann_at, sectional_at
 from dualgeo.exprlang import DomainError, evaluate, parse
 from dualgeo.geometry import (GeometryError, ManifoldSpec, Point, SingularMetricError,
                               TangentVector, validate_metric)
@@ -107,6 +110,17 @@ def _kernel_values(M, x):
     return g, np.linalg.inv(g), M._metric_d1_kernel(x), M._metric_d2_kernel(x)
 
 
+def _connections(M):
+    """Levi-Civita, an explicit connection and its conjugate, built afresh on M."""
+    C = explicit_connection(M, {(0, 0, 0): "0.3", (1, 0, 1): "0.2*x", (2, 3, 1): "x*u"})
+    return levi_civita(M), C, conjugate(C, M)
+
+
+def _connection_accessors(conns):
+    """gamma_at, dgamma_at and riemann_at of each connection, as one-argument calls."""
+    return [f for C in conns for f in (C.gamma_at, C.dgamma_at, functools.partial(riemann_at, C))]
+
+
 class TestLastBatchCache:
     @pytest.fixture
     def twisted4(self):
@@ -114,26 +128,70 @@ class TestLastBatchCache:
 
     def test_memory_stays_bounded(self, twisted4):
         X = twisted4.sample_array(2001, 11)
-        for f in _accessors(twisted4):
+        calls = _accessors(twisted4) + tuple(_connection_accessors(_connections(twisted4)))
+        for f in calls:
             f(X[0])  # compiles the kernels
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for x in X[1:]:
-                for f in _accessors(twisted4):
+                for f in calls:
                     f(x)
             grown = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
         assert grown < 1 << 20
 
+    def test_sectional_calls_leave_a_fixed_set_of_kinds(self, twisted4):
+        # each call builds its own Levi-Civita connection, whose arrays are
+        # cached on it and freed with it, not on the chart
+        x = twisted4.sample_array(1, 7)[0]
+        X, Y = np.eye(4)[0], np.eye(4)[2]
+        for _ in range(1000):
+            sectional_at(twisted4, x, X, Y)
+        assert set(twisted4._last_batch[1]) == {"g", "ginv", "dg", "d2g"}
+
+    def test_cached_arrays_are_read_only(self):
+        P = dict(fx.standard_twists())["twisted-4d"]
+        M = P.manifold
+        conns = _connections(M)
+        reads = {
+            "g": M.metric_at, "ginv": M.inverse_metric_at, "dg": M.metric_derivatives_at,
+            "d2g": M.metric_second_derivatives_at,
+            "frame": functools.partial(orthonormal_frame_at, M),
+            "twist": lambda z: P.twist_data_at(z)[1],
+            "twist_b": lambda z: P.twist_hessian_b_at(z)[0],
+        }
+        for C in conns:
+            reads.update({f"{C.provenance} {f.__name__}": f for f in (C.gamma_at, C.dgamma_at)})
+            reads[f"{C.provenance} R"] = functools.partial(riemann_at, C)
+        X = M.sample_array(3, 5)
+        for x in (X, X[0]):
+            for kind, read in reads.items():
+                before = read(x).copy()
+                got = read(x)
+                with pytest.raises(ValueError, match="read-only"):
+                    got *= 2
+                with pytest.raises(ValueError, match="read-only"):
+                    got[(0,) * got.ndim] = 5.0
+                assert read(x).tobytes() == before.tobytes(), kind
+            # every kind cached by the chart and the connections was read
+            assert set(M._last_batch[1]) == {"g", "ginv", "dg", "d2g", "frame", "twist",
+                                             "twist_b"}
+            assert all(set(C._last_batch[1]) == {"gamma", "dgamma", "R"} for C in conns)
+
     def test_interleaved_points_and_batches(self):
         P = dict(fx.standard_twists())["twisted-4d"]
-        X = P.manifold.sample_array(6, 3)
-        inputs = [X[0], X[:4], X[1], X[2:], X[0], X[:4]]
+        M = P.manifold
+        conns = _connection_accessors(_connections(M))
+        X = M.sample_array(6, 3)
+        inputs = [X[0], X[:4], X[1], X[2:], X[0], X[:4], X[:1], X[0]]
         for x in inputs + inputs[::-1]:
-            for f, want in zip(_accessors(P.manifold), _kernel_values(P.manifold, x)):
+            for f, want in zip(_accessors(M), _kernel_values(M, x)):
                 assert f(x).tobytes() == want.tobytes()
+            assert orthonormal_frame_at(M, x).tobytes() == _frame(M._metric_kernel(x)).tobytes()
+            for f, fresh in zip(conns, _connection_accessors(_connections(M))):
+                assert f(x).tobytes() == fresh(x).tobytes()
             # the twist kinds share the product chart's cache
             b, k1, k2 = P.twist_data_at(x)
             b1, b2 = P.twist_hessian_b_at(x)
@@ -146,13 +204,19 @@ class TestLastBatchCache:
     def test_concurrent_callers_get_their_own_batch(self, twisted4):
         batches = [twisted4.sample_array(n, seed) for seed, n in enumerate((3, 3, 5, 8))]
         expected = [_kernel_values(twisted4, X) for X in batches]
+        shared = _connections(twisted4)[2]
+        expected_R = [riemann_at(_connections(twisted4)[2], X) for X in batches]
 
         def worker(t):
             mine, other = batches[t], batches[(t + 1) % len(batches)]
-            for _ in range(500):
+            for i in range(500):
                 twisted4.metric_at(other)
                 for f, want in zip(_accessors(twisted4), expected[t]):
                     if f(mine).tobytes() != want.tobytes():
+                        return False
+                if i % 5 == 0:  # R of the shared connection, on every fifth round
+                    riemann_at(shared, other)
+                    if riemann_at(shared, mine).tobytes() != expected_R[t].tobytes():
                         return False
             return True
 

@@ -6,9 +6,11 @@
   differences cannot spread to new verdict paths.
 * The theorem analyzers build no flatness verdict and no reduction chain:
   callers build each once per structure and pass it in.
-* Only ``geometry.py`` calls ``.tobytes()``: the manifold's one-batch cache
-  is the only cache keyed by point bytes, so no unbounded point cache grows
-  back elsewhere.
+* Only ``geometry.py`` calls ``.tobytes()``: its one-batch cache
+  (``geometry.one_batch``) is the only cache keyed by point bytes, so no
+  unbounded point cache grows back elsewhere.
+* Only ``geometry.one_batch`` assigns ``_last_batch`` (a class may declare it
+  as ``None``), so no second cache grows beside the one-batch cache.
 * Only ``verify.new_report`` constructs a ``VerificationReport``, so the
   report header cannot drift between ``verify-paper`` and the CLI commands.
 """
@@ -70,6 +72,54 @@ def tobytes_callers(trees) -> set[str]:
             and node.func.attr == "tobytes"}
 
 
+def _assigned_targets(node: ast.AST) -> list[ast.AST]:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    flat = []
+    while targets:
+        t = targets.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            targets.extend(t.elts)
+        else:
+            flat.append(t)
+    return flat
+
+
+def _writes_last_batch(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call) and _called_name(node) in {"setattr", "__setattr__"}:
+        return any(isinstance(a, ast.Constant) and a.value == "_last_batch" for a in node.args)
+    for t in _assigned_targets(node):
+        if isinstance(t, ast.Attribute) and t.attr == "_last_batch":
+            return True
+        if isinstance(t, ast.Name) and t.id == "_last_batch":
+            value = getattr(node, "value", None)
+            return not (isinstance(node, (ast.Assign, ast.AnnAssign))
+                        and isinstance(value, ast.Constant) and value.value is None)
+    return False
+
+
+def last_batch_writers(trees) -> set[str]:
+    """``file:scope`` of every write to ``_last_batch``, by innermost function or class."""
+    found = set()
+
+    def visit(name, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(name, child, child.name)
+                continue
+            if _writes_last_batch(child):
+                found.add(f"{name}:{where}")
+            visit(name, child, where)
+
+    for name, tree in trees:
+        visit(name, tree, "<module>")
+    return found
+
+
 def report_constructors(trees) -> set[str]:
     """``file:function`` of every ``VerificationReport(...)`` call, by innermost function."""
     found = set()
@@ -105,6 +155,10 @@ def test_numdiff_stays_in_its_two_modules():
 
 def test_point_bytes_stay_in_geometry():
     assert tobytes_callers(_trees()) == TOBYTES_CALLERS
+
+
+def test_only_one_batch_assigns_the_last_batch():
+    assert last_batch_writers(_trees()) == {"geometry.py:one_batch"}
 
 
 def test_only_new_report_builds_a_report():
@@ -163,3 +217,20 @@ def test_scan_flags_point_bytes(source, callers):
 ])
 def test_scan_flags_report_constructors(source, found):
     assert report_constructors([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def one_batch(owner, kind, x, build):\n"
+     "    last = owner._last_batch = ((x.shape, x.tobytes()), {})\n",
+     {"probe.py:one_batch"}),
+    ("def gamma_at(self, x):\n    self._last_batch = (x, self._gamma(x))\n",
+     {"probe.py:gamma_at"}),
+    ("def frame(M, x):\n    M._last_batch += ((x, E),)\n", {"probe.py:frame"}),
+    ("def frame(M, x):\n    key, M._last_batch = x, None\n", {"probe.py:frame"}),
+    ("def reset(C):\n    setattr(C, '_last_batch', None)\n", {"probe.py:reset"}),
+    ("class ConnectionField:\n    _last_batch = {}\n", {"probe.py:ConnectionField"}),
+    ("class ConnectionField:\n    _last_batch = None\n", set()),
+    ("def read(C):\n    last = C._last_batch\n    return last[1]\n", set()),
+])
+def test_scan_flags_last_batch_writes(source, found):
+    assert last_batch_writers([("probe.py", ast.parse(source))]) == found
