@@ -70,9 +70,11 @@ verdict, chain = verdict_and_chain(st4)
 rec42 = theorem42_analyze(st4, verdict, chain)
 print(f"\nmixed-Weyl hypothesis holds: {rec42.weyl_flat_along_holds}, "
       f"agreement: {rec42.agreement}")
-rec43 = theorem43_analyze(st4, verdict, chain)
+# one tolerance decides both branch conditions; the Weyl defect is exact
+rec43 = theorem43_analyze(st4, verdict, chain, tol=1e-8)
 print(f"parallel-Weyl/Hessian branch: {rec43.branch} "
       f"(Weyl parallel: {rec43.weyl_parallel}, "
+      f"|nabla W| = {rec43.weyl_parallel_defect:.1e}, "
       f"Hessian defect: {rec43.hessian_defect}), agreement: {rec43.agreement}")
 
 # -- direct verdict is always the ground truth ----------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .exprlang import DomainError, ParseError
 from .geometry import GeometryError, ManifoldSpec, validate_metric
 from .connections import (ConnectionField, conjugate, duality_residual,
-                          explicit_connection, is_statistical, levi_civita)
+                          explicit_connection, is_statistical)
 from .curvature import DimensionError, curvature_report
 from .products import (ProductSpec, block_levi_civita_defect, curvature_block_report,
                        lift_lemma_residual, mixed_ricci_table, mixed_weyl_report,
@@ -69,7 +69,7 @@ def _require(doc: dict, field: str, kind, where: str):
 def _parse_connection(doc, M: ManifoldSpec, where: str) -> ConnectionField:
     kind = _require(doc, "kind", str, where)
     if kind == "levi-civita":
-        return levi_civita(M)
+        return M.levi_civita_connection
     if kind == "explicit":
         gamma_doc = doc.get("gamma", {})
         if not isinstance(gamma_doc, dict):
@@ -344,7 +344,9 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
                        f"predicted={rec42.predicted_dually_flat}, "
                        f"direct={rec42.direct.dually_flat}, agreement={rec42.agreement}"))
         details["mixed_weyl_analysis"] = rec42
-    rec43 = theorem43_analyze(induced, fv, chain, samples=min(samples, 12), seed=seed)
+    # both 4.3 branch conditions are exact, so --tol-exact governs them
+    rec43 = theorem43_analyze(induced, fv, chain, samples=min(samples, 12),
+                              tol=config.exact_tol(1e-8), seed=seed)
     rep.add("analyzer-weyl-parallel", "parallel-Weyl/Hessian branches vs direct verdict",
             rec43.hessian_defect, None, informational=True,
             notes=(f"branch={rec43.branch}, predicted={rec43.predicted_dually_flat}, "
@@ -368,7 +370,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-exact", type=float, default=1e-8,
                         help="tightening override for exact-identity tolerances")
     parser.add_argument("--tol-fd", type=float, default=1e-4,
-                        help="tolerance for finite-difference-based checks")
+                        help="tolerance of verify-paper's finite-difference cross-check "
+                             "(dgamma-fd-crosscheck); no verdict uses finite differences")
     parser.add_argument("--point", type=str, default=None,
                         help="comma-separated chart coordinates")
     parser.add_argument("--report", type=str, default=None,

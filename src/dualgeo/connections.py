@@ -4,12 +4,15 @@ A connection is stored as a provider of its coefficients Gamma^k_ij and of
 their first derivatives d_l Gamma^k_ij at a point.  Index convention:
 ``gamma[k, i, j]`` is the k-th component of the covariant derivative of the
 j-th coordinate field along the i-th, and ``dgamma[l, k, i, j]`` its
-derivative along the l-th coordinate.  Every accessor takes one point (d,)
-or a batch of points (N, d); a batch puts its point axis first.
+derivative along the l-th coordinate.  The Levi-Civita connection also
+provides second derivatives ``d2gamma[p, q, k, i, j] = d_p d_q Gamma^k_ij``,
+from the chart's third metric derivatives.  Every accessor takes one point
+(d,) or a batch of points (N, d); a batch puts its point axis first.
 
 Derivative providers are assembled symbolically (from exact metric
 derivatives or expression ASTs), never by finite differences; curvature
-tolerances require clean first derivatives of Gamma.
+tolerances require clean first derivatives of Gamma, and the covariant
+derivative of curvature clean second ones.
 """
 
 from __future__ import annotations
@@ -33,12 +36,17 @@ __all__ = [
 
 @dataclass(eq=False)
 class ConnectionField:
-    """Connection coefficients and their first derivatives on one manifold."""
+    """Connection coefficients and their derivatives on one manifold.
+
+    Only a connection built with ``_d2gamma`` (Levi-Civita) has second
+    derivatives.
+    """
 
     manifold: ManifoldSpec
     provenance: str  # levi-civita | explicit | conjugate-of | induced-product
     _gamma: Callable[[np.ndarray], np.ndarray]
     _dgamma: Callable[[np.ndarray], np.ndarray]
+    _d2gamma: Callable[[np.ndarray], np.ndarray] | None = None
 
     _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
 
@@ -55,6 +63,14 @@ class ConnectionField:
         x = _coords_of(p)
         return self._memo("dgamma", x, lambda: self._dgamma(x))
 
+    def d2gamma_at(self, p) -> np.ndarray:
+        """Rank-5 array d2Gamma[..., p, q, k, i, j] = d_p d_q Gamma^k_ij (Levi-Civita only)."""
+        if self._d2gamma is None:
+            raise NotImplementedError(
+                f"{self.provenance!r} connections provide no second derivatives")
+        x = _coords_of(p)
+        return self._memo("d2gamma", x, lambda: self._d2gamma(x))
+
     def __repr__(self) -> str:
         return f"ConnectionField({self.provenance!r} on {self.manifold.name!r})"
 
@@ -64,8 +80,17 @@ def _dginv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return -np.einsum("...ab,...qbc,...cd->...qad", ginv, dg, ginv)
 
 
+def _d2ginv(ginv: np.ndarray, dg: np.ndarray, dginv: np.ndarray,
+            d2g: np.ndarray) -> np.ndarray:
+    # d_p d_q (g^{-1}) = -(d_p g^{-1}) (d_q g) g^{-1} - g^{-1} (d_p d_q g) g^{-1}
+    #                    - g^{-1} (d_q g) (d_p g^{-1})
+    return -(np.einsum("...pab,...qbc,...cd->...pqad", dginv, dg, ginv)
+             + np.einsum("...ab,...pqbc,...cd->...pqad", ginv, d2g, ginv)
+             + np.einsum("...ab,...qbc,...pcd->...pqad", ginv, dg, dginv))
+
+
 def _bracket(dg: np.ndarray) -> np.ndarray:
-    # d_i g_jl + d_j g_il - d_l g_ij, or its q-derivative with q leading
+    # d_i g_jl + d_j g_il - d_l g_ij, or its derivatives with their axes leading
     swapped = dg.swapaxes(-3, -2)
     return dg + swapped - swapped.swapaxes(-2, -1)
 
@@ -86,7 +111,20 @@ def levi_civita(M: ManifoldSpec) -> ConnectionField:
         return 0.5 * (np.einsum("...qkl,...ijl->...qkij", dginv, _bracket(dg))
                       + np.einsum("...kl,...qijl->...qkij", ginv, dbracket))
 
-    return ConnectionField(M, "levi-civita", gamma, dgamma)
+    def d2gamma(x: np.ndarray) -> np.ndarray:
+        ginv = M.inverse_metric_at(x)
+        dg = M.metric_derivatives_at(x)
+        d2g = M.metric_second_derivatives_at(x)
+        dginv = _dginv(ginv, dg)
+        dbracket = _bracket(d2g)
+        return 0.5 * (np.einsum("...pqkl,...ijl->...pqkij", _d2ginv(ginv, dg, dginv, d2g),
+                                _bracket(dg))
+                      + np.einsum("...qkl,...pijl->...pqkij", dginv, dbracket)
+                      + np.einsum("...pkl,...qijl->...pqkij", dginv, dbracket)
+                      + np.einsum("...kl,...pqijl->...pqkij", ginv,
+                                  _bracket(M.metric_third_derivatives_at(x))))
+
+    return ConnectionField(M, "levi-civita", gamma, dgamma, d2gamma)
 
 
 def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:

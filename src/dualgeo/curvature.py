@@ -14,9 +14,11 @@ curvature +1.
 Every pointwise function takes one point (d,) or a batch of points (N, d)
 and puts the batch axis first in its result; a per-point scalar is a float
 for one point and an array of N values for a batch.  The frame of each point
-of a batch is built with the same operations as its own call.  R and the
+of a batch is built with the same operations as its own call.  R, dR and the
 frame of the last point or batch are kept on the connection and the chart
-(``geometry.one_batch``) and handed out read-only.
+(``geometry.one_batch``) and handed out read-only.  The derivatives dR and
+dW are exact: they come from the chart's third metric derivatives, never
+from finite differences.
 """
 
 from __future__ import annotations
@@ -25,16 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import ConnectionField, levi_civita
+from .connections import ConnectionField, _dginv
 from .geometry import ManifoldSpec, _coords_of
 
 __all__ = [
     "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
     "DimensionError", "DegeneratePlaneError",
-    "riemann_at", "curvature_duality_residual", "orthonormal_frame_at",
-    "ricci_at", "ricci_contraction", "scalar_at", "ricci_operator_at",
-    "weyl_at", "weyl_trace_defect", "sectional_at", "first_bianchi_defect",
-    "is_flat", "is_constant_sectional", "curvature_report",
+    "riemann_at", "riemann_derivative_at", "curvature_duality_residual",
+    "orthonormal_frame_at", "ricci_at", "ricci_contraction", "scalar_at",
+    "ricci_operator_at", "weyl_at", "weyl_derivative_at", "weyl_trace_defect",
+    "sectional_at", "first_bianchi_defect", "is_flat", "is_constant_sectional",
+    "curvature_report",
 ]
 
 
@@ -57,6 +60,28 @@ def _riemann(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
     dterm = d_gam - d_gam.swapaxes(-3, -2)
     qterm = (np.einsum("...lim,...mjk->...lijk", gam, gam)
              - np.einsum("...ljm,...mik->...lijk", gam, gam))
+    return dterm + qterm
+
+
+def riemann_derivative_at(C: ConnectionField, p) -> np.ndarray:
+    """Rank-5 array dR[..., q, l, i, j, k] = d_q R^l_ijk, exact.
+
+    Needs C's second derivatives of Gamma, so only the Levi-Civita
+    connection has it.  Kept beside R in C's one-batch cache.
+    """
+    x = _coords_of(p)
+    return C._memo("dR", x, lambda: _riemann_derivative(
+        C.gamma_at(x), C.dgamma_at(x), C.d2gamma_at(x)))
+
+
+def _riemann_derivative(gam: np.ndarray, dgam: np.ndarray, d2gam: np.ndarray) -> np.ndarray:
+    # d_q of each term of _riemann, q on axis -5
+    d_gam = d2gam.swapaxes(-4, -3)  # [q, l, i, j, k] = d_q d_i Gamma^l_jk
+    dterm = d_gam - d_gam.swapaxes(-3, -2)
+    qterm = (np.einsum("...qlim,...mjk->...qlijk", dgam, gam)
+             + np.einsum("...lim,...qmjk->...qlijk", gam, dgam)
+             - np.einsum("...qljm,...mik->...qlijk", dgam, gam)
+             - np.einsum("...ljm,...qmik->...qlijk", gam, dgam))
     return dterm + qterm
 
 
@@ -170,6 +195,40 @@ def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S,
     return R + corr / (m - 2) - S_part * trace_part
 
 
+def weyl_derivative_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
+    """dW[..., q, l, i, j, k] = d_q W^l_ijk of the standard Weyl tensor, exact.
+
+    Differentiates ``_weyl``'s standard form term by term.  Ricci and the
+    scalar curvature enter through the frame-free contractions Ric_jk =
+    R^a_ajk and S = g^jk Ric_jk, so the only new input is dR, and C must
+    provide second derivatives of Gamma (Levi-Civita).
+    """
+    if M.dim <= 2:
+        raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
+    x = _coords_of(p)
+    m = M.dim
+    g, ginv, dg = M.metric_at(x), M.inverse_metric_at(x), M.metric_derivatives_at(x)
+    dginv = _dginv(ginv, dg)
+    ric = ricci_contraction(riemann_at(C, x))
+    dR = riemann_derivative_at(C, x)
+    dric = ricci_contraction(dR)
+    S = np.einsum("...jk,...jk->...", ginv, ric)
+    dS = (np.einsum("...qjk,...jk->...q", dginv, ric)
+          + np.einsum("...jk,...qjk->...q", ginv, dric))
+    Q = ginv @ ric
+    dQ = dginv @ ric[..., None, :, :] + ginv[..., None, :, :] @ dric
+    eye, g_q = np.eye(m), g[..., None, :, :]
+    dcorr = _wedge(dric, eye) + _wedge(dg, Q[..., None, :, :]) + _wedge(g_q, dQ)
+    dS_part = (dS[..., None, None, None, None] * _wedge(g_q, eye)
+               + np.asarray(S)[..., None, None, None, None, None] * _wedge(dg, eye))
+    return dR + dcorr / (m - 2) - dS_part / ((m - 1) * (m - 2))
+
+
+def _wedge(h: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """T[..., l, i, j, k] = h_ik P^l_j - h_jk P^l_i, the form of each Weyl correction."""
+    return np.einsum("...ik,...lj->...lijk", h, P) - np.einsum("...jk,...li->...lijk", h, P)
+
+
 def weyl_trace_defect(g: np.ndarray, ginv: np.ndarray, W: np.ndarray) -> float:
     """Max absolute value over all single traces/metric contractions of Weyl."""
     lowered = np.einsum("...lm,...mijk->...lijk", g, W)
@@ -201,7 +260,7 @@ def sectional_at(M: ManifoldSpec, p, X, Y):
     denom = _pair(g, X, X) * _pair(g, Y, Y) - _pair(g, X, Y) ** 2
     if (denom < 1e-12).any():
         raise DegeneratePlaneError("X and Y do not span a 2-plane")
-    R = riemann_at(levi_civita(M), p)
+    R = riemann_at(M.levi_civita_connection, p)
     num = np.einsum("...lijk,...i,...j,...k,...lm,...m->...", R, X, Y, Y, g, X)
     return _item(num / denom)
 
@@ -249,7 +308,7 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32, tol: float = 1e-8,
     x = M.sample_array(samples, seed)
     g = M.metric_at(x)
     E = orthonormal_frame_at(M, x)
-    R = riemann_at(levi_civita(M), x)
+    R = riemann_at(M.levi_civita_connection, x)
     kappas = _scalar(_ricci(R, g, E), E) / (n * (n - 1))
     framed = np.einsum("...lm,...lijk->...mijk", g, R)
     for _ in range(4):  # map the leading slot into the frame, rotate it to the back

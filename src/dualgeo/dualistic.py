@@ -421,15 +421,19 @@ class Theorem43Record:
 
 def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
                       chain: ReductionChain, samples: int = 32, tol: float = 1e-8,
-                      tol_fd: float = 1e-4, seed: int = 42) -> Theorem43Record:
-    """Parallel-Weyl / Hessian-condition branches, then the common chain."""
+                      seed: int = 42) -> Theorem43Record:
+    """Parallel-Weyl / Hessian-condition branches, then the common chain.
+
+    ``tol`` decides both conditions: the Hessian-condition defect and the
+    exact covariant derivative of the Weyl tensor.
+    """
     P = induced.product
     notes: list[str] = []
     hess = hessian_condition_defect(P, samples=min(samples, 16), seed=seed, tol=tol)
     parallel_defect: float | None
     if P.n >= 4:
         parallel_defect = weyl_parallel_defect(P, samples=min(samples, 6), seed=seed)
-        parallel = parallel_defect < tol_fd
+        parallel = parallel_defect < tol
     elif P.n == 3:
         parallel_defect = 0.0
         parallel = True

@@ -125,7 +125,7 @@ def _hessian_structure() -> _du.DualisticStructure:
 
 
 def _lc_structure(M: ManifoldSpec) -> _du.DualisticStructure:
-    return _du.make_dualistic(M, levi_civita(M), samples=16)
+    return _du.make_dualistic(M, M.levi_civita_connection, samples=16)
 
 
 def dualistic_suite() -> list[dict]:

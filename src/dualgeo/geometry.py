@@ -7,6 +7,7 @@ metric degeneracies, which keeps sampling and SPD validation trivial.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,10 +36,11 @@ def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
 
     Only the arrays of the last point or batch asked for are kept: callers
     ask for the arrays of one sample set in turn, then move on.  A chart
-    (``ManifoldSpec``) holds g, g^-1, dg, d2g and the orthonormal frame, and a
-    product chart also its twist data; a ``ConnectionField`` holds Gamma,
-    dGamma and R.  Each connection keeps its own batch, so a connection built
-    per call is freed with its arrays and the chart's entries stay fixed.
+    (``ManifoldSpec``) holds g, g^-1, dg, d2g, d3g and the orthonormal frame,
+    and a product chart also its twist data; a ``ConnectionField`` holds
+    Gamma, dGamma and R (Levi-Civita also d2Gamma and dR).  Each connection
+    keeps its own batch, so a connection built per call is freed with its
+    arrays and the chart's entries stay fixed.
 
     The key carries the shape: a (1, d) batch and the (d,) point have equal
     bytes.  A new key replaces key and arrays in one assignment, so a
@@ -119,12 +121,33 @@ class ManifoldSpec:
         return [[[differentiate(self.metric[j][k], self.coords[i])
                   for k in range(d)] for j in range(d)] for i in range(d)]
 
+    # Higher derivatives are built once per symmetric class of derivative
+    # indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.
+
     @cached_property
     def _metric_d2(self):
-        # d2[i][j][k][l] = d_i d_j g_kl
+        # d2[i][j][k][l] = d_i d_j g_kl; d2[j][i] is the list object of d2[i][j]
         d = self.dim
-        return [[[[differentiate(self._metric_d1[j][k][l], self.coords[i])
-                   for l in range(d)] for k in range(d)] for j in range(d)] for i in range(d)]
+        d2 = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                d2[i][j] = d2[j][i] = [[differentiate(e, self.coords[i]) for e in row]
+                                       for row in self._metric_d1[j]]
+        return d2
+
+    @cached_property
+    def _metric_d3_classes(self):
+        # (classes, index): classes[c][l][m] = d_i d_j d_k g_lm for the c-th
+        # sorted triple i <= j <= k, and index[i, j, k] = c for every triple
+        d = self.dim
+        triples = list(itertools.combinations_with_replacement(range(d), 3))
+        classes = [[[differentiate(e, self.coords[i]) for e in row]
+                    for row in self._metric_d2[j][k]] for i, j, k in triples]
+        index = np.empty((d, d, d), dtype=np.intp)
+        for c, triple in enumerate(triples):
+            for i, j, k in itertools.permutations(triple):
+                index[i, j, k] = c
+        return classes, index
 
     # Kernels are compiled on first evaluation, not at construction.
 
@@ -139,6 +162,16 @@ class ManifoldSpec:
     @cached_property
     def _metric_d2_kernel(self):
         return compile_array(self._metric_d2, self.coords)
+
+    @cached_property
+    def _metric_d3_kernel(self):
+        return compile_array(self._metric_d3_classes[0], self.coords)
+
+    @cached_property
+    def levi_civita_connection(self):
+        """The chart's Levi-Civita connection; one per chart, so callers share its arrays."""
+        from .connections import levi_civita  # connections builds on this module
+        return levi_civita(self)
 
     # -- pointwise metric algebra ------------------------------------------
     # Each accessor takes one point (d,) or a batch of points (N, d) and
@@ -176,6 +209,15 @@ class ManifoldSpec:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""
         x = _coords_of(p)
         return self._memo("d2g", x, lambda: self._metric_d2_kernel(x))
+
+    def metric_third_derivatives_at(self, p) -> np.ndarray:
+        """Rank-5 array d3G[i, j, k, l, m] = d_i d_j d_k g_lm."""
+        x = _coords_of(p)
+
+        def build():
+            classes = self._metric_d3_kernel(x)  # [..., class, l, m]
+            return np.take(classes, self._metric_d3_classes[1], axis=-3)
+        return self._memo("d3g", x, build)
 
     def gradient_at(self, f: Expr, p) -> "TangentVector":
         """Metric gradient: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""

@@ -2,7 +2,9 @@
 
 These exist as independent cross-checks of the exact symbolic derivative
 path, never as the primary derivative route (two stacked FD layers would
-destroy curvature-level tolerances).
+destroy curvature-level tolerances).  The library uses them in one FD
+cross-check, ``connections.dgamma_fd_defect``; the test suite uses them as
+an oracle.
 """
 
 from __future__ import annotations

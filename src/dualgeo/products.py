@@ -25,9 +25,9 @@ from . import exprlang
 from .exprlang import (Const, Expr, compile_array, differentiate, evaluate, fn, free_vars, mul,
                        pow_, simplify, sub, substitute)
 from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of
-from .connections import ConnectionField, levi_civita
-from .curvature import DimensionError, _pair, ricci_at, riemann_at, weyl_at
-from . import numdiff
+from .connections import ConnectionField
+from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
+                        weyl_derivative_at)
 
 __all__ = [
     "ProductSpec", "twisted_product", "lift", "project_base", "project_fiber",
@@ -121,20 +121,25 @@ class ProductSpec:
         t = self.manifold._memo("twist_b", x, lambda: self._twist_hessian_b_kernel(x))
         return t[..., :n], t[..., n:].reshape(t.shape[:-1] + (n, n))
 
+    @cached_property
+    def _pulled_fiber_d1_kernel(self):
+        # sigma-pullback of d g_F, evaluated on the product chart
+        return compile_array(self.fiber._metric_d1, self.manifold.coords)
+
     # -- cached connections ---------------------------------------------------
 
-    @cached_property
+    @property
     def chart_levi_civita(self) -> ConnectionField:
         """Levi-Civita computed directly on the flattened chart (oracle route)."""
-        return levi_civita(self.manifold)
+        return self.manifold.levi_civita_connection
 
-    @cached_property
+    @property
     def base_levi_civita(self) -> ConnectionField:
-        return levi_civita(self.base)
+        return self.base.levi_civita_connection
 
-    @cached_property
+    @property
     def fiber_levi_civita(self) -> ConnectionField:
-        return levi_civita(self.fiber)
+        return self.fiber.levi_civita_connection
 
     @cached_property
     def block_levi_civita_connection(self) -> ConnectionField:
@@ -247,15 +252,13 @@ def lift_lemma_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> fl
     norm of the difference).
     """
     r = P.r
-    # sigma-pullback of d g_F, evaluated on the product chart
-    pulled_at = compile_array(P.fiber._metric_d1, P.manifold.coords)
     x = P.manifold.sample_array(samples, seed)
     xb, xf = P.split(x)
     dg = P.manifold.metric_derivatives_at(x)
     dgB = P.base.metric_derivatives_at(xb)
     dgF = P.fiber.metric_derivatives_at(xf)
     base_side = np.sum(np.abs(dg[..., :r, :r, :r] - dgB), axis=(-3, -2, -1))
-    fiber_side = np.sum(np.abs(pulled_at(x) - dgF), axis=(-3, -2, -1))
+    fiber_side = np.sum(np.abs(P._pulled_fiber_d1_kernel(x) - dgF), axis=(-3, -2, -1))
     return float(max(np.max(base_side), np.max(fiber_side)))
 
 
@@ -697,9 +700,9 @@ def hessian_condition_defect(P: ProductSpec, samples: int = 16, seed: int = 42,
 def weyl_parallel_defect(P: ProductSpec, samples: int = 8, seed: int = 42) -> float:
     """Max component of the covariant derivative of the Weyl tensor.
 
-    The partial-derivative part uses a 4th-order finite difference of the
-    directly computed Weyl components (no symbolic third derivatives); the
-    connection corrections are pointwise and exact.
+    The partial derivatives d_q W are exact (``curvature.weyl_derivative_at``,
+    from the chart's third metric derivatives); the connection corrections
+    are pointwise and exact.
     """
     if P.n <= 3:
         raise DimensionError("Weyl-parallel check needs product dimension >= 4")
@@ -707,15 +710,10 @@ def weyl_parallel_defect(P: ProductSpec, samples: int = 8, seed: int = 42) -> fl
     conn = P.chart_levi_civita
     x = M.sample_array(samples, seed)
     W = weyl_at(M, conn, x)
-    gam = conn.gamma_at(x)
-    worst = 0.0
-    for q in range(P.n):
-        dW = numdiff.central_diff(lambda z: weyl_at(M, conn, z), x, q, order=4)
-        gam_q = gam[..., :, q, :]
-        nabla = (dW
-                 + np.einsum("...lm,...mijk->...lijk", gam_q, W)
-                 - np.einsum("...mi,...lmjk->...lijk", gam_q, W)
-                 - np.einsum("...mj,...limk->...lijk", gam_q, W)
-                 - np.einsum("...mk,...lijm->...lijk", gam_q, W))
-        worst = max(worst, _max_abs(nabla))
-    return worst
+    gam_q = conn.gamma_at(x).swapaxes(-3, -2)  # [q, l, m] = Gamma^l_qm
+    nabla = (weyl_derivative_at(M, conn, x)
+             + np.einsum("...qlm,...mijk->...qlijk", gam_q, W)
+             - np.einsum("...qmi,...lmjk->...qlijk", gam_q, W)
+             - np.einsum("...qmj,...limk->...qlijk", gam_q, W)
+             - np.einsum("...qmk,...lijm->...qlijk", gam_q, W))
+    return _max_abs(nabla)

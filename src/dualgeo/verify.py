@@ -16,7 +16,7 @@ from .report import RunConfig, VerificationReport, sha256_of
 from .exprlang import to_source
 from .geometry import validate_metric
 from .connections import (conjugate, cubic_form_at, dgamma_fd_defect, duality_residual,
-                          explicit_connection, is_statistical, levi_civita, torsion_at,
+                          explicit_connection, is_statistical, torsion_at,
                           torsion_relation_residual)
 from .curvature import (curvature_duality_residual, curvature_report, first_bianchi_defect,
                         is_constant_sectional, ricci_contraction, riemann_at, scalar_at,
@@ -134,7 +134,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
 
     lc_self = 0.0
     for M in manifolds:
-        lc = levi_civita(M)
+        lc = M.levi_civita_connection
         x = M.sample_array(min(samples, 16), seed)
         lc_self = max(lc_self, _max_abs(conjugate(lc, M).gamma_at(x) - lc.gamma_at(x)))
     rep.add("levi-civita-self-conjugate", "conjugate(levi_civita) = levi_civita",
@@ -142,12 +142,12 @@ def verify_paper(config: RunConfig) -> VerificationReport:
 
     # ------------------------------------------------------------ statistical
     # the 16-sample conjugates first, while each chart still holds that batch
-    inherit_ok = all(is_statistical(M, conjugate(levi_civita(M), M), min(samples, 16),
+    inherit_ok = all(is_statistical(M, conjugate(M.levi_civita_connection, M), min(samples, 16),
                                     seed).is_statistical for M in manifolds)
     statistical = explicit_connection(
         e2, {(0, 0, 0): "0.3", (0, 1, 1): "0.2", (1, 0, 1): "0.2", (1, 1, 0): "0.2"})
     torsionful = explicit_connection(e2, {(0, 0, 1): "1"})
-    verdicts_ok = (is_statistical(sphere, levi_civita(sphere), min(samples, 32),
+    verdicts_ok = (is_statistical(sphere, sphere.levi_civita_connection, min(samples, 32),
                                   seed).is_statistical
                    and is_statistical(e2, statistical, min(samples, 32), seed).is_statistical
                    and not is_statistical(e2, torsionful, min(samples, 32), seed).is_statistical)
@@ -162,9 +162,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     # ------------------------------------------------------ classical values
     plane = ([1.0, 0.0], [0.0, 1.0])
     xs, xh, xf = (M.sample_array(10, seed) for M in (sphere, hyp, fisher))
-    dev = max(_max_abs(scalar_at(sphere, levi_civita(sphere), xs) - 2.0),
+    dev = max(_max_abs(scalar_at(sphere, sphere.levi_civita_connection, xs) - 2.0),
               _max_abs(sectional_at(sphere, xs, *plane) - 1.0),
-              _max_abs(scalar_at(hyp, levi_civita(hyp), xh) + 2.0),
+              _max_abs(scalar_at(hyp, hyp.levi_civita_connection, xh) + 2.0),
               _max_abs(sectional_at(fisher, xf, *plane) + 0.5))
     rep.add("classical-curvature",
             "sphere: S=2, K=1; half-plane: S=-2; normal-family Fisher: K=-1/2",
@@ -182,7 +182,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     bianchi = trace_free = scalar_routes = ricci_routes = 0.0
     for M in manifolds:
         x = M.sample_array(min(samples, 12), seed)
-        cr = curvature_report(M, levi_civita(M), x)
+        cr = curvature_report(M, M.levi_civita_connection, x)
         ginv = M.inverse_metric_at(x)
         bianchi = max(bianchi, first_bianchi_defect(cr.riemann))
         scalar_routes = max(scalar_routes, _max_abs(
@@ -203,9 +203,8 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             ricci_routes, config.exact_tol(1e-10),
             notes="holds for arbitrary connections by frame completeness")
 
-    fd_defect = 0.0
-    for M in (sphere, hyp):
-        fd_defect = max(fd_defect, dgamma_fd_defect(levi_civita(M), samples=6, seed=seed))
+    fd_defect = max(dgamma_fd_defect(M.levi_civita_connection, samples=6, seed=seed)
+                    for M in (sphere, hyp))
     rep.add("dgamma-fd-crosscheck",
             "symbolic connection derivatives match 4th-order finite differences",
             fd_defect, config.fd_tol(1e-5))
@@ -317,10 +316,10 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     wp_const = weyl_parallel_defect(twists["hyperbolic-4d"], samples=3, seed=seed)
     wp_twisted = weyl_parallel_defect(twists["twisted-4d"], samples=3, seed=seed)
     rep.add("weyl-parallel-flat", "the conformal tensor of a flat product is parallel",
-            wp_flat, config.fd_tol(1e-4))
+            wp_flat, config.exact_tol(1e-10))
     rep.add("weyl-parallel-constant-curvature",
             "constant-curvature products have parallel (vanishing) conformal tensor",
-            wp_const, config.fd_tol(1e-4))
+            wp_const, config.exact_tol(1e-10))
     rep.add("weyl-parallel-twisted", "generic proper twists have non-parallel conformal tensor",
             wp_twisted, None, informational=True)
 
@@ -358,7 +357,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     rep.add_flag("dually-flat-verdicts", "direct flatness verdicts match the fixture suite",
                  all(fv.dually_flat == e["expect_dually_flat"] for fv, e in zip(verdicts, suite)))
 
-    sphere_struct = make_dualistic(sphere, levi_civita(sphere), samples=16, seed=seed)
+    sphere_struct = make_dualistic(sphere, sphere.levi_civita_connection, samples=16, seed=seed)
     fv_sphere = dually_flat_verdict(sphere_struct, min(samples, 24), 1e-9, seed)
     rep.add("sphere-not-dually-flat", "the metric pair on the sphere has max |R| = 1",
             abs(fv_sphere.riemann_primal_max - 1.0), 0.1,

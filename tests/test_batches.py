@@ -20,7 +20,8 @@ from dualgeo.connections import (conjugate, cubic_form_at, dgamma_fd_defect,
                                  torsion_relation_residual)
 from dualgeo.curvature import (curvature_duality_residual, curvature_report,
                                is_constant_sectional, orthonormal_frame_at, ricci_at,
-                               ricci_operator_at, riemann_at, scalar_at, sectional_at, weyl_at)
+                               ricci_operator_at, riemann_at, riemann_derivative_at, scalar_at,
+                               sectional_at, weyl_at, weyl_derivative_at)
 from dualgeo.dualistic import lemma_dual_block_report
 from dualgeo.exprlang import evaluate, parse
 from dualgeo.geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
@@ -97,7 +98,7 @@ _picks = st.lists(st.integers(0, 15), min_size=1, max_size=6)
 def test_metric_arrays_stack_bitwise(M, seed, picks):
     X = _subset(M, seed, picks)
     for f in (M.metric_at, M.inverse_metric_at, M.metric_derivatives_at,
-              M.metric_second_derivatives_at):
+              M.metric_second_derivatives_at, M.metric_third_derivatives_at):
         batch = f(X)
         assert batch.shape == (len(picks),) + f(X[0]).shape
         assert batch.tobytes() == _stack(f, X).tobytes()
@@ -117,6 +118,13 @@ def test_connection_arrays_stack(pair, seed, picks):
         _assert_close(torsion_at(C, X), _stack(lambda x: torsion_at(C, x), X))
     _assert_close(riemann_at(C, X), _stack(lambda x: riemann_at(C, x), X))
     _assert_close(cubic_form_at(M, C, X), _stack(lambda x: cubic_form_at(M, C, x), X))
+    if C.provenance == "levi-civita":
+        assert C.d2gamma_at(X).tobytes() == _stack(C.d2gamma_at, X).tobytes()
+        _assert_close(riemann_derivative_at(C, X),
+                      _stack(lambda x: riemann_derivative_at(C, x), X))
+        if M.dim >= 3:
+            _assert_close(weyl_derivative_at(M, C, X),
+                          _stack(lambda x: weyl_derivative_at(M, C, x), X))
 
 
 def test_memo_keeps_point_and_batch_apart(sphere):
@@ -307,7 +315,9 @@ def test_central_diff_takes_a_step_per_point():
 
 
 def test_fd_checks_match_their_point_loops():
-    # the loops are the checks as they were written one point at a time
+    # the loops are the checks as they were written one point at a time;
+    # weyl_loop is the finite-difference form of the parallel-Weyl check, kept
+    # as an independent oracle of the exact one
     def dgamma_loop(C, samples, seed):
         worst = 0.0
         for x in C.manifold.sample_array(samples, seed):
@@ -335,7 +345,27 @@ def test_fd_checks_match_their_point_loops():
         C = conjugate(explicit_connection(M, {(0, 0, 1): "0.3"}), M)
         assert dgamma_fd_defect(C, 4, 6) == dgamma_loop(C, 4, 6)
     for name in ("hyperbolic-4d", "twisted-4d"):
-        assert weyl_parallel_defect(_TWISTS[name], 2, 6) == weyl_loop(_TWISTS[name], 2, 6)
+        # a 4th-order difference with step 1e-4 is good to about 1e-11 here
+        fd = weyl_loop(_TWISTS[name], 2, 6)
+        assert abs(weyl_parallel_defect(_TWISTS[name], 2, 6) - fd) <= 1e-9 * (1.0 + fd)
+
+
+def test_weyl_parallel_defect_matches_its_point_loop():
+    def exact_loop(P, samples, seed):
+        M, conn = P.manifold, P.chart_levi_civita
+        worst = 0.0
+        for x in M.sample_array(samples, seed):
+            W, gam, dW = weyl_at(M, conn, x), conn.gamma_at(x), weyl_derivative_at(M, conn, x)
+            for q in range(M.dim):
+                nabla = (dW[q] + np.einsum("lm,mijk->lijk", gam[:, q, :], W)
+                         - np.einsum("mi,lmjk->lijk", gam[:, q, :], W)
+                         - np.einsum("mj,limk->lijk", gam[:, q, :], W)
+                         - np.einsum("mk,lijm->lijk", gam[:, q, :], W))
+                worst = max(worst, float(np.max(np.abs(nabla))))
+        return worst
+
+    for name in ("direct-4d", "hyperbolic-4d", "twisted-4d"):
+        assert weyl_parallel_defect(_TWISTS[name], 4, 6) == exact_loop(_TWISTS[name], 4, 6)
 
 
 def test_constant_sectional_matches_its_point_loop():

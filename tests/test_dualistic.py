@@ -288,7 +288,7 @@ class TestTheorem43:
         # k = 0 satisfies the Hessian condition, so the chain proceeds
         assert rec.branch == 2
         assert rec.weyl_parallel is True
-        assert rec.weyl_parallel_defect < 1e-4
+        assert rec.weyl_parallel_defect < 1e-12
         assert rec.agreement is True
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 import tracemalloc
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from dualgeo.connections import conjugate, explicit_connection, levi_civita
-from dualgeo.curvature import _frame, orthonormal_frame_at, riemann_at, sectional_at
-from dualgeo.exprlang import DomainError, evaluate, parse
+from dualgeo import curvature
+from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann_derivative_at,
+                               sectional_at)
+from dualgeo.exprlang import DomainError, differentiate, evaluate, parse
 from dualgeo.geometry import (GeometryError, ManifoldSpec, Point, SingularMetricError,
                               TangentVector, validate_metric)
 from dualgeo import fixtures as fx
@@ -98,16 +101,36 @@ class TestMetricDerivatives:
                       for k in range(2)] for j in range(2)] for i in range(2)]
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
 
+    def test_higher_derivatives_are_built_per_index_class(self):
+        M = dict(fx.standard_twists())["twisted-4d"].manifold
+        d = M.dim
+        # d2[j][i] is the list object of d2[i][j], so the kernel compiles it once
+        assert all(M._metric_d2[i][j] is M._metric_d2[j][i]
+                   for i in range(d) for j in range(d))
+        classes, index = M._metric_d3_classes
+        assert len(classes) == math.comb(d + 2, 3)
+        x = M.sample_array(3, 2)
+        d3g = M.metric_third_derivatives_at(x)
+        assert d3g.shape == (3,) + (d,) * 5
+        for perm in itertools.permutations(range(1, 4)):
+            assert d3g.tobytes() == d3g.transpose((0,) + perm + (4, 5)).tobytes()
+        env = M.env(x[1])
+        for i, j, k in itertools.product(range(d), repeat=3):
+            expected = [[evaluate(differentiate(e, M.coords[k]), env) for e in row]
+                        for row in M._metric_d2[i][j]]
+            assert np.allclose(d3g[1, i, j, k], expected, rtol=1e-13, atol=1e-13)
+
 
 def _accessors(M):
     return (M.metric_at, M.inverse_metric_at, M.metric_derivatives_at,
-            M.metric_second_derivatives_at)
+            M.metric_second_derivatives_at, M.metric_third_derivatives_at)
 
 
 def _kernel_values(M, x):
-    """The four accessors' arrays at x, evaluated without the manifold's cache."""
+    """The five accessors' arrays at x, evaluated without the manifold's cache."""
     g = M._metric_kernel(x)
-    return g, np.linalg.inv(g), M._metric_d1_kernel(x), M._metric_d2_kernel(x)
+    d3g = np.take(M._metric_d3_kernel(x), M._metric_d3_classes[1], axis=-3)
+    return g, np.linalg.inv(g), M._metric_d1_kernel(x), M._metric_d2_kernel(x), d3g
 
 
 def _connections(M):
@@ -142,14 +165,18 @@ class TestLastBatchCache:
             tracemalloc.stop()
         assert grown < 1 << 20
 
-    def test_sectional_calls_leave_a_fixed_set_of_kinds(self, twisted4):
-        # each call builds its own Levi-Civita connection, whose arrays are
-        # cached on it and freed with it, not on the chart
+    def test_sectional_calls_leave_a_fixed_set_of_kinds(self, twisted4, monkeypatch):
+        # every call uses the chart's one Levi-Civita connection, whose arrays
+        # are cached on it, not on the chart, so R is built once per point
+        builds = []
+        build = curvature._riemann
+        monkeypatch.setattr(curvature, "_riemann", lambda *a: builds.append(1) or build(*a))
         x = twisted4.sample_array(1, 7)[0]
         X, Y = np.eye(4)[0], np.eye(4)[2]
         for _ in range(1000):
             sectional_at(twisted4, x, X, Y)
         assert set(twisted4._last_batch[1]) == {"g", "ginv", "dg", "d2g"}
+        assert len(builds) == 1
 
     def test_cached_arrays_are_read_only(self):
         P = dict(fx.standard_twists())["twisted-4d"]
@@ -157,7 +184,7 @@ class TestLastBatchCache:
         conns = _connections(M)
         reads = {
             "g": M.metric_at, "ginv": M.inverse_metric_at, "dg": M.metric_derivatives_at,
-            "d2g": M.metric_second_derivatives_at,
+            "d2g": M.metric_second_derivatives_at, "d3g": M.metric_third_derivatives_at,
             "frame": functools.partial(orthonormal_frame_at, M),
             "twist": lambda z: P.twist_data_at(z)[1],
             "twist_b": lambda z: P.twist_hessian_b_at(z)[0],
@@ -165,6 +192,9 @@ class TestLastBatchCache:
         for C in conns:
             reads.update({f"{C.provenance} {f.__name__}": f for f in (C.gamma_at, C.dgamma_at)})
             reads[f"{C.provenance} R"] = functools.partial(riemann_at, C)
+        lc = conns[0]
+        reads.update({"levi-civita d2gamma_at": lc.d2gamma_at,
+                      "levi-civita dR": functools.partial(riemann_derivative_at, lc)})
         X = M.sample_array(3, 5)
         for x in (X, X[0]):
             for kind, read in reads.items():
@@ -176,9 +206,10 @@ class TestLastBatchCache:
                     got[(0,) * got.ndim] = 5.0
                 assert read(x).tobytes() == before.tobytes(), kind
             # every kind cached by the chart and the connections was read
-            assert set(M._last_batch[1]) == {"g", "ginv", "dg", "d2g", "frame", "twist",
-                                             "twist_b"}
-            assert all(set(C._last_batch[1]) == {"gamma", "dgamma", "R"} for C in conns)
+            assert set(M._last_batch[1]) == {"g", "ginv", "dg", "d2g", "d3g", "frame",
+                                             "twist", "twist_b"}
+            assert set(lc._last_batch[1]) == {"gamma", "dgamma", "R", "d2gamma", "dR"}
+            assert all(set(C._last_batch[1]) == {"gamma", "dgamma", "R"} for C in conns[1:])
 
     def test_interleaved_points_and_batches(self):
         P = dict(fx.standard_twists())["twisted-4d"]

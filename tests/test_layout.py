@@ -2,8 +2,9 @@
 
 * No code calls ``ManifoldSpec.sample_points``: checks evaluate a sample set
   as one batch from ``sample_array`` instead of looping over points.
-* Only ``connections.py`` and ``products.py`` import ``numdiff``, so finite
-  differences cannot spread to new verdict paths.
+* Only ``connections.py`` imports ``numdiff``, for its one deliberate
+  finite-difference cross-check (``dgamma_fd_defect``), so finite
+  differences cannot spread to verdict paths.
 * The theorem analyzers build no flatness verdict and no reduction chain:
   callers build each once per structure and pass it in.
 * Only ``geometry.py`` calls ``.tobytes()``: its one-batch cache
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "dualgeo"
-NUMDIFF_IMPORTERS = {"connections.py", "products.py"}
+NUMDIFF_IMPORTERS = {"connections.py"}
 ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
 ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_chain"}
 TOBYTES_CALLERS = {"geometry.py"}
@@ -149,8 +150,8 @@ def test_no_code_loops_over_sample_points():
     assert sample_points_calls(_trees()) == []
 
 
-def test_numdiff_stays_in_its_two_modules():
-    assert numdiff_importers(_trees()) <= NUMDIFF_IMPORTERS
+def test_numdiff_stays_in_connections():
+    assert numdiff_importers(_trees()) == NUMDIFF_IMPORTERS
 
 
 def test_point_bytes_stay_in_geometry():

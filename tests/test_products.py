@@ -369,7 +369,7 @@ class TestWeylParallel:
         assert weyl_parallel_defect(standard_twists["direct-4d"], samples=2) < 1e-12
 
     def test_constant_curvature_product(self, standard_twists):
-        assert weyl_parallel_defect(standard_twists["hyperbolic-4d"], samples=2) < 1e-4
+        assert weyl_parallel_defect(standard_twists["hyperbolic-4d"], samples=2) < 1e-12
 
     def test_proper_twist_not_parallel(self, standard_twists):
         assert weyl_parallel_defect(standard_twists["twisted-4d"], samples=2) > 1e-3
