@@ -18,16 +18,17 @@ import numpy as np
 from .exprlang import DomainError, ParseError
 from .geometry import GeometryError, ManifoldSpec, validate_metric
 from .connections import (ConnectionField, conjugate, duality_residual,
-                          explicit_connection, is_statistical)
+                          explicit_connection, involution_defect, is_statistical)
 from .curvature import DimensionError, curvature_report
-from .products import (ProductSpec, block_levi_civita_defect, curvature_block_report,
-                       lift_lemma_residual, mixed_ricci_table, mixed_weyl_report,
-                       separability_test, twisted_product)
+from .products import (ProductSpec, _max_abs, block_levi_civita_defect,
+                       curvature_block_report, lift_lemma_residual, mixed_ricci_table,
+                       mixed_weyl_report, separability_test, twisted_product)
 from .dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
                         make_dualistic, reduction_chain, theorem41_analyze,
                         theorem42_analyze, theorem43_analyze)
 from .report import RunConfig, VerificationReport, jsonable, sha256_of
-from .verify import new_report, verify_paper
+from .verify import (CURVATURE_BLOCK_IDS, MIXED_WEYL_DISPLAY_IDS, Checks, inverse_defect,
+                     verify_paper)
 
 __all__ = ["main", "load_spec", "LoadedManifold", "LoadedProduct", "SpecFileError"]
 
@@ -113,33 +114,43 @@ def _load_manifold_doc(doc: dict, where: str, digest: str) -> LoadedManifold:
     return LoadedManifold(M, conn, dual, digest)
 
 
-def load_spec(path: str):
-    """Load a manifold or product spec file (JSON)."""
-    p = Path(path)
-    if not p.exists():
-        raise SpecFileError(str(path), "file does not exist")
-    data = p.read_bytes()
-    digest = sha256_of(data)
+def _read_doc(path: Path) -> tuple[dict, str]:
+    """The JSON object in the file at ``path`` and the sha256 of its bytes."""
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise SpecFileError(str(path), "file does not exist") from None
+    except OSError as exc:
+        raise SpecFileError(str(path), f"cannot read: {exc.strerror or exc}") from exc
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SpecFileError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError(str(path), "top level must be an object")
+    return doc, sha256_of(data)
+
+
+def load_spec(path: str):
+    """Load a manifold or product spec file (JSON)."""
+    p = Path(path)
+    doc, digest = _read_doc(p)
     if doc.get("kind") == "twisted_product":
         return _load_product_doc(doc, p, digest)
     return _load_manifold_doc(doc, p.name, digest)
 
 
 def _load_factor(ref, base_dir: Path, where: str) -> LoadedManifold:
-    if isinstance(ref, str):
-        loaded = load_spec(str((base_dir / ref).resolve()))
-        if not isinstance(loaded, LoadedManifold):
-            raise SpecFileError(where, "factor file must describe a manifold")
-        return loaded
     if isinstance(ref, dict):
         return _load_manifold_doc(ref, where, "inline")
-    raise SpecFileError(where, "expected a path string or an inline manifold object")
+    if not isinstance(ref, str):
+        raise SpecFileError(where, "expected a path string or an inline manifold object")
+    path = (base_dir / ref).resolve()
+    doc, digest = _read_doc(path)
+    # the kind is read before loading, since a product may name itself as a factor
+    if doc.get("kind") == "twisted_product":
+        raise SpecFileError(where, "factor file must describe a manifold")
+    return _load_manifold_doc(doc, path.name, digest)
 
 
 def _load_product_doc(doc: dict, path: Path, digest: str) -> LoadedProduct:
@@ -173,34 +184,24 @@ def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = Non
 
 def cmd_check(loaded: LoadedManifold, config: RunConfig) -> int:
     M = loaded.manifold
-    rep = new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
-    x = M.sample_array(min(config.samples, 32), config.seed)
+    ck = Checks(config, {"spec_digest": loaded.digest, "manifold": M.name})
+    x = M.sample_array(ck.n("metric-symmetry", "inverse-metric"), config.seed)
     g = M.metric_at(x)
-    sym_worst = float(np.max(np.abs(g - g.swapaxes(-1, -2))))
-    inv_worst = float(np.max(np.abs(g @ M.inverse_metric_at(x) - np.eye(M.dim))))
-    rep.add("metric-symmetry", "g_ij = g_ji", sym_worst, config.exact_tol(1e-12))
-    rep.add("inverse-metric", "g . g^{-1} = id", inv_worst, config.exact_tol(1e-12))
+    ck.add("metric-symmetry", _max_abs(g - g.swapaxes(-1, -2)))
+    ck.add("inverse-metric", inverse_defect(M, x))
 
     C = loaded.connection
     Cstar = loaded.dual_connection or conjugate(C, M)
-    declared = loaded.dual_connection is not None
-    worst_duality = duality_residual(M, C, Cstar, M.sample_array(config.samples, config.seed))
-    rep.add("duality-residual",
-            "X.g(Y,Z) = g(D_X Y, Z) + g(Y, D*_X Z)"
-            + ("" if declared else " (dual computed by conjugation)"),
-            worst_duality, config.exact_tol(1e-9))
-    double = conjugate(Cstar, M)
-    worst_inv = float(np.max(np.abs(double.gamma_at(x) - C.gamma_at(x))))
-    rep.add("conjugation-involution", "dual of the dual returns the primal",
-            worst_inv, config.exact_tol(1e-9))
-    stat = is_statistical(M, C, min(config.samples, 32), config.seed)
-    rep.add("statistical-verdict",
-            "torsion-free with totally symmetric cubic form",
-            None, None, informational=True,
-            notes=(f"statistical={stat.is_statistical} "
-                   f"(max torsion {stat.max_torsion:.2e}, "
-                   f"max cubic asymmetry {stat.max_cubic_asymmetry:.2e})"))
-    return _finish(rep, config)
+    x = M.sample_array(ck.n("duality-residual", "conjugation-involution"), config.seed)
+    ck.add("duality-residual", duality_residual(M, C, Cstar, x),
+           notes="" if loaded.dual_connection else "dual computed by conjugation")
+    ck.add("conjugation-involution", involution_defect(M, C, Cstar, x))
+    stat = is_statistical(M, C, ck.n("statistical-verdict"), config.seed)
+    ck.add("statistical-verdict", None,
+           notes=(f"statistical={stat.is_statistical} "
+                  f"(max torsion {stat.max_torsion:.2e}, "
+                  f"max cubic asymmetry {stat.max_cubic_asymmetry:.2e})"))
+    return _finish(ck.report, config)
 
 
 def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
@@ -208,11 +209,9 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
     point = M.point(config.point) if config.point else M.center()
     Cstar = conjugate(loaded.connection, M)
     gam = Cstar.gamma_at(point)
-    rep = new_report(config, {"spec_digest": loaded.digest, "manifold": M.name})
-    worst = duality_residual(M, loaded.connection, Cstar,
-                             M.sample_array(min(config.samples, 32), config.seed))
-    rep.add("duality-residual", "computed conjugate satisfies the duality relation",
-            worst, config.exact_tol(1e-10))
+    ck = Checks(config, {"spec_digest": loaded.digest, "manifold": M.name})
+    x = M.sample_array(ck.n("duality-residual"), config.seed)
+    ck.add("duality-residual", duality_residual(M, loaded.connection, Cstar, x))
     print(f"conjugate connection at {point.coords.tolist()} "
           f"(entries Gamma*^k_ij, upper index first):")
     d = M.dim
@@ -221,7 +220,7 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
             for j in range(d):
                 if abs(gam[k, i, j]) > 1e-14:
                     print(f"  Gamma*^{k}_{i}{j} = {gam[k, i, j]:+.12g}")
-    return _finish(rep, config, extra={"point": point.coords, "gamma_star": gam})
+    return _finish(ck.report, config, extra={"point": point.coords, "gamma_star": gam})
 
 
 def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) -> int:
@@ -249,112 +248,97 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) ->
 
 def cmd_twist(loaded: LoadedProduct, config: RunConfig) -> int:
     P = loaded.product
-    rep = new_report(config, {"spec_digest": loaded.digest,
-                              "product": P.manifold.name,
-                              "classification": P.classification})
-    rep.add("twist-classification", "direct / warped / proper-twisted from the twist's "
-            "coordinate dependence", None, None, informational=True,
-            notes=P.classification)
-    rep.add("lift-lemma", "derivatives of factor metrics commute with lifts",
-            lift_lemma_residual(P, min(config.samples, 16), config.seed),
-            config.exact_tol(1e-10))
-    rep.add("block-levi-civita", "block assembly matches the chart connection",
-            block_levi_civita_defect(P, min(config.samples, 16), config.seed),
-            config.exact_tol(1e-8))
-    blocks = curvature_block_report(P, samples=min(config.samples, 10),
-                                    seed=config.seed, tol=config.exact_tol(1e-7))
+    seed = config.seed
+    ck = Checks(config, {"spec_digest": loaded.digest, "product": P.manifold.name,
+                         "classification": P.classification})
+    ck.add("twist-classification", None, notes=P.classification)
+    ck.add("lift-lemma", lift_lemma_residual(P, ck.n("lift-lemma"), seed))
+    ck.add("block-levi-civita", block_levi_civita_defect(P, ck.n("block-levi-civita"), seed))
+    blocks = curvature_block_report(
+        P, samples=ck.n(*CURVATURE_BLOCK_IDS, "curvature-block R(U,V)W variants"), seed=seed)
     for name, value in blocks.residuals.items():
-        rep.add(f"curvature-block {name}", "block formula vs direct product curvature",
-                value, blocks.tol)
-    rep.add("curvature-block R(U,V)W variants",
-            "as-printed vs index-consistent fiber-block pairing",
-            None, None, informational=True,
-            notes=f"as-printed={blocks.ruvw_printed:.3e}, "
-                  f"index-consistent={blocks.ruvw_index_consistent:.3e}, "
-                  f"adopted={blocks.ruvw_adopted}")
-    tbl = mixed_ricci_table(P, min(config.samples, 10), config.seed)
-    rep.add("mixed-ricci", "|Ric(X,V)| = |(s-1) XV(k)| (sign fixed by the oracle)",
-            abs(tbl["max_direct"] - tbl["max_closed_form"]), config.exact_tol(1e-6),
-            notes=f"max |Ric(X,V)| = {tbl['max_direct']:.3e}")
+        ck.add(f"curvature-block {name}", value)
+    ck.add("curvature-block R(U,V)W variants", None,
+           notes=f"as-printed={blocks.ruvw_printed:.3e}, "
+                 f"index-consistent={blocks.ruvw_index_consistent:.3e}, "
+                 f"adopted={blocks.ruvw_adopted}")
+    tbl = mixed_ricci_table(P, ck.n("mixed-ricci"), seed)
+    ck.add("mixed-ricci", abs(tbl["max_direct"] - tbl["max_closed_form"]),
+           notes=f"max |Ric(X,V)| = {tbl['max_direct']:.3e}")
     if P.n >= 3:
-        mw = mixed_weyl_report(P, samples=min(config.samples, 8), seed=config.seed)
-        rep.add("mixed-weyl-display C(X,Y)V", "((1-s)/(n-2))[XV(k)Y - YV(k)X]",
-                mw.display_xyv_residual, config.exact_tol(1e-6))
-        rep.add("mixed-weyl-display C(V,W)X", "((r-1)/(n-2))[XV(k)W - XW(k)V]",
-                mw.display_vwx_residual, config.exact_tol(1e-6))
-        rep.add("mixed-weyl-verdicts", "flat-along and mixed-flat conditions",
-                None, None, informational=True,
-                notes=f"C(X,Y)V=0: {mw.xyv_flat}, C(V,W)X=0: {mw.vwx_flat}, "
-                      f"mixed flat: {mw.mixed_weyl_flat}")
-    sep = separability_test(P, min(config.samples, 16), config.seed)
-    rep.add("separability", "k = alpha(base) + beta(fiber)",
-            None, None, informational=True,
-            notes=(f"separable={sep.separable}, "
-                   f"max cross-derivative={sep.max_cross_derivative:.3e}"))
-    return _finish(rep, config)
+        mw = mixed_weyl_report(P, samples=ck.n(*MIXED_WEYL_DISPLAY_IDS, "mixed-weyl-verdicts"),
+                               seed=seed)
+        ck.add("mixed-weyl-display C(X,Y)V", mw.display_xyv_residual)
+        ck.add("mixed-weyl-display C(V,W)X", mw.display_vwx_residual)
+        ck.add("mixed-weyl-verdicts", None,
+               notes=f"C(X,Y)V=0: {mw.xyv_flat}, C(V,W)X=0: {mw.vwx_flat}, "
+                     f"mixed flat: {mw.mixed_weyl_flat}")
+    sep = separability_test(P, ck.n("separability"), seed)
+    ck.add("separability", None,
+           notes=(f"separable={sep.separable}, "
+                  f"max cross-derivative={sep.max_cross_derivative:.3e}"))
+    return _finish(ck.report, config)
 
 
 def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
-    rep = new_report(config, {"spec_digest": loaded.digest})
+    ck = Checks(config, {"spec_digest": loaded.digest})
     details: dict = {}
-    samples, seed = config.samples, config.seed
+    seed = config.seed
+    n = ck.n("conjugacy", "induced-duality")
     try:
         dB = make_dualistic(loaded.base.manifold, loaded.base.connection,
-                            loaded.base.dual_connection, min(samples, 32), seed)
+                            loaded.base.dual_connection, n, seed)
         dF = make_dualistic(loaded.fiber.manifold, loaded.fiber.connection,
-                            loaded.fiber.dual_connection, min(samples, 32), seed)
-        induced = induce_on_product(dB, dF, loaded.product.twist, min(samples, 32), seed)
+                            loaded.fiber.dual_connection, n, seed)
+        induced = induce_on_product(dB, dF, loaded.product.twist, n, seed)
     except ConjugacyError as exc:
-        rep.add("conjugacy", "declared pair satisfies the duality relation",
-                exc.residual, config.exact_tol(1e-9), notes=str(exc))
-        return _finish(rep, config)
-    rep.add("induced-duality", "induced pair (D, D*) satisfies the duality relation",
-            induced.residual, config.exact_tol(1e-9))
+        ck.add("conjugacy", exc.residual, notes=str(exc))
+        return _finish(ck.report, config)
+    ck.add("induced-duality", induced.residual)
 
-    fv = dually_flat_verdict(induced, min(samples, 32), 1e-9, seed)
-    ff = dually_flat_verdict(dF, min(samples, 32), 1e-9, seed)
-    chain = reduction_chain(induced, min(samples, 16), 1e-9, seed)
+    n = ck.n("dually-flat-verdict", "flat-flags-agree")
+    fv = dually_flat_verdict(induced, n, 1e-9, seed)
+    ff = dually_flat_verdict(dF, n, 1e-9, seed)
+    # the reduction chain is drawn at the mixed-Ricci analyzer's count
+    n41 = ck.n("analyzer-mixed-ricci")
+    chain = reduction_chain(induced, n41, 1e-9, seed)
     failing = []
     if not chain.base_verdict.dually_flat:
         failing.append(f"base {dB.manifold.name!r}")
     if not ff.dually_flat:
         failing.append(f"fiber {dF.manifold.name!r}")
-    rep.add("dually-flat-verdict",
-            "both induced connections torsion-free with vanishing curvature",
-            None, None, informational=True,
-            notes=(f"dually flat: {fv.dually_flat} "
-                   f"(max |R| = {fv.riemann_primal_max:.3e}, "
-                   f"max |R*| = {fv.riemann_dual_max:.3e})"
-                   + (f"; failing factors: {', '.join(failing)}" if failing else "")))
-    rep.add_flag("flat-flags-agree", "R = 0 exactly when R* = 0", fv.flat_flags_agree)
+    ck.add("dually-flat-verdict", None,
+           notes=(f"dually flat: {fv.dually_flat} "
+                  f"(max |R| = {fv.riemann_primal_max:.3e}, "
+                  f"max |R*| = {fv.riemann_dual_max:.3e})"
+                  + (f"; failing factors: {', '.join(failing)}" if failing else "")))
+    ck.add("flat-flags-agree", fv.flat_flags_agree)
 
-    rec41 = theorem41_analyze(induced, fv, chain, samples=min(samples, 16), seed=seed)
-    rep.add("analyzer-mixed-ricci", "mixed-Ricci-flat biconditional vs direct verdict",
-            rec41.mixed_ricci_max, None, informational=True,
-            notes=(f"precondition={'holds' if rec41.mixed_ricci_flat else 'fails'}, "
-                   f"predicted={rec41.predicted_dually_flat}, "
-                   f"direct={rec41.direct.dually_flat}, agreement={rec41.agreement}"
-                   + ("; " + "; ".join(rec41.notes) if rec41.notes else "")))
+    rec41 = theorem41_analyze(induced, fv, chain, samples=n41, seed=seed)
+    ck.add("analyzer-mixed-ricci", rec41.mixed_ricci_max,
+           notes=(f"precondition={'holds' if rec41.mixed_ricci_flat else 'fails'}, "
+                  f"predicted={rec41.predicted_dually_flat}, "
+                  f"direct={rec41.direct.dually_flat}, agreement={rec41.agreement}"
+                  + ("; " + "; ".join(rec41.notes) if rec41.notes else "")))
     details["mixed_ricci_analysis"] = rec41
     if induced.product.n >= 3:
-        rec42 = theorem42_analyze(induced, fv, chain, samples=min(samples, 12), seed=seed)
-        rep.add("analyzer-mixed-weyl", "Weyl-flat-along biconditional vs direct verdict",
-                max(rec42.weyl_xyv_max, rec42.weyl_vwx_max), None, informational=True,
-                notes=(f"hypothesis={'holds' if rec42.weyl_flat_along_holds else 'fails'}, "
-                       f"predicted={rec42.predicted_dually_flat}, "
-                       f"direct={rec42.direct.dually_flat}, agreement={rec42.agreement}"))
+        rec42 = theorem42_analyze(induced, fv, chain, samples=ck.n("analyzer-mixed-weyl"),
+                                  seed=seed)
+        ck.add("analyzer-mixed-weyl", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
+               notes=(f"hypothesis={'holds' if rec42.weyl_flat_along_holds else 'fails'}, "
+                      f"predicted={rec42.predicted_dually_flat}, "
+                      f"direct={rec42.direct.dually_flat}, agreement={rec42.agreement}"))
         details["mixed_weyl_analysis"] = rec42
     # both 4.3 branch conditions are exact, so --tol-exact governs them
-    rec43 = theorem43_analyze(induced, fv, chain, samples=min(samples, 12),
+    rec43 = theorem43_analyze(induced, fv, chain, samples=ck.n("analyzer-weyl-parallel"),
                               tol=config.exact_tol(1e-8), seed=seed)
-    rep.add("analyzer-weyl-parallel", "parallel-Weyl/Hessian branches vs direct verdict",
-            rec43.hessian_defect, None, informational=True,
-            notes=(f"branch={rec43.branch}, predicted={rec43.predicted_dually_flat}, "
-                   f"direct={rec43.direct.dually_flat}, agreement={rec43.agreement}"
-                   + ("; " + "; ".join(rec43.notes) if rec43.notes else "")))
+    ck.add("analyzer-weyl-parallel", rec43.hessian_defect,
+           notes=(f"branch={rec43.branch}, predicted={rec43.predicted_dually_flat}, "
+                  f"direct={rec43.direct.dually_flat}, agreement={rec43.agreement}"
+                  + ("; " + "; ".join(rec43.notes) if rec43.notes else "")))
     details["weyl_parallel_analysis"] = rec43
     details["direct_verdict"] = fv
-    return _finish(rep, config, extra=details)
+    return _finish(ck.report, config, extra=details)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +347,10 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=64,
-                        help="sample points per check, an upper bound: in verify-paper only "
-                             "the conjugation identities use the full count, every other "
-                             "check caps it at 64 or less and several use a fixed count")
+                        help="sample points per check, an upper bound: each check's row in "
+                             "the check table (verify.CHECKS) caps it at 64 or less or uses "
+                             "a fixed count; only the conjugation identities, "
+                             "duality-residual and conjugation-involution use it in full")
     parser.add_argument("--seed", type=int, default=42, help="RNG seed")
     parser.add_argument("--tol-exact", type=float, default=1e-8,
                         help="tightening override for exact-identity tolerances")

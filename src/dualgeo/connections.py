@@ -29,7 +29,7 @@ from . import numdiff
 __all__ = [
     "ConnectionField", "StatisticalVerdict",
     "levi_civita", "explicit_connection", "conjugate",
-    "duality_residual", "torsion_at", "cubic_form_at",
+    "duality_residual", "involution_defect", "torsion_at", "cubic_form_at",
     "torsion_relation_residual", "is_statistical", "dgamma_fd_defect",
 ]
 
@@ -217,6 +217,12 @@ def duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField
     Over a batch of points the maximum is taken over every point.
     """
     return float(np.max(np.abs(_duality_defect(M, C, Cstar, p))))
+
+
+def involution_defect(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
+                      p) -> float:
+    """Max |conjugate(C*) - C| on the Christoffel symbols; zero iff C is the conjugate of C*."""
+    return float(np.max(np.abs(conjugate(Cstar, M).gamma_at(p) - C.gamma_at(p))))
 
 
 def torsion_at(C: ConnectionField, p) -> np.ndarray:

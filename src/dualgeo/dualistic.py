@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ManifoldSpec, Point
-from .connections import ConnectionField, _duality_defect, conjugate, torsion_at
+from .connections import (ConnectionField, _duality_defect, conjugate, involution_defect,
+                          torsion_at)
 from .curvature import (ConstantSectionalResult, DimensionError, is_constant_sectional,
                         riemann_at)
 from .products import (ProductSpec, _max_abs, _mv, _per_point, _warped_reduction,
@@ -91,8 +92,7 @@ def make_dualistic(M: ManifoldSpec, C: ConnectionField,
         raise ConjugacyError(
             f"duality residual {worst:.3e} >= {tol:.1e} at {worst_pt.coords.tolist()}",
             worst_point=worst_pt, residual=worst)
-    double_dual = conjugate(Cstar, M)
-    involution = _max_abs(double_dual.gamma_at(x) - C.gamma_at(x))
+    involution = involution_defect(M, C, Cstar, x)
     if not involution < involution_tol:
         raise ConjugacyError(
             f"dual of the dual deviates from the primal by {involution:.3e}",
@@ -316,11 +316,11 @@ def reduction_chain(induced: ProductDualisticStructure, samples: int,
                    "theorem's stated hypotheses")
         fiber_ok = True
     else:
-        fiber_cs = is_constant_sectional(P.fiber, samples=min(samples, 16),
+        fiber_cs = is_constant_sectional(P.fiber, samples=samples,
                                          tol=max(tol, 1e-8), seed=seed)
         fiber_ok = fiber_cs.constant
         if reduced is not None:
-            reduced_cs = is_constant_sectional(reduced.fiber, samples=min(samples, 16),
+            reduced_cs = is_constant_sectional(reduced.fiber, samples=samples,
                                                tol=max(tol, 1e-8), seed=seed)
             if reduced_cs.constant != fiber_cs.constant:
                 notes.append("original and rescaled fiber disagree on constant "
@@ -387,13 +387,13 @@ class Theorem42Record:
 
 
 def theorem42_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
-                      chain: ReductionChain, samples: int = 32, tol: float = 1e-7,
+                      chain: ReductionChain, samples: int = 12, tol: float = 1e-7,
                       seed: int = 42) -> Theorem42Record:
     """Weyl-flat-along hypothesis (either direction), then the common chain."""
     P = induced.product
     if P.n <= 2:
         raise DimensionError("mixed Weyl hypothesis needs product dimension >= 3")
-    report = mixed_weyl_report(P, samples=min(samples, 12), seed=seed, tol=tol)
+    report = mixed_weyl_report(P, samples=samples, seed=seed, tol=tol)
     holds = report.xyv_flat or report.vwx_flat
     notes: list[str] = []
     if not holds:
@@ -420,16 +420,19 @@ class Theorem43Record:
 
 
 def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
-                      chain: ReductionChain, samples: int = 32, tol: float = 1e-8,
+                      chain: ReductionChain, samples: int = 16, tol: float = 1e-8,
                       seed: int = 42) -> Theorem43Record:
     """Parallel-Weyl / Hessian-condition branches, then the common chain.
 
-    ``tol`` decides both conditions: the Hessian-condition defect and the
-    exact covariant derivative of the Weyl tensor.
+    ``tol`` decides both conditions: the Hessian-condition defect, over
+    ``samples`` points, and the exact covariant derivative of the Weyl
+    tensor, over at most 6 of them.  That cap binds for every caller
+    (``verify-paper`` and ``flatness`` pass 12) and bounds the cost of the
+    exact derivative.
     """
     P = induced.product
     notes: list[str] = []
-    hess = hessian_condition_defect(P, samples=min(samples, 16), seed=seed, tol=tol)
+    hess = hessian_condition_defect(P, samples=samples, seed=seed, tol=tol)
     parallel_defect: float | None
     if P.n >= 4:
         parallel_defect = weyl_parallel_defect(P, samples=min(samples, 6), seed=seed)

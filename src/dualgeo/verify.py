@@ -1,4 +1,4 @@
-"""The built-in verification suite.
+"""The check table and the built-in verification suite.
 
 Every structural identity of the dualistic/twisted-product theory is
 checked numerically over the fixture library, each against an independent
@@ -6,17 +6,24 @@ direct computation.  Known ambiguities in the classical displayed formulas
 (the fiber-fiber curvature pairing, the mixed-Ricci sign, the
 conformal-tensor variant, the biconditional's missing warping
 compatibility) are reported informationally rather than hidden.
+
+``CHECKS`` is the one table of checks: each row holds a check's statement,
+its tolerance rule and its sample count.  ``verify_paper`` and the spec
+commands in ``cli`` choose rows from it through ``Checks``; a check id that
+two commands report is one row, so it reads and judges the same in both.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .report import RunConfig, VerificationReport, sha256_of
+from .report import CheckRecord, RunConfig, VerificationReport, sha256_of
 from .exprlang import to_source
-from .geometry import validate_metric
+from .geometry import ManifoldSpec, validate_metric
 from .connections import (conjugate, cubic_form_at, dgamma_fd_defect, duality_residual,
-                          explicit_connection, is_statistical, torsion_at,
+                          explicit_connection, involution_defect, is_statistical, torsion_at,
                           torsion_relation_residual)
 from .curvature import (curvature_duality_residual, curvature_report, first_bianchi_defect,
                         is_constant_sectional, ricci_contraction, riemann_at, scalar_at,
@@ -34,6 +41,171 @@ from . import fixtures
 
 VERSION = "0.1.0"
 
+# Tolerance rules: --tol-exact or --tol-fd can only tighten an EXACT or FD
+# row's default; a FIXED row keeps its default; INFO and FLAG rows have none,
+# and a FLAG row passes or fails on a boolean.
+EXACT, FD, FIXED, INFO, FLAG = "exact", "fd", "fixed", "info", "flag"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table."""
+
+    statement: str
+    rule: str
+    default: float | None = None
+    cap: int | None = None  # at most this many of --samples; None: all of them
+    fixed: int | None = None  # this many points, whatever --samples is
+
+    def count(self, config: RunConfig) -> int:
+        if self.fixed is not None:
+            return self.fixed
+        return config.samples if self.cap is None else min(config.samples, self.cap)
+
+    def tolerance(self, config: RunConfig) -> float | None:
+        if self.rule == EXACT:
+            return config.exact_tol(self.default)
+        return config.fd_tol(self.default) if self.rule == FD else self.default
+
+
+CURVATURE_BLOCK_IDS = tuple(f"curvature-block {block}" for block in
+                            ("R(X,Y)Z", "R(X,Y)U", "R(X,U)Y", "R(U,V)X", "R(X,U)V", "R(U,V)W"))
+MIXED_WEYL_DISPLAY_IDS = ("mixed-weyl-display C(X,Y)V", "mixed-weyl-display C(V,W)X")
+# computed together, over each conjugate pair of verify-paper's connection suite
+_CONJUGATION_IDS = ("conjugation-duality", "conjugation-involution", "cubic-form-sign",
+                    "torsion-relation", "curvature-duality", "riemann-antisymmetry")
+
+# Keyed by check id; a theorem-* id has one row per statement variant, keyed
+# "<id>/<variant>", and is reported as "<id> [<structure name>]".
+CHECKS: dict[str, Check] = {
+    "metric-spd": Check("g symmetric and positive definite on all fixtures", FLAG, cap=64),
+    "metric-symmetry": Check("g_ij = g_ji", EXACT, 1e-12, 32),
+    "inverse-metric": Check("g . g^{-1} = id", EXACT, 1e-12, 32),
+    "duality-residual": Check("X.g(Y,Z) = g(D_X Y, Z) + g(Y, D*_X Z)", EXACT, 1e-10),
+    "conjugation-duality": Check(
+        "X.g(Y,Z) = g(conj_X Y, Z) + g(Y, conj*_X Z) for conjugate(.)", EXACT, 1e-10),
+    "conjugation-involution": Check("conjugate(conjugate(C)) = C", EXACT, 1e-10),
+    "cubic-form-sign": Check("(nabla* g) = -(nabla g) for conjugate pairs", EXACT, 1e-10),
+    "torsion-relation": Check(
+        "g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) - (nabla* g)(Y,X,Z)", EXACT, 1e-10),
+    "curvature-duality": Check("g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z)", EXACT, 1e-7),
+    "riemann-antisymmetry": Check("R^l_ijk = -R^l_jik", EXACT, 1e-12),
+    "flat-iff-dual-flat": Check("R = 0 exactly when R* = 0", FLAG),
+    "levi-civita-self-conjugate": Check("conjugate(levi_civita) = levi_civita", EXACT, 1e-10, 16),
+    "statistical-verdict": Check("torsion-free with totally symmetric cubic form", INFO, cap=32),
+    "statistical-verdicts": Check(
+        "torsion-free + symmetric cubic form classifies statistical structures", FLAG, cap=32),
+    "statistical-conjugate": Check("the conjugate of a statistical connection is statistical",
+                                   FLAG, cap=32),
+    "classical-curvature": Check(
+        "sphere: S=2, K=1; half-plane: S=-2; normal-family Fisher: K=-1/2", EXACT, 1e-6, fixed=10),
+    "constant-sectional": Check(
+        "sphere and Fisher fixtures have constant K; the bumpy sphere does not", FLAG, cap=16),
+    "first-bianchi": Check("R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the metric connection",
+                           EXACT, 1e-9, 12),
+    "weyl-trace-free": Check("all traces of the conformal tensor vanish (metric connection)",
+                             EXACT, 1e-8, 12),
+    "scalar-two-routes": Check("orthonormal-frame scalar equals g^{jk} Ric_jk", EXACT, 1e-10, 12),
+    "ricci-two-routes": Check("orthonormal-frame Ricci equals the first-slot contraction of R",
+                              EXACT, 1e-10, fixed=4),
+    "dgamma-fd-crosscheck": Check(
+        "symbolic connection derivatives match 4th-order finite differences", FD, 1e-5, fixed=6),
+    "twist-classification": Check(
+        "direct / warped / proper-twisted from the twist's coordinate dependence", INFO),
+    "lift-lemma": Check("derivatives of factor metrics commute with lifts", EXACT, 1e-10, 16),
+    "block-levi-civita": Check(
+        "block assembly of the product metric connection matches the chart computation",
+        EXACT, 1e-8, 16),
+    "curvature-block R(X,Y)Z": Check("curvature of base lifts equals the lifted base curvature",
+                                     EXACT, 1e-7, 10),
+    "curvature-block R(X,Y)U": Check("base-pair curvature has no fiber output", EXACT, 1e-7, 10),
+    "curvature-block R(X,U)Y": Check("mixed block equals (Hess_B b (X,Y) / b) U", EXACT, 1e-7, 10),
+    "curvature-block R(U,V)X": Check("fiber-pair-on-base block equals UX(k)V - VX(k)U",
+                                     EXACT, 1e-7, 10),
+    "curvature-block R(X,U)V": Check("mixed block matches the Hessian/gradient combination of k",
+                                     EXACT, 1e-7, 10),
+    "curvature-block R(U,V)W": Check(
+        "fiber block matches the fiber curvature plus gradient terms", EXACT, 1e-7, 10),
+    "curvature-block R(U,V)W as-printed": Check(
+        "the printed pairing g(V,U) grad_B(U(k)) deviates on proper twists", INFO, cap=10),
+    "curvature-block R(U,V)W variants": Check(
+        "as-printed vs index-consistent fiber-block pairing", INFO, cap=10),
+    "curvature-blocks-warped": Check("all block formulas reduce to the warped identities",
+                                     EXACT, 1e-8, 10),
+    "mixed-ricci": Check("|Ric(X,V)| = |(s-1) XV(k)| (sign fixed by the oracle)", EXACT, 1e-6, 10),
+    "mixed-ricci-separable": Check("Ric(X,V) = 0 when k has no mixed cross-derivatives",
+                                   EXACT, 1e-9, 10),
+    "mixed-ricci-closed-form": Check("|Ric(X,V)| = |(s-1) XV(k)|", EXACT, 1e-6, 10),
+    "mixed-ricci-sign": Check("direct mixed Ricci equals (1-s)XV(k), not (s-1)XV(k)", INFO,
+                              cap=10),
+    "ricci-base-block": Check("Ric(X,Y) = Ric_B(X,Y) - s[Hess_B k (X,Y) + X(k)Y(k)]",
+                              EXACT, 1e-7, 10),
+    "mixed-weyl-display C(X,Y)V": Check("C(X,Y)V = ((1-s)/(n-2))[XV(k)Y - YV(k)X]",
+                                        EXACT, 1e-6, 8),
+    "mixed-weyl-display C(V,W)X": Check("C(V,W)X = ((r-1)/(n-2))[XV(k)W - XW(k)V]",
+                                        EXACT, 1e-6, 8),
+    "mixed-weyl-verdicts": Check("flat-along and mixed-flat conditions", INFO, cap=8),
+    "mixed-weyl-separable": Check("separable twists satisfy both Weyl-flat-along conditions",
+                                  EXACT, 1e-7, 8),
+    "weyl-variant-difference": Check(
+        "standard conformal tensor vs the printed variant with a curvature term", INFO, fixed=4),
+    "separability": Check("k = alpha(base) + beta(fiber)", INFO, cap=16),
+    "separability-detects-coupling": Check("d2 k / dx du = 1 for k = x u", EXACT, 1e-10, 16),
+    "separability-reconstruction": Check("k = alpha(base) + beta(fiber) on separable twists",
+                                         EXACT, 1e-10, 16),
+    "hessian-block-restriction": Check(
+        "the product Hessian of k restricts to the displayed base and mixed blocks",
+        EXACT, 1e-10, fixed=6),
+    "hessian-condition-direct": Check("H^k(X) = -X(k) grad k holds trivially for k = 0",
+                                      EXACT, 1e-12, fixed=8),
+    "hessian-condition-warped": Check(
+        "defect |H^k(X) + X(k) grad k| = 1 for k = x on a line", EXACT, 1e-9, fixed=8),
+    "weyl-parallel-flat": Check("the conformal tensor of a flat product is parallel",
+                                EXACT, 1e-10, fixed=3),
+    "weyl-parallel-constant-curvature": Check(
+        "constant-curvature products have parallel (vanishing) conformal tensor",
+        EXACT, 1e-10, fixed=3),
+    "weyl-parallel-twisted": Check("generic proper twists have non-parallel conformal tensor",
+                                   INFO, fixed=3),
+    "conjugacy": Check("declared pair satisfies the duality relation", EXACT, 1e-9, 32),
+    "induced-duality": Check("the induced pair (D, D*) satisfies the duality relation",
+                             EXACT, 1e-9, 32),
+    "induced-curvature-duality": Check("g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z) for induced pairs",
+                                       EXACT, 1e-7, 24),
+    "projection-recovery": Check("projections of (D, D*) recover the factor structures",
+                                 EXACT, 1e-9, 12),
+    "torsion-inheritance": Check("torsion-free factors induce torsion-free D and D*", FLAG,
+                                 cap=12),
+    "induced-flat-flags": Check("R = 0 exactly when R* = 0 for induced pairs", FLAG, cap=24),
+    "dually-flat-verdicts": Check("direct flatness verdicts match the fixture suite", FLAG,
+                                  cap=24),
+    "dually-flat-verdict": Check(
+        "both induced connections torsion-free with vanishing curvature", INFO, cap=32),
+    "flat-flags-agree": Check("R = 0 exactly when R* = 0", FLAG, cap=32),
+    "sphere-not-dually-flat": Check("the metric pair on the sphere has max |R| = 1",
+                                    FIXED, 0.1, 24),
+    "dual-curvature-blocks": Check("displayed blocks for R and R* on an induced pair", INFO,
+                                   fixed=4),
+    # the reduction chain a theorem analyzer receives is drawn at the mixed-Ricci count
+    "theorem-mixed-ricci/agrees": Check(
+        "mixed-Ricci-flat biconditional matches the direct verdict", FLAG, cap=16),
+    "theorem-mixed-ricci/unmet": Check(
+        "precondition fails; direct verdict reported on its own", INFO, cap=16),
+    "theorem-mixed-ricci/gap": Check(
+        "documented gap: biconditional needs the warping compatibility", INFO, cap=16),
+    "theorem-mixed-weyl/agrees": Check(
+        "Weyl-flat-along chain is consistent with the direct verdict", FLAG, cap=12),
+    "theorem-mixed-weyl/reported": Check("Weyl-flat-along chain reported", INFO, cap=12),
+    "theorem-weyl-parallel/agrees": Check(
+        "parallel-Weyl/Hessian branch chain matches the direct verdict", FLAG, cap=12),
+    "theorem-weyl-parallel/reported": Check("branch evaluation reported", INFO, cap=12),
+    "analyzer-mixed-ricci": Check("mixed-Ricci-flat biconditional vs direct verdict", INFO,
+                                  cap=16),
+    "analyzer-mixed-weyl": Check("Weyl-flat-along biconditional vs direct verdict", INFO, cap=12),
+    "analyzer-weyl-parallel": Check("parallel-Weyl/Hessian branches vs direct verdict", INFO,
+                                    cap=12),
+}
+
 
 def new_report(config: RunConfig, inputs: dict) -> VerificationReport:
     """An empty report with the header every command writes: tool, version, config, inputs."""
@@ -42,6 +214,38 @@ def new_report(config: RunConfig, inputs: dict) -> VerificationReport:
         config={"samples": config.samples, "seed": config.seed,
                 "tol_exact": config.tol_exact, "tol_fd": config.tol_fd},
         inputs=inputs)
+
+
+class Checks:
+    """One command's report, filled from rows of ``CHECKS``."""
+
+    def __init__(self, config: RunConfig, inputs: dict):
+        self.config = config
+        self.report = new_report(config, inputs)
+
+    def n(self, *keys: str) -> int:
+        """The sample count of the rows ``keys``, which are computed from one batch."""
+        if len({(CHECKS[k].cap, CHECKS[k].fixed) for k in keys}) != 1:
+            raise ValueError(f"rows {keys} share one batch but not one sample count")
+        return CHECKS[keys[0]].count(self.config)
+
+    def add(self, key: str, value, notes: str = "", name: str | None = None) -> CheckRecord:
+        """Report row ``key`` with its residual, or its verdict for a FLAG row.
+
+        ``name`` labels a theorem-* row's structure: the check id is then
+        ``"<id> [<name>]"``.
+        """
+        row = CHECKS[key]
+        check_id = key.split("/")[0] + (f" [{name}]" if name else "")
+        if row.rule == FLAG:
+            return self.report.add_flag(check_id, row.statement, bool(value), notes=notes)
+        return self.report.add(check_id, row.statement, value, row.tolerance(self.config),
+                               notes=notes, informational=row.rule == INFO)
+
+
+def inverse_defect(M: ManifoldSpec, x) -> float:
+    """Max |g g^-1 - id| over the points ``x``."""
+    return _max_abs(M.metric_at(x) @ M.inverse_metric_at(x) - np.eye(M.dim))
 
 
 _SEPARABLE_TWISTS = ("direct", "warped-exp", "twisted-poly", "warped-sphere-fiber",
@@ -69,8 +273,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     e2, _, sphere, hyp, fisher = manifolds
     twists = dict(fixtures.standard_twists())
     suite = fixtures.dualistic_suite()
-    rep = new_report(config, {"fixture_suite_digest": fixture_digest(manifolds, twists, suite)})
-    samples = config.samples
+    ck = Checks(config, {"fixture_suite_digest": fixture_digest(manifolds, twists, suite)})
     seed = config.seed
 
     # ---------------------------------------------------------------- charts
@@ -78,14 +281,13 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     inv_worst = 0.0
     for M in manifolds:
         try:
-            validate_metric(M, samples=min(samples, 64), seed=seed)
+            validate_metric(M, samples=ck.n("metric-spd"), seed=seed)
         except Exception:  # pragma: no cover - fixtures are valid by construction
             spd_ok = False
-        x = M.sample_array(min(samples, 16), seed)
-        inv_worst = max(inv_worst, _max_abs(M.metric_at(x) @ M.inverse_metric_at(x)
-                                            - np.eye(M.dim)))
-    rep.add_flag("metric-spd", "g symmetric and positive definite on all fixtures", spd_ok)
-    rep.add("inverse-metric", "g . g^{-1} = id", inv_worst, config.exact_tol(1e-12))
+        inv_worst = max(inv_worst, inverse_defect(M, M.sample_array(ck.n("inverse-metric"),
+                                                                    seed)))
+    ck.add("metric-spd", spd_ok)
+    ck.add("inverse-metric", inv_worst)
 
     # ------------------------------------------------- conjugation identities
     pairs = []
@@ -93,21 +295,20 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         for cname, C in fixtures.connection_suite(M):
             pairs.append((M, cname, C, conjugate(C, M)))
 
-    worst = {key: 0.0 for key in ("duality", "involution", "cubic-sign",
-                                  "torsion-relation", "curvature-duality",
-                                  "antisymmetry")}
+    worst = dict.fromkeys(_CONJUGATION_IDS, 0.0)
     flags_agree = True
+    n = ck.n(*_CONJUGATION_IDS, "flat-iff-dual-flat")
     for M, cname, C, Cs in pairs:
-        x = M.sample_array(samples, seed)
+        x = M.sample_array(n, seed)
         g = M.metric_at(x)
         cubic_star = cubic_form_at(M, Cs, x)
         R = riemann_at(C, x)
         Rs = riemann_at(Cs, x)
         pair_worst = {
-            "duality": duality_residual(M, C, Cs, x),
-            "involution": _max_abs(conjugate(Cs, M).gamma_at(x) - C.gamma_at(x)),
-            "cubic-sign": _max_abs(cubic_form_at(M, C, x) + cubic_star),
-            "antisymmetry": _max_abs(R + R.swapaxes(-3, -2)),
+            "conjugation-duality": duality_residual(M, C, Cs, x),
+            "conjugation-involution": involution_defect(M, C, Cs, x),
+            "cubic-form-sign": _max_abs(cubic_form_at(M, C, x) + cubic_star),
+            "riemann-antisymmetry": _max_abs(R + R.swapaxes(-3, -2)),
             "curvature-duality": curvature_duality_residual(g, R, Rs),
             "torsion-relation": torsion_relation_residual(
                 g, torsion_at(C, x), torsion_at(Cs, x), cubic_star),
@@ -115,73 +316,57 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         for key, value in pair_worst.items():
             worst[key] = max(worst[key], value)
         flags_agree = flags_agree and ((_max_abs(R) < 1e-9) == (_max_abs(Rs) < 1e-9))
-
-    rep.add("conjugation-duality",
-            "X.g(Y,Z) = g(conj_X Y, Z) + g(Y, conj*_X Z) for conjugate(.)",
-            worst["duality"], config.exact_tol(1e-10))
-    rep.add("conjugation-involution", "conjugate(conjugate(C)) = C",
-            worst["involution"], config.exact_tol(1e-10))
-    rep.add("cubic-form-sign", "(nabla* g) = -(nabla g) for conjugate pairs",
-            worst["cubic-sign"], config.exact_tol(1e-10))
-    rep.add("torsion-relation",
-            "g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) - (nabla* g)(Y,X,Z)",
-            worst["torsion-relation"], config.exact_tol(1e-10))
-    rep.add("curvature-duality", "g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z)",
-            worst["curvature-duality"], config.exact_tol(1e-7))
-    rep.add("riemann-antisymmetry", "R^l_ijk = -R^l_jik",
-            worst["antisymmetry"], config.exact_tol(1e-12))
-    rep.add_flag("flat-iff-dual-flat", "R = 0 exactly when R* = 0", flags_agree)
+    for key, value in worst.items():
+        ck.add(key, value)
+    ck.add("flat-iff-dual-flat", flags_agree)
 
     lc_self = 0.0
     for M in manifolds:
         lc = M.levi_civita_connection
-        x = M.sample_array(min(samples, 16), seed)
-        lc_self = max(lc_self, _max_abs(conjugate(lc, M).gamma_at(x) - lc.gamma_at(x)))
-    rep.add("levi-civita-self-conjugate", "conjugate(levi_civita) = levi_civita",
-            lc_self, config.exact_tol(1e-10))
+        x = M.sample_array(ck.n("levi-civita-self-conjugate"), seed)
+        lc_self = max(lc_self, involution_defect(M, lc, lc, x))
+    ck.add("levi-civita-self-conjugate", lc_self)
 
     # ------------------------------------------------------------ statistical
-    # the 16-sample conjugates first, while each chart still holds that batch
-    inherit_ok = all(is_statistical(M, conjugate(M.levi_civita_connection, M), min(samples, 16),
-                                    seed).is_statistical for M in manifolds)
+    # the conjugates of the charts' metric connections first, on the batch
+    # each chart still holds from levi-civita-self-conjugate
+    inherit_ok = all(is_statistical(M, conjugate(M.levi_civita_connection, M),
+                                    ck.n("levi-civita-self-conjugate"), seed).is_statistical
+                     for M in manifolds)
     statistical = explicit_connection(
         e2, {(0, 0, 0): "0.3", (0, 1, 1): "0.2", (1, 0, 1): "0.2", (1, 1, 0): "0.2"})
     torsionful = explicit_connection(e2, {(0, 0, 1): "1"})
-    verdicts_ok = (is_statistical(sphere, sphere.levi_civita_connection, min(samples, 32),
-                                  seed).is_statistical
-                   and is_statistical(e2, statistical, min(samples, 32), seed).is_statistical
-                   and not is_statistical(e2, torsionful, min(samples, 32), seed).is_statistical)
-    rep.add_flag("statistical-verdicts",
-                 "torsion-free + symmetric cubic form classifies statistical structures",
-                 verdicts_ok)
+    n = ck.n("statistical-verdicts", "statistical-conjugate")
+    verdicts_ok = (is_statistical(sphere, sphere.levi_civita_connection, n, seed).is_statistical
+                   and is_statistical(e2, statistical, n, seed).is_statistical
+                   and not is_statistical(e2, torsionful, n, seed).is_statistical)
+    ck.add("statistical-verdicts", verdicts_ok)
     inherit_ok = inherit_ok and is_statistical(e2, conjugate(statistical, e2),
-                                               min(samples, 32), seed).is_statistical
-    rep.add_flag("statistical-conjugate",
-                 "the conjugate of a statistical connection is statistical", inherit_ok)
+                                               n, seed).is_statistical
+    ck.add("statistical-conjugate", inherit_ok)
 
     # ------------------------------------------------------ classical values
     plane = ([1.0, 0.0], [0.0, 1.0])
-    xs, xh, xf = (M.sample_array(10, seed) for M in (sphere, hyp, fisher))
+    n = ck.n("classical-curvature")
+    xs, xh, xf = (M.sample_array(n, seed) for M in (sphere, hyp, fisher))
     dev = max(_max_abs(scalar_at(sphere, sphere.levi_civita_connection, xs) - 2.0),
               _max_abs(sectional_at(sphere, xs, *plane) - 1.0),
               _max_abs(scalar_at(hyp, hyp.levi_civita_connection, xh) + 2.0),
               _max_abs(sectional_at(fisher, xf, *plane) + 0.5))
-    rep.add("classical-curvature",
-            "sphere: S=2, K=1; half-plane: S=-2; normal-family Fisher: K=-1/2",
-            dev, config.exact_tol(1e-6))
+    ck.add("classical-curvature", dev)
 
-    cs_sphere = is_constant_sectional(sphere, min(samples, 16), 1e-8, seed)
-    cs_fisher = is_constant_sectional(fisher, min(samples, 16), 1e-8, seed)
-    cs_bumpy = is_constant_sectional(fixtures.bumpy_sphere2(), min(samples, 16), 1e-8, seed)
-    rep.add_flag("constant-sectional",
-                 "sphere and Fisher fixtures have constant K; the bumpy sphere does not",
-                 cs_sphere.constant and cs_fisher.constant and not cs_bumpy.constant,
-                 notes=f"kappa(sphere)={cs_sphere.kappa:.6f}, "
-                       f"kappa(fisher)={cs_fisher.kappa:.6f}")
+    n = ck.n("constant-sectional")
+    cs_sphere = is_constant_sectional(sphere, n, 1e-8, seed)
+    cs_fisher = is_constant_sectional(fisher, n, 1e-8, seed)
+    cs_bumpy = is_constant_sectional(fixtures.bumpy_sphere2(), n, 1e-8, seed)
+    ck.add("constant-sectional",
+           cs_sphere.constant and cs_fisher.constant and not cs_bumpy.constant,
+           notes=f"kappa(sphere)={cs_sphere.kappa:.6f}, kappa(fisher)={cs_fisher.kappa:.6f}")
 
     bianchi = trace_free = scalar_routes = ricci_routes = 0.0
+    n = ck.n("first-bianchi", "weyl-trace-free", "scalar-two-routes")
     for M in manifolds:
-        x = M.sample_array(min(samples, 12), seed)
+        x = M.sample_array(n, seed)
         cr = curvature_report(M, M.levi_civita_connection, x)
         ginv = M.inverse_metric_at(x)
         bianchi = max(bianchi, first_bianchi_defect(cr.riemann))
@@ -190,138 +375,101 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         if cr.weyl is not None:
             trace_free = max(trace_free, weyl_trace_defect(M.metric_at(x), ginv, cr.weyl))
     for M, cname, C, _ in pairs:
-        cr = curvature_report(M, C, M.sample_array(4, seed))
+        cr = curvature_report(M, C, M.sample_array(ck.n("ricci-two-routes"), seed))
         ricci_routes = max(ricci_routes, _max_abs(cr.ricci - ricci_contraction(cr.riemann)))
-    rep.add("first-bianchi", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the metric connection",
-            bianchi, config.exact_tol(1e-9))
-    rep.add("weyl-trace-free", "all traces of the conformal tensor vanish (metric connection)",
-            trace_free, config.exact_tol(1e-8))
-    rep.add("scalar-two-routes", "orthonormal-frame scalar equals g^{jk} Ric_jk",
-            scalar_routes, config.exact_tol(1e-10))
-    rep.add("ricci-two-routes",
-            "orthonormal-frame Ricci equals the first-slot contraction of R",
-            ricci_routes, config.exact_tol(1e-10),
-            notes="holds for arbitrary connections by frame completeness")
+    ck.add("first-bianchi", bianchi)
+    ck.add("weyl-trace-free", trace_free)
+    ck.add("scalar-two-routes", scalar_routes)
+    ck.add("ricci-two-routes", ricci_routes,
+           notes="holds for arbitrary connections by frame completeness")
 
-    fd_defect = max(dgamma_fd_defect(M.levi_civita_connection, samples=6, seed=seed)
+    fd_defect = max(dgamma_fd_defect(M.levi_civita_connection,
+                                     samples=ck.n("dgamma-fd-crosscheck"), seed=seed)
                     for M in (sphere, hyp))
-    rep.add("dgamma-fd-crosscheck",
-            "symbolic connection derivatives match 4th-order finite differences",
-            fd_defect, config.fd_tol(1e-5))
+    ck.add("dgamma-fd-crosscheck", fd_defect)
 
     # ---------------------------------------------------------------- products
-    lemma_lift = max(lift_lemma_residual(P, min(samples, 12), seed)
-                     for P in twists.values())
-    rep.add("lift-lemma", "derivatives of factor metrics commute with lifts",
-            lemma_lift, config.exact_tol(1e-10))
-
-    block_defect = max(block_levi_civita_defect(P, min(samples, 16), seed)
-                       for name, P in twists.items() if name in _CRITERION4_TWISTS)
-    rep.add("block-levi-civita",
-            "block assembly of the product metric connection matches the chart computation",
-            block_defect, config.exact_tol(1e-8))
+    ck.add("lift-lemma", max(lift_lemma_residual(P, ck.n("lift-lemma"), seed)
+                             for P in twists.values()))
+    ck.add("block-levi-civita", max(block_levi_civita_defect(P, ck.n("block-levi-civita"), seed)
+                                    for name, P in twists.items()
+                                    if name in _CRITERION4_TWISTS))
 
     block_worst: dict[str, float] = {}
     printed_worst = 0.0
     warped_worst = 0.0
+    n = ck.n(*CURVATURE_BLOCK_IDS, "curvature-block R(U,V)W as-printed",
+             "curvature-blocks-warped")
     for name in _CRITERION4_TWISTS + ("twisted-wide-fiber",):
-        report = curvature_block_report(twists[name], samples=min(samples, 10), seed=seed)
+        report = curvature_block_report(twists[name], samples=n, seed=seed)
         for block, value in report.residuals.items():
             block_worst[block] = max(block_worst.get(block, 0.0), value)
         printed_worst = max(printed_worst, report.ruvw_printed)
         if twists[name].classification in ("direct", "warped"):
             warped_worst = max(warped_worst, max(report.residuals.values()))
-    statements = {
-        "R(X,Y)Z": "curvature of base lifts equals the lifted base curvature",
-        "R(X,Y)U": "base-pair curvature has no fiber output",
-        "R(X,U)Y": "mixed block equals (Hess_B b (X,Y) / b) U",
-        "R(U,V)X": "fiber-pair-on-base block equals UX(k)V - VX(k)U",
-        "R(X,U)V": "mixed block matches the Hessian/gradient combination of k",
-        "R(U,V)W": "fiber block matches the fiber curvature plus gradient terms",
-    }
-    for block in ("R(X,Y)Z", "R(X,Y)U", "R(X,U)Y", "R(U,V)X", "R(X,U)V", "R(U,V)W"):
-        rep.add(f"curvature-block {block}", statements[block], block_worst[block],
-                config.exact_tol(1e-7))
-    rep.add("curvature-block R(U,V)W as-printed",
-            "the printed pairing g(V,U) grad_B(U(k)) deviates on proper twists",
-            printed_worst, None, informational=True,
-            notes="index-consistent pairing adopted")
-    rep.add("curvature-blocks-warped", "all block formulas reduce to the warped identities",
-            warped_worst, config.exact_tol(1e-8))
+    for block, value in block_worst.items():
+        ck.add(f"curvature-block {block}", value)
+    ck.add("curvature-block R(U,V)W as-printed", printed_worst,
+           notes="index-consistent pairing adopted")
+    ck.add("curvature-blocks-warped", warped_worst)
 
-    mixed_sep = max(mixed_ricci_table(twists[name], min(samples, 10), seed)["max_direct"]
-                    for name in _SEPARABLE_TWISTS)
-    rep.add("mixed-ricci-separable", "Ric(X,V) = 0 when k has no mixed cross-derivatives",
-            mixed_sep, config.exact_tol(1e-9))
+    n = ck.n("mixed-ricci-separable")
+    ck.add("mixed-ricci-separable", max(mixed_ricci_table(twists[name], n, seed)["max_direct"]
+                                        for name in _SEPARABLE_TWISTS))
 
-    tbl = mixed_ricci_table(twists["twisted-wide-fiber"], min(samples, 10), seed)
-    rep.add("mixed-ricci-closed-form", "|Ric(X,V)| = |(s-1) XV(k)|",
-            abs(tbl["max_direct"] - tbl["max_closed_form"]), config.exact_tol(1e-6))
-    rep.add("mixed-ricci-sign", "direct mixed Ricci equals (1-s)XV(k), not (s-1)XV(k)",
-            tbl["max_residual_with_adopted_sign"], None, informational=True,
-            notes=f"adopted sign {MIXED_RICCI_SIGN:+.0f}; the two displayed signs disagree "
-                  "and the direct computation fixes the proof's variant")
+    tbl = mixed_ricci_table(twists["twisted-wide-fiber"],
+                            ck.n("mixed-ricci-closed-form", "mixed-ricci-sign"), seed)
+    ck.add("mixed-ricci-closed-form", abs(tbl["max_direct"] - tbl["max_closed_form"]))
+    ck.add("mixed-ricci-sign", tbl["max_residual_with_adopted_sign"],
+           notes=f"adopted sign {MIXED_RICCI_SIGN:+.0f}; the two displayed signs disagree "
+                 "and the direct computation fixes the proof's variant")
 
-    ricci_block = max(ricci_base_block_residual(twists[name], min(samples, 10), seed)
-                      for name in _CRITERION4_TWISTS + ("twisted-wide-fiber",
-                                                        "warped-sphere-fiber"))
-    rep.add("ricci-base-block", "Ric(X,Y) = Ric_B(X,Y) - s[Hess_B k (X,Y) + X(k)Y(k)]",
-            ricci_block, config.exact_tol(1e-7))
+    n = ck.n("ricci-base-block")
+    ck.add("ricci-base-block", max(ricci_base_block_residual(twists[name], n, seed)
+                                   for name in _CRITERION4_TWISTS + ("twisted-wide-fiber",
+                                                                     "warped-sphere-fiber")))
 
-    mw = mixed_weyl_report(twists["twisted-4d"], samples=min(samples, 8), seed=seed)
-    rep.add("mixed-weyl-display C(X,Y)V", "C(X,Y)V = ((1-s)/(n-2))[XV(k)Y - YV(k)X]",
-            mw.display_xyv_residual, config.exact_tol(1e-6))
-    rep.add("mixed-weyl-display C(V,W)X", "C(V,W)X = ((r-1)/(n-2))[XV(k)W - XW(k)V]",
-            mw.display_vwx_residual, config.exact_tol(1e-6))
-    mw_sep = mixed_weyl_report(twists["hyperbolic-4d"], samples=min(samples, 8), seed=seed)
-    rep.add("mixed-weyl-separable", "separable twists satisfy both Weyl-flat-along conditions",
-            max(mw_sep.cond_xyv_max, mw_sep.cond_vwx_max), config.exact_tol(1e-7))
+    mw = mixed_weyl_report(twists["twisted-4d"], samples=ck.n(*MIXED_WEYL_DISPLAY_IDS),
+                           seed=seed)
+    ck.add("mixed-weyl-display C(X,Y)V", mw.display_xyv_residual)
+    ck.add("mixed-weyl-display C(V,W)X", mw.display_vwx_residual)
+    mw_sep = mixed_weyl_report(twists["hyperbolic-4d"], samples=ck.n("mixed-weyl-separable"),
+                               seed=seed)
+    ck.add("mixed-weyl-separable", max(mw_sep.cond_xyv_max, mw_sep.cond_vwx_max))
 
     P4 = twists["hyperbolic-4d"]
-    x = P4.manifold.sample_array(4, seed)
-    weyl_variant_diff = _max_abs(weyl_at(P4.manifold, P4.chart_levi_civita, x, "standard")
-                                 - weyl_at(P4.manifold, P4.chart_levi_civita, x, "as-printed"))
-    rep.add("weyl-variant-difference",
-            "standard conformal tensor vs the printed variant with a curvature term",
-            weyl_variant_diff, None, informational=True,
-            notes="nonzero difference documents the display; standard form used throughout")
+    x = P4.manifold.sample_array(ck.n("weyl-variant-difference"), seed)
+    ck.add("weyl-variant-difference",
+           _max_abs(weyl_at(P4.manifold, P4.chart_levi_civita, x, "standard")
+                    - weyl_at(P4.manifold, P4.chart_levi_civita, x, "as-printed")),
+           notes="nonzero difference documents the display; standard form used throughout")
 
-    sep_bad = separability_test(twists["twisted-exp"], min(samples, 16), seed)
-    rep.add("separability-detects-coupling", "d2 k / dx du = 1 for k = x u",
-            abs(sep_bad.max_cross_derivative - 1.0), config.exact_tol(1e-10))
-    sep_good = separability_test(twists["twisted-poly"], min(samples, 16), seed)
-    warped, recon = _warped_reduction(twists["twisted-poly"], sep_good, min(samples, 16), seed)
-    rep.add("separability-reconstruction", "k = alpha(base) + beta(fiber) on separable twists",
-            max(sep_good.reconstruction_residual, recon), config.exact_tol(1e-10),
-            notes=f"reduced classification: {warped.classification}")
+    n = ck.n("separability-detects-coupling", "separability-reconstruction")
+    sep_bad = separability_test(twists["twisted-exp"], n, seed)
+    ck.add("separability-detects-coupling", abs(sep_bad.max_cross_derivative - 1.0))
+    sep_good = separability_test(twists["twisted-poly"], n, seed)
+    warped, recon = _warped_reduction(twists["twisted-poly"], sep_good, n, seed)
+    ck.add("separability-reconstruction", max(sep_good.reconstruction_residual, recon),
+           notes=f"reduced classification: {warped.classification}")
 
     hess_restrict = 0.0
     for name in _CRITERION4_TWISTS:
         P = twists[name]
-        h = hessian_at(P, P.manifold.sample_array(6, seed))
+        h = hessian_at(P, P.manifold.sample_array(ck.n("hessian-block-restriction"), seed))
         hess_restrict = max(hess_restrict, _max_abs(h.full[..., : P.r, : P.r] - h.base_block),
                             _max_abs(h.full[..., : P.r, P.r:] - h.mixed_block))
-    rep.add("hessian-block-restriction",
-            "the product Hessian of k restricts to the displayed base and mixed blocks",
-            hess_restrict, config.exact_tol(1e-10))
+    ck.add("hessian-block-restriction", hess_restrict)
 
-    hc_direct = hessian_condition_defect(twists["direct"], 8, seed)
-    hc_warped = hessian_condition_defect(twists["warped-exp"], 8, seed)
-    rep.add("hessian-condition-direct", "H^k(X) = -X(k) grad k holds trivially for k = 0",
-            hc_direct.defect, config.exact_tol(1e-12))
-    rep.add("hessian-condition-warped", "defect |H^k(X) + X(k) grad k| = 1 for k = x on a line",
-            abs(hc_warped.defect - 1.0), config.exact_tol(1e-9))
+    hc_direct = hessian_condition_defect(twists["direct"], ck.n("hessian-condition-direct"), seed)
+    hc_warped = hessian_condition_defect(twists["warped-exp"], ck.n("hessian-condition-warped"),
+                                         seed)
+    ck.add("hessian-condition-direct", hc_direct.defect)
+    ck.add("hessian-condition-warped", abs(hc_warped.defect - 1.0))
 
-    wp_flat = weyl_parallel_defect(twists["direct-4d"], samples=3, seed=seed)
-    wp_const = weyl_parallel_defect(twists["hyperbolic-4d"], samples=3, seed=seed)
-    wp_twisted = weyl_parallel_defect(twists["twisted-4d"], samples=3, seed=seed)
-    rep.add("weyl-parallel-flat", "the conformal tensor of a flat product is parallel",
-            wp_flat, config.exact_tol(1e-10))
-    rep.add("weyl-parallel-constant-curvature",
-            "constant-curvature products have parallel (vanishing) conformal tensor",
-            wp_const, config.exact_tol(1e-10))
-    rep.add("weyl-parallel-twisted", "generic proper twists have non-parallel conformal tensor",
-            wp_twisted, None, informational=True)
+    for key, twist in (("weyl-parallel-flat", "direct-4d"),
+                       ("weyl-parallel-constant-curvature", "hyperbolic-4d"),
+                       ("weyl-parallel-twisted", "twisted-4d")):
+        ck.add(key, weyl_parallel_defect(twists[twist], samples=ck.n(key), seed=seed))
 
     # ---------------------------------------------------------- dualistic suite
     induced_duality = 0.0
@@ -329,90 +477,77 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     proj_worst = 0.0
     inherit_all = True
     verdicts = []
+    n = ck.n("induced-curvature-duality", "induced-flat-flags", "dually-flat-verdicts")
+    n_proj = ck.n("projection-recovery", "torsion-inheritance")
     for entry in suite:
         st = entry["structure"]
         P = st.product
-        x = P.manifold.sample_array(min(samples, 24), seed)
+        x = P.manifold.sample_array(n, seed)
         R, Rs = riemann_at(st.primal, x), riemann_at(st.dual, x)
         verdicts.append(verdict_from_tensors(torsion_at(st.primal, x), torsion_at(st.dual, x),
-                                             R, Rs, min(samples, 24), seed))
-        induced_duality = max(induced_duality,
-                              duality_residual(P.manifold, st.primal, st.dual, x))
+                                             R, Rs, n, seed))
         induced_curv_duality = max(induced_curv_duality, curvature_duality_residual(
             P.manifold.metric_at(x), R, Rs))
-        proj_worst = max(proj_worst,
-                         projection_check(st, min(samples, 12), seed).max_residual())
-        inherit_all = inherit_all and torsion_inheritance_check(
-            st, min(samples, 12), seed).inherited
-    rep.add("induced-duality", "the induced pair (D, D*) satisfies the duality relation",
-            induced_duality, config.exact_tol(1e-9))
-    rep.add("induced-curvature-duality", "g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z) for induced pairs",
-            induced_curv_duality, config.exact_tol(1e-7))
-    rep.add("projection-recovery", "projections of (D, D*) recover the factor structures",
-            proj_worst, config.exact_tol(1e-9))
-    rep.add_flag("torsion-inheritance",
-                 "torsion-free factors induce torsion-free D and D*", inherit_all)
-    rep.add_flag("induced-flat-flags", "R = 0 exactly when R* = 0 for induced pairs",
-                 all(fv.flat_flags_agree for fv in verdicts))
-    rep.add_flag("dually-flat-verdicts", "direct flatness verdicts match the fixture suite",
-                 all(fv.dually_flat == e["expect_dually_flat"] for fv, e in zip(verdicts, suite)))
+        induced_duality = max(induced_duality, duality_residual(
+            P.manifold, st.primal, st.dual,
+            P.manifold.sample_array(ck.n("induced-duality"), seed)))
+        proj_worst = max(proj_worst, projection_check(st, n_proj, seed).max_residual())
+        inherit_all = inherit_all and torsion_inheritance_check(st, n_proj, seed).inherited
+    ck.add("induced-duality", induced_duality)
+    ck.add("induced-curvature-duality", induced_curv_duality)
+    ck.add("projection-recovery", proj_worst)
+    ck.add("torsion-inheritance", inherit_all)
+    ck.add("induced-flat-flags", all(fv.flat_flags_agree for fv in verdicts))
+    ck.add("dually-flat-verdicts",
+           all(fv.dually_flat == e["expect_dually_flat"] for fv, e in zip(verdicts, suite)))
 
-    sphere_struct = make_dualistic(sphere, sphere.levi_civita_connection, samples=16, seed=seed)
-    fv_sphere = dually_flat_verdict(sphere_struct, min(samples, 24), 1e-9, seed)
-    rep.add("sphere-not-dually-flat", "the metric pair on the sphere has max |R| = 1",
-            abs(fv_sphere.riemann_primal_max - 1.0), 0.1,
-            notes="not dually flat; curvature does not vanish")
+    n = ck.n("sphere-not-dually-flat")
+    sphere_struct = make_dualistic(sphere, sphere.levi_civita_connection, samples=n, seed=seed)
+    fv_sphere = dually_flat_verdict(sphere_struct, n, 1e-9, seed)
+    ck.add("sphere-not-dually-flat", abs(fv_sphere.riemann_primal_max - 1.0),
+           notes="not dually flat; curvature does not vanish")
 
     lemma = lemma_dual_block_report(
         next(e["structure"] for e in suite if e["name"] == "flat-fiber-twist"),
-        samples=4, seed=seed)
-    lemma_max = max(v for blocks in lemma.values()
-                    for name, v in blocks.items() if "as-printed" not in name)
-    rep.add("dual-curvature-blocks", "displayed blocks for R and R* on an induced pair",
-            lemma_max, None, informational=True,
-            notes="residuals reported per block; the displays repeat the metric-pattern "
-                  "auxiliaries verbatim for R*")
+        samples=ck.n("dual-curvature-blocks"), seed=seed)
+    ck.add("dual-curvature-blocks",
+           max(v for blocks in lemma.values() for name, v in blocks.items()
+               if "as-printed" not in name),
+           notes="residuals reported per block; the displays repeat the metric-pattern "
+                 "auxiliaries verbatim for R*")
 
     # ------------------------------------------------------- theorem analyzers
+    n41 = ck.n("theorem-mixed-ricci/agrees", "theorem-mixed-ricci/unmet",
+               "theorem-mixed-ricci/gap")
+    n42 = ck.n("theorem-mixed-weyl/agrees", "theorem-mixed-weyl/reported")
+    n43 = ck.n("theorem-weyl-parallel/agrees", "theorem-weyl-parallel/reported")
     for entry, direct in zip(suite, verdicts):
         st = entry["structure"]
         name = entry["name"]
-        chain = reduction_chain(st, min(samples, 16), 1e-9, seed)
-        rec = theorem41_analyze(st, direct, chain, samples=min(samples, 16), seed=seed)
-        if entry["expect_agreement"] is True:
-            rep.add_flag(f"theorem-mixed-ricci [{name}]",
-                         "mixed-Ricci-flat biconditional matches the direct verdict",
-                         rec.agreement is True)
-        elif entry["expect_agreement"] is None:
-            rep.add(f"theorem-mixed-ricci [{name}]",
-                    "precondition fails; direct verdict reported on its own",
-                    rec.mixed_ricci_max, None, informational=True,
-                    notes="; ".join(rec.notes))
+        expected = entry["expect_agreement"]
+        chain = reduction_chain(st, n41, 1e-9, seed)
+        rec = theorem41_analyze(st, direct, chain, samples=n41, seed=seed)
+        if expected is True:
+            ck.add("theorem-mixed-ricci/agrees", rec.agreement is True, name=name)
+        elif expected is None:
+            ck.add("theorem-mixed-ricci/unmet", rec.mixed_ricci_max,
+                   notes="; ".join(rec.notes), name=name)
         else:
-            rep.add(f"theorem-mixed-ricci [{name}]",
-                    "documented gap: biconditional needs the warping compatibility",
-                    None, None, informational=True,
-                    notes="; ".join(rec.notes) or "prediction disagrees with direct verdict")
+            ck.add("theorem-mixed-ricci/gap", None, name=name,
+                   notes="; ".join(rec.notes) or "prediction disagrees with direct verdict")
         if st.product.n >= 3:
-            rec42 = theorem42_analyze(st, direct, chain, samples=min(samples, 12), seed=seed)
-            if entry["expect_agreement"] is True:
-                rep.add_flag(f"theorem-mixed-weyl [{name}]",
-                             "Weyl-flat-along chain is consistent with the direct verdict",
-                             rec42.agreement is not False,
-                             notes="; ".join(rec42.notes))
+            rec42 = theorem42_analyze(st, direct, chain, samples=n42, seed=seed)
+            if expected is True:
+                ck.add("theorem-mixed-weyl/agrees", rec42.agreement is not False,
+                       notes="; ".join(rec42.notes), name=name)
             else:
-                rep.add(f"theorem-mixed-weyl [{name}]",
-                        "Weyl-flat-along chain reported",
-                        max(rec42.weyl_xyv_max, rec42.weyl_vwx_max), None,
-                        informational=True, notes="; ".join(rec42.notes))
-        rec43 = theorem43_analyze(st, direct, chain, samples=min(samples, 12), seed=seed)
-        if entry["expect_agreement"] is True:
-            rep.add_flag(f"theorem-weyl-parallel [{name}]",
-                         "parallel-Weyl/Hessian branch chain matches the direct verdict",
-                         rec43.agreement is not False,
-                         notes=f"branch={rec43.branch}")
+                ck.add("theorem-mixed-weyl/reported", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
+                       notes="; ".join(rec42.notes), name=name)
+        rec43 = theorem43_analyze(st, direct, chain, samples=n43, seed=seed)
+        if expected is True:
+            ck.add("theorem-weyl-parallel/agrees", rec43.agreement is not False,
+                   notes=f"branch={rec43.branch}", name=name)
         else:
-            rep.add(f"theorem-weyl-parallel [{name}]",
-                    "branch evaluation reported", rec43.hessian_defect, None,
-                    informational=True, notes="; ".join(rec43.notes))
-    return rep
+            ck.add("theorem-weyl-parallel/reported", rec43.hessian_defect,
+                   notes="; ".join(rec43.notes), name=name)
+    return ck.report

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dualgeo import fixtures as fx
+from dualgeo.cli import LoadedProduct, load_spec, main
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +58,31 @@ def dualistic_suite():
 @pytest.fixture(scope="session")
 def spec_dir():
     return Path(__file__).parent.parent / "specs"
+
+
+@pytest.fixture(scope="session")
+def check_reports(spec_dir, tmp_path_factory):
+    """Every report of the check table's commands at the default config, by (command, spec).
+
+    ``verify-paper``; ``check`` and ``conjugate`` on each manifold spec in
+    specs/; ``twist`` and ``flatness`` on each product spec, plus ``flatness``
+    on a product whose base declares a pair that is not conjugate.
+    """
+    out = tmp_path_factory.mktemp("check_reports")
+    bad_base = json.loads((spec_dir / "line_bad_pair.json").read_text())
+    bad_product = out / "bad_pair_product.json"
+    fiber = {"name": "lineF", "coords": ["u"], "domain": [[-1.0, 1.0]], "metric": [["1"]]}
+    bad_product.write_text(json.dumps({"kind": "twisted_product", "base": bad_base,
+                                       "fiber": fiber, "twist": "1"}))
+    runs = [("verify-paper", None)]
+    for spec in sorted(spec_dir.glob("*.json")):
+        product = isinstance(load_spec(str(spec)), LoadedProduct)
+        runs += [(command, spec) for command in
+                 (("twist", "flatness") if product else ("check", "conjugate"))]
+    runs.append(("flatness", bad_product))
+    reports = {}
+    for command, spec in runs:
+        report = out / f"{command}-{spec.name if spec else 'suite'}.json"
+        main([command] + ([str(spec)] if spec else []) + ["--report", str(report)])
+        reports[command, spec.name if spec else None] = json.loads(report.read_text())
+    return reports

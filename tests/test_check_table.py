@@ -1,0 +1,63 @@
+"""The check table: one row per check id, shared by verify-paper and the spec commands.
+
+A check id that two commands report reads and judges the same in both: the
+same statement and the same tolerance, at the default config.
+"""
+
+import pytest
+
+from dualgeo.report import RunConfig
+from dualgeo.verify import EXACT, FD, FIXED, FLAG, INFO, Check, Checks
+
+# ids reported by verify-paper and a spec command, or by two spec commands
+SHARED_IDS = {
+    "inverse-metric", "conjugation-involution", "duality-residual", "lift-lemma",
+    "block-levi-civita", "curvature-block R(X,Y)Z", "curvature-block R(X,Y)U",
+    "curvature-block R(X,U)Y", "curvature-block R(U,V)X", "curvature-block R(X,U)V",
+    "curvature-block R(U,V)W", "mixed-weyl-display C(X,Y)V", "mixed-weyl-display C(V,W)X",
+    "induced-duality",
+}
+
+
+def test_shared_ids_read_and_judge_the_same(check_reports):
+    seen: dict[str, dict[str, set]] = {}
+    for (command, _), report in check_reports.items():
+        for c in report["checks"]:
+            by_command = seen.setdefault(c["check_id"], {})
+            by_command.setdefault(command, set()).add((c["statement"], c["tolerance"]))
+    shared = {cid: by_command for cid, by_command in seen.items() if len(by_command) > 1}
+    assert set(shared) == SHARED_IDS
+    for cid, by_command in shared.items():
+        assert len(set().union(*by_command.values())) == 1, (cid, by_command)
+
+
+def test_count_and_tolerance_rules():
+    config = RunConfig(samples=20, tol_exact=1e-11, tol_fd=1e-6)
+    assert Check("s", INFO, cap=16).count(config) == 16
+    assert Check("s", INFO, cap=32).count(config) == 20
+    assert Check("s", INFO, fixed=40).count(config) == 40
+    assert Check("s", INFO).count(config) == 20
+    assert Check("s", EXACT, 1e-7).tolerance(config) == 1e-11
+    assert Check("s", EXACT, 1e-12).tolerance(config) == 1e-12
+    assert Check("s", FD, 1e-5).tolerance(config) == 1e-6
+    assert Check("s", FIXED, 0.1).tolerance(config) == 0.1
+    assert Check("s", FLAG).tolerance(config) is None
+
+
+def test_rows_of_one_batch_share_their_count():
+    ck = Checks(RunConfig(), {})
+    assert ck.n("first-bianchi", "weyl-trace-free", "scalar-two-routes") == 12
+    with pytest.raises(ValueError, match="share one batch"):
+        ck.n("first-bianchi", "lift-lemma")
+
+
+def test_flag_and_variant_rows_record_their_id():
+    ck = Checks(RunConfig(), {})
+    ck.add("theorem-mixed-ricci/agrees", True, name="flat-pair-direct")
+    ck.add("theorem-mixed-ricci/gap", None, notes="n", name="x")
+    ck.add("inverse-metric", 2e-12)
+    flag, gap, fail = ck.report.checks
+    assert (flag.check_id, flag.status, flag.tolerance) == (
+        "theorem-mixed-ricci [flat-pair-direct]", "pass", None)
+    assert (gap.check_id, gap.status, gap.notes) == ("theorem-mixed-ricci [x]", "info", "n")
+    assert (fail.status, fail.tolerance) == ("fail", 1e-12)

@@ -104,6 +104,20 @@ class TestExitCodes:
         assert main(["check", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "{d}"],
+        ["twist", "--base", "{d}", "--fiber", "{spec_dir}/line.json", "--twist", "1"],
+        ["flatness", "{d}/product.json"],
+        ["check", "{d}/" + "a" * 300 + ".json"],
+    ], ids=["spec", "base-flag", "factor", "name-too-long"])
+    def test_unreadable_path_is_usage_error(self, spec_dir, tmp_path, capsys, argv):
+        d = tmp_path / "specs"
+        d.mkdir()
+        write(d, "product.json", {"kind": "twisted_product", "base": ".", "fiber": ".",
+                                  "twist": "1"})
+        assert main([a.format(d=d, spec_dir=spec_dir) for a in argv]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_weyl_on_surface_is_usage_error(self, spec_dir, capsys):
         code = main(["curvature", str(spec_dir / "sphere2.json"), "--weyl"])
         assert code == 2
@@ -228,6 +242,20 @@ class TestTwistCommand:
     def test_missing_arguments(self, capsys):
         assert main(["twist"]) == 2
         assert "provide a product spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("docs, spec, field", [
+        ({"self.json": ("self.json", "self.json")}, "self.json", "self.json.base"),
+        ({"a.json": ("line.json", "b.json"), "b.json": ("a.json", "line.json")},
+         "a.json", "a.json.fiber"),
+    ], ids=["names-itself", "name-each-other"])
+    def test_product_named_as_factor_is_usage_error(self, spec_dir, tmp_path, capsys,
+                                                    docs, spec, field):
+        (tmp_path / "line.json").write_text((spec_dir / "line.json").read_text())
+        for name, (base, fiber) in docs.items():
+            write(tmp_path, name, {"kind": "twisted_product", "base": base, "fiber": fiber,
+                                   "twist": "1"})
+        assert main(["twist", str(tmp_path / spec)]) == 2
+        assert f"{field}: factor file must describe a manifold" in capsys.readouterr().err
 
 
 class TestFlatnessCommand:

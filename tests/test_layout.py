@@ -14,12 +14,19 @@
   as ``None``), so no second cache grows beside the one-batch cache.
 * Only ``verify.new_report`` constructs a ``VerificationReport``, so the
   report header cannot drift between ``verify-paper`` and the CLI commands.
+* Every check's statement and sample count comes from the check table
+  (``verify.CHECKS``): no ``min(samples, N)`` or ``min(config.samples, N)``
+  in ``verify.py`` or ``cli.py`` outside ``Check.count``, and no string
+  literal passed as a statement to ``add``/``add_flag`` anywhere in ``src/``.
+* Every row of the table is reported by at least one command.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from dualgeo.verify import CHECKS
 
 SRC = Path(__file__).parent.parent / "src" / "dualgeo"
 NUMDIFF_IMPORTERS = {"connections.py"}
@@ -121,8 +128,8 @@ def last_batch_writers(trees) -> set[str]:
     return found
 
 
-def report_constructors(trees) -> set[str]:
-    """``file:function`` of every ``VerificationReport(...)`` call, by innermost function."""
+def _call_scopes(trees, matches) -> set[str]:
+    """``file:function`` of every call that ``matches``, by innermost function."""
     found = set()
 
     def visit(name, node, where):
@@ -130,13 +137,45 @@ def report_constructors(trees) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(name, child, child.name)
                 continue
-            if isinstance(child, ast.Call) and _called_name(child) == "VerificationReport":
+            if isinstance(child, ast.Call) and matches(child):
                 found.add(f"{name}:{where}")
             visit(name, child, where)
 
     for name, tree in trees:
         visit(name, tree, "<module>")
     return found
+
+
+def report_constructors(trees) -> set[str]:
+    """``file:function`` of every ``VerificationReport(...)`` call."""
+    return _call_scopes(trees, lambda call: _called_name(call) == "VerificationReport")
+
+
+def _is_samples(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "samples")
+            or (isinstance(node, ast.Attribute) and node.attr == "samples"))
+
+
+def sample_caps(trees) -> set[str]:
+    """``file:function`` of every ``min(...)`` over ``samples`` or ``<obj>.samples``."""
+    return _call_scopes(trees, lambda call: _called_name(call) == "min"
+                        and any(_is_samples(a) for a in call.args))
+
+
+def _is_literal(node: ast.AST | None) -> bool:
+    if isinstance(node, ast.BinOp):
+        return _is_literal(node.left) or _is_literal(node.right)
+    return isinstance(node, ast.JoinedStr) or (isinstance(node, ast.Constant)
+                                               and isinstance(node.value, str))
+
+
+def literal_statements(trees) -> set[str]:
+    """``file:function`` of every ``add``/``add_flag`` call given a literal statement."""
+    def matches(call):
+        statement = next((k.value for k in call.keywords if k.arg == "statement"),
+                         call.args[1] if len(call.args) > 1 else None)
+        return _called_name(call) in {"add", "add_flag"} and _is_literal(statement)
+    return _call_scopes(trees, matches)
 
 
 def test_scan_sees_the_package():
@@ -164,6 +203,26 @@ def test_only_one_batch_assigns_the_last_batch():
 
 def test_only_new_report_builds_a_report():
     assert report_constructors(_trees()) == {"verify.py:new_report"}
+
+
+def test_sample_counts_come_from_the_table():
+    trees = [(name, tree) for name, tree in _trees() if name in {"verify.py", "cli.py"}]
+    assert sample_caps(trees) == {"verify.py:count"}
+
+
+def test_statements_come_from_the_table():
+    assert literal_statements(_trees()) == set()
+
+
+def test_every_table_row_is_reported(check_reports):
+    """Each row of ``CHECKS`` shows in a report; a theorem-* variant is told by its statement."""
+    used = set()
+    for report in check_reports.values():
+        for c in report["checks"]:
+            prefix = c["check_id"].split(" [")[0]
+            used |= {key for key, row in CHECKS.items()
+                     if key.split("/")[0] == prefix and row.statement == c["statement"]}
+    assert used == set(CHECKS)
 
 
 def test_analyzers_receive_their_verdict_and_chain():
@@ -235,3 +294,25 @@ def test_scan_flags_report_constructors(source, found):
 ])
 def test_scan_flags_last_batch_writes(source, found):
     assert last_batch_writers([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(config):\n    return min(config.samples, 16)\n", {"probe.py:f"}),
+    ("def f(samples):\n    return g(min(samples, 12))\n", {"probe.py:f"}),
+    ("n = min(16, self.samples)\n", {"probe.py:<module>"}),
+    ("def f(xs):\n    return min(xs, 16)\n", set()),
+])
+def test_scan_flags_sample_caps(source, found):
+    assert sample_caps([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(rep):\n    rep.add('id', 'g = g', 1.0, 1e-9)\n", {"probe.py:f"}),
+    ("def f(rep):\n    rep.add_flag('id', f'{x} holds', True)\n", {"probe.py:f"}),
+    ("def f(rep):\n    rep.add('id', 'a' + ('' if d else ' b'), r, t)\n", {"probe.py:f"}),
+    ("def f(rep):\n    rep.add('id', statement='s', residual=r, tolerance=t)\n", {"probe.py:f"}),
+    ("def f(rep, row):\n    rep.add('id', row.statement, r, t)\n", set()),
+    ("def f(seen):\n    seen.add('id')\n", set()),
+])
+def test_scan_flags_literal_statements(source, found):
+    assert literal_statements([("probe.py", ast.parse(source))]) == found
