@@ -56,12 +56,12 @@ class ConnectionField:
     def gamma_at(self, p) -> np.ndarray:
         """Rank-3 array Gamma[..., k, i, j] at the point or points."""
         x = _coords_of(p)
-        return self._memo("gamma", x, lambda: self._gamma(x))
+        return self._memo("gamma", x, self._gamma)
 
     def dgamma_at(self, p) -> np.ndarray:
         """Rank-4 array dGamma[..., l, k, i, j] = d_l Gamma^k_ij at the point or points."""
         x = _coords_of(p)
-        return self._memo("dgamma", x, lambda: self._dgamma(x))
+        return self._memo("dgamma", x, self._dgamma)
 
     def d2gamma_at(self, p) -> np.ndarray:
         """Rank-5 array d2Gamma[..., p, q, k, i, j] = d_p d_q Gamma^k_ij (Levi-Civita only)."""
@@ -69,7 +69,7 @@ class ConnectionField:
             raise NotImplementedError(
                 f"{self.provenance!r} connections provide no second derivatives")
         x = _coords_of(p)
-        return self._memo("d2gamma", x, lambda: self._d2gamma(x))
+        return self._memo("d2gamma", x, self._d2gamma)
 
     def __repr__(self) -> str:
         return f"ConnectionField({self.provenance!r} on {self.manifold.name!r})"

@@ -15,7 +15,7 @@ Every pointwise function takes one point (d,) or a batch of points (N, d)
 and puts the batch axis first in its result; a per-point scalar is a float
 for one point and an array of N values for a batch.  The frame of each point
 of a batch is built with the same operations as its own call.  R, dR and the
-frame of the last point or batch are kept on the connection and the chart
+frame are kept on the connection's and the chart's sample stream
 (``geometry.one_batch``) and handed out read-only.  The derivatives dR and
 dW are exact: they come from the chart's third metric derivatives, never
 from finite differences.
@@ -52,7 +52,7 @@ class DegeneratePlaneError(ArithmeticError):
 def riemann_at(C: ConnectionField, p) -> np.ndarray:
     """Rank-4 array R[..., l, i, j, k]; antisymmetric in (i, j) to round-off."""
     x = _coords_of(p)
-    return C._memo("R", x, lambda: _riemann(C.gamma_at(x), C.dgamma_at(x)))
+    return C._memo("R", x, lambda z: _riemann(C.gamma_at(z), C.dgamma_at(z)))
 
 
 def _riemann(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
@@ -67,11 +67,11 @@ def riemann_derivative_at(C: ConnectionField, p) -> np.ndarray:
     """Rank-5 array dR[..., q, l, i, j, k] = d_q R^l_ijk, exact.
 
     Needs C's second derivatives of Gamma, so only the Levi-Civita
-    connection has it.  Kept beside R in C's one-batch cache.
+    connection has it.  Kept beside R on C's sample stream.
     """
     x = _coords_of(p)
-    return C._memo("dR", x, lambda: _riemann_derivative(
-        C.gamma_at(x), C.dgamma_at(x), C.d2gamma_at(x)))
+    return C._memo("dR", x, lambda z: _riemann_derivative(
+        C.gamma_at(z), C.dgamma_at(z), C.d2gamma_at(z)))
 
 
 def _riemann_derivative(gam: np.ndarray, dgam: np.ndarray, d2gam: np.ndarray) -> np.ndarray:
@@ -104,7 +104,7 @@ def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     row sees the same operations, in the same order, as in the textbook loop.
     """
     x = _coords_of(p)
-    return M._memo("frame", x, lambda: _frame(M.metric_at(x)))
+    return M._memo("frame", x, lambda z: _frame(M.metric_at(z)))
 
 
 def _frame(g: np.ndarray) -> np.ndarray:

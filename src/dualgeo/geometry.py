@@ -8,6 +8,7 @@ metric degeneracies, which keeps sampling and SPD validation trivial.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,33 +33,55 @@ class SingularMetricError(ArithmeticError):
 
 
 def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
-    """owner's array of this kind at x: cached if x is its last batch, else build().
+    """owner's array of this kind at x, read from its sample stream or built as build(x).
 
-    Only the arrays of the last point or batch asked for are kept: callers
-    ask for the arrays of one sample set in turn, then move on.  A chart
-    (``ManifoldSpec``) holds g, g^-1, dg, d2g, d3g and the orthonormal frame,
-    and a product chart also its twist data; a ``ConnectionField`` holds
-    Gamma, dGamma and R (Levi-Civita also d2Gamma and dR).  Each connection
-    keeps its own batch, so a connection built per call is freed with its
-    arrays and the chart's entries stay fixed.
+    An owner keeps one stream: the last point, or the longest of a run of
+    batches that are row-prefixes of each other, with the arrays built on
+    it.  A chart (``ManifoldSpec``) holds g, g^-1, dg, d2g, d3g and the
+    orthonormal frame, and a product chart also its twist data; a
+    ``ConnectionField`` holds Gamma, dGamma and R (Levi-Civita also d2Gamma
+    and dR).  Each connection keeps its own stream, so a connection built
+    per call is freed with its arrays and the chart's entries stay fixed.
 
     The key carries the shape: a (1, d) batch and the (d,) point have equal
-    bytes.  A new key replaces key and arrays in one assignment, so a
-    concurrent caller never pairs one batch's key with another's arrays.
-    Kinds are filled lazily.  Every stored array is made read-only, since
-    callers share it: an in-place edit raises instead of changing later reads.
+    bytes.  An (n, d) batch whose bytes begin the stream's reads the first n
+    rows of each array.  The sample sets of one seed are row-prefixes of one
+    draw (``ManifoldSpec.sample_array``), so checks at 12, 16 and 32 points
+    share one build.  A batch that extends the stream takes over its key and
+    keeps the arrays built so far; a kind built on fewer rows than asked for
+    is built again on all of x, never on the tail alone, so that the build's
+    nested reads of x stay within the stream.  Any other point or batch
+    starts a new stream.
+
+    Key and arrays are replaced in one assignment, and an extension copies
+    the arrays into a new dict, so each dict holds only builds on
+    row-prefixes of its own key: a concurrent caller never pairs one
+    stream's key with another's arrays.  Kinds are filled lazily.  Every
+    stored array is read-only, since callers share it: an in-place edit
+    raises instead of changing later reads.
     """
     key = (x.shape, x.tobytes())
     last = owner._last_batch
-    if last is None or last[0] != key:
-        last = owner._last_batch = (key, {})
+    if last is None or not _begins(key, last[0]):
+        arrays = dict(last[1]) if last is not None and _begins(last[0], key) else {}
+        last = owner._last_batch = (key, arrays)
     arrays = last[1]
     hit = arrays.get(kind)
-    if hit is None:
-        hit = build()
+    rows = len(x) if x.ndim == 2 else None
+    if hit is None or (rows is not None and len(hit) < rows):
+        hit = build(x)
         hit.flags.writeable = False
         arrays[kind] = hit
-    return hit
+    return hit if rows is None or len(hit) == rows else hit[:rows]
+
+
+def _begins(key, stream) -> bool:
+    """Whether the point or batch of ``key`` is ``stream``'s or a row-prefix of its batch."""
+    (shape, data), (stream_shape, stream_data) = key, stream
+    if shape == stream_shape:
+        return data == stream_data
+    return (len(shape) == len(stream_shape) == 2 and shape[1] == stream_shape[1]
+            and shape[0] < stream_shape[0] and stream_data.startswith(data))
 
 
 @dataclass(eq=False)
@@ -176,7 +199,7 @@ class ManifoldSpec:
     # -- pointwise metric algebra ------------------------------------------
     # Each accessor takes one point (d,) or a batch of points (N, d) and
     # returns its arrays with the same leading shape, through the chart's
-    # one-batch cache (see one_batch).
+    # sample stream (see one_batch).
 
     _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
 
@@ -184,40 +207,35 @@ class ManifoldSpec:
         return one_batch(self, kind, x, build)
 
     def metric_at(self, p) -> np.ndarray:
-        x = _coords_of(p)
-        return self._memo("g", x, lambda: self._metric_kernel(x))
+        return self._memo("g", _coords_of(p), self._metric_kernel)
 
     def inverse_metric_at(self, p) -> np.ndarray:
-        x = _coords_of(p)
+        return self._memo("ginv", _coords_of(p), self._inverse_metric)
 
-        def build():
-            g = self.metric_at(x)
-            singular = np.linalg.cond(g) > _COND_LIMIT
-            if singular.any():
-                first = np.argwhere(singular)[0]
-                raise SingularMetricError(
-                    f"metric of {self.name!r} is near-singular at {x[tuple(first)]}")
-            return np.linalg.inv(g)
-        return self._memo("ginv", x, build)
+    def _inverse_metric(self, x: np.ndarray) -> np.ndarray:
+        g = self.metric_at(x)
+        singular = np.linalg.cond(g) > _COND_LIMIT
+        if singular.any():
+            first = np.argwhere(singular)[0]
+            raise SingularMetricError(
+                f"metric of {self.name!r} is near-singular at {x[tuple(first)]}")
+        return np.linalg.inv(g)
 
     def metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dG[i, j, k] = d_i g_jk (exact symbolic derivatives)."""
-        x = _coords_of(p)
-        return self._memo("dg", x, lambda: self._metric_d1_kernel(x))
+        return self._memo("dg", _coords_of(p), self._metric_d1_kernel)
 
     def metric_second_derivatives_at(self, p) -> np.ndarray:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""
-        x = _coords_of(p)
-        return self._memo("d2g", x, lambda: self._metric_d2_kernel(x))
+        return self._memo("d2g", _coords_of(p), self._metric_d2_kernel)
 
     def metric_third_derivatives_at(self, p) -> np.ndarray:
         """Rank-5 array d3G[i, j, k, l, m] = d_i d_j d_k g_lm."""
-        x = _coords_of(p)
+        return self._memo("d3g", _coords_of(p), self._metric_third_derivatives)
 
-        def build():
-            classes = self._metric_d3_kernel(x)  # [..., class, l, m]
-            return np.take(classes, self._metric_d3_classes[1], axis=-3)
-        return self._memo("d3g", x, build)
+    def _metric_third_derivatives(self, x: np.ndarray) -> np.ndarray:
+        classes = self._metric_d3_kernel(x)  # [..., class, l, m]
+        return np.take(classes, self._metric_d3_classes[1], axis=-3)
 
     def gradient_at(self, f: Expr, p) -> "TangentVector":
         """Metric gradient: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
@@ -226,15 +244,27 @@ class ManifoldSpec:
         df = np.array([evaluate(differentiate(f, c), env) for c in self.coords])
         return TangentVector(self.point(x), self.inverse_metric_at(x) @ df)
 
+    _draw = None  # sample_array's (seed, largest draw for that seed)
+
     def sample_array(self, n: int, seed: int) -> np.ndarray:
-        """Deterministic interior samples as an (n, d) batch, 5% margin from every box face."""
+        """Deterministic interior samples as an (n, d) batch, 5% margin from every box face.
+
+        A copy of the first n rows of the chart's largest draw for this seed
+        (one draw is kept, for the last seed asked for).  ``Generator.uniform``
+        fills row by row, so this equals a fresh draw of n rows byte for byte.
+        """
         if n < 1:
             raise GeometryError("need at least one sample")
-        rng = np.random.default_rng(seed)
-        lo = np.array([l for l, _ in self.domain])
-        hi = np.array([h for _, h in self.domain])
-        margin = 0.05 * (hi - lo)
-        return rng.uniform(lo + margin, hi - margin, size=(n, self.dim))
+        seed = operator.index(seed)
+        draw = self._draw
+        if draw is None or draw[0] != seed or len(draw[1]) < n:
+            rng = np.random.default_rng(seed)
+            lo = np.array([l for l, _ in self.domain])
+            hi = np.array([h for _, h in self.domain])
+            margin = 0.05 * (hi - lo)
+            draw = self._draw = (seed, rng.uniform(lo + margin, hi - margin,
+                                                   size=(n, self.dim)))
+        return draw[1][:n].copy()
 
     def sample_points(self, n: int, seed: int) -> list["Point"]:
         """The rows of ``sample_array(n, seed)`` as points."""

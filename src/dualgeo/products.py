@@ -106,19 +106,19 @@ class ProductSpec:
         return compile_array([*self._b1, *(e for row in self._b2 for e in row)],
                              self.manifold.coords)
 
-    # Both read through the product chart's one-batch cache, so the arrays
+    # Both read through the product chart's sample stream, so the arrays
     # they return are shared and read-only.
 
     def twist_data_at(self, x) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
         """(b, d_i k, d_i d_j k) at a product point or points; b has the leading shape."""
         n, x = self.n, _coords_of(x)
-        t = self.manifold._memo("twist", x, lambda: self._twist_data_kernel(x))
+        t = self.manifold._memo("twist", x, self._twist_data_kernel)
         return t[..., 0][()], t[..., 1:n + 1], t[..., n + 1:].reshape(t.shape[:-1] + (n, n))
 
     def twist_hessian_b_at(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(d_i b, d_i d_j b) at a product point or points."""
         n, x = self.n, _coords_of(x)
-        t = self.manifold._memo("twist_b", x, lambda: self._twist_hessian_b_kernel(x))
+        t = self.manifold._memo("twist_b", x, self._twist_hessian_b_kernel)
         return t[..., :n], t[..., n:].reshape(t.shape[:-1] + (n, n))
 
     @cached_property

@@ -7,7 +7,18 @@ arrays on the batch path (conjugate coefficients, curvature, Ricci, scalar,
 Weyl, sectional curvature, cubic form, the Hessian of log b) must match to
 1e-14 (1 + max|.|).  The product block reports must match their per-point
 oracles in ``oracles.py``.
+
+Batches of one seed are row-prefixes of one draw, and each chart and
+connection reads them from one sample stream: every cached array read on
+a prefix must equal, bitwise, what a fresh object builds on that prefix.
 """
+
+import collections
+import contextlib
+import functools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualgeo import fixtures as fx
 from dualgeo import numdiff
-from dualgeo.connections import (conjugate, cubic_form_at, dgamma_fd_defect,
+from dualgeo.cli import main
+from dualgeo.connections import (ConnectionField, conjugate, cubic_form_at, dgamma_fd_defect,
                                  explicit_connection, levi_civita, torsion_at,
                                  torsion_relation_residual)
 from dualgeo.curvature import (curvature_duality_residual, curvature_report,
@@ -23,11 +35,13 @@ from dualgeo.curvature import (curvature_duality_residual, curvature_report,
                                ricci_operator_at, riemann_at, riemann_derivative_at, scalar_at,
                                sectional_at, weyl_at, weyl_derivative_at)
 from dualgeo.dualistic import lemma_dual_block_report
-from dualgeo.exprlang import evaluate, parse
+from dualgeo.exprlang import DomainError, evaluate, parse
 from dualgeo.geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
-from dualgeo.products import (hessian_at, mixed_ricci_table, mixed_weyl_report,
+from dualgeo.products import (ProductSpec, hessian_at, mixed_ricci_table, mixed_weyl_report,
                               ricci_base_block_residual, riemann_block_residuals,
                               twisted_product, weyl_parallel_defect)
+from dualgeo.report import RunConfig
+from dualgeo.verify import verify_paper
 
 import oracles
 
@@ -140,6 +154,183 @@ def test_memo_keeps_point_and_batch_apart(sphere):
             assert M.metric_second_derivatives_at(p).shape == p.shape + (2, 2, 2)
 
 
+def _fresh(spec):
+    """A new chart (and product) built from ``spec``, with a stream-free draw cache.
+
+    Its connections are the chart's Levi-Civita connection, an explicit
+    connection and that connection's conjugate.
+    """
+    if isinstance(spec, ProductSpec):
+        P = twisted_product(spec.base, spec.fiber, spec.twist)
+        M = P.manifold
+    else:
+        P, M = None, ManifoldSpec(spec.name, spec.coords, spec.domain, spec.metric)
+    last = M.coords[-1]
+    C = explicit_connection(M, {(0, 0, 0): "0.3", (M.dim - 1, 0, M.dim - 1): f"0.2*{last}"})
+    return M, P, {"levi-civita": M.levi_civita_connection, "explicit": C,
+                  "conjugate": conjugate(C, M)}
+
+
+def _stream_reads(M, P, conns) -> dict:
+    """One read per kind cached on a sample stream, by kind and owner."""
+    reads = {"g": M.metric_at, "ginv": M.inverse_metric_at, "dg": M.metric_derivatives_at,
+             "d2g": M.metric_second_derivatives_at, "d3g": M.metric_third_derivatives_at,
+             "frame": functools.partial(orthonormal_frame_at, M)}
+    if P is not None:
+        reads.update({"twist": P.twist_data_at, "twist_b": P.twist_hessian_b_at})
+    for name, C in conns.items():
+        reads.update({f"{name} gamma": C.gamma_at, f"{name} dgamma": C.dgamma_at,
+                      f"{name} R": functools.partial(riemann_at, C)})
+    lc = conns["levi-civita"]
+    reads.update({"levi-civita d2gamma": lc.d2gamma_at,
+                  "levi-civita dR": functools.partial(riemann_derivative_at, lc)})
+    return reads
+
+
+def _exact(value) -> tuple:
+    """Shapes and bytes of an array or of a tuple of arrays."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return tuple((np.shape(a), np.asarray(a).tobytes()) for a in parts)
+
+
+@contextlib.contextmanager
+def _counted_builds():
+    """The (owner, kind) of every build made through a chart's or a connection's cache."""
+    builds = []
+
+    def counting(memo):
+        def wrapped(owner, kind, x, build):
+            def counted(z):
+                builds.append((id(owner), kind))
+                return build(z)
+            return memo(owner, kind, x, counted)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (ManifoldSpec, ConnectionField):
+            mp.setattr(cls, "_memo", counting(cls._memo))
+        yield builds
+
+
+_STREAM_CHARTS = _MANIFOLDS + _DENSE + list(_TWISTS.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_STREAM_CHARTS), st.integers(0, 2**16), st.integers(1, 20),
+       st.integers(1, 20), st.booleans())
+@example(_TWISTS["twisted-4d"], 3, 12, 32, True)
+@example(_TWISTS["twisted-4d"], 3, 12, 32, False)
+def test_prefix_reads_equal_fresh_builds(spec, seed, a, b, long_first):
+    # n <= N rows of one seed, asked for in both orders: every kind reads the
+    # bytes a fresh object builds; a prefix read builds nothing, and a read
+    # that extends the stream builds each kind once, on all its rows
+    n, N = sorted((a, b))
+    sizes = (N, n) if long_first else (n, N)
+    objects = _fresh(spec)
+    reads = _stream_reads(*objects)
+    M = objects[0]
+    for i, size in enumerate(sizes):
+        x = M.sample_array(size, seed)
+        fresh_chart = ManifoldSpec(M.name, M.coords, M.domain, M.metric)
+        assert x.tobytes() == fresh_chart.sample_array(size, seed).tobytes()
+        with _counted_builds() as builds:
+            got = {kind: _exact(read(x)) for kind, read in reads.items()}
+        prefix = i == 1 and size <= sizes[0]
+        assert len(builds) == (0 if prefix else len(reads))
+        assert len(set(builds)) == len(builds)
+        want = {kind: _exact(read(x)) for kind, read in _stream_reads(*_fresh(spec)).items()}
+        assert got == want
+
+
+def test_sample_array_hands_out_copies(sphere):
+    M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    x = M.sample_array(6, 4)
+    want = x.copy()
+    x[:] = 0.0
+    fresh = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    assert M.sample_array(3, 4).tobytes() == fresh.sample_array(3, 4).tobytes()
+    assert M.sample_array(6, 4).tobytes() == want.tobytes()
+    assert M.sample_array(6, 5).tobytes() == fresh.sample_array(6, 5).tobytes()
+
+
+def test_stream_key_is_the_longest_batch(sphere):
+    # _last_batch keeps its layout ((shape, bytes), {kind: array}); the key
+    # is the longest batch of the run, and a single point starts a new stream
+    M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    X = M.sample_array(5, 9)
+    for rows in (3, 5, 2, 4):
+        M.metric_at(X[:rows])
+    key, arrays = M._last_batch
+    assert key == (X.shape, X.tobytes())
+    assert set(arrays) == {"g"} and arrays["g"].shape == (5, 2, 2)
+    assert M.metric_at(X[:2]).base is arrays["g"]
+    M.metric_at(X[0])
+    key, arrays = M._last_batch
+    assert key == (X[0].shape, X[0].tobytes())
+    assert set(arrays) == {"g"} and arrays["g"].shape == (2, 2)
+
+
+def test_extension_keeps_the_kinds_built_on_its_prefix(sphere):
+    M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    X = M.sample_array(8, 2)
+    M.inverse_metric_at(X[:4])
+    M.metric_derivatives_at(X[:4])
+    with _counted_builds() as builds:
+        M.metric_at(X)  # extends the stream; g is built on all 8 rows
+        M.inverse_metric_at(X[:4])
+        M.metric_derivatives_at(X[:4])
+        M.inverse_metric_at(X)  # g^-1 holds 4 rows: built again on all 8
+    assert [kind for _, kind in builds] == ["g", "ginv"]
+
+
+def test_concurrent_extensions_of_one_prefix_stay_apart():
+    # four threads extend one common prefix by different tails: each must
+    # read its own rows, never an array built on another thread's tail; a
+    # point between rounds restarts the stream at the common prefix
+    M = dict(fx.standard_twists())["twisted-4d"].manifold
+    common = M.sample_array(4, 0)
+    batches = [np.vstack([common, M.sample_array(4, t + 1)]) for t in range(4)]
+    reads = (M.metric_at, M.inverse_metric_at, M.metric_derivatives_at)
+    fresh = ManifoldSpec(M.name, M.coords, M.domain, M.metric)
+    expected = [[f(X).copy() for f in (fresh.metric_at, fresh.inverse_metric_at,
+                                       fresh.metric_derivatives_at)] for X in batches]
+
+    def worker(t):
+        for _ in range(300):
+            M.metric_at(common[0])
+            for X in (common, batches[t]):
+                for f, want in zip(reads, expected[t]):
+                    if f(X).tobytes() != want[:len(X)].tobytes():
+                        return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(worker, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_verify_paper_builds_each_induced_gamma_once(monkeypatch):
+    # the dualistic section reads each suite structure at 32, 24 and 12
+    # points, and the analyzers at 16 and 12: all row-prefixes of one stream
+    suite = fx.dualistic_suite()
+    builds = collections.Counter()
+    for entry in suite:
+        for label in ("primal", "dual"):
+            C = getattr(entry["structure"], label)
+
+            def counted(x, provider=C._gamma, key=(entry["name"], label)):
+                builds[key] += 1
+                return provider(x)
+            C._gamma = counted
+    monkeypatch.setattr(fx, "dualistic_suite", lambda: suite)
+    verify_paper(RunConfig())
+    assert builds == {(e["name"], label): 1 for e in suite for label in ("primal", "dual")}
+
+
 def _outcome(call):
     try:
         return call(), None
@@ -163,6 +354,38 @@ def test_singular_row_raises_the_first_point_error():
     _, got = _outcome(lambda: fresh.inverse_metric_at(X))
     assert got == want
     assert "[0.  0.2]" in got[1]
+    # the same error when the chart already holds the clean prefix of X
+    fresh.inverse_metric_at(X[:1])
+    assert _outcome(lambda: fresh.inverse_metric_at(X))[1] == want
+
+
+def test_domain_error_past_a_held_prefix_names_the_first_point():
+    # the chart holds a prefix that builds cleanly; the batch that extends it
+    # fails first at its third row (0.35 - y = -0.05), inside the nested
+    # build of g, and must fail as on a fresh chart
+    X = np.array([[0.5, 0.1], [0.3, 0.2], [0.0, 0.4], [0.0, 0.5], [0.4, 0.6]])
+
+    def chart():
+        return ManifoldSpec.from_strings("rooted", ("x", "y"), [(-1, 1), (-1, 1)],
+                                         [["1 + sqrt(0.35 - y)", "0"], ["0", "1"]])
+
+    M = chart()
+    held = M.inverse_metric_at(X[:2]).copy()
+    _, got = _outcome(lambda: M.inverse_metric_at(X))
+    _, want = _outcome(lambda: chart().inverse_metric_at(X))
+    assert want is not None and want[0] is DomainError
+    assert got == want
+    assert "-0.05" in got[1]
+    assert M.inverse_metric_at(X[:2]).tobytes() == held.tobytes()
+
+
+def test_nonfinite_bound_escapes_from_sample_array():
+    # a known defect (bench/defects/ledger.json): a NaN box bound reaches the
+    # generator, which raises; the ledger entry stays until the loader rejects it
+    spec = Path(__file__).parent.parent / "bench" / "defects" / "nonfinite-bound.json"
+    with pytest.raises(OverflowError) as err:
+        main(["check", str(spec)])
+    assert "sample_array" in [entry.name for entry in err.traceback]
 
 
 def test_batch_residuals_are_the_worst_point(euclid2):

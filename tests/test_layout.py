@@ -11,7 +11,10 @@
   (``geometry.one_batch``) is the only cache keyed by point bytes, so no
   unbounded point cache grows back elsewhere.
 * Only ``geometry.one_batch`` assigns ``_last_batch`` (a class may declare it
-  as ``None``), so no second cache grows beside the one-batch cache.
+  as ``None``), so no second cache grows beside the sample-stream cache.
+* Only ``ManifoldSpec.sample_array`` calls ``default_rng`` and assigns the
+  draw cache ``_draw``, so every sample set of a seed is a row-prefix of one
+  draw and no second sampling path bypasses the stream.
 * Only ``verify.new_report`` constructs a ``VerificationReport``, so the
   report header cannot drift between ``verify-paper`` and the CLI commands.
 * Every check's statement and sample count comes from the check table
@@ -97,21 +100,21 @@ def _assigned_targets(node: ast.AST) -> list[ast.AST]:
     return flat
 
 
-def _writes_last_batch(node: ast.AST) -> bool:
+def _writes_attribute(node: ast.AST, attr: str) -> bool:
     if isinstance(node, ast.Call) and _called_name(node) in {"setattr", "__setattr__"}:
-        return any(isinstance(a, ast.Constant) and a.value == "_last_batch" for a in node.args)
+        return any(isinstance(a, ast.Constant) and a.value == attr for a in node.args)
     for t in _assigned_targets(node):
-        if isinstance(t, ast.Attribute) and t.attr == "_last_batch":
+        if isinstance(t, ast.Attribute) and t.attr == attr:
             return True
-        if isinstance(t, ast.Name) and t.id == "_last_batch":
+        if isinstance(t, ast.Name) and t.id == attr:
             value = getattr(node, "value", None)
             return not (isinstance(node, (ast.Assign, ast.AnnAssign))
                         and isinstance(value, ast.Constant) and value.value is None)
     return False
 
 
-def last_batch_writers(trees) -> set[str]:
-    """``file:scope`` of every write to ``_last_batch``, by innermost function or class."""
+def attribute_writers(trees, attr: str) -> set[str]:
+    """``file:scope`` of every write to ``attr``, by innermost function or class."""
     found = set()
 
     def visit(name, node, where):
@@ -119,7 +122,7 @@ def last_batch_writers(trees) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(name, child, child.name)
                 continue
-            if _writes_last_batch(child):
+            if _writes_attribute(child, attr):
                 found.add(f"{name}:{where}")
             visit(name, child, where)
 
@@ -144,6 +147,11 @@ def _call_scopes(trees, matches) -> set[str]:
     for name, tree in trees:
         visit(name, tree, "<module>")
     return found
+
+
+def default_rng_callers(trees) -> set[str]:
+    """``file:function`` of every ``default_rng(...)`` call."""
+    return _call_scopes(trees, lambda call: _called_name(call) == "default_rng")
 
 
 def report_constructors(trees) -> set[str]:
@@ -198,7 +206,13 @@ def test_point_bytes_stay_in_geometry():
 
 
 def test_only_one_batch_assigns_the_last_batch():
-    assert last_batch_writers(_trees()) == {"geometry.py:one_batch"}
+    assert attribute_writers(_trees(), "_last_batch") == {"geometry.py:one_batch"}
+
+
+def test_only_sample_array_draws_samples():
+    trees = _trees()
+    assert default_rng_callers(trees) == {"geometry.py:sample_array"}
+    assert attribute_writers(trees, "_draw") == {"geometry.py:sample_array"}
 
 
 def test_only_new_report_builds_a_report():
@@ -293,7 +307,7 @@ def test_scan_flags_report_constructors(source, found):
     ("def read(C):\n    last = C._last_batch\n    return last[1]\n", set()),
 ])
 def test_scan_flags_last_batch_writes(source, found):
-    assert last_batch_writers([("probe.py", ast.parse(source))]) == found
+    assert attribute_writers([("probe.py", ast.parse(source))], "_last_batch") == found
 
 
 @pytest.mark.parametrize("source, found", [
@@ -316,3 +330,25 @@ def test_scan_flags_sample_caps(source, found):
 ])
 def test_scan_flags_literal_statements(source, found):
     assert literal_statements([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def sample_array(self, n, seed):\n    rng = np.random.default_rng(seed)\n",
+     {"probe.py:sample_array"}),
+    ("def jitter(x):\n    return x + default_rng(0).normal(size=x.shape)\n", {"probe.py:jitter"}),
+    ("RNG = numpy.random.default_rng(1)\n", {"probe.py:<module>"}),
+    ("def f(M):\n    return M.sample_array(4, 1)\n", set()),
+])
+def test_scan_flags_default_rng_calls(source, found):
+    assert default_rng_callers([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def sample_array(self, n, seed):\n    draw = self._draw = (seed, X)\n",
+     {"probe.py:sample_array"}),
+    ("def reseed(M):\n    M._draw = None\n", {"probe.py:reseed"}),
+    ("class ManifoldSpec:\n    _draw = None\n", set()),
+    ("def read(M):\n    return M._draw[1]\n", set()),
+])
+def test_scan_flags_draw_writes(source, found):
+    assert attribute_writers([("probe.py", ast.parse(source))], "_draw") == found
