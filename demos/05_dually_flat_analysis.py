@@ -22,7 +22,7 @@ def flat_line(name, coord):
 
 def verdict_and_chain(st):
     """The direct verdict and the reduction chain every analyzer of st receives."""
-    return dually_flat_verdict(st, samples=32), reduction_chain(st, 32, 1e-9, 42)
+    return dually_flat_verdict(st, samples=32), reduction_chain(st, 32, 42)
 
 
 def show(title, record):
@@ -70,8 +70,9 @@ verdict, chain = verdict_and_chain(st4)
 rec42 = theorem42_analyze(st4, verdict, chain)
 print(f"\nmixed-Weyl hypothesis holds: {rec42.weyl_flat_along_holds}, "
       f"agreement: {rec42.agreement}")
-# one tolerance decides both branch conditions; the Weyl defect is exact
-rec43 = theorem43_analyze(st4, verdict, chain, tol=1e-8)
+# one tolerance (dualistic.BRANCH_TOL unless tol is given) decides both branch
+# conditions; the Weyl defect is exact
+rec43 = theorem43_analyze(st4, verdict, chain)
 print(f"parallel-Weyl/Hessian branch: {rec43.branch} "
       f"(Weyl parallel: {rec43.weyl_parallel}, "
       f"|nabla W| = {rec43.weyl_parallel_defect:.1e}, "

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .curvature import DimensionError, curvature_report
 from .products import (ProductSpec, _max_abs, block_levi_civita_defect,
                        curvature_block_report, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, separability_test, twisted_product)
-from .dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
+from .dualistic import (BRANCH_TOL, ConjugacyError, dually_flat_verdict, induce_on_product,
                         make_dualistic, reduction_chain, theorem41_analyze,
                         theorem42_analyze, theorem43_analyze)
 from .report import RunConfig, VerificationReport, jsonable, sha256_of
@@ -185,17 +185,19 @@ def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = Non
 def cmd_check(loaded: LoadedManifold, config: RunConfig) -> int:
     M = loaded.manifold
     ck = Checks(config, {"spec_digest": loaded.digest, "manifold": M.name})
+    C = loaded.connection
+    Cstar = loaded.dual_connection or conjugate(C, M)
+    # the larger batch first: the metric rows are its row-prefix, read from one build
+    x = M.sample_array(ck.n("duality-residual", "conjugation-involution"), config.seed)
+    duality = duality_residual(M, C, Cstar, x)
+    involution = involution_defect(M, C, Cstar, x)
     x = M.sample_array(ck.n("metric-symmetry", "inverse-metric"), config.seed)
     g = M.metric_at(x)
     ck.add("metric-symmetry", _max_abs(g - g.swapaxes(-1, -2)))
     ck.add("inverse-metric", inverse_defect(M, x))
-
-    C = loaded.connection
-    Cstar = loaded.dual_connection or conjugate(C, M)
-    x = M.sample_array(ck.n("duality-residual", "conjugation-involution"), config.seed)
-    ck.add("duality-residual", duality_residual(M, C, Cstar, x),
+    ck.add("duality-residual", duality,
            notes="" if loaded.dual_connection else "dual computed by conjugation")
-    ck.add("conjugation-involution", involution_defect(M, C, Cstar, x))
+    ck.add("conjugation-involution", involution)
     stat = is_statistical(M, C, ck.n("statistical-verdict"), config.seed)
     ck.add("statistical-verdict", None,
            notes=(f"statistical={stat.is_statistical} "
@@ -297,11 +299,11 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     ck.add("induced-duality", induced.residual)
 
     n = ck.n("dually-flat-verdict", "flat-flags-agree")
-    fv = dually_flat_verdict(induced, n, 1e-9, seed)
-    ff = dually_flat_verdict(dF, n, 1e-9, seed)
+    fv = dually_flat_verdict(induced, n, seed)
+    ff = dually_flat_verdict(dF, n, seed)
     # the reduction chain is drawn at the mixed-Ricci analyzer's count
     n41 = ck.n("analyzer-mixed-ricci")
-    chain = reduction_chain(induced, n41, 1e-9, seed)
+    chain = reduction_chain(induced, n41, seed)
     failing = []
     if not chain.base_verdict.dually_flat:
         failing.append(f"base {dB.manifold.name!r}")
@@ -331,7 +333,7 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
         details["mixed_weyl_analysis"] = rec42
     # both 4.3 branch conditions are exact, so --tol-exact governs them
     rec43 = theorem43_analyze(induced, fv, chain, samples=ck.n("analyzer-weyl-parallel"),
-                              tol=config.exact_tol(1e-8), seed=seed)
+                              tol=config.exact_tol(BRANCH_TOL), seed=seed)
     ck.add("analyzer-weyl-parallel", rec43.hessian_defect,
            notes=(f"branch={rec43.branch}, predicted={rec43.predicted_dually_flat}, "
                   f"direct={rec43.direct.dually_flat}, agreement={rec43.agreement}"
@@ -345,33 +347,41 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=64,
-                        help="sample points per check, an upper bound: each check's row in "
-                             "the check table (verify.CHECKS) caps it at 64 or less or uses "
-                             "a fixed count; only the conjugation identities, "
-                             "duality-residual and conjugation-involution use it in full")
-    parser.add_argument("--seed", type=int, default=42, help="RNG seed")
-    parser.add_argument("--tol-exact", type=float, default=1e-8,
-                        help="tightening override for exact-identity tolerances")
-    parser.add_argument("--tol-fd", type=float, default=1e-4,
-                        help="tolerance of verify-paper's finite-difference cross-check "
-                             "(dgamma-fd-crosscheck); no verdict uses finite differences")
-    parser.add_argument("--point", type=str, default=None,
-                        help="comma-separated chart coordinates")
-    parser.add_argument("--report", type=str, default=None,
-                        help="write the machine-readable JSON report here")
+# The run options; each command accepts only those it reads.  An option not
+# given keeps RunConfig's default.
+_OPTIONS = {
+    "--samples": dict(type=int, help="sample points per check, an upper bound: each check's "
+                                     "row in the check table (verify.CHECKS) caps it at 64 or "
+                                     "less or uses a fixed count; only the conjugation "
+                                     "identities, duality-residual and conjugation-involution "
+                                     "use it in full"),
+    "--seed": dict(type=int, help="RNG seed"),
+    "--tol-exact": dict(type=float, help="tightening override for exact-identity tolerances"),
+    "--tol-fd": dict(type=float, help="tolerance of the finite-difference cross-check "
+                                      "(dgamma-fd-crosscheck); no verdict uses finite "
+                                      "differences"),
+    "--point": dict(help="comma-separated chart coordinates"),
+    "--report": dict(dest="report_path", metavar="REPORT",
+                     help="write the machine-readable JSON report here"),
+}
+# read by every command that reports rows of the check table
+_COMMON = ("--samples", "--seed", "--tol-exact", "--report")
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, default=argparse.SUPPRESS, **_OPTIONS[flag])
 
 
 def _config_from(args) -> RunConfig:
-    point = None
-    if args.point:
+    options = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    point = options.pop("point", None)
+    if point:
         try:
-            point = tuple(float(part) for part in args.point.split(","))
+            options["point"] = tuple(float(part) for part in point.split(","))
         except ValueError:
             raise SpecFileError("--point", "expected comma-separated numbers") from None
-    return RunConfig(samples=args.samples, seed=args.seed, tol_exact=args.tol_exact,
-                     tol_fd=args.tol_fd, report_path=args.report, point=point)
+    return RunConfig(**options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,31 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a manifold spec and its connection pair")
     p.add_argument("spec")
-    _add_common(p)
+    _add_options(p, *_COMMON)
 
     p = sub.add_parser("conjugate", help="compute the conjugate connection")
     p.add_argument("spec")
-    _add_common(p)
+    _add_options(p, *_COMMON, "--point")
 
     p = sub.add_parser("curvature", help="curvature report at a point")
     p.add_argument("spec")
     p.add_argument("--weyl", action="store_true",
                    help="require the conformal tensor (error below dim 3)")
-    _add_common(p)
+    _add_options(p, "--tol-exact", "--point", "--report")
 
     p = sub.add_parser("twist", help="verify twisted-product block formulas")
     p.add_argument("spec", nargs="?", default=None, help="product spec file")
     p.add_argument("--base", help="base manifold spec file")
     p.add_argument("--fiber", help="fiber manifold spec file")
     p.add_argument("--twist", help="twisting expression over both factors' coordinates")
-    _add_common(p)
+    _add_options(p, *_COMMON)
 
     p = sub.add_parser("flatness", help="dual-flatness verdict and theorem analyzers")
     p.add_argument("spec", help="product spec file with factor connections")
-    _add_common(p)
+    _add_options(p, *_COMMON)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    _add_common(p)
+    _add_options(p, *_COMMON, "--tol-fd")
     return parser
 
 

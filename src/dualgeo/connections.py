@@ -255,12 +255,10 @@ class StatisticalVerdict:
     is_statistical: bool
     max_torsion: float
     max_cubic_asymmetry: float
-    samples: int
-    tol: float
 
 
 def is_statistical(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
-                   seed: int = 42, tol: float = 1e-10) -> StatisticalVerdict:
+                   seed: int = 42) -> StatisticalVerdict:
     """Torsion-free with totally symmetric cubic form, checked on samples.
 
     The cubic form is symmetric in its last two slots by construction, so
@@ -270,8 +268,8 @@ def is_statistical(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
     worst_torsion = float(np.max(np.abs(torsion_at(C, x))))
     cubic = cubic_form_at(M, C, x)
     worst_cubic = float(np.max(np.abs(cubic - cubic.swapaxes(-3, -2))))
-    ok = worst_torsion < tol and worst_cubic < tol
-    return StatisticalVerdict(ok, worst_torsion, worst_cubic, samples, tol)
+    ok = worst_torsion < 1e-10 and worst_cubic < 1e-10
+    return StatisticalVerdict(ok, worst_torsion, worst_cubic)
 
 
 def dgamma_fd_defect(C: ConnectionField, samples: int = 16, seed: int = 42) -> float:

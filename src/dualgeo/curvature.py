@@ -31,6 +31,7 @@ from .connections import ConnectionField, _dginv
 from .geometry import ManifoldSpec, _coords_of
 
 __all__ = [
+    "FLAT_TOL", "CONSTANT_CURVATURE_TOL",
     "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
     "DimensionError", "DegeneratePlaneError",
     "riemann_at", "riemann_derivative_at", "curvature_duality_residual",
@@ -39,6 +40,12 @@ __all__ = [
     "sectional_at", "first_bianchi_defect", "is_flat", "is_constant_sectional",
     "curvature_report",
 ]
+
+
+# A curvature or torsion tensor vanishes when its max |component| is below FLAT_TOL;
+# sectional curvature is constant when its deviation is below CONSTANT_CURVATURE_TOL.
+FLAT_TOL = 1e-9
+CONSTANT_CURVATURE_TOL = 1e-8
 
 
 class DimensionError(ValueError):
@@ -274,14 +281,12 @@ def _pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 class FlatnessResult:
     flat: bool
     max_abs_riemann: float
-    samples: int
-    tol: float
 
 
 def is_flat(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
-            tol: float = 1e-8, seed: int = 42) -> FlatnessResult:
+            seed: int = 42) -> FlatnessResult:
     worst = float(np.max(np.abs(riemann_at(C, M.sample_array(samples, seed)))))
-    return FlatnessResult(worst < tol, worst, samples, tol)
+    return FlatnessResult(worst < FLAT_TOL, worst)
 
 
 @dataclass(frozen=True)
@@ -290,10 +295,10 @@ class ConstantSectionalResult:
     kappa: float
     max_deviation: float
     samples: int
-    tol: float
+    tol: float  # always CONSTANT_CURVATURE_TOL; kept in the serialized record
 
 
-def is_constant_sectional(M: ManifoldSpec, samples: int = 32, tol: float = 1e-8,
+def is_constant_sectional(M: ManifoldSpec, samples: int = 32,
                           seed: int = 42) -> ConstantSectionalResult:
     """Constant sectional curvature, checked as a tensor equation on samples.
 
@@ -320,7 +325,8 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32, tol: float = 1e-8,
                         axis=(-4, -3, -2, -1))
     kappa = float(np.mean(kappas))
     deviation = max(float(np.max(np.abs(kappas - kappa))), float(np.max(tensor_dev)))
-    return ConstantSectionalResult(deviation < tol, kappa, deviation, samples, tol)
+    return ConstantSectionalResult(deviation < CONSTANT_CURVATURE_TOL, kappa, deviation, samples,
+                                   CONSTANT_CURVATURE_TOL)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import numpy as np
 from .geometry import ManifoldSpec, Point
 from .connections import (ConnectionField, _duality_defect, conjugate, involution_defect,
                           torsion_at)
-from .curvature import (ConstantSectionalResult, DimensionError, is_constant_sectional,
-                        riemann_at)
+from .curvature import (FLAT_TOL, ConstantSectionalResult, DimensionError,
+                        is_constant_sectional, riemann_at)
 from .products import (ProductSpec, _max_abs, _mv, _per_point, _warped_reduction,
                        block_connection, hessian_condition_defect, mixed_ricci_table,
                        mixed_weyl_report, riemann_block_residuals, separability_test,
@@ -31,8 +31,12 @@ __all__ = [
     "lemma_dual_block_report", "ReductionChain", "reduction_chain",
     "Theorem41Record", "theorem41_analyze",
     "Theorem42Record", "theorem42_analyze",
-    "Theorem43Record", "theorem43_analyze",
+    "Theorem43Record", "theorem43_analyze", "BRANCH_TOL",
 ]
+
+# Theorem 4.3's default tolerance for both branch conditions; ``flatness`` and
+# ``verify-paper`` pass it through RunConfig.exact_tol, which can only tighten it.
+BRANCH_TOL = 1e-8
 
 
 class ConjugacyError(ArithmeticError):
@@ -53,8 +57,6 @@ class DualisticStructure:
     dual: ConnectionField
     residual: float
     involution_defect: float
-    samples: int
-    seed: int
 
     def __repr__(self) -> str:
         return (f"DualisticStructure({self.manifold.name!r}, "
@@ -65,21 +67,20 @@ class DualisticStructure:
 class ProductDualisticStructure(DualisticStructure):
     """Induced structure on a twisted product, with its factor structures."""
 
-    product: ProductSpec = None
-    base_structure: DualisticStructure = None
-    fiber_structure: DualisticStructure = None
+    product: ProductSpec
+    base_structure: DualisticStructure
+    fiber_structure: DualisticStructure
 
 
 def make_dualistic(M: ManifoldSpec, C: ConnectionField,
                    Cstar: ConnectionField | None = None,
-                   samples: int = 64, seed: int = 42, tol: float = 1e-9,
-                   involution_tol: float = 1e-10,
-                   _cls=DualisticStructure, **extra) -> DualisticStructure:
+                   samples: int = 64, seed: int = 42, tol: float = 1e-9) -> DualisticStructure:
     """Validate (g, C, C*) as a dualistic structure; C* defaults to conjugate(C).
 
-    A residual that is not below its tolerance, NaN included, raises
-    ConjugacyError; the duality error names the first sample point where the
-    residual is largest.
+    A duality residual that is not below ``tol``, or an involution defect
+    (conjugate of C* against C) that is not below 1e-10, NaN included,
+    raises ConjugacyError; the duality error names the first sample point
+    where the residual is largest.
     """
     if Cstar is None:
         Cstar = conjugate(C, M)
@@ -93,16 +94,15 @@ def make_dualistic(M: ManifoldSpec, C: ConnectionField,
             f"duality residual {worst:.3e} >= {tol:.1e} at {worst_pt.coords.tolist()}",
             worst_point=worst_pt, residual=worst)
     involution = involution_defect(M, C, Cstar, x)
-    if not involution < involution_tol:
+    if not involution < 1e-10:
         raise ConjugacyError(
             f"dual of the dual deviates from the primal by {involution:.3e}",
             residual=involution)
-    return _cls(M, C, Cstar, worst, involution, samples, seed, **extra)
+    return DualisticStructure(M, C, Cstar, worst, involution)
 
 
 def induce_on_product(dB: DualisticStructure, dF: DualisticStructure, twist,
-                      samples: int = 64, seed: int = 42,
-                      tol: float = 1e-9) -> ProductDualisticStructure:
+                      samples: int = 64, seed: int = 42) -> ProductDualisticStructure:
     """Build the induced dualistic structure (g, D, D*) on B x_b F.
 
     D follows the twisted block pattern with factor primal connections
@@ -112,9 +112,8 @@ def induce_on_product(dB: DualisticStructure, dF: DualisticStructure, twist,
     """
     P = twisted_product(dB.manifold, dF.manifold, twist)
     D = block_connection(P, dB.primal, dF.primal)
-    return make_dualistic(P.manifold, D, None, samples, seed, tol,
-                          _cls=ProductDualisticStructure,
-                          product=P, base_structure=dB, fiber_structure=dF)
+    d = make_dualistic(P.manifold, D, None, samples, seed)
+    return ProductDualisticStructure(**vars(d), product=P, base_structure=dB, fiber_structure=dF)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,6 @@ class ProjectionReport:
     fiber_recovery_dual: float
     base_conjugacy_residual: float
     fiber_conjugacy_residual: float
-    samples: int
 
     def max_residual(self) -> float:
         return max(self.base_recovery_primal, self.base_recovery_dual,
@@ -185,7 +183,7 @@ def projection_check(induced: ProductDualisticStructure,
              - np.einsum("...muw,...vm->...uvw", Gd[..., r:, r:, r:], gF))
     return ProjectionReport(base_dev(Gp, dB.primal), base_dev(Gd, dB.dual),
                             fiber_dev(Gp, dF.primal), fiber_dev(Gd, dF.dual),
-                            _max_abs(res_b), _max_abs(res_f), samples)
+                            _max_abs(res_b), _max_abs(res_f))
 
 
 @dataclass(frozen=True)
@@ -194,13 +192,12 @@ class TorsionInheritanceReport:
     induced_primal_torsion_max: float
     induced_dual_torsion_max: float
     inherited: bool
-    tol: float
 
 
 def torsion_inheritance_check(induced: ProductDualisticStructure,
-                              samples: int = 16, seed: int = 42,
-                              tol: float = 1e-10) -> TorsionInheritanceReport:
-    """Torsion-free factor connections must induce torsion-free D and D*."""
+                              samples: int = 16, seed: int = 42) -> TorsionInheritanceReport:
+    """Torsion-free factor connections (max |T| < 1e-10) must induce torsion-free D and D*."""
+    tol = 1e-10
     P = induced.product
     dB, dF = induced.base_structure, induced.fiber_structure
     x = P.manifold.sample_array(samples, seed)
@@ -210,7 +207,7 @@ def torsion_inheritance_check(induced: ProductDualisticStructure,
     tp = _max_abs(torsion_at(induced.primal, x))
     td = _max_abs(torsion_at(induced.dual, x))
     inherited = (factor_t >= tol) or (tp < tol and td < tol)
-    return TorsionInheritanceReport(factor_t, tp, td, inherited, tol)
+    return TorsionInheritanceReport(factor_t, tp, td, inherited)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +227,11 @@ class FlatnessVerdict:
     flat_flags_agree: bool
     samples: int
     seed: int
-    tol: float
+    tol: float  # always FLAT_TOL; kept in the serialized record
 
 
 def dually_flat_verdict(d: DualisticStructure, samples: int = 64,
-                        tol: float = 1e-9, seed: int = 42) -> FlatnessVerdict:
+                        seed: int = 42) -> FlatnessVerdict:
     """Evaluate torsion and curvature of both connections over samples.
 
     Also cross-checks that R = 0 and R* = 0 verdicts agree, which must hold
@@ -243,18 +240,17 @@ def dually_flat_verdict(d: DualisticStructure, samples: int = 64,
     x = d.manifold.sample_array(samples, seed)
     return verdict_from_tensors(torsion_at(d.primal, x), torsion_at(d.dual, x),
                                 riemann_at(d.primal, x), riemann_at(d.dual, x),
-                                samples, seed, tol)
+                                samples, seed)
 
 
-def verdict_from_tensors(T, Tstar, R, Rstar, samples: int, seed: int,
-                         tol: float = 1e-9) -> FlatnessVerdict:
+def verdict_from_tensors(T, Tstar, R, Rstar, samples: int, seed: int) -> FlatnessVerdict:
     """The flatness verdict from the torsions and curvatures of a pair over one sample set."""
     tp, td, rp, rd = (_max_abs(a) for a in (T, Tstar, R, Rstar))
-    primal_flat, dual_flat = rp < tol, rd < tol
-    torsion_free = tp < tol and td < tol
+    primal_flat, dual_flat = rp < FLAT_TOL, rd < FLAT_TOL
+    torsion_free = tp < FLAT_TOL and td < FLAT_TOL
     return FlatnessVerdict(tp, td, rp, rd, primal_flat, dual_flat, torsion_free,
                            torsion_free and primal_flat and dual_flat,
-                           primal_flat == dual_flat, samples, seed, tol)
+                           primal_flat == dual_flat, samples, seed, FLAT_TOL)
 
 
 def lemma_dual_block_report(induced: ProductDualisticStructure,
@@ -280,8 +276,8 @@ def lemma_dual_block_report(induced: ProductDualisticStructure,
 # ---------------------------------------------------------------------------
 # theorem analyzers
 # Callers build the direct verdict and the reduction chain once per structure
-# and pass both to every analyzer; an analyzer's samples and tolerances govern
-# its own hypothesis check only.
+# and pass both to every analyzer; an analyzer's samples (and theorem 4.3's
+# tol) govern its own hypothesis check only.
 
 
 @dataclass(frozen=True)
@@ -298,7 +294,7 @@ class ReductionChain:
 
 
 def reduction_chain(induced: ProductDualisticStructure, samples: int,
-                    tol: float, seed: int) -> ReductionChain:
+                    seed: int) -> ReductionChain:
     """Shared tail of the three theorems: factorize, reduce, predict."""
     P = induced.product
     notes: list[str] = []
@@ -308,7 +304,7 @@ def reduction_chain(induced: ProductDualisticStructure, samples: int,
         reduced, recon = _warped_reduction(P, sep, samples, seed)
     else:
         notes.append("twist is not separable; warped reduction unavailable")
-    base_verdict = dually_flat_verdict(induced.base_structure, samples, tol, seed)
+    base_verdict = dually_flat_verdict(induced.base_structure, samples, seed)
     warning = fiber_cs = reduced_cs = None
     if P.s < 2:
         warning = ("fiber is 1-dimensional: the constant-sectional-curvature "
@@ -316,12 +312,10 @@ def reduction_chain(induced: ProductDualisticStructure, samples: int,
                    "theorem's stated hypotheses")
         fiber_ok = True
     else:
-        fiber_cs = is_constant_sectional(P.fiber, samples=samples,
-                                         tol=max(tol, 1e-8), seed=seed)
+        fiber_cs = is_constant_sectional(P.fiber, samples, seed)
         fiber_ok = fiber_cs.constant
         if reduced is not None:
-            reduced_cs = is_constant_sectional(reduced.fiber, samples=samples,
-                                               tol=max(tol, 1e-8), seed=seed)
+            reduced_cs = is_constant_sectional(reduced.fiber, samples, seed)
             if reduced_cs.constant != fiber_cs.constant:
                 notes.append("original and rescaled fiber disagree on constant "
                              "sectional curvature; the literal statement uses the original")
@@ -360,12 +354,12 @@ class Theorem41Record:
 
 
 def theorem41_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
-                      chain: ReductionChain, samples: int = 32, tol: float = 1e-9,
+                      chain: ReductionChain, samples: int = 32,
                       seed: int = 42) -> Theorem41Record:
     """Mixed-Ricci-flat hypothesis, then the chain against the direct verdict."""
     notes: list[str] = []
     worst = mixed_ricci_table(induced.product, samples=samples, seed=seed)["max_direct"]
-    mixed_flat = worst < tol
+    mixed_flat = worst < FLAT_TOL
     if not mixed_flat:
         notes.append(f"not mixed-Ricci-flat (max |Ric(X,V)| = {worst:.3e}); "
                      "theorem precondition fails")
@@ -387,13 +381,13 @@ class Theorem42Record:
 
 
 def theorem42_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
-                      chain: ReductionChain, samples: int = 12, tol: float = 1e-7,
+                      chain: ReductionChain, samples: int = 12,
                       seed: int = 42) -> Theorem42Record:
     """Weyl-flat-along hypothesis (either direction), then the common chain."""
     P = induced.product
     if P.n <= 2:
         raise DimensionError("mixed Weyl hypothesis needs product dimension >= 3")
-    report = mixed_weyl_report(P, samples=samples, seed=seed, tol=tol)
+    report = mixed_weyl_report(P, samples=samples, seed=seed)
     holds = report.xyv_flat or report.vwx_flat
     notes: list[str] = []
     if not holds:
@@ -420,7 +414,7 @@ class Theorem43Record:
 
 
 def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
-                      chain: ReductionChain, samples: int = 16, tol: float = 1e-8,
+                      chain: ReductionChain, samples: int = 16, tol: float = BRANCH_TOL,
                       seed: int = 42) -> Theorem43Record:
     """Parallel-Weyl / Hessian-condition branches, then the common chain.
 

@@ -20,12 +20,11 @@ __all__ = [
 ]
 
 
-def euclidean(d: int, coords=None, name: str | None = None,
-              box: tuple[float, float] = (-1.0, 1.0)) -> ManifoldSpec:
+def euclidean(d: int, coords=None, name: str | None = None) -> ManifoldSpec:
     if coords is None:
         coords = tuple("xyzw"[:d]) if d <= 4 else tuple(f"x{i + 1}" for i in range(d))
     metric = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
-    return ManifoldSpec.from_strings(name or f"euclidean{d}", coords, [box] * d, metric)
+    return ManifoldSpec.from_strings(name or f"euclidean{d}", coords, [(-1.0, 1.0)] * d, metric)
 
 
 def sphere2() -> ManifoldSpec:

@@ -314,8 +314,7 @@ def _coords_of(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def validate_metric(M: ManifoldSpec, samples: int = 64, seed: int = 42,
-                    sym_tol: float = 1e-12, eig_floor: float = 1e-10) -> None:
+def validate_metric(M: ManifoldSpec, samples: int = 64, seed: int = 42) -> None:
     """Check value-level symmetry and positive-definiteness on interior samples.
 
     The error names the first failing sample; an expression error at any
@@ -326,10 +325,11 @@ def validate_metric(M: ManifoldSpec, samples: int = 64, seed: int = 42,
     gT = g.swapaxes(-1, -2)
     asym = np.max(np.abs(g - gT), axis=(-2, -1))
     smallest = np.min(np.linalg.eigvalsh(0.5 * (g + gT)), axis=-1)
-    failing = (asym >= sym_tol) | (smallest <= eig_floor)
+    asymmetric = asym >= 1e-12
+    failing = asymmetric | (smallest <= 1e-10)
     if failing.any():
         i = int(np.argmax(failing))
-        if asym[i] >= sym_tol:
+        if asymmetric[i]:
             raise GeometryError(
                 f"metric of {M.name!r} asymmetric by {asym[i]:.3e} at {x[i].tolist()}")
         raise GeometryError(

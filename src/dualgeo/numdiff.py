@@ -14,9 +14,9 @@ from typing import Callable
 import numpy as np
 
 
-def step_for(x, rel_step: float = 1e-4):
-    """Step proportional to the coordinate scale, floored at the relative step; elementwise."""
-    return rel_step * np.maximum(1.0, np.abs(x))
+def step_for(x):
+    """Step 1e-4 times the coordinate scale, floored at 1e-4; elementwise."""
+    return 1e-4 * np.maximum(1.0, np.abs(x))
 
 
 def central_diff(f: Callable[[np.ndarray], float | np.ndarray], x, i: int,

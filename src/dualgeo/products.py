@@ -34,7 +34,7 @@ __all__ = [
     "lift_lemma_residual", "block_connection", "block_levi_civita",
     "block_levi_civita_defect", "HessianData", "hessian_at",
     "CurvatureBlockReport", "curvature_block_report", "riemann_block_residuals",
-    "MIXED_RICCI_SIGN", "mixed_ricci_at", "mixed_ricci_table",
+    "MIXED_RICCI_SIGN", "WEYL_FLAT_TOL", "mixed_ricci_at", "mixed_ricci_table",
     "ricci_base_block_residual", "MixedWeylReport", "mixed_weyl_report",
     "SeparabilityResult", "separability_test", "to_warped",
     "product_metric_residual", "HessianConditionResult",
@@ -45,6 +45,9 @@ __all__ = [
 # this package's curvature conventions: direct = MIXED_RICCI_SIGN * (s-1)XV(k),
 # i.e. Ric(X,V) = (1-s)XV(k).  Fixed once by the direct-computation oracle.
 MIXED_RICCI_SIGN = -1.0
+
+# The Weyl-flat-along conditions (theorem 4.2's hypothesis) hold below this.
+WEYL_FLAT_TOL = 1e-7
 
 
 @dataclass(eq=False)
@@ -209,12 +212,11 @@ def twisted_product(B: ManifoldSpec, F: ManifoldSpec, twist) -> ProductSpec:
 # lifts and projections
 
 
-def lift(P: ProductSpec, v: TangentVector, at=None) -> TangentVector:
+def lift(P: ProductSpec, v: TangentVector) -> TangentVector:
     """Zero-padded horizontal/vertical lift of a factor tangent vector.
 
-    The lift of a factor vector is a field on the whole product; `at` picks
-    the product point (defaults to the factor point completed by the other
-    factor's box center).
+    The lift of a factor vector is a field on the whole product; it is
+    returned at the factor point completed by the other factor's box center.
     """
     factor = v.point.manifold
     if factor is P.base:
@@ -227,8 +229,6 @@ def lift(P: ProductSpec, v: TangentVector, at=None) -> TangentVector:
         coords = np.concatenate([other, v.point.coords])
     else:
         raise GeometryError("vector does not live on either factor of this product")
-    if at is not None:
-        coords = _coords_of(at)
     return TangentVector(P.manifold.point(coords), pad)
 
 
@@ -410,8 +410,6 @@ class CurvatureBlockReport:
     ruvw_printed: float
     ruvw_index_consistent: float
     ruvw_adopted: str
-    tol: float
-    samples: int
 
     @property
     def all_passed(self) -> bool:
@@ -499,8 +497,7 @@ def curvature_block_report(P: ProductSpec, samples: int = 16, seed: int = 42,
     adopted = "index-consistent" if worst_variant <= worst_printed else "as-printed"
     raw["R(U,V)W"] = min(worst_variant, worst_printed)
     passed = {name: value < tol for name, value in raw.items()}
-    return CurvatureBlockReport(raw, passed, worst_printed, worst_variant,
-                                adopted, tol, samples)
+    return CurvatureBlockReport(raw, passed, worst_printed, worst_variant, adopted)
 
 
 # ---------------------------------------------------------------------------
@@ -562,24 +559,21 @@ class MixedWeylReport:
     cond_xyv_max: float           # max |C(X,Y)V| (fiber Weyl-flat along base)
     cond_vwx_max: float           # max |C(V,W)X| (base Weyl-flat along fiber)
     mixed_block_max: float        # max |C(X,V)| (mixed Weyl conformal flat)
-    tol: float
-    samples: int
 
     @property
     def xyv_flat(self) -> bool:
-        return self.cond_xyv_max < self.tol
+        return self.cond_xyv_max < WEYL_FLAT_TOL
 
     @property
     def vwx_flat(self) -> bool:
-        return self.cond_vwx_max < self.tol
+        return self.cond_vwx_max < WEYL_FLAT_TOL
 
     @property
     def mixed_weyl_flat(self) -> bool:
-        return self.mixed_block_max < self.tol
+        return self.mixed_block_max < WEYL_FLAT_TOL
 
 
-def mixed_weyl_report(P: ProductSpec, samples: int = 12, seed: int = 42,
-                      tol: float = 1e-7) -> MixedWeylReport:
+def mixed_weyl_report(P: ProductSpec, samples: int = 12, seed: int = 42) -> MixedWeylReport:
     """Mixed-block displays and flatness verdicts of the product Weyl tensor."""
     n, r, s = P.n, P.r, P.s
     if n <= 2:
@@ -598,7 +592,7 @@ def mixed_weyl_report(P: ProductSpec, samples: int = 12, seed: int = 42,
                    - np.einsum("lv,...aw->...lvwa", fib, cross))
     W_xyv, W_vwx = W[..., :, :r, :r, r:], W[..., :, r:, r:, :r]
     return MixedWeylReport(_max_abs(W_xyv - xyv), _max_abs(W_vwx - vwx), _max_abs(W_xyv),
-                           _max_abs(W_vwx), _max_abs(W[..., :, :r, r:, :]), tol, samples)
+                           _max_abs(W_vwx), _max_abs(W[..., :, :r, r:, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +609,8 @@ class SeparabilityResult:
     anchor: np.ndarray
 
 
-def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42,
-                      tol: float = 1e-10) -> SeparabilityResult:
-    """k(p,q) = alpha(p) + beta(q) iff all mixed cross-derivatives vanish.
+def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42) -> SeparabilityResult:
+    """k(p,q) = alpha(p) + beta(q) iff all mixed cross-derivatives vanish (below 1e-10).
 
     The additive split is anchored at the box center, with the constant
     shared equally between the two parts, so results are reproducible.
@@ -627,7 +620,7 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42,
     X = P.manifold.sample_array(samples, seed)
     _, _, k2 = P.twist_data_at(X)
     worst = float(np.max(np.abs(k2[..., :r, r:])))
-    if worst >= tol:
+    if worst >= 1e-10:
         return SeparabilityResult(False, worst, None, None, None, anchor)
     base_env = dict(zip(P.base.coords, anchor[:r].tolist()))
     fiber_env = dict(zip(P.fiber.coords, anchor[r:].tolist()))
@@ -638,19 +631,18 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42,
     return SeparabilityResult(True, worst, alpha, beta, _max_abs(k - k_base - k_fiber), anchor)
 
 
-def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42,
-              tol: float = 1e-9) -> ProductSpec:
+def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42) -> ProductSpec:
     """Re-express a separable twisted product as a warped product.
 
     The twist splits as b = delta(base) * gamma(fiber); gamma^2 is absorbed
     into the fiber metric and delta becomes the warping function.  The
-    product metric is identical to the original (checked on samples).
+    product metric is identical to the original (checked on samples, to 1e-9).
     """
-    return _warped_reduction(P, separability_test(P, samples, seed), samples, seed, tol)[0]
+    return _warped_reduction(P, separability_test(P, samples, seed), samples, seed)[0]
 
 
-def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int, seed: int,
-                      tol: float = 1e-9) -> tuple[ProductSpec, float]:
+def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int,
+                      seed: int) -> tuple[ProductSpec, float]:
     """The warped product of a separability result, and its metric residual against P."""
     if not sep.separable:
         raise GeometryError(
@@ -663,7 +655,7 @@ def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int, see
         tuple(tuple(simplify(mul(gamma_sq, entry)) for entry in row) for row in fiber.metric))
     warped = twisted_product(P.base, rescaled, delta)
     residual = product_metric_residual(P, warped, samples, seed)
-    if residual >= tol:
+    if residual >= 1e-9:
         raise ArithmeticError(f"warped reduction failed to reconstruct the metric "
                               f"(residual {residual:.3e})")
     return warped, residual
@@ -684,7 +676,6 @@ def product_metric_residual(P1: ProductSpec, P2: ProductSpec,
 class HessianConditionResult:
     defect: float
     holds: bool
-    tol: float
 
 
 def hessian_condition_defect(P: ProductSpec, samples: int = 16, seed: int = 42,
@@ -694,7 +685,7 @@ def hessian_condition_defect(P: ProductSpec, samples: int = 16, seed: int = 42,
     hess = hessian_at(P, x)
     _, k1, _ = P.twist_data_at(x)
     worst = _max_abs(hess.operator + _outer(k1[..., :P.r], P.gradient_of_log_twist(x)))
-    return HessianConditionResult(worst, worst < tol, tol)
+    return HessianConditionResult(worst, worst < tol)
 
 
 def weyl_parallel_defect(P: ProductSpec, samples: int = 8, seed: int = 42) -> float:

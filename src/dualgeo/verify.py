@@ -25,16 +25,16 @@ from .geometry import ManifoldSpec, validate_metric
 from .connections import (conjugate, cubic_form_at, dgamma_fd_defect, duality_residual,
                           explicit_connection, involution_defect, is_statistical, torsion_at,
                           torsion_relation_residual)
-from .curvature import (curvature_duality_residual, curvature_report, first_bianchi_defect,
-                        is_constant_sectional, ricci_contraction, riemann_at, scalar_at,
-                        sectional_at, weyl_at, weyl_trace_defect)
+from .curvature import (FLAT_TOL, curvature_duality_residual, curvature_report,
+                        first_bianchi_defect, is_constant_sectional, ricci_contraction,
+                        riemann_at, scalar_at, sectional_at, weyl_at, weyl_trace_defect)
 from .products import (MIXED_RICCI_SIGN, _max_abs, _warped_reduction,
                        block_levi_civita_defect, curvature_block_report, hessian_at,
                        hessian_condition_defect, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, ricci_base_block_residual, separability_test,
                        weyl_parallel_defect)
-from .dualistic import (dually_flat_verdict, lemma_dual_block_report, make_dualistic,
-                        projection_check, reduction_chain, theorem41_analyze,
+from .dualistic import (BRANCH_TOL, dually_flat_verdict, lemma_dual_block_report,
+                        make_dualistic, projection_check, reduction_chain, theorem41_analyze,
                         theorem42_analyze, theorem43_analyze, torsion_inheritance_check,
                         verdict_from_tensors)
 from . import fixtures
@@ -315,7 +315,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         }
         for key, value in pair_worst.items():
             worst[key] = max(worst[key], value)
-        flags_agree = flags_agree and ((_max_abs(R) < 1e-9) == (_max_abs(Rs) < 1e-9))
+        flags_agree = flags_agree and ((_max_abs(R) < FLAT_TOL) == (_max_abs(Rs) < FLAT_TOL))
     for key, value in worst.items():
         ck.add(key, value)
     ck.add("flat-iff-dual-flat", flags_agree)
@@ -356,9 +356,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     ck.add("classical-curvature", dev)
 
     n = ck.n("constant-sectional")
-    cs_sphere = is_constant_sectional(sphere, n, 1e-8, seed)
-    cs_fisher = is_constant_sectional(fisher, n, 1e-8, seed)
-    cs_bumpy = is_constant_sectional(fixtures.bumpy_sphere2(), n, 1e-8, seed)
+    cs_sphere = is_constant_sectional(sphere, n, seed)
+    cs_fisher = is_constant_sectional(fisher, n, seed)
+    cs_bumpy = is_constant_sectional(fixtures.bumpy_sphere2(), n, seed)
     ck.add("constant-sectional",
            cs_sphere.constant and cs_fisher.constant and not cs_bumpy.constant,
            notes=f"kappa(sphere)={cs_sphere.kappa:.6f}, kappa(fisher)={cs_fisher.kappa:.6f}")
@@ -504,7 +504,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
 
     n = ck.n("sphere-not-dually-flat")
     sphere_struct = make_dualistic(sphere, sphere.levi_civita_connection, samples=n, seed=seed)
-    fv_sphere = dually_flat_verdict(sphere_struct, n, 1e-9, seed)
+    fv_sphere = dually_flat_verdict(sphere_struct, n, seed)
     ck.add("sphere-not-dually-flat", abs(fv_sphere.riemann_primal_max - 1.0),
            notes="not dually flat; curvature does not vanish")
 
@@ -526,7 +526,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         st = entry["structure"]
         name = entry["name"]
         expected = entry["expect_agreement"]
-        chain = reduction_chain(st, n41, 1e-9, seed)
+        chain = reduction_chain(st, n41, seed)
         rec = theorem41_analyze(st, direct, chain, samples=n41, seed=seed)
         if expected is True:
             ck.add("theorem-mixed-ricci/agrees", rec.agreement is True, name=name)
@@ -544,7 +544,8 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             else:
                 ck.add("theorem-mixed-weyl/reported", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
                        notes="; ".join(rec42.notes), name=name)
-        rec43 = theorem43_analyze(st, direct, chain, samples=n43, seed=seed)
+        rec43 = theorem43_analyze(st, direct, chain, samples=n43,
+                                  tol=config.exact_tol(BRANCH_TOL), seed=seed)
         if expected is True:
             ck.add("theorem-weyl-parallel/agrees", rec43.agreement is not False,
                    notes=f"branch={rec43.branch}", name=name)

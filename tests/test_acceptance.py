@@ -152,8 +152,8 @@ def test_criterion_6_theorem_41_pipeline():
     dB = make_dualistic(B, explicit_connection(B, {}), samples=16)
     dF = make_dualistic(F, explicit_connection(F, {}), samples=16)
     st = induce_on_product(dB, dF, "exp(u)", samples=SAMPLES)
-    rec = theorem41_analyze(st, dually_flat_verdict(st, 32, 1e-9, SEED),
-                            reduction_chain(st, 32, 1e-9, SEED),
+    rec = theorem41_analyze(st, dually_flat_verdict(st, 32, SEED),
+                            reduction_chain(st, 32, SEED),
                             samples=32, seed=SEED)
     sep_ok = (rec.mixed_ricci_flat and rec.chain.separable
               and rec.chain.cross_derivative_max < tol
@@ -164,8 +164,8 @@ def test_criterion_6_theorem_41_pipeline():
     F2 = fx.euclidean(2, ("u", "v"), "F2")
     dF2 = make_dualistic(F2, explicit_connection(F2, {}), samples=16)
     st2 = induce_on_product(dB, dF2, "exp(x*u)", samples=SAMPLES)
-    rec2 = theorem41_analyze(st2, dually_flat_verdict(st2, 32, 1e-9, SEED),
-                             reduction_chain(st2, 32, 1e-9, SEED),
+    rec2 = theorem41_analyze(st2, dually_flat_verdict(st2, 32, SEED),
+                             reduction_chain(st2, 32, SEED),
                              samples=32, seed=SEED)
     cross = rec2.chain.cross_derivative_max
     nonsep_ok = (not rec2.mixed_ricci_flat and abs(cross - 1.0) < tol
@@ -202,14 +202,14 @@ def test_criterion_7_theorem_42_mixed_weyl():
 def test_criterion_8_dual_flatness_verdicts(dualistic_suite, sphere):
     tol = 1e-9
     flat_entry = next(e for e in dualistic_suite if e["name"] == "flat-pair-direct")
-    fv = dually_flat_verdict(flat_entry["structure"], samples=SAMPLES, tol=tol, seed=SEED)
+    fv = dually_flat_verdict(flat_entry["structure"], samples=SAMPLES, seed=SEED)
     flat_ok = (fv.dually_flat and fv.riemann_primal_max < tol
                and fv.riemann_dual_max < tol)
     sphere_struct = make_dualistic(sphere, levi_civita(sphere), samples=16)
-    fs = dually_flat_verdict(sphere_struct, samples=32, tol=tol, seed=SEED)
+    fs = dually_flat_verdict(sphere_struct, samples=32, seed=SEED)
     sphere_ok = (not fs.dually_flat
                  and abs(fs.riemann_primal_max - 1.0) <= 0.1)
-    flags_ok = all(dually_flat_verdict(e["structure"], samples=24, tol=tol,
+    flags_ok = all(dually_flat_verdict(e["structure"], samples=24,
                                        seed=SEED).flat_flags_agree
                    for e in dualistic_suite) and fv.flat_flags_agree and fs.flat_flags_agree
     ok = flat_ok and sphere_ok and flags_ok

@@ -1,9 +1,13 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from dualgeo.cli import LoadedManifold, LoadedProduct, SpecFileError, load_spec, main
+from dualgeo import geometry
+from dualgeo.cli import (LoadedManifold, LoadedProduct, SpecFileError, cmd_check, load_spec,
+                         main)
+from dualgeo.dualistic import theorem43_analyze
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
 
@@ -142,9 +146,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--tol-exact", "--tol-fd"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, spec_dir, tmp_path, capsys, flag, value):
+        # each flag is sent to a command that reads it
+        command = {"--tol-exact": ["check", str(spec_dir / "sphere2.json")],
+                   "--tol-fd": ["verify-paper"]}[flag]
         report = tmp_path / "r.json"
-        code = main(["check", str(spec_dir / "sphere2.json"), flag, value,
-                     "--report", str(report)])
+        code = main(command + [flag, value, "--report", str(report)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not report.exists()
@@ -153,6 +159,92 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# The run options each command reads; it must refuse the others.
+READS = {
+    "check": {"--samples", "--seed", "--tol-exact", "--report"},
+    "conjugate": {"--samples", "--seed", "--tol-exact", "--point", "--report"},
+    "curvature": {"--tol-exact", "--point", "--report"},
+    "twist": {"--samples", "--seed", "--tol-exact", "--report"},
+    "flatness": {"--samples", "--seed", "--tol-exact", "--report"},
+    "verify-paper": {"--samples", "--seed", "--tol-exact", "--tol-fd", "--report"},
+}
+# option: (argument, RunConfig field, value the field takes)
+OPTION_VALUES = {
+    "--samples": ("7", "samples", 7),
+    "--seed": ("5", "seed", 5),
+    "--tol-exact": ("1e-9", "tol_exact", 1e-9),
+    "--tol-fd": ("1e-5", "tol_fd", 1e-5),
+    "--point": ("1.0,0.5", "point", (1.0, 0.5)),
+    "--report": ("out.json", "report_path", "out.json"),
+}
+COMMAND_SPECS = {"check": "sphere2.json", "conjugate": "sphere2.json",
+                 "curvature": "sphere2.json", "twist": "twisted_xu.json",
+                 "flatness": "twisted_xu.json", "verify-paper": None}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in OPTION_VALUES],
+                         ids=lambda value: value)
+def test_each_command_accepts_only_the_options_it_reads(spec_dir, monkeypatch, capsys,
+                                                        command, flag):
+    """An option a command reads reaches its RunConfig; any other is a usage error."""
+    seen = []
+    target = "verify_paper" if command == "verify-paper" else "cmd_" + command
+    monkeypatch.setattr(f"dualgeo.cli.{target}", lambda *args: seen.append(args) or 0)
+    monkeypatch.setattr("dualgeo.cli._finish", lambda rep, config: rep)
+    spec = COMMAND_SPECS[command]
+    argument, field, value = OPTION_VALUES[flag]
+    argv = [command] + ([str(spec_dir / spec)] if spec else []) + [flag, argument]
+    if flag in READS[command]:
+        main(argv)
+        config = seen[0][0] if command == "verify-paper" else seen[0][1]
+        assert getattr(config, field) == value
+    else:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert seen == []
+
+
+def test_theorem43_tolerance_is_the_same_in_both_commands(spec_dir, monkeypatch):
+    """``--tol-exact`` tightens theorem 4.3's branch tolerance in both commands alike."""
+    tols = {}
+
+    def spy(command):
+        def analyze(*args, **kwargs):
+            bound = inspect.signature(theorem43_analyze).bind(*args, **kwargs)
+            bound.apply_defaults()
+            tols.setdefault(command, set()).add(bound.arguments["tol"])
+            return theorem43_analyze(*args, **kwargs)
+        return analyze
+
+    monkeypatch.setattr("dualgeo.cli.theorem43_analyze", spy("flatness"))
+    monkeypatch.setattr("dualgeo.verify.theorem43_analyze", spy("verify-paper"))
+    main(["flatness", str(spec_dir / "flat_dual_product.json"), "--samples", "8",
+          "--tol-exact", "1e-10"])
+    main(["verify-paper", "--samples", "8", "--tol-exact", "1e-10"])
+    assert tols == {"flatness": {1e-10}, "verify-paper": {1e-10}}
+
+
+def test_check_builds_each_metric_array_once(spec_dir, monkeypatch, capsys):
+    """``check`` reads its metric rows as a prefix of the duality batch, not a second build."""
+    loaded = load_spec(str(spec_dir / "sphere2.json"))
+    builds = []
+    one_batch = geometry.one_batch
+
+    def counting(owner, kind, x, build):
+        def counted(z):
+            builds.append((owner, kind))
+            return build(z)
+        return one_batch(owner, kind, x, counted)
+
+    monkeypatch.setattr(geometry, "one_batch", counting)
+    assert cmd_check(loaded, RunConfig()) == 0
+    chart_builds = [kind for owner, kind in builds if owner is loaded.manifold]
+    assert chart_builds.count("g") == 1
+    assert chart_builds.count("ginv") == 1
 
 
 class TestCurvatureCommand:

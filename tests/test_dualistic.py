@@ -22,8 +22,7 @@ def constant_pair(name, coord, c):
 
 def verdict_and_chain(st, samples, seed=42):
     """The direct verdict and the reduction chain an analyzer receives."""
-    return (dually_flat_verdict(st, samples, 1e-9, seed),
-            reduction_chain(st, samples, 1e-9, seed))
+    return dually_flat_verdict(st, samples, seed), reduction_chain(st, samples, seed)
 
 
 class TestMakeDualistic:
@@ -309,7 +308,7 @@ class TestSharedVerdictAndChain:
     def test_shared_inputs_give_the_per_analyzer_outcomes(self, dualistic_suite, seed):
         for entry in dualistic_suite:
             st = entry["structure"]
-            shared = (dually_flat_verdict(st, 24, 1e-9, seed), reduction_chain(st, 16, 1e-9, seed))
+            shared = (dually_flat_verdict(st, 24, seed), reduction_chain(st, 16, seed))
             own = {n: verdict_and_chain(st, n, seed) for n in (16, 12)}
             pairs = zip(self.records(st, {16: shared, 12: shared}, seed),
                         self.records(st, own, seed))

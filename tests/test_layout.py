@@ -22,6 +22,10 @@
   in ``verify.py`` or ``cli.py`` outside ``Check.count``, and no string
   literal passed as a statement to ``add``/``add_flag`` anywhere in ``src/``.
 * Every row of the table is reported by at least one command.
+* Every defaulted parameter of a function in ``src/dualgeo`` is passed by
+  some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
+  with one value in use is a constant, not a parameter.  ``samples`` and
+  ``seed`` are exempt, as the library's sampling interface.
 """
 
 import ast
@@ -31,7 +35,10 @@ import pytest
 
 from dualgeo.verify import CHECKS
 
-SRC = Path(__file__).parent.parent / "src" / "dualgeo"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "dualgeo"
+CALLER_DIRS = ("src", "tests", "demos", "bench")
+SAMPLING_PARAMETERS = {"samples", "seed"}
 NUMDIFF_IMPORTERS = {"connections.py"}
 ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
 ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_chain"}
@@ -186,6 +193,80 @@ def literal_statements(trees) -> set[str]:
     return _call_scopes(trees, matches)
 
 
+def _caller_trees():
+    return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
+            for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """(name as called, parameter, call position or None, named parameters) of each knob.
+
+    A knob is a parameter with a default, or a ``**`` parameter (listed as
+    ``**name``).  ``__init__`` is called by its class name; a method's call
+    positions skip ``self``.  Keyword-only parameters have no position.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            name = cls if child.name == "__init__" else child.name
+            named = {a.arg for a in positional + args.kwonlyargs}
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                found.append((name, positional[index].arg, index - skip, named))
+            found.extend((name, a.arg, None, named)
+                         for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None)
+            if args.kwarg:
+                found.append((name, "**" + args.kwarg.arg, None, named))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _passes(call: ast.Call, parameter: str, position, named) -> bool:
+    if any(k.arg is None for k in call.keywords):  # **mapping may hold anything
+        return True
+    if parameter.startswith("**"):
+        return any(k.arg not in named for k in call.keywords)
+    if any(k.arg == parameter for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unused_knobs(trees, caller_trees) -> set[str]:
+    """``file:function.parameter`` of each knob in ``trees`` that no call passes.
+
+    Calls are matched by the called name alone, so a call of any function of
+    that name counts: the scan can miss a knob, never flag a used one.
+    """
+    calls = {}
+    for _, tree in caller_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
+    return {f"{file}:{name}.{parameter}"
+            for file, tree in trees
+            for name, parameter, position, named in _defaulted_parameters(tree)
+            if parameter not in SAMPLING_PARAMETERS
+            and not any(_passes(call, parameter, position, named)
+                        for call in calls.get(name, []))}
+
+
 def test_scan_sees_the_package():
     names = {name for name, _ in _trees()}
     assert {"geometry.py", "curvature.py", "products.py", "verify.py"} <= names
@@ -237,6 +318,10 @@ def test_every_table_row_is_reported(check_reports):
             used |= {key for key, row in CHECKS.items()
                      if key.split("/")[0] == prefix and row.statement == c["statement"]}
     assert used == set(CHECKS)
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    assert unused_knobs(_trees(), _caller_trees()) == set()
 
 
 def test_analyzers_receive_their_verdict_and_chain():
@@ -352,3 +437,28 @@ def test_scan_flags_default_rng_calls(source, found):
 ])
 def test_scan_flags_draw_writes(source, found):
     assert attribute_writers([("probe.py", ast.parse(source))], "_draw") == found
+
+
+@pytest.mark.parametrize("source, callers, found", [
+    ("def f(x, tol=1e-9):\n    return x < tol\n", "f(1)\n", {"probe.py:f.tol"}),
+    ("def f(x, tol=1e-9):\n    return x < tol\n", "f(1, 1e-9)\n", set()),
+    ("def f(x, tol=1e-9):\n    return x < tol\n", "mod.f(1, tol=0.0)\n", set()),
+    ("def f(x, tol=1e-9):\n    return x < tol\n", "f(*xs)\n", set()),
+    ("def f(x, tol=1e-9):\n    return x < tol\n", "f(1, **opts)\n", set()),
+    ("def f(x, tol=1e-9):\n    return x < tol\n", "g(1, tol=0.0)\n", {"probe.py:f.tol"}),
+    ("def f(x, *, tol=1e-9):\n    return x < tol\n", "f(1, 2)\n", {"probe.py:f.tol"}),
+    ("def f(x, samples=8, seed=1):\n    return x\n", "f(1)\n", set()),
+    ("class A:\n    def f(self, x, at=None):\n        return x\n", "a.f(1)\n",
+     {"probe.py:f.at"}),
+    ("class A:\n    def f(self, x, at=None):\n        return x\n", "a.f(1, 2)\n", set()),
+    ("class E(Exception):\n    def __init__(self, msg, where=None):\n        pass\n",
+     "raise E('m')\n", {"probe.py:E.where"}),
+    ("class E(Exception):\n    def __init__(self, msg, where=None):\n        pass\n",
+     "raise E('m', where=p)\n", set()),
+    ("def make(x, **extra):\n    return x\n", "make(1)\n", {"probe.py:make.**extra"}),
+    ("def make(x, **extra):\n    return x\n", "make(x=1)\n", {"probe.py:make.**extra"}),
+    ("def make(x, **extra):\n    return x\n", "make(1, product=p)\n", set()),
+])
+def test_scan_flags_unused_knobs(source, callers, found):
+    trees = [("probe.py", ast.parse(source))]
+    assert unused_knobs(trees, trees + [("caller.py", ast.parse(callers))]) == found
