@@ -19,7 +19,7 @@ from .exprlang import DomainError, ParseError
 from .geometry import GeometryError, ManifoldSpec, validate_metric
 from .connections import (ConnectionField, conjugate, duality_residual,
                           explicit_connection, involution_defect, is_statistical)
-from .curvature import DimensionError, curvature_report
+from .curvature import FLAT_AT_POINT_TOL, DimensionError, curvature_report
 from .products import (ProductSpec, _max_abs, block_levi_civita_defect,
                        curvature_block_report, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, separability_test, twisted_product)
@@ -232,7 +232,8 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) ->
               file=sys.stderr)
         return 2
     point = M.point(config.point) if config.point else M.center()
-    report = curvature_report(M, loaded.connection, point, tol=config.tol_exact)
+    report = curvature_report(M, loaded.connection, point,
+                              tol=config.exact_tol(FLAT_AT_POINT_TOL))
     print(f"curvature at {point.coords.tolist()} on {M.name!r} "
           f"({loaded.connection.provenance}):")
     print(f"  max |R^l_ijk| = {float(np.max(np.abs(report.riemann))):.6e}"

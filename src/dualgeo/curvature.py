@@ -31,7 +31,7 @@ from .connections import ConnectionField, _dginv
 from .geometry import ManifoldSpec, _coords_of
 
 __all__ = [
-    "FLAT_TOL", "CONSTANT_CURVATURE_TOL",
+    "FLAT_TOL", "CONSTANT_CURVATURE_TOL", "FLAT_AT_POINT_TOL",
     "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
     "DimensionError", "DegeneratePlaneError",
     "riemann_at", "riemann_derivative_at", "curvature_duality_residual",
@@ -44,8 +44,10 @@ __all__ = [
 
 # A curvature or torsion tensor vanishes when its max |component| is below FLAT_TOL;
 # sectional curvature is constant when its deviation is below CONSTANT_CURVATURE_TOL.
+# curvature_report calls a point flat below FLAT_AT_POINT_TOL, or a tighter tolerance.
 FLAT_TOL = 1e-9
 CONSTANT_CURVATURE_TOL = 1e-8
+FLAT_AT_POINT_TOL = 1e-8
 
 
 class DimensionError(ValueError):
@@ -353,7 +355,8 @@ class CurvatureReport:
         }
 
 
-def curvature_report(M: ManifoldSpec, C: ConnectionField, p, tol: float = 1e-8) -> CurvatureReport:
+def curvature_report(M: ManifoldSpec, C: ConnectionField, p,
+                     tol: float = FLAT_AT_POINT_TOL) -> CurvatureReport:
     x = _coords_of(p)
     g = M.metric_at(x)
     E = orthonormal_frame_at(M, x)

@@ -9,7 +9,7 @@ definite (e.g. the sphere chart stays away from the poles).
 from __future__ import annotations
 
 from .geometry import ManifoldSpec
-from .connections import ConnectionField, explicit_connection, levi_civita
+from .connections import ConnectionField, explicit_connection
 from .products import ProductSpec, twisted_product
 from . import dualistic as _du
 
@@ -69,7 +69,7 @@ def standard_manifolds() -> list[ManifoldSpec]:
 
 def connection_suite(M: ManifoldSpec) -> list[tuple[str, ConnectionField]]:
     """Levi-Civita plus two sparse explicit test connections on M."""
-    suite = [("levi-civita", levi_civita(M))]
+    suite = [("levi-civita", M.levi_civita_connection)]
     first = M.coords[0]
     if M.dim >= 2:
         suite.append(("explicit-symmetric", explicit_connection(
@@ -83,48 +83,24 @@ def connection_suite(M: ManifoldSpec) -> list[tuple[str, ConnectionField]]:
 
 
 def standard_twists() -> list[tuple[str, ProductSpec]]:
-    """Product fixtures covering direct, warped and proper-twisted cases."""
-    def line(name, coord):
-        return euclidean(1, (coord,), name)
+    """Product fixtures covering direct, warped and proper-twisted cases.
 
-    fixtures = [
-        ("direct", twisted_product(line("lineB", "x"), line("lineF", "u"), "1")),
-        ("warped-exp", twisted_product(line("lineB", "x"), line("lineF", "u"), "exp(x)")),
-        ("twisted-exp", twisted_product(line("lineB", "x"), line("lineF", "u"), "exp(x*u)")),
-        ("twisted-poly", twisted_product(line("lineB", "x"), line("lineF", "u"),
-                                         "(1 + x^2)*(1 + u^2)")),
-        ("twisted-wide-fiber", twisted_product(
-            line("lineB", "x"), euclidean(2, ("u", "v"), "planeF"), "exp(x*u)")),
-        ("twisted-4d", twisted_product(
-            euclidean(2, ("x", "y"), "planeB"), euclidean(2, ("u", "v"), "planeF"),
-            "exp(x*u)")),
-        ("warped-sphere-fiber", twisted_product(
-            line("lineB", "x"), sphere2(), "exp(x)")),
-        ("hyperbolic-4d", twisted_product(
-            line("lineB", "x"), euclidean(3, ("u", "v", "w"), "spaceF"), "exp(x)")),
-        ("direct-4d", twisted_product(
-            line("lineB", "x"), euclidean(3, ("u", "v", "w"), "spaceF"), "1")),
+    Factors with the same name are one chart, shared by every product over it.
+    """
+    lineB, lineF = euclidean(1, ("x",), "lineB"), euclidean(1, ("u",), "lineF")
+    planeF = euclidean(2, ("u", "v"), "planeF")
+    spaceF = euclidean(3, ("u", "v", "w"), "spaceF")
+    return [
+        ("direct", twisted_product(lineB, lineF, "1")),
+        ("warped-exp", twisted_product(lineB, lineF, "exp(x)")),
+        ("twisted-exp", twisted_product(lineB, lineF, "exp(x*u)")),
+        ("twisted-poly", twisted_product(lineB, lineF, "(1 + x^2)*(1 + u^2)")),
+        ("twisted-wide-fiber", twisted_product(lineB, planeF, "exp(x*u)")),
+        ("twisted-4d", twisted_product(euclidean(2, ("x", "y"), "planeB"), planeF, "exp(x*u)")),
+        ("warped-sphere-fiber", twisted_product(lineB, sphere2(), "exp(x)")),
+        ("hyperbolic-4d", twisted_product(lineB, spaceF, "exp(x)")),
+        ("direct-4d", twisted_product(lineB, spaceF, "1")),
     ]
-    return fixtures
-
-
-def _flat_line(name: str, coord: str) -> _du.DualisticStructure:
-    M = euclidean(1, (coord,), name)
-    return _du.make_dualistic(M, explicit_connection(M, {}), samples=16)
-
-
-def _constant_pair_line(name: str, coord: str, c: float) -> _du.DualisticStructure:
-    M = euclidean(1, (coord,), name)
-    return _du.make_dualistic(M, explicit_connection(M, {(0, 0, 0): repr(c)}), samples=16)
-
-
-def _hessian_structure() -> _du.DualisticStructure:
-    M = hessian_exp2()
-    return _du.make_dualistic(M, explicit_connection(M, {}), samples=16)
-
-
-def _lc_structure(M: ManifoldSpec) -> _du.DualisticStructure:
-    return _du.make_dualistic(M, M.levi_civita_connection, samples=16)
 
 
 def dualistic_suite() -> list[dict]:
@@ -133,53 +109,29 @@ def dualistic_suite() -> list[dict]:
     ``expect_agreement`` marks fixtures where the warped biconditional is
     expected to hold; the curved-fiber direct product is the documented
     counterexample to the biconditional as printed and is reported
-    informationally.
+    informationally.  Factors with the same name are one structure.
     """
-    flat_fiber = _flat_line("lineF", "u")
-    planeF = euclidean(2, ("u", "v"), "planeF")
-    plane_fiber = _du.make_dualistic(planeF, explicit_connection(planeF, {}), samples=16)
+    lineB, lineF = euclidean(1, ("x",), "lineB"), euclidean(1, ("u",), "lineF")
+    planeF, sphere, hessian = euclidean(2, ("u", "v"), "planeF"), sphere2(), hessian_exp2()
+    flat_base, flat_fiber, plane_fiber, hessian_base = (
+        _du.make_dualistic(M, explicit_connection(M, {}), samples=16)
+        for M in (lineB, lineF, planeF, hessian))
+    sphere_lc = _du.make_dualistic(sphere, sphere.levi_civita_connection, samples=16)
+    constant_pair = _du.make_dualistic(lineB, explicit_connection(lineB, {(0, 0, 0): "0.4"}),
+                                       samples=16)
     entries = [
-        {
-            "name": "flat-pair-direct",
-            "structure": _du.induce_on_product(_constant_pair_line("lineB", "x", 0.4),
-                                               flat_fiber, "1", samples=16),
-            "expect_dually_flat": True,
-            "expect_agreement": True,
-        },
-        {
-            "name": "flat-fiber-twist",
-            "structure": _du.induce_on_product(_flat_line("lineB", "x"),
-                                               flat_fiber, "exp(u)", samples=16),
-            "expect_dually_flat": True,
-            "expect_agreement": True,
-        },
-        {
-            "name": "hessian-base-direct",
-            "structure": _du.induce_on_product(_hessian_structure(), flat_fiber, "1",
-                                               samples=16),
-            "expect_dually_flat": True,
-            "expect_agreement": True,
-        },
-        {
-            "name": "sphere-base-direct",
-            "structure": _du.induce_on_product(_lc_structure(sphere2()), flat_fiber, "1",
-                                               samples=16),
-            "expect_dually_flat": False,
-            "expect_agreement": True,
-        },
-        {
-            "name": "proper-twisted-wide-fiber",
-            "structure": _du.induce_on_product(
-                _flat_line("lineB", "x"), plane_fiber, "exp(x*u)", samples=16),
-            "expect_dually_flat": False,
-            "expect_agreement": None,  # precondition fails; no prediction
-        },
-        {
-            "name": "curved-fiber-direct",
-            "structure": _du.induce_on_product(_flat_line("lineB", "x"),
-                                               _lc_structure(sphere2()), "1", samples=16),
-            "expect_dually_flat": False,
-            "expect_agreement": False,  # documented gap in the printed biconditional
-        },
+        # name, base, fiber, twist, expect_dually_flat, expect_agreement
+        ("flat-pair-direct", constant_pair, flat_fiber, "1", True, True),
+        ("flat-fiber-twist", flat_base, flat_fiber, "exp(u)", True, True),
+        ("hessian-base-direct", hessian_base, flat_fiber, "1", True, True),
+        ("sphere-base-direct", sphere_lc, flat_fiber, "1", False, True),
+        # precondition fails; no prediction
+        ("proper-twisted-wide-fiber", flat_base, plane_fiber, "exp(x*u)", False, None),
+        # documented gap in the printed biconditional
+        ("curved-fiber-direct", flat_base, sphere_lc, "1", False, False),
     ]
-    return entries
+    return [{"name": name,
+             "structure": _du.induce_on_product(base, fiber, twist, samples=16),
+             "expect_dually_flat": flat,
+             "expect_agreement": agreement}
+            for name, base, fiber, twist, flat, agreement in entries]

@@ -406,14 +406,9 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CurvatureBlockReport:
     residuals: dict[str, float]
-    passed: dict[str, bool]
     ruvw_printed: float
     ruvw_index_consistent: float
     ruvw_adopted: str
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed.values())
 
 
 def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
@@ -487,8 +482,8 @@ def _zero_pad(a: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
     return np.pad(a, widths)
 
 
-def curvature_block_report(P: ProductSpec, samples: int = 16, seed: int = 42,
-                           tol: float = 1e-7) -> CurvatureBlockReport:
+def curvature_block_report(P: ProductSpec, samples: int = 16,
+                           seed: int = 42) -> CurvatureBlockReport:
     """Residuals of the six curvature block formulas against the chart oracle."""
     raw = riemann_block_residuals(P, P.chart_levi_civita, P.base_levi_civita,
                                   P.fiber_levi_civita, samples, seed)
@@ -496,8 +491,7 @@ def curvature_block_report(P: ProductSpec, samples: int = 16, seed: int = 42,
     worst_printed = raw.pop("R(U,V)W[as-printed]")
     adopted = "index-consistent" if worst_variant <= worst_printed else "as-printed"
     raw["R(U,V)W"] = min(worst_variant, worst_printed)
-    passed = {name: value < tol for name, value in raw.items()}
-    return CurvatureBlockReport(raw, passed, worst_printed, worst_variant, adopted)
+    return CurvatureBlockReport(raw, worst_printed, worst_variant, adopted)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ A check id that two commands report reads and judges the same in both: the
 same statement and the same tolerance, at the default config.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from dualgeo.report import RunConfig
-from dualgeo.verify import EXACT, FD, FIXED, FLAG, INFO, Check, Checks
+from dualgeo.verify import CHECKS, EXACT, FD, FIXED, FLAG, INFO, Check, Checks
 
 # ids reported by verify-paper and a spec command, or by two spec commands
 SHARED_IDS = {
@@ -61,3 +64,35 @@ def test_flag_and_variant_rows_record_their_id():
         "theorem-mixed-ricci [flat-pair-direct]", "pass", None)
     assert (gap.check_id, gap.status, gap.notes) == ("theorem-mixed-ricci [x]", "info", "n")
     assert (fail.status, fail.tolerance) == ("fail", 1e-12)
+
+
+def test_a_row_reduces_over_the_values_of_its_structures():
+    """Residuals report their max, flags pass when all hold, one value passes through."""
+    ck = Checks(RunConfig(), {})
+    single = np.float64(5e-11)
+    ck.add("inverse-metric", 1e-13, 3e-12, 2e-13)
+    ck.add("conjugation-duality", 1e-12, float("nan"), 0.0)
+    ck.add("metric-spd", True, np.bool_(True), np.bool_(False))
+    ck.add("flat-iff-dual-flat", np.bool_(True), True)
+    ck.add("lift-lemma", single)
+    ck.add("torsion-inheritance", np.bool_(False))
+    ck.add("twist-classification", None, notes="direct")
+    ck.add("theorem-mixed-weyl/reported", 0.25, name="s")
+    worst, nan, flags, all_flags, one, one_flag, info, named = ck.report.checks
+    assert (worst.max_residual, worst.status) == (3e-12, "fail")
+    assert math.isnan(nan.max_residual) and nan.status == "fail"
+    assert (flags.status, all_flags.status) == ("fail", "pass")
+    assert one.max_residual is single and one.status == "pass"
+    assert one_flag.status == "fail"
+    assert (info.max_residual, info.status, info.notes) == (None, "info", "direct")
+    assert (named.check_id, named.max_residual, named.status) == (
+        "theorem-mixed-weyl [s]", 0.25, "info")
+
+
+def test_reports_list_their_rows_in_table_order(check_reports):
+    """Every command reports its rows in ``CHECKS`` order (theorem-* rows aside)."""
+    order = {key: i for i, key in enumerate(CHECKS)}
+    for run, report in check_reports.items():
+        rows = [order[c["check_id"]] for c in report["checks"]
+                if not c["check_id"].startswith("theorem-")]
+        assert rows == sorted(set(rows)), run

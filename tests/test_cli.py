@@ -271,6 +271,16 @@ class TestCurvatureCommand:
         out = capsys.readouterr().out
         assert "flat at point: True" in out
 
+    @pytest.mark.parametrize("tol_exact, tolerance", [("10", 1e-8), ("1e-12", 1e-12)])
+    def test_tol_exact_only_tightens_the_flat_threshold(self, spec_dir, capsys, tmp_path,
+                                                        tol_exact, tolerance):
+        report = tmp_path / "curv.json"
+        code = main(["curvature", str(spec_dir / "sphere2.json"), "--tol-exact", tol_exact,
+                     "--report", str(report)])
+        assert code == 0
+        assert "(flat at point: False)" in capsys.readouterr().out
+        assert json.loads(report.read_text())["tolerance"] == tolerance
+
 
 class TestConjugateCommand:
     def test_prints_negated_constant(self, spec_dir, capsys):

@@ -47,6 +47,10 @@ class TestLeviCivita:
         for M in fx.standard_manifolds():
             assert dgamma_fd_defect(levi_civita(M), samples=6, seed=11) < 1e-5
 
+    def test_connection_suite_uses_the_charts_own(self):
+        for M in fx.standard_manifolds() + [fx.euclidean(1, ("x",))]:
+            assert fx.connection_suite(M)[0][1] is M.levi_civita_connection
+
 
 class TestConjugate:
     def test_levi_civita_self_conjugate(self):

@@ -70,7 +70,8 @@ class TestMakeDualistic:
         assert err.value.worst_point.coords.tolist() == first_nan
 
     def test_hessian_metric_flat_pair(self):
-        st = fx._hessian_structure()
+        M = fx.hessian_exp2()
+        st = make_dualistic(M, explicit_connection(M, {}), samples=16)
         verdict = dually_flat_verdict(st, samples=24)
         assert verdict.dually_flat
         # the dual is genuinely different from the primal here

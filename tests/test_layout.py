@@ -22,6 +22,10 @@
   in ``verify.py`` or ``cli.py`` outside ``Check.count``, and no string
   literal passed as a statement to ``add``/``add_flag`` anywhere in ``src/``.
 * Every row of the table is reported by at least one command.
+* ``verify.py`` and ``cli.py`` hold no running accumulator (``x = max(x, ...)``
+  or ``min``, ``x = x and ...``, ``d[k] = max(d.get(k, ...), ...)``):
+  ``Checks.add`` is the one place a row's value is reduced over the
+  structures it covers.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -193,6 +197,39 @@ def literal_statements(trees) -> set[str]:
     return _call_scopes(trees, matches)
 
 
+def _get_of(node: ast.AST) -> str | None:
+    """``d[k]`` for a call ``d.get(k, ...)``, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args):
+        return f"{ast.unparse(node.func.value)}[{ast.unparse(node.args[0])}]"
+    return None
+
+
+def running_accumulators(trees) -> list[str]:
+    """``file:line`` of each assignment that folds its own target into a max, min, and or or."""
+    found = []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target = node.target
+            else:
+                continue
+            value = node.value
+            if isinstance(value, ast.BoolOp):
+                operands = value.values
+            elif (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                  and value.func.id in {"max", "min"}):
+                operands = value.args
+            else:
+                continue
+            reads = {ast.unparse(a) for a in operands} | {_get_of(a) for a in operands}
+            if ast.unparse(target) in reads:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def _caller_trees():
     return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
             for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -305,6 +342,11 @@ def test_sample_counts_come_from_the_table():
     assert sample_caps(trees) == {"verify.py:count"}
 
 
+def test_rows_are_reduced_only_by_the_table():
+    trees = [(name, tree) for name, tree in _trees() if name in {"verify.py", "cli.py"}]
+    assert running_accumulators(trees) == []
+
+
 def test_statements_come_from_the_table():
     assert literal_statements(_trees()) == set()
 
@@ -403,6 +445,23 @@ def test_scan_flags_last_batch_writes(source, found):
 ])
 def test_scan_flags_sample_caps(source, found):
     assert sample_caps([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("worst = max(worst, r)\n", ["probe.py:1"]),
+    ("lo = min(r, lo)\n", ["probe.py:1"]),
+    ("ok = ok and flag\n", ["probe.py:1"]),
+    ("ok: bool = flag or ok\n", ["probe.py:1"]),
+    ("worst[k] = max(worst.get(k, 0.0), v)\n", ["probe.py:1"]),
+    ("worst[key] = max(worst[key], v)\n", ["probe.py:1"]),
+    ("def f(xs):\n    w = 0.0\n    for x in xs:\n        w = max(w, x)\n", ["probe.py:4"]),
+    ("worst = max(a, b)\n", []),
+    ("worst = np.max(worst, axis=0)\n", []),
+    ("ok = all(flags) and done\n", []),
+    ("ck.add('inverse-metric', *(defect(M) for M in charts))\n", []),
+])
+def test_scan_flags_running_accumulators(source, found):
+    assert running_accumulators([("probe.py", ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [
