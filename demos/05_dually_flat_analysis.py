@@ -11,13 +11,18 @@ compares the chain's prediction against that direct verdict.
 
 from dualgeo import (dually_flat_verdict, explicit_connection, induce_on_product,
                      levi_civita, make_dualistic, projection_check, reduction_chain,
-                     theorem41_analyze, theorem42_analyze, theorem43_analyze)
+                     theorem41_analyze, theorem42_analyze, theorem43_analyze, twisted_product)
 from dualgeo.fixtures import euclidean, sphere2
 
 
 def flat_line(name, coord):
     M = euclidean(1, (coord,), name)
     return make_dualistic(M, explicit_connection(M, {}))
+
+
+def induce(dB, dF, twist):
+    """The induced structure on the twisted product of dB's and dF's charts."""
+    return induce_on_product(twisted_product(dB.manifold, dF.manifold, twist), dB, dF)
 
 
 def verdict_and_chain(st):
@@ -38,7 +43,7 @@ def show(title, record):
 
 dB = flat_line("lineB", "x")
 dF = flat_line("lineF", "u")
-st = induce_on_product(dB, dF, "exp(u)")
+st = induce(dB, dF, "exp(u)")
 print("induced structure residual:", st.residual)
 print("projection recovery:", projection_check(st).max_residual())
 show("mixed-Ricci chain on b = exp(u)", theorem41_analyze(st, *verdict_and_chain(st)))
@@ -47,7 +52,7 @@ show("mixed-Ricci chain on b = exp(u)", theorem41_analyze(st, *verdict_and_chain
 
 plane = euclidean(2, ("u", "v"), "planeF")
 dF2 = make_dualistic(plane, explicit_connection(plane, {}))
-st2 = induce_on_product(dB, dF2, "exp(x*u)")
+st2 = induce(dB, dF2, "exp(x*u)")
 rec2 = theorem41_analyze(st2, *verdict_and_chain(st2))
 show("mixed-Ricci chain on b = exp(x*u)", rec2)
 print(f"  max |Ric(X,V)| = {rec2.mixed_ricci_max}")
@@ -56,7 +61,7 @@ print(f"  max |Ric(X,V)| = {rec2.mixed_ricci_max}")
 
 sphere = sphere2()
 d_sphere = make_dualistic(sphere, levi_civita(sphere))
-st3 = induce_on_product(d_sphere, dF, "1")
+st3 = induce(d_sphere, dF, "1")
 rec3 = theorem41_analyze(st3, *verdict_and_chain(st3))
 show("direct product over a sphere base", rec3)
 print(f"  base dually flat: {rec3.chain.base_verdict.dually_flat}")
@@ -65,7 +70,7 @@ print(f"  base dually flat: {rec3.chain.base_verdict.dually_flat}")
 
 space = euclidean(3, ("u", "v", "w"), "spaceF")
 dF3 = make_dualistic(space, explicit_connection(space, {}))
-st4 = induce_on_product(dB, dF3, "1")
+st4 = induce(dB, dF3, "1")
 verdict, chain = verdict_and_chain(st4)
 rec42 = theorem42_analyze(st4, verdict, chain)
 print(f"\nmixed-Weyl hypothesis holds: {rec42.weyl_flat_along_holds}, "

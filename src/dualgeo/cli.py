@@ -293,7 +293,7 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
                             loaded.base.dual_connection, n, seed)
         dF = make_dualistic(loaded.fiber.manifold, loaded.fiber.connection,
                             loaded.fiber.dual_connection, n, seed)
-        induced = induce_on_product(dB, dF, loaded.product.twist, n, seed)
+        induced = induce_on_product(loaded.product, dB, dF, n, seed)
     except ConjugacyError as exc:
         ck.add("conjugacy", exc.residual, notes=str(exc))
         return _finish(ck.report, config)

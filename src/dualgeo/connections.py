@@ -53,6 +53,10 @@ class ConnectionField:
     def _memo(self, kind: str, x: np.ndarray, build):
         return one_batch(self, kind, x, build)
 
+    def _memo_on(self, M: ManifoldSpec, kind: str, x: np.ndarray, build):
+        """``_memo`` for a kind taken with M's metric, kept only when M is this chart."""
+        return one_batch(self, kind, x, build) if M is self.manifold else build(x)
+
     def gamma_at(self, p) -> np.ndarray:
         """Rank-3 array Gamma[..., k, i, j] at the point or points."""
         x = _coords_of(p)
@@ -75,18 +79,45 @@ class ConnectionField:
         return f"ConnectionField({self.provenance!r} on {self.manifold.name!r})"
 
 
+# The contractions below are batched matmuls on reshaped operands; the
+# einsum in each comment is the definition, and the test oracle.
+
+
 def _dginv(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    # d_q (g^{-1}) = -g^{-1} (d_q g) g^{-1}
-    return -np.einsum("...ab,...qbc,...cd->...qad", ginv, dg, ginv)
+    # d_q (g^{-1}) = -g^{-1} (d_q g) g^{-1} = -einsum("...ab,...qbc,...cd->...qad", ginv, dg, ginv)
+    return -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
 
 
 def _d2ginv(ginv: np.ndarray, dg: np.ndarray, dginv: np.ndarray,
             d2g: np.ndarray) -> np.ndarray:
     # d_p d_q (g^{-1}) = -(d_p g^{-1}) (d_q g) g^{-1} - g^{-1} (d_p d_q g) g^{-1}
     #                    - g^{-1} (d_q g) (d_p g^{-1})
-    return -(np.einsum("...pab,...qbc,...cd->...pqad", dginv, dg, ginv)
-             + np.einsum("...ab,...pqbc,...cd->...pqad", ginv, d2g, ginv)
-             + np.einsum("...ab,...qbc,...pcd->...pqad", ginv, dg, dginv))
+    # -(einsum("...pab,...qbc,...cd->...pqad", dginv, dg, ginv)
+    #   + einsum("...ab,...pqbc,...cd->...pqad", ginv, d2g, ginv)
+    #   + einsum("...ab,...qbc,...pcd->...pqad", ginv, dg, dginv))
+    ginv_q, ginv_pq = ginv[..., None, :, :], ginv[..., None, None, :, :]
+    dginv_p = dginv[..., None, :, :]  # [p, q, a, b] with q broadcast
+    return -(dginv_p @ (dg @ ginv_q)[..., None, :, :, :] + ginv_pq @ d2g @ ginv_pq
+             + (ginv_q @ dg)[..., None, :, :, :] @ dginv_p)
+
+
+def _raise_last(A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    # einsum("...kl,...ijl->...kij", A, T)
+    d = T.shape[-1]
+    out = A @ T.reshape(T.shape[:-3] + (d * d, d)).swapaxes(-1, -2)
+    return out.reshape(out.shape[:-1] + (d, d))
+
+
+def _raise_middle(A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    # einsum("...lj,...ijk->...lik", A, T)
+    return (A[..., None, :, :] @ T).swapaxes(-3, -2)
+
+
+def _lower_first(T: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # einsum("...mij,...mk->...ijk", T, g)
+    d = T.shape[-1]
+    out = T.reshape(T.shape[:-3] + (d, d * d)).swapaxes(-1, -2) @ g
+    return out.reshape(out.shape[:-2] + (d, d, d))
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
@@ -100,16 +131,14 @@ def levi_civita(M: ManifoldSpec) -> ConnectionField:
 
     def gamma(x: np.ndarray) -> np.ndarray:
         ginv = M.inverse_metric_at(x)
-        bracket = _bracket(M.metric_derivatives_at(x))
-        return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, bracket)
+        return 0.5 * _raise_last(ginv, _bracket(M.metric_derivatives_at(x)))
 
     def dgamma(x: np.ndarray) -> np.ndarray:
         ginv = M.inverse_metric_at(x)
         dg = M.metric_derivatives_at(x)
-        dginv = _dginv(ginv, dg)
         dbracket = _bracket(M.metric_second_derivatives_at(x))
-        return 0.5 * (np.einsum("...qkl,...ijl->...qkij", dginv, _bracket(dg))
-                      + np.einsum("...kl,...qijl->...qkij", ginv, dbracket))
+        return 0.5 * (_raise_last(_dginv(ginv, dg), _bracket(dg)[..., None, :, :, :])
+                      + _raise_last(ginv[..., None, :, :], dbracket))
 
     def d2gamma(x: np.ndarray) -> np.ndarray:
         ginv = M.inverse_metric_at(x)
@@ -117,12 +146,12 @@ def levi_civita(M: ManifoldSpec) -> ConnectionField:
         d2g = M.metric_second_derivatives_at(x)
         dginv = _dginv(ginv, dg)
         dbracket = _bracket(d2g)
-        return 0.5 * (np.einsum("...pqkl,...ijl->...pqkij", _d2ginv(ginv, dg, dginv, d2g),
-                                _bracket(dg))
-                      + np.einsum("...qkl,...pijl->...pqkij", dginv, dbracket)
-                      + np.einsum("...pkl,...qijl->...pqkij", dginv, dbracket)
-                      + np.einsum("...kl,...pqijl->...pqkij", ginv,
-                                  _bracket(M.metric_third_derivatives_at(x))))
+        return 0.5 * (_raise_last(_d2ginv(ginv, dg, dginv, d2g),
+                                  _bracket(dg)[..., None, None, :, :, :])
+                      + _raise_last(dginv[..., None, :, :, :], dbracket[..., :, None, :, :, :])
+                      + _raise_last(dginv[..., :, None, :, :], dbracket[..., None, :, :, :, :])
+                      + _raise_last(ginv[..., None, None, :, :],
+                                    _bracket(M.metric_third_derivatives_at(x))))
 
     return ConnectionField(M, "levi-civita", gamma, dgamma, d2gamma)
 
@@ -178,9 +207,7 @@ def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionFi
         g = M.metric_at(x)
         ginv = M.inverse_metric_at(x)
         dg = M.metric_derivatives_at(x)
-        gam = C.gamma_at(x)
-        term = dg - np.einsum("...mij,...mk->...ijk", gam, g)
-        return np.einsum("...lj,...ijk->...lik", ginv, term)
+        return _raise_middle(ginv, dg - _lower_first(C.gamma_at(x), g))
 
     def dgamma(x: np.ndarray) -> np.ndarray:
         g = M.metric_at(x)
@@ -189,12 +216,11 @@ def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionFi
         d2g = M.metric_second_derivatives_at(x)
         dginv = _dginv(ginv, dg)
         gam = C.gamma_at(x)
-        dgam = C.dgamma_at(x)
-        term = dg - np.einsum("...mij,...mk->...ijk", gam, g)
-        dterm = (d2g - np.einsum("...qmij,...mk->...qijk", dgam, g)
-                 - np.einsum("...mij,...qmk->...qijk", gam, dg))
-        return (np.einsum("...qlj,...ijk->...qlik", dginv, term)
-                + np.einsum("...lj,...qijk->...qlik", ginv, dterm))
+        term = dg - _lower_first(gam, g)
+        dterm = (d2g - _lower_first(C.dgamma_at(x), g[..., None, :, :])
+                 - _lower_first(gam[..., None, :, :, :], dg))
+        return (_raise_middle(dginv, term[..., None, :, :, :])
+                + _raise_middle(ginv[..., None, :, :], dterm))
 
     return ConnectionField(M, "conjugate-of", gamma, dgamma)
 
@@ -205,10 +231,9 @@ def _duality_defect(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
     x = _coords_of(p)
     g = M.metric_at(x)
     dg = M.metric_derivatives_at(x)
-    gam = C.gamma_at(x)
-    gam_star = Cstar.gamma_at(x)
-    return (dg - np.einsum("...mij,...mk->...ijk", gam, g)
-            - np.einsum("...mik,...jm->...ijk", gam_star, g))
+    # dg - einsum("...mij,...mk->...ijk", gam, g) - einsum("...mik,...jm->...ijk", gam_star, g)
+    return (dg - _lower_first(C.gamma_at(x), g)
+            - _lower_first(Cstar.gamma_at(x), g.swapaxes(-1, -2)).swapaxes(-2, -1))
 
 
 def duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField, p) -> float:
@@ -232,8 +257,11 @@ def torsion_at(C: ConnectionField, p) -> np.ndarray:
 
 
 def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
-    """(nabla g)(d_i, d_j, d_k) = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm."""
-    return _duality_defect(M, C, C, p)
+    """(nabla g)(d_i, d_j, d_k) = d_i g_jk - Gamma^m_ij g_mk - Gamma^m_ik g_jm.
+
+    Kept on C's sample stream when M is C's chart.
+    """
+    return C._memo_on(M, "cubic", _coords_of(p), lambda z: _duality_defect(M, C, C, z))
 
 
 def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,

@@ -60,16 +60,30 @@ class DegeneratePlaneError(ArithmeticError):
 
 def riemann_at(C: ConnectionField, p) -> np.ndarray:
     """Rank-4 array R[..., l, i, j, k]; antisymmetric in (i, j) to round-off."""
-    x = _coords_of(p)
+    return _riemann_of(C, _coords_of(p))
+
+
+def _riemann_of(C: ConnectionField, x: np.ndarray) -> np.ndarray:  # for kinds built from R
     return C._memo("R", x, lambda z: _riemann(C.gamma_at(z), C.dgamma_at(z)))
+
+
+# The contractions below are batched matmuls on reshaped operands; the
+# einsum in each comment is the definition, and the test oracle.
+
+
+def _compose(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # einsum("...lim,...mjk->...lijk", A, B)
+    d = A.shape[-1]
+    out = A.reshape(A.shape[:-3] + (d * d, d)) @ B.reshape(B.shape[:-3] + (d, d * d))
+    return out.reshape(out.shape[:-2] + (d, d, d, d))
 
 
 def _riemann(gam: np.ndarray, dgam: np.ndarray) -> np.ndarray:
     d_gam = dgam.swapaxes(-4, -3)  # [l, i, j, k] = d_i Gamma^l_jk
     dterm = d_gam - d_gam.swapaxes(-3, -2)
-    qterm = (np.einsum("...lim,...mjk->...lijk", gam, gam)
-             - np.einsum("...ljm,...mik->...lijk", gam, gam))
-    return dterm + qterm
+    # einsum("...lim,...mjk->...lijk", gam, gam) - einsum("...ljm,...mik->...lijk", gam, gam)
+    quad = _compose(gam, gam)
+    return dterm + (quad - quad.swapaxes(-3, -2))
 
 
 def riemann_derivative_at(C: ConnectionField, p) -> np.ndarray:
@@ -87,11 +101,10 @@ def _riemann_derivative(gam: np.ndarray, dgam: np.ndarray, d2gam: np.ndarray) ->
     # d_q of each term of _riemann, q on axis -5
     d_gam = d2gam.swapaxes(-4, -3)  # [q, l, i, j, k] = d_q d_i Gamma^l_jk
     dterm = d_gam - d_gam.swapaxes(-3, -2)
-    qterm = (np.einsum("...qlim,...mjk->...qlijk", dgam, gam)
-             + np.einsum("...lim,...qmjk->...qlijk", gam, dgam)
-             - np.einsum("...qljm,...mik->...qlijk", dgam, gam)
-             - np.einsum("...ljm,...qmik->...qlijk", gam, dgam))
-    return dterm + qterm
+    # einsum("...qlim,...mjk->...qlijk", dgam, gam) + einsum("...lim,...qmjk->...qlijk", gam, dgam)
+    # minus the same two with i and j swapped
+    quad = _compose(dgam, gam[..., None, :, :, :]) + _compose(gam[..., None, :, :, :], dgam)
+    return dterm + (quad - quad.swapaxes(-3, -2))
 
 
 def curvature_duality_residual(g: np.ndarray, R: np.ndarray, Rstar: np.ndarray) -> float:
@@ -101,9 +114,14 @@ def curvature_duality_residual(g: np.ndarray, R: np.ndarray, Rstar: np.ndarray) 
     residual for all X, Y, Z, W in [-1, 1]^d.  Over a batch the norm is taken
     per point, then maximized.
     """
-    D = (np.einsum("...lijk,...lm->...ijkm", R, g)
-         + np.einsum("...lijm,...lk->...ijkm", Rstar, g))
+    # einsum("...lijk,...lm->...ijkm", R, g) + einsum("...lijm,...lk->...ijkm", Rstar, g)
+    D = _lower_riemann(R, g) + _lower_riemann(Rstar, g).swapaxes(-2, -1)
     return float(np.max(np.sum(np.abs(D), axis=(-4, -3, -2, -1))))
+
+
+def _lower_riemann(R: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # einsum("...lijk,...lm->...ijkm", R, g), for R and g over the same points
+    return (R.reshape(R.shape[:-4] + (R.shape[-1], -1)).swapaxes(-1, -2) @ g).reshape(R.shape)
 
 
 def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
@@ -140,16 +158,30 @@ def _item(a):
 
 
 def _ricci(R: np.ndarray, g: np.ndarray, E: np.ndarray) -> np.ndarray:
-    return np.einsum("...ia,...lajk,...lm,...im->...jk", E, R, g, E)
+    # einsum("...ia,...lajk,...lm,...im->...jk", E, R, g, E)
+    d = g.shape[-1]
+    weight = g @ (E.swapaxes(-1, -2) @ E).swapaxes(-1, -2)  # [l, a] = g_lm E_i^a E_i^m
+    out = weight.reshape(weight.shape[:-2] + (1, d * d)) @ R.reshape(R.shape[:-4] + (d * d, d * d))
+    return out.reshape(out.shape[:-2] + (d, d))
 
 
 def _scalar(ric: np.ndarray, E: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ik,...jk->...", E, E, ric)
+    # einsum("...ij,...ik,...jk->...", E, E, ric)
+    return np.sum((E @ ric) * E, axis=(-2, -1))
 
 
 def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
-    """Ric_jk = sum_i g(R(E_i, d_j) d_k, E_i) in the coordinate frame."""
-    return _ricci(riemann_at(C, p), M.metric_at(p), orthonormal_frame_at(M, p))
+    """Ric_jk = sum_i g(R(E_i, d_j) d_k, E_i) in the coordinate frame.
+
+    Kept beside R on C's sample stream when M is C's chart, as S is.
+    """
+    return C._memo_on(M, "Ric", _coords_of(p), lambda z: _ricci(
+        _riemann_of(C, z), M.metric_at(z), orthonormal_frame_at(M, z)))
+
+
+def _scalar_of(M: ManifoldSpec, C: ConnectionField, x: np.ndarray) -> np.ndarray:
+    return C._memo_on(M, "S", x, lambda z: np.asarray(_scalar(ricci_at(M, C, z),
+                                                               orthonormal_frame_at(M, z))))
 
 
 def ricci_contraction(R: np.ndarray) -> np.ndarray:
@@ -159,8 +191,7 @@ def ricci_contraction(R: np.ndarray) -> np.ndarray:
 
 def scalar_at(M: ManifoldSpec, C: ConnectionField, p):
     """S = sum_i Ric(E_i, E_i) over the orthonormal frame."""
-    E = orthonormal_frame_at(M, p)
-    return _item(_scalar(_ricci(riemann_at(C, p), M.metric_at(p), E), E))
+    return _item(_scalar_of(M, C, _coords_of(p)))
 
 
 def ricci_operator_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
@@ -179,11 +210,9 @@ def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -
     """
     if M.dim <= 2:
         raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
-    g = M.metric_at(p)
-    E = orthonormal_frame_at(M, p)
-    R = riemann_at(C, p)
-    ric = _ricci(R, g, E)
-    return _weyl(g, M.inverse_metric_at(p), R, ric, _scalar(ric, E), variant)
+    x = _coords_of(p)
+    return _weyl(M.metric_at(x), M.inverse_metric_at(x), riemann_at(C, x), ricci_at(M, C, x),
+                 _scalar_of(M, C, x), variant)
 
 
 def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S,
@@ -270,8 +299,14 @@ def sectional_at(M: ManifoldSpec, p, X, Y):
     if (denom < 1e-12).any():
         raise DegeneratePlaneError("X and Y do not span a 2-plane")
     R = riemann_at(M.levi_civita_connection, p)
-    num = np.einsum("...lijk,...i,...j,...k,...lm,...m->...", R, X, Y, Y, g, X)
-    return _item(num / denom)
+    return _item(_sectional_numerator(R, g, X, Y) / denom)
+
+
+def _sectional_numerator(R: np.ndarray, g: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    # einsum("...lijk,...i,...j,...k,...lm,...m->...", R, X, Y, Y, g, X); X and Y
+    # are one vector or one per point
+    RYY = ((R @ Y[..., None, None, :, None])[..., 0] @ Y[..., None, :, None])[..., 0]
+    return _pair(g, (RYY @ X[..., :, None])[..., 0], X)  # RYY[l, i] = R^l_ijk Y^j Y^k
 
 
 def _pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -316,7 +351,7 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32,
     g = M.metric_at(x)
     E = orthonormal_frame_at(M, x)
     R = riemann_at(M.levi_civita_connection, x)
-    kappas = _scalar(_ricci(R, g, E), E) / (n * (n - 1))
+    kappas = _scalar_of(M, M.levi_civita_connection, x) / (n * (n - 1))
     framed = np.einsum("...lm,...lijk->...mijk", g, R)
     for _ in range(4):  # map the leading slot into the frame, rotate it to the back
         rest = np.moveaxis(framed, -4, -1).reshape(x.shape[:-1] + (n ** 3, n))
@@ -358,11 +393,9 @@ class CurvatureReport:
 def curvature_report(M: ManifoldSpec, C: ConnectionField, p,
                      tol: float = FLAT_AT_POINT_TOL) -> CurvatureReport:
     x = _coords_of(p)
-    g = M.metric_at(x)
-    E = orthonormal_frame_at(M, x)
     R = riemann_at(C, x)
-    ric = _ricci(R, g, E)
-    S = _scalar(ric, E)
-    W = _weyl(g, M.inverse_metric_at(x), R, ric, S, "standard") if M.dim >= 3 else None
+    ric = ricci_at(M, C, x)
+    S = _scalar_of(M, C, x)
+    W = _weyl(M.metric_at(x), M.inverse_metric_at(x), R, ric, S, "standard") if M.dim >= 3 else None
     flat = np.max(np.abs(R), axis=(-4, -3, -2, -1)) < tol
     return CurvatureReport(x, R, ric, _item(S), W, _item(flat), tol)

@@ -21,7 +21,7 @@ from .curvature import (FLAT_TOL, ConstantSectionalResult, DimensionError,
 from .products import (ProductSpec, _max_abs, _mv, _per_point, _warped_reduction,
                        block_connection, hessian_condition_defect, mixed_ricci_table,
                        mixed_weyl_report, riemann_block_residuals, separability_test,
-                       twisted_product, weyl_parallel_defect)
+                       weyl_parallel_defect)
 
 __all__ = [
     "DualisticStructure", "ProductDualisticStructure", "ConjugacyError",
@@ -101,16 +101,16 @@ def make_dualistic(M: ManifoldSpec, C: ConnectionField,
     return DualisticStructure(M, C, Cstar, worst, involution)
 
 
-def induce_on_product(dB: DualisticStructure, dF: DualisticStructure, twist,
+def induce_on_product(P: ProductSpec, dB: DualisticStructure, dF: DualisticStructure,
                       samples: int = 64, seed: int = 42) -> ProductDualisticStructure:
-    """Build the induced dualistic structure (g, D, D*) on B x_b F.
+    """Build the induced dualistic structure (g, D, D*) on P = B x_b F.
 
-    D follows the twisted block pattern with factor primal connections
-    substituted; D* is derived by conjugation rather than posited, which is
-    the unique metric-consistent completion.  The projection checks confirm
-    that D* nevertheless recovers the factor duals block-wise.
+    P is a twisted product of dB's and dF's charts.  D follows the twisted
+    block pattern with factor primal connections substituted; D* is derived
+    by conjugation rather than posited, which is the unique metric-consistent
+    completion.  The projection checks confirm that D* nevertheless recovers
+    the factor duals block-wise.
     """
-    P = twisted_product(dB.manifold, dF.manifold, twist)
     D = block_connection(P, dB.primal, dF.primal)
     d = make_dualistic(P.manifold, D, None, samples, seed)
     return ProductDualisticStructure(**vars(d), product=P, base_structure=dB, fiber_structure=dF)

@@ -15,7 +15,7 @@ from . import dualistic as _du
 
 __all__ = [
     "euclidean", "sphere2", "hyperbolic2", "fisher_normal", "hessian_exp2",
-    "bumpy_sphere2", "standard_manifolds", "connection_suite",
+    "bumpy_sphere2", "Fixtures", "standard_manifolds", "connection_suite",
     "standard_twists", "dualistic_suite",
 ]
 
@@ -62,9 +62,85 @@ def bumpy_sphere2() -> ManifoldSpec:
         [["1", "0"], ["0", "(1 + 0.3*sin(th))^2 * sin(th)^2"]])
 
 
+# name: (base, fiber, twist)
+_TWISTS = {
+    "direct": ("lineB", "lineF", "1"),
+    "warped-exp": ("lineB", "lineF", "exp(x)"),
+    "twisted-exp": ("lineB", "lineF", "exp(x*u)"),
+    "twisted-poly": ("lineB", "lineF", "(1 + x^2)*(1 + u^2)"),
+    "twisted-wide-fiber": ("lineB", "planeF", "exp(x*u)"),
+    "twisted-4d": ("planeB", "planeF", "exp(x*u)"),
+    "warped-sphere-fiber": ("lineB", "sphere2", "exp(x)"),
+    "hyperbolic-4d": ("lineB", "spaceF", "exp(x)"),
+    "direct-4d": ("lineB", "spaceF", "1"),
+}
+
+# factor structure: (chart, explicit connection entries), None standing for
+# the chart's Levi-Civita connection
+_FACTORS = {
+    "constant-pair": ("lineB", {(0, 0, 0): "0.4"}),
+    "flat-base": ("lineB", {}),
+    "flat-fiber": ("lineF", {}),
+    "plane-fiber": ("planeF", {}),
+    "hessian-base": ("hessian-exp2", {}),
+    "sphere-lc": ("sphere2", None),
+}
+
+# name, base, fiber, twist, expect_dually_flat, expect_agreement
+SUITE = [
+    ("flat-pair-direct", "constant-pair", "flat-fiber", "1", True, True),
+    ("flat-fiber-twist", "flat-base", "flat-fiber", "exp(u)", True, True),
+    ("hessian-base-direct", "hessian-base", "flat-fiber", "1", True, True),
+    ("sphere-base-direct", "sphere-lc", "flat-fiber", "1", False, True),
+    # precondition fails; no prediction
+    ("proper-twisted-wide-fiber", "flat-base", "plane-fiber", "exp(x*u)", False, None),
+    # documented gap in the printed biconditional
+    ("curved-fiber-direct", "flat-base", "sphere-lc", "1", False, False),
+]
+
+
+class Fixtures:
+    """The built-in fixtures of one run, over one set of charts.
+
+    Each chart and product is built once per instance and shared, with its
+    cached arrays, by every fixture over it.  ``verify_paper`` builds one
+    instance per call.
+    """
+
+    def __init__(self):
+        self.charts = {M.name: M for M in (
+            euclidean(2), euclidean(3), sphere2(), hyperbolic2(), fisher_normal(), hessian_exp2(),
+            bumpy_sphere2(), euclidean(1, ("x",), "lineB"), euclidean(1, ("u",), "lineF"),
+            euclidean(2, ("x", "y"), "planeB"), euclidean(2, ("u", "v"), "planeF"),
+            euclidean(3, ("u", "v", "w"), "spaceF"))}
+        self.manifolds = [self.charts[name] for name in
+                          ("euclidean2", "euclidean3", "sphere2", "hyperbolic2", "fisher-normal")]
+        self._products: dict[tuple, ProductSpec] = {}
+        self.twists = {name: self.product(*factors) for name, factors in _TWISTS.items()}
+
+    def product(self, base: str, fiber: str, twist: str) -> ProductSpec:
+        """The product of two named charts, built on first use."""
+        if (base, fiber, twist) not in self._products:
+            self._products[base, fiber, twist] = twisted_product(
+                self.charts[base], self.charts[fiber], twist)
+        return self._products[base, fiber, twist]
+
+    def suite(self, samples: int, seed: int) -> list[dict]:
+        """The dualistic suite; each structure validated on ``samples`` points at ``seed``."""
+        factors = {name: _du.make_dualistic(M, M.levi_civita_connection if gamma is None
+                                            else explicit_connection(M, gamma), None, samples, seed)
+                   for name, (chart, gamma) in _FACTORS.items() for M in [self.charts[chart]]}
+        return [{"name": name,
+                 "structure": _du.induce_on_product(
+                     self.product(_FACTORS[base][0], _FACTORS[fiber][0], twist),
+                     factors[base], factors[fiber], samples, seed),
+                 "expect_dually_flat": flat, "expect_agreement": agreement}
+                for name, base, fiber, twist, flat, agreement in SUITE]
+
+
 def standard_manifolds() -> list[ManifoldSpec]:
     """The five fixtures used by the conjugation and identity suites."""
-    return [euclidean(2), euclidean(3), sphere2(), hyperbolic2(), fisher_normal()]
+    return Fixtures().manifolds
 
 
 def connection_suite(M: ManifoldSpec) -> list[tuple[str, ConnectionField]]:
@@ -87,20 +163,7 @@ def standard_twists() -> list[tuple[str, ProductSpec]]:
 
     Factors with the same name are one chart, shared by every product over it.
     """
-    lineB, lineF = euclidean(1, ("x",), "lineB"), euclidean(1, ("u",), "lineF")
-    planeF = euclidean(2, ("u", "v"), "planeF")
-    spaceF = euclidean(3, ("u", "v", "w"), "spaceF")
-    return [
-        ("direct", twisted_product(lineB, lineF, "1")),
-        ("warped-exp", twisted_product(lineB, lineF, "exp(x)")),
-        ("twisted-exp", twisted_product(lineB, lineF, "exp(x*u)")),
-        ("twisted-poly", twisted_product(lineB, lineF, "(1 + x^2)*(1 + u^2)")),
-        ("twisted-wide-fiber", twisted_product(lineB, planeF, "exp(x*u)")),
-        ("twisted-4d", twisted_product(euclidean(2, ("x", "y"), "planeB"), planeF, "exp(x*u)")),
-        ("warped-sphere-fiber", twisted_product(lineB, sphere2(), "exp(x)")),
-        ("hyperbolic-4d", twisted_product(lineB, spaceF, "exp(x)")),
-        ("direct-4d", twisted_product(lineB, spaceF, "1")),
-    ]
+    return list(Fixtures().twists.items())
 
 
 def dualistic_suite() -> list[dict]:
@@ -109,29 +172,6 @@ def dualistic_suite() -> list[dict]:
     ``expect_agreement`` marks fixtures where the warped biconditional is
     expected to hold; the curved-fiber direct product is the documented
     counterexample to the biconditional as printed and is reported
-    informationally.  Factors with the same name are one structure.
+    informationally.  Factors of one name are one chart and one structure.
     """
-    lineB, lineF = euclidean(1, ("x",), "lineB"), euclidean(1, ("u",), "lineF")
-    planeF, sphere, hessian = euclidean(2, ("u", "v"), "planeF"), sphere2(), hessian_exp2()
-    flat_base, flat_fiber, plane_fiber, hessian_base = (
-        _du.make_dualistic(M, explicit_connection(M, {}), samples=16)
-        for M in (lineB, lineF, planeF, hessian))
-    sphere_lc = _du.make_dualistic(sphere, sphere.levi_civita_connection, samples=16)
-    constant_pair = _du.make_dualistic(lineB, explicit_connection(lineB, {(0, 0, 0): "0.4"}),
-                                       samples=16)
-    entries = [
-        # name, base, fiber, twist, expect_dually_flat, expect_agreement
-        ("flat-pair-direct", constant_pair, flat_fiber, "1", True, True),
-        ("flat-fiber-twist", flat_base, flat_fiber, "exp(u)", True, True),
-        ("hessian-base-direct", hessian_base, flat_fiber, "1", True, True),
-        ("sphere-base-direct", sphere_lc, flat_fiber, "1", False, True),
-        # precondition fails; no prediction
-        ("proper-twisted-wide-fiber", flat_base, plane_fiber, "exp(x*u)", False, None),
-        # documented gap in the printed biconditional
-        ("curved-fiber-direct", flat_base, sphere_lc, "1", False, False),
-    ]
-    return [{"name": name,
-             "structure": _du.induce_on_product(base, fiber, twist, samples=16),
-             "expect_dually_flat": flat,
-             "expect_agreement": agreement}
-            for name, base, fiber, twist, flat, agreement in entries]
+    return Fixtures().suite(16, 42)

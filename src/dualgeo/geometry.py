@@ -39,9 +39,10 @@ def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
     batches that are row-prefixes of each other, with the arrays built on
     it.  A chart (``ManifoldSpec``) holds g, g^-1, dg, d2g, d3g and the
     orthonormal frame, and a product chart also its twist data; a
-    ``ConnectionField`` holds Gamma, dGamma and R (Levi-Civita also d2Gamma
-    and dR).  Each connection keeps its own stream, so a connection built
-    per call is freed with its arrays and the chart's entries stay fixed.
+    ``ConnectionField`` holds Gamma, dGamma, R, Ric, the scalar curvature
+    and the cubic form nabla g (Levi-Civita also d2Gamma and dR).  Each
+    connection keeps its own stream, so a connection built per call is
+    freed with its arrays and the chart's entries stay fixed.
 
     The key carries the shape: a (1, d) batch and the (d,) point have equal
     bytes.  An (n, d) batch whose bytes begin the stream's reads the first n
@@ -214,7 +215,11 @@ class ManifoldSpec:
 
     def _inverse_metric(self, x: np.ndarray) -> np.ndarray:
         g = self.metric_at(x)
-        singular = np.linalg.cond(g) > _COND_LIMIT
+        # condition number of the symmetric metric, compared without a division;
+        # a zero metric has no finite one
+        eig = np.abs(np.linalg.eigvalsh(g))
+        top = eig.max(axis=-1)
+        singular = (top > _COND_LIMIT * eig.min(axis=-1)) | (top == 0)
         if singular.any():
             first = np.argwhere(singular)[0]
             raise SingularMetricError(

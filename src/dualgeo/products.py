@@ -641,6 +641,8 @@ def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int,
     if not sep.separable:
         raise GeometryError(
             f"twist is not separable (max cross-derivative {sep.max_cross_derivative:.3e})")
+    if sep.alpha == sep.beta == Const(0.0):  # a direct product: P is its own reduction
+        return P, 0.0
     delta = simplify(fn("exp", sep.alpha))
     gamma_sq = simplify(fn("exp", mul(Const(2.0), sep.beta)))
     fiber = P.fiber

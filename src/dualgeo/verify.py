@@ -213,12 +213,20 @@ def new_report(config: RunConfig, inputs: dict) -> VerificationReport:
         inputs=inputs)
 
 
+# A row's place in a report is its place in CHECKS; the per-structure
+# theorem-* rows share one place and keep the order they are added in.
+_PLACE = {key: i for i, key in enumerate(CHECKS)}
+_PLACE.update({key: _PLACE["theorem-mixed-ricci/agrees"] for key in CHECKS
+               if key.startswith("theorem-")})
+
+
 class Checks:
     """One command's report, filled from rows of ``CHECKS``."""
 
     def __init__(self, config: RunConfig, inputs: dict):
         self.config = config
         self.report = new_report(config, inputs)
+        self._places: list[int] = []  # the CHECKS place of each row added
 
     def n(self, *keys: str) -> int:
         """The sample count of the rows ``keys``, which are computed from one batch."""
@@ -236,11 +244,18 @@ class Checks:
         """
         row = CHECKS[key]
         check_id = key.split("/")[0] + (f" [{name}]" if name else "")
+        self._places.append(_PLACE[key])
         if row.rule == FLAG:
             return self.report.add_flag(check_id, row.statement, all(values), notes=notes)
         value = values[0] if len(values) == 1 else float(np.max(values))
         return self.report.add(check_id, row.statement, value, row.tolerance(self.config),
                                notes=notes, informational=row.rule == INFO)
+
+    def in_table_order(self) -> VerificationReport:
+        """The report, its rows sorted into ``CHECKS`` order (ties keep the order added)."""
+        order = sorted(range(len(self._places)), key=self._places.__getitem__)
+        self.report.checks = [self.report.checks[i] for i in order]
+        return self.report
 
 
 def _valid_metric(M: ManifoldSpec, samples: int, seed: int) -> bool:
@@ -261,41 +276,47 @@ _SEPARABLE_TWISTS = ("direct", "warped-exp", "twisted-poly", "warped-sphere-fibe
 _CRITERION4_TWISTS = ("direct", "warped-exp", "twisted-exp", "twisted-poly")
 
 
-def fixture_digest(manifolds: list, twists: dict, suite: list) -> str:
+def fixture_digest(fx: fixtures.Fixtures) -> str:
     """Deterministic digest of the built-in fixtures, as ``verify_paper`` builds them."""
     parts = []
-    for M in manifolds + [fixtures.hessian_exp2(), fixtures.bumpy_sphere2()]:
+    for M in fx.manifolds + [fx.charts["hessian-exp2"], fx.charts["bumpy-sphere2"]]:
         parts.append(M.name)
         parts.append(",".join(M.coords))
         parts.append(";".join(f"{lo}:{hi}" for lo, hi in M.domain))
         parts.extend(to_source(e) for row in M.metric for e in row)
-    for name, P in twists.items():
+    for name, P in fx.twists.items():
         parts.append(name)
         parts.append(to_source(P.twist))
-    parts.extend(entry["name"] for entry in suite)
+    parts.extend(name for name, *_ in fixtures.SUITE)
     return sha256_of("|".join(parts).encode())
 
 
 def verify_paper(config: RunConfig) -> VerificationReport:
-    manifolds = fixtures.standard_manifolds()
-    e2, _, sphere, hyp, fisher = manifolds
-    twists = dict(fixtures.standard_twists())
-    suite = fixtures.dualistic_suite()
-    structures = [entry["structure"] for entry in suite]
-    ck = Checks(config, {"fixture_suite_digest": fixture_digest(manifolds, twists, suite)})
+    """The built-in suite over one ``fixtures.Fixtures``.
+
+    Rows are computed in read order, each chart and connection at its largest
+    count first, so every later read is a row-prefix of one build, and
+    reported in ``CHECKS`` order.
+    """
+    fx = fixtures.Fixtures()
+    e2, _, sphere, hyp, fisher = manifolds = fx.manifolds
+    twists = fx.twists
+    ck = Checks(config, {"fixture_suite_digest": fixture_digest(fx)})
     seed = config.seed
 
     # ---------------------------------------------------------------- charts
+    # the conjugation identities read each chart at the most points
+    n = ck.n("conjugation-duality", "conjugation-involution", "cubic-form-sign",
+             "torsion-relation", "curvature-duality", "riemann-antisymmetry", "flat-iff-dual-flat")
+    pairs = [(M, C, conjugate(C, M), M.sample_array(n, seed))
+             for M in manifolds for _, C in fixtures.connection_suite(M)]
+    duality = [duality_residual(M, C, Cs, x) for M, C, Cs, x in pairs]
     ck.add("metric-spd", *(_valid_metric(M, ck.n("metric-spd"), seed) for M in manifolds))
     ck.add("inverse-metric", *(inverse_defect(M, M.sample_array(ck.n("inverse-metric"), seed))
                                for M in manifolds))
 
     # ------------------------------------------------- conjugation identities
-    n = ck.n("conjugation-duality", "conjugation-involution", "cubic-form-sign",
-             "torsion-relation", "curvature-duality", "riemann-antisymmetry", "flat-iff-dual-flat")
-    pairs = [(M, C, conjugate(C, M), M.sample_array(n, seed))
-             for M in manifolds for _, C in fixtures.connection_suite(M)]
-    ck.add("conjugation-duality", *(duality_residual(M, C, Cs, x) for M, C, Cs, x in pairs))
+    ck.add("conjugation-duality", *duality)
     ck.add("conjugation-involution",
            *(involution_defect(M, C, Cs, x) for M, C, Cs, x in pairs))
     ck.add("cubic-form-sign", *(_max_abs(cubic_form_at(M, C, x) + cubic_form_at(M, Cs, x))
@@ -335,18 +356,11 @@ def verify_paper(config: RunConfig) -> VerificationReport:
            is_statistical(e2, conjugate(statistical, e2), n, seed).is_statistical)
 
     # ------------------------------------------------------ classical values
-    plane = ([1.0, 0.0], [0.0, 1.0])
-    n = ck.n("classical-curvature")
-    xs, xh, xf = (M.sample_array(n, seed) for M in (sphere, hyp, fisher))
-    ck.add("classical-curvature",
-           _max_abs(scalar_at(sphere, sphere.levi_civita_connection, xs) - 2.0),
-           _max_abs(sectional_at(sphere, xs, *plane) - 1.0),
-           _max_abs(scalar_at(hyp, hyp.levi_civita_connection, xh) + 2.0),
-           _max_abs(sectional_at(fisher, xf, *plane) + 0.5))
-
+    # on the sphere, half-plane and Fisher charts: constant-sectional (16
+    # points) and the identities (12) before the classical values (10)
     n = ck.n("constant-sectional")
     cs_sphere, cs_fisher, cs_bumpy = (is_constant_sectional(M, n, seed)
-                                      for M in (sphere, fisher, fixtures.bumpy_sphere2()))
+                                      for M in (sphere, fisher, fx.charts["bumpy-sphere2"]))
     ck.add("constant-sectional", cs_sphere.constant, cs_fisher.constant, not cs_bumpy.constant,
            notes=f"kappa(sphere)={cs_sphere.kappa:.6f}, kappa(fisher)={cs_fisher.kappa:.6f}")
 
@@ -360,6 +374,15 @@ def verify_paper(config: RunConfig) -> VerificationReport:
            *(_max_abs(scalar_at(M, lc, x) - np.einsum("...jk,...jk->...", M.inverse_metric_at(x),
                                                       ricci_at(M, lc, x)))
              for M, lc, x in charts))
+
+    plane = ([1.0, 0.0], [0.0, 1.0])
+    n = ck.n("classical-curvature")
+    xs, xh, xf = (M.sample_array(n, seed) for M in (sphere, hyp, fisher))
+    ck.add("classical-curvature",
+           _max_abs(scalar_at(sphere, sphere.levi_civita_connection, xs) - 2.0),
+           _max_abs(sectional_at(sphere, xs, *plane) - 1.0),
+           _max_abs(scalar_at(hyp, hyp.levi_civita_connection, xh) + 2.0),
+           _max_abs(sectional_at(fisher, xf, *plane) + 0.5))
     n = ck.n("ricci-two-routes")
     ck.add("ricci-two-routes",
            *(_max_abs(ricci_at(M, C, x) - ricci_contraction(riemann_at(C, x)))
@@ -370,12 +393,78 @@ def verify_paper(config: RunConfig) -> VerificationReport:
            *(dgamma_fd_defect(M.levi_civita_connection, samples=ck.n("dgamma-fd-crosscheck"),
                               seed=seed) for M in (sphere, hyp)))
 
+    # ---------------------------------------------------------- dualistic suite
+    # The suite's products share charts with the product fixtures and read
+    # them at more points (32 down to 12, against 16 down to 3), so the suite
+    # comes first, validated on the induced-duality batch.
+    n = ck.n("induced-duality")
+    suite = fx.suite(n, seed)
+    structures = [entry["structure"] for entry in suite]
+    ck.add("induced-duality",
+           *(duality_residual(st.product.manifold, st.primal, st.dual,
+                              st.product.manifold.sample_array(n, seed)) for st in structures))
+    n = ck.n("induced-curvature-duality", "induced-flat-flags", "dually-flat-verdicts")
+    batches = [(st, st.product.manifold.sample_array(n, seed)) for st in structures]
+    verdicts = [verdict_from_tensors(torsion_at(st.primal, x), torsion_at(st.dual, x),
+                                     riemann_at(st.primal, x), riemann_at(st.dual, x), n, seed)
+                for st, x in batches]
+    ck.add("induced-curvature-duality",
+           *(curvature_duality_residual(st.product.manifold.metric_at(x), riemann_at(st.primal, x),
+                                        riemann_at(st.dual, x)) for st, x in batches))
+    ck.add("induced-flat-flags", *(fv.flat_flags_agree for fv in verdicts))
+    ck.add("dually-flat-verdicts", *(fv.dually_flat == entry["expect_dually_flat"]
+                                     for fv, entry in zip(verdicts, suite)))
+
+    # ------------------------------------------------------- theorem analyzers
+    n41 = ck.n("theorem-mixed-ricci/agrees", "theorem-mixed-ricci/unmet",
+               "theorem-mixed-ricci/gap")
+    n42 = ck.n("theorem-mixed-weyl/agrees", "theorem-mixed-weyl/reported")
+    n43 = ck.n("theorem-weyl-parallel/agrees", "theorem-weyl-parallel/reported")
+    for entry, direct in zip(suite, verdicts):
+        st = entry["structure"]
+        name = entry["name"]
+        expected = entry["expect_agreement"]
+        chain = reduction_chain(st, n41, seed)
+        rec = theorem41_analyze(st, direct, chain, samples=n41, seed=seed)
+        if expected is True:
+            ck.add("theorem-mixed-ricci/agrees", rec.agreement is True, name=name)
+        elif expected is None:
+            ck.add("theorem-mixed-ricci/unmet", rec.mixed_ricci_max,
+                   notes="; ".join(rec.notes), name=name)
+        else:
+            ck.add("theorem-mixed-ricci/gap", None, name=name,
+                   notes="; ".join(rec.notes) or "prediction disagrees with direct verdict")
+        if st.product.n >= 3:
+            rec42 = theorem42_analyze(st, direct, chain, samples=n42, seed=seed)
+            if expected is True:
+                ck.add("theorem-mixed-weyl/agrees", rec42.agreement is not False,
+                       notes="; ".join(rec42.notes), name=name)
+            else:
+                ck.add("theorem-mixed-weyl/reported", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
+                       notes="; ".join(rec42.notes), name=name)
+        rec43 = theorem43_analyze(st, direct, chain, samples=n43,
+                                  tol=config.exact_tol(BRANCH_TOL), seed=seed)
+        if expected is True:
+            ck.add("theorem-weyl-parallel/agrees", rec43.agreement is not False,
+                   notes=f"branch={rec43.branch}", name=name)
+        else:
+            ck.add("theorem-weyl-parallel/reported", rec43.hessian_defect,
+                   notes="; ".join(rec43.notes), name=name)
+
     # ---------------------------------------------------------------- products
     ck.add("lift-lemma", *(lift_lemma_residual(P, ck.n("lift-lemma"), seed)
                            for P in twists.values()))
     ck.add("block-levi-civita", *(block_levi_civita_defect(twists[name],
                                                            ck.n("block-levi-civita"), seed)
                                   for name in _CRITERION4_TWISTS))
+
+    # the suite's projections read the shared factor charts at 12 points,
+    # between the 16 points above and the 10 and fewer below
+    n = ck.n("projection-recovery", "torsion-inheritance")
+    ck.add("projection-recovery", *(projection_check(st, n, seed).max_residual()
+                                    for st in structures))
+    ck.add("torsion-inheritance", *(torsion_inheritance_check(st, n, seed).inherited
+                                    for st in structures))
 
     n = ck.n(*CURVATURE_BLOCK_IDS, "curvature-block R(U,V)W as-printed",
              "curvature-blocks-warped")
@@ -431,6 +520,11 @@ def verify_paper(config: RunConfig) -> VerificationReport:
     ck.add("separability-reconstruction", sep_good.reconstruction_residual, recon,
            notes=f"reduced classification: {warped.classification}")
 
+    # the Hessian conditions (8 points) before the block restriction (6)
+    ck.add("hessian-condition-direct", hessian_condition_defect(
+        twists["direct"], ck.n("hessian-condition-direct"), seed).defect)
+    ck.add("hessian-condition-warped", abs(hessian_condition_defect(
+        twists["warped-exp"], ck.n("hessian-condition-warped"), seed).defect - 1.0))
     n = ck.n("hessian-block-restriction")
     hessians = [(P, hessian_at(P, P.manifold.sample_array(n, seed)))
                 for P in (twists[name] for name in _CRITERION4_TWISTS)]
@@ -438,39 +532,10 @@ def verify_paper(config: RunConfig) -> VerificationReport:
            *(_max_abs(h.full[..., : P.r, : P.r] - h.base_block) for P, h in hessians),
            *(_max_abs(h.full[..., : P.r, P.r:] - h.mixed_block) for P, h in hessians))
 
-    hc_direct = hessian_condition_defect(twists["direct"], ck.n("hessian-condition-direct"), seed)
-    hc_warped = hessian_condition_defect(twists["warped-exp"], ck.n("hessian-condition-warped"),
-                                         seed)
-    ck.add("hessian-condition-direct", hc_direct.defect)
-    ck.add("hessian-condition-warped", abs(hc_warped.defect - 1.0))
-
     for key, twist in (("weyl-parallel-flat", "direct-4d"),
                        ("weyl-parallel-constant-curvature", "hyperbolic-4d"),
                        ("weyl-parallel-twisted", "twisted-4d")):
         ck.add(key, weyl_parallel_defect(twists[twist], samples=ck.n(key), seed=seed))
-
-    # ---------------------------------------------------------- dualistic suite
-    # the larger batch first: the smaller ones are its row-prefix, read from one build
-    ck.add("induced-duality",
-           *(duality_residual(st.product.manifold, st.primal, st.dual,
-                              st.product.manifold.sample_array(ck.n("induced-duality"), seed))
-             for st in structures))
-    n = ck.n("induced-curvature-duality", "induced-flat-flags", "dually-flat-verdicts")
-    batches = [(st, st.product.manifold.sample_array(n, seed)) for st in structures]
-    verdicts = [verdict_from_tensors(torsion_at(st.primal, x), torsion_at(st.dual, x),
-                                     riemann_at(st.primal, x), riemann_at(st.dual, x), n, seed)
-                for st, x in batches]
-    ck.add("induced-curvature-duality",
-           *(curvature_duality_residual(st.product.manifold.metric_at(x), riemann_at(st.primal, x),
-                                        riemann_at(st.dual, x)) for st, x in batches))
-    n = ck.n("projection-recovery", "torsion-inheritance")
-    ck.add("projection-recovery", *(projection_check(st, n, seed).max_residual()
-                                    for st in structures))
-    ck.add("torsion-inheritance", *(torsion_inheritance_check(st, n, seed).inherited
-                                    for st in structures))
-    ck.add("induced-flat-flags", *(fv.flat_flags_agree for fv in verdicts))
-    ck.add("dually-flat-verdicts", *(fv.dually_flat == entry["expect_dually_flat"]
-                                     for fv, entry in zip(verdicts, suite)))
 
     n = ck.n("sphere-not-dually-flat")
     sphere_struct = make_dualistic(sphere, sphere.levi_civita_connection, samples=n, seed=seed)
@@ -486,40 +551,4 @@ def verify_paper(config: RunConfig) -> VerificationReport:
              if "as-printed" not in name),
            notes="residuals reported per block; the displays repeat the metric-pattern "
                  "auxiliaries verbatim for R*")
-
-    # ------------------------------------------------------- theorem analyzers
-    n41 = ck.n("theorem-mixed-ricci/agrees", "theorem-mixed-ricci/unmet",
-               "theorem-mixed-ricci/gap")
-    n42 = ck.n("theorem-mixed-weyl/agrees", "theorem-mixed-weyl/reported")
-    n43 = ck.n("theorem-weyl-parallel/agrees", "theorem-weyl-parallel/reported")
-    for entry, direct in zip(suite, verdicts):
-        st = entry["structure"]
-        name = entry["name"]
-        expected = entry["expect_agreement"]
-        chain = reduction_chain(st, n41, seed)
-        rec = theorem41_analyze(st, direct, chain, samples=n41, seed=seed)
-        if expected is True:
-            ck.add("theorem-mixed-ricci/agrees", rec.agreement is True, name=name)
-        elif expected is None:
-            ck.add("theorem-mixed-ricci/unmet", rec.mixed_ricci_max,
-                   notes="; ".join(rec.notes), name=name)
-        else:
-            ck.add("theorem-mixed-ricci/gap", None, name=name,
-                   notes="; ".join(rec.notes) or "prediction disagrees with direct verdict")
-        if st.product.n >= 3:
-            rec42 = theorem42_analyze(st, direct, chain, samples=n42, seed=seed)
-            if expected is True:
-                ck.add("theorem-mixed-weyl/agrees", rec42.agreement is not False,
-                       notes="; ".join(rec42.notes), name=name)
-            else:
-                ck.add("theorem-mixed-weyl/reported", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
-                       notes="; ".join(rec42.notes), name=name)
-        rec43 = theorem43_analyze(st, direct, chain, samples=n43,
-                                  tol=config.exact_tol(BRANCH_TOL), seed=seed)
-        if expected is True:
-            ck.add("theorem-weyl-parallel/agrees", rec43.agreement is not False,
-                   notes=f"branch={rec43.branch}", name=name)
-        else:
-            ck.add("theorem-weyl-parallel/reported", rec43.hessian_defect,
-                   notes="; ".join(rec43.notes), name=name)
-    return ck.report
+    return ck.in_table_order()

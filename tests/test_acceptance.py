@@ -149,9 +149,10 @@ def test_criterion_6_theorem_41_pipeline():
     F = fx.euclidean(1, ("u",), "F1")
     from dualgeo.connections import explicit_connection
     from dualgeo.dualistic import induce_on_product
+    from dualgeo.products import twisted_product
     dB = make_dualistic(B, explicit_connection(B, {}), samples=16)
     dF = make_dualistic(F, explicit_connection(F, {}), samples=16)
-    st = induce_on_product(dB, dF, "exp(u)", samples=SAMPLES)
+    st = induce_on_product(twisted_product(B, F, "exp(u)"), dB, dF, samples=SAMPLES)
     rec = theorem41_analyze(st, dually_flat_verdict(st, 32, SEED),
                             reduction_chain(st, 32, SEED),
                             samples=32, seed=SEED)
@@ -163,7 +164,7 @@ def test_criterion_6_theorem_41_pipeline():
     # non-separable fixture: cross-derivative exactly 1, precondition fails
     F2 = fx.euclidean(2, ("u", "v"), "F2")
     dF2 = make_dualistic(F2, explicit_connection(F2, {}), samples=16)
-    st2 = induce_on_product(dB, dF2, "exp(x*u)", samples=SAMPLES)
+    st2 = induce_on_product(twisted_product(B, F2, "exp(x*u)"), dB, dF2, samples=SAMPLES)
     rec2 = theorem41_analyze(st2, dually_flat_verdict(st2, 32, SEED),
                              reduction_chain(st2, 32, SEED),
                              samples=32, seed=SEED)

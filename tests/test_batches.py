@@ -17,6 +17,7 @@ import collections
 import contextlib
 import functools
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualgeo import fixtures as fx
+from dualgeo import dualistic, fixtures as fx
 from dualgeo import numdiff
 from dualgeo.cli import main
 from dualgeo.connections import (ConnectionField, conjugate, cubic_form_at, dgamma_fd_defect,
@@ -37,8 +38,8 @@ from dualgeo.curvature import (curvature_duality_residual, curvature_report,
 from dualgeo.dualistic import lemma_dual_block_report
 from dualgeo.exprlang import DomainError, evaluate, parse
 from dualgeo.geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
-from dualgeo.products import (ProductSpec, hessian_at, mixed_ricci_table, mixed_weyl_report,
-                              ricci_base_block_residual, riemann_block_residuals,
+from dualgeo.products import (ProductSpec, block_connection, hessian_at, mixed_ricci_table,
+                              mixed_weyl_report, ricci_base_block_residual, riemann_block_residuals,
                               twisted_product, weyl_parallel_defect)
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
@@ -314,21 +315,62 @@ def test_concurrent_extensions_of_one_prefix_stay_apart():
 
 
 def test_verify_paper_builds_each_induced_gamma_once(monkeypatch):
-    # the dualistic section reads each suite structure at 32, 24 and 12
-    # points, and the analyzers at 16 and 12: all row-prefixes of one stream
-    suite = fx.dualistic_suite()
-    builds = collections.Counter()
-    for entry in suite:
-        for label in ("primal", "dual"):
-            C = getattr(entry["structure"], label)
+    # the suite is validated on its largest batch (induced-duality's 32 points
+    # at the run seed), and the run reads each induced pair at 32, 24, 16 and
+    # 12 points: all row-prefixes of that one build
+    _assert_induced_gammas_built_once(monkeypatch, RunConfig())
 
-            def counted(x, provider=C._gamma, key=(entry["name"], label)):
-                builds[key] += 1
-                return provider(x)
-            C._gamma = counted
-    monkeypatch.setattr(fx, "dualistic_suite", lambda: suite)
-    verify_paper(RunConfig())
-    assert builds == {(e["name"], label): 1 for e in suite for label in ("primal", "dual")}
+
+def test_induced_gammas_are_built_once_at_another_seed(monkeypatch):
+    # the validation is drawn at the run seed, not make_dualistic's 42
+    _assert_induced_gammas_built_once(monkeypatch, RunConfig(seed=3, samples=16))
+
+
+def _assert_induced_gammas_built_once(monkeypatch, config):
+    builds = collections.Counter()
+    runs = []
+
+    def counted(C, key):
+        provider = C._gamma
+
+        def gamma(x):
+            builds[key] += 1
+            return provider(x)
+        C._gamma = gamma
+        return C
+
+    def primal(*args):
+        D = block_connection(*args)
+        return counted(D, (id(D), "primal"))
+
+    class Recorded(fx.Fixtures):
+        def suite(self, samples, seed):
+            runs.append(super().suite(samples, seed))
+            return runs[-1]
+
+    monkeypatch.setattr(fx, "Fixtures", Recorded)
+    monkeypatch.setattr(dualistic, "block_connection", primal)
+    monkeypatch.setattr(dualistic, "conjugate", lambda C, M=None: (
+        counted(conjugate(C, M), (id(C), "dual")) if C.provenance == "induced-product"
+        else conjugate(C, M)))
+    verify_paper(config)
+    [suite] = runs
+    assert len(builds) == 2 * len(suite)
+    assert builds == {(id(e["structure"].primal), label): 1
+                      for e in suite for label in ("primal", "dual")}
+
+
+def test_chart_kinds_of_another_chart_are_not_kept():
+    # S and the cubic form are kept on the connection's stream only when taken
+    # with the connection's own chart; with another metric they are computed
+    M = fx.sphere2()
+    big = ManifoldSpec.from_strings("big", M.coords, M.domain, [["4", "0"], ["0", "4*sin(th)^2"]])
+    C = explicit_connection(M, {(0, 0, 0): "0.3", (1, 0, 1): "0.2*th"})
+    x = M.sample_array(4, 1)
+    own_S, own_cubic = scalar_at(M, C, x), cubic_form_at(M, C, x)
+    np.testing.assert_allclose(scalar_at(big, C, x), own_S / 4.0, rtol=1e-12)
+    np.testing.assert_allclose(cubic_form_at(big, C, x), 4.0 * own_cubic, rtol=1e-12)
+    assert scalar_at(M, C, x) is own_S and cubic_form_at(M, C, x) is own_cubic
 
 
 def _outcome(call):
@@ -357,6 +399,30 @@ def test_singular_row_raises_the_first_point_error():
     # the same error when the chart already holds the clean prefix of X
     fresh.inverse_metric_at(X[:1])
     assert _outcome(lambda: fresh.inverse_metric_at(X))[1] == want
+
+
+def test_singular_check_divides_by_nothing():
+    # the condition test compares max|lambda| with 1e12 min|lambda|, so an exactly
+    # singular row raises without a divide-by-zero warning, at a point or in a batch
+    M = ManifoldSpec.from_strings("pinched", ("x", "y"), [(-1, 1), (-1, 1)],
+                                  [["x^2", "0"], ["0", "1"]])
+    X = np.array([[0.5, 0.1], [0.0, 0.2], [0.0, 0.3], [0.4, 0.4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, where in ((X[1], "[0.  0.2]"), (X, "[0.  0.2]"), (X[2:], "[0.  0.3]")):
+            with pytest.raises(SingularMetricError) as caught:
+                M.inverse_metric_at(x)
+            assert str(caught.value) == f"metric of 'pinched' is near-singular at {where}"
+        assert M.inverse_metric_at(X[[0, 3]]).shape == (2, 2, 2)
+        # a metric that is zero at a point has every |lambda| = 0 there
+        for zero in (ManifoldSpec.from_strings("pinched1", ("x",), [(-1, 1)], [["x^2"]]),
+                     ManifoldSpec.from_strings("pinched1", ("x", "y"), [(-1, 1), (-1, 1)],
+                                               [["x^2", "0"], ["0", "y^2"]])):
+            origin = np.zeros(zero.dim)
+            for x in (zero.center(), np.stack([origin + 0.5, origin, origin + 0.25])):
+                with pytest.raises(SingularMetricError) as caught:
+                    zero.inverse_metric_at(x)
+                assert str(caught.value) == f"metric of 'pinched1' is near-singular at {origin}"
 
 
 def test_domain_error_past_a_held_prefix_names_the_first_point():

@@ -89,6 +89,21 @@ def test_a_row_reduces_over_the_values_of_its_structures():
         "theorem-mixed-weyl [s]", 0.25, "info")
 
 
+def test_rows_added_out_of_order_are_reported_in_table_order():
+    ck = Checks(RunConfig(), {})
+    ck.add("inverse-metric", 1e-13)
+    ck.add("theorem-mixed-ricci/agrees", True, name="a")
+    ck.add("theorem-weyl-parallel/reported", 0.5, name="a")
+    ck.add("theorem-mixed-ricci/gap", None, name="b")
+    ck.add("metric-spd", True)
+    ck.add("dual-curvature-blocks", 0.0)
+    assert [c.check_id for c in ck.report.checks][:2] == ["inverse-metric",
+                                                           "theorem-mixed-ricci [a]"]
+    assert [c.check_id for c in ck.in_table_order().checks] == [
+        "metric-spd", "inverse-metric", "dual-curvature-blocks", "theorem-mixed-ricci [a]",
+        "theorem-weyl-parallel [a]", "theorem-mixed-ricci [b]"]
+
+
 def test_reports_list_their_rows_in_table_order(check_reports):
     """Every command reports its rows in ``CHECKS`` order (theorem-* rows aside)."""
     order = {key: i for i, key in enumerate(CHECKS)}

@@ -439,7 +439,7 @@ class TestVerifyPaper:
         def no_fixtures():
             raise AssertionError("fixtures built before the seed was checked")
 
-        monkeypatch.setattr("dualgeo.fixtures.standard_manifolds", no_fixtures)
+        monkeypatch.setattr("dualgeo.fixtures.Fixtures", no_fixtures)
         report = tmp_path / "r.json"
         assert main(["verify-paper", "--seed", "-1", "--report", str(report)]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0\n"

@@ -222,6 +222,17 @@ class TestSectional:
             Y = A[1, 0] * np.array([1.0, 0.0]) + A[1, 1] * np.array([0.0, 1.0])
             assert sectional_at(fisher, x, X, Y) == pytest.approx(base, abs=1e-9)
 
+    def test_plane_per_point(self):
+        # two points of a 2-D chart, each with its own plane: K at each point
+        # equals the point's own value
+        M = fx.bumpy_sphere2()
+        x = M.sample_array(2, 5)
+        X, Y = np.array([[1.0, 0.3], [0.2, 1.0]]), np.array([[-0.4, 1.0], [1.0, 0.5]])
+        got = sectional_at(M, x, X, Y)
+        assert got.shape == (2,)
+        for i in range(2):
+            assert got[i] == pytest.approx(sectional_at(M, x[i], X[i], Y[i]), abs=1e-12)
+
     def test_degenerate_plane(self, sphere):
         with pytest.raises(DegeneratePlaneError):
             sectional_at(sphere, [1.0, 1.0], [1, 0], [2, 0])

@@ -6,8 +6,14 @@ from dualgeo.dualistic import (ConjugacyError, dually_flat_verdict, induce_on_pr
                                lemma_dual_block_report, make_dualistic, projection_check,
                                reduction_chain, theorem41_analyze, theorem42_analyze,
                                theorem43_analyze, torsion_inheritance_check)
+from dualgeo.products import twisted_product
 from dualgeo.report import jsonable
 from dualgeo import fixtures as fx
+
+
+def induce(dB, dF, twist):
+    """The induced structure on the twisted product of dB's and dF's charts."""
+    return induce_on_product(twisted_product(dB.manifold, dF.manifold, twist), dB, dF, 16)
 
 
 def flat_structure(name, coord):
@@ -83,7 +89,7 @@ class TestInduce:
     def test_trivial_direct_product(self):
         dB = flat_structure("b", "x")
         dF = flat_structure("f", "u")
-        st = induce_on_product(dB, dF, "1", samples=16)
+        st = induce(dB, dF, "1")
         pt = st.product.manifold.center()
         assert np.allclose(st.primal.gamma_at(pt), 0.0)
         assert np.allclose(st.dual.gamma_at(pt), 0.0)
@@ -95,7 +101,7 @@ class TestInduce:
         B = fx.euclidean(1, ("x",), "b")
         dB = make_dualistic(B, levi_civita(B), samples=8)
         dF = make_dualistic(sphere, levi_civita(sphere), samples=8)
-        st = induce_on_product(dB, dF, "exp(x)", samples=16)
+        st = induce(dB, dF, "exp(x)")
         P = st.product
         for pt in P.manifold.sample_points(6, 2):
             chart = P.chart_levi_civita.gamma_at(pt)
@@ -105,7 +111,7 @@ class TestInduce:
     def test_constant_pair_base_blocks(self):
         dB = constant_pair("b", "x", 0.4)
         dF = flat_structure("f", "u")
-        st = induce_on_product(dB, dF, "1", samples=16)
+        st = induce(dB, dF, "1")
         pt = st.product.manifold.center()
         assert st.primal.gamma_at(pt)[0, 0, 0] == pytest.approx(0.4)
         assert st.dual.gamma_at(pt)[0, 0, 0] == pytest.approx(-0.4)
@@ -127,7 +133,7 @@ class TestProjection:
         F = fx.euclidean(1, ("u",), "f")
         dB = make_dualistic(B, explicit_connection(B, {(0, 0, 0): "0.4"}), samples=8)
         dF = make_dualistic(F, explicit_connection(F, {(0, 0, 0): "-0.2"}), samples=8)
-        st = induce_on_product(dB, dF, "exp(x)", samples=16)
+        st = induce(dB, dF, "exp(x)")
         rep = projection_check(st, samples=8)
         assert rep.max_residual() < 1e-9
 
@@ -149,7 +155,7 @@ class TestTorsionInheritance:
     def test_statistical_factor_pair(self):
         dB = constant_pair("b", "x", 0.5)
         dF = flat_structure("f", "u")
-        st = induce_on_product(dB, dF, "exp(u)", samples=16)
+        st = induce(dB, dF, "exp(u)")
         rep = torsion_inheritance_check(st, samples=8)
         assert rep.inherited
 
@@ -160,7 +166,7 @@ class TestTorsionInheritance:
         dB = make_dualistic(B, torsionful, samples=8)
         dF = flat_structure("f2", "u")
         F2 = dF.manifold
-        st = induce_on_product(dB, dF, "1", samples=16)
+        st = induce(dB, dF, "1")
         rep = torsion_inheritance_check(st, samples=8)
         assert rep.factor_torsion_max > 0.5
         assert rep.induced_primal_torsion_max > 0.5  # failure is visible, not hidden
@@ -246,7 +252,7 @@ class TestTheorem42:
         F = fx.euclidean(2, ("u", "v"), "F2")
         dB = make_dualistic(B, explicit_connection(B, {}), samples=8)
         dF = make_dualistic(F, explicit_connection(F, {}), samples=8)
-        st = induce_on_product(dB, dF, "exp(x*u)", samples=16)
+        st = induce(dB, dF, "exp(x*u)")
         rec = theorem42_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert not rec.weyl_flat_along_holds
         assert rec.weyl_xyv_max == pytest.approx(0.5, abs=1e-6)
@@ -272,7 +278,7 @@ class TestTheorem43:
     def test_warped_line_inapplicable(self):
         dB = flat_structure("b", "x")
         dF = flat_structure("f", "u")
-        st = induce_on_product(dB, dF, "exp(x)", samples=16)
+        st = induce(dB, dF, "exp(x)")
         rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert rec.branch is None
         assert rec.hessian_defect == pytest.approx(1.0, abs=1e-9)
@@ -283,7 +289,7 @@ class TestTheorem43:
         F = fx.euclidean(3, ("u", "v", "w"), "f3")
         dB = make_dualistic(B, explicit_connection(B, {}), samples=8)
         dF = make_dualistic(F, explicit_connection(F, {}), samples=8)
-        st = induce_on_product(dB, dF, "1", samples=16)
+        st = induce(dB, dF, "1")
         rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         # k = 0 satisfies the Hessian condition, so the chain proceeds
         assert rec.branch == 2
@@ -348,7 +354,7 @@ class TestLemmaBlocks:
         F = fx.euclidean(1, ("u",), "f")
         dB = make_dualistic(B, explicit_connection(B, {(0, 0, 0): "0.4"}), samples=8)
         dF = make_dualistic(F, explicit_connection(F, {}), samples=8)
-        st = induce_on_product(dB, dF, "exp(x)", samples=16)
+        st = induce(dB, dF, "exp(x)")
         blocks = lemma_dual_block_report(st, samples=4)
         assert set(blocks) == {"primal", "dual"}
         for label in blocks:

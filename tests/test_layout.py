@@ -26,6 +26,11 @@
   or ``min``, ``x = x and ...``, ``d[k] = max(d.get(k, ...), ...)``):
   ``Checks.add`` is the one place a row's value is reduced over the
   structures it covers.
+* No ``einsum`` call takes three or more operands: each such contraction is
+  written as batched matmul, with its einsum formula kept beside it as a
+  comment and as the oracle of ``tests/test_contractions.py``.
+* No code calls ``np.linalg.cond``: the singular-metric check compares the
+  eigenvalues of the symmetric metric instead of running an SVD.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -230,6 +235,32 @@ def running_accumulators(trees) -> list[str]:
     return found
 
 
+def wide_einsums(trees) -> list[str]:
+    """``file:line`` of each ``einsum`` call given three or more operands, or a starred one."""
+    return [f"{name}:{node.lineno}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "einsum"
+            and (len(node.args) > 3 or any(isinstance(a, ast.Starred) for a in node.args))]
+
+
+def _is_linalg(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Attribute) and node.attr == "linalg")
+            or (isinstance(node, ast.Name) and node.id == "linalg"))
+
+
+def cond_uses(trees) -> list[str]:
+    """``file:line`` of each ``linalg.cond`` call and each import of ``cond`` from numpy.linalg."""
+    found = []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "cond" and _is_linalg(node.func.value)):
+                found.append(f"{name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                  and any(alias.name == "cond" for alias in node.names)):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def _caller_trees():
     return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
             for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -360,6 +391,14 @@ def test_every_table_row_is_reported(check_reports):
             used |= {key for key, row in CHECKS.items()
                      if key.split("/")[0] == prefix and row.statement == c["statement"]}
     assert used == set(CHECKS)
+
+
+def test_no_einsum_takes_three_operands():
+    assert wide_einsums(_trees()) == []
+
+
+def test_no_condition_number_by_svd():
+    assert cond_uses(_trees()) == []
 
 
 def test_every_parameter_default_is_overridden_somewhere():
@@ -521,3 +560,27 @@ def test_scan_flags_draw_writes(source, found):
 def test_scan_flags_unused_knobs(source, callers, found):
     trees = [("probe.py", ast.parse(source))]
     assert unused_knobs(trees, trees + [("caller.py", ast.parse(callers))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("R = np.einsum('...ia,...lajk,...lm,...im->...jk', E, R, g, E)\n", ["probe.py:1"]),
+    ("x = numpy.einsum('ab,bc,cd->ad', A, B, C)\n", ["probe.py:1"]),
+    ("def f(ops):\n    return einsum('ij,jk->ik', *ops)\n", ["probe.py:2"]),
+    ("t = np.einsum('...mij,...mk->...ijk', gam, g)\n", []),
+    ("t = np.einsum('...aajk->...jk', R)\n", []),
+    ("t = A @ B @ C\n", []),
+])
+def test_scan_flags_wide_einsums(source, found):
+    assert wide_einsums([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("c = np.linalg.cond(g)\n", ["probe.py:1"]),
+    ("c = numpy.linalg.cond(g, 2)\n", ["probe.py:1"]),
+    ("from numpy import linalg\nc = linalg.cond(g)\n", ["probe.py:2"]),
+    ("from numpy.linalg import cond\n", ["probe.py:1"]),
+    ("w = np.linalg.eigvalsh(g)\n", []),
+    ("c = config.cond(g)\n", []),
+])
+def test_scan_flags_condition_numbers(source, found):
+    assert cond_uses([("probe.py", ast.parse(source))]) == found
