@@ -173,12 +173,11 @@ def _load_product_doc(doc: dict, path: Path, digest: str) -> LoadedProduct:
 def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = None) -> int:
     print(rep.render_table())
     if config.report_path:
-        payload = json.loads(rep.to_json())
+        payload = rep.payload()
         if extra:
             payload["details"] = jsonable(extra)
         with open(config.report_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if rep.overall == "pass" else 1
 
 
@@ -238,7 +237,8 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) ->
           f"({loaded.connection.provenance}):")
     print(f"  max |R^l_ijk| = {float(np.max(np.abs(report.riemann))):.6e}"
           f"  (flat at point: {report.flat_at_point})")
-    print(f"  Ricci = {np.array2string(report.ricci, precision=6)}")
+    # one signed exponent format, so the layout depends on the dimension only
+    print(f"  Ricci = {np.array2string(report.ricci, formatter={'float_kind': '{: .6e}'.format})}")
     print(f"  scalar = {report.scalar:.12g}")
     if report.weyl is not None:
         print(f"  max |Weyl| = {float(np.max(np.abs(report.weyl))):.6e}")
@@ -367,11 +367,53 @@ _OPTIONS = {
 }
 # read by every command that reports rows of the check table
 _COMMON = ("--samples", "--seed", "--tol-exact", "--report")
+# One row per command, from which build_parser and main build every parser: (help,
+# arguments: (name or flag, add_argument keywords) pairs added before the run options,
+# the _OPTIONS it reads, handler(args, config), which looks cmd_* up when it runs).
+COMMANDS = {
+    "check": ("validate a manifold spec and its connection pair", [("spec", {})], _COMMON,
+              lambda args, config: cmd_check(_load(args, LoadedManifold), config)),
+    "conjugate": ("compute the conjugate connection", [("spec", {})], (*_COMMON, "--point"),
+                  lambda args, config: cmd_conjugate(_load(args, LoadedManifold), config)),
+    "curvature": ("curvature report at a point",
+                  [("spec", {}), ("--weyl", dict(action="store_true", help="require the "
+                                                 "conformal tensor (error below dim 3)"))],
+                  ("--tol-exact", "--point", "--report"),
+                  lambda args, config: cmd_curvature(_load(args, LoadedManifold), config,
+                                                     args.weyl)),
+    "twist": ("verify twisted-product block formulas",
+              [("spec", dict(nargs="?", default=None, help="product spec file")),
+               ("--base", dict(help="base manifold spec file")),
+               ("--fiber", dict(help="fiber manifold spec file")),
+               ("--twist", dict(help="twisting expression over both factors' coordinates"))],
+              _COMMON, lambda args, config: cmd_twist(_load_twist(args), config)),
+    "flatness": ("dual-flatness verdict and theorem analyzers",
+                 [("spec", dict(help="product spec file with factor connections"))], _COMMON,
+                 lambda args, config: cmd_flatness(_load(args, LoadedProduct), config)),
+    "verify-paper": ("run the built-in verification suite", [], (*_COMMON, "--tol-fd"),
+                     lambda args, config: _finish(verify_paper(config), config)),
+}
 
 
-def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        parser.add_argument(flag, default=argparse.SUPPRESS, **_OPTIONS[flag])
+def _load(args, kind: type):
+    loaded = load_spec(args.spec)
+    if not isinstance(loaded, kind):
+        expected = "manifold" if kind is LoadedManifold else "product"
+        raise SpecFileError(args.spec, f"{args.command} expects a {expected} spec")
+    return loaded
+
+
+def _load_twist(args) -> LoadedProduct:
+    """The product of the spec file, or of ``--base``/``--fiber``/``--twist``."""
+    if args.spec:
+        return _load(args, LoadedProduct)
+    if not (args.base and args.fiber and args.twist):
+        raise SpecFileError(args.command, "provide a product spec or --base/--fiber/--twist")
+    base = _load_factor(args.base, Path.cwd(), "--base")
+    fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
+    P = twisted_product(base.manifold, fiber.manifold, args.twist)
+    digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
+    return LoadedProduct(P, base, fiber, digest)
 
 
 def _config_from(args) -> RunConfig:
@@ -385,72 +427,40 @@ def _config_from(args) -> RunConfig:
     return RunConfig(**options)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dualgeo",
-        description="dualistic structures on chart manifolds and twisted products")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a manifold spec and its connection pair")
-    p.add_argument("spec")
-    _add_options(p, *_COMMON)
-
-    p = sub.add_parser("conjugate", help="compute the conjugate connection")
-    p.add_argument("spec")
-    _add_options(p, *_COMMON, "--point")
-
-    p = sub.add_parser("curvature", help="curvature report at a point")
-    p.add_argument("spec")
-    p.add_argument("--weyl", action="store_true",
-                   help="require the conformal tensor (error below dim 3)")
-    _add_options(p, "--tol-exact", "--point", "--report")
-
-    p = sub.add_parser("twist", help="verify twisted-product block formulas")
-    p.add_argument("spec", nargs="?", default=None, help="product spec file")
-    p.add_argument("--base", help="base manifold spec file")
-    p.add_argument("--fiber", help="fiber manifold spec file")
-    p.add_argument("--twist", help="twisting expression over both factors' coordinates")
-    _add_options(p, *_COMMON)
-
-    p = sub.add_parser("flatness", help="dual-flatness verdict and theorem analyzers")
-    p.add_argument("spec", help="product spec file with factor connections")
-    _add_options(p, *_COMMON)
-
-    p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    _add_options(p, *_COMMON, "--tol-fd")
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, arguments, options, _ = COMMANDS[name]
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    for flag in options:
+        parser.add_argument(flag, default=argparse.SUPPRESS, **_OPTIONS[flag])
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="dualgeo", description="dualistic structures on "
+                                     "chart manifolds and twisted products")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, *_) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse by the named command's parser alone; the full one takes what that cannot."""
+    if argv and argv[0] in COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"dualgeo {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # built per call, so the cmd_* functions are looked up when main runs
-    spec_commands = {"check": (LoadedManifold, cmd_check),
-                     "conjugate": (LoadedManifold, cmd_conjugate),
-                     "curvature": (LoadedManifold, cmd_curvature),
-                     "twist": (LoadedProduct, cmd_twist),
-                     "flatness": (LoadedProduct, cmd_flatness)}
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        config = _config_from(args)
-        if args.command == "verify-paper":
-            return _finish(verify_paper(config), config)
-        kind, command = spec_commands[args.command]
-        if args.command == "twist" and not args.spec:
-            if not (args.base and args.fiber and args.twist):
-                raise SpecFileError("twist", "provide a product spec or --base/--fiber/--twist")
-            base = _load_factor(args.base, Path.cwd(), "--base")
-            fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
-            P = twisted_product(base.manifold, fiber.manifold, args.twist)
-            digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
-            loaded = LoadedProduct(P, base, fiber, digest)
-        else:
-            loaded = load_spec(args.spec)
-            if not isinstance(loaded, kind):
-                expected = "manifold" if kind is LoadedManifold else "product"
-                raise SpecFileError(args.spec, f"{args.command} expects a {expected} spec")
-        if args.command == "curvature":
-            return command(loaded, config, args.weyl)
-        return command(loaded, config)
+        *_, handler = COMMANDS[args.command]
+        return handler(args, _config_from(args))
     except (SpecFileError, ParseError, GeometryError, DomainError,
             DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

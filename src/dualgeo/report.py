@@ -109,8 +109,9 @@ class VerificationReport:
                      f"({p} passed, {f} failed, {i} informational)")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as a fresh JSON-serializable dict; ``to_json`` is its text."""
+        return {
             "tool": self.tool,
             "version": self.version,
             "config": jsonable(self.config),
@@ -118,7 +119,9 @@ class VerificationReport:
             "checks": [jsonable(c) for c in self.checks],
             "overall": self.overall,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
 def jsonable(obj):

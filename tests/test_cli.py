@@ -1,14 +1,16 @@
 import inspect
 import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dualgeo import geometry
-from dualgeo.cli import (LoadedManifold, LoadedProduct, SpecFileError, cmd_check, load_spec,
-                         main)
+from dualgeo.cli import (LoadedManifold, LoadedProduct, SpecFileError, _finish, cmd_check,
+                         cmd_curvature, load_spec, main)
 from dualgeo.dualistic import theorem43_analyze
-from dualgeo.report import RunConfig
+from dualgeo.report import RunConfig, VerificationReport, jsonable
 from dualgeo.verify import verify_paper
 
 
@@ -247,6 +249,22 @@ def test_check_builds_each_metric_array_once(spec_dir, monkeypatch, capsys):
     assert chart_builds.count("ginv") == 1
 
 
+@pytest.mark.parametrize("extra", [None, {"point": np.array([0.5, -0.0]), 3: (1, np.int64(2)),
+                                            "nested": {"b": [1e-300, float("inf")]}}])
+def test_report_is_the_text_of_one_serialization(tmp_path, capsys, extra):
+    """``_finish`` writes the bytes the former to_json -> loads -> dump round trip wrote."""
+    rep = VerificationReport("dualgeo", "0.1.0", {"samples": 4, "point": (0.5, -0.0)},
+                             {"spec_digest": "x", 7: np.float64(2.5)})
+    rep.add("a", "s", float("nan"), 1e-9, notes="n")
+    rep.add("b", "s", 1.5e-11, 1e-10)
+    path = tmp_path / "report.json"
+    assert _finish(rep, RunConfig(report_path=str(path)), extra) == 1
+    payload = json.loads(rep.to_json())
+    if extra:
+        payload["details"] = jsonable(extra)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestCurvatureCommand:
     def test_sphere_scalar(self, spec_dir, capsys, tmp_path):
         report = tmp_path / "curv.json"
@@ -280,6 +298,22 @@ class TestCurvatureCommand:
         assert code == 0
         assert "(flat at point: False)" in capsys.readouterr().out
         assert json.loads(report.read_text())["tolerance"] == tolerance
+
+    def test_ricci_layout_depends_on_the_dimension_only(self, spec_dir, monkeypatch, capsys):
+        """A round-off entry that is 0, -0 or +-3.5e-18 prints in the others' layout."""
+        loaded = load_spec(str(spec_dir / "sphere2.json"))
+        layouts = set()
+        for entry in (3.5e-18, -3.5e-18, 0.0, -0.0):
+            ricci = np.array([[-0.344, entry, 0.25], [entry, 1.5, -0.125], [0.25, -0.125, 0.75]])
+            report = SimpleNamespace(riemann=np.zeros((3, 3, 3, 3)), flat_at_point=False,
+                                     ricci=ricci, scalar=1.906, weyl=None)
+            monkeypatch.setattr("dualgeo.cli.curvature_report", lambda *args, **kw: report)
+            assert cmd_curvature(loaded, RunConfig(), False) == 0
+            lines = capsys.readouterr().out.splitlines()
+            start = next(n for n, line in enumerate(lines) if line.startswith("  Ricci = "))
+            assert lines[start + 3].startswith("  scalar = ")
+            layouts.add(tuple(len(line) for line in lines[start:start + 3]))
+        assert len(layouts) == 1
 
 
 class TestConjugateCommand:

@@ -31,6 +31,12 @@
   comment and as the oracle of ``tests/test_contractions.py``.
 * No code calls ``np.linalg.cond``: the singular-metric check compares the
   eigenvalues of the symmetric metric instead of running an SVD.
+* ``ArgumentParser(...)`` is constructed only inside functions of ``cli.py``:
+  no module-level code builds a parser, directly or through a function that
+  does, and ``cli.py`` caches no function (``cache``/``lru_cache``), so each
+  ``main`` call builds the parsers it uses and no more survive it.
+* A command's name appears in ``cli.py`` as a string only in the command
+  table (``cli.COMMANDS``), so one row holds everything about a command.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -52,6 +58,8 @@ NUMDIFF_IMPORTERS = {"connections.py"}
 ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
 ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_chain"}
 TOBYTES_CALLERS = {"geometry.py"}
+COMMAND_TABLE = "COMMANDS"
+CACHE_DECORATORS = {"cache", "lru_cache"}
 
 
 def _trees():
@@ -261,6 +269,52 @@ def cond_uses(trees) -> list[str]:
     return found
 
 
+def parser_constructions(trees) -> set[str]:
+    """``file:function`` of every ``ArgumentParser(...)`` construction."""
+    return _call_scopes(trees, lambda call: _called_name(call) == "ArgumentParser")
+
+    """``file:<module>`` where module-level code builds a parser, directly or via a function."""
+def import_time_parsers(trees) -> set[str]:
+    """``file:<module>`` where module-level code builds a parser, directly or through a function."""
+    makers = {scope.split(":")[1] for scope in parser_constructions(trees)} | {"ArgumentParser"}
+    scopes = _call_scopes(trees, lambda call: _called_name(call) in makers)
+    return {scope for scope in scopes if scope.endswith(":<module>")}
+
+
+def _decorator_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def cached_functions(trees) -> set[str]:
+    """``file:function`` of every function behind ``cache`` or ``lru_cache``."""
+    return {f"{name}:{node.name}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_decorator_name(d) in CACHE_DECORATORS for d in node.decorator_list)}
+
+
+def command_name_strings(trees) -> list[str]:
+    """``file:line`` of each string naming a command outside the module's command table.
+
+    A spec field named by ``_require`` is not a command name, though ``twist`` is both.
+    """
+    found = []
+    for name, tree in trees:
+        table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and [ast.unparse(t) for t in node.targets] == [COMMAND_TABLE])
+        names = {key.value for key in table.keys}
+        inside = {id(node) for node in ast.walk(table)}
+        inside |= {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and _called_name(node) == "_require" for arg in node.args}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in names and id(node) not in inside]
+    return found
+
+
 def _caller_trees():
     return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
             for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -399,6 +453,19 @@ def test_no_einsum_takes_three_operands():
 
 def test_no_condition_number_by_svd():
     assert cond_uses(_trees()) == []
+
+
+def test_parsers_are_built_per_call_in_cli():
+    trees = _trees()
+    scopes = parser_constructions(trees)
+    assert scopes and {scope.split(":")[0] for scope in scopes} == {"cli.py"}
+    assert import_time_parsers(trees) == set()
+    assert {f for f in cached_functions(trees) if f.startswith("cli.py:")} == set()
+
+
+def test_command_names_appear_only_in_the_table():
+    cli = [(name, tree) for name, tree in _trees() if name == "cli.py"]
+    assert command_name_strings(cli) == []
 
 
 def test_every_parameter_default_is_overridden_somewhere():
@@ -584,3 +651,45 @@ def test_scan_flags_wide_einsums(source, found):
 ])
 def test_scan_flags_condition_numbers(source, found):
     assert cond_uses([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, scopes, at_import", [
+    ("def build():\n    return argparse.ArgumentParser(prog='x')\n", {"probe.py:build"}, set()),
+    ("PARSER = ArgumentParser(prog='dualgeo')\n", {"probe.py:<module>"}, {"probe.py:<module>"}),
+    ("def build_parser():\n    return ArgumentParser()\nPARSER = build_parser()\n",
+     {"probe.py:build_parser"}, {"probe.py:<module>"}),
+    ("def build_parser():\n    return ArgumentParser()\n"
+     "def main(argv):\n    return build_parser().parse_args(argv)\n",
+     {"probe.py:build_parser"}, set()),
+    ("def main(argv):\n    return build_parser().parse_args(argv)\n", set(), set()),
+])
+def test_scan_flags_parser_builds(source, scopes, at_import):
+    trees = [("probe.py", ast.parse(source))]
+    assert parser_constructions(trees) == scopes
+    assert import_time_parsers(trees) == at_import
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@functools.cache\ndef parser():\n    pass\n", {"probe.py:parser"}),
+    ("@lru_cache(maxsize=None)\ndef parser(name):\n    pass\n", {"probe.py:parser"}),
+    ("@functools.lru_cache\ndef parser(name):\n    pass\n", {"probe.py:parser"}),
+    ("class C:\n    @cache\n    def parser(self):\n        pass\n", {"probe.py:parser"}),
+    ("@staticmethod\ndef parser():\n    pass\n", set()),
+    ("def parser():\n    pass\n", set()),
+])
+def test_scan_flags_cached_functions(source, found):
+    assert cached_functions([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("COMMANDS = {'check': 1}\nif name == 'check':\n    pass\n", ["probe.py:2"]),
+    ("COMMANDS = {'check': 1, 'twist': 2}\nd = {'twist': cmd_twist}\n", ["probe.py:2"]),
+    ("COMMANDS = {'check': 1}\ndef f(a):\n    return run('check', a)\n", ["probe.py:3"]),
+    ("COMMANDS = {'check': (lambda a: run('check'))}\n", []),
+    ("COMMANDS = {'check': 1}\nhelp = f'{name} check'\n", []),
+    ("COMMANDS = {'twist': 1}\nflag = '--twist'\n", []),
+    ("COMMANDS = {'twist': 1}\nt = _require(doc, 'twist', str, where)\n", []),
+    ("COMMANDS = {'twist': 1}\nt = doc.get('twist')\n", ["probe.py:2"]),
+])
+def test_scan_flags_command_name_strings(source, found):
+    assert command_name_strings([("probe.py", ast.parse(source))]) == found
