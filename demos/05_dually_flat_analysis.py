@@ -31,7 +31,7 @@ def verdict_and_chain(st):
 
 
 def show(title, record):
-    print(f"\n--- {title}")
+    print(f"\n--- theorem {record.theorem}: {title}")
     print(f"  predicted dually flat: {record.predicted_dually_flat}")
     print(f"  direct verdict:        {record.direct.dually_flat}")
     print(f"  agreement:             {record.agreement}")
@@ -55,7 +55,7 @@ dF2 = make_dualistic(plane, explicit_connection(plane, {}))
 st2 = induce(dB, dF2, "exp(x*u)")
 rec2 = theorem41_analyze(st2, *verdict_and_chain(st2))
 show("mixed-Ricci chain on b = exp(x*u)", rec2)
-print(f"  max |Ric(X,V)| = {rec2.mixed_ricci_max}")
+print(f"  hypothesis applies: {rec2.applies}, max |Ric(X,V)| = {rec2.hypothesis['mixed_ricci_max']}")
 
 # -- a curved base: not dually flat, and the chain knows why --------------------
 
@@ -73,15 +73,16 @@ dF3 = make_dualistic(space, explicit_connection(space, {}))
 st4 = induce(dB, dF3, "1")
 verdict, chain = verdict_and_chain(st4)
 rec42 = theorem42_analyze(st4, verdict, chain)
-print(f"\nmixed-Weyl hypothesis holds: {rec42.weyl_flat_along_holds}, "
+print(f"\nmixed-Weyl hypothesis holds: {rec42.applies}, "
       f"agreement: {rec42.agreement}")
 # one tolerance (dualistic.BRANCH_TOL unless tol is given) decides both branch
 # conditions; the Weyl defect is exact
 rec43 = theorem43_analyze(st4, verdict, chain)
+hyp = rec43.hypothesis
 print(f"parallel-Weyl/Hessian branch: {rec43.branch} "
-      f"(Weyl parallel: {rec43.weyl_parallel}, "
-      f"|nabla W| = {rec43.weyl_parallel_defect:.1e}, "
-      f"Hessian defect: {rec43.hessian_defect}), agreement: {rec43.agreement}")
+      f"(Weyl parallel: {hyp['weyl_parallel']}, "
+      f"|nabla W| = {hyp['weyl_parallel_defect']:.1e}, "
+      f"Hessian defect: {hyp['hessian_defect']}), agreement: {rec43.agreement}")
 
 # -- direct verdict is always the ground truth ----------------------------------
 

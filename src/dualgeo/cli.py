@@ -23,8 +23,8 @@ from .curvature import FLAT_AT_POINT_TOL, DimensionError, curvature_report
 from .products import (ProductSpec, _max_abs, block_levi_civita_defect,
                        curvature_block_report, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, separability_test, twisted_product)
-from .dualistic import (BRANCH_TOL, ConjugacyError, dually_flat_verdict, induce_on_product,
-                        make_dualistic, reduction_chain, theorem41_analyze,
+from .dualistic import (BRANCH_TOL, ConjugacyError, TheoremRecord, dually_flat_verdict,
+                        induce_on_product, make_dualistic, reduction_chain, theorem41_analyze,
                         theorem42_analyze, theorem43_analyze)
 from .report import RunConfig, VerificationReport, jsonable, sha256_of
 from .verify import (CURVATURE_BLOCK_IDS, MIXED_WEYL_DISPLAY_IDS, Checks, inverse_defect,
@@ -283,6 +283,13 @@ def cmd_twist(loaded: LoadedProduct, config: RunConfig) -> int:
     return _finish(ck.report, config)
 
 
+def _analysis_notes(head: str, rec: TheoremRecord) -> str:
+    """An analyzer row's note: its head, the prediction against the direct verdict, its notes."""
+    return "; ".join((f"{head}, predicted={rec.predicted_dually_flat}, "
+                      f"direct={rec.direct.dually_flat}, agreement={rec.agreement}",
+                      *rec.notes))
+
+
 def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     ck = Checks(config, {"spec_digest": loaded.digest})
     details: dict = {}
@@ -318,27 +325,21 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     ck.add("flat-flags-agree", fv.flat_flags_agree)
 
     rec41 = theorem41_analyze(induced, fv, chain, samples=n41, seed=seed)
-    ck.add("analyzer-mixed-ricci", rec41.mixed_ricci_max,
-           notes=(f"precondition={'holds' if rec41.mixed_ricci_flat else 'fails'}, "
-                  f"predicted={rec41.predicted_dually_flat}, "
-                  f"direct={rec41.direct.dually_flat}, agreement={rec41.agreement}"
-                  + ("; " + "; ".join(rec41.notes) if rec41.notes else "")))
+    ck.add("analyzer-mixed-ricci", rec41.hypothesis["mixed_ricci_max"],
+           notes=_analysis_notes(f"precondition={'holds' if rec41.applies else 'fails'}", rec41))
     details["mixed_ricci_analysis"] = rec41
     if induced.product.n >= 3:
         rec42 = theorem42_analyze(induced, fv, chain, samples=ck.n("analyzer-mixed-weyl"),
                                   seed=seed)
-        ck.add("analyzer-mixed-weyl", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
-               notes=(f"hypothesis={'holds' if rec42.weyl_flat_along_holds else 'fails'}, "
-                      f"predicted={rec42.predicted_dually_flat}, "
-                      f"direct={rec42.direct.dually_flat}, agreement={rec42.agreement}"))
+        ck.add("analyzer-mixed-weyl", max(rec42.hypothesis.values()),
+               notes=_analysis_notes(f"hypothesis={'holds' if rec42.applies else 'fails'}",
+                                     rec42))
         details["mixed_weyl_analysis"] = rec42
     # both 4.3 branch conditions are exact, so --tol-exact governs them
     rec43 = theorem43_analyze(induced, fv, chain, samples=ck.n("analyzer-weyl-parallel"),
                               tol=config.exact_tol(BRANCH_TOL), seed=seed)
-    ck.add("analyzer-weyl-parallel", rec43.hessian_defect,
-           notes=(f"branch={rec43.branch}, predicted={rec43.predicted_dually_flat}, "
-                  f"direct={rec43.direct.dually_flat}, agreement={rec43.agreement}"
-                  + ("; " + "; ".join(rec43.notes) if rec43.notes else "")))
+    ck.add("analyzer-weyl-parallel", rec43.hypothesis["hessian_defect"],
+           notes=_analysis_notes(f"branch={rec43.branch}", rec43))
     details["weyl_parallel_analysis"] = rec43
     details["direct_verdict"] = fv
     return _finish(ck.report, config, extra=details)

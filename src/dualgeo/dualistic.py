@@ -16,8 +16,7 @@ import numpy as np
 from .geometry import ManifoldSpec, Point
 from .connections import (ConnectionField, _duality_defect, conjugate, involution_defect,
                           torsion_at)
-from .curvature import (FLAT_TOL, ConstantSectionalResult, DimensionError,
-                        is_constant_sectional, riemann_at)
+from .curvature import FLAT_TOL, ConstantSectionalResult, is_constant_sectional, riemann_at
 from .products import (ProductSpec, _max_abs, _mv, _per_point, _warped_reduction,
                        block_connection, hessian_condition_defect, mixed_ricci_table,
                        mixed_weyl_report, riemann_block_residuals, separability_test,
@@ -29,9 +28,8 @@ __all__ = [
     "ProjectionReport", "projection_check", "TorsionInheritanceReport",
     "torsion_inheritance_check", "dually_flat_verdict", "verdict_from_tensors",
     "lemma_dual_block_report", "ReductionChain", "reduction_chain",
-    "Theorem41Record", "theorem41_analyze",
-    "Theorem42Record", "theorem42_analyze",
-    "Theorem43Record", "theorem43_analyze", "BRANCH_TOL",
+    "TheoremRecord", "theorem41_analyze", "theorem42_analyze", "theorem43_analyze",
+    "BRANCH_TOL",
 ]
 
 # Theorem 4.3's default tolerance for both branch conditions; ``flatness`` and
@@ -327,25 +325,19 @@ def reduction_chain(induced: ProductDualisticStructure, samples: int,
                           predicted, tuple(notes))
 
 
-def _compare(applies: bool, chain: ReductionChain, direct: FlatnessVerdict,
-             notes: list[str]) -> tuple[ReductionChain | None, bool | None, bool | None]:
-    """The kept chain, its prediction and its agreement with the direct verdict.
-
-    All three are None when the theorem does not apply; a mismatch is noted.
-    """
-    if not applies:
-        return None, None, None
-    agreement = chain.predicted_dually_flat == direct.dually_flat
-    if not agreement:
-        notes.append("DISAGREEMENT: the biconditional's prediction does not match "
-                     "the direct flatness verdict")
-    return chain, chain.predicted_dually_flat, agreement
-
-
 @dataclass(frozen=True)
-class Theorem41Record:
-    mixed_ricci_max: float
-    mixed_ricci_flat: bool
+class TheoremRecord:
+    """One theorem's hypothesis on a structure and its prediction against the direct verdict.
+
+    ``hypothesis`` holds the measured values that decide ``applies``; the
+    prediction and its agreement are None when the theorem does not apply.
+    ``chain`` and ``direct`` are kept as given either way.
+    """
+
+    theorem: str  # "4.1", "4.2" or "4.3"
+    hypothesis: dict[str, float | bool | None]
+    applies: bool
+    branch: int | None  # 4.3's branch, 1 or 2; None when inapplicable and for 4.1, 4.2
     chain: ReductionChain
     direct: FlatnessVerdict
     predicted_dually_flat: bool | None
@@ -353,9 +345,23 @@ class Theorem41Record:
     notes: tuple[str, ...]
 
 
+def _record(theorem: str, hypothesis: dict, applies: bool, branch: int | None,
+            chain: ReductionChain, direct: FlatnessVerdict, notes: list[str]) -> TheoremRecord:
+    """The shared tail: predict from the chain if the theorem applies, compare, note a mismatch."""
+    predicted = agreement = None
+    if applies:
+        predicted = chain.predicted_dually_flat
+        agreement = predicted == direct.dually_flat
+        if not agreement:
+            notes.append("DISAGREEMENT: the biconditional's prediction does not match "
+                         "the direct flatness verdict")
+    return TheoremRecord(theorem, hypothesis, applies, branch, chain, direct, predicted,
+                         agreement, tuple(notes))
+
+
 def theorem41_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
                       chain: ReductionChain, samples: int = 32,
-                      seed: int = 42) -> Theorem41Record:
+                      seed: int = 42) -> TheoremRecord:
     """Mixed-Ricci-flat hypothesis, then the chain against the direct verdict."""
     notes: list[str] = []
     worst = mixed_ricci_table(induced.product, samples=samples, seed=seed)["max_direct"]
@@ -363,59 +369,30 @@ def theorem41_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdic
     if not mixed_flat:
         notes.append(f"not mixed-Ricci-flat (max |Ric(X,V)| = {worst:.3e}); "
                      "theorem precondition fails")
-    _, predicted, agreement = _compare(mixed_flat, chain, direct, notes)
-    return Theorem41Record(worst, mixed_flat, chain, direct, predicted, agreement,
-                           tuple(notes))
-
-
-@dataclass(frozen=True)
-class Theorem42Record:
-    weyl_xyv_max: float
-    weyl_vwx_max: float
-    weyl_flat_along_holds: bool
-    chain: ReductionChain | None
-    direct: FlatnessVerdict
-    predicted_dually_flat: bool | None
-    agreement: bool | None
-    notes: tuple[str, ...]
+    return _record("4.1", {"mixed_ricci_max": worst}, mixed_flat, None, chain, direct, notes)
 
 
 def theorem42_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
                       chain: ReductionChain, samples: int = 12,
-                      seed: int = 42) -> Theorem42Record:
-    """Weyl-flat-along hypothesis (either direction), then the common chain."""
-    P = induced.product
-    if P.n <= 2:
-        raise DimensionError("mixed Weyl hypothesis needs product dimension >= 3")
-    report = mixed_weyl_report(P, samples=samples, seed=seed)
+                      seed: int = 42) -> TheoremRecord:
+    """Weyl-flat-along hypothesis (either direction), then the common chain.
+
+    Raises DimensionError below product dimension 3, as ``mixed_weyl_report`` does.
+    """
+    report = mixed_weyl_report(induced.product, samples=samples, seed=seed)
     holds = report.xyv_flat or report.vwx_flat
     notes: list[str] = []
     if not holds:
         notes.append(f"neither Weyl-flat-along condition holds "
                      f"(|C(X,Y)V| = {report.cond_xyv_max:.3e}, "
                      f"|C(V,W)X| = {report.cond_vwx_max:.3e})")
-    kept, predicted, agreement = _compare(holds, chain, direct, notes)
-    return Theorem42Record(report.cond_xyv_max, report.cond_vwx_max, holds,
-                           kept, direct, predicted, agreement, tuple(notes))
-
-
-@dataclass(frozen=True)
-class Theorem43Record:
-    weyl_parallel_defect: float | None
-    weyl_parallel: bool | None
-    hessian_defect: float
-    hessian_condition_holds: bool
-    branch: int | None  # 1, 2, or None when inapplicable
-    chain: ReductionChain | None
-    direct: FlatnessVerdict
-    predicted_dually_flat: bool | None
-    agreement: bool | None
-    notes: tuple[str, ...]
+    hypothesis = {"weyl_xyv_max": report.cond_xyv_max, "weyl_vwx_max": report.cond_vwx_max}
+    return _record("4.2", hypothesis, holds, None, chain, direct, notes)
 
 
 def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
                       chain: ReductionChain, samples: int = 16, tol: float = BRANCH_TOL,
-                      seed: int = 42) -> Theorem43Record:
+                      seed: int = 42) -> TheoremRecord:
     """Parallel-Weyl / Hessian-condition branches, then the common chain.
 
     ``tol`` decides both conditions: the Hessian-condition defect, over
@@ -426,7 +403,8 @@ def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdic
     """
     P = induced.product
     notes: list[str] = []
-    hess = hessian_condition_defect(P, samples=samples, seed=seed, tol=tol)
+    hess_defect = hessian_condition_defect(P, samples=samples, seed=seed)
+    hess_holds = hess_defect < tol
     parallel_defect: float | None
     if P.n >= 4:
         parallel_defect = weyl_parallel_defect(P, samples=min(samples, 6), seed=seed)
@@ -440,13 +418,13 @@ def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdic
         parallel = None
         notes.append("Weyl tensor undefined below dimension 3")
     branch = None
-    if parallel is True and not hess.holds and P.r != 1:
+    if parallel is True and not hess_holds and P.r != 1:
         branch = 1
-    elif hess.holds:
+    elif hess_holds:
         branch = 2
     if branch is None:
         notes.append("branch 1 needs dim B != 1 and branch 2 fails: theorem inapplicable"
                      if P.r == 1 else "neither branch condition holds: theorem inapplicable")
-    kept, predicted, agreement = _compare(branch is not None, chain, direct, notes)
-    return Theorem43Record(parallel_defect, parallel, hess.defect, hess.holds,
-                           branch, kept, direct, predicted, agreement, tuple(notes))
+    hypothesis = {"weyl_parallel_defect": parallel_defect, "weyl_parallel": parallel,
+                  "hessian_defect": hess_defect, "hessian_condition_holds": hess_holds}
+    return _record("4.3", hypothesis, branch is not None, branch, chain, direct, notes)

@@ -37,8 +37,7 @@ __all__ = [
     "MIXED_RICCI_SIGN", "WEYL_FLAT_TOL", "mixed_ricci_at", "mixed_ricci_table",
     "ricci_base_block_residual", "MixedWeylReport", "mixed_weyl_report",
     "SeparabilityResult", "separability_test", "to_warped",
-    "product_metric_residual", "HessianConditionResult",
-    "hessian_condition_defect", "weyl_parallel_defect",
+    "product_metric_residual", "hessian_condition_defect", "weyl_parallel_defect",
 ]
 
 # Sign relating the direct product Ricci to the closed form (s-1)XV(k) under
@@ -668,20 +667,12 @@ def product_metric_residual(P1: ProductSpec, P2: ProductSpec,
 # theorem-condition defects
 
 
-@dataclass(frozen=True)
-class HessianConditionResult:
-    defect: float
-    holds: bool
-
-
-def hessian_condition_defect(P: ProductSpec, samples: int = 16, seed: int = 42,
-                             tol: float = 1e-8) -> HessianConditionResult:
+def hessian_condition_defect(P: ProductSpec, samples: int = 16, seed: int = 42) -> float:
     """Max |H^k(X) + X(k) grad k| over base coordinate directions."""
     x = P.manifold.sample_array(samples, seed)
     hess = hessian_at(P, x)
     _, k1, _ = P.twist_data_at(x)
-    worst = _max_abs(hess.operator + _outer(k1[..., :P.r], P.gradient_of_log_twist(x)))
-    return HessianConditionResult(worst, worst < tol)
+    return _max_abs(hess.operator + _outer(k1[..., :P.r], P.gradient_of_log_twist(x)))
 
 
 def weyl_parallel_defect(P: ProductSpec, samples: int = 8, seed: int = 42) -> float:

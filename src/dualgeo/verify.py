@@ -429,7 +429,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
         if expected is True:
             ck.add("theorem-mixed-ricci/agrees", rec.agreement is True, name=name)
         elif expected is None:
-            ck.add("theorem-mixed-ricci/unmet", rec.mixed_ricci_max,
+            ck.add("theorem-mixed-ricci/unmet", rec.hypothesis["mixed_ricci_max"],
                    notes="; ".join(rec.notes), name=name)
         else:
             ck.add("theorem-mixed-ricci/gap", None, name=name,
@@ -440,7 +440,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
                 ck.add("theorem-mixed-weyl/agrees", rec42.agreement is not False,
                        notes="; ".join(rec42.notes), name=name)
             else:
-                ck.add("theorem-mixed-weyl/reported", max(rec42.weyl_xyv_max, rec42.weyl_vwx_max),
+                ck.add("theorem-mixed-weyl/reported", max(rec42.hypothesis.values()),
                        notes="; ".join(rec42.notes), name=name)
         rec43 = theorem43_analyze(st, direct, chain, samples=n43,
                                   tol=config.exact_tol(BRANCH_TOL), seed=seed)
@@ -448,7 +448,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             ck.add("theorem-weyl-parallel/agrees", rec43.agreement is not False,
                    notes=f"branch={rec43.branch}", name=name)
         else:
-            ck.add("theorem-weyl-parallel/reported", rec43.hessian_defect,
+            ck.add("theorem-weyl-parallel/reported", rec43.hypothesis["hessian_defect"],
                    notes="; ".join(rec43.notes), name=name)
 
     # ---------------------------------------------------------------- products
@@ -522,9 +522,9 @@ def verify_paper(config: RunConfig) -> VerificationReport:
 
     # the Hessian conditions (8 points) before the block restriction (6)
     ck.add("hessian-condition-direct", hessian_condition_defect(
-        twists["direct"], ck.n("hessian-condition-direct"), seed).defect)
+        twists["direct"], ck.n("hessian-condition-direct"), seed))
     ck.add("hessian-condition-warped", abs(hessian_condition_defect(
-        twists["warped-exp"], ck.n("hessian-condition-warped"), seed).defect - 1.0))
+        twists["warped-exp"], ck.n("hessian-condition-warped"), seed) - 1.0))
     n = ck.n("hessian-block-restriction")
     hessians = [(P, hessian_at(P, P.manifold.sample_array(n, seed)))
                 for P in (twists[name] for name in _CRITERION4_TWISTS)]

@@ -156,7 +156,7 @@ def test_criterion_6_theorem_41_pipeline():
     rec = theorem41_analyze(st, dually_flat_verdict(st, 32, SEED),
                             reduction_chain(st, 32, SEED),
                             samples=32, seed=SEED)
-    sep_ok = (rec.mixed_ricci_flat and rec.chain.separable
+    sep_ok = (rec.applies and rec.chain.separable
               and rec.chain.cross_derivative_max < tol
               and rec.chain.reconstruction_residual < tol
               and rec.agreement is True)
@@ -169,7 +169,7 @@ def test_criterion_6_theorem_41_pipeline():
                              reduction_chain(st2, 32, SEED),
                              samples=32, seed=SEED)
     cross = rec2.chain.cross_derivative_max
-    nonsep_ok = (not rec2.mixed_ricci_flat and abs(cross - 1.0) < tol
+    nonsep_ok = (not rec2.applies and abs(cross - 1.0) < tol
                  and any("precondition" in n for n in rec2.notes))
     ok = sep_ok and nonsep_ok
     report_line(6, "theorem-4.1-pipeline", ok,

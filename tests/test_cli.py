@@ -433,13 +433,27 @@ class TestFlatnessCommand:
         if not plane:
             analyses.add("mixed_weyl_analysis")
         assert set(details) == analyses | {"direct_verdict"}
+        chain = details["mixed_ricci_analysis"]["chain"]
+        assert chain is not None
         for name in analyses:
             assert details[name]["direct"] == details["direct_verdict"], name
+            assert set(details[name]) == set(details["mixed_ricci_analysis"]), name
+            assert details[name]["chain"] == chain, name
         if plane:
             rec43 = details["weyl_parallel_analysis"]
             assert rec43["branch"] == 2
             assert rec43["chain"] is not None
             assert rec43["chain"] == details["mixed_ricci_analysis"]["chain"]
+
+
+    def test_mixed_weyl_row_notes_a_disagreement(self, spec_dir, tmp_path):
+        report = tmp_path / "flatness.json"
+        main(["flatness", str(spec_dir / "twisted_xu.json"), "--report", str(report)])
+        payload = json.loads(report.read_text())
+        row = next(c for c in payload["checks"] if c["check_id"] == "analyzer-mixed-weyl")
+        assert row["notes"].startswith("hypothesis=holds, predicted=True, direct=False, "
+                                       "agreement=False; DISAGREEMENT: ")
+        assert payload["details"]["mixed_weyl_analysis"]["agreement"] is False
 
 
 class TestVerifyPaper:

@@ -6,7 +6,8 @@ from dualgeo.dualistic import (ConjugacyError, dually_flat_verdict, induce_on_pr
                                lemma_dual_block_report, make_dualistic, projection_check,
                                reduction_chain, theorem41_analyze, theorem42_analyze,
                                theorem43_analyze, torsion_inheritance_check)
-from dualgeo.products import twisted_product
+from dualgeo.curvature import FLAT_TOL, DimensionError
+from dualgeo.products import WEYL_FLAT_TOL, twisted_product
 from dualgeo.report import jsonable
 from dualgeo import fixtures as fx
 
@@ -198,7 +199,7 @@ class TestTheorem41:
         entry = next(e for e in dualistic_suite if e["name"] == "flat-fiber-twist")
         st = entry["structure"]
         rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
-        assert rec.mixed_ricci_flat
+        assert rec.applies
         assert rec.chain.separable
         assert rec.chain.cross_derivative_max < 1e-10
         assert rec.chain.reconstruction_residual < 1e-10
@@ -212,8 +213,8 @@ class TestTheorem41:
                      if e["name"] == "proper-twisted-wide-fiber")
         st = entry["structure"]
         rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
-        assert not rec.mixed_ricci_flat
-        assert rec.mixed_ricci_max == pytest.approx(1.0, abs=1e-6)
+        assert not rec.applies
+        assert rec.hypothesis["mixed_ricci_max"] == pytest.approx(1.0, abs=1e-6)
         assert rec.predicted_dually_flat is None
         assert any("precondition" in note for note in rec.notes)
         assert rec.direct.dually_flat is False
@@ -222,7 +223,7 @@ class TestTheorem41:
         entry = next(e for e in dualistic_suite if e["name"] == "sphere-base-direct")
         st = entry["structure"]
         rec = theorem41_analyze(st, *verdict_and_chain(st, 16), samples=16)
-        assert rec.mixed_ricci_flat
+        assert rec.applies
         assert rec.predicted_dually_flat is False
         assert not rec.chain.base_verdict.dually_flat
         assert rec.agreement is True
@@ -244,7 +245,7 @@ class TestTheorem42:
         entry = next(e for e in dualistic_suite if e["name"] == "hessian-base-direct")
         st = entry["structure"]
         rec = theorem42_analyze(st, *verdict_and_chain(st, 12), samples=12)
-        assert rec.weyl_flat_along_holds
+        assert rec.applies
         assert rec.agreement is True
 
     def test_coupled_twist_four_dimensional(self):
@@ -254,9 +255,9 @@ class TestTheorem42:
         dF = make_dualistic(F, explicit_connection(F, {}), samples=8)
         st = induce(dB, dF, "exp(x*u)")
         rec = theorem42_analyze(st, *verdict_and_chain(st, 8), samples=8)
-        assert not rec.weyl_flat_along_holds
-        assert rec.weyl_xyv_max == pytest.approx(0.5, abs=1e-6)
-        assert rec.chain is None
+        assert not rec.applies
+        assert rec.hypothesis["weyl_xyv_max"] == pytest.approx(0.5, abs=1e-6)
+        assert rec.predicted_dually_flat is None and rec.agreement is None
 
     def test_direct_flat_product(self, dualistic_suite):
         entry = next(e for e in dualistic_suite if e["name"] == "hessian-base-direct")
@@ -265,6 +266,13 @@ class TestTheorem42:
         assert rec.predicted_dually_flat is True
         assert rec.direct.dually_flat is True
 
+    def test_two_dimensional_product_raises(self, dualistic_suite):
+        entry = next(e for e in dualistic_suite if e["name"] == "flat-pair-direct")
+        st = entry["structure"]
+        assert st.product.n == 2
+        with pytest.raises(DimensionError, match="dimension >= 3"):
+            theorem42_analyze(st, *verdict_and_chain(st, 8), samples=8)
+
 
 class TestTheorem43:
     def test_constant_twist_branch_two(self, dualistic_suite):
@@ -272,7 +280,7 @@ class TestTheorem43:
         st = entry["structure"]
         rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert rec.branch == 2
-        assert rec.hessian_defect < 1e-12
+        assert rec.hypothesis["hessian_defect"] < 1e-12
         assert rec.agreement is True
 
     def test_warped_line_inapplicable(self):
@@ -281,7 +289,7 @@ class TestTheorem43:
         st = induce(dB, dF, "exp(x)")
         rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         assert rec.branch is None
-        assert rec.hessian_defect == pytest.approx(1.0, abs=1e-9)
+        assert rec.hypothesis["hessian_defect"] == pytest.approx(1.0, abs=1e-9)
         assert any("inapplicable" in note for note in rec.notes)
 
     def test_four_dimensional_direct_product(self):
@@ -293,8 +301,8 @@ class TestTheorem43:
         rec = theorem43_analyze(st, *verdict_and_chain(st, 8), samples=8)
         # k = 0 satisfies the Hessian condition, so the chain proceeds
         assert rec.branch == 2
-        assert rec.weyl_parallel is True
-        assert rec.weyl_parallel_defect < 1e-12
+        assert rec.hypothesis["weyl_parallel"] is True
+        assert rec.hypothesis["weyl_parallel_defect"] < 1e-12
         assert rec.agreement is True
 
 
@@ -320,24 +328,34 @@ class TestSharedVerdictAndChain:
             pairs = zip(self.records(st, {16: shared, 12: shared}, seed),
                         self.records(st, own, seed))
             for rec, oracle in pairs:
-                for field in ("predicted_dually_flat", "agreement", "branch", "notes"):
-                    assert getattr(rec, field, None) == getattr(oracle, field, None), \
-                        (entry["name"], type(rec).__name__, field)
+                for field in ("applies", "predicted_dually_flat", "agreement", "branch",
+                              "notes"):
+                    assert getattr(rec, field) == getattr(oracle, field), \
+                        (entry["name"], rec.theorem, field)
 
     def test_records_keep_what_they_receive(self, dualistic_suite):
-        kept = 0
+        applied, inapplicable = set(), set()
         for entry in dualistic_suite:
             st = entry["structure"]
             direct, chain = verdict_and_chain(st, 12)
-            rec41, *others = self.records(st, {16: (direct, chain), 12: (direct, chain)}, 42)
-            assert rec41.direct is direct and rec41.chain is chain
-            for rec in others:
-                assert rec.direct is direct
-                applies = (rec.weyl_flat_along_holds if hasattr(rec, "weyl_flat_along_holds")
-                           else rec.branch is not None)
-                assert rec.chain is (chain if applies else None)
-                kept += applies
-        assert kept > 0
+            recs = self.records(st, {16: (direct, chain), 12: (direct, chain)}, 42)
+            assert [rec.theorem for rec in recs] == (["4.1", "4.2", "4.3"] if st.product.n >= 3
+                                                      else ["4.1", "4.3"])
+            for rec in recs:
+                assert rec.direct is direct and rec.chain is chain
+                hyp = rec.hypothesis
+                if rec.theorem == "4.1":
+                    applies = hyp["mixed_ricci_max"] < FLAT_TOL
+                elif rec.theorem == "4.2":
+                    applies = min(hyp["weyl_xyv_max"], hyp["weyl_vwx_max"]) < WEYL_FLAT_TOL
+                else:
+                    applies = rec.branch is not None
+                assert rec.applies == applies, (entry["name"], rec.theorem)
+                assert (rec.predicted_dually_flat is None) == (not rec.applies)
+                (applied if rec.applies else inapplicable).add(rec.theorem)
+        # every 4.2 hypothesis of the suite holds; test_coupled_twist_four_dimensional
+        # covers an inapplicable 4.2 record
+        assert applied == {"4.1", "4.2", "4.3"} and inapplicable == {"4.1", "4.3"}
 
 
 class TestLemmaBlocks:

@@ -7,6 +7,9 @@
   differences cannot spread to verdict paths.
 * The theorem analyzers build no flatness verdict and no reduction chain:
   callers build each once per structure and pass it in.
+* ``dualistic.py`` defines exactly one dataclass named ``*Record``, and each
+  theorem analyzer is annotated to return it, so the three theorems share
+  one record rather than one record class each.
 * Only ``geometry.py`` calls ``.tobytes()``: its one-batch cache
   (``geometry.one_batch``) is the only cache keyed by point bytes, so no
   unbounded point cache grows back elsewhere.
@@ -99,6 +102,19 @@ def analyzer_input_calls(trees) -> list[str]:
             if isinstance(fn, ast.FunctionDef) and fn.name in ANALYZERS
             for call in ast.walk(fn)
             if isinstance(call, ast.Call) and _called_name(call) in ANALYZER_INPUTS]
+
+
+def record_dataclasses(trees) -> set[str]:
+    """``file:class`` of every dataclass whose name ends in ``Record``."""
+    return {f"{name}:{node.name}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Record")
+            and any(_decorator_name(d) == "dataclass" for d in node.decorator_list)}
+
+
+def analyzer_returns(trees) -> dict[str, str | None]:
+    """Each theorem analyzer's return annotation, as source."""
+    return {fn.name: fn.returns and ast.unparse(fn.returns) for name, tree in trees
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in ANALYZERS}
 
 
 def tobytes_callers(trees) -> set[str]:
@@ -479,6 +495,14 @@ def test_analyzers_receive_their_verdict_and_chain():
     assert analyzer_input_calls(trees) == []
 
 
+def test_theorems_share_one_record():
+    trees = [(name, tree) for name, tree in _trees() if name == "dualistic.py"]
+    records = record_dataclasses(trees)
+    assert len(records) == 1, records
+    record = records.pop().split(":")[1]
+    assert analyzer_returns(trees) == dict.fromkeys(ANALYZERS, record)
+
+
 @pytest.mark.parametrize("source, calls, importers", [
     ("for pt in M.sample_points(4, 1):\n    pass\n", 1, set()),
     ("xs = [p.coords for p in sample_points(M, 3, 1)]\n", 1, set()),
@@ -503,6 +527,22 @@ def test_scan_flags_each_form(source, calls, importers):
 ])
 def test_scan_flags_analyzer_rebuilds(source, calls):
     assert len(analyzer_input_calls([("probe.py", ast.parse(source))])) == calls
+
+
+@pytest.mark.parametrize("source, records, returns", [
+    ("@dataclass(frozen=True)\nclass TheoremRecord:\n    pass\n"
+     "def theorem41_analyze(st) -> TheoremRecord:\n    pass\n",
+     {"probe.py:TheoremRecord"}, {"theorem41_analyze": "TheoremRecord"}),
+    ("@dataclasses.dataclass\nclass Theorem42Record:\n    pass\nclass PlainRecord:\n    pass\n"
+     "def theorem42_analyze(st) -> Theorem42Record:\n    pass\n",
+     {"probe.py:Theorem42Record"}, {"theorem42_analyze": "Theorem42Record"}),
+    ("@dataclass\nclass Verdict:\n    pass\ndef theorem43_analyze(st):\n    pass\n",
+     set(), {"theorem43_analyze": None}),
+])
+def test_scan_flags_record_classes(source, records, returns):
+    trees = [("probe.py", ast.parse(source))]
+    assert record_dataclasses(trees) == records
+    assert analyzer_returns(trees) == returns
 
 
 @pytest.mark.parametrize("source, callers", [

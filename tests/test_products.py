@@ -350,17 +350,14 @@ class TestToWarped:
 
 class TestHessianCondition:
     def test_constant_twist_holds(self, standard_twists):
-        res = hessian_condition_defect(standard_twists["direct"], samples=4)
-        assert res.holds and res.defect == 0.0
+        assert hessian_condition_defect(standard_twists["direct"], samples=4) == 0.0
 
     def test_warped_line_defect_one(self, standard_twists):
-        res = hessian_condition_defect(standard_twists["warped-exp"], samples=4)
-        assert not res.holds
-        assert res.defect == pytest.approx(1.0, abs=1e-12)
+        defect = hessian_condition_defect(standard_twists["warped-exp"], samples=4)
+        assert defect == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_fixture_reported(self, standard_twists):
-        res = hessian_condition_defect(standard_twists["twisted-poly"], samples=4)
-        assert np.isfinite(res.defect)
+        assert np.isfinite(hessian_condition_defect(standard_twists["twisted-poly"], samples=4))
 
 
 class TestWeylParallel:
