@@ -17,8 +17,8 @@ from .geometry import ManifoldSpec, Point
 from .connections import (ConnectionField, _duality_defect, conjugate, involution_defect,
                           torsion_at)
 from .curvature import FLAT_TOL, ConstantSectionalResult, is_constant_sectional, riemann_at
-from .products import (ProductSpec, _max_abs, _mv, _per_point, _warped_reduction,
-                       block_connection, hessian_condition_defect, mixed_ricci_table,
+from .products import (ProductSpec, _max_abs, _per_point, _warped_reduction, block_connection,
+                       block_gamma, hessian_condition_defect, mixed_ricci_table,
                        mixed_weyl_report, riemann_block_residuals, separability_test,
                        weyl_parallel_defect)
 
@@ -137,9 +137,10 @@ def projection_check(induced: ProductDualisticStructure,
                      samples: int = 16, seed: int = 42) -> ProjectionReport:
     """Block recovery of the factor structures from the induced pair.
 
-    Horizontal parts of D and D* on horizontal lifts must equal lifts of the
-    factor connections; vertical parts recover the fiber connections after
-    removing the twist cross-terms.  The projected pairs must satisfy the
+    D and D* on pairs of horizontal lifts, and on pairs of vertical lifts,
+    must match the block display (``block_gamma``) of the factor primal and
+    dual connections; D is built from the chart's Levi-Civita connection, so
+    the two routes are independent.  The projected pairs must satisfy the
     factor duality relations, the fiber one with the b^-2 weighting.
     """
     P = induced.product
@@ -147,40 +148,24 @@ def projection_check(induced: ProductDualisticStructure,
     r = P.r
     x = P.manifold.sample_array(samples, seed)
     xb, xf = P.split(x)
-    b, k1, _ = P.twist_data_at(x)
-    b_sq = _per_point(b**2)
+    b, _, _ = P.twist_data_at(x)
     gB = P.base.metric_at(xb)
     gF = P.fiber.metric_at(xf)
-    gFinv = P.fiber.inverse_metric_at(xf)
-    gBinv = P.base.inverse_metric_at(xb)
     dgB = P.base.metric_derivatives_at(xb)
     dg = P.manifold.metric_derivatives_at(x)
-    kb, kf = k1[..., :r], k1[..., r:]
-    eye_s = np.eye(P.s)
-    cross_fiber = (np.einsum("...u,wv->...wuv", kf, eye_s)
-                   + np.einsum("...v,wu->...wuv", kf, eye_s)
-                   - np.einsum("...uv,...w->...wuv", gF, _mv(gFinv, kf)))
-    cross_base = -b_sq * np.einsum("...uv,...c->...cuv", gF, _mv(gBinv, kb))
-
-    def base_dev(G, factor_conn) -> float:
-        return max(_max_abs(G[..., :r, :r, :r] - factor_conn.gamma_at(xb)),
-                   _max_abs(G[..., r:, :r, :r]))
-
-    def fiber_dev(G, factor_conn) -> float:
-        return max(_max_abs(G[..., r:, r:, r:] - cross_fiber - factor_conn.gamma_at(xf)),
-                   _max_abs(G[..., :r, r:, r:] - cross_base))
-
     Gp = induced.primal.gamma_at(x)
     Gd = induced.dual.gamma_at(x)
+    dev_p = Gp - block_gamma(P, x, dB.primal.gamma_at(xb), dF.primal.gamma_at(xf))
+    dev_d = Gd - block_gamma(P, x, dB.dual.gamma_at(xb), dF.dual.gamma_at(xf))
     res_b = (dgB
              - np.einsum("...mab,...mc->...abc", Gp[..., :r, :r, :r], gB)
              - np.einsum("...mac,...bm->...abc", Gd[..., :r, :r, :r], gB))
     # b^-2 U.g(V,W) = g_F(sigma(D_U V), W) + g_F(V, sigma(D*_U W))
-    res_f = (dg[..., r:, r:, r:] / b_sq
+    res_f = (dg[..., r:, r:, r:] / _per_point(b**2)
              - np.einsum("...muv,...mw->...uvw", Gp[..., r:, r:, r:], gF)
              - np.einsum("...muw,...vm->...uvw", Gd[..., r:, r:, r:], gF))
-    return ProjectionReport(base_dev(Gp, dB.primal), base_dev(Gd, dB.dual),
-                            fiber_dev(Gp, dF.primal), fiber_dev(Gd, dF.dual),
+    return ProjectionReport(_max_abs(dev_p[..., :r, :r]), _max_abs(dev_d[..., :r, :r]),
+                            _max_abs(dev_p[..., r:, r:]), _max_abs(dev_d[..., r:, r:]),
                             _max_abs(res_b), _max_abs(res_f))
 
 

@@ -31,7 +31,7 @@ from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
 
 __all__ = [
     "ProductSpec", "twisted_product", "lift", "project_base", "project_fiber",
-    "lift_lemma_residual", "block_connection", "block_levi_civita",
+    "lift_lemma_residual", "block_gamma", "block_connection", "block_levi_civita",
     "block_levi_civita_defect", "HessianData", "hessian_at",
     "CurvatureBlockReport", "curvature_block_report", "riemann_block_residuals",
     "MIXED_RICCI_SIGN", "WEYL_FLAT_TOL", "mixed_ricci_at", "mixed_ricci_table",
@@ -87,15 +87,7 @@ class ProductSpec:
     def _k2(self):
         return [[differentiate(e, c) for c in self.manifold.coords] for e in self._k1]
 
-    @cached_property
-    def _b1(self):
-        return [differentiate(self.twist, c) for c in self.manifold.coords]
-
-    @cached_property
-    def _b2(self):
-        return [[differentiate(e, c) for c in self.manifold.coords] for e in self._b1]
-
-    # Entries are listed in the order the tuples return them, so a point
+    # Entries are listed in the order the tuple returns them, so a point
     # outside the domain raises the error of the first failing entry.
 
     @cached_property
@@ -103,25 +95,15 @@ class ProductSpec:
         return compile_array([self.twist, *self._k1, *(e for row in self._k2 for e in row)],
                              self.manifold.coords)
 
-    @cached_property
-    def _twist_hessian_b_kernel(self):
-        return compile_array([*self._b1, *(e for row in self._b2 for e in row)],
-                             self.manifold.coords)
-
-    # Both read through the product chart's sample stream, so the arrays
-    # they return are shared and read-only.
-
     def twist_data_at(self, x) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-        """(b, d_i k, d_i d_j k) at a product point or points; b has the leading shape."""
+        """(b, d_i k, d_i d_j k) at a product point or points; b has the leading shape.
+
+        Read through the product chart's sample stream, so the arrays are
+        shared and read-only.
+        """
         n, x = self.n, _coords_of(x)
         t = self.manifold._memo("twist", x, self._twist_data_kernel)
         return t[..., 0][()], t[..., 1:n + 1], t[..., n + 1:].reshape(t.shape[:-1] + (n, n))
-
-    def twist_hessian_b_at(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(d_i b, d_i d_j b) at a product point or points."""
-        n, x = self.n, _coords_of(x)
-        t = self.manifold._memo("twist_b", x, self._twist_hessian_b_kernel)
-        return t[..., :n], t[..., n:].reshape(t.shape[:-1] + (n, n))
 
     @cached_property
     def _pulled_fiber_d1_kernel(self):
@@ -142,11 +124,6 @@ class ProductSpec:
     @property
     def fiber_levi_civita(self) -> ConnectionField:
         return self.fiber.levi_civita_connection
-
-    @cached_property
-    def block_levi_civita_connection(self) -> ConnectionField:
-        """Levi-Civita assembled block-wise from factor data (formula route)."""
-        return block_connection(self, self.base_levi_civita, self.fiber_levi_civita)
 
     def gradient_of_log_twist(self, x) -> np.ndarray:
         """Product-metric gradient of k = log b (components over all n coordinates)."""
@@ -265,73 +242,66 @@ def lift_lemma_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> fl
 # block-wise connections
 
 
-def block_connection(P: ProductSpec, base_conn: ConnectionField,
-                     fiber_conn: ConnectionField) -> ConnectionField:
-    """Connection on the product assembled from factor connections.
+def block_gamma(P: ProductSpec, p, base_gamma: np.ndarray,
+                fiber_gamma: np.ndarray) -> np.ndarray:
+    """Gamma of the block display at a product point or points, from factor Gammas there.
 
-    Blocks: D_X Y lifts the base connection, D_X U = D_U X = X(k)U, and
+    D_X Y lifts the base connection, D_X U = D_U X = X(k)U, and
     D_U V = lift of the fiber connection + U(k)V + V(k)U - g(U,V) grad k,
     with g the product metric and grad k its gradient.
+    """
+    r, s, n = P.r, P.s, P.n
+    x = _coords_of(p)
+    xb, xf = P.split(x)
+    b, k1, _ = P.twist_data_at(x)
+    kb, kf = k1[..., :r], k1[..., r:]
+    gF = P.fiber.metric_at(xf)
+    eye_s = np.eye(s)
+    G = np.zeros(x.shape[:-1] + (n, n, n))
+    G[..., :r, :r, :r] = base_gamma
+    G[..., r:, :r, r:] = np.einsum("...a,wv->...wav", kb, eye_s)
+    G[..., r:, r:, :r] = np.einsum("...a,wv->...wva", kb, eye_s)
+    G[..., r:, r:, r:] = (fiber_gamma
+                          + np.einsum("...u,wv->...wuv", kf, eye_s)
+                          + np.einsum("...v,wu->...wuv", kf, eye_s)
+                          - np.einsum("...uv,...w->...wuv", gF,
+                                      _mv(P.fiber.inverse_metric_at(xf), kf)))
+    G[..., :r, r:, r:] = (-_per_point(b**2)
+                          * np.einsum("...uv,...c->...cuv", gF,
+                                      _mv(P.base.inverse_metric_at(xb), kb)))
+    return G
+
+
+def block_connection(P: ProductSpec, base_conn: ConnectionField,
+                     fiber_conn: ConnectionField) -> ConnectionField:
+    """Connection on the product whose blocks follow the display of ``block_gamma``.
+
+    The display's twist terms are those of the product Levi-Civita
+    connection, whose leaves are totally umbilic, so D is the chart's
+    Levi-Civita connection plus the lifted differences base_conn - nabla^B
+    and fiber_conn - nabla^F.  A factor's difference is constant along the
+    other factor, so its derivative fills only its own block of dGamma.
     """
     if base_conn.manifold is not P.base:
         raise GeometryError("base connection does not live on the base factor")
     if fiber_conn.manifold is not P.fiber:
         raise GeometryError("fiber connection does not live on the fiber factor")
-    r, s, n = P.r, P.s, P.n
-    eye_s = np.eye(s)
-
-    def factor_data(x: np.ndarray):
-        xb, xf = P.split(x)
-        b, k1, k2 = P.twist_data_at(x)
-        return (xb, xf, b, k1, k2, P.fiber.metric_at(xf), P.fiber.inverse_metric_at(xf),
-                P.base.inverse_metric_at(xb))
+    r = P.r
+    chart, base_lc, fiber_lc = P.chart_levi_civita, P.base_levi_civita, P.fiber_levi_civita
 
     def gamma(x: np.ndarray) -> np.ndarray:
-        xb, xf, b, k1, _, gF, gFinv, gBinv = factor_data(x)
-        kb, kf = k1[..., :r], k1[..., r:]
-        G = np.zeros(x.shape[:-1] + (n, n, n))
-        G[..., :r, :r, :r] = base_conn.gamma_at(xb)
-        G[..., r:, :r, r:] = np.einsum("...a,wv->...wav", kb, eye_s)
-        G[..., r:, r:, :r] = np.einsum("...a,wv->...wva", kb, eye_s)
-        G[..., r:, r:, r:] = (fiber_conn.gamma_at(xf)
-                              + np.einsum("...u,wv->...wuv", kf, eye_s)
-                              + np.einsum("...v,wu->...wuv", kf, eye_s)
-                              - np.einsum("...uv,...w->...wuv", gF, _mv(gFinv, kf)))
-        G[..., :r, r:, r:] = (-_per_point(b**2)
-                              * np.einsum("...uv,...c->...cuv", gF, _mv(gBinv, kb)))
+        xb, xf = P.split(x)
+        G = chart.gamma_at(x).copy()
+        G[..., :r, :r, :r] += base_conn.gamma_at(xb) - base_lc.gamma_at(xb)
+        G[..., r:, r:, r:] += fiber_conn.gamma_at(xf) - fiber_lc.gamma_at(xf)
         return G
 
     def dgamma(x: np.ndarray) -> np.ndarray:
-        # d_q of each block of gamma for all q at once, q on axis -4; a factor
-        # array's derivative along the other factor's coordinates is zero
-        xb, xf, b, k1, k2, gF, gFinv, gBinv = factor_data(x)
-        kb, kf = k1[..., :r], k1[..., r:]
-        kqb, kqf = k2[..., :r], k2[..., r:]
-        gradFk, gradBk = _mv(gFinv, kf), _mv(gBinv, kb)
-        dgF = P.fiber.metric_derivatives_at(xf)
-        dgB = P.base.metric_derivatives_at(xb)
-        dgF_q = _zero_pad(dgF, -3, r, 0)
-        dgFinv_q = _zero_pad(-gFinv[..., None, :, :] @ dgF @ gFinv[..., None, :, :], -3, r, 0)
-        dgBinv_q = _zero_pad(-gBinv[..., None, :, :] @ dgB @ gBinv[..., None, :, :], -3, 0, s)
-        out = np.zeros(x.shape[:-1] + (n, n, n, n))
-        out[..., :r, :r, :r, :r] = base_conn.dgamma_at(xb)
-        out[..., r:, :r, r:] = np.einsum("...qa,wv->...qwav", kqb, eye_s)
-        out[..., r:, r:, :r] = np.einsum("...qa,wv->...qwva", kqb, eye_s)
-        out[..., r:, r:, r:] = (
-            np.einsum("...qu,wv->...qwuv", kqf, eye_s)
-            + np.einsum("...qv,wu->...qwuv", kqf, eye_s)
-            + _zero_pad(fiber_conn.dgamma_at(xf), -4, r, 0)
-            - np.einsum("...quv,...w->...qwuv", dgF_q, gradFk)
-            - np.einsum("...uv,...qw->...qwuv", gF, _mv(dgFinv_q, kf[..., None, :]))
-            - np.einsum("...uv,...qw->...qwuv", gF, _mv(gFinv[..., None, :, :], kqf)))
-        # base components of the fiber block:
-        #   d_q ( -b^2 gF_uv (gB^{-1} kb)_c ),  d_q b^2 = 2 b^2 k1[q]
-        grad_term = _mv(gBinv[..., None, :, :], kqb) + _mv(dgBinv_q, kb[..., None, :])
-        out[..., :r, r:, r:] = -_per_point(b**2)[..., None] * (
-            2.0 * _per_point(k1) * np.einsum("...uv,...c->...cuv", gF, gradBk)[..., None, :, :, :]
-            + np.einsum("...uv,...qc->...qcuv", gF, grad_term)
-            + np.einsum("...quv,...c->...qcuv", dgF_q, gradBk))
-        return out
+        xb, xf = P.split(x)
+        dG = chart.dgamma_at(x).copy()
+        dG[..., :r, :r, :r, :r] += base_conn.dgamma_at(xb) - base_lc.dgamma_at(xb)
+        dG[..., r:, r:, r:, r:] += fiber_conn.dgamma_at(xf) - fiber_lc.dgamma_at(xf)
+        return dG
 
     return ConnectionField(P.manifold, "induced-product", gamma, dgamma)
 
@@ -347,15 +317,15 @@ def _per_point(c) -> np.ndarray:
 
 
 def block_levi_civita(P: ProductSpec, p) -> np.ndarray:
-    """Gamma of the product Levi-Civita assembled from the block formulas."""
-    return P.block_levi_civita_connection.gamma_at(p)
+    """Gamma of the product Levi-Civita connection by the block display."""
+    xb, xf = P.split(p)
+    return block_gamma(P, p, P.base_levi_civita.gamma_at(xb), P.fiber_levi_civita.gamma_at(xf))
 
 
 def block_levi_civita_defect(P: ProductSpec, samples: int = 32, seed: int = 42) -> float:
-    """Max deviation between the block assembly and the direct chart computation."""
+    """Max deviation between the block display and the direct chart computation."""
     x = P.manifold.sample_array(samples, seed)
-    delta = P.block_levi_civita_connection.gamma_at(x) - P.chart_levi_civita.gamma_at(x)
-    return float(np.max(np.abs(delta)))
+    return _max_abs(block_levi_civita(P, x) - P.chart_levi_civita.gamma_at(x))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +336,6 @@ def block_levi_civita_defect(P: ProductSpec, samples: int = 32, seed: int = 42) 
 class HessianData:
     """Hessian data at a point, or at each point of a batch (leading axis)."""
 
-    point: np.ndarray
     base_block: np.ndarray   # XY(k) - (B-nabla_X Y)(k), base directions
     mixed_block: np.ndarray  # XV(k) - X(k)V(k)
     full: np.ndarray         # product-connection Hessian form of k
@@ -390,7 +359,7 @@ def hessian_at(P: ProductSpec, p) -> HessianData:
     full = k2 - np.einsum("...mij,...m->...ij", gam, k1)
     ginv = P.manifold.inverse_metric_at(x)
     operator = full[..., :r, :] @ ginv.swapaxes(-1, -2)
-    return HessianData(x, base_block, mixed_block, full, operator)
+    return HessianData(base_block, mixed_block, full, operator)
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -417,8 +386,9 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
 
     Each block of the directly computed curvature of ``conn`` is compared, as
     a whole tensor, with its displayed right side: the factor connections'
-    curvatures plus metric-based auxiliary terms (Hessians of b and k,
-    gradients of k).  A block's residual is the largest l1 norm over its three
+    curvatures plus metric-based auxiliary terms, all taken from k = log b
+    (|grad_B b|^2 / b^2 = |grad_B k|^2, and Hess_B b / b = Hess_B k + dk dk
+    on base pairs).  A block's residual is the largest l1 norm over its three
     input slots at any output index, which bounds the residual of the
     displayed identity for lifted block vectors in [-1, 1].  The fiber-fiber
     block is evaluated both as printed and with the index-consistent pairing.
@@ -432,20 +402,19 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
     R = riemann_at(conn, x)
     R_B = riemann_at(base_conn, xb)
     R_F = riemann_at(fiber_conn, xf)
-    b, k1, k2 = P.twist_data_at(x)
-    b1, b2 = P.twist_hessian_b_at(x)
-    gam_b = P.base_levi_civita.gamma_at(xb)
+    _, k1, k2 = P.twist_data_at(x)
+    kb = k1[..., :r]
     hess = hessian_at(P, x)
     gradk = P.gradient_of_log_twist(x)
-    grad_b_norm_sq = _pair(gBinv, b1[..., :r], b1[..., :r])  # |grad_B b|^2 in g_B
-    hbB = b2[..., :r, :r] - np.einsum("...cab,...c->...ab", gam_b, b1[..., :r])
+    grad_k_norm_sq = _pair(gBinv, kb, kb)  # |grad_B k|^2 in g_B
+    hbB = hess.base_block + _outer(kb, kb)  # Hess_B b / b on base pairs
     kUX = k2[..., r:, :r]  # UX(k) on coordinate directions
     gradB_Uk = np.zeros(x.shape[:-1] + (n, s))  # [l, u]: components of grad_B(d_u(k))
     gradB_Uk[..., :r, :] = gBinv @ kUX.swapaxes(-1, -2)
 
     R_UVW = R[..., :, r:, r:, r:]
     common = (_zero_pad(R_F, -4, r, 0)
-              - _per_point(grad_b_norm_sq / b**2)[..., None]
+              - _per_point(grad_k_norm_sq)[..., None]
               * (np.einsum("...vw,lu->...luvw", gFF, fiber_out)
                  - np.einsum("...uw,lv->...luvw", gFF, fiber_out))
               + np.einsum("...uw,...lv->...luvw", gFF, gradB_Uk))
@@ -453,15 +422,14 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
         "R(X,Y)Z": R[..., :, :r, :r, :r] - _zero_pad(R_B, -4, 0, s),
         "R(X,Y)U": R[..., :, :r, :r, r:],
         "R(X,U)Y": (R[..., :, :r, r:, :r]
-                    - np.einsum("...ab,lu->...laub", hbB / np.asarray(b)[..., None, None],
-                                fiber_out)),
+                    - np.einsum("...ab,lu->...laub", hbB, fiber_out)),
         "R(U,V)X": (R[..., :, r:, r:, :r] - np.einsum("...ua,lv->...luva", kUX, fiber_out)
                     + np.einsum("...va,lu->...luva", kUX, fiber_out)),
         "R(X,U)V": (R[..., :, :r, r:, r:]
                     - np.einsum("...av,lu->...lauv",
-                                _outer(k1[..., :r], k1[..., r:]) + hess.mixed_block, fiber_out)
+                                _outer(kb, k1[..., r:]) + hess.mixed_block, fiber_out)
                     + np.einsum("...uv,...al->...lauv", gFF,
-                                _outer(k1[..., :r], gradk) + hess.operator)),
+                                _outer(kb, gradk) + hess.operator)),
         "R(U,V)W[index-consistent]": (R_UVW - common
                                       + np.einsum("...vw,...lu->...luvw", gFF, gradB_Uk)),
         # the printed g(V,U) grad_B(U(k)) is quadratic in U, not trilinear:

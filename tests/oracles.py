@@ -14,9 +14,12 @@ sample points, each point through the library's one-point calls, as a check
 on the reports' batched evaluation.
 """
 
+import functools
+
 import numpy as np
 
 from dualgeo.curvature import ricci_at, riemann_at, weyl_at
+from dualgeo.exprlang import compile_array, differentiate
 from dualgeo.products import MIXED_RICCI_SIGN, hessian_at
 
 
@@ -134,6 +137,24 @@ def curvature_duality_contraction(M, C, Cstar, x, X, Y, Z, W):
     return float(abs(RZ @ g @ W + RsW @ g @ Z))
 
 
+@functools.lru_cache(maxsize=None)
+def _twist_b_kernels(P):
+    coords = P.manifold.coords
+    b1 = [differentiate(P.twist, c) for c in coords]
+    return compile_array(b1, coords), compile_array([[differentiate(e, c) for c in coords]
+                                                     for e in b1], coords)
+
+
+def twist_b_derivatives(P, x):
+    """(d_i b, d_i d_j b) at one product point, from the twist b itself.
+
+    The library's block formulas take these from k = log b instead, so the
+    block oracles below keep the b route as their own.
+    """
+    d1, d2 = _twist_b_kernels(P)
+    return d1(x), d2(x)
+
+
 def curvature_block_contractions(P, conn, base_conn, fiber_conn, x, X, Y, Z, U, V, W):
     """max_l |direct - displayed| of each curvature block on lifted block vectors."""
     r = P.r
@@ -141,7 +162,7 @@ def curvature_block_contractions(P, conn, base_conn, fiber_conn, x, X, Y, Z, U, 
     g = P.manifold.metric_at(x)
     gBinv = P.base.inverse_metric_at(xb)
     b, k1, k2 = P.twist_data_at(x)
-    b1, b2 = P.twist_hessian_b_at(x)
+    b1, b2 = twist_b_derivatives(P, x)
     gam_b = P.base_levi_civita.gamma_at(xb)
     hess = hessian_at(P, x)
     gradk = P.gradient_of_log_twist(x)
@@ -191,7 +212,7 @@ def riemann_block_residuals_per_point(P, conn, base_conn, fiber_conn, samples, s
         R_B = riemann_at(base_conn, xb)
         R_F = riemann_at(fiber_conn, xf)
         b, k1, k2 = P.twist_data_at(x)
-        b1, b2 = P.twist_hessian_b_at(x)
+        b1, b2 = twist_b_derivatives(P, x)
         gam_b = P.base_levi_civita.gamma_at(xb)
         hess = hessian_at(P, x)
         gradk = P.gradient_of_log_twist(x)

@@ -76,8 +76,6 @@ def _connections():
         for _, C in fx.connection_suite(M):
             out.append((M, C))
             out.append((M, conjugate(C, M)))
-    for P in _TWISTS.values():
-        out.append((P.manifold, P.block_levi_civita_connection))
     for entry in _SUITE:
         st_ = entry["structure"]
         out.append((st_.manifold, st_.primal))
@@ -178,7 +176,7 @@ def _stream_reads(M, P, conns) -> dict:
              "d2g": M.metric_second_derivatives_at, "d3g": M.metric_third_derivatives_at,
              "frame": functools.partial(orthonormal_frame_at, M)}
     if P is not None:
-        reads.update({"twist": P.twist_data_at, "twist_b": P.twist_hessian_b_at})
+        reads.update({"twist": P.twist_data_at})
     for name, C in conns.items():
         reads.update({f"{name} gamma": C.gamma_at, f"{name} dgamma": C.dgamma_at,
                       f"{name} R": functools.partial(riemann_at, C)})
@@ -529,7 +527,7 @@ def test_hessian_stacks(name, seed, picks):
     X = _subset(P.manifold, seed, picks)
     batch = hessian_at(P, X)
     singles = [hessian_at(P, x) for x in X]
-    for field in ("point", "base_block", "mixed_block", "full", "operator"):
+    for field in ("base_block", "mixed_block", "full", "operator"):
         _assert_close(getattr(batch, field), np.array([getattr(h, field) for h in singles]))
 
 

@@ -187,7 +187,6 @@ class TestLastBatchCache:
             "d2g": M.metric_second_derivatives_at, "d3g": M.metric_third_derivatives_at,
             "frame": functools.partial(orthonormal_frame_at, M),
             "twist": lambda z: P.twist_data_at(z)[1],
-            "twist_b": lambda z: P.twist_hessian_b_at(z)[0],
         }
         for C in conns:
             reads.update({f"{C.provenance} {f.__name__}": f for f in (C.gamma_at, C.dgamma_at)})
@@ -206,8 +205,7 @@ class TestLastBatchCache:
                     got[(0,) * got.ndim] = 5.0
                 assert read(x).tobytes() == before.tobytes(), kind
             # every kind cached by the chart and the connections was read
-            assert set(M._last_batch[1]) == {"g", "ginv", "dg", "d2g", "d3g", "frame",
-                                             "twist", "twist_b"}
+            assert set(M._last_batch[1]) == {"g", "ginv", "dg", "d2g", "d3g", "frame", "twist"}
             assert set(lc._last_batch[1]) == {"gamma", "dgamma", "R", "d2gamma", "dR"}
             assert all(set(C._last_batch[1]) == {"gamma", "dgamma", "R"} for C in conns[1:])
 
@@ -223,14 +221,11 @@ class TestLastBatchCache:
             assert orthonormal_frame_at(M, x).tobytes() == _frame(M._metric_kernel(x)).tobytes()
             for f, fresh in zip(conns, _connection_accessors(_connections(M))):
                 assert f(x).tobytes() == fresh(x).tobytes()
-            # the twist kinds share the product chart's cache
+            # the twist kind shares the product chart's cache
             b, k1, k2 = P.twist_data_at(x)
-            b1, b2 = P.twist_hessian_b_at(x)
             got = np.concatenate([np.asarray(b)[..., None], k1, k2.reshape(x.shape[:-1] + (-1,))],
                                  axis=-1)
             assert got.tobytes() == P._twist_data_kernel(x).tobytes()
-            got = np.concatenate([b1, b2.reshape(x.shape[:-1] + (-1,))], axis=-1)
-            assert got.tobytes() == P._twist_hessian_b_kernel(x).tobytes()
 
     def test_concurrent_callers_get_their_own_batch(self, twisted4):
         batches = [twisted4.sample_array(n, seed) for seed, n in enumerate((3, 3, 5, 8))]

@@ -32,6 +32,10 @@
 * No ``einsum`` call takes three or more operands: each such contraction is
   written as batched matmul, with its einsum formula kept beside it as a
   comment and as the oracle of ``tests/test_contractions.py``.
+* The block display of an induced connection is written once: the einsum
+  subscripts of its twist terms appear only in ``products.block_gamma``, so
+  ``block_connection`` and ``projection_check`` cannot carry a second copy
+  of the formula they are checked against.
 * No code calls ``np.linalg.cond``: the singular-metric check compares the
   eigenvalues of the symmetric metric instead of running an SVD.
 * ``ArgumentParser(...)`` is constructed only inside functions of ``cli.py``:
@@ -63,6 +67,8 @@ ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_cha
 TOBYTES_CALLERS = {"geometry.py"}
 COMMAND_TABLE = "COMMANDS"
 CACHE_DECORATORS = {"cache", "lru_cache"}
+DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
+                      "...uv,...w->...wuv", "...uv,...c->...cuv"}
 
 
 def _trees():
@@ -171,8 +177,8 @@ def attribute_writers(trees, attr: str) -> set[str]:
     return found
 
 
-def _call_scopes(trees, matches) -> set[str]:
-    """``file:function`` of every call that ``matches``, by innermost function."""
+def _node_scopes(trees, matches) -> set[str]:
+    """``file:function`` of every node that ``matches``, by innermost function."""
     found = set()
 
     def visit(name, node, where):
@@ -180,13 +186,24 @@ def _call_scopes(trees, matches) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(name, child, child.name)
                 continue
-            if isinstance(child, ast.Call) and matches(child):
+            if matches(child):
                 found.add(f"{name}:{where}")
             visit(name, child, where)
 
     for name, tree in trees:
         visit(name, tree, "<module>")
     return found
+
+
+def _call_scopes(trees, matches) -> set[str]:
+    """``file:function`` of every call that ``matches``, by innermost function."""
+    return _node_scopes(trees, lambda node: isinstance(node, ast.Call) and matches(node))
+
+
+def display_subscript_scopes(trees) -> set[str]:
+    """``file:function`` of every string equal to a subscript of the block display's twist terms."""
+    return _node_scopes(trees, lambda node: isinstance(node, ast.Constant)
+                        and node.value in DISPLAY_SUBSCRIPTS)
 
 
 def default_rng_callers(trees) -> set[str]:
@@ -467,6 +484,10 @@ def test_no_einsum_takes_three_operands():
     assert wide_einsums(_trees()) == []
 
 
+def test_block_display_is_written_once():
+    assert display_subscript_scopes(_trees()) == {"products.py:block_gamma"}
+
+
 def test_no_condition_number_by_svd():
     assert cond_uses(_trees()) == []
 
@@ -679,6 +700,21 @@ def test_scan_flags_unused_knobs(source, callers, found):
 ])
 def test_scan_flags_wide_einsums(source, found):
     assert wide_einsums([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def block_gamma(P, x):\n    return np.einsum('...a,wv->...wav', kb, eye)\n",
+     {"probe.py:block_gamma"}),
+    ("def projection_check(st):\n    c = np.einsum('...uv,...c->...cuv', gF, v)\n",
+     {"probe.py:projection_check"}),
+    ("def block_connection(P):\n    def dgamma(x):\n"
+     "        return einsum('...v,wu->...wuv', kf, eye)\n", {"probe.py:dgamma"}),
+    ("TERM = '...uv,...w->...wuv'\n", {"probe.py:<module>"}),
+    ("def f(k):\n    return np.einsum('...qa,wv->...qwav', k, eye)\n", set()),
+    ("def f(gam, k):\n    return np.einsum('...mij,...m->...ij', gam, k)\n", set()),
+])
+def test_scan_flags_display_subscripts(source, found):
+    assert display_subscript_scopes([("probe.py", ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [

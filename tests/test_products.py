@@ -5,8 +5,9 @@ import pytest
 
 from dualgeo.exprlang import evaluate, free_vars, parse
 from dualgeo.geometry import GeometryError, TangentVector
+from dualgeo.connections import dgamma_fd_defect, explicit_connection, torsion_at
 from dualgeo.curvature import DimensionError, ricci_at, riemann_at
-from dualgeo.products import (MIXED_RICCI_SIGN, block_levi_civita,
+from dualgeo.products import (MIXED_RICCI_SIGN, block_connection, block_gamma, block_levi_civita,
                               block_levi_civita_defect, curvature_block_report,
                               hessian_at, hessian_condition_defect, lift,
                               lift_lemma_residual, mixed_ricci_at, mixed_ricci_table,
@@ -121,22 +122,35 @@ class TestBlockLeviCivita:
                      "warped-sphere-fiber", "twisted-4d"):
             assert block_levi_civita_defect(standard_twists[name], 16, 42) < 1e-8
 
-    def test_dgamma_matches_chart(self, standard_twists):
+    def test_connection_follows_the_display(self, standard_twists):
+        # D is the chart Levi-Civita connection plus lifted factor differences;
+        # its Gamma must be the display of its factor connections, and its
+        # dGamma the derivative of that Gamma
         products = {**standard_twists,
                     "curved-2d-base": twisted_product(fx.fisher_normal(), fx.sphere2(),
                                                       "exp(0.5*m*th + 0.2*s*ph)"),
                     "sphere-base": twisted_product(fx.sphere2(), line("lineF", "u"),
                                                    "exp(th*u)")}
+        torsionful = 0
         for name, P in products.items():
+            B, F = P.base, P.fiber
+            C_B = explicit_connection(B, {(0, 0, 0): f"0.3*{B.coords[0]}",
+                                          (B.dim - 1, B.dim - 1, 0): "0.2"})
+            # Gamma^{s-1}_{0,s-1} != Gamma^{s-1}_{s-1,0}: torsion when s >= 2
+            C_F = explicit_connection(F, {(0, 0, 0): f"0.25*{F.coords[0]}",
+                                          (F.dim - 1, 0, F.dim - 1):
+                                              f"0.2 + 0.1*sin({F.coords[-1]})"})
+            D = block_connection(P, C_B, C_F)
             X = P.manifold.sample_array(12, 5)
-            chart = P.chart_levi_civita.dgamma_at(X)
-            block = P.block_levi_civita_connection.dgamma_at(X)
-            assert np.max(np.abs(block - chart)) <= 1e-13 * (1 + np.max(np.abs(chart))), name
+            xb, xf = P.split(X)
+            display = block_gamma(P, X, C_B.gamma_at(xb), C_F.gamma_at(xf))
+            bound = 1e-13 * (1 + np.max(np.abs(display)))
+            assert np.max(np.abs(D.gamma_at(X) - display)) <= bound, name
+            assert dgamma_fd_defect(D, samples=4, seed=3) < 1e-8, name
+            torsionful += np.max(np.abs(torsion_at(C_F, xf))) > 0.05
+        assert torsionful >= 2
 
-    def test_block_dgamma_matches_fd(self, standard_twists, dualistic_suite):
-        from dualgeo.connections import dgamma_fd_defect
-        P = standard_twists["twisted-poly"]
-        assert dgamma_fd_defect(P.block_levi_civita_connection, samples=4, seed=3) < 1e-5
+    def test_block_dgamma_matches_fd(self, dualistic_suite):
         # D and D* assemble non-Levi-Civita factor connections
         for entry in dualistic_suite:
             st = entry["structure"]
