@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .exprlang import DomainError, ParseError
-from .geometry import GeometryError, ManifoldSpec, validate_metric
+from .geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
 from .connections import (ConnectionField, conjugate, duality_residual,
                           explicit_connection, involution_defect, is_statistical)
 from .curvature import FLAT_AT_POINT_TOL, DimensionError, curvature_report
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     try:
         *_, handler = COMMANDS[args.command]
         return handler(args, _config_from(args))
-    except (SpecFileError, ParseError, GeometryError, DomainError,
+    except (SpecFileError, ParseError, GeometryError, DomainError, SingularMetricError,
             DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

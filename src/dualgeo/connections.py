@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import Expr, compile_array, differentiate, parse
-from .geometry import ManifoldSpec, _coords_of, one_batch
+from .exprlang import Expr, compile_array, parse
+from .geometry import ManifoldSpec, _coords_of, derivative_table, one_batch
 from . import numdiff
 
 __all__ = [
@@ -175,8 +175,8 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
         exprs[k][i][j] = e
     zero = parse("0", M.coords)
     exprs = [[[e if e is not None else zero for e in row] for row in plane] for plane in exprs]
-    dexprs = [[[[differentiate(exprs[k][i][j], M.coords[l])
-                 for j in range(d)] for i in range(d)] for k in range(d)] for l in range(d)]
+    memo = {}
+    dexprs = [derivative_table(exprs, c, memo) for c in M.coords]
     return ConnectionField(M, "explicit", _lazy_kernel(exprs, M.coords),
                            _lazy_kernel(dexprs, M.coords))
 

@@ -31,7 +31,7 @@ __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary",
     "ParseError", "UnknownIdentifierError", "ArityError", "DomainError",
     "parse", "differentiate", "evaluate", "simplify", "substitute",
-    "free_vars", "to_source", "compile_array", "FUNCTIONS",
+    "free_vars", "same_tree", "to_source", "compile_array", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")
@@ -373,28 +373,32 @@ _UNARY.update(log=_log, sqrt=_sqrt)
 # Source templates of the binary ops; an op missing here never reaches a kernel.
 _BINARY_SRC = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}",
                "div": "_div({}, {})", "pow": "_pow({}, {})"}
+_EMIT = object()  # compile_array's stack mark: the node entry below it has its children named
 
 
-def _flatten(exprs) -> tuple[tuple[int, ...], list[Expr]]:
-    """Shape and row-major entries of a nested list of expressions."""
+def _flatten(exprs, done: dict) -> tuple[tuple[int, ...], list[Expr]]:
+    """Shape and row-major entries of a nested list of expressions.
+
+    ``done`` maps the id of each sub-list flattened so far to its result, so
+    a sub-list object that appears more than once is flattened once.
+    """
     if isinstance(exprs, Expr):
         return (), [exprs]
-    if not isinstance(exprs, (list, tuple)):
-        raise TypeError(f"expected an Expr or a list of them, got {type(exprs).__name__}")
-    parts = [_flatten(e) for e in exprs]
-    shapes = {shape for shape, _ in parts}
-    if len(shapes) > 1:
-        raise ValueError(f"ragged expression array: entry shapes {sorted(shapes)}")
-    inner = shapes.pop() if shapes else ()
-    return (len(parts),) + inner, [e for _, flat in parts for e in flat]
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Unary):
-        return (e.arg,)
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    return ()
+    hit = done.get(id(exprs))
+    if hit is None:
+        if not isinstance(exprs, (list, tuple)):
+            raise TypeError(f"expected an Expr or a list of them, got {type(exprs).__name__}")
+        if all(isinstance(e, Expr) for e in exprs):
+            hit = (len(exprs),), list(exprs)
+        else:
+            parts = [_flatten(e, done) for e in exprs]
+            shapes = {shape for shape, _ in parts}
+            if len(shapes) > 1:
+                raise ValueError(f"ragged expression array: entry shapes {sorted(shapes)}")
+            inner = shapes.pop() if shapes else ()
+            hit = (len(parts),) + inner, [e for _, flat in parts for e in flat]
+        done[id(exprs)] = hit
+    return hit
 
 
 def compile_array(exprs, coords):
@@ -415,66 +419,68 @@ def compile_array(exprs, coords):
     first failing point.
     """
     coords = tuple(coords)
-    shape, flat = _flatten(exprs)
+    shape, flat = _flatten(exprs, {})
     slot = {name: i for i, name in enumerate(coords)}
     namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound, **_UNARY}
-    by_id: dict[int, str] = {}
-    by_key: dict[tuple, str] = {}
+    names: dict[int, str] = {}  # id(node) -> its variable in the kernel
+    by_key: dict[tuple, str] = {}  # structural key -> variable, so equal subtrees share one
     lines = []
 
-    def emit(e: Expr) -> str:
-        if isinstance(e, Const):
-            key = ("const", type(e.value), repr(e.value))
-        elif isinstance(e, Var):
-            key = ("var", e.name)
-        elif isinstance(e, Unary):
-            if e.op != "neg" and e.op not in FUNCTIONS:
-                raise ValueError(f"unknown unary op {e.op!r}")
-            key = (e.op, by_id[id(e.arg)])
-        elif isinstance(e, Binary):
-            if e.op not in _BINARY_SRC:
-                raise ValueError(f"unknown binary op {e.op!r}")
-            key = (e.op, by_id[id(e.left)], by_id[id(e.right)])
-        else:
-            raise ValueError(f"cannot compile {type(e).__name__} node")
-        name = by_key.get(key)
-        if name is not None:
-            return name
-        n = len(by_key)
-        if isinstance(e, Const):
-            name = f"c{n}"
-            namespace[name] = e.value
-        else:
-            name = f"t{n}"
-            if isinstance(e, Var):
-                if e.name in slot:
-                    rhs = f"x[{slot[e.name]}]"
-                else:
-                    namespace[f"c{n}"] = e.name
-                    rhs = f"_unbound(c{n})"
-            elif isinstance(e, Unary):
-                rhs = f"-{key[1]}" if e.op == "neg" else f"{e.op}({key[1]})"
-            else:
-                rhs = _BINARY_SRC[e.op].format(*key[1:])
-            lines.append(f"    {name} = {rhs}")
-        by_key[key] = name
-        return name
-
+    # One post-order walk, without recursion so no tree is too deep to
+    # compile.  A leaf is named when it is popped.  A compound node is
+    # replaced by its entry (node, op, template, left, right), right None for
+    # a unary op, and the _EMIT mark, below its children with the right child
+    # on top; it is named when the mark comes back up, so an unknown op is
+    # reported in walk order.
     for root in flat:
-        # post-order without recursion, so no tree is too deep to compile
+        if id(root) in names:
+            continue
         stack = [root]
+        pop = stack.pop
         while stack:
-            e = stack[-1]
-            if id(e) in by_id:
-                stack.pop()
+            e = pop()
+            if e is _EMIT:
+                e, op, template, left, right = pop()
+                if template is None:
+                    raise ValueError(f"unknown {'unary' if right is None else 'binary'} op {op!r}")
+                key = (op, names[id(left)], None if right is None else names[id(right)])
+                name = by_key.get(key)
+                if name is None:
+                    name = by_key[key] = f"t{len(by_key)}"
+                    lines.append(f"    {name} = " + template.format(*key[1:]))
+            elif id(e) in names:
                 continue
-            pending = [c for c in _children(e) if id(c) not in by_id]
-            if pending:
-                stack.extend(pending)
+            elif isinstance(e, Binary):
+                stack += ((e, e.op, _BINARY_SRC.get(e.op), e.left, e.right), _EMIT,
+                          e.left, e.right)
                 continue
-            stack.pop()
-            by_id[id(e)] = emit(e)
-    outputs = ", ".join(by_id[id(e)] for e in flat)
+            elif isinstance(e, Unary):
+                template = ("-{}" if e.op == "neg"
+                            else e.op + "({})" if e.op in FUNCTIONS else None)
+                stack += ((e, e.op, template, e.arg, None), _EMIT, e.arg)
+                continue
+            elif isinstance(e, Const):
+                key = ("const", type(e.value), repr(e.value))
+                name = by_key.get(key)
+                if name is None:
+                    name = by_key[key] = f"c{len(by_key)}"
+                    namespace[name] = e.value
+            elif isinstance(e, Var):
+                key = ("var", e.name)
+                name = by_key.get(key)
+                if name is None:
+                    n = len(by_key)
+                    name = by_key[key] = f"t{n}"
+                    if e.name in slot:
+                        rhs = f"x[{slot[e.name]}]"
+                    else:
+                        namespace[f"c{n}"] = e.name
+                        rhs = f"_unbound(c{n})"
+                    lines.append(f"    {name} = {rhs}")
+            else:
+                raise ValueError(f"cannot compile {type(e).__name__} node")
+            names[id(e)] = name
+    outputs = ", ".join(names[id(e)] for e in flat)
     source = "\n".join(["def kernel(x):", *lines, f"    return [{outputs}]"])
     exec(_code_of(source), namespace)
     straight = namespace["kernel"]
@@ -507,6 +513,21 @@ def _code_of(source: str):
     return compile(source, "<compile_array>", "exec")
 
 
+# The chain rule of each unary op: (a, da) -> d op(a)
+_CHAIN_RULES = {
+    "neg": lambda a, da: neg(da),
+    "sin": lambda a, da: mul(fn("cos", a), da),
+    "cos": lambda a, da: neg(mul(fn("sin", a), da)),
+    "tan": lambda a, da: div(da, pow_(fn("cos", a), Const(2.0))),
+    "sinh": lambda a, da: mul(fn("cosh", a), da),
+    "cosh": lambda a, da: mul(fn("sinh", a), da),
+    "tanh": lambda a, da: div(da, pow_(fn("cosh", a), Const(2.0))),
+    "exp": lambda a, da: mul(fn("exp", a), da),
+    "log": lambda a, da: div(da, a),
+    "sqrt": lambda a, da: div(da, mul(Const(2.0), fn("sqrt", a))),
+}
+
+
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact derivative with respect to a coordinate name, lightly simplified."""
     if isinstance(e, Const):
@@ -514,20 +535,8 @@ def differentiate(e: Expr, var: str) -> Expr:
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
     if isinstance(e, Unary):
-        a, da = e.arg, differentiate(e.arg, var)
-        rules = {
-            "neg": lambda: neg(da),
-            "sin": lambda: mul(fn("cos", a), da),
-            "cos": lambda: neg(mul(fn("sin", a), da)),
-            "tan": lambda: div(da, pow_(fn("cos", a), Const(2.0))),
-            "sinh": lambda: mul(fn("cosh", a), da),
-            "cosh": lambda: mul(fn("sinh", a), da),
-            "tanh": lambda: div(da, pow_(fn("cosh", a), Const(2.0))),
-            "exp": lambda: mul(fn("exp", a), da),
-            "log": lambda: div(da, a),
-            "sqrt": lambda: div(da, mul(Const(2.0), fn("sqrt", a))),
-        }
-        return rules[e.op]()
+        da = differentiate(e.arg, var)
+        return _CHAIN_RULES[e.op](e.arg, da)
     assert isinstance(e, Binary)
     a, b = e.left, e.right
     da, db = differentiate(a, var), differentiate(b, var)
@@ -578,6 +587,35 @@ def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Binary):
         return free_vars(e.left) | free_vars(e.right)
     return set()
+
+
+def same_tree(a: Expr, b: Expr) -> bool:
+    """Whether a and b are equal node for node, constants by type and ``repr``.
+
+    Two such trees get one variable in ``compile_array``.  ``==`` is no test,
+    since it takes ``0.0`` for ``-0.0``, and printed text is none either:
+    ``a + b + c`` and ``a + (b + c)`` print alike.
+    """
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Const):
+            if type(a.value) is not type(b.value) or repr(a.value) != repr(b.value):
+                return False
+        elif isinstance(a, Var):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Unary) and a.op == b.op:
+            pairs.append((a.arg, b.arg))
+        elif isinstance(a, Binary) and a.op == b.op:
+            pairs += ((a.left, b.left), (a.right, b.right))
+        else:
+            return False
+    return True
 
 
 # Printing precedence mirrors the grammar: the base of '^' and the operand of

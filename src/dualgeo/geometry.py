@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprlang import Expr, compile_array, differentiate, evaluate, parse
+from .exprlang import Expr, compile_array, differentiate, evaluate, parse, same_tree
 
 __all__ = [
     "ManifoldSpec", "Point", "TangentVector",
@@ -30,6 +30,22 @@ class GeometryError(ValueError):
 
 class SingularMetricError(ArithmeticError):
     """Metric is numerically singular at the requested point."""
+
+
+def derivative_table(exprs, coord: str, memo: dict):
+    """d exprs / d coord entry by entry, nested like exprs.
+
+    ``memo`` is the table: it maps ``(id(entry), coord)`` to the entry and
+    its derivative, so an entry object is differentiated once per coordinate
+    however often it appears, and its derivatives are one object too.  The
+    owner of a table keeps one memo for every array it differentiates.
+    """
+    if isinstance(exprs, Expr):
+        hit = memo.get((id(exprs), coord))
+        if hit is None:
+            hit = memo[id(exprs), coord] = (exprs, differentiate(exprs, coord))
+        return hit[1]
+    return [derivative_table(e, coord, memo) for e in exprs]
 
 
 def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
@@ -111,6 +127,13 @@ class ManifoldSpec:
             raise GeometryError("domain must be one non-empty interval per coordinate")
         if len(self.metric) != d or any(len(row) != d for row in self.metric):
             raise GeometryError(f"metric must be {d}x{d}")
+        # A mirror entry equal node for node to its partner becomes that
+        # object, so the derivative tables differentiate it once.
+        rows = [list(row) for row in self.metric]
+        for j, k in itertools.combinations(range(d), 2):
+            if same_tree(rows[j][k], rows[k][j]):
+                rows[k][j] = rows[j][k]
+        self.metric = tuple(tuple(row) for row in rows)
 
     @classmethod
     def from_strings(cls, name: str, coords, domain, metric_sources) -> "ManifoldSpec":
@@ -138,15 +161,19 @@ class ManifoldSpec:
 
     # -- cached symbolic derivative data -----------------------------------
 
+    # The metric's derivatives, one derivative table for all of them (see
+    # derivative_table).  Higher derivatives are built once per symmetric
+    # class of derivative indices: d_i d_j for i <= j, d_i d_j d_k for
+    # i <= j <= k.
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        return {}
+
     @cached_property
     def _metric_d1(self):
         # d1[i][j][k] = d_i g_jk
-        d = self.dim
-        return [[[differentiate(self.metric[j][k], self.coords[i])
-                  for k in range(d)] for j in range(d)] for i in range(d)]
-
-    # Higher derivatives are built once per symmetric class of derivative
-    # indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.
+        return [derivative_table(self.metric, c, self._derivatives) for c in self.coords]
 
     @cached_property
     def _metric_d2(self):
@@ -155,8 +182,8 @@ class ManifoldSpec:
         d2 = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
-                d2[i][j] = d2[j][i] = [[differentiate(e, self.coords[i]) for e in row]
-                                       for row in self._metric_d1[j]]
+                d2[i][j] = d2[j][i] = derivative_table(self._metric_d1[j], self.coords[i],
+                                                       self._derivatives)
         return d2
 
     @cached_property
@@ -165,8 +192,8 @@ class ManifoldSpec:
         # sorted triple i <= j <= k, and index[i, j, k] = c for every triple
         d = self.dim
         triples = list(itertools.combinations_with_replacement(range(d), 3))
-        classes = [[[differentiate(e, self.coords[i]) for e in row]
-                    for row in self._metric_d2[j][k]] for i, j, k in triples]
+        classes = [derivative_table(self._metric_d2[j][k], self.coords[i], self._derivatives)
+                   for i, j, k in triples]
         index = np.empty((d, d, d), dtype=np.intp)
         for c, triple in enumerate(triples):
             for i, j, k in itertools.permutations(triple):
@@ -246,7 +273,8 @@ class ManifoldSpec:
         """Metric gradient: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
         x = _coords_of(p)
         env = self.env(x)
-        df = np.array([evaluate(differentiate(f, c), env) for c in self.coords])
+        memo = {}
+        df = np.array([evaluate(derivative_table(f, c, memo), env) for c in self.coords])
         return TangentVector(self.point(x), self.inverse_metric_at(x) @ df)
 
     _draw = None  # sample_array's (seed, largest draw for that seed)

@@ -12,6 +12,10 @@ whole-tensor residuals.
 The *_per_point oracles are the product block reports written as loops over
 sample points, each point through the library's one-point calls, as a check
 on the reports' batched evaluation.
+
+``kernel_source`` is the generated source of ``compile_array`` written as a
+plain two-visit post-order walk over every entry, as a check on the
+library's one-pass walk.
 """
 
 import functools
@@ -19,7 +23,8 @@ import functools
 import numpy as np
 
 from dualgeo.curvature import ricci_at, riemann_at, weyl_at
-from dualgeo.exprlang import compile_array, differentiate
+from dualgeo.exprlang import (FUNCTIONS, Binary, Const, Expr, Unary, Var, compile_array,
+                              differentiate)
 from dualgeo.products import MIXED_RICCI_SIGN, hessian_at
 
 
@@ -288,3 +293,72 @@ def mixed_weyl_report_per_point(P, samples, seed):
                                np.max(np.abs(W_xyv)), np.max(np.abs(W_vwx)),
                                np.max(np.abs(W[:, :r, r:, :]))])
     return tuple(out)
+
+
+_BINARY_SRC = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}",
+               "div": "_div({}, {})", "pow": "_pow({}, {})"}
+
+
+def _flat_entries(exprs) -> list:
+    """Row-major entries of a nested list, every sub-list visited each time it appears."""
+    if isinstance(exprs, Expr):
+        return [exprs]
+    return [e for part in exprs for e in _flat_entries(part)]
+
+
+def _children(e) -> tuple:
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    return ()
+
+
+def kernel_source(exprs, coords) -> str:
+    """The source ``compile_array(exprs, coords)`` generates, by an independent walk.
+
+    Every entry is walked from its root.  A node stays on the stack until
+    the children it has not named yet (right child on top) are named, and
+    is then named by its structural key: a constant by type and ``repr``, a
+    coordinate by name, an op by its op and its children's names.  A new key
+    gets the next number: ``c<n>`` for a constant, ``t<n>`` with one
+    assignment line otherwise.
+    """
+    slot = {name: i for i, name in enumerate(coords)}
+    flat = _flat_entries(exprs)
+    by_id, by_key, lines = {}, {}, []
+    for root in flat:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in by_id:
+                stack.pop()
+                continue
+            pending = [c for c in _children(e) if id(c) not in by_id]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if isinstance(e, Const):
+                key = ("const", type(e.value), repr(e.value))
+            elif isinstance(e, Var):
+                key = ("var", e.name)
+            else:
+                key = (e.op, *(by_id[id(c)] for c in _children(e)))
+            if key not in by_key:
+                n = len(by_key)
+                if isinstance(e, Const):
+                    by_key[key] = f"c{n}"
+                else:
+                    by_key[key] = f"t{n}"
+                    if isinstance(e, Var):
+                        rhs = f"x[{slot[e.name]}]" if e.name in slot else f"_unbound(c{n})"
+                    elif isinstance(e, Unary):
+                        assert e.op == "neg" or e.op in FUNCTIONS
+                        rhs = f"-{key[1]}" if e.op == "neg" else f"{e.op}({key[1]})"
+                    else:
+                        rhs = _BINARY_SRC[e.op].format(*key[1:])
+                    lines.append(f"    t{n} = {rhs}")
+            by_id[id(e)] = by_key[key]
+    outputs = ", ".join(by_id[id(e)] for e in flat)
+    return "\n".join(["def kernel(x):", *lines, f"    return [{outputs}]"])

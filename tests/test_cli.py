@@ -129,6 +129,27 @@ class TestExitCodes:
         assert code == 2
         assert "dim >= 3" in capsys.readouterr().err
 
+    # A metric can pass the SPD validation and still be near-singular where
+    # g^-1 is taken: an ill-conditioned chart, or a product whose twist is so
+    # small that b^2 = 1e-14 is far below the base block.
+    @pytest.mark.parametrize("command, doc, chart", [
+        *((command, {"name": "ill", "coords": ["x", "y"], "domain": [[0.5, 1], [0.5, 1]],
+                     "metric": [["1e300", "0"], ["0", "1"]]}, "ill")
+          for command in ("check", "curvature", "conjugate")),
+        *((command, {"kind": "twisted_product",
+                     "base": {"name": "lineB", "coords": ["x"], "domain": [[-1, 1]],
+                              "metric": [["1"]]},
+                     "fiber": {"name": "lineF", "coords": ["u"], "domain": [[-1, 1]],
+                               "metric": [["1"]]},
+                     "twist": "1e-7"}, "lineB*lineF")
+          for command in ("twist", "flatness")),
+    ], ids=["check-ill", "curvature-ill", "conjugate-ill", "twist-tiny", "flatness-tiny"])
+    def test_singular_metric_is_usage_error(self, tmp_path, capsys, command, doc, chart):
+        assert main([command, write(tmp_path, "spec.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: metric of {chart!r} is near-singular at [")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, spec, kind", [
         ("check", "twisted_xu.json", "manifold"),
         ("conjugate", "twisted_xu.json", "manifold"),

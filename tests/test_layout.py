@@ -36,6 +36,9 @@
   subscripts of its twist terms appear only in ``products.block_gamma``, so
   ``block_connection`` and ``projection_check`` cannot carry a second copy
   of the formula they are checked against.
+* ``geometry.py`` and ``connections.py`` call ``differentiate`` only inside
+  ``geometry.derivative_table``, so every metric jet and every explicit
+  connection's dGamma differentiates each distinct entry once per coordinate.
 * No code calls ``np.linalg.cond``: the singular-metric check compares the
   eigenvalues of the symmetric metric instead of running an SVD.
 * ``ArgumentParser(...)`` is constructed only inside functions of ``cli.py``:
@@ -67,6 +70,7 @@ ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_cha
 TOBYTES_CALLERS = {"geometry.py"}
 COMMAND_TABLE = "COMMANDS"
 CACHE_DECORATORS = {"cache", "lru_cache"}
+TABLE_FILES = {"geometry.py", "connections.py"}
 DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
 
@@ -204,6 +208,12 @@ def display_subscript_scopes(trees) -> set[str]:
     """``file:function`` of every string equal to a subscript of the block display's twist terms."""
     return _node_scopes(trees, lambda node: isinstance(node, ast.Constant)
                         and node.value in DISPLAY_SUBSCRIPTS)
+
+
+def table_differentiate_callers(trees) -> set[str]:
+    """``file:function`` of every ``differentiate(...)`` call in ``TABLE_FILES``."""
+    scopes = _call_scopes(trees, lambda call: _called_name(call) == "differentiate")
+    return {scope for scope in scopes if scope.split(":")[0] in TABLE_FILES}
 
 
 def default_rng_callers(trees) -> set[str]:
@@ -488,6 +498,10 @@ def test_block_display_is_written_once():
     assert display_subscript_scopes(_trees()) == {"products.py:block_gamma"}
 
 
+def test_tables_differentiate_in_one_helper():
+    assert table_differentiate_callers(_trees()) == {"geometry.py:derivative_table"}
+
+
 def test_no_condition_number_by_svd():
     assert cond_uses(_trees()) == []
 
@@ -715,6 +729,25 @@ def test_scan_flags_wide_einsums(source, found):
 ])
 def test_scan_flags_display_subscripts(source, found):
     assert display_subscript_scopes([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("name, source, found", [
+    ("geometry.py", "def derivative_table(e, c, memo):\n    return differentiate(e, c)\n",
+     {"geometry.py:derivative_table"}),
+    ("geometry.py", "class ManifoldSpec:\n    def _metric_d1(self):\n"
+     "        return [[differentiate(e, c) for e in row] for row in self.metric]\n",
+     {"geometry.py:_metric_d1"}),
+    ("connections.py", "def explicit_connection(M, entries):\n"
+     "    dexprs = [exprlang.differentiate(e, c) for c in M.coords]\n",
+     {"connections.py:explicit_connection"}),
+    ("connections.py", "D = [differentiate(e, 'x') for e in ROW]\n", {"connections.py:<module>"}),
+    ("geometry.py", "def gradient_at(self, f):\n    return derivative_table(f, 'x', {})\n",
+     set()),
+    ("products.py", "def _k1(self):\n    return [differentiate(self.k, c) for c in C]\n",
+     set()),
+])
+def test_scan_flags_table_differentiations(name, source, found):
+    assert table_differentiate_callers([(name, ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [
