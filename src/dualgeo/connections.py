@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import Expr, compile_array, parse
-from .geometry import ManifoldSpec, _coords_of, derivative_table, one_batch
+from .exprlang import Expr, parse
+from .geometry import ManifoldSpec, _coords_of, _jets_of, one_batch
 from . import numdiff
 
 __all__ = [
@@ -174,23 +174,9 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
             e = parse(repr(float(value)), M.coords)
         exprs[k][i][j] = e
     zero = parse("0", M.coords)
-    exprs = [[[e if e is not None else zero for e in row] for row in plane] for plane in exprs]
-    memo = {}
-    dexprs = [derivative_table(exprs, c, memo) for c in M.coords]
-    return ConnectionField(M, "explicit", _lazy_kernel(exprs, M.coords),
-                           _lazy_kernel(dexprs, M.coords))
-
-
-def _lazy_kernel(exprs, coords) -> Callable[[np.ndarray], np.ndarray]:
-    """compile_array(exprs, coords), compiled on the first call."""
-    kernel = None
-
-    def call(x: np.ndarray) -> np.ndarray:
-        nonlocal kernel
-        if kernel is None:
-            kernel = compile_array(exprs, coords)
-        return kernel(x)
-    return call
+    jets = _jets_of(tuple(tuple(tuple(e if e is not None else zero for e in row) for row in plane)
+                          for plane in exprs), M.coords)
+    return ConnectionField(M, "explicit", lambda x: jets.kernel(x), lambda x: jets.d1_kernel(x))
 
 
 def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionField:

@@ -5,6 +5,14 @@ and twisting functions.  Supports parsing, exact symbolic differentiation,
 light simplification, pointwise evaluation, and compilation of whole
 expression arrays into straight-line kernels.
 
+Nodes are hash-consed: a constructor returns the one live node of its key,
+so trees equal node for node (constants by type and ``repr``) are one
+object, and ``==`` and ``hash`` are identity.  The intern table is weak: a
+node dies with its last holder.  Symbolic work is kept across calls, never
+arrays of numbers: ``differentiate`` memoizes on the node, and
+``compile_array`` keeps the kernels of the last 512 entry arrays, with
+their roots.
+
 Grammar::
 
     expr   := term (('+'|'-') term)*
@@ -22,7 +30,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import NoReturn
 
 import numpy as np
@@ -31,7 +40,7 @@ __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary",
     "ParseError", "UnknownIdentifierError", "ArityError", "DomainError",
     "parse", "differentiate", "evaluate", "simplify", "substitute",
-    "free_vars", "same_tree", "to_source", "compile_array", "FUNCTIONS",
+    "free_vars", "to_source", "compile_array", "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")
@@ -57,35 +66,74 @@ class DomainError(ArithmeticError):
     """Evaluation left the real domain (log/sqrt of non-positive, zero division, overflow)."""
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Immutable expression node; safe to share across threads."""
+    """Immutable interned expression node; safe to share across threads."""
+
+    __slots__ = ("_derivatives", "__weakref__")  # differentiate's memo, made on first use
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the interning constructor
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return to_source(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        return _intern(cls, (cls, type(value), repr(value)), value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), name)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # 'neg' or a FUNCTIONS name
-    arg: Expr
+    __slots__ = ("op", "arg")  # op: 'neg' or a FUNCTIONS name
+
+    def __new__(cls, op: str, arg: Expr):
+        return _intern(cls, (cls, op, id(arg)), op, arg)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # add sub mul div pow
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: add sub mul div pow
+
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        return _intern(cls, (cls, op, id(left), id(right)), op, left, right)
+
+
+# The one live node of each key: a compound node's key holds its children's
+# ids, which stay valid since the node holds its children.  A miss inserts
+# under the lock, so two threads never make two nodes of one key.
+_NODES = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+def _intern(cls, key: tuple, *fields) -> Expr:
+    node = _NODES.get(key)
+    if node is None:
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(("_derivatives", *cls.__slots__), (None, *fields)):
+                    object.__setattr__(node, name, value)
+                _NODES[key] = node
+    return node
 
 
 ZERO = Const(0.0)
@@ -376,29 +424,20 @@ _BINARY_SRC = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}",
 _EMIT = object()  # compile_array's stack mark: the node entry below it has its children named
 
 
-def _flatten(exprs, done: dict) -> tuple[tuple[int, ...], list[Expr]]:
-    """Shape and row-major entries of a nested list of expressions.
-
-    ``done`` maps the id of each sub-list flattened so far to its result, so
-    a sub-list object that appears more than once is flattened once.
-    """
+def _flatten(exprs) -> tuple[tuple[int, ...], list[Expr]]:
+    """Shape and row-major entries of a nested list of expressions."""
     if isinstance(exprs, Expr):
         return (), [exprs]
-    hit = done.get(id(exprs))
-    if hit is None:
-        if not isinstance(exprs, (list, tuple)):
-            raise TypeError(f"expected an Expr or a list of them, got {type(exprs).__name__}")
-        if all(isinstance(e, Expr) for e in exprs):
-            hit = (len(exprs),), list(exprs)
-        else:
-            parts = [_flatten(e, done) for e in exprs]
-            shapes = {shape for shape, _ in parts}
-            if len(shapes) > 1:
-                raise ValueError(f"ragged expression array: entry shapes {sorted(shapes)}")
-            inner = shapes.pop() if shapes else ()
-            hit = (len(parts),) + inner, [e for _, flat in parts for e in flat]
-        done[id(exprs)] = hit
-    return hit
+    if not isinstance(exprs, (list, tuple)):
+        raise TypeError(f"expected an Expr or a list of them, got {type(exprs).__name__}")
+    if all(isinstance(e, Expr) for e in exprs):
+        return (len(exprs),), list(exprs)
+    parts = [_flatten(e) for e in exprs]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) > 1:
+        raise ValueError(f"ragged expression array: entry shapes {sorted(shapes)}")
+    inner = shapes.pop() if shapes else ()
+    return (len(parts),) + inner, [e for _, flat in parts for e in flat]
 
 
 def compile_array(exprs, coords):
@@ -406,9 +445,12 @@ def compile_array(exprs, coords):
 
     ``x`` holds the values of ``coords`` in order, either one point ``(d,)``
     or a batch ``(N, d)``; the result has the nesting shape of ``exprs``,
-    after the batch axis if there is one.  The kernel is one generated
-    straight-line scalar function, run once per point, with an assignment per
-    distinct node (shared subtrees, by identity or by structure, are computed
+    after the batch axis if there is one.  The process keeps one kernel per
+    entry objects, shape and coordinates, for the last 512 arrays compiled
+    (``_kernel_of``); it holds their roots, so a tree built again is the
+    same object and finds its kernel.  The kernel is one generated
+    straight-line scalar function, run once per point, with an assignment
+    per distinct node (a shared subtree is one node, so it is computed
     once); constants live in its namespace, never in its source, so kernels
     of the same structure share one code object.  It uses the same
     domain-guarded operations as ``evaluate``.  A point where a node leaves
@@ -418,12 +460,16 @@ def compile_array(exprs, coords):
     exactly the error ``evaluate`` raises for the first failing entry of the
     first failing point.
     """
-    coords = tuple(coords)
-    shape, flat = _flatten(exprs, {})
+    shape, flat = _flatten(exprs)
+    return _kernel_of(tuple(flat), shape, tuple(coords))
+
+
+@functools.lru_cache(maxsize=512)
+def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str, ...]):
+    """The kernel of compile_array for row-major entries ``flat``, built on a miss."""
     slot = {name: i for i, name in enumerate(coords)}
     namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound, **_UNARY}
     names: dict[int, str] = {}  # id(node) -> its variable in the kernel
-    by_key: dict[tuple, str] = {}  # structural key -> variable, so equal subtrees share one
     lines = []
 
     # One post-order walk, without recursion so no tree is too deep to
@@ -443,11 +489,9 @@ def compile_array(exprs, coords):
                 e, op, template, left, right = pop()
                 if template is None:
                     raise ValueError(f"unknown {'unary' if right is None else 'binary'} op {op!r}")
-                key = (op, names[id(left)], None if right is None else names[id(right)])
-                name = by_key.get(key)
-                if name is None:
-                    name = by_key[key] = f"t{len(by_key)}"
-                    lines.append(f"    {name} = " + template.format(*key[1:]))
+                name = f"t{len(names)}"
+                lines.append(f"    {name} = " + template.format(
+                    names[id(left)], None if right is None else names[id(right)]))
             elif id(e) in names:
                 continue
             elif isinstance(e, Binary):
@@ -460,23 +504,17 @@ def compile_array(exprs, coords):
                 stack += ((e, e.op, template, e.arg, None), _EMIT, e.arg)
                 continue
             elif isinstance(e, Const):
-                key = ("const", type(e.value), repr(e.value))
-                name = by_key.get(key)
-                if name is None:
-                    name = by_key[key] = f"c{len(by_key)}"
-                    namespace[name] = e.value
+                name = f"c{len(names)}"
+                namespace[name] = e.value
             elif isinstance(e, Var):
-                key = ("var", e.name)
-                name = by_key.get(key)
-                if name is None:
-                    n = len(by_key)
-                    name = by_key[key] = f"t{n}"
-                    if e.name in slot:
-                        rhs = f"x[{slot[e.name]}]"
-                    else:
-                        namespace[f"c{n}"] = e.name
-                        rhs = f"_unbound(c{n})"
-                    lines.append(f"    {name} = {rhs}")
+                n = len(names)
+                name = f"t{n}"
+                if e.name in slot:
+                    rhs = f"x[{slot[e.name]}]"
+                else:
+                    namespace[f"c{n}"] = e.name
+                    rhs = f"_unbound(c{n})"
+                lines.append(f"    {name} = {rhs}")
             else:
                 raise ValueError(f"cannot compile {type(e).__name__} node")
             names[id(e)] = name
@@ -528,31 +566,42 @@ _CHAIN_RULES = {
 }
 
 
+# The derivative of each binary op: (a, b, da, db) -> d (a op b); a power with
+# a variable exponent is exp(b*log a), so d a^b = a^b * (db*log a + b*da/a)
+_BINARY_RULES = {
+    "add": lambda a, b, da, db: add(da, db),
+    "sub": lambda a, b, da, db: sub(da, db),
+    "mul": lambda a, b, da, db: add(mul(da, b), mul(a, db)),
+    "div": lambda a, b, da, db: div(sub(mul(da, b), mul(a, db)), pow_(b, Const(2.0))),
+    "pow": lambda a, b, da, db: (
+        mul(mul(b, pow_(a, Const(b.value - 1.0))), da) if isinstance(b, Const)
+        else mul(pow_(a, b), add(mul(db, fn("log", a)), mul(b, div(da, a))))),
+}
+
+
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact derivative with respect to a coordinate name, lightly simplified."""
+    """Exact derivative with respect to a coordinate name, lightly simplified.
+
+    Memoized on the node: each (node, coordinate) pair is differentiated
+    once while the node lives, and its derivative is one object.
+    """
+    memo = e._derivatives
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_derivatives", memo)
+    elif var in memo:
+        return memo[var]
     if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Unary):
-        da = differentiate(e.arg, var)
-        return _CHAIN_RULES[e.op](e.arg, da)
-    assert isinstance(e, Binary)
-    a, b = e.left, e.right
-    da, db = differentiate(a, var), differentiate(b, var)
-    if e.op == "add":
-        return add(da, db)
-    if e.op == "sub":
-        return sub(da, db)
-    if e.op == "mul":
-        return add(mul(da, b), mul(a, db))
-    if e.op == "div":
-        return div(sub(mul(da, b), mul(a, db)), pow_(b, Const(2.0)))
-    assert e.op == "pow"
-    if isinstance(b, Const):
-        return mul(mul(b, pow_(a, Const(b.value - 1.0))), da)
-    # a^b = exp(b*log a):  a^b * (db*log a + b*da/a)
-    return mul(pow_(a, b), add(mul(db, fn("log", a)), mul(b, div(da, a))))
+        d = ZERO
+    elif isinstance(e, Var):
+        d = ONE if e.name == var else ZERO
+    elif isinstance(e, Unary):
+        d = _CHAIN_RULES[e.op](e.arg, differentiate(e.arg, var))
+    else:
+        d = _BINARY_RULES[e.op](e.left, e.right,
+                                differentiate(e.left, var), differentiate(e.right, var))
+    memo[var] = d
+    return d
 
 
 def simplify(e: Expr) -> Expr:
@@ -587,35 +636,6 @@ def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Binary):
         return free_vars(e.left) | free_vars(e.right)
     return set()
-
-
-def same_tree(a: Expr, b: Expr) -> bool:
-    """Whether a and b are equal node for node, constants by type and ``repr``.
-
-    Two such trees get one variable in ``compile_array``.  ``==`` is no test,
-    since it takes ``0.0`` for ``-0.0``, and printed text is none either:
-    ``a + b + c`` and ``a + (b + c)`` print alike.
-    """
-    pairs = [(a, b)]
-    while pairs:
-        a, b = pairs.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Const):
-            if type(a.value) is not type(b.value) or repr(a.value) != repr(b.value):
-                return False
-        elif isinstance(a, Var):
-            if a.name != b.name:
-                return False
-        elif isinstance(a, Unary) and a.op == b.op:
-            pairs.append((a.arg, b.arg))
-        elif isinstance(a, Binary) and a.op == b.op:
-            pairs += ((a.left, b.left), (a.right, b.right))
-        else:
-            return False
-    return True
 
 
 # Printing precedence mirrors the grammar: the base of '^' and the operand of

@@ -7,6 +7,7 @@ metric degeneracies, which keeps sampling and SPD validation trivial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprlang import Expr, compile_array, differentiate, evaluate, parse, same_tree
+from .exprlang import Expr, compile_array, differentiate, evaluate, parse
 
 __all__ = [
     "ManifoldSpec", "Point", "TangentVector",
@@ -32,20 +33,70 @@ class SingularMetricError(ArithmeticError):
     """Metric is numerically singular at the requested point."""
 
 
-def derivative_table(exprs, coord: str, memo: dict):
+def derivative_table(exprs, coord: str):
     """d exprs / d coord entry by entry, nested like exprs.
 
-    ``memo`` is the table: it maps ``(id(entry), coord)`` to the entry and
-    its derivative, so an entry object is differentiated once per coordinate
-    however often it appears, and its derivatives are one object too.  The
-    owner of a table keeps one memo for every array it differentiates.
+    ``differentiate`` memoizes on the entry node, and equal entries are one
+    node, so each distinct entry is differentiated once per coordinate for
+    as long as it lives, and its derivatives are one object too.
     """
     if isinstance(exprs, Expr):
-        hit = memo.get((id(exprs), coord))
-        if hit is None:
-            hit = memo[id(exprs), coord] = (exprs, differentiate(exprs, coord))
-        return hit[1]
-    return [derivative_table(e, coord, memo) for e in exprs]
+        return differentiate(exprs, coord)
+    return [derivative_table(e, coord) for e in exprs]
+
+
+class _Jets:
+    """An array of expressions with its derivatives over coords, and their kernels.
+
+    A chart's metric g with dg, d2g, d3g, an explicit connection's Gamma
+    with dGamma, a twist's k with dk, d2k: one object serves every owner
+    whose entries and coordinates are the same objects (``_jets_of``), so
+    each is differentiated and compiled once per process.  It holds no
+    arrays of numbers.  Higher derivatives are built once per symmetric
+    class of derivative indices: d_i d_j for i <= j, d_i d_j d_k for
+    i <= j <= k.  Kernels are compiled on first evaluation.
+    """
+
+    def __init__(self, exprs: tuple, coords: tuple[str, ...]):
+        self.exprs, self.coords = exprs, coords
+
+    @cached_property
+    def d1(self):
+        # d1[i][j][k] = d_i g_jk
+        return [derivative_table(self.exprs, c) for c in self.coords]
+
+    @cached_property
+    def d2(self):
+        # d2[i][j][k][l] = d_i d_j g_kl; d2[j][i] is the list object of d2[i][j]
+        d = len(self.coords)
+        d2 = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                d2[i][j] = d2[j][i] = derivative_table(self.d1[j], self.coords[i])
+        return d2
+
+    @cached_property
+    def d3_classes(self):
+        # (classes, index): classes[c][l][m] = d_i d_j d_k g_lm for the c-th
+        # sorted triple i <= j <= k, and index[i, j, k] = c for every triple
+        d = len(self.coords)
+        triples = list(itertools.combinations_with_replacement(range(d), 3))
+        classes = [derivative_table(self.d2[j][k], self.coords[i]) for i, j, k in triples]
+        index = np.empty((d, d, d), dtype=np.intp)
+        for c, triple in enumerate(triples):
+            for i, j, k in itertools.permutations(triple):
+                index[i, j, k] = c
+        return classes, index
+
+    kernel = cached_property(lambda self: compile_array(self.exprs, self.coords))
+    d1_kernel = cached_property(lambda self: compile_array(self.d1, self.coords))
+    d2_kernel = cached_property(lambda self: compile_array(self.d2, self.coords))
+    d3_kernel = cached_property(lambda self: compile_array(self.d3_classes[0], self.coords))
+
+
+# The process's jets, one per (entries, coordinates) for the last 512 asked
+# for; nodes hash by identity, and the table holds the entries.
+_jets_of = functools.lru_cache(maxsize=512)(_Jets)
 
 
 def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
@@ -127,13 +178,6 @@ class ManifoldSpec:
             raise GeometryError("domain must be one non-empty interval per coordinate")
         if len(self.metric) != d or any(len(row) != d for row in self.metric):
             raise GeometryError(f"metric must be {d}x{d}")
-        # A mirror entry equal node for node to its partner becomes that
-        # object, so the derivative tables differentiate it once.
-        rows = [list(row) for row in self.metric]
-        for j, k in itertools.combinations(range(d), 2):
-            if same_tree(rows[j][k], rows[k][j]):
-                rows[k][j] = rows[j][k]
-        self.metric = tuple(tuple(row) for row in rows)
 
     @classmethod
     def from_strings(cls, name: str, coords, domain, metric_sources) -> "ManifoldSpec":
@@ -159,64 +203,9 @@ class ManifoldSpec:
         x = np.asarray(coords_array, dtype=float)
         return bool(np.all([lo <= xi <= hi for xi, (lo, hi) in zip(x, self.domain)]))
 
-    # -- cached symbolic derivative data -----------------------------------
-
-    # The metric's derivatives, one derivative table for all of them (see
-    # derivative_table).  Higher derivatives are built once per symmetric
-    # class of derivative indices: d_i d_j for i <= j, d_i d_j d_k for
-    # i <= j <= k.
-
     @cached_property
-    def _derivatives(self) -> dict:
-        return {}
-
-    @cached_property
-    def _metric_d1(self):
-        # d1[i][j][k] = d_i g_jk
-        return [derivative_table(self.metric, c, self._derivatives) for c in self.coords]
-
-    @cached_property
-    def _metric_d2(self):
-        # d2[i][j][k][l] = d_i d_j g_kl; d2[j][i] is the list object of d2[i][j]
-        d = self.dim
-        d2 = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                d2[i][j] = d2[j][i] = derivative_table(self._metric_d1[j], self.coords[i],
-                                                       self._derivatives)
-        return d2
-
-    @cached_property
-    def _metric_d3_classes(self):
-        # (classes, index): classes[c][l][m] = d_i d_j d_k g_lm for the c-th
-        # sorted triple i <= j <= k, and index[i, j, k] = c for every triple
-        d = self.dim
-        triples = list(itertools.combinations_with_replacement(range(d), 3))
-        classes = [derivative_table(self._metric_d2[j][k], self.coords[i], self._derivatives)
-                   for i, j, k in triples]
-        index = np.empty((d, d, d), dtype=np.intp)
-        for c, triple in enumerate(triples):
-            for i, j, k in itertools.permutations(triple):
-                index[i, j, k] = c
-        return classes, index
-
-    # Kernels are compiled on first evaluation, not at construction.
-
-    @cached_property
-    def _metric_kernel(self):
-        return compile_array(self.metric, self.coords)
-
-    @cached_property
-    def _metric_d1_kernel(self):
-        return compile_array(self._metric_d1, self.coords)
-
-    @cached_property
-    def _metric_d2_kernel(self):
-        return compile_array(self._metric_d2, self.coords)
-
-    @cached_property
-    def _metric_d3_kernel(self):
-        return compile_array(self._metric_d3_classes[0], self.coords)
+    def _jets(self) -> _Jets:  # shared with every chart of the same entries and coordinates
+        return _jets_of(self.metric, self.coords)
 
     @cached_property
     def levi_civita_connection(self):
@@ -235,7 +224,7 @@ class ManifoldSpec:
         return one_batch(self, kind, x, build)
 
     def metric_at(self, p) -> np.ndarray:
-        return self._memo("g", _coords_of(p), self._metric_kernel)
+        return self._memo("g", _coords_of(p), self._jets.kernel)
 
     def inverse_metric_at(self, p) -> np.ndarray:
         return self._memo("ginv", _coords_of(p), self._inverse_metric)
@@ -255,26 +244,25 @@ class ManifoldSpec:
 
     def metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dG[i, j, k] = d_i g_jk (exact symbolic derivatives)."""
-        return self._memo("dg", _coords_of(p), self._metric_d1_kernel)
+        return self._memo("dg", _coords_of(p), self._jets.d1_kernel)
 
     def metric_second_derivatives_at(self, p) -> np.ndarray:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""
-        return self._memo("d2g", _coords_of(p), self._metric_d2_kernel)
+        return self._memo("d2g", _coords_of(p), self._jets.d2_kernel)
 
     def metric_third_derivatives_at(self, p) -> np.ndarray:
         """Rank-5 array d3G[i, j, k, l, m] = d_i d_j d_k g_lm."""
         return self._memo("d3g", _coords_of(p), self._metric_third_derivatives)
 
     def _metric_third_derivatives(self, x: np.ndarray) -> np.ndarray:
-        classes = self._metric_d3_kernel(x)  # [..., class, l, m]
-        return np.take(classes, self._metric_d3_classes[1], axis=-3)
+        classes = self._jets.d3_kernel(x)  # [..., class, l, m]
+        return np.take(classes, self._jets.d3_classes[1], axis=-3)
 
     def gradient_at(self, f: Expr, p) -> "TangentVector":
         """Metric gradient: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
         x = _coords_of(p)
         env = self.env(x)
-        memo = {}
-        df = np.array([evaluate(derivative_table(f, c, memo), env) for c in self.coords])
+        df = np.array([evaluate(derivative_table(f, c), env) for c in self.coords])
         return TangentVector(self.point(x), self.inverse_metric_at(x) @ df)
 
     _draw = None  # sample_array's (seed, largest draw for that seed)

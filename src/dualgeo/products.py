@@ -24,7 +24,7 @@ import numpy as np
 from . import exprlang
 from .exprlang import (Const, Expr, compile_array, differentiate, evaluate, fn, free_vars, mul,
                        pow_, simplify, sub, substitute)
-from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of
+from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of, _jets_of
 from .connections import ConnectionField
 from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
                         weyl_derivative_at)
@@ -80,8 +80,13 @@ class ProductSpec:
     # -- cached symbolic derivative data for b and k = log b -----------------
 
     @cached_property
+    def _k_jets(self):
+        # the jets of k as a 1x1 array, shared with every product of the same k
+        return _jets_of(((self.log_twist,),), self.manifold.coords)
+
+    @cached_property
     def _k1(self):
-        return [differentiate(self.log_twist, c) for c in self.manifold.coords]
+        return [row[0][0] for row in self._k_jets.d1]
 
     @cached_property
     def _k2(self):
@@ -108,7 +113,7 @@ class ProductSpec:
     @cached_property
     def _pulled_fiber_d1_kernel(self):
         # sigma-pullback of d g_F, evaluated on the product chart
-        return compile_array(self.fiber._metric_d1, self.manifold.coords)
+        return compile_array(self.fiber._jets.d1, self.manifold.coords)
 
     # -- cached connections ---------------------------------------------------
 

@@ -16,6 +16,10 @@ on the reports' batched evaluation.
 ``kernel_source`` is the generated source of ``compile_array`` written as a
 plain two-visit post-order walk over every entry, as a check on the
 library's one-pass walk.
+
+``tree_key`` is the node-for-node structure of a tree, as a check on the
+library's interning: two trees are one object exactly when their keys are
+equal.
 """
 
 import functools
@@ -297,6 +301,17 @@ def mixed_weyl_report_per_point(P, samples, seed):
 
 _BINARY_SRC = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}",
                "div": "_div({}, {})", "pow": "_pow({}, {})"}
+
+
+def tree_key(e) -> tuple:
+    """The node-for-node structure of e, constants by type and repr."""
+    if isinstance(e, Const):
+        return ("const", type(e.value), repr(e.value))
+    if isinstance(e, Var):
+        return ("var", e.name)
+    if isinstance(e, Unary):
+        return ("unary", e.op, tree_key(e.arg))
+    return ("binary", e.op, tree_key(e.left), tree_key(e.right))
 
 
 def _flat_entries(exprs) -> list:

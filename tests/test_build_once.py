@@ -7,25 +7,29 @@ of that kind on one stream: reading the larger batch first would have made
 the smaller read a slice.  Charts are counted as ``ManifoldSpec``s built,
 against the distinct ones by name, coordinates, domain and metric source.
 
-The symbolic gate wraps ``geometry.derivative_table`` and the
-``differentiate`` it calls, in the same runs: no table (one memo: a chart's
-metric jets, an explicit connection's dGamma) differentiates one entry
-object along one coordinate twice, and a chart's mirror metric entries are
-one object exactly when they are equal node for node.
+The symbolic gate wraps ``exprlang.differentiate`` and records each
+(node, coordinate) pair it finds missing from the node's memo, in runs that
+start from empty symbolic tables, as a fresh process does: no pair is
+differentiated twice, and a chart's mirror metric entries are one object
+exactly when they are equal node for node.  A second run of the same work
+differentiates nothing and compiles nothing, and makes exactly as many
+array builds as the run before it, so no array of numbers outlives a call.
 """
 
+import gc
 import itertools
 import sys
 
 import numpy as np
 import pytest
 
-from dualgeo import geometry
+from dualgeo import exprlang, geometry
 from dualgeo.cli import LoadedProduct, load_spec, main
-from dualgeo.exprlang import Const, Unary, Var, evaluate, parse, to_source
+from dualgeo.exprlang import Const, evaluate, parse, to_source
 from dualgeo.geometry import ManifoldSpec
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
+from oracles import tree_key
 
 
 class Recorder:
@@ -89,47 +93,49 @@ def test_spec_commands_build_each_array_and_chart_once(monkeypatch, spec_dir, ca
 
 # -- symbolic work: each derivative table differentiates an entry once -------
 
-def _tree_key(e):
-    """The node-for-node structure of e, constants by type and repr."""
-    if isinstance(e, Const):
-        return ("const", type(e.value), repr(e.value))
-    if isinstance(e, Var):
-        return ("var", e.name)
-    if isinstance(e, Unary):
-        return ("unary", e.op, _tree_key(e.arg))
-    return ("binary", e.op, _tree_key(e.left), _tree_key(e.right))
+def _drop_symbolic_tables():
+    """Empty the kernel and jets tables and every live node's derivative memo, as at start-up."""
+    exprlang._kernel_of.cache_clear()
+    geometry._jets_of.cache_clear()
+    gc.collect()
+    for node in list(exprlang._NODES.values()):
+        object.__setattr__(node, "_derivatives", None)
+
+
+def _compiled() -> tuple[int, int]:
+    """Misses of the kernel and jets tables so far: the kernels and jets built."""
+    return exprlang._kernel_of.cache_info().misses, geometry._jets_of.cache_info().misses
 
 
 class DerivativeRecorder:
-    """The (table, entry object, coordinate) of each differentiate a table makes, while installed.
+    """Each (node, coordinate) pair differentiate computes, and every chart built, while installed.
 
-    A table is the memo passed to ``geometry.derivative_table``; every memo
-    and so every entry it holds is kept alive, so no id is reused.  It also
-    keeps every chart built, to check its mirror entries.
+    A pair is recorded when differentiate finds it missing from the node's
+    memo; the recorder holds the node, so no id is reused.  A call that
+    finds its pair in the memo must differentiate nothing, so a call made
+    inside it is recorded as recomputed.
     """
 
     def __init__(self, monkeypatch):
-        self.pairs, self.memos, self.charts = [], {}, []
-        table, differentiate = geometry.derivative_table, geometry.differentiate
-        current = []
-
-        def tabled(exprs, coord, memo):
-            self.memos[id(memo)] = memo
-            current.append(memo)
-            try:
-                return table(exprs, coord, memo)
-            finally:
-                current.pop()
+        self.pairs, self.recomputed, self.charts = [], [], []
+        differentiate = exprlang.differentiate
+        hits = []  # whether each call on the stack found its pair in the memo
 
         def differentiating(e, coord):
-            self.pairs.append((id(current[-1]), id(e), coord))
-            return differentiate(e, coord)
+            if hits and hits[-1]:
+                self.recomputed.append((e, coord))
+            hits.append(coord in (e._derivatives or ()))
+            if not hits[-1]:
+                self.pairs.append((e, coord))
+            try:
+                return differentiate(e, coord)
+            finally:
+                hits.pop()
 
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("dualgeo")
-                    and getattr(module, "derivative_table", None) is table):
-                monkeypatch.setattr(module, "derivative_table", tabled)
-        monkeypatch.setattr(geometry, "differentiate", differentiating)
+                    and getattr(module, "differentiate", None) is differentiate):
+                monkeypatch.setattr(module, "differentiate", differentiating)
         post_init = ManifoldSpec.__post_init__
 
         def recorded(chart):
@@ -138,21 +144,54 @@ class DerivativeRecorder:
         monkeypatch.setattr(ManifoldSpec, "__post_init__", recorded)
 
     def check(self):
-        assert len(self.pairs) == len(set(self.pairs))
+        assert self.recomputed == []
+        assert len(self.pairs) == len({(id(e), coord) for e, coord in self.pairs})
         for chart in self.charts:
             g = chart.metric
             for j, k in itertools.combinations(range(chart.dim), 2):
-                assert (g[j][k] is g[k][j]) == (_tree_key(g[j][k]) == _tree_key(g[k][j]))
+                assert (g[j][k] is g[k][j]) == (tree_key(g[j][k]) == tree_key(g[k][j]))
         self.pairs.clear()
         self.charts.clear()
 
 
 def test_verify_paper_differentiates_each_entry_once_per_table(monkeypatch):
-    verify_paper(RunConfig(seed=3))
+    _drop_symbolic_tables()
     recorder = DerivativeRecorder(monkeypatch)
     verify_paper(RunConfig(seed=3))
-    assert len(recorder.pairs) > 300 and len(recorder.charts) > 20
+    assert len(recorder.pairs) > 200 and len(recorder.charts) > 20
     recorder.check()
+
+
+def _builds(monkeypatch) -> list:
+    """The (owner, kind) of each array built through geometry.one_batch, while installed."""
+    builds, original = [], geometry.one_batch
+
+    def counting(owner, kind, x, build):
+        def counted(z):
+            builds.append((type(owner).__name__, kind))
+            return build(z)
+        return original(owner, kind, x, counted)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("dualgeo")
+                and getattr(module, "one_batch", None) is original):
+            monkeypatch.setattr(module, "one_batch", counting)
+    return builds
+
+
+def test_a_warm_verify_paper_builds_nothing_symbolic(monkeypatch):
+    verify_paper(RunConfig(seed=3))
+    builds = _builds(monkeypatch)
+    first = verify_paper(RunConfig(seed=3)).to_json()
+    first_builds = list(builds)
+    builds.clear()
+    recorder = DerivativeRecorder(monkeypatch)
+    compiled = _compiled()
+    assert verify_paper(RunConfig(seed=3)).to_json() == first
+    assert recorder.pairs == [] and _compiled() == compiled
+    recorder.check()
+    # every array of the second warm run is built again: none is reused across calls
+    assert len(first_builds) > 500 and sorted(builds) == sorted(first_builds)
 
 
 def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec_dir, capsys):
@@ -160,20 +199,34 @@ def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec
     for spec in sorted(spec_dir.glob("*.json")):
         product = isinstance(load_spec(str(spec)), LoadedProduct)
         for command in (("twist", "flatness") if product else ("check", "conjugate", "curvature")):
+            _drop_symbolic_tables()
+            recorder.pairs.clear()
             main([command, str(spec)])
             assert recorder.pairs, (command, spec.name)
+            recorder.check()
+            # the same command again differentiates nothing and compiles nothing
+            compiled = _compiled()
+            main([command, str(spec)])
+            assert recorder.pairs == [] and _compiled() == compiled, (command, spec.name)
             recorder.check()
     capsys.readouterr()
 
 
 def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
-    # the zero entries and the mirror pair are single objects across g, dg, d2g, d3g
+    # the zero entries and the mirror pair are single objects across g, dg, d2g, d3g,
+    # and a chart of the same entries shares the jets and differentiates nothing
     recorder = DerivativeRecorder(monkeypatch)
-    M = ManifoldSpec.from_strings("probe", ("x", "y", "z"), [(0.5, 1.0)] * 3,
-                                  [["1 + x^2", "x*y", "0"], ["x*y", "2 + sin(z)", "0"],
-                                   ["0", "0", "exp(y)"]])
-    M._metric_d1, M._metric_d2, M._metric_d3_classes
-    assert len({table for table, _, _ in recorder.pairs}) == 1
+    sources = [["1.25 + x^2", "x*y", "0"], ["x*y", "2.25 + sin(z)", "0"], ["0", "0", "exp(y)"]]
+    M = ManifoldSpec.from_strings("probe", ("x", "y", "z"), [(0.5, 1.0)] * 3, sources)
+    M._jets.d1, M._jets.d2, M._jets.d3_classes
+    assert recorder.pairs
+    recorder.check()
+    again = ManifoldSpec.from_strings("again", ("x", "y", "z"), [(0.25, 1.0)] * 3, sources)
+    assert again._jets is M._jets
+    again._jets.d3_classes
+    assert recorder.pairs == []
+    # differentiating the entries again finds every pair in the memos
+    [[[exprlang.differentiate(e, c) for e in row] for row in again.metric] for c in again.coords]
     recorder.check()
 
 
@@ -196,12 +249,12 @@ def test_mirror_entries_are_one_object_only_when_equal(upper, lower, shared):
     assert (M.metric[1][0] is M.metric[0][1]) == shared
     assert M.metric[1][0] is (upper if shared else lower)
     x = M.sample_array(4, 0)
-    classes, index = M._metric_d3_classes
+    classes, index = M._jets.d3_classes
     for n in range(len(x)):
         env = dict(zip(coords, x[n]))
         for kernel, exprs in ((M.metric_at, M.metric),
-                              (M.metric_derivatives_at, M._metric_d1),
-                              (M.metric_second_derivatives_at, M._metric_d2),
+                              (M.metric_derivatives_at, M._jets.d1),
+                              (M.metric_second_derivatives_at, M._jets.d2),
                               (M.metric_third_derivatives_at,
                                [[[classes[index[i, j, k]] for k in range(2)] for j in range(2)]
                                 for i in range(2)])):

@@ -1,5 +1,14 @@
+import copy
+import functools
+import gc
 import inspect
+import itertools
 import math
+import pickle
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,9 +18,10 @@ from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError,
                               Unary, UnknownIdentifierError, Var, compile_array,
                               differentiate, evaluate, free_vars, parse, simplify,
                               substitute, to_source)
+from dualgeo import connections, exprlang, geometry, products
 from dualgeo.geometry import ManifoldSpec
 
-from oracles import fd1
+from oracles import fd1, tree_key
 
 
 def ev(src, coords, **env):
@@ -446,7 +456,141 @@ def test_kernels_of_one_structure_share_compiled_code():
     M1, M2 = (ManifoldSpec.from_strings(f"m{c}", ("a", "b"), [(-1, 1), (-1, 1)],
                                         [[src.format(c=c) for src in row] for row in shape])
               for c in (1.5, 2.5))
-    assert code_of(M1._metric_kernel) is code_of(M2._metric_kernel)
+    assert code_of(M1._jets.kernel) is code_of(M2._jets.kernel)
     x = [0.5, 0.2]
     assert M1.metric_at(x).tolist() == [[1.75, 0.0], [0.0, math.exp(1.5 * 0.2)]]
     assert M2.metric_at(x).tolist() == [[2.75, 0.0], [0.0, math.exp(2.5 * 0.2)]]
+
+
+# -- interning ---------------------------------------------------------------------
+
+def _rebuilt(e):
+    """e built again node by node through the constructors."""
+    if isinstance(e, Unary):
+        return Unary(e.op, _rebuilt(e.arg))
+    if isinstance(e, Binary):
+        return Binary(e.op, _rebuilt(e.left), _rebuilt(e.right))
+    return Const(e.value) if isinstance(e, Const) else Var(e.name)
+
+
+def _fresh_tables(monkeypatch):
+    """Empty kernel and jets tables of the library's size, installed for one test."""
+    monkeypatch.setattr(exprlang, "_kernel_of",
+                        functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__))
+    jets = functools.lru_cache(maxsize=512)(geometry._Jets)
+    for module in (geometry, connections, products):
+        monkeypatch.setattr(module, "_jets_of", jets)
+    return exprlang._kernel_of, jets
+
+
+@given(_nodes, _nodes)
+@settings(max_examples=60, deadline=None)
+def test_trees_are_one_object_exactly_when_equal(a, b):
+    assert _rebuilt(a) is a and _rebuilt(b) is b
+    trees = [a, b, simplify(a), simplify(b), differentiate(a, "x"), differentiate(b, "u")]
+    for e in (a, b):
+        try:
+            trees.append(parse(to_source(e), ("x", "u")))
+        except ParseError:  # inf and nan print as identifiers
+            pass
+    for s, t in itertools.combinations(trees, 2):
+        assert (s is t) == (tree_key(s) == tree_key(t))
+        assert (s == t) == (s is t) and (hash(s) == hash(t)) >= (s is t)
+
+
+class _Float(float):
+    """A float type whose values print as floats do."""
+
+
+def test_constants_intern_by_type_and_repr():
+    assert repr(_Float(1.5)) == repr(1.5) and Const(_Float(1.5)) is not Const(1.5)
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(1) is not Const(1.0)
+    assert Const(float("nan")) is Const(float("nan"))
+    assert Const(math.inf) is not Const(-math.inf)
+    assert parse("x*y", ("x", "y")) is Binary("mul", Var("x"), Var("y"))
+    assert parse("x*y", ("x", "y")) is not parse("y*x", ("x", "y"))
+    assert parse("x + y + 1", ("x", "y")) is not parse("x + (y + 1)", ("x", "y"))
+
+
+def test_copies_are_the_interned_node():
+    e = parse("sin(x)^2 + 1/x - 2.5", ["x"])
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert copy.deepcopy([e, [e]])[1][0] is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    with pytest.raises(AttributeError):
+        e.op = "sub"
+
+
+def test_a_dropped_node_dies(monkeypatch):
+    kernels, jets = _fresh_tables(monkeypatch)
+    e = parse("x*1.0000001234 + sin(x)", ["x"])
+    dead = weakref.ref(e)
+    d = differentiate(e, "x")
+    M = ManifoldSpec("lifetime", ("x",), [(0.5, 1.0)], [[e]])
+    M.metric_derivatives_at([0.75])
+    compile_array([e, d], ["x"])([0.5])
+    del e, d, M
+    kernels.cache_clear()  # the tables held the entries
+    jets.cache_clear()
+    gc.collect()
+    assert dead() is None
+
+
+def test_tables_stay_within_their_bound(monkeypatch):
+    kernels, jets = _fresh_tables(monkeypatch)
+    bound = jets.cache_parameters()["maxsize"]
+    assert kernels.cache_parameters()["maxsize"] == bound
+    for n in range(bound + 20):
+        M = ManifoldSpec.from_strings(f"m{n}", ("x",), [(0.5, 1.0)], [[f"{n + 1} + x^2"]])
+        assert M.metric_at([0.75]).tolist() == [[n + 1.5625]]
+        assert kernels.cache_info().currsize <= bound and jets.cache_info().currsize <= bound
+    assert kernels.cache_info().currsize == jets.cache_info().currsize == bound
+
+
+@given(_tensors, _batches)
+@settings(max_examples=40, deadline=None)
+def test_kernel_on_a_table_hit_is_bitwise_evaluate(exprs, xs):
+    coords = ("x", "u")
+    kernel = compile_array(exprs, coords)
+    assert compile_array([[_rebuilt(e) for e in row] for row in exprs], coords) is kernel
+    got, got_err = _outcome(lambda: kernel(np.array(xs)))
+    want, want_err = _outcome(lambda: np.stack([_reference(exprs, coords, x) for x in xs]))
+    assert got_err == want_err
+    if want_err is None:
+        assert got.tobytes() == want.tobytes()
+
+
+THREADS = 4
+
+
+def test_threads_build_one_tree_and_equal_arrays(monkeypatch):
+    # a cold build from empty tables, with the interpreter switching threads often
+    _fresh_tables(monkeypatch)
+    sources = [["2 + sin(x*y)^2", "x*y/(1 + y^2)"], ["x*y/(1 + y^2)", "3 + exp(x - y)"]]
+    x = np.array([[0.6, 0.7], [0.8, 0.9]])
+    barrier = threading.Barrier(THREADS)
+
+    def build(_):
+        barrier.wait()
+        M = ManifoldSpec.from_strings("threads", ("x", "y"), [(0.5, 1.0)] * 2, sources)
+        trees = [e for row in M.metric for e in row]
+        trees += [differentiate(differentiate(e, "x"), "y") for e in trees]
+        arrays = [f(x) for f in (M.metric_at, M.metric_derivatives_at,
+                                 M.metric_second_derivatives_at, M.metric_third_derivatives_at)]
+        return trees, arrays
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(THREADS) as pool:
+            results = list(pool.map(build, range(THREADS)))
+    finally:
+        sys.setswitchinterval(interval)
+    (trees, arrays), *others = results
+    for other_trees, other_arrays in others:
+        assert all(s is t for s, t in zip(other_trees, trees, strict=True))
+        assert [a.tobytes() for a in other_arrays] == [a.tobytes() for a in arrays]
+    env = {"x": 0.8, "y": 0.9}
+    assert arrays[0][1].tolist() == [[evaluate(e, env) for e in row] for row in
+                                     [[parse(s, ("x", "y")) for s in r] for r in sources]]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualgeo.connections import conjugate, explicit_connection, levi_civita
-from dualgeo import curvature
+from dualgeo import curvature, exprlang, geometry
 from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann_derivative_at,
                                sectional_at)
 from dualgeo.exprlang import DomainError, differentiate, evaluate, parse
@@ -88,16 +88,22 @@ class TestMetricDerivatives:
         fd = fd1(sphere.metric_derivatives_at, x, 0)
         assert np.allclose(d2[0], fd, atol=1e-7)
 
-    def test_kernels_compile_on_first_evaluation(self):
+    def test_kernels_compile_on_first_evaluation(self, monkeypatch):
+        # a chart whose metric the process has not seen: empty jets and kernel tables
+        monkeypatch.setattr(geometry, "_jets_of", functools.lru_cache(maxsize=512)(geometry._Jets))
+        monkeypatch.setattr(exprlang, "_kernel_of",
+                            functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__))
         M = ManifoldSpec.from_strings("lazy", ("a", "b"), [(-1, 1), (-1, 1)],
                                       [["2 + a*b", "0"], ["0", "exp(a)"]])
-        kernels = ("_metric_kernel", "_metric_d1_kernel", "_metric_d2_kernel")
-        assert not any(k in vars(M) for k in kernels)
+        kernels = ("kernel", "d1_kernel", "d2_kernel", "d3_kernel")
+        assert not any(k in vars(M._jets) for k in kernels)
+        assert exprlang._kernel_of.cache_info().currsize == 0
         x = [0.3, -0.4]
         M.metric_second_derivatives_at(x)
-        assert [k in vars(M) for k in kernels] == [False, False, True]
+        assert [k in vars(M._jets) for k in kernels] == [False, False, True, False]
+        assert exprlang._kernel_of.cache_info().currsize == 1
         env = {"a": 0.3, "b": -0.4}
-        expected = [[[[evaluate(M._metric_d2[i][j][k][l], env) for l in range(2)]
+        expected = [[[[evaluate(M._jets.d2[i][j][k][l], env) for l in range(2)]
                       for k in range(2)] for j in range(2)] for i in range(2)]
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
 
@@ -105,9 +111,9 @@ class TestMetricDerivatives:
         M = dict(fx.standard_twists())["twisted-4d"].manifold
         d = M.dim
         # d2[j][i] is the list object of d2[i][j], so the kernel compiles it once
-        assert all(M._metric_d2[i][j] is M._metric_d2[j][i]
+        assert all(M._jets.d2[i][j] is M._jets.d2[j][i]
                    for i in range(d) for j in range(d))
-        classes, index = M._metric_d3_classes
+        classes, index = M._jets.d3_classes
         assert len(classes) == math.comb(d + 2, 3)
         x = M.sample_array(3, 2)
         d3g = M.metric_third_derivatives_at(x)
@@ -117,7 +123,7 @@ class TestMetricDerivatives:
         env = M.env(x[1])
         for i, j, k in itertools.product(range(d), repeat=3):
             expected = [[evaluate(differentiate(e, M.coords[k]), env) for e in row]
-                        for row in M._metric_d2[i][j]]
+                        for row in M._jets.d2[i][j]]
             assert np.allclose(d3g[1, i, j, k], expected, rtol=1e-13, atol=1e-13)
 
 
@@ -128,9 +134,10 @@ def _accessors(M):
 
 def _kernel_values(M, x):
     """The five accessors' arrays at x, evaluated without the manifold's cache."""
-    g = M._metric_kernel(x)
-    d3g = np.take(M._metric_d3_kernel(x), M._metric_d3_classes[1], axis=-3)
-    return g, np.linalg.inv(g), M._metric_d1_kernel(x), M._metric_d2_kernel(x), d3g
+    jets = M._jets
+    g = jets.kernel(x)
+    d3g = np.take(jets.d3_kernel(x), jets.d3_classes[1], axis=-3)
+    return g, np.linalg.inv(g), jets.d1_kernel(x), jets.d2_kernel(x), d3g
 
 
 def _connections(M):
@@ -218,7 +225,7 @@ class TestLastBatchCache:
         for x in inputs + inputs[::-1]:
             for f, want in zip(_accessors(M), _kernel_values(M, x)):
                 assert f(x).tobytes() == want.tobytes()
-            assert orthonormal_frame_at(M, x).tobytes() == _frame(M._metric_kernel(x)).tobytes()
+            assert orthonormal_frame_at(M, x).tobytes() == _frame(M._jets.kernel(x)).tobytes()
             for f, fresh in zip(conns, _connection_accessors(_connections(M))):
                 assert f(x).tobytes() == fresh(x).tobytes()
             # the twist kind shares the product chart's cache

@@ -1,20 +1,24 @@
 """compile_array generates byte for byte the source of an independent walk.
 
 The oracle is ``oracles.kernel_source``: every entry walked from its root,
-every shared sub-list walked again.  The library's one-pass walk flattens a
-shared sub-list once, skips a root it has named, and names a compound node
-when the mark below its children comes back up.  Sources are captured where
-``compile_array`` hands them to ``exprlang._code_of``, on generated arrays,
-on every kernel of one warm ``verify_paper``, and on every kernel of each
-spec command on ``specs/``.
+every shared sub-list walked again, every node named by its structure.
+The library's one-pass walk flattens a shared sub-list once, skips a root it
+has named, and names a compound node by identity when the mark below its
+children comes back up; nodes are interned, so that is naming by structure.
+Sources are captured where ``compile_array`` hands them to
+``exprlang._code_of``, on generated arrays, on every kernel of a
+``verify_paper`` run and of each spec command on ``specs/``; those runs
+start from empty kernel and jets tables, so every kernel is built and none
+is taken from an earlier test.
 """
 
+import functools
 import math
 import sys
 
 from hypothesis import given, settings, strategies as st
 
-from dualgeo import exprlang
+from dualgeo import exprlang, geometry
 from dualgeo.cli import LoadedProduct, load_spec, main
 from dualgeo.exprlang import Binary, Const, Unary, Var, compile_array
 from dualgeo.report import RunConfig
@@ -28,12 +32,23 @@ UNARY = ("neg", "sin", "exp", "log", "sqrt")
 BINARY = ("add", "sub", "mul", "div", "pow")
 
 
+def _empty_tables():
+    """Fresh, empty kernel and jets tables, shaped as the library's."""
+    return (functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__),
+            functools.lru_cache(maxsize=512)(geometry._Jets))
+
+
 class SourceCheck:
-    """Compares each source compile_array compiles with the oracle's, while installed."""
+    """Compares each kernel compile_array returns with the oracle's source, while installed.
+
+    A built kernel's source must be the oracle's; a kernel taken from the
+    table must be one built, and checked, for the same source.
+    """
 
     def __init__(self, monkeypatch):
         self.checked = 0
         self.sources = []
+        self.source_of = {}  # id(kernel) -> (kernel, its source)
         code_of = exprlang._code_of
         original = exprlang.compile_array
 
@@ -43,26 +58,35 @@ class SourceCheck:
 
         def compiling(exprs, coords):
             kernel = original(exprs, coords)
-            [source] = self.sources
-            self.sources.clear()
-            assert source == kernel_source(exprs, tuple(coords))
-            self.checked += 1
+            want = kernel_source(exprs, tuple(coords))
+            if self.sources:
+                [source] = self.sources
+                self.sources.clear()
+                assert source == want
+                self.source_of[id(kernel)] = kernel, source
+                self.checked += 1
+            else:
+                assert self.source_of[id(kernel)][1] == want
             return kernel
 
+        kernels, jets = _empty_tables()
+        monkeypatch.setattr(exprlang, "_kernel_of", kernels)
         monkeypatch.setattr(exprlang, "_code_of", recording)
+        replaced = {original: compiling, geometry._jets_of: jets}
         for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("dualgeo")
-                    and getattr(module, "compile_array", None) is original):
-                monkeypatch.setattr(module, "compile_array", compiling)
+            if getattr(module, "__name__", "").startswith("dualgeo"):
+                for name in ("compile_array", "_jets_of"):
+                    if getattr(module, name, None) in replaced:
+                        monkeypatch.setattr(module, name, replaced[getattr(module, name)])
 
 
 def _copy(e):
-    """A node-for-node equal tree that shares no node with e."""
+    """e built again node by node: interning makes it e itself."""
     if isinstance(e, Unary):
         return Unary(e.op, _copy(e.arg))
     if isinstance(e, Binary):
         return Binary(e.op, _copy(e.left), _copy(e.right))
-    return type(e)(*vars(e).values())
+    return Const(e.value) if isinstance(e, Const) else Var(e.name)
 
 
 @st.composite
@@ -96,12 +120,13 @@ def shared_arrays(draw):
 def library_source(exprs, coords=COORDS) -> str:
     """The source compile_array compiles for exprs (a hypothesis test takes no monkeypatch)."""
     sources = []
-    code_of = exprlang._code_of
+    code_of, kernel_of = exprlang._code_of, exprlang._kernel_of
     exprlang._code_of = lambda source: sources.append(source) or code_of(source)
+    exprlang._kernel_of = _empty_tables()[0]
     try:
         compile_array(exprs, coords)
     finally:
-        exprlang._code_of = code_of
+        exprlang._code_of, exprlang._kernel_of = code_of, kernel_of
     [source] = sources
     return source
 
@@ -131,11 +156,11 @@ def test_warm_verify_paper_kernels_match_the_oracle(monkeypatch):
 
 
 def test_spec_command_kernels_match_the_oracle(monkeypatch, spec_dir, capsys):
-    check = SourceCheck(monkeypatch)
     for spec in sorted(spec_dir.glob("*.json")):
         product = isinstance(load_spec(str(spec)), LoadedProduct)
         for command in (("twist", "flatness") if product else ("check", "conjugate", "curvature")):
-            before = check.checked
+            monkeypatch.undo()  # each command starts from empty tables
+            check = SourceCheck(monkeypatch)
             main([command, str(spec)])
-            assert check.checked > before, (command, spec.name)
+            assert check.checked > 0, (command, spec.name)
     capsys.readouterr()

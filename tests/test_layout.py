@@ -47,6 +47,12 @@
   ``main`` call builds the parsers it uses and no more survive it.
 * A command's name appears in ``cli.py`` as a string only in the command
   table (``cli.COMMANDS``), so one row holds everything about a command.
+* Only ``exprlang._intern`` calls ``__new__``: every expression node is
+  made by its interning constructor, so equal trees stay one object and
+  every cache keyed by node identity stays exact.
+* The process-wide symbolic tables (``cache``, ``lru_cache``, weak
+  dictionaries) are declared only in ``exprlang.py`` and ``geometry.py``:
+  the intern table, the kernel and code tables, and the jets table.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -70,6 +76,8 @@ ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_cha
 TOBYTES_CALLERS = {"geometry.py"}
 COMMAND_TABLE = "COMMANDS"
 CACHE_DECORATORS = {"cache", "lru_cache"}
+TABLE_MAKERS = CACHE_DECORATORS | {"WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+TABLE_FILES_ALLOWED = {"exprlang.py", "geometry.py"}
 TABLE_FILES = {"geometry.py", "connections.py"}
 DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
@@ -339,6 +347,19 @@ def cached_functions(trees) -> set[str]:
             and any(_decorator_name(d) in CACHE_DECORATORS for d in node.decorator_list)}
 
 
+def new_callers(trees) -> set[str]:
+    """``file:function`` of every ``__new__(...)`` call."""
+    return _call_scopes(trees, lambda call: _called_name(call) == "__new__")
+
+
+def symbolic_table_files(trees) -> set[str]:
+    """Files that declare a table: a ``cache``/``lru_cache`` decorator or call, or a weak dict."""
+    return {name for name, tree in trees for node in ast.walk(tree)
+            if (isinstance(node, ast.Call) and _called_name(node) in TABLE_MAKERS)
+            or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(_decorator_name(d) in TABLE_MAKERS for d in node.decorator_list))}
+
+
 def command_name_strings(trees) -> list[str]:
     """``file:line`` of each string naming a command outside the module's command table.
 
@@ -512,6 +533,14 @@ def test_parsers_are_built_per_call_in_cli():
     assert scopes and {scope.split(":")[0] for scope in scopes} == {"cli.py"}
     assert import_time_parsers(trees) == set()
     assert {f for f in cached_functions(trees) if f.startswith("cli.py:")} == set()
+
+
+def test_only_the_intern_constructor_makes_nodes():
+    assert new_callers(_trees()) == {"exprlang.py:_intern"}
+
+
+def test_symbolic_tables_live_in_two_modules():
+    assert symbolic_table_files(_trees()) == TABLE_FILES_ALLOWED
 
 
 def test_command_names_appear_only_in_the_table():
@@ -802,3 +831,30 @@ def test_scan_flags_cached_functions(source, found):
 ])
 def test_scan_flags_command_name_strings(source, found):
     assert command_name_strings([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _intern(cls, key):\n    return object.__new__(cls)\n", {"probe.py:_intern"}),
+    ("def fast_const(v):\n    return object.__new__(Const)\n", {"probe.py:fast_const"}),
+    ("class K(Expr):\n    def __new__(cls, v):\n        return super().__new__(cls)\n",
+     {"probe.py:__new__"}),
+    ("NODE = Const.__new__(Const)\n", {"probe.py:<module>"}),
+    ("def const(v):\n    return Const(v)\n", set()),
+    ("class K(Expr):\n    def __new__(cls, v):\n        return _intern(cls, (cls, v), v)\n",
+     set()),
+])
+def test_scan_flags_node_constructions(source, found):
+    assert new_callers([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@functools.lru_cache(maxsize=8)\ndef kernel_of(flat):\n    pass\n", {"probe.py"}),
+    ("@cache\ndef jets(metric):\n    pass\n", {"probe.py"}),
+    ("JETS = functools.lru_cache(maxsize=8)(Jets)\n", {"probe.py"}),
+    ("NODES = weakref.WeakValueDictionary()\n", {"probe.py"}),
+    ("SEEN = WeakKeyDictionary()\n", {"probe.py"}),
+    ("SEEN = {}\n", set()),
+    ("class C:\n    @cached_property\n    def d1(self):\n        pass\n", set()),
+])
+def test_scan_flags_symbolic_tables(source, found):
+    assert symbolic_table_files([("probe.py", ast.parse(source))]) == found
