@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exprlang
-from .exprlang import (Const, Expr, compile_array, differentiate, evaluate, fn, free_vars, mul,
-                       pow_, simplify, sub, substitute)
+from .exprlang import (Const, Expr, compile_array, evaluate, fn, free_vars, mul, pow_, simplify,
+                       sub, substitute)
 from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of, _jets_of
 from .connections import ConnectionField
 from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
@@ -90,7 +90,8 @@ class ProductSpec:
 
     @cached_property
     def _k2(self):
-        return [[differentiate(e, c) for c in self.manifold.coords] for e in self._k1]
+        # one second derivative per class i <= j: the Hessian of k is exactly symmetric
+        return [[row[0][0] for row in d2i] for d2i in self._k_jets.d2]
 
     # Entries are listed in the order the tuple returns them, so a point
     # outside the domain raises the error of the first failing entry.
