@@ -62,12 +62,12 @@ class _Jets:
 
     @cached_property
     def d1(self):
-        # d1[i][j][k] = d_i g_jk
+        # d1[i] = d_i exprs, nested like exprs (for a metric, d1[i][j][k] = d_i g_jk)
         return [derivative_table(self.exprs, c) for c in self.coords]
 
     @cached_property
     def d2(self):
-        # d2[i][j][k][l] = d_i d_j g_kl; d2[j][i] is the list object of d2[i][j]
+        # d2[i][j] = d_i d_j exprs; d2[j][i] is the list object of d2[i][j]
         d = len(self.coords)
         d2 = [[None] * d for _ in range(d)]
         for i in range(d):
@@ -77,8 +77,8 @@ class _Jets:
 
     @cached_property
     def d3_classes(self):
-        # (classes, index): classes[c][l][m] = d_i d_j d_k g_lm for the c-th
-        # sorted triple i <= j <= k, and index[i, j, k] = c for every triple
+        # (classes, index): classes[c] = d_i d_j d_k exprs for the c-th sorted
+        # triple i <= j <= k, and index[i, j, k] = c for every triple
         d = len(self.coords)
         triples = list(itertools.combinations_with_replacement(range(d), 3))
         classes = [derivative_table(self.d2[j][k], self.coords[i]) for i, j, k in triples]

@@ -561,7 +561,7 @@ def test_kernel_on_a_table_hit_is_bitwise_evaluate(exprs, xs):
         assert got.tobytes() == want.tobytes()
 
 
-THREADS = 4
+THREADS = 4  # more than the cores of a small host, and a fixed count
 
 
 def test_threads_build_one_tree_and_equal_arrays(monkeypatch):
@@ -572,7 +572,7 @@ def test_threads_build_one_tree_and_equal_arrays(monkeypatch):
     barrier = threading.Barrier(THREADS)
 
     def build(_):
-        barrier.wait()
+        barrier.wait(timeout=30)
         M = ManifoldSpec.from_strings("threads", ("x", "y"), [(0.5, 1.0)] * 2, sources)
         trees = [e for row in M.metric for e in row]
         trees += [differentiate(differentiate(e, "x"), "y") for e in trees]
@@ -584,7 +584,7 @@ def test_threads_build_one_tree_and_equal_arrays(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(THREADS) as pool:
-            results = list(pool.map(build, range(THREADS)))
+            results = list(pool.map(build, range(THREADS), timeout=60))
     finally:
         sys.setswitchinterval(interval)
     (trees, arrays), *others = results
