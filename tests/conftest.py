@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from pathlib import Path
@@ -6,8 +7,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dualgeo import exprlang, geometry
 from dualgeo import fixtures as fx
 from dualgeo.cli import LoadedProduct, load_spec, main
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Empty kernel and jets tables of the library's size, in place of the process's for one test."""
+    kernels = functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__)
+    jets = functools.lru_cache(maxsize=512)(geometry._Jets)
+    monkeypatch.setattr(exprlang, "_kernel_of", kernels)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("dualgeo")
+                and getattr(module, "_jets_of", None) is geometry._jets_of):
+            monkeypatch.setattr(module, "_jets_of", jets)
+    return kernels, jets
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import copy
-import functools
 import gc
 import inspect
 import itertools
@@ -18,7 +17,6 @@ from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError,
                               Unary, UnknownIdentifierError, Var, compile_array,
                               differentiate, evaluate, free_vars, parse, simplify,
                               substitute, to_source)
-from dualgeo import connections, exprlang, geometry, products
 from dualgeo.geometry import ManifoldSpec
 
 from oracles import fd1, tree_key
@@ -473,16 +471,6 @@ def _rebuilt(e):
     return Const(e.value) if isinstance(e, Const) else Var(e.name)
 
 
-def _fresh_tables(monkeypatch):
-    """Empty kernel and jets tables of the library's size, installed for one test."""
-    monkeypatch.setattr(exprlang, "_kernel_of",
-                        functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__))
-    jets = functools.lru_cache(maxsize=512)(geometry._Jets)
-    for module in (geometry, connections, products):
-        monkeypatch.setattr(module, "_jets_of", jets)
-    return exprlang._kernel_of, jets
-
-
 @given(_nodes, _nodes)
 @settings(max_examples=60, deadline=None)
 def test_trees_are_one_object_exactly_when_equal(a, b):
@@ -522,8 +510,8 @@ def test_copies_are_the_interned_node():
         e.op = "sub"
 
 
-def test_a_dropped_node_dies(monkeypatch):
-    kernels, jets = _fresh_tables(monkeypatch)
+def test_a_dropped_node_dies(empty_tables):
+    kernels, jets = empty_tables
     e = parse("x*1.0000001234 + sin(x)", ["x"])
     dead = weakref.ref(e)
     d = differentiate(e, "x")
@@ -537,8 +525,8 @@ def test_a_dropped_node_dies(monkeypatch):
     assert dead() is None
 
 
-def test_tables_stay_within_their_bound(monkeypatch):
-    kernels, jets = _fresh_tables(monkeypatch)
+def test_tables_stay_within_their_bound(empty_tables):
+    kernels, jets = empty_tables
     bound = jets.cache_parameters()["maxsize"]
     assert kernels.cache_parameters()["maxsize"] == bound
     for n in range(bound + 20):
@@ -564,9 +552,8 @@ def test_kernel_on_a_table_hit_is_bitwise_evaluate(exprs, xs):
 THREADS = 4  # more than the cores of a small host, and a fixed count
 
 
-def test_threads_build_one_tree_and_equal_arrays(monkeypatch):
+def test_threads_build_one_tree_and_equal_arrays(empty_tables):
     # a cold build from empty tables, with the interpreter switching threads often
-    _fresh_tables(monkeypatch)
     sources = [["2 + sin(x*y)^2", "x*y/(1 + y^2)"], ["x*y/(1 + y^2)", "3 + exp(x - y)"]]
     x = np.array([[0.6, 0.7], [0.8, 0.9]])
     barrier = threading.Barrier(THREADS)
