@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import Expr, parse
-from .geometry import ManifoldSpec, _coords_of, _jets_of, one_batch
+from .geometry import ManifoldSpec, _Jets, _coords_of, one_batch
 from . import numdiff
 
 __all__ = [
@@ -174,8 +174,8 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
             e = parse(repr(float(value)), M.coords)
         exprs[k][i][j] = e
     zero = parse("0", M.coords)
-    jets = _jets_of(tuple(tuple(tuple(e if e is not None else zero for e in row) for row in plane)
-                          for plane in exprs), M.coords)
+    jets = _Jets([[[e if e is not None else zero for e in row] for row in plane] for plane in exprs],
+                 M.coords)
     return ConnectionField(M, "explicit", lambda x: jets.kernel(x), lambda x: jets.d1_kernel(x))
 
 

@@ -149,9 +149,10 @@ def _fold(op: str, *args: Expr) -> Expr | None:
     if all(isinstance(a, Const) for a in args):
         node = Unary(op, *args) if len(args) == 1 else Binary(op, *args)
         try:
-            return Const(evaluate(node, {}))
+            value = _eval(node, {})
         except DomainError:
             return None
+        return Const(value) if math.isfinite(value) else None
     return None
 
 
@@ -566,19 +567,6 @@ _CHAIN_RULES = {
 }
 
 
-# The derivative of each binary op: (a, b, da, db) -> d (a op b); a power with
-# a variable exponent is exp(b*log a), so d a^b = a^b * (db*log a + b*da/a)
-_BINARY_RULES = {
-    "add": lambda a, b, da, db: add(da, db),
-    "sub": lambda a, b, da, db: sub(da, db),
-    "mul": lambda a, b, da, db: add(mul(da, b), mul(a, db)),
-    "div": lambda a, b, da, db: div(sub(mul(da, b), mul(a, db)), pow_(b, Const(2.0))),
-    "pow": lambda a, b, da, db: (
-        mul(mul(b, pow_(a, Const(b.value - 1.0))), da) if isinstance(b, Const)
-        else mul(pow_(a, b), add(mul(db, fn("log", a)), mul(b, div(da, a))))),
-}
-
-
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact derivative with respect to a coordinate name, lightly simplified.
 
@@ -598,8 +586,24 @@ def differentiate(e: Expr, var: str) -> Expr:
     elif isinstance(e, Unary):
         d = _CHAIN_RULES[e.op](e.arg, differentiate(e.arg, var))
     else:
-        d = _BINARY_RULES[e.op](e.left, e.right,
-                                differentiate(e.left, var), differentiate(e.right, var))
+        assert isinstance(e, Binary)
+        a, b = e.left, e.right
+        da, db = differentiate(a, var), differentiate(b, var)
+        if e.op == "add":
+            d = add(da, db)
+        elif e.op == "sub":
+            d = sub(da, db)
+        elif e.op == "mul":
+            d = add(mul(da, b), mul(a, db))
+        elif e.op == "div":
+            d = div(sub(mul(da, b), mul(a, db)), pow_(b, Const(2.0)))
+        else:
+            assert e.op == "pow"
+            if isinstance(b, Const):
+                d = mul(mul(b, pow_(a, Const(b.value - 1.0))), da)
+            else:
+                # a^b = exp(b*log a):  a^b * (db*log a + b*da/a)
+                d = mul(pow_(a, b), add(mul(db, fn("log", a)), mul(b, div(da, a))))
     memo[var] = d
     return d
 

@@ -7,7 +7,6 @@ metric degeneracies, which keeps sampling and SPD validation trivial.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -49,12 +48,12 @@ class _Jets:
     """An array of expressions with its derivatives over coords, and their kernels.
 
     A chart's metric g with dg, d2g, d3g, an explicit connection's Gamma
-    with dGamma, a twist's k with dk, d2k: one object serves every owner
-    whose entries and coordinates are the same objects (``_jets_of``), so
-    each is differentiated and compiled once per process.  It holds no
-    arrays of numbers.  Higher derivatives are built once per symmetric
-    class of derivative indices: d_i d_j for i <= j, d_i d_j d_k for
-    i <= j <= k.  Kernels are compiled on first evaluation.
+    with dGamma, a twist's k with dk, d2k.  Each owner builds its own; the
+    nodes' derivative memos and ``compile_array``'s kernel table make every
+    derivative and kernel of the same entries the same object in every
+    owner.  It holds no arrays of numbers.  Higher derivatives are built
+    once per symmetric class of derivative indices: d_i d_j for i <= j,
+    d_i d_j d_k for i <= j <= k.  Kernels are compiled on first evaluation.
     """
 
     def __init__(self, exprs: tuple, coords: tuple[str, ...]):
@@ -92,11 +91,6 @@ class _Jets:
     d1_kernel = cached_property(lambda self: compile_array(self.d1, self.coords))
     d2_kernel = cached_property(lambda self: compile_array(self.d2, self.coords))
     d3_kernel = cached_property(lambda self: compile_array(self.d3_classes[0], self.coords))
-
-
-# The process's jets, one per (entries, coordinates) for the last 512 asked
-# for; nodes hash by identity, and the table holds the entries.
-_jets_of = functools.lru_cache(maxsize=512)(_Jets)
 
 
 def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
@@ -204,8 +198,8 @@ class ManifoldSpec:
         return bool(np.all([lo <= xi <= hi for xi, (lo, hi) in zip(x, self.domain)]))
 
     @cached_property
-    def _jets(self) -> _Jets:  # shared with every chart of the same entries and coordinates
-        return _jets_of(self.metric, self.coords)
+    def _jets(self) -> _Jets:
+        return _Jets(self.metric, self.coords)
 
     @cached_property
     def levi_civita_connection(self):

@@ -24,7 +24,7 @@ import numpy as np
 from . import exprlang
 from .exprlang import (Const, Expr, compile_array, evaluate, fn, free_vars, mul, pow_, simplify,
                        sub, substitute)
-from .geometry import GeometryError, ManifoldSpec, TangentVector, _coords_of, _jets_of
+from .geometry import GeometryError, ManifoldSpec, TangentVector, _Jets, _coords_of
 from .connections import ConnectionField
 from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
                         weyl_derivative_at)
@@ -81,8 +81,8 @@ class ProductSpec:
 
     @cached_property
     def _k_jets(self):
-        # the jets of k as a 1x1 array, shared with every product of the same k
-        return _jets_of(((self.log_twist,),), self.manifold.coords)
+        # the jets of k as a 1x1 array
+        return _Jets(((self.log_twist,),), self.manifold.coords)
 
     @cached_property
     def _k1(self):

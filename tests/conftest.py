@@ -7,22 +7,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dualgeo import exprlang, geometry
+from dualgeo import exprlang
 from dualgeo import fixtures as fx
 from dualgeo.cli import LoadedProduct, load_spec, main
 
 
 @pytest.fixture
-def empty_tables(monkeypatch):
-    """Empty kernel and jets tables of the library's size, in place of the process's for one test."""
+def empty_kernels(monkeypatch):
+    """An empty kernel table of the library's size, in place of the process's for one test."""
     kernels = functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__)
-    jets = functools.lru_cache(maxsize=512)(geometry._Jets)
     monkeypatch.setattr(exprlang, "_kernel_of", kernels)
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("dualgeo")
-                and getattr(module, "_jets_of", None) is geometry._jets_of):
-            monkeypatch.setattr(module, "_jets_of", jets)
-    return kernels, jets
+    return kernels
 
 
 @pytest.fixture(scope="session")

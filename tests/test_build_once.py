@@ -94,17 +94,16 @@ def test_spec_commands_build_each_array_and_chart_once(monkeypatch, spec_dir, ca
 # -- symbolic work: each derivative table differentiates an entry once -------
 
 def _drop_symbolic_tables():
-    """Empty the kernel and jets tables and every live node's derivative memo, as at start-up."""
+    """Empty the kernel table and every live node's derivative memo, as at start-up."""
     exprlang._kernel_of.cache_clear()
-    geometry._jets_of.cache_clear()
     gc.collect()
     for node in list(exprlang._NODES.values()):
         object.__setattr__(node, "_derivatives", None)
 
 
-def _compiled() -> tuple[int, int]:
-    """Misses of the kernel and jets tables so far: the kernels and jets built."""
-    return exprlang._kernel_of.cache_info().misses, geometry._jets_of.cache_info().misses
+def _compiled() -> int:
+    """Misses of the kernel table so far: the kernels built."""
+    return exprlang._kernel_of.cache_info().misses
 
 
 class DerivativeRecorder:
@@ -212,18 +211,26 @@ def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec
     capsys.readouterr()
 
 
+def _entries(jets) -> list:
+    """Every entry of a chart's g, dg, d2g and d3g classes, row-major."""
+    return [e for table in (jets.exprs, jets.d1, jets.d2, jets.d3_classes[0])
+            for e in exprlang._flatten(table)[1]]
+
+
 def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
     # the zero entries and the mirror pair are single objects across g, dg, d2g, d3g,
-    # and a chart of the same entries shares the jets and differentiates nothing
+    # and a second chart of the same entries builds its own jets of the same
+    # entry objects, differentiating nothing
+    _drop_symbolic_tables()
     recorder = DerivativeRecorder(monkeypatch)
-    sources = [["1.25 + x^2", "x*y", "0"], ["x*y", "2.25 + sin(z)", "0"], ["0", "0", "exp(y)"]]
+    sources = [["1 + x^2", "x*y", "0"], ["x*y", "2 + sin(z)", "0"], ["0", "0", "exp(y)"]]
     M = ManifoldSpec.from_strings("probe", ("x", "y", "z"), [(0.5, 1.0)] * 3, sources)
-    M._jets.d1, M._jets.d2, M._jets.d3_classes
+    first = _entries(M._jets)
     assert recorder.pairs
     recorder.check()
     again = ManifoldSpec.from_strings("again", ("x", "y", "z"), [(0.25, 1.0)] * 3, sources)
-    assert again._jets is M._jets
-    again._jets.d3_classes
+    assert again._jets is not M._jets
+    assert all(a is b for a, b in zip(_entries(again._jets), first, strict=True))
     assert recorder.pairs == []
     # differentiating the entries again finds every pair in the memos
     [[[exprlang.differentiate(e, c) for e in row] for row in again.metric] for c in again.coords]

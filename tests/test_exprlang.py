@@ -510,8 +510,7 @@ def test_copies_are_the_interned_node():
         e.op = "sub"
 
 
-def test_a_dropped_node_dies(empty_tables):
-    kernels, jets = empty_tables
+def test_a_dropped_node_dies(empty_kernels):
     e = parse("x*1.0000001234 + sin(x)", ["x"])
     dead = weakref.ref(e)
     d = differentiate(e, "x")
@@ -519,21 +518,18 @@ def test_a_dropped_node_dies(empty_tables):
     M.metric_derivatives_at([0.75])
     compile_array([e, d], ["x"])([0.5])
     del e, d, M
-    kernels.cache_clear()  # the tables held the entries
-    jets.cache_clear()
+    empty_kernels.cache_clear()  # the table held the entries
     gc.collect()
     assert dead() is None
 
 
-def test_tables_stay_within_their_bound(empty_tables):
-    kernels, jets = empty_tables
-    bound = jets.cache_parameters()["maxsize"]
-    assert kernels.cache_parameters()["maxsize"] == bound
+def test_the_kernel_table_stays_within_its_bound(empty_kernels):
+    bound = empty_kernels.cache_parameters()["maxsize"]
     for n in range(bound + 20):
         M = ManifoldSpec.from_strings(f"m{n}", ("x",), [(0.5, 1.0)], [[f"{n + 1} + x^2"]])
         assert M.metric_at([0.75]).tolist() == [[n + 1.5625]]
-        assert kernels.cache_info().currsize <= bound and jets.cache_info().currsize <= bound
-    assert kernels.cache_info().currsize == jets.cache_info().currsize == bound
+        assert empty_kernels.cache_info().currsize <= bound
+    assert empty_kernels.cache_info().currsize == bound
 
 
 @given(_tensors, _batches)
@@ -552,7 +548,7 @@ def test_kernel_on_a_table_hit_is_bitwise_evaluate(exprs, xs):
 THREADS = 4  # more than the cores of a small host, and a fixed count
 
 
-def test_threads_build_one_tree_and_equal_arrays(empty_tables):
+def test_threads_build_one_tree_and_equal_arrays(empty_kernels):
     # a cold build from empty tables, with the interpreter switching threads often
     sources = [["2 + sin(x*y)^2", "x*y/(1 + y^2)"], ["x*y/(1 + y^2)", "3 + exp(x - y)"]]
     x = np.array([[0.6, 0.7], [0.8, 0.9]])

@@ -88,9 +88,9 @@ class TestMetricDerivatives:
         fd = fd1(sphere.metric_derivatives_at, x, 0)
         assert np.allclose(d2[0], fd, atol=1e-7)
 
-    def test_kernels_compile_on_first_evaluation(self, empty_tables):
-        # a chart whose metric the process has not seen: empty jets and kernel tables
-        table, _ = empty_tables
+    def test_kernels_compile_on_first_evaluation(self, empty_kernels):
+        # a chart whose metric the process has not seen: an empty kernel table
+        table = empty_kernels
         M = ManifoldSpec.from_strings("lazy", ("a", "b"), [(-1, 1), (-1, 1)],
                                       [["2 + a*b", "0"], ["0", "exp(a)"]])
         kernels = ("kernel", "d1_kernel", "d2_kernel", "d3_kernel")

@@ -8,8 +8,8 @@ children comes back up; nodes are interned, so that is naming by structure.
 Sources are captured where ``compile_array`` hands them to
 ``exprlang._code_of``, on generated arrays, on every kernel of a
 ``verify_paper`` run and of each spec command on ``specs/``; those runs
-start from empty kernel and jets tables, so every kernel is built and none
-is taken from an earlier test.
+start from an empty kernel table, so every kernel is built and none is
+taken from an earlier test.
 """
 
 import functools
@@ -18,7 +18,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from dualgeo import exprlang, geometry
+from dualgeo import exprlang
 from dualgeo.cli import LoadedProduct, load_spec, main
 from dualgeo.exprlang import Binary, Const, Unary, Var, compile_array
 from dualgeo.report import RunConfig
@@ -32,10 +32,9 @@ UNARY = ("neg", "sin", "exp", "log", "sqrt")
 BINARY = ("add", "sub", "mul", "div", "pow")
 
 
-def _empty_tables():
-    """Fresh, empty kernel and jets tables, shaped as the library's."""
-    return (functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__),
-            functools.lru_cache(maxsize=512)(geometry._Jets))
+def _empty_kernels():
+    """A fresh, empty kernel table, shaped as the library's."""
+    return functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__)
 
 
 class SourceCheck:
@@ -69,15 +68,12 @@ class SourceCheck:
                 assert self.source_of[id(kernel)][1] == want
             return kernel
 
-        kernels, jets = _empty_tables()
-        monkeypatch.setattr(exprlang, "_kernel_of", kernels)
+        monkeypatch.setattr(exprlang, "_kernel_of", _empty_kernels())
         monkeypatch.setattr(exprlang, "_code_of", recording)
-        replaced = {original: compiling, geometry._jets_of: jets}
         for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("dualgeo"):
-                for name in ("compile_array", "_jets_of"):
-                    if getattr(module, name, None) in replaced:
-                        monkeypatch.setattr(module, name, replaced[getattr(module, name)])
+            if (getattr(module, "__name__", "").startswith("dualgeo")
+                    and getattr(module, "compile_array", None) is original):
+                monkeypatch.setattr(module, "compile_array", compiling)
 
 
 def _copy(e):
@@ -122,7 +118,7 @@ def library_source(exprs, coords=COORDS) -> str:
     sources = []
     code_of, kernel_of = exprlang._code_of, exprlang._kernel_of
     exprlang._code_of = lambda source: sources.append(source) or code_of(source)
-    exprlang._kernel_of = _empty_tables()[0]
+    exprlang._kernel_of = _empty_kernels()
     try:
         compile_array(exprs, coords)
     finally:

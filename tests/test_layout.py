@@ -51,8 +51,10 @@
   made by its interning constructor, so equal trees stay one object and
   every cache keyed by node identity stays exact.
 * The process-wide symbolic tables (``cache``, ``lru_cache``, weak
-  dictionaries) are declared only in ``exprlang.py`` and ``geometry.py``:
-  the intern table, the kernel and code tables, and the jets table.
+  dictionaries) are declared only in ``exprlang.py``: the intern table and
+  the kernel and code tables.  Every other owner of symbolic work (a
+  chart's or a connection's jets) builds its own and finds its entries'
+  derivatives and kernels there.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -77,7 +79,7 @@ TOBYTES_CALLERS = {"geometry.py"}
 COMMAND_TABLE = "COMMANDS"
 CACHE_DECORATORS = {"cache", "lru_cache"}
 TABLE_MAKERS = CACHE_DECORATORS | {"WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
-TABLE_FILES_ALLOWED = {"exprlang.py", "geometry.py"}
+TABLE_FILES_ALLOWED = {"exprlang.py"}
 TABLE_FILES = {"geometry.py", "connections.py"}
 DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
@@ -539,7 +541,7 @@ def test_only_the_intern_constructor_makes_nodes():
     assert new_callers(_trees()) == {"exprlang.py:_intern"}
 
 
-def test_symbolic_tables_live_in_two_modules():
+def test_symbolic_tables_live_only_in_exprlang():
     assert symbolic_table_files(_trees()) == TABLE_FILES_ALLOWED
 
 
