@@ -166,6 +166,36 @@ class TestExitCodes:
         assert main(["curvature", str(spec_dir / "sphere2.json"),
                      "--point", "1.0,abc"]) == 2
 
+    @pytest.mark.parametrize("command", ["curvature", "conjugate"])
+    @pytest.mark.parametrize("point, message", [
+        ("1.0,0.5,0.2", "point has (3,) coordinates, expected 2"),
+        ("9,9", "point [9.0, 9.0] outside domain of 'fisher-normal'"),
+        ("nan,0.5", "point [nan, 0.5] outside domain of 'fisher-normal'"),
+        ("inf,1", "point [inf, 1.0] outside domain of 'fisher-normal'"),
+        ("1.0,abc", "--point: expected comma-separated numbers"),
+    ], ids=["wrong-length", "outside", "nan", "inf", "malformed"])
+    def test_point_flag_errors_name_the_point(self, spec_dir, tmp_path, capsys, command,
+                                              point, message):
+        report = tmp_path / "r.json"
+        assert main([command, str(spec_dir / "fisher_normal.json"), "--point", point,
+                     "--report", str(report)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command, heading, reported_point", [
+        ("curvature", "curvature at [0.3, 1.2] on 'fisher-normal' (levi-civita):",
+         lambda payload: payload["point"]),
+        ("conjugate", "conjugate connection at [0.3, 1.2] (entries Gamma*^k_ij, upper index "
+                      "first):", lambda payload: payload["details"]["point"]),
+    ], ids=["curvature", "conjugate"])
+    def test_point_flag_names_the_point_it_reports(self, spec_dir, tmp_path, capsys, command,
+                                                   heading, reported_point):
+        report = tmp_path / "r.json"
+        assert main([command, str(spec_dir / "fisher_normal.json"), "--point", "0.3,1.2",
+                     "--report", str(report)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == heading
+        assert reported_point(json.loads(report.read_text())) == [0.3, 1.2]
+
     @pytest.mark.parametrize("flag", ["--tol-exact", "--tol-fd"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, spec_dir, tmp_path, capsys, flag, value):
