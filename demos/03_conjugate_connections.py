@@ -37,7 +37,7 @@ print("cubic form of D*: ", cubic_form_at(line, Cstar, p)[0, 0, 0])
 fisher = fisher_normal()
 Cf = explicit_connection(fisher, {(0, 0, 0): "0.5*m", (1, 0, 1): "s"})
 Cf_star = conjugate(Cf, fisher)
-pt = fisher.sample_points(1, 3)[0]
+pt = fisher.sample_array(1, 3)[0]
 print("\ncurvature-duality residual on the Fisher chart:",
       curvature_duality_residual(fisher.metric_at(pt), riemann_at(Cf, pt),
                                  riemann_at(Cf_star, pt)))

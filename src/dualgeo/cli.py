@@ -213,7 +213,7 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
     ck = Checks(config, {"spec_digest": loaded.digest, "manifold": M.name})
     x = M.sample_array(ck.n("duality-residual"), config.seed)
     ck.add("duality-residual", duality_residual(M, loaded.connection, Cstar, x))
-    print(f"conjugate connection at {point.coords.tolist()} "
+    print(f"conjugate connection at {point.tolist()} "
           f"(entries Gamma*^k_ij, upper index first):")
     d = M.dim
     for k in range(d):
@@ -221,7 +221,7 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
             for j in range(d):
                 if abs(gam[k, i, j]) > 1e-14:
                     print(f"  Gamma*^{k}_{i}{j} = {gam[k, i, j]:+.12g}")
-    return _finish(ck.report, config, extra={"point": point.coords, "gamma_star": gam})
+    return _finish(ck.report, config, extra={"point": point, "gamma_star": gam})
 
 
 def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) -> int:
@@ -233,7 +233,7 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) ->
     point = M.point(config.point) if config.point else M.center()
     report = curvature_report(M, loaded.connection, point,
                               tol=config.exact_tol(FLAT_AT_POINT_TOL))
-    print(f"curvature at {point.coords.tolist()} on {M.name!r} "
+    print(f"curvature at {point.tolist()} on {M.name!r} "
           f"({loaded.connection.provenance}):")
     print(f"  max |R^l_ijk| = {float(np.max(np.abs(report.riemann))):.6e}"
           f"  (flat at point: {report.flat_at_point})")

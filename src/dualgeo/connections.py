@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import Expr, parse
-from .geometry import ManifoldSpec, _Jets, _coords_of, one_batch
+from .geometry import ManifoldSpec, _Jets, one_batch
 from . import numdiff
 
 __all__ = [
@@ -59,21 +59,18 @@ class ConnectionField:
 
     def gamma_at(self, p) -> np.ndarray:
         """Rank-3 array Gamma[..., k, i, j] at the point or points."""
-        x = _coords_of(p)
-        return self._memo("gamma", x, self._gamma)
+        return self._memo("gamma", p, self._gamma)
 
     def dgamma_at(self, p) -> np.ndarray:
         """Rank-4 array dGamma[..., l, k, i, j] = d_l Gamma^k_ij at the point or points."""
-        x = _coords_of(p)
-        return self._memo("dgamma", x, self._dgamma)
+        return self._memo("dgamma", p, self._dgamma)
 
     def d2gamma_at(self, p) -> np.ndarray:
         """Rank-5 array d2Gamma[..., p, q, k, i, j] = d_p d_q Gamma^k_ij (Levi-Civita only)."""
         if self._d2gamma is None:
             raise NotImplementedError(
                 f"{self.provenance!r} connections provide no second derivatives")
-        x = _coords_of(p)
-        return self._memo("d2gamma", x, self._d2gamma)
+        return self._memo("d2gamma", p, self._d2gamma)
 
     def __repr__(self) -> str:
         return f"ConnectionField({self.provenance!r} on {self.manifold.name!r})"
@@ -214,7 +211,7 @@ def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionFi
 def _duality_defect(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
                     p) -> np.ndarray:
     """D_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma*^m_ik g_jm at the point or points."""
-    x = _coords_of(p)
+    x = np.asarray(p, dtype=float)
     g = M.metric_at(x)
     dg = M.metric_derivatives_at(x)
     # dg - einsum("...mij,...mk->...ijk", gam, g) - einsum("...mik,...jm->...ijk", gam_star, g)
@@ -247,7 +244,7 @@ def cubic_form_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
 
     Kept on C's sample stream when M is C's chart.
     """
-    return C._memo_on(M, "cubic", _coords_of(p), lambda z: _duality_defect(M, C, C, z))
+    return C._memo_on(M, "cubic", p, lambda z: _duality_defect(M, C, C, z))
 
 
 def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionField, _dginv
-from .geometry import ManifoldSpec, _coords_of
+from .geometry import ManifoldSpec
 
 __all__ = [
     "FLAT_TOL", "CONSTANT_CURVATURE_TOL", "FLAT_AT_POINT_TOL",
@@ -60,7 +60,7 @@ class DegeneratePlaneError(ArithmeticError):
 
 def riemann_at(C: ConnectionField, p) -> np.ndarray:
     """Rank-4 array R[..., l, i, j, k]; antisymmetric in (i, j) to round-off."""
-    return _riemann_of(C, _coords_of(p))
+    return _riemann_of(C, p)
 
 
 def _riemann_of(C: ConnectionField, x: np.ndarray) -> np.ndarray:  # for kinds built from R
@@ -92,8 +92,7 @@ def riemann_derivative_at(C: ConnectionField, p) -> np.ndarray:
     Needs C's second derivatives of Gamma, so only the Levi-Civita
     connection has it.  Kept beside R on C's sample stream.
     """
-    x = _coords_of(p)
-    return C._memo("dR", x, lambda z: _riemann_derivative(
+    return C._memo("dR", p, lambda z: _riemann_derivative(
         C.gamma_at(z), C.dgamma_at(z), C.d2gamma_at(z)))
 
 
@@ -130,8 +129,7 @@ def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     Once E_j is found it is projected out of every later row at once, so each
     row sees the same operations, in the same order, as in the textbook loop.
     """
-    x = _coords_of(p)
-    return M._memo("frame", x, lambda z: _frame(M.metric_at(z)))
+    return M._memo("frame", p, lambda z: _frame(M.metric_at(z)))
 
 
 def _frame(g: np.ndarray) -> np.ndarray:
@@ -175,7 +173,7 @@ def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
 
     Kept beside R on C's sample stream when M is C's chart, as S is.
     """
-    return C._memo_on(M, "Ric", _coords_of(p), lambda z: _ricci(
+    return C._memo_on(M, "Ric", p, lambda z: _ricci(
         _riemann_of(C, z), M.metric_at(z), orthonormal_frame_at(M, z)))
 
 
@@ -191,7 +189,7 @@ def ricci_contraction(R: np.ndarray) -> np.ndarray:
 
 def scalar_at(M: ManifoldSpec, C: ConnectionField, p):
     """S = sum_i Ric(E_i, E_i) over the orthonormal frame."""
-    return _item(_scalar_of(M, C, _coords_of(p)))
+    return _item(_scalar_of(M, C, p))
 
 
 def ricci_operator_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
@@ -210,7 +208,7 @@ def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -
     """
     if M.dim <= 2:
         raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
-    x = _coords_of(p)
+    x = np.asarray(p, dtype=float)
     return _weyl(M.metric_at(x), M.inverse_metric_at(x), riemann_at(C, x), ricci_at(M, C, x),
                  _scalar_of(M, C, x), variant)
 
@@ -243,7 +241,7 @@ def weyl_derivative_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     """
     if M.dim <= 2:
         raise DimensionError(f"Weyl tensor needs dim >= 3, got {M.dim}")
-    x = _coords_of(p)
+    x = np.asarray(p, dtype=float)
     m = M.dim
     g, ginv, dg = M.metric_at(x), M.inverse_metric_at(x), M.metric_derivatives_at(x)
     dginv = _dginv(ginv, dg)
@@ -292,8 +290,8 @@ def first_bianchi_defect(R: np.ndarray) -> float:
 
 def sectional_at(M: ManifoldSpec, p, X, Y):
     """K(X, Y) = g(R(X,Y)Y, X) / (|X|^2 |Y|^2 - g(X,Y)^2), metric connection."""
-    X = np.asarray(getattr(X, "components", X), dtype=float)
-    Y = np.asarray(getattr(Y, "components", Y), dtype=float)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     g = M.metric_at(p)
     denom = _pair(g, X, X) * _pair(g, Y, Y) - _pair(g, X, Y) ** 2
     if (denom < 1e-12).any():
@@ -392,7 +390,7 @@ class CurvatureReport:
 
 def curvature_report(M: ManifoldSpec, C: ConnectionField, p,
                      tol: float = FLAT_AT_POINT_TOL) -> CurvatureReport:
-    x = _coords_of(p)
+    x = np.asarray(p, dtype=float)
     R = riemann_at(C, x)
     ric = ricci_at(M, C, x)
     S = _scalar_of(M, C, x)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldSpec, Point
+from .geometry import ManifoldSpec
 from .connections import (ConnectionField, _duality_defect, conjugate, involution_defect,
                           torsion_at)
 from .curvature import FLAT_TOL, ConstantSectionalResult, is_constant_sectional, riemann_at
@@ -38,7 +38,11 @@ BRANCH_TOL = 1e-8
 
 
 class ConjugacyError(ArithmeticError):
-    """Claimed conjugate pair violates the duality relation."""
+    """Claimed conjugate pair violates the duality relation.
+
+    ``worst_point`` holds the chart coordinates, a (d,) array, of the sample
+    where the duality residual is largest (None for an involution defect).
+    """
 
     def __init__(self, message: str, worst_point=None, residual: float | None = None):
         super().__init__(message)
@@ -87,10 +91,9 @@ def make_dualistic(M: ManifoldSpec, C: ConnectionField,
     first_worst = int(np.argmax(per_point))
     worst = float(per_point[first_worst])
     if not worst < tol:
-        worst_pt = Point(M, x[first_worst])
         raise ConjugacyError(
-            f"duality residual {worst:.3e} >= {tol:.1e} at {worst_pt.coords.tolist()}",
-            worst_point=worst_pt, residual=worst)
+            f"duality residual {worst:.3e} >= {tol:.1e} at {x[first_worst].tolist()}",
+            worst_point=x[first_worst], residual=worst)
     involution = involution_defect(M, C, Cstar, x)
     if not involution < 1e-10:
         raise ConjugacyError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,8 +17,7 @@ import numpy as np
 from .exprlang import Expr, compile_array, differentiate, evaluate, parse
 
 __all__ = [
-    "ManifoldSpec", "Point", "TangentVector",
-    "GeometryError", "SingularMetricError", "validate_metric",
+    "ManifoldSpec", "GeometryError", "SingularMetricError", "validate_metric",
 ]
 
 _COND_LIMIT = 1e12
@@ -93,8 +92,11 @@ class _Jets:
     d3_kernel = cached_property(lambda self: compile_array(self.d3_classes[0], self.coords))
 
 
-def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
+def one_batch(owner, kind: str, x, build) -> np.ndarray:
     """owner's array of this kind at x, read from its sample stream or built as build(x).
+
+    x is a point (d,) or a batch (N, d) in any form ``np.asarray`` takes; it
+    is converted to floats here, so an accessor passes its point through.
 
     An owner keeps one stream: the last point, or the longest of a run of
     batches that are row-prefixes of each other, with the arrays built on
@@ -122,6 +124,7 @@ def one_batch(owner, kind: str, x: np.ndarray, build) -> np.ndarray:
     stored array is read-only, since callers share it: an in-place edit
     raises instead of changing later reads.
     """
+    x = np.asarray(x, dtype=float)
     key = (x.shape, x.tobytes())
     last = owner._last_batch
     if last is None or not _begins(key, last[0]):
@@ -187,15 +190,29 @@ class ManifoldSpec:
         x = np.asarray(coords_array, dtype=float)
         return dict(zip(self.coords, x.tolist()))
 
-    def point(self, coords_array) -> "Point":
-        return Point(self, np.asarray(coords_array, dtype=float))
+    def point(self, coords_array) -> np.ndarray:
+        """The coordinates as a (d,) float array, checked against the chart's box."""
+        x = np.asarray(coords_array, dtype=float)
+        if x.shape != (self.dim,):
+            raise GeometryError(f"point has {x.shape} coordinates, expected {self.dim}")
+        if not self.contains(x):
+            raise GeometryError(f"point {x.tolist()} outside domain of {self.name!r}")
+        return x
 
-    def center(self) -> "Point":
+    def center(self) -> np.ndarray:
         return self.point([(lo + hi) / 2.0 for lo, hi in self.domain])
 
-    def contains(self, coords_array) -> bool:
+    def contains(self, coords_array) -> bool | np.ndarray:
+        """Whether a point (d,) lies in the closed box, or an (N,) mask for a batch (N, d).
+
+        False when the last axis is not the chart's dimension; NaN is outside.
+        """
         x = np.asarray(coords_array, dtype=float)
-        return bool(np.all([lo <= xi <= hi for xi, (lo, hi) in zip(x, self.domain)]))
+        if x.ndim == 0 or x.shape[-1] != self.dim:
+            return False
+        lo, hi = np.array(self.domain).T
+        inside = np.all((lo <= x) & (x <= hi), axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
     @cached_property
     def _jets(self) -> _Jets:
@@ -218,10 +235,10 @@ class ManifoldSpec:
         return one_batch(self, kind, x, build)
 
     def metric_at(self, p) -> np.ndarray:
-        return self._memo("g", _coords_of(p), self._jets.kernel)
+        return self._memo("g", p, self._jets.kernel)
 
     def inverse_metric_at(self, p) -> np.ndarray:
-        return self._memo("ginv", _coords_of(p), self._inverse_metric)
+        return self._memo("ginv", p, self._inverse_metric)
 
     def _inverse_metric(self, x: np.ndarray) -> np.ndarray:
         g = self.metric_at(x)
@@ -238,26 +255,26 @@ class ManifoldSpec:
 
     def metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dG[i, j, k] = d_i g_jk (exact symbolic derivatives)."""
-        return self._memo("dg", _coords_of(p), self._jets.d1_kernel)
+        return self._memo("dg", p, self._jets.d1_kernel)
 
     def metric_second_derivatives_at(self, p) -> np.ndarray:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""
-        return self._memo("d2g", _coords_of(p), self._jets.d2_kernel)
+        return self._memo("d2g", p, self._jets.d2_kernel)
 
     def metric_third_derivatives_at(self, p) -> np.ndarray:
         """Rank-5 array d3G[i, j, k, l, m] = d_i d_j d_k g_lm."""
-        return self._memo("d3g", _coords_of(p), self._metric_third_derivatives)
+        return self._memo("d3g", p, self._metric_third_derivatives)
 
     def _metric_third_derivatives(self, x: np.ndarray) -> np.ndarray:
         classes = self._jets.d3_kernel(x)  # [..., class, l, m]
         return np.take(classes, self._jets.d3_classes[1], axis=-3)
 
-    def gradient_at(self, f: Expr, p) -> "TangentVector":
-        """Metric gradient: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
-        x = _coords_of(p)
+    def gradient_at(self, f: Expr, p) -> np.ndarray:
+        """Metric gradient at a point: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
+        x = self.point(p)
         env = self.env(x)
         df = np.array([evaluate(derivative_table(f, c), env) for c in self.coords])
-        return TangentVector(self.point(x), self.inverse_metric_at(x) @ df)
+        return self.inverse_metric_at(x) @ df
 
     _draw = None  # sample_array's (seed, largest draw for that seed)
 
@@ -281,52 +298,8 @@ class ManifoldSpec:
                                                    size=(n, self.dim)))
         return draw[1][:n].copy()
 
-    def sample_points(self, n: int, seed: int) -> list["Point"]:
-        """The rows of ``sample_array(n, seed)`` as points."""
-        return [Point(self, row) for row in self.sample_array(n, seed)]
-
     def __repr__(self) -> str:
         return f"ManifoldSpec({self.name!r}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class Point:
-    manifold: ManifoldSpec
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        if self.coords.shape != (self.manifold.dim,):
-            raise GeometryError(
-                f"point has {self.coords.shape} coordinates, expected {self.manifold.dim}")
-        if not self.manifold.contains(self.coords):
-            raise GeometryError(
-                f"point {self.coords.tolist()} outside domain of {self.manifold.name!r}")
-
-    def __repr__(self) -> str:
-        return f"Point({self.manifold.name}, {np.round(self.coords, 6).tolist()})"
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    point: Point
-    components: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-        if self.components.shape != (self.point.manifold.dim,):
-            raise GeometryError("component count does not match manifold dimension")
-        if not np.all(np.isfinite(self.components)):
-            raise GeometryError("tangent vector components must be finite")
-
-    def __repr__(self) -> str:
-        return f"TangentVector({np.round(self.components, 6).tolist()} at {self.point})"
-
-
-def _coords_of(p) -> np.ndarray:
-    if isinstance(p, Point):
-        return p.coords
-    return np.asarray(p, dtype=float)
 
 
 def validate_metric(M: ManifoldSpec, samples: int = 64, seed: int = 42) -> None:

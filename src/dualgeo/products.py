@@ -24,15 +24,14 @@ import numpy as np
 from . import exprlang
 from .exprlang import (Const, Expr, compile_array, evaluate, fn, free_vars, mul, pow_, simplify,
                        sub, substitute)
-from .geometry import GeometryError, ManifoldSpec, TangentVector, _Jets, _coords_of
+from .geometry import GeometryError, ManifoldSpec, _Jets
 from .connections import ConnectionField
 from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
                         weyl_derivative_at)
 
 __all__ = [
-    "ProductSpec", "twisted_product", "lift", "project_base", "project_fiber",
-    "lift_lemma_residual", "block_gamma", "block_connection", "block_levi_civita",
-    "block_levi_civita_defect", "HessianData", "hessian_at",
+    "ProductSpec", "twisted_product", "lift_lemma_residual", "block_gamma", "block_connection",
+    "block_levi_civita", "block_levi_civita_defect", "HessianData", "hessian_at",
     "CurvatureBlockReport", "curvature_block_report", "riemann_block_residuals",
     "MIXED_RICCI_SIGN", "WEYL_FLAT_TOL", "mixed_ricci_at", "mixed_ricci_table",
     "ricci_base_block_residual", "MixedWeylReport", "mixed_weyl_report",
@@ -73,8 +72,8 @@ class ProductSpec:
         return self.manifold.dim
 
     def split(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Base and fiber coordinates of a product point or batch of points."""
-        x = _coords_of(x)
+        """Base and fiber parts of a product point, batch of points or vector: the projections."""
+        x = np.asarray(x, dtype=float)
         return x[..., : self.r], x[..., self.r:]
 
     # -- cached symbolic derivative data for b and k = log b -----------------
@@ -107,7 +106,7 @@ class ProductSpec:
         Read through the product chart's sample stream, so the arrays are
         shared and read-only.
         """
-        n, x = self.n, _coords_of(x)
+        n = self.n
         t = self.manifold._memo("twist", x, self._twist_data_kernel)
         return t[..., 0][()], t[..., 1:n + 1], t[..., n + 1:].reshape(t.shape[:-1] + (n, n))
 
@@ -142,9 +141,11 @@ class ProductSpec:
                               axis=-1)
 
     def pad_base(self, v) -> np.ndarray:
+        """Horizontal lift of base components v: zero over the fiber (``split`` projects back)."""
         return np.concatenate([np.asarray(v, dtype=float), np.zeros(self.s)])
 
     def pad_fiber(self, v) -> np.ndarray:
+        """Vertical lift of fiber components v: zero over the base (``split`` projects back)."""
         return np.concatenate([np.zeros(self.r), np.asarray(v, dtype=float)])
 
     def __repr__(self) -> str:
@@ -191,37 +192,7 @@ def twisted_product(B: ManifoldSpec, F: ManifoldSpec, twist) -> ProductSpec:
 
 
 # ---------------------------------------------------------------------------
-# lifts and projections
-
-
-def lift(P: ProductSpec, v: TangentVector) -> TangentVector:
-    """Zero-padded horizontal/vertical lift of a factor tangent vector.
-
-    The lift of a factor vector is a field on the whole product; it is
-    returned at the factor point completed by the other factor's box center.
-    """
-    factor = v.point.manifold
-    if factor is P.base:
-        pad = P.pad_base(v.components)
-        other = [(lo + hi) / 2 for lo, hi in P.fiber.domain]
-        coords = np.concatenate([v.point.coords, other])
-    elif factor is P.fiber:
-        pad = P.pad_fiber(v.components)
-        other = [(lo + hi) / 2 for lo, hi in P.base.domain]
-        coords = np.concatenate([other, v.point.coords])
-    else:
-        raise GeometryError("vector does not live on either factor of this product")
-    return TangentVector(P.manifold.point(coords), pad)
-
-
-def project_base(P: ProductSpec, v: TangentVector) -> TangentVector:
-    xb, _ = P.split(v.point.coords)
-    return TangentVector(P.base.point(xb), v.components[: P.r])
-
-
-def project_fiber(P: ProductSpec, v: TangentVector) -> TangentVector:
-    _, xf = P.split(v.point.coords)
-    return TangentVector(P.fiber.point(xf), v.components[P.r:])
+# the lift lemma
 
 
 def lift_lemma_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> float:
@@ -257,7 +228,7 @@ def block_gamma(P: ProductSpec, p, base_gamma: np.ndarray,
     with g the product metric and grad k its gradient.
     """
     r, s, n = P.r, P.s, P.n
-    x = _coords_of(p)
+    x = np.asarray(p, dtype=float)
     xb, xf = P.split(x)
     b, k1, _ = P.twist_data_at(x)
     kb, kf = k1[..., :r], k1[..., r:]
@@ -354,7 +325,7 @@ def hessian_at(P: ProductSpec, p) -> HessianData:
     The full product Hessian restricts to the displayed base and mixed
     blocks; the restriction defect is part of the verification suite.
     """
-    x = _coords_of(p)
+    x = np.asarray(p, dtype=float)
     xb, _ = P.split(x)
     r = P.r
     b, k1, k2 = P.twist_data_at(x)
@@ -472,14 +443,12 @@ def curvature_block_report(P: ProductSpec, samples: int = 16,
 
 
 def mixed_ricci_at(P: ProductSpec, p, X, V) -> tuple[float, float]:
-    """(direct mixed Ricci, closed form (s-1)XV(k)) for base X, fiber V.
+    """(direct mixed Ricci, closed form (s-1)XV(k)) for base components X, fiber components V.
 
     The two agree up to the global sign MIXED_RICCI_SIGN; their zero sets
     coincide exactly.
     """
-    x = _coords_of(p)
-    X = np.asarray(getattr(X, "components", X), dtype=float)
-    V = np.asarray(getattr(V, "components", V), dtype=float)
+    x = np.asarray(p, dtype=float)
     ric = ricci_at(P.manifold, P.chart_levi_civita, x)
     direct = float(X @ ric[: P.r, P.r:] @ V)
     _, _, k2 = P.twist_data_at(x)
@@ -583,7 +552,7 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42) -> Sepa
     shared equally between the two parts, so results are reproducible.
     """
     r = P.r
-    anchor = P.manifold.center().coords
+    anchor = P.manifold.center()
     X = P.manifold.sample_array(samples, seed)
     _, _, k2 = P.twist_data_at(X)
     worst = float(np.max(np.abs(k2[..., :r, r:])))

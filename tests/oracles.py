@@ -212,8 +212,7 @@ def riemann_block_residuals_per_point(P, conn, base_conn, fiber_conn, samples, s
     worst = dict.fromkeys(("R(X,Y)Z", "R(X,Y)U", "R(X,U)Y", "R(U,V)X", "R(X,U)V",
                            "R(U,V)W[index-consistent]", "R(U,V)W[as-printed]"), 0.0)
     fiber_out = np.eye(n)[:, r:]
-    for pt in P.manifold.sample_points(samples, seed):
-        x = pt.coords
+    for x in P.manifold.sample_array(samples, seed):
         xb, xf = P.split(x)
         gFF = P.manifold.metric_at(x)[r:, r:]
         gBinv = P.base.inverse_metric_at(xb)
@@ -259,7 +258,7 @@ def riemann_block_residuals_per_point(P, conn, base_conn, fiber_conn, samples, s
 def mixed_ricci_table_per_point(P, samples, seed):
     """(max |Ric(X,V)|, max |(s-1)XV(k)|, max residual with the adopted sign)."""
     out = np.zeros(3)
-    for pt in P.manifold.sample_points(samples, seed):
+    for pt in P.manifold.sample_array(samples, seed):
         direct = ricci_at(P.manifold, P.chart_levi_civita, pt)[: P.r, P.r:]
         closed = (P.s - 1) * P.twist_data_at(pt)[2][: P.r, P.r:]
         out = np.maximum(out, [np.max(np.abs(direct)), np.max(np.abs(closed)),
@@ -270,8 +269,8 @@ def mixed_ricci_table_per_point(P, samples, seed):
 def ricci_base_block_residual_per_point(P, samples, seed):
     r, s = P.r, P.s
     worst = 0.0
-    for pt in P.manifold.sample_points(samples, seed):
-        xb, _ = P.split(pt.coords)
+    for pt in P.manifold.sample_array(samples, seed):
+        xb, _ = P.split(pt)
         ric = ricci_at(P.manifold, P.chart_levi_civita, pt)
         ric_b = ricci_at(P.base, P.base_levi_civita, xb)
         _, k1, _ = P.twist_data_at(pt)
@@ -285,7 +284,7 @@ def mixed_weyl_report_per_point(P, samples, seed):
     n, r, s = P.n, P.r, P.s
     base, fib = np.eye(n)[:, :r], np.eye(n)[:, r:]
     out = np.zeros(5)
-    for pt in P.manifold.sample_points(samples, seed):
+    for pt in P.manifold.sample_array(samples, seed):
         W = weyl_at(P.manifold, P.chart_levi_civita, pt)
         cross = P.twist_data_at(pt)[2][:r, r:]
         xyv = ((1 - s) / (n - 2)) * (np.einsum("lb,aw->labw", base, cross)

@@ -41,7 +41,7 @@ def test_criterion_1_conjugation_soundness():
     for M, cname, C, Cstar in conjugation_pairs():
         count += 1
         double = conjugate(Cstar, M)
-        for pt in M.sample_points(SAMPLES, SEED):
+        for pt in M.sample_array(SAMPLES, SEED):
             worst_duality = max(worst_duality, duality_residual(M, C, Cstar, pt))
             worst_involution = max(worst_involution, float(np.max(np.abs(
                 double.gamma_at(pt) - C.gamma_at(pt)))))
@@ -57,7 +57,7 @@ def test_criterion_2_identity_suite():
     rng = np.random.default_rng(SEED)
     worst_cubic = worst_torsion_rel = worst_curv = 0.0
     for M, cname, C, Cstar in conjugation_pairs():
-        for pt in M.sample_points(SAMPLES, SEED):
+        for pt in M.sample_array(SAMPLES, SEED):
             cubic = cubic_form_at(M, C, pt)
             cubic_star = cubic_form_at(M, Cstar, pt)
             worst_cubic = max(worst_cubic, float(np.max(np.abs(cubic + cubic_star))))
@@ -83,12 +83,12 @@ def test_criterion_3_classical_curvature():
     tol = 1e-6
     sphere, hyp, fisher = fx.sphere2(), fx.hyperbolic2(), fx.fisher_normal()
     dev = 0.0
-    for pt in sphere.sample_points(10, SEED):
+    for pt in sphere.sample_array(10, SEED):
         dev = max(dev, abs(scalar_at(sphere, levi_civita(sphere), pt) - 2.0),
                   abs(sectional_at(sphere, pt, [1, 0], [0, 1]) - 1.0))
-    for pt in hyp.sample_points(10, SEED):
+    for pt in hyp.sample_array(10, SEED):
         dev = max(dev, abs(scalar_at(hyp, levi_civita(hyp), pt) + 2.0))
-    for pt in fisher.sample_points(10, SEED):
+    for pt in fisher.sample_array(10, SEED):
         dev = max(dev, abs(sectional_at(fisher, pt, [1, 0], [0, 1]) + 0.5))
     report_line(3, "classical-curvature", dev < tol,
                 f"max deviation {dev:.2e} vs {tol:.0e} at 10 points per fixture")

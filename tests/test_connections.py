@@ -40,7 +40,7 @@ class TestLeviCivita:
 
     def test_metric_compatibility(self, sphere):
         lc = levi_civita(sphere)
-        for pt in sphere.sample_points(16, 3):
+        for pt in sphere.sample_array(16, 3):
             assert np.max(np.abs(cubic_form_at(sphere, lc, pt))) < 1e-12
 
     def test_dgamma_matches_fd(self):
@@ -57,7 +57,7 @@ class TestConjugate:
         for M in fx.standard_manifolds():
             lc = levi_civita(M)
             lc_star = conjugate(lc, M)
-            for pt in M.sample_points(16, 5):
+            for pt in M.sample_array(16, 5):
                 assert np.max(np.abs(lc.gamma_at(pt) - lc_star.gamma_at(pt))) < 1e-12
 
     def test_constant_negates_on_line(self, euclid1, pair_c):
@@ -68,14 +68,14 @@ class TestConjugate:
         for M in fx.standard_manifolds():
             for _, C in fx.connection_suite(M):
                 double = conjugate(conjugate(C, M), M)
-                for pt in M.sample_points(64, 42):
+                for pt in M.sample_array(64, 42):
                     assert np.max(np.abs(double.gamma_at(pt) - C.gamma_at(pt))) < 1e-10
 
     def test_conjugate_satisfies_duality(self):
         for M in fx.standard_manifolds():
             for _, C in fx.connection_suite(M):
                 Cstar = conjugate(C, M)
-                for pt in M.sample_points(64, 42):
+                for pt in M.sample_array(64, 42):
                     assert duality_residual(M, C, Cstar, pt) < 1e-10
 
     def test_dgamma_of_conjugate_matches_fd(self, fisher):
@@ -90,7 +90,7 @@ class TestConjugate:
 class TestDualityResidual:
     def test_metric_pair_on_sphere(self, sphere):
         lc = levi_civita(sphere)
-        for pt in sphere.sample_points(8, 7):
+        for pt in sphere.sample_array(8, 7):
             assert duality_residual(sphere, lc, lc, pt) < 1e-10
 
     def test_hand_constructed_pair(self, euclid1, pair_c):
@@ -106,7 +106,7 @@ class TestTorsion:
     def test_levi_civita_torsion_free(self, sphere, hyperbolic):
         for M in (sphere, hyperbolic):
             lc = levi_civita(M)
-            for pt in M.sample_points(8, 1):
+            for pt in M.sample_array(8, 1):
                 assert np.allclose(torsion_at(lc, pt), 0.0)
 
     def test_definition(self, euclid2):
@@ -130,7 +130,7 @@ class TestCubicForm:
         for M in fx.standard_manifolds():
             for _, C in fx.connection_suite(M):
                 Cstar = conjugate(C, M)
-                for pt in M.sample_points(64, 42):
+                for pt in M.sample_array(64, 42):
                     total = cubic_form_at(M, C, pt) + cubic_form_at(M, Cstar, pt)
                     assert np.max(np.abs(total)) < 1e-10
 
@@ -143,7 +143,7 @@ class TestCubicForm:
 class TestTorsionRelation:
     def test_metric_pair_random_vectors(self, sphere):
         lc = levi_civita(sphere)
-        for pt in sphere.sample_points(8, 4):
+        for pt in sphere.sample_array(8, 4):
             assert torsion_relation_residual(sphere.metric_at(pt), torsion_at(lc, pt),
                                              torsion_at(lc, pt),
                                              cubic_form_at(sphere, lc, pt)) < 1e-10
@@ -151,7 +151,7 @@ class TestTorsionRelation:
     def test_torsionful_pair(self, euclid2):
         C = explicit_connection(euclid2, {(0, 0, 1): "1", (1, 0, 0): "x"})
         Cstar = conjugate(C, euclid2)
-        for pt in euclid2.sample_points(16, 8):
+        for pt in euclid2.sample_array(16, 8):
             assert torsion_relation_residual(euclid2.metric_at(pt), torsion_at(C, pt),
                                              torsion_at(Cstar, pt),
                                              cubic_form_at(euclid2, Cstar, pt)) < 1e-10

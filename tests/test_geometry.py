@@ -13,8 +13,7 @@ from dualgeo import curvature
 from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann_derivative_at,
                                sectional_at)
 from dualgeo.exprlang import DomainError, differentiate, evaluate, parse
-from dualgeo.geometry import (GeometryError, ManifoldSpec, Point, SingularMetricError,
-                              TangentVector, validate_metric)
+from dualgeo.geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
 from dualgeo import fixtures as fx
 
 from oracles import fd1
@@ -22,7 +21,7 @@ from oracles import fd1
 
 class TestMetricAt:
     def test_euclidean_identity(self, euclid2):
-        for pt in euclid2.sample_points(5, 1):
+        for pt in euclid2.sample_array(5, 1):
             assert np.allclose(euclid2.metric_at(pt), np.eye(2))
 
     def test_sphere_equator(self, sphere):
@@ -49,7 +48,7 @@ class TestInverseMetric:
 
     def test_product_is_identity_on_fixtures(self, sphere, hyperbolic, fisher):
         for M in (sphere, hyperbolic, fisher):
-            for pt in M.sample_points(64, 42):
+            for pt in M.sample_array(64, 42):
                 g, ginv = M.metric_at(pt), M.inverse_metric_at(pt)
                 assert np.max(np.abs(g @ ginv - np.eye(M.dim))) < 1e-12
 
@@ -263,55 +262,80 @@ class TestLastBatchCache:
 class TestGradient:
     def test_coordinate_function_euclidean(self, euclid2):
         grad = euclid2.gradient_at(parse("x", euclid2.coords), [0.3, 0.4])
-        assert np.allclose(grad.components, [1.0, 0.0])
+        assert np.allclose(grad, [1.0, 0.0])
 
     def test_sphere_azimuth(self, sphere):
         grad = sphere.gradient_at(parse("ph", sphere.coords), [math.pi / 4, 1.0])
-        assert np.allclose(grad.components, [0.0, 2.0], atol=1e-13)
+        assert np.allclose(grad, [0.0, 2.0], atol=1e-13)
 
     def test_constant(self, hyperbolic):
         grad = hyperbolic.gradient_at(parse("3.5", hyperbolic.coords), [0.1, 1.0])
-        assert np.allclose(grad.components, 0.0)
+        assert np.allclose(grad, 0.0)
+
+    def test_point_is_checked(self, fisher):
+        f = parse("m^2*s", fisher.coords)
+        with pytest.raises(GeometryError, match=r"point has \(3, 2\) coordinates, expected 2"):
+            fisher.gradient_at(f, fisher.sample_array(3, 1))
+        with pytest.raises(GeometryError, match="outside domain of 'fisher-normal'"):
+            fisher.gradient_at(f, [0.0, -1.0])
 
     def test_duality_with_directional_derivative(self, fisher):
         # g(grad f, e_i) = d_i f for every coordinate direction
         from dualgeo.exprlang import differentiate
         f = parse("m^2*s + sin(s)", fisher.coords)
-        for pt in fisher.sample_points(10, 3):
+        for pt in fisher.sample_array(10, 3):
             g = fisher.metric_at(pt)
-            grad = fisher.gradient_at(f, pt).components
+            grad = fisher.gradient_at(f, pt)
             for i, coord in enumerate(fisher.coords):
-                exact = evaluate(differentiate(f, coord), fisher.env(pt.coords))
+                exact = evaluate(differentiate(f, coord), fisher.env(pt))
                 assert float(np.eye(fisher.dim)[i] @ g @ grad) == pytest.approx(
                     exact, abs=1e-10)
-                fd = fd1(lambda z: evaluate(f, fisher.env(z)), pt.coords, i)
+                fd = fd1(lambda z: evaluate(f, fisher.env(z)), pt, i)
                 assert float(fd) == pytest.approx(exact, abs=1e-8)
 
 
 class TestSamplePoints:
     def test_deterministic(self, euclid2):
-        a = euclid2.sample_points(3, 42)
-        b = euclid2.sample_points(3, 42)
-        assert all(np.array_equal(p.coords, q.coords) for p, q in zip(a, b))
+        a = euclid2.sample_array(3, 42)
+        b = euclid2.sample_array(3, 42)
+        assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
     def test_different_seeds_differ(self, euclid2):
-        a = euclid2.sample_points(3, 1)
-        b = euclid2.sample_points(3, 2)
-        assert not all(np.array_equal(p.coords, q.coords) for p, q in zip(a, b))
+        a = euclid2.sample_array(3, 1)
+        b = euclid2.sample_array(3, 2)
+        assert not all(np.array_equal(p, q) for p, q in zip(a, b))
 
     def test_interior_margin(self, sphere):
-        for pt in sphere.sample_points(200, 9):
-            for x, (lo, hi) in zip(pt.coords, sphere.domain):
+        for pt in sphere.sample_array(200, 9):
+            for x, (lo, hi) in zip(pt, sphere.domain):
                 margin = 0.05 * (hi - lo)
                 assert lo + margin <= x <= hi - margin
 
     def test_single_point(self, hyperbolic):
-        (pt,) = hyperbolic.sample_points(1, 5)
-        assert hyperbolic.contains(pt.coords)
+        (pt,) = hyperbolic.sample_array(1, 5)
+        assert hyperbolic.contains(pt)
 
     def test_zero_points_rejected(self, euclid2):
         with pytest.raises(GeometryError):
-            euclid2.sample_points(0, 1)
+            euclid2.sample_array(0, 1)
+
+
+class TestContains:
+    def test_point_in_the_closed_box(self, euclid2):
+        assert euclid2.contains([1.0, -1.0]) is True
+        assert euclid2.contains(np.array([0.5, 1.5])) is False
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 99.0], [[0.5], [0.5]], 0.5])
+    def test_wrong_dimension_is_outside(self, euclid2, x):
+        assert euclid2.contains(x) is False
+
+    def test_nan_is_outside(self, euclid2):
+        assert euclid2.contains([np.nan, 0.0]) is False
+
+    def test_batch_gives_a_mask(self, euclid2):
+        X = np.array([[0.0, 0.0], [0.0, 2.0], [np.nan, 0.0], [-1.0, 1.0]])
+        mask = euclid2.contains(X)
+        assert mask.dtype == bool and mask.tolist() == [True, False, False, True]
 
 
 class TestValidation:
@@ -333,17 +357,16 @@ class TestValidation:
 
     def test_point_outside_domain(self, sphere):
         with pytest.raises(GeometryError):
-            Point(sphere, np.array([0.0, 1.0]))
+            sphere.point(np.array([0.0, 1.0]))
 
-    def test_vector_shape_checked(self, sphere):
-        pt = sphere.point([1.0, 1.0])
-        with pytest.raises(GeometryError):
-            TangentVector(pt, np.array([1.0, 2.0, 3.0]))
-
-    def test_vector_finite_checked(self, sphere):
-        pt = sphere.point([1.0, 1.0])
-        with pytest.raises(GeometryError):
-            TangentVector(pt, np.array([np.nan, 0.0]))
+    def test_point_is_a_checked_float_array(self, sphere):
+        x = sphere.point([1, 2])
+        assert x.dtype == float and x.tolist() == [1.0, 2.0]
+        assert sphere.center().tolist() == [(0.3 + 2.8) / 2, 1.5]
+        with pytest.raises(GeometryError, match=r"point has \(3,\) coordinates, expected 2"):
+            sphere.point([1.0, 1.0, 1.0])
+        with pytest.raises(GeometryError, match=r"point \[nan, 1.0\] outside domain of 'sphere2'"):
+            sphere.point([np.nan, 1.0])
 
     def test_metric_shape_checked(self):
         with pytest.raises(GeometryError):

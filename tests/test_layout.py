@@ -1,7 +1,8 @@
 """Source layout rules for src/dualgeo, checked on the syntax tree.
 
-* No code calls ``ManifoldSpec.sample_points``: checks evaluate a sample set
-  as one batch from ``sample_array`` instead of looping over points.
+* No ``for`` loop or comprehension iterates a ``ManifoldSpec.sample_array``
+  call: checks evaluate a sample set as one batch instead of looping over
+  its points.
 * Only ``connections.py`` imports ``numdiff``, for its one deliberate
   finite-difference cross-check (``dgamma_fd_defect``), so finite
   differences cannot spread to verdict paths.
@@ -108,9 +109,16 @@ def _imports_numdiff(node: ast.AST) -> bool:
     return False
 
 
-def sample_points_calls(trees) -> list[str]:
-    return [f"{name}:{node.lineno}" for name, tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _called_name(node) == "sample_points"]
+def sample_array_loops(trees) -> list[str]:
+    """``file:line`` of each loop or comprehension over a ``sample_array`` call's rows.
+
+    The iterable is the call, or an argument of a call wrapping it
+    (``enumerate``, ``zip``); a list holding the batch is not iterated row by row.
+    """
+    return [f"{name}:{node.iter.lineno}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.comprehension))
+            and any(isinstance(it, ast.Call) and _called_name(it) == "sample_array"
+                    for it in [node.iter, *getattr(node.iter, "args", [])])]
 
 
 def numdiff_importers(trees) -> set[str]:
@@ -458,12 +466,12 @@ def unused_knobs(trees, caller_trees) -> set[str]:
 def test_scan_sees_the_package():
     names = {name for name, _ in _trees()}
     assert {"geometry.py", "curvature.py", "products.py", "verify.py"} <= names
-    assert any(isinstance(node, ast.FunctionDef) and node.name == "sample_points"
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "sample_array"
                for name, tree in _trees() if name == "geometry.py" for node in ast.walk(tree))
 
 
-def test_no_code_loops_over_sample_points():
-    assert sample_points_calls(_trees()) == []
+def test_no_code_loops_over_sample_arrays():
+    assert sample_array_loops(_trees()) == []
 
 
 def test_numdiff_stays_in_connections():
@@ -570,18 +578,20 @@ def test_theorems_share_one_record():
 
 
 @pytest.mark.parametrize("source, calls, importers", [
-    ("for pt in M.sample_points(4, 1):\n    pass\n", 1, set()),
-    ("xs = [p.coords for p in sample_points(M, 3, 1)]\n", 1, set()),
+    ("for pt in M.sample_array(4, 1):\n    pass\n", 1, set()),
+    ("xs = [p for p in M.sample_array(3, 1)]\n", 1, set()),
     ("x = M.sample_array(4, 1)\n", 0, set()),
     ("from . import numdiff\n", 0, {"probe.py"}),
     ("from .numdiff import central_diff\n", 0, {"probe.py"}),
     ("import dualgeo.numdiff\n", 0, {"probe.py"}),
     ("from dualgeo import exprlang, numdiff\n", 0, {"probe.py"}),
     ("from . import exprlang\n", 0, set()),
+    ("for x in [M.sample_array(n, seed)]:\n    pass\n", 0, set()),
+    ("for a, b in zip(A.sample_array(4, 1), B.sample_array(4, 1)):\n    pass\n", 1, set()),
 ])
 def test_scan_flags_each_form(source, calls, importers):
     trees = [("probe.py", ast.parse(source))]
-    assert len(sample_points_calls(trees)) == calls
+    assert len(sample_array_loops(trees)) == calls
     assert numdiff_importers(trees) == importers
 
 

@@ -48,23 +48,23 @@ COSH_TWIST = twisted_product(fx.euclidean(1, ("x",), "lineB"),
 @settings(max_examples=60, deadline=None)
 @given(seeds, vectors(3, 2))
 def test_torsion_relation_bound(seed, vecs):
-    pt = PLANE.sample_points(1, seed)[0]
+    pt = PLANE.sample_array(1, seed)[0]
     T = torsion_at(TORSIONFUL, pt)
     residual = torsion_relation_residual(PLANE.metric_at(pt), T, T,
                                          cubic_form_at(PLANE, TORSIONFUL, pt))
     assert residual > 0.1
-    assert torsion_relation_contraction(PLANE, TORSIONFUL, TORSIONFUL, pt.coords,
+    assert torsion_relation_contraction(PLANE, TORSIONFUL, TORSIONFUL, pt,
                                         *vecs) <= residual + SLACK
 
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, vectors(4, 2))
 def test_curvature_duality_bound(seed, vecs):
-    pt = FISHER.sample_points(1, seed)[0]
+    pt = FISHER.sample_array(1, seed)[0]
     residual = curvature_duality_residual(FISHER.metric_at(pt), riemann_at(_C, pt),
                                           riemann_at(PERTURBED_DUAL, pt))
     assert residual > 1e-3
-    assert curvature_duality_contraction(FISHER, _C, PERTURBED_DUAL, pt.coords,
+    assert curvature_duality_contraction(FISHER, _C, PERTURBED_DUAL, pt,
                                          *vecs) <= residual + SLACK
 
 
@@ -75,8 +75,8 @@ def test_curvature_block_bounds(seed, base_vecs, fiber_vecs):
     conns = (P.chart_levi_civita, P.base_levi_civita, P.fiber_levi_civita)
     residuals = riemann_block_residuals(P, *conns, samples=1, seed=seed)
     assert residuals["R(U,V)W[index-consistent]"] > 1e-9
-    pt = P.manifold.sample_points(1, seed)[0]
-    contractions = curvature_block_contractions(P, *conns, pt.coords,
+    pt = P.manifold.sample_array(1, seed)[0]
+    contractions = curvature_block_contractions(P, *conns, pt,
                                                 *base_vecs, *fiber_vecs)
     for block, value in contractions.items():
         assert value <= residuals[block] + SLACK, block
