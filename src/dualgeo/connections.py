@@ -50,10 +50,10 @@ class ConnectionField:
 
     _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
 
-    def _memo(self, kind: str, x: np.ndarray, build):
+    def _memo(self, kind: str, x, build):
         return one_batch(self, kind, x, build)
 
-    def _memo_on(self, M: ManifoldSpec, kind: str, x: np.ndarray, build):
+    def _memo_on(self, M: ManifoldSpec, kind: str, x, build):
         """``_memo`` for a kind taken with M's metric, kept only when M is this chart."""
         return one_batch(self, kind, x, build) if M is self.manifold else build(x)
 

@@ -63,7 +63,7 @@ def riemann_at(C: ConnectionField, p) -> np.ndarray:
     return _riemann_of(C, p)
 
 
-def _riemann_of(C: ConnectionField, x: np.ndarray) -> np.ndarray:  # for kinds built from R
+def _riemann_of(C: ConnectionField, x) -> np.ndarray:  # for kinds built from R
     return C._memo("R", x, lambda z: _riemann(C.gamma_at(z), C.dgamma_at(z)))
 
 
@@ -177,7 +177,7 @@ def ricci_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
         _riemann_of(C, z), M.metric_at(z), orthonormal_frame_at(M, z)))
 
 
-def _scalar_of(M: ManifoldSpec, C: ConnectionField, x: np.ndarray) -> np.ndarray:
+def _scalar_of(M: ManifoldSpec, C: ConnectionField, x) -> np.ndarray:
     return C._memo_on(M, "S", x, lambda z: np.asarray(_scalar(ricci_at(M, C, z),
                                                                orthonormal_frame_at(M, z))))
 

@@ -231,7 +231,7 @@ class ManifoldSpec:
 
     _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
 
-    def _memo(self, kind: str, x: np.ndarray, build):
+    def _memo(self, kind: str, x, build):
         return one_batch(self, kind, x, build)
 
     def metric_at(self, p) -> np.ndarray:
