@@ -420,7 +420,7 @@ def _load_twist(args) -> LoadedProduct:
 def _config_from(args) -> RunConfig:
     options = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     point = options.pop("point", None)
-    if point:
+    if point is not None:
         try:
             options["point"] = tuple(float(part) for part in point.split(","))
         except ValueError:

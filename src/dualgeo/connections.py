@@ -159,7 +159,7 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
     Values may be expression source strings, Expr nodes, or numbers.
     """
     d = M.dim
-    exprs = [[[None] * d for _ in range(d)] for _ in range(d)]
+    exprs = [None] * d**3  # row-major over (k, i, j)
     for (k, i, j), value in entries.items():
         if not (0 <= k < d and 0 <= i < d and 0 <= j < d):
             raise ValueError(f"connection index {(k, i, j)} out of range for dim {d}")
@@ -169,10 +169,9 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
             e = parse(value, M.coords)
         else:
             e = parse(repr(float(value)), M.coords)
-        exprs[k][i][j] = e
+        exprs[(k * d + i) * d + j] = e
     zero = parse("0", M.coords)
-    jets = _Jets([[[e if e is not None else zero for e in row] for row in plane] for plane in exprs],
-                 M.coords)
+    jets = _Jets(tuple(zero if e is None else e for e in exprs), (d,) * 3, M.coords)
     return ConnectionField(M, "explicit", lambda x: jets.kernel(x), lambda x: jets.d1_kernel(x))
 
 

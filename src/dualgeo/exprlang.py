@@ -9,9 +9,10 @@ Nodes are hash-consed: a constructor returns the one live node of its key,
 so trees equal node for node (constants by type and ``repr``) are one
 object, and ``==`` and ``hash`` are identity.  The intern table is weak: a
 node dies with its last holder.  Symbolic work is kept across calls, never
-arrays of numbers: ``differentiate`` memoizes on the node, and
-``compile_array`` keeps the kernels of the last 512 entry arrays, with
-their roots.
+arrays of numbers: ``parse`` keeps the trees of the last 1024 sources parsed,
+``differentiate`` memoizes on the node, and ``compile_array`` keeps the
+kernels of the last 512 entry arrays, with their roots.  A kernel computes
+and returns each distinct entry once, and places it at each of its entries.
 
 Grammar::
 
@@ -27,6 +28,7 @@ The identifier ``pi`` denotes the constant.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -325,13 +327,23 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
 
 
+# parse's trees by (source, coordinates), oldest first; an error is never kept
+_PARSED = collections.OrderedDict()
+_PARSED_KEPT = 1024
+
+
 def parse(source: str, coords) -> Expr:
-    """Parse ``source`` over the declared coordinate names."""
+    """Parse ``source`` over the declared coordinate names; the last 1024 trees are kept."""
     coords = tuple(coords)
-    clash = set(coords) & (set(FUNCTIONS) | {"pi"})
-    if clash:
-        raise ParseError(f"coordinate names shadow built-ins: {sorted(clash)}", 0)
-    return _Parser(source, coords).parse()
+    tree = _PARSED.get((source, coords))
+    if tree is None:
+        clash = set(coords) & (set(FUNCTIONS) | {"pi"})
+        if clash:
+            raise ParseError(f"coordinate names shadow built-ins: {sorted(clash)}", 0)
+        tree = _PARSED[source, coords] = _Parser(source, coords).parse()
+        if len(_PARSED) > _PARSED_KEPT:
+            _PARSED.popitem(last=False)
+    return tree
 
 
 def evaluate(e: Expr, env: dict[str, float]) -> float:
@@ -452,14 +464,15 @@ def compile_array(exprs, coords):
     same object and finds its kernel.  The kernel is one generated
     straight-line scalar function, run once per point, with an assignment
     per distinct node (a shared subtree is one node, so it is computed
-    once); constants live in its namespace, never in its source, so kernels
+    once) and a return of each distinct entry once, which one ``np.take``
+    places; constants live in its namespace, never in its source, so kernels
     of the same structure share one code object.  It uses the same
     domain-guarded operations as ``evaluate``.  A point where a node leaves
     the domain or an entry is not finite gets a NaN row in the one pass over
     the points; only those rows are then evaluated again, in point order and
-    with ``evaluate`` entry by entry in row-major order, so the kernel raises
-    exactly the error ``evaluate`` raises for the first failing entry of the
-    first failing point.
+    with ``evaluate`` on each distinct entry by first appearance, so the
+    kernel raises exactly the error ``evaluate`` raises for the first failing
+    entry, in row-major order, of the first failing point.
     """
     shape, flat = _flatten(exprs)
     return _kernel_of(tuple(flat), shape, tuple(coords))
@@ -519,29 +532,32 @@ def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str
             else:
                 raise ValueError(f"cannot compile {type(e).__name__} node")
             names[id(e)] = name
-    outputs = ", ".join(names[id(e)] for e in flat)
+    # The straight-line function returns each distinct entry once, first appearance first:
+    # the first failing entry in that order is the first in row-major order.
+    distinct = list(dict.fromkeys(flat))
+    outputs = ", ".join(names[id(e)] for e in distinct)
     source = "\n".join(["def kernel(x):", *lines, f"    return [{outputs}]"])
     exec(_code_of(source), namespace)
     straight = namespace["kernel"]
-    size = len(flat)
+    place = {e: i for i, e in enumerate(distinct)}
+    index = np.array([place[e] for e in flat], dtype=np.intp).reshape(shape)
 
     def kernel(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         count = math.prod(x.shape[:-1])
         points = x.reshape(count, x.shape[-1]).tolist()
-        out = np.empty(x.shape[:-1] + shape)
-        rows = out.reshape(count, size)
+        rows = np.empty((count, len(distinct)))
         for i, xs in enumerate(points):
             try:
                 rows[i] = straight(xs)
             except (ArithmeticError, ValueError, LookupError):
                 rows[i] = math.nan
-        if np.isfinite(rows).all():
-            return out
-        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
-            env = dict(zip(coords, points[i]))
-            rows[i] = [evaluate(e, env) for e in flat]
-        return out
+        if not np.isfinite(rows).all():
+            for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+                env = dict(zip(coords, points[i]))
+                rows[i] = [evaluate(e, env) for e in distinct]
+        out = rows.reshape(x.shape[:-1] + rows.shape[1:]).take(index, axis=-1)
+        return out if shape else np.asarray(out)  # take makes one entry at a point a scalar
 
     return kernel
 

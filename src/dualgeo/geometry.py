@@ -7,14 +7,17 @@ metric degeneracies, which keeps sampling and SPD validation trivial.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exprlang import Expr, compile_array, differentiate, evaluate, parse
+from . import exprlang
+from .exprlang import Expr, differentiate, evaluate, parse
 
 __all__ = [
     "ManifoldSpec", "GeometryError", "SingularMetricError", "validate_metric",
@@ -31,65 +34,74 @@ class SingularMetricError(ArithmeticError):
     """Metric is numerically singular at the requested point."""
 
 
-def derivative_table(exprs, coord: str):
-    """d exprs / d coord entry by entry, nested like exprs.
+def derivative_table(exprs: tuple, coord: str) -> tuple:
+    """d exprs / d coord entry by entry, for a tuple of entries.
 
     ``differentiate`` memoizes on the entry node, and equal entries are one
     node, so each distinct entry is differentiated once per coordinate for
     as long as it lives, and its derivatives are one object too.
     """
-    if isinstance(exprs, Expr):
-        return differentiate(exprs, coord)
-    return [derivative_table(e, coord) for e in exprs]
+    return tuple(differentiate(e, coord) for e in exprs)
 
 
 class _Jets:
     """An array of expressions with its derivatives over coords, and their kernels.
 
     A chart's metric g with dg, d2g, d3g, an explicit connection's Gamma
-    with dGamma, a twist's k with dk, d2k.  Each owner builds its own; the
-    nodes' derivative memos and ``compile_array``'s kernel table make every
-    derivative and kernel of the same entries the same object in every
-    owner.  It holds no arrays of numbers.  Higher derivatives are built
-    once per symmetric class of derivative indices: d_i d_j for i <= j,
-    d_i d_j d_k for i <= j <= k.  Kernels are compiled on first evaluation.
+    with dGamma, a twist's k with dk, d2k.  The array is a row-major tuple
+    of entries of ``shape``, and so is each derivative block, with the
+    derivative indices leading: d1 has shape (d,) + shape, d2 (d, d) + shape.
+    Each owner builds its own; the nodes' derivative memos and the kernel
+    table (``exprlang._kernel_of``) make every derivative and kernel of the
+    same entries the same object in every owner.  It holds no arrays of
+    numbers.  Higher derivatives are built once per symmetric class of
+    derivative indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.
+    Kernels are compiled on first evaluation.
     """
 
-    def __init__(self, exprs: tuple, coords: tuple[str, ...]):
-        self.exprs, self.coords = exprs, coords
+    def __init__(self, exprs: tuple, shape: tuple[int, ...], coords: tuple[str, ...]):
+        self.exprs, self.shape, self.coords = exprs, shape, coords
+
+    def block(self, table: tuple, n: int) -> tuple:
+        """The n-th array of ``shape`` in a derivative table."""
+        size = len(self.exprs)
+        return table[n * size:(n + 1) * size]
 
     @cached_property
-    def d1(self):
-        # d1[i] = d_i exprs, nested like exprs (for a metric, d1[i][j][k] = d_i g_jk)
-        return [derivative_table(self.exprs, c) for c in self.coords]
+    def d1(self) -> tuple:
+        # block i is d_i exprs (for a metric, d1 is d_i g_jk at [i, j, k])
+        return tuple(e for c in self.coords for e in derivative_table(self.exprs, c))
 
     @cached_property
-    def d2(self):
-        # d2[i][j] = d_i d_j exprs; d2[j][i] is the list object of d2[i][j]
+    def d2(self) -> tuple:
+        # block (i, j) is d_i d_j exprs; block (j, i) repeats its entries
         d = len(self.coords)
-        d2 = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                d2[i][j] = d2[j][i] = derivative_table(self.d1[j], self.coords[i])
-        return d2
+        classes = {(i, j): derivative_table(self.block(self.d1, j), self.coords[i])
+                   for i in range(d) for j in range(i, d)}
+        return tuple(e for i in range(d) for j in range(d) for e in classes[min(i, j), max(i, j)])
 
     @cached_property
     def d3_classes(self):
-        # (classes, index): classes[c] = d_i d_j d_k exprs for the c-th sorted
-        # triple i <= j <= k, and index[i, j, k] = c for every triple
+        # (classes, index): block c of classes is d_i d_j d_k exprs for the
+        # c-th sorted triple i <= j <= k, and index[i, j, k] = c for every triple
         d = len(self.coords)
         triples = list(itertools.combinations_with_replacement(range(d), 3))
-        classes = [derivative_table(self.d2[j][k], self.coords[i]) for i, j, k in triples]
+        classes = tuple(e for i, j, k in triples
+                        for e in derivative_table(self.block(self.d2, j * d + k), self.coords[i]))
         index = np.empty((d, d, d), dtype=np.intp)
         for c, triple in enumerate(triples):
             for i, j, k in itertools.permutations(triple):
                 index[i, j, k] = c
         return classes, index
 
-    kernel = cached_property(lambda self: compile_array(self.exprs, self.coords))
-    d1_kernel = cached_property(lambda self: compile_array(self.d1, self.coords))
-    d2_kernel = cached_property(lambda self: compile_array(self.d2, self.coords))
-    d3_kernel = cached_property(lambda self: compile_array(self.d3_classes[0], self.coords))
+    def _compiled(self, table: tuple, lead: tuple[int, ...]):
+        return exprlang._kernel_of(table, lead + self.shape, self.coords)
+
+    kernel = cached_property(lambda self: self._compiled(self.exprs, ()))
+    d1_kernel = cached_property(lambda self: self._compiled(self.d1, (len(self.coords),)))
+    d2_kernel = cached_property(lambda self: self._compiled(self.d2, (len(self.coords),) * 2))
+    d3_kernel = cached_property(lambda self: self._compiled(
+        self.d3_classes[0], (math.comb(len(self.coords) + 2, 3),)))
 
 
 def one_batch(owner, kind: str, x, build) -> np.ndarray:
@@ -147,6 +159,11 @@ def _begins(key, stream) -> bool:
         return data == stream_data
     return (len(shape) == len(stream_shape) == 2 and shape[1] == stream_shape[1]
             and shape[0] < stream_shape[0] and stream_data.startswith(data))
+
+
+# sample_array's largest draw per (domain, seed), oldest first
+_DRAWS = collections.OrderedDict()
+_DRAWS_KEPT = 64
 
 
 @dataclass(eq=False)
@@ -216,7 +233,7 @@ class ManifoldSpec:
 
     @cached_property
     def _jets(self) -> _Jets:
-        return _Jets(self.metric, self.coords)
+        return _Jets(tuple(e for row in self.metric for e in row), (self.dim,) * 2, self.coords)
 
     @cached_property
     def levi_civita_connection(self):
@@ -273,30 +290,32 @@ class ManifoldSpec:
         """Metric gradient at a point: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
         x = self.point(p)
         env = self.env(x)
-        df = np.array([evaluate(derivative_table(f, c), env) for c in self.coords])
+        df = np.array([evaluate(d, env) for c in self.coords for d in derivative_table((f,), c)])
         return self.inverse_metric_at(x) @ df
-
-    _draw = None  # sample_array's (seed, largest draw for that seed)
 
     def sample_array(self, n: int, seed: int) -> np.ndarray:
         """Deterministic interior samples as an (n, d) batch, 5% margin from every box face.
 
-        A copy of the first n rows of the chart's largest draw for this seed
-        (one draw is kept, for the last seed asked for).  ``Generator.uniform``
-        fills row by row, so this equals a fresh draw of n rows byte for byte.
+        A copy of the first n rows of the process's largest draw for this box
+        and seed: ``_DRAWS`` keeps one draw per (domain, seed) for at most 64
+        pairs, dropping the one first drawn longest ago, and a request for
+        more rows draws again.  ``Generator.uniform`` fills row by row, so
+        this equals a fresh draw of n rows byte for byte, whichever chart of
+        the box asked first.
         """
         if n < 1:
             raise GeometryError("need at least one sample")
-        seed = operator.index(seed)
-        draw = self._draw
-        if draw is None or draw[0] != seed or len(draw[1]) < n:
-            rng = np.random.default_rng(seed)
-            lo = np.array([l for l, _ in self.domain])
-            hi = np.array([h for _, h in self.domain])
+        key = (self.domain, operator.index(seed))
+        draw = _DRAWS.get(key)
+        if draw is None or len(draw) < n:
+            lo, hi = np.array(self.domain).T
             margin = 0.05 * (hi - lo)
-            draw = self._draw = (seed, rng.uniform(lo + margin, hi - margin,
-                                                   size=(n, self.dim)))
-        return draw[1][:n].copy()
+            draw = np.random.default_rng(key[1]).uniform(lo + margin, hi - margin,
+                                                         size=(n, self.dim))
+            _DRAWS[key] = draw
+            if len(_DRAWS) > _DRAWS_KEPT:
+                _DRAWS.popitem(last=False)
+        return draw[:n].copy()
 
     def __repr__(self) -> str:
         return f"ManifoldSpec({self.name!r}, dim={self.dim})"

@@ -80,25 +80,15 @@ class ProductSpec:
 
     @cached_property
     def _k_jets(self):
-        # the jets of k as a 1x1 array
-        return _Jets(((self.log_twist,),), self.manifold.coords)
-
-    @cached_property
-    def _k1(self):
-        return [row[0][0] for row in self._k_jets.d1]
-
-    @cached_property
-    def _k2(self):
-        # one second derivative per class i <= j: the Hessian of k is exactly symmetric
-        return [[row[0][0] for row in d2i] for d2i in self._k_jets.d2]
+        # the jets of k; Hessian blocks (i, j) and (j, i) hold one entry, so it is exactly symmetric
+        return _Jets((self.log_twist,), (), self.manifold.coords)
 
     # Entries are listed in the order the tuple returns them, so a point
     # outside the domain raises the error of the first failing entry.
 
     @cached_property
     def _twist_data_kernel(self):
-        return compile_array([self.twist, *self._k1, *(e for row in self._k2 for e in row)],
-                             self.manifold.coords)
+        return compile_array([self.twist, *self._k_jets.d1, *self._k_jets.d2], self.manifold.coords)
 
     def twist_data_at(self, x) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
         """(b, d_i k, d_i d_j k) at a product point or points; b has the leading shape.
@@ -113,7 +103,7 @@ class ProductSpec:
     @cached_property
     def _pulled_fiber_d1_kernel(self):
         # sigma-pullback of d g_F, evaluated on the product chart
-        return compile_array(self.fiber._jets.d1, self.manifold.coords)
+        return exprlang._kernel_of(self.fiber._jets.d1, (self.s,) * 3, self.manifold.coords)
 
     # -- cached connections ---------------------------------------------------
 
@@ -141,12 +131,14 @@ class ProductSpec:
                               axis=-1)
 
     def pad_base(self, v) -> np.ndarray:
-        """Horizontal lift of base components v: zero over the fiber (``split`` projects back)."""
-        return np.concatenate([np.asarray(v, dtype=float), np.zeros(self.s)])
+        """Horizontal lift of base components v, or of a batch: zero over the fiber."""
+        v = np.asarray(v, dtype=float)
+        return np.concatenate([v, np.zeros(v.shape[:-1] + (self.s,))], axis=-1)
 
     def pad_fiber(self, v) -> np.ndarray:
-        """Vertical lift of fiber components v: zero over the base (``split`` projects back)."""
-        return np.concatenate([np.zeros(self.r), np.asarray(v, dtype=float)])
+        """Vertical lift of fiber components v, or of a batch: zero over the base."""
+        v = np.asarray(v, dtype=float)
+        return np.concatenate([np.zeros(v.shape[:-1] + (self.r,)), v], axis=-1)
 
     def __repr__(self) -> str:
         return (f"ProductSpec({self.base.name} x {self.fiber.name}, "

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dualgeo import exprlang
+from dualgeo import exprlang, geometry
 from dualgeo import fixtures as fx
 from dualgeo.cli import LoadedProduct, load_spec, main
 
@@ -18,6 +19,22 @@ def empty_kernels(monkeypatch):
     kernels = functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__)
     monkeypatch.setattr(exprlang, "_kernel_of", kernels)
     return kernels
+
+
+@pytest.fixture
+def empty_parses(monkeypatch):
+    """An empty parse table, in place of the process's for one test."""
+    parses = collections.OrderedDict()
+    monkeypatch.setattr(exprlang, "_PARSED", parses)
+    return parses
+
+
+@pytest.fixture
+def empty_draws(monkeypatch):
+    """An empty draw table, in place of the process's for one test."""
+    draws = collections.OrderedDict()
+    monkeypatch.setattr(geometry, "_DRAWS", draws)
+    return draws
 
 
 @pytest.fixture(scope="session")

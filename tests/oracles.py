@@ -336,7 +336,8 @@ def kernel_source(exprs, coords) -> str:
     is then named by its structural key: a constant by type and ``repr``, a
     coordinate by name, an op by its op and its children's names.  A new key
     gets the next number: ``c<n>`` for a constant, ``t<n>`` with one
-    assignment line otherwise.
+    assignment line otherwise.  The kernel returns each entry's name once,
+    in order of first appearance.
     """
     slot = {name: i for i, name in enumerate(coords)}
     flat = _flat_entries(exprs)
@@ -374,5 +375,5 @@ def kernel_source(exprs, coords) -> str:
                         rhs = _BINARY_SRC[e.op].format(*key[1:])
                     lines.append(f"    t{n} = {rhs}")
             by_id[id(e)] = by_key[key]
-    outputs = ", ".join(by_id[id(e)] for e in flat)
+    outputs = ", ".join(dict.fromkeys(by_id[id(e)] for e in flat))  # each name once, first first
     return "\n".join(["def kernel(x):", *lines, f"    return [{outputs}]"])

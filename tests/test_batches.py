@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualgeo import dualistic, fixtures as fx
+from dualgeo import dualistic, fixtures as fx, geometry
 from dualgeo import numdiff
 from dualgeo.cli import main
 from dualgeo.connections import (ConnectionField, conjugate, cubic_form_at, dgamma_fd_defect,
@@ -250,6 +250,38 @@ def test_sample_array_hands_out_copies(sphere):
     assert M.sample_array(3, 4).tobytes() == fresh.sample_array(3, 4).tobytes()
     assert M.sample_array(6, 4).tobytes() == want.tobytes()
     assert M.sample_array(6, 5).tobytes() == fresh.sample_array(6, 5).tobytes()
+
+
+def _fresh_draw(M, n, seed):
+    lo, hi = np.array(M.domain).T
+    margin = 0.05 * (hi - lo)
+    return np.random.default_rng(seed).uniform(lo + margin, hi - margin, size=(n, M.dim))
+
+
+@pytest.mark.parametrize("sizes", [(3, 8, 5), (8, 3, 8), (5, 5, 12)])
+def test_a_draw_equals_a_fresh_draw_after_any_earlier_one(empty_draws, sphere, sizes):
+    # the charts of one box share its draws: each size is asked by another chart
+    # than the one before, after a smaller or a larger draw of the box and seed
+    charts = [ManifoldSpec(f"{sphere.name}{i}", sphere.coords, sphere.domain, sphere.metric)
+              for i in range(len(sizes))]
+    for M, n in zip(charts, sizes):
+        for seed in (4, 5):
+            assert M.sample_array(n, seed).tobytes() == _fresh_draw(M, n, seed).tobytes()
+    assert {key: len(draw) for key, draw in empty_draws.items()} == {
+        (sphere.domain, 4): max(sizes), (sphere.domain, 5): max(sizes)}
+
+
+def test_the_draw_table_stays_within_its_bound(empty_draws):
+    bound = geometry._DRAWS_KEPT
+    charts = [ManifoldSpec(f"m{n}", ("x",), [(0.0, n + 1.0)], [[parse("1", ("x",))]])
+              for n in range(bound + 20)]
+    for M in charts:
+        assert M.sample_array(2, 0).tobytes() == _fresh_draw(M, 2, 0).tobytes()
+        assert len(empty_draws) <= bound
+    # the oldest draws are dropped first, and a dropped box draws again
+    assert list(empty_draws) == [(M.domain, 0) for M in charts[20:]]
+    assert charts[0].sample_array(3, 0).tobytes() == _fresh_draw(charts[0], 3, 0).tobytes()
+    assert list(empty_draws) == [(M.domain, 0) for M in charts[21:] + charts[:1]]
 
 
 def test_stream_key_is_the_longest_batch(sphere):

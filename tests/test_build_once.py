@@ -94,7 +94,8 @@ def test_spec_commands_build_each_array_and_chart_once(monkeypatch, spec_dir, ca
 # -- symbolic work: each derivative table differentiates an entry once -------
 
 def _drop_symbolic_tables():
-    """Empty the kernel table and every live node's derivative memo, as at start-up."""
+    """Empty the parse and kernel tables and every live node's derivative memo, as at start-up."""
+    exprlang._PARSED.clear()
     exprlang._kernel_of.cache_clear()
     gc.collect()
     for node in list(exprlang._NODES.values()):
@@ -213,8 +214,7 @@ def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec
 
 def _entries(jets) -> list:
     """Every entry of a chart's g, dg, d2g and d3g classes, row-major."""
-    return [e for table in (jets.exprs, jets.d1, jets.d2, jets.d3_classes[0])
-            for e in exprlang._flatten(table)[1]]
+    return [*jets.exprs, *jets.d1, *jets.d2, *jets.d3_classes[0]]
 
 
 def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
@@ -256,15 +256,16 @@ def test_mirror_entries_are_one_object_only_when_equal(upper, lower, shared):
     assert (M.metric[1][0] is M.metric[0][1]) == shared
     assert M.metric[1][0] is (upper if shared else lower)
     x = M.sample_array(4, 0)
-    classes, index = M._jets.d3_classes
+    jets = M._jets
+    classes, index = jets.d3_classes
+    tables = (np.array(M.metric, dtype=object),  # the flat jet blocks, nested by their shapes
+              np.array(jets.d1, dtype=object).reshape((2,) * 3),
+              np.array(jets.d2, dtype=object).reshape((2,) * 4),
+              np.array(classes, dtype=object).reshape((-1, 2, 2))[index])
     for n in range(len(x)):
         env = dict(zip(coords, x[n]))
-        for kernel, exprs in ((M.metric_at, M.metric),
-                              (M.metric_derivatives_at, M._jets.d1),
-                              (M.metric_second_derivatives_at, M._jets.d2),
-                              (M.metric_third_derivatives_at,
-                               [[[classes[index[i, j, k]] for k in range(2)] for j in range(2)]
-                                for i in range(2)])):
-            want = np.vectorize(lambda e: evaluate(e, env), otypes=[float])(
-                np.array(exprs, dtype=object))
+        for kernel, exprs in zip((M.metric_at, M.metric_derivatives_at,
+                                  M.metric_second_derivatives_at,
+                                  M.metric_third_derivatives_at), tables, strict=True):
+            want = np.vectorize(lambda e: evaluate(e, env), otypes=[float])(exprs)
             assert _bits(kernel(x)[n]) == _bits(want)

@@ -173,7 +173,8 @@ class TestExitCodes:
         ("nan,0.5", "point [nan, 0.5] outside domain of 'fisher-normal'"),
         ("inf,1", "point [inf, 1.0] outside domain of 'fisher-normal'"),
         ("1.0,abc", "--point: expected comma-separated numbers"),
-    ], ids=["wrong-length", "outside", "nan", "inf", "malformed"])
+        ("", "--point: expected comma-separated numbers"),
+    ], ids=["wrong-length", "outside", "nan", "inf", "malformed", "empty"])
     def test_point_flag_errors_name_the_point(self, spec_dir, tmp_path, capsys, command,
                                               point, message):
         report = tmp_path / "r.json"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualgeo import exprlang
 from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError, ParseError,
                               Unary, UnknownIdentifierError, Var, compile_array,
                               differentiate, evaluate, free_vars, parse, simplify,
@@ -312,9 +313,29 @@ _nodes = st.recursive(_leaves, lambda kids: st.one_of(
     st.builds(Unary, st.sampled_from(("neg",) + FUNCTIONS), kids),
     st.builds(Binary, st.sampled_from(("add", "sub", "mul", "div", "pow")), kids, kids),
 ), max_leaves=10)
-# each row is an expression with its two partials, which share its subtrees
-_tensors = st.lists(_nodes, min_size=1, max_size=3).map(
-    lambda es: [[e, differentiate(e, "x"), differentiate(e, "u")] for e in es])
+_SIGNED = [Const(0.0), Const(-0.0), Const(1), Const(1.0)]  # two equal pairs of distinct nodes
+
+
+@st.composite
+def _symmetric_tensors(draw):
+    """A symmetric array whose mirrored entries are one node, then repeats of its rows and
+    all-constant rows that hold 0.0, -0.0, 1 and 1.0 together."""
+    n = draw(st.integers(2, 4))
+    pool = _SIGNED + draw(st.lists(_nodes, min_size=1, max_size=3))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(pool))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    constants = draw(st.permutations(_SIGNED))
+    return rows + [[constants[(r * n + j) % 4] for j in range(n)] for r in range(-(-4 // n))]
+
+
+# each row of the first kind is an expression with its two partials, which share its subtrees
+_tensors = st.one_of(
+    st.lists(_nodes, min_size=1, max_size=3).map(
+        lambda es: [[e, differentiate(e, "x"), differentiate(e, "u")] for e in es]),
+    _symmetric_tensors())
 _points = st.tuples(st.floats(-3, 3), st.one_of(st.just(0.0), st.floats(-3, 3)))
 
 
@@ -510,7 +531,7 @@ def test_copies_are_the_interned_node():
         e.op = "sub"
 
 
-def test_a_dropped_node_dies(empty_kernels):
+def test_a_dropped_node_dies(empty_kernels, empty_parses):
     e = parse("x*1.0000001234 + sin(x)", ["x"])
     dead = weakref.ref(e)
     d = differentiate(e, "x")
@@ -519,6 +540,7 @@ def test_a_dropped_node_dies(empty_kernels):
     compile_array([e, d], ["x"])([0.5])
     del e, d, M
     empty_kernels.cache_clear()  # the table held the entries
+    empty_parses.clear()  # and this one the parsed tree
     gc.collect()
     assert dead() is None
 
@@ -530,6 +552,40 @@ def test_the_kernel_table_stays_within_its_bound(empty_kernels):
         assert M.metric_at([0.75]).tolist() == [[n + 1.5625]]
         assert empty_kernels.cache_info().currsize <= bound
     assert empty_kernels.cache_info().currsize == bound
+
+
+def test_the_parse_table_stays_within_its_bound(empty_parses):
+    bound = exprlang._PARSED_KEPT
+    for n in range(bound + 20):
+        e = parse(f"{n + 1} + x^2", ["x"])
+        assert parse(f"{n + 1} + x^2", ("x",)) is e  # a list or a tuple of names, one key
+        assert evaluate(e, {"x": 0.5}) == n + 1.25
+        assert len(empty_parses) <= bound
+    # the oldest sources are dropped first, and a dropped source parses to the one live tree
+    assert list(empty_parses) == [(f"{n + 1} + x^2", ("x",)) for n in range(20, bound + 20)]
+    assert parse("1 + x^2", ["x"]) is Binary("add", Const(1.0), Binary("pow", Var("x"), Const(2.0)))
+    assert len(empty_parses) == bound and next(iter(empty_parses)) == ("22 + x^2", ("x",))
+
+
+@pytest.mark.parametrize("source, coords, error, message, valid_over", [
+    ("x +", ("x",), ParseError, "unexpected end of input (at position 3)", None),
+    ("x + y", ("x",), UnknownIdentifierError, "unknown identifier 'y' (at position 4)",
+     ("x", "y")),
+    ("x(2)", ("x",), ArityError, "'x' is not callable (at position 0)", None),
+    ("x + pi", ("x", "pi"), ParseError,
+     "coordinate names shadow built-ins: ['pi'] (at position 0)", ("x",)),
+    ("2", ("sin",), ParseError, "coordinate names shadow built-ins: ['sin'] (at position 0)",
+     ()),
+])
+def test_parse_errors_are_raised_on_every_call_and_never_kept(empty_parses, source, coords,
+                                                              error, message, valid_over):
+    if valid_over is not None:  # kept over other names, which the key holds
+        parse(source, valid_over)
+    for _ in range(3):
+        with pytest.raises(error) as err:
+            parse(source, coords)
+        assert type(err.value) is error and str(err.value) == message
+        assert list(empty_parses) == [] if valid_over is None else [(source, valid_over)]
 
 
 @given(_tensors, _batches)
@@ -548,7 +604,7 @@ def test_kernel_on_a_table_hit_is_bitwise_evaluate(exprs, xs):
 THREADS = 4  # more than the cores of a small host, and a fixed count
 
 
-def test_threads_build_one_tree_and_equal_arrays(empty_kernels):
+def test_threads_build_one_tree_and_equal_arrays(empty_kernels, empty_parses, empty_draws):
     # a cold build from empty tables, with the interpreter switching threads often
     sources = [["2 + sin(x*y)^2", "x*y/(1 + y^2)"], ["x*y/(1 + y^2)", "3 + exp(x - y)"]]
     x = np.array([[0.6, 0.7], [0.8, 0.9]])
@@ -561,7 +617,7 @@ def test_threads_build_one_tree_and_equal_arrays(empty_kernels):
         trees += [differentiate(differentiate(e, "x"), "y") for e in trees]
         arrays = [f(x) for f in (M.metric_at, M.metric_derivatives_at,
                                  M.metric_second_derivatives_at, M.metric_third_derivatives_at)]
-        return trees, arrays
+        return trees, arrays + [M.sample_array(n, 1) for n in (3, 9, 5)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -100,18 +100,20 @@ class TestMetricDerivatives:
         assert [k in vars(M._jets) for k in kernels] == [False, False, True, False]
         assert table.cache_info().currsize == 1
         env = {"a": 0.3, "b": -0.4}
-        expected = [[[[evaluate(M._jets.d2[i][j][k][l], env) for l in range(2)]
-                      for k in range(2)] for j in range(2)] for i in range(2)]
+        expected = [evaluate(e, env) for e in M._jets.d2]  # row-major over (i, j, k, l)
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
 
     def test_higher_derivatives_are_built_per_index_class(self):
         M = dict(fx.standard_twists())["twisted-4d"].manifold
         d = M.dim
-        # d2[j][i] is the list object of d2[i][j], so the kernel compiles it once
-        assert all(M._jets.d2[i][j] is M._jets.d2[j][i]
-                   for i in range(d) for j in range(d))
-        classes, index = M._jets.d3_classes
-        assert len(classes) == math.comb(d + 2, 3)
+        jets = M._jets
+        # block (j, i) of d2 holds the entry objects of block (i, j): each class is
+        # differentiated once
+        assert all(a is b for i in range(d) for j in range(d)
+                   for a, b in zip(jets.block(jets.d2, i * d + j), jets.block(jets.d2, j * d + i),
+                                   strict=True))
+        classes, index = jets.d3_classes
+        assert len(classes) == math.comb(d + 2, 3) * d * d
         x = M.sample_array(3, 2)
         d3g = M.metric_third_derivatives_at(x)
         assert d3g.shape == (3,) + (d,) * 5
@@ -119,9 +121,9 @@ class TestMetricDerivatives:
             assert d3g.tobytes() == d3g.transpose((0,) + perm + (4, 5)).tobytes()
         env = M.env(x[1])
         for i, j, k in itertools.product(range(d), repeat=3):
-            expected = [[evaluate(differentiate(e, M.coords[k]), env) for e in row]
-                        for row in M._jets.d2[i][j]]
-            assert np.allclose(d3g[1, i, j, k], expected, rtol=1e-13, atol=1e-13)
+            expected = [evaluate(differentiate(e, M.coords[k]), env)
+                        for e in jets.block(jets.d2, i * d + j)]
+            assert np.allclose(d3g[1, i, j, k].ravel(), expected, rtol=1e-13, atol=1e-13)
 
 
 def _accessors(M):

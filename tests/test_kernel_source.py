@@ -5,11 +5,13 @@ every shared sub-list walked again, every node named by its structure.
 The library's one-pass walk flattens a shared sub-list once, skips a root it
 has named, and names a compound node by identity when the mark below its
 children comes back up; nodes are interned, so that is naming by structure.
-Sources are captured where ``compile_array`` hands them to
+Sources are captured where the kernel table hands them to
 ``exprlang._code_of``, on generated arrays, on every kernel of a
-``verify_paper`` run and of each spec command on ``specs/``; those runs
-start from an empty kernel table, so every kernel is built and none is
-taken from an earlier test.
+``verify_paper`` run and of each spec command on ``specs/``, whether
+``compile_array`` or a chart's jets asked for it; those runs start from an
+empty kernel table, so every kernel is built and none is taken from an
+earlier test.  A kernel returns each distinct entry once, so its return
+line names each entry's variable once, in order of first appearance.
 """
 
 import functools
@@ -38,10 +40,13 @@ def _empty_kernels():
 
 
 class SourceCheck:
-    """Compares each kernel compile_array returns with the oracle's source, while installed.
+    """Compares each kernel the table builds with the oracle's source, while installed.
 
-    A built kernel's source must be the oracle's; a kernel taken from the
-    table must be one built, and checked, for the same source.
+    It installs an empty kernel table, so every kernel of the run is built
+    there, whether asked for by ``compile_array`` or by a chart's jets, and
+    each built kernel's source must be the oracle's for its entries.  A
+    kernel ``compile_array`` returns must be one built, and checked, for the
+    source the oracle gives for the nested array it was asked for.
     """
 
     def __init__(self, monkeypatch):
@@ -49,26 +54,28 @@ class SourceCheck:
         self.sources = []
         self.source_of = {}  # id(kernel) -> (kernel, its source)
         code_of = exprlang._code_of
+        build = exprlang._kernel_of.__wrapped__
         original = exprlang.compile_array
 
         def recording(source):
             self.sources.append(source)
             return code_of(source)
 
-        def compiling(exprs, coords):
-            kernel = original(exprs, coords)
-            want = kernel_source(exprs, tuple(coords))
-            if self.sources:
-                [source] = self.sources
-                self.sources.clear()
-                assert source == want
-                self.source_of[id(kernel)] = kernel, source
-                self.checked += 1
-            else:
-                assert self.source_of[id(kernel)][1] == want
+        def building(flat, shape, coords):
+            kernel = build(flat, shape, coords)
+            [source] = self.sources
+            self.sources.clear()
+            assert source == kernel_source(flat, coords)
+            self.source_of[id(kernel)] = kernel, source
+            self.checked += 1
             return kernel
 
-        monkeypatch.setattr(exprlang, "_kernel_of", _empty_kernels())
+        def compiling(exprs, coords):
+            kernel = original(exprs, coords)
+            assert self.source_of[id(kernel)][1] == kernel_source(exprs, tuple(coords))
+            return kernel
+
+        monkeypatch.setattr(exprlang, "_kernel_of", functools.lru_cache(maxsize=512)(building))
         monkeypatch.setattr(exprlang, "_code_of", recording)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("dualgeo")
@@ -138,10 +145,10 @@ def test_equal_subtrees_share_one_line():
     e = Binary("add", left, _copy(left))
     row = [e, _copy(e)]
     # the right child first: 2.0 is c0 and x is t1; the left copy, the second
-    # root and the shared row add no line
+    # root and the shared row add no line, and the four equal entries are returned once
     assert library_source([row, row]) == kernel_source([row, row], COORDS) == (
         "def kernel(x):\n    t1 = x[0]\n    t2 = t1 * c0\n    t3 = t2 + t2\n"
-        "    return [t3, t3, t3, t3]")
+        "    return [t3]")
 
 
 def test_warm_verify_paper_kernels_match_the_oracle(monkeypatch):

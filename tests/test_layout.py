@@ -16,9 +16,9 @@
   unbounded point cache grows back elsewhere.
 * Only ``geometry.one_batch`` assigns ``_last_batch`` (a class may declare it
   as ``None``), so no second cache grows beside the sample-stream cache.
-* Only ``ManifoldSpec.sample_array`` calls ``default_rng`` and assigns the
-  draw cache ``_draw``, so every sample set of a seed is a row-prefix of one
-  draw and no second sampling path bypasses the stream.
+* Only ``ManifoldSpec.sample_array`` calls ``default_rng`` and writes the
+  draw table ``geometry._DRAWS``, so every sample set of a box and seed is a
+  row-prefix of one draw and no second sampling path bypasses the stream.
 * Only ``verify.new_report`` constructs a ``VerificationReport``, so the
   report header cannot drift between ``verify-paper`` and the CLI commands.
 * Every check's statement and sample count comes from the check table
@@ -81,6 +81,7 @@ COMMAND_TABLE = "COMMANDS"
 CACHE_DECORATORS = {"cache", "lru_cache"}
 TABLE_MAKERS = CACHE_DECORATORS | {"WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
 TABLE_FILES_ALLOWED = {"exprlang.py"}
+TABLE_READS = {"get", "keys", "values", "items", "copy"}
 TABLE_FILES = {"geometry.py", "connections.py"}
 DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
@@ -153,7 +154,7 @@ def tobytes_callers(trees) -> set[str]:
 
 def _assigned_targets(node: ast.AST) -> list[ast.AST]:
     if isinstance(node, ast.Assign):
-        targets = node.targets
+        targets = list(node.targets)
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         targets = [node.target]
     else:
@@ -197,6 +198,29 @@ def attribute_writers(trees, attr: str) -> set[str]:
     for name, tree in trees:
         visit(name, tree, "<module>")
     return found
+
+
+def table_writers(trees, table: str) -> set[str]:
+    """``file:function`` of every write to the dict named ``table``, by innermost function.
+
+    A write stores into or deletes from it, calls a method of it other than
+    a read, or binds its name; its declaration, a binding at the top level
+    of a module, is not a write.
+    """
+    def refers(node):
+        return ((isinstance(node, ast.Name) and node.id == table)
+                or (isinstance(node, ast.Attribute) and node.attr == table))
+
+    def writes(node):
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.ctx, (ast.Store, ast.Del)) and refers(node.value)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return refers(node.func.value) and node.func.attr not in TABLE_READS
+        return refers(node) and isinstance(node.ctx, (ast.Store, ast.Del))
+
+    declared = {id(t) for _, tree in trees for stmt in tree.body
+                for t in _assigned_targets(stmt) if isinstance(t, ast.Name) and refers(t)}
+    return _node_scopes(trees, lambda node: id(node) not in declared and writes(node))
 
 
 def _node_scopes(trees, matches) -> set[str]:
@@ -489,7 +513,7 @@ def test_only_one_batch_assigns_the_last_batch():
 def test_only_sample_array_draws_samples():
     trees = _trees()
     assert default_rng_callers(trees) == {"geometry.py:sample_array"}
-    assert attribute_writers(trees, "_draw") == {"geometry.py:sample_array"}
+    assert table_writers(trees, "_DRAWS") == {"geometry.py:sample_array"}
 
 
 def test_only_new_report_builds_a_report():
@@ -550,6 +574,8 @@ def test_only_the_intern_constructor_makes_nodes():
 
 
 def test_symbolic_tables_live_only_in_exprlang():
+    # the draw table (geometry._DRAWS) holds arrays of numbers, not symbolic work, so this
+    # rule does not confine it; test_only_sample_array_draws_samples does
     assert symbolic_table_files(_trees()) == TABLE_FILES_ALLOWED
 
 
@@ -717,7 +743,23 @@ def test_scan_flags_default_rng_calls(source, found):
     ("def read(M):\n    return M._draw[1]\n", set()),
 ])
 def test_scan_flags_draw_writes(source, found):
+    # attribute writes, as a per-chart draw would make them; the draw table is
+    # scanned by table_writers
     assert attribute_writers([("probe.py", ast.parse(source))], "_draw") == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def sample_array(self, n, seed):\n    _DRAWS[key] = draw\n", {"probe.py:sample_array"}),
+    ("def evict():\n    _DRAWS.popitem(last=False)\n", {"probe.py:evict"}),
+    ("def drop(key):\n    del geometry._DRAWS[key]\n", {"probe.py:drop"}),
+    ("def reset():\n    global _DRAWS\n    _DRAWS = {}\n", {"probe.py:reset"}),
+    ("def reset(M):\n    M._DRAWS = {}\n", {"probe.py:reset"}),
+    ("geometry._DRAWS.clear()\n", {"probe.py:<module>"}),
+    ("_DRAWS = collections.OrderedDict()\n", set()),
+    ("def read(key):\n    return _DRAWS.get(key), _DRAWS[key], len(_DRAWS)\n", set()),
+])
+def test_scan_flags_draw_table_writes(source, found):
+    assert table_writers([("probe.py", ast.parse(source))], "_DRAWS") == found
 
 
 @pytest.mark.parametrize("source, callers, found", [

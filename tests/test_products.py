@@ -86,6 +86,16 @@ class TestLifts:
         assert np.allclose(lifted, [0.0, 0.0, 2.0])
         assert np.allclose(P.split(lifted)[1], [2.0])
 
+    @pytest.mark.parametrize("lift, part, width", [("pad_base", 0, 2), ("pad_fiber", 1, 1)])
+    def test_a_batch_lift_is_the_stack_of_its_rows(self, lift, part, width):
+        P = twisted_product(fx.euclidean(2, ("x", "y"), "B2"), line("f", "u"), "1")
+        V = np.arange(4.0 * width).reshape(4, width) - 1.5
+        lifted = getattr(P, lift)(V)
+        assert lifted.shape == (4, 3)
+        assert lifted.tobytes() == np.stack([getattr(P, lift)(v) for v in V]).tobytes()
+        assert P.split(lifted)[part].tobytes() == V.tobytes()
+        assert not P.split(lifted)[1 - part].any()
+
     def test_lift_lemma(self, standard_twists):
         for P in standard_twists.values():
             assert lift_lemma_residual(P, samples=8, seed=1) < 1e-10
