@@ -5,6 +5,11 @@ and twisting functions.  Supports parsing, exact symbolic differentiation,
 light simplification, pointwise evaluation, and compilation of whole
 expression arrays into straight-line kernels.
 
+Each operator is defined once, by its row in the operator table ``_OPS``.
+Every walker that needs an op's meaning reads its row through ``_row``, so
+an op without a row raises ``ValueError("unknown binary op 'mod'")`` (or
+``unary``) in each.
+
 Nodes are hash-consed: a constructor returns the one live node of its key,
 so trees equal node for node (constants by type and ``repr``) are one
 object, and ``==`` and ``hash`` are identity.  The intern table is weak: a
@@ -31,10 +36,11 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 import re
 import threading
 import weakref
-from typing import NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -149,9 +155,9 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
 def _fold(op: str, *args: Expr) -> Expr | None:
     # Fold constant subtrees eagerly; leave domain errors for eval time.
     if all(isinstance(a, Const) for a in args):
-        node = Unary(op, *args) if len(args) == 1 else Binary(op, *args)
+        value_of = _row(Unary if len(args) == 1 else Binary, op).value
         try:
-            value = _eval(node, {})
+            value = value_of(*(a.value for a in args))
         except DomainError:
             return None
         return Const(value) if math.isfinite(value) else None
@@ -269,27 +275,29 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return e
 
+    def binary_op(self, level: int) -> str | None:
+        """Consume and return the next token's op if it is a binary op of ``level``."""
+        op = _LEVEL_OPS.get((level, self.peek()[1]))
+        if op is not None:
+            self.advance()
+        return op
+
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
-            e = Binary("add" if op == "+" else "sub", e, rhs)
+        while op := self.binary_op(1):
+            e = Binary(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.factor()
-            e = Binary("mul" if op == "*" else "div", e, rhs)
+        while op := self.binary_op(2):
+            e = Binary(op, e, self.factor())
         return e
 
     def factor(self) -> Expr:
         e = self.unary()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return Binary("pow", e, self.factor())
+        if op := self.binary_op(3):
+            return Binary(op, e, self.factor())
         return e
 
     def unary(self) -> Expr:
@@ -363,22 +371,8 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
         except KeyError:
             _unbound(e.name)
     if isinstance(e, Unary):
-        x = _eval(e.arg, env)
-        return -x if e.op == "neg" else _UNARY[e.op](x)
-    assert isinstance(e, Binary)
-    a = _eval(e.left, env)
-    b = _eval(e.right, env)
-    op = e.op
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return _div(a, b)
-    assert op == "pow"
-    return _pow(a, b)
+        return _row(Unary, e.op).value(_eval(e.arg, env))
+    return _row(Binary, e.op).value(_eval(e.left, env), _eval(e.right, env))
 
 
 # -- domain-guarded operations, shared by _eval and the compiled kernels -----
@@ -396,7 +390,7 @@ def _div(a: float, b: float) -> float:
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise DomainError("zero raised to a negative power")
-    if a < 0.0 and b != int(b):
+    if a < 0.0 and not float(b).is_integer():
         raise DomainError(f"negative base {a} with non-integer exponent {b}")
     try:
         return math.pow(a, b)
@@ -416,24 +410,79 @@ def _sqrt(x: float) -> float:
     return math.sqrt(x)
 
 
-def _overflow_checked(op: str, f):
-    def call(x: float) -> float:
+# -- the operator table: each op's one definition -------------------------------
+
+class _BinaryOp(NamedTuple):
+    symbol: str  # its token in the grammar
+    level: int  # its precedence: 1 sums, 2 products, 3 powers
+    operands: tuple[int, int]  # the least level each operand prints at unbracketed
+    value: Callable[[float, float], float]  # domain-guarded, as in the kernels
+    line: str  # its kernel line over the operands' variables
+    rule: Callable[[Expr, Expr, Expr, Expr], Expr]  # (a, b, da, db) -> d op(a, b)
+    build: Callable[[Expr, Expr], Expr]  # op(a, b), folded and with its 0/1 identities
+
+
+class _UnaryOp(NamedTuple):
+    value: Callable[[float], float]
+    line: str  # its kernel line over the operand's variable, also its printed form
+    rule: Callable[[Expr, Expr], Expr]  # the chain rule: (a, da) -> d op(a)
+    build: Callable[[Expr], Expr]
+
+
+def _function(name: str, rule, value=None) -> _UnaryOp:
+    """The row of a FUNCTIONS name; by default its value is math's, overflow a DomainError."""
+    f = getattr(math, name)
+
+    def checked(x: float) -> float:
         try:
             return f(x)
         except OverflowError:
-            raise DomainError(f"overflow in {op}({x})") from None
-    return call
+            raise DomainError(f"overflow in {name}({x})") from None
+    return _UnaryOp(value or checked, f"{name}({{}})", rule, functools.partial(fn, name))
 
 
-_UNARY = {op: _overflow_checked(op, getattr(math, op)) for op in FUNCTIONS}
-_UNARY.update(log=_log, sqrt=_sqrt)
+_OPS = {
+    Binary: {
+        "add": _BinaryOp("+", 1, (1, 1), operator.add, "{} + {}",
+                         lambda a, b, da, db: add(da, db), add),
+        "sub": _BinaryOp("-", 1, (1, 2), operator.sub, "{} - {}",
+                         lambda a, b, da, db: sub(da, db), sub),
+        "mul": _BinaryOp("*", 2, (2, 2), operator.mul, "{} * {}",
+                         lambda a, b, da, db: add(mul(da, b), mul(a, db)), mul),
+        "div": _BinaryOp("/", 2, (2, 3), _div, "_div({}, {})",
+                         lambda a, b, da, db: div(sub(mul(da, b), mul(a, db)),
+                                                  pow_(b, Const(2.0))), div),
+        "pow": _BinaryOp("^", 3, (4, 3), _pow, "_pow({}, {})", lambda a, b, da, db: (
+            mul(mul(b, pow_(a, Const(b.value - 1.0))), da) if isinstance(b, Const)
+            # a^b = exp(b*log a):  a^b * (db*log a + b*da/a)
+            else mul(pow_(a, b), add(mul(db, fn("log", a)), mul(b, div(da, a))))), pow_),
+    },
+    Unary: {
+        "neg": _UnaryOp(operator.neg, "-{}", lambda a, da: neg(da), neg),
+        "sin": _function("sin", lambda a, da: mul(fn("cos", a), da)),
+        "cos": _function("cos", lambda a, da: neg(mul(fn("sin", a), da))),
+        "tan": _function("tan", lambda a, da: div(da, pow_(fn("cos", a), Const(2.0)))),
+        "sinh": _function("sinh", lambda a, da: mul(fn("cosh", a), da)),
+        "cosh": _function("cosh", lambda a, da: mul(fn("sinh", a), da)),
+        "tanh": _function("tanh", lambda a, da: div(da, pow_(fn("cosh", a), Const(2.0)))),
+        "exp": _function("exp", lambda a, da: mul(fn("exp", a), da)),
+        "log": _function("log", lambda a, da: div(da, a), _log),
+        "sqrt": _function("sqrt", lambda a, da: div(da, mul(Const(2.0), fn("sqrt", a))), _sqrt),
+    },
+}
+_LEVEL_OPS = {(row.level, row.symbol): op for op, row in _OPS[Binary].items()}  # for the parser
+
+
+def _row(kind: type, op: str):
+    """The row of ``op`` in a ``kind`` (Unary or Binary) node; every walker reads ops here."""
+    row = _OPS[kind].get(op)
+    if row is None:
+        raise ValueError(f"unknown {kind.__name__.lower()} op {op!r}")
+    return row
 
 
 # -- compiled tensor kernels ---------------------------------------------------
 
-# Source templates of the binary ops; an op missing here never reaches a kernel.
-_BINARY_SRC = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}",
-               "div": "_div({}, {})", "pow": "_pow({}, {})"}
 _EMIT = object()  # compile_array's stack mark: the node entry below it has its children named
 
 
@@ -482,16 +531,16 @@ def compile_array(exprs, coords):
 def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str, ...]):
     """The kernel of compile_array for row-major entries ``flat``, built on a miss."""
     slot = {name: i for i, name in enumerate(coords)}
-    namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound, **_UNARY}
+    namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound,
+                 **{op: row.value for op, row in _OPS[Unary].items()}}
     names: dict[int, str] = {}  # id(node) -> its variable in the kernel
     lines = []
 
     # One post-order walk, without recursion so no tree is too deep to
     # compile.  A leaf is named when it is popped.  A compound node is
-    # replaced by its entry (node, op, template, left, right), right None for
-    # a unary op, and the _EMIT mark, below its children with the right child
-    # on top; it is named when the mark comes back up, so an unknown op is
-    # reported in walk order.
+    # replaced by its entry (node, children) and the _EMIT mark, below its
+    # children with the right child on top; it is named when the mark comes
+    # back up, so an unknown op is reported in walk order.
     for root in flat:
         if id(root) in names:
             continue
@@ -500,22 +549,17 @@ def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str
         while stack:
             e = pop()
             if e is _EMIT:
-                e, op, template, left, right = pop()
-                if template is None:
-                    raise ValueError(f"unknown {'unary' if right is None else 'binary'} op {op!r}")
+                e, children = pop()
                 name = f"t{len(names)}"
-                lines.append(f"    {name} = " + template.format(
-                    names[id(left)], None if right is None else names[id(right)]))
+                lines.append(f"    {name} = " + _row(type(e), e.op).line.format(
+                    *[names[id(c)] for c in children]))
             elif id(e) in names:
                 continue
             elif isinstance(e, Binary):
-                stack += ((e, e.op, _BINARY_SRC.get(e.op), e.left, e.right), _EMIT,
-                          e.left, e.right)
+                stack += ((e, (e.left, e.right)), _EMIT, e.left, e.right)
                 continue
             elif isinstance(e, Unary):
-                template = ("-{}" if e.op == "neg"
-                            else e.op + "({})" if e.op in FUNCTIONS else None)
-                stack += ((e, e.op, template, e.arg, None), _EMIT, e.arg)
+                stack += ((e, (e.arg,)), _EMIT, e.arg)
                 continue
             elif isinstance(e, Const):
                 name = f"c{len(names)}"
@@ -568,21 +612,6 @@ def _code_of(source: str):
     return compile(source, "<compile_array>", "exec")
 
 
-# The chain rule of each unary op: (a, da) -> d op(a)
-_CHAIN_RULES = {
-    "neg": lambda a, da: neg(da),
-    "sin": lambda a, da: mul(fn("cos", a), da),
-    "cos": lambda a, da: neg(mul(fn("sin", a), da)),
-    "tan": lambda a, da: div(da, pow_(fn("cos", a), Const(2.0))),
-    "sinh": lambda a, da: mul(fn("cosh", a), da),
-    "cosh": lambda a, da: mul(fn("sinh", a), da),
-    "tanh": lambda a, da: div(da, pow_(fn("cosh", a), Const(2.0))),
-    "exp": lambda a, da: mul(fn("exp", a), da),
-    "log": lambda a, da: div(da, a),
-    "sqrt": lambda a, da: div(da, mul(Const(2.0), fn("sqrt", a))),
-}
-
-
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact derivative with respect to a coordinate name, lightly simplified.
 
@@ -600,40 +629,17 @@ def differentiate(e: Expr, var: str) -> Expr:
     elif isinstance(e, Var):
         d = ONE if e.name == var else ZERO
     elif isinstance(e, Unary):
-        d = _CHAIN_RULES[e.op](e.arg, differentiate(e.arg, var))
+        d = _row(Unary, e.op).rule(e.arg, differentiate(e.arg, var))
     else:
-        assert isinstance(e, Binary)
         a, b = e.left, e.right
-        da, db = differentiate(a, var), differentiate(b, var)
-        if e.op == "add":
-            d = add(da, db)
-        elif e.op == "sub":
-            d = sub(da, db)
-        elif e.op == "mul":
-            d = add(mul(da, b), mul(a, db))
-        elif e.op == "div":
-            d = div(sub(mul(da, b), mul(a, db)), pow_(b, Const(2.0)))
-        else:
-            assert e.op == "pow"
-            if isinstance(b, Const):
-                d = mul(mul(b, pow_(a, Const(b.value - 1.0))), da)
-            else:
-                # a^b = exp(b*log a):  a^b * (db*log a + b*da/a)
-                d = mul(pow_(a, b), add(mul(db, fn("log", a)), mul(b, div(da, a))))
+        d = _row(Binary, e.op).rule(a, b, differentiate(a, var), differentiate(b, var))
     memo[var] = d
     return d
 
 
 def simplify(e: Expr) -> Expr:
     """Constant folding and 0/1 identities, applied bottom-up."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Unary):
-        a = simplify(e.arg)
-        return neg(a) if e.op == "neg" else fn(e.op, a)
-    assert isinstance(e, Binary)
-    a, b = simplify(e.left), simplify(e.right)
-    return {"add": add, "sub": sub, "mul": mul, "div": div, "pow": pow_}[e.op](a, b)
+    return substitute(e, {})
 
 
 def substitute(e: Expr, bindings: dict[str, float]) -> Expr:
@@ -641,10 +647,10 @@ def substitute(e: Expr, bindings: dict[str, float]) -> Expr:
     if isinstance(e, Var) and e.name in bindings:
         return Const(float(bindings[e.name]))
     if isinstance(e, Unary):
-        return (neg if e.op == "neg" else lambda x: fn(e.op, x))(substitute(e.arg, bindings))
+        return _row(Unary, e.op).build(substitute(e.arg, bindings))
     if isinstance(e, Binary):
-        op = {"add": add, "sub": sub, "mul": mul, "div": div, "pow": pow_}[e.op]
-        return op(substitute(e.left, bindings), substitute(e.right, bindings))
+        return _row(Binary, e.op).build(substitute(e.left, bindings),
+                                        substitute(e.right, bindings))
     return e
 
 
@@ -658,12 +664,6 @@ def free_vars(e: Expr) -> set[str]:
     return set()
 
 
-# Printing precedence mirrors the grammar: the base of '^' and the operand of
-# unary '-' must re-parse as 'unary'; right operands of '-' and '/' must not
-# re-associate.
-_LEVEL = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 3}
-
-
 def _print(e: Expr, min_level: int) -> str:
     if isinstance(e, Const):
         text = repr(e.value)
@@ -671,20 +671,18 @@ def _print(e: Expr, min_level: int) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = f"-{_print(e.arg, 4)}"
+        line = _row(Unary, e.op).line
+        if e.op == "neg":  # the operand of unary '-' must re-parse as 'unary'
+            inner = line.format(_print(e.arg, 4))
             return f"({inner})" if min_level > 3 else inner
-        return f"{e.op}({_print(e.arg, 0)})"
-    assert isinstance(e, Binary)
-    lvl = _LEVEL[e.op]
-    symbol = {"add": " + ", "sub": " - ", "mul": "*", "div": "/", "pow": "^"}[e.op]
-    if e.op == "pow":
-        text = f"{_print(e.left, 4)}^{_print(e.right, 3)}"
-    else:
-        # left-assoc: right operand one level stricter for - and /
-        right_lvl = lvl + (1 if e.op in ("sub", "div") else 0)
-        text = f"{_print(e.left, lvl)}{symbol}{_print(e.right, right_lvl)}"
-    return f"({text})" if lvl < min_level else text
+        return line.format(_print(e.arg, 0))
+    # the base of '^' must re-parse as 'unary'; the right operands of '-' and '/'
+    # must not re-associate
+    row = _row(Binary, e.op)
+    left, right = row.operands
+    symbol = f" {row.symbol} " if row.level == 1 else row.symbol  # sums print spaced
+    text = f"{_print(e.left, left)}{symbol}{_print(e.right, right)}"
+    return f"({text})" if row.level < min_level else text
 
 
 def to_source(e: Expr) -> str:

@@ -6,6 +6,7 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -374,6 +375,17 @@ def test_kernel_rejects_non_finite_result():
     with pytest.raises(DomainError, match=r"non-finite result inf for x\*x"):
         kernel([1e200])
     assert kernel([3.0]).tolist() == [9.0, 1.0]
+
+
+def test_kernel_finiteness_test_raises_no_numpy_warning():
+    # a row of finite entries whose sum overflows, and a row holding both infinities
+    big = compile_array([Const(1e308), Var("x")], ["x"])
+    both = compile_array([parse("x*x", ["x"]), parse("-x*x", ["x"])], ["x"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert big([1e308]).tolist() == [1e308, 1e308]
+        with pytest.raises(DomainError, match=r"non-finite result inf for x\*x"):
+            both([1e200])
 
 
 def test_kernel_constants_stay_out_of_the_source():

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualgeo import exprlang
 from dualgeo.cli import LoadedProduct, load_spec, main
-from dualgeo.exprlang import Binary, Const, Unary, Var, compile_array
+from dualgeo.exprlang import FUNCTIONS, Binary, Const, Unary, Var, compile_array
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
 from oracles import kernel_source
@@ -30,7 +30,7 @@ from oracles import kernel_source
 COORDS = ("x", "y")
 LEAVES = [Const(0.0), Const(-0.0), Const(1.0), Const(1), Const(2.5), Const(math.pi),
           Var("x"), Var("y"), Var("w")]  # w is unbound
-UNARY = ("neg", "sin", "exp", "log", "sqrt")
+UNARY = ("neg",) + FUNCTIONS
 BINARY = ("add", "sub", "mul", "div", "pow")
 
 

@@ -60,6 +60,11 @@
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
   ``seed`` are exempt, as the library's sampling interface.
+* Each operator is defined once, by its row in ``exprlang._OPS``: no other
+  dict in ``exprlang.py`` is keyed by operator names (as a literal, a
+  ``dict(...)`` or an ``.update(...)``), and no code compares an ``.op`` with
+  a binary operator's name.  The algebraic identities of ``neg`` and ``fn``
+  compare unary names, and may.
 """
 
 import ast
@@ -67,6 +72,7 @@ from pathlib import Path
 
 import pytest
 
+from dualgeo.exprlang import FUNCTIONS
 from dualgeo.verify import CHECKS
 
 ROOT = Path(__file__).parent.parent
@@ -83,6 +89,9 @@ TABLE_MAKERS = CACHE_DECORATORS | {"WeakValueDictionary", "WeakKeyDictionary", "
 TABLE_FILES_ALLOWED = {"exprlang.py"}
 TABLE_READS = {"get", "keys", "values", "items", "copy"}
 TABLE_FILES = {"geometry.py", "connections.py"}
+OPERATOR_TABLE = "_OPS"
+BINARY_OPS = {"add", "sub", "mul", "div", "pow"}
+OPERATOR_NAMES = BINARY_OPS | {"neg", *FUNCTIONS}
 DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
 
@@ -413,6 +422,40 @@ def command_name_strings(trees) -> list[str]:
     return found
 
 
+def operator_keyed_dicts(trees) -> list[str]:
+    """``file:line`` of each dict keyed by an operator name outside the operator table."""
+    found = []
+    for name, tree in trees:
+        table = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == OPERATOR_TABLE for t in node.targets)
+                 for inner in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+            elif isinstance(node, ast.Call) and _called_name(node) in ("dict", "update"):
+                keys = [k.arg for k in node.keywords]
+            else:
+                continue
+            if id(node) not in table and OPERATOR_NAMES & set(keys):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def _names_binary_op(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_binary_op(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value in BINARY_OPS
+
+
+def binary_op_comparisons(trees) -> list[str]:
+    """``file:line`` of each comparison of an ``.op`` with a binary operator's name."""
+    return [f"{name}:{node.lineno}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Attribute) and side.attr == "op"
+                    for side in (node.left, *node.comparators))
+            and any(_names_binary_op(side) for side in (node.left, *node.comparators))]
+
+
 def _caller_trees():
     return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
             for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -582,6 +625,12 @@ def test_symbolic_tables_live_only_in_exprlang():
 def test_command_names_appear_only_in_the_table():
     cli = [(name, tree) for name, tree in _trees() if name == "cli.py"]
     assert command_name_strings(cli) == []
+
+
+def test_each_operator_is_defined_only_in_the_table():
+    trees = [(name, tree) for name, tree in _trees() if name == "exprlang.py"]
+    assert trees and operator_keyed_dicts(trees) == []
+    assert binary_op_comparisons(_trees()) == []
 
 
 def test_every_parameter_default_is_overridden_somewhere():
@@ -912,3 +961,31 @@ def test_scan_flags_node_constructions(source, found):
 ])
 def test_scan_flags_symbolic_tables(source, found):
     assert symbolic_table_files([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("_OPS = {Binary: {'add': 1, 'pow': 2}, Unary: {'neg': 3}}\n", []),
+    ("_SRC = {'add': '{} + {}', 'sub': '{} - {}'}\n", ["probe.py:1"]),
+    ("def f(e):\n    return {'add': add, 'mul': mul}[e.op]\n", ["probe.py:2"]),
+    ("RULES = {'sin': cos}\n", ["probe.py:1"]),
+    ("_UNARY = dict(exp=math.exp)\n", ["probe.py:1"]),
+    ("_UNARY.update(log=_log, sqrt=_sqrt)\n", ["probe.py:1"]),
+    ("ns = {'_div': _div, '_pow': _pow, **{op: 1 for op in _OPS[Unary]}}\n", []),
+    ("_OPS = 1\nSYMBOLS = {'^': 'pow'}\n", []),
+])
+def test_scan_flags_operator_keyed_dicts(source, found):
+    assert operator_keyed_dicts([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("if e.op == 'pow':\n    pass\n", ["probe.py:1"]),
+    ("right = lvl + (1 if e.op in ('sub', 'div') else 0)\n", ["probe.py:1"]),
+    ("assert 'add' != node.op\n", ["probe.py:1"]),
+    ("ok = e.op in {'mul'}\n", ["probe.py:1"]),
+    ("if a.op == 'neg':\n    pass\n", []),
+    ("if name == 'log' and a.op == 'exp':\n    pass\n", []),
+    ("if op == 'add':\n    pass\n", []),
+    ("level = row.level == 1\n", []),
+])
+def test_scan_flags_binary_op_comparisons(source, found):
+    assert binary_op_comparisons([("probe.py", ast.parse(source))]) == found
