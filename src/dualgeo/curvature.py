@@ -13,12 +13,13 @@ curvature +1.
 
 Every pointwise function takes one point (d,) or a batch of points (N, d)
 and puts the batch axis first in its result; a per-point scalar is a float
-for one point and an array of N values for a batch.  The frame of each point
-of a batch is built with the same operations as its own call.  R, dR and the
-frame are kept on the connection's and the chart's sample stream
-(``geometry.one_batch``) and handed out read-only.  The derivatives dR and
-dW are exact: they come from the chart's third metric derivatives, never
-from finite differences.
+for one point and an array of N values for a batch.  The orthonormal frame
+is coordinate-order Gram-Schmidt, computed as the inverse Cholesky factor of
+g; the frame of each point of a batch is built with the same operations as
+its own call.  R, dR and the frame are kept on the connection's and the
+chart's sample stream (``geometry.one_batch``) and handed out read-only.
+The derivatives dR and dW are exact: they come from the chart's third
+metric derivatives, never from finite differences.
 """
 
 from __future__ import annotations
@@ -126,27 +127,17 @@ def _lower_riemann(R: np.ndarray, g: np.ndarray) -> np.ndarray:
 def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     """Gram-Schmidt of the coordinate frame in coordinate order; rows are E_i.
 
-    Once E_j is found it is projected out of every later row at once, so each
-    row sees the same operations, in the same order, as in the textbook loop.
+    That frame is the inverse Cholesky factor: E = L^-1 for g = L L^T, which
+    is lower triangular with a positive diagonal, like the textbook loop.
     """
     return M._memo("frame", p, lambda z: _frame(M.metric_at(z)))
 
 
 def _frame(g: np.ndarray) -> np.ndarray:
-    d = g.shape[-1]
-    rest = np.eye(d)  # rows not yet normalized, after the projections so far
-    rows = []
-    for _ in range(d):
-        v = rest[..., :1, :]
-        norm = (v @ g) @ v.swapaxes(-1, -2)
-        if (norm <= 0.0).any():
-            raise ArithmeticError("metric not positive definite while orthonormalizing")
-        e = v / np.sqrt(norm)
-        rows.append(e)
-        rest = rest[..., 1:, :]
-        if rest.shape[-2]:
-            rest = rest - (rest @ (e @ g).swapaxes(-1, -2)) * e
-    return np.concatenate(rows, axis=-2)
+    try:
+        return np.linalg.inv(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("metric not positive definite while orthonormalizing") from None
 
 
 def _item(a):
@@ -218,15 +209,22 @@ def _weyl(g: np.ndarray, ginv: np.ndarray, R: np.ndarray, ric: np.ndarray, S,
     m = g.shape[-1]
     Q = ginv @ ric
     eye = np.eye(m)
+    # Each outer product is one broadcast multiply, with the indices placed as
+    # [l, i, j, k]: h_ik is h[..., None, :, None, :] and P^l_j is P[..., :, None, :, None]
+    eye_lj, eye_li = eye[:, None, :, None], eye[:, :, None, None]
     if variant == "standard":
-        second = np.einsum("...jk,li->...lijk", ric, eye)
+        second = ric[..., None, None, :, :] * eye_li  # einsum("...jk,li->...lijk", ric, eye)
     elif variant == "as-printed":
         second = np.einsum("...ljki->...lijk", R)
     else:
         raise ValueError(f"unknown Weyl variant {variant!r}")
-    corr = (np.einsum("...ik,lj->...lijk", ric, eye) - second
-            + np.einsum("...ik,...lj->...lijk", g, Q) - np.einsum("...jk,...li->...lijk", g, Q))
-    trace_part = np.einsum("...ik,lj->...lijk", g, eye) - np.einsum("...jk,li->...lijk", g, eye)
+    # einsum("...ik,lj->...lijk", ric, eye) - second
+    # + einsum("...ik,...lj->...lijk", g, Q) - einsum("...jk,...li->...lijk", g, Q)
+    corr = (ric[..., None, :, None, :] * eye_lj - second
+            + g[..., None, :, None, :] * Q[..., :, None, :, None]
+            - g[..., None, None, :, :] * Q[..., :, :, None, None])
+    # einsum("...ik,lj->...lijk", g, eye) - einsum("...jk,li->...lijk", g, eye)
+    trace_part = g[..., None, :, None, :] * eye_lj - g[..., None, None, :, :] * eye_li
     S_part = np.asarray(S / ((m - 1) * (m - 2)))[..., None, None, None, None]
     return R + corr / (m - 2) - S_part * trace_part
 

@@ -438,6 +438,8 @@ def _function(name: str, rule, value=None) -> _UnaryOp:
             return f(x)
         except OverflowError:
             raise DomainError(f"overflow in {name}({x})") from None
+        except ValueError:  # sin, cos and tan of an infinite argument
+            raise DomainError(f"{name} of {x} is undefined") from None
     return _UnaryOp(value or checked, f"{name}({{}})", rule, functools.partial(fn, name))
 
 
@@ -521,7 +523,9 @@ def compile_array(exprs, coords):
     the points; only those rows are then evaluated again, in point order and
     with ``evaluate`` on each distinct entry by first appearance, so the
     kernel raises exactly the error ``evaluate`` raises for the first failing
-    entry, in row-major order, of the first failing point.
+    entry, in row-major order, of the first failing point.  One point ``(d,)``
+    is first one direct call, kept when the sum of its values is finite (so
+    none is inf or NaN); otherwise it takes that same pass.
     """
     shape, flat = _flatten(exprs)
     return _kernel_of(tuple(flat), shape, tuple(coords))
@@ -588,6 +592,13 @@ def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str
 
     def kernel(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:  # one point: keep a direct call when every value is finite
+            try:
+                values = straight(x.tolist())
+                if math.isfinite(sum(values)):
+                    return np.asarray(np.array(values, dtype=float).take(index))
+            except (ArithmeticError, ValueError, LookupError):
+                pass
         count = math.prod(x.shape[:-1])
         points = x.reshape(count, x.shape[-1]).tolist()
         rows = np.empty((count, len(distinct)))

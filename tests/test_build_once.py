@@ -14,8 +14,14 @@ differentiated twice, and a chart's mirror metric entries are one object
 exactly when they are equal node for node.  A second run of the same work
 differentiates nothing and compiles nothing, and makes exactly as many
 array builds as the run before it, so no array of numbers outlives a call.
+
+At a fresh point the curvature path has a fixed budget: the frame is one
+Cholesky factorization and one inverse, whatever the dimension; each
+kernel's straight-line function runs once; and no finite point is handed
+to ``exprlang.evaluate``.
 """
 
+import collections
 import gc
 import itertools
 import sys
@@ -23,8 +29,10 @@ import sys
 import numpy as np
 import pytest
 
-from dualgeo import exprlang, geometry
+from dualgeo import exprlang, fixtures as fx, geometry
 from dualgeo.cli import LoadedProduct, load_spec, main
+from dualgeo.connections import conjugate, explicit_connection, levi_civita
+from dualgeo.curvature import orthonormal_frame_at, ricci_at, riemann_at, scalar_at, weyl_at
 from dualgeo.exprlang import Const, evaluate, parse, to_source
 from dualgeo.geometry import ManifoldSpec
 from dualgeo.report import RunConfig
@@ -269,3 +277,65 @@ def test_mirror_entries_are_one_object_only_when_equal(upper, lower, shared):
                                   M.metric_third_derivatives_at), tables, strict=True):
             want = np.vectorize(lambda e: evaluate(e, env), otypes=[float])(exprs)
             assert _bits(kernel(x)[n]) == _bits(want)
+
+
+# -- a fresh point: a fixed budget of factorizations and kernel calls ---------
+
+def _fresh_copy(name: str) -> ManifoldSpec:
+    """A new chart with the metric of a fixture, so its kernels are compiled anew."""
+    fixtures = fx.Fixtures()
+    M = fixtures.twists[name].manifold if name in fixtures.twists else fixtures.charts[name]
+    return ManifoldSpec(f"fresh-{name}", M.coords, M.domain, M.metric)
+
+
+@pytest.mark.parametrize("name", ["fisher-normal", "twisted-4d"])
+def test_a_fresh_point_has_a_fixed_budget(monkeypatch, name):
+    runs = []  # one counter per straight-line function compiled while installed
+
+    def exec_counting(code, namespace):
+        exec(code, namespace)
+        straight, count = namespace["kernel"], collections.Counter()
+        runs.append(count)
+
+        def counted(xs):
+            count[tuple(xs)] += 1
+            return straight(xs)
+        namespace["kernel"] = counted
+
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    M = _fresh_copy(name)
+    exprlang._kernel_of.cache_clear()
+    monkeypatch.setattr(exprlang, "exec", exec_counting, raising=False)
+    monkeypatch.setattr(exprlang, "evaluate", counting("evaluate", exprlang.evaluate))
+    lc = levi_civita(M)
+    explicit = explicit_connection(M, {(0, 0, 0): "0.3", (1, 0, 1): f"0.2*{M.coords[0]}"})
+    dual = conjugate(explicit, M)
+    points = M.sample_array(2, 5)
+    for x in points:
+        M.metric_at(x)
+        M.inverse_metric_at(x)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+            patch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+            orthonormal_frame_at(M, x)
+        assert calls == {"cholesky": 1, "inv": 1}
+        calls.clear()
+        # the curvature-grid operation: R, Ric, S and W of Levi-Civita, R of a pair
+        riemann_at(lc, x)
+        ricci_at(M, lc, x)
+        scalar_at(M, lc, x)
+        if M.dim >= 3:
+            weyl_at(M, lc, x)
+        riemann_at(explicit, x)
+        riemann_at(dual, x)
+    assert calls == {}
+    assert len(runs) >= 5
+    for count in runs:
+        assert count == {tuple(x): 1 for x in points.tolist()}

@@ -150,6 +150,12 @@ class TestExitCodes:
         assert err.startswith(f"error: metric of {chart!r} is near-singular at [")
         assert "Traceback" not in err
 
+    def test_trig_of_an_infinite_value_names_the_field(self, tmp_path, capsys):
+        doc = {"name": "m", "coords": ["x", "y"], "domain": [[0.5, 1], [0.5, 1]],
+               "metric": [["2 + sin(1e308*10*x)", "0"], ["0", "1"]]}
+        assert main(["check", write(tmp_path, "m.json", doc)]) == 2
+        assert capsys.readouterr().err == "error: m.json.metric: sin of inf is undefined\n"
+
     @pytest.mark.parametrize("command, spec, kind", [
         ("check", "twisted_xu.json", "manifold"),
         ("conjugate", "twisted_xu.json", "manifold"),

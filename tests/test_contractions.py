@@ -3,7 +3,8 @@
 The formulas are the ones kept as comments beside the rewrites in
 ``connections.py`` and ``curvature.py``.  Every case is checked at d = 1..4,
 for one point and for a batch, to 1e-14 (1 + max|einsum|), on random
-operands with entries in [-1, 1].
+operands with entries in [-1, 1].  The Weyl tensor's outer products are
+single multiplies either way, so ``_weyl`` equals its einsum formula bitwise.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualgeo.connections import _d2ginv, _dginv, _lower_first, _raise_last, _raise_middle
 from dualgeo.curvature import (_compose, _lower_riemann, _ricci, _riemann, _riemann_derivative,
-                               _scalar, _sectional_numerator)
+                               _scalar, _sectional_numerator, _weyl)
 
 
 def _lift(a, *axes):
@@ -130,3 +131,29 @@ def test_riemann_and_its_derivative(d, batch, seed):
             - np.einsum("...qljm,...mik->...qlijk", dgam, gam)
             - np.einsum("...ljm,...qmik->...qlijk", gam, dgam))
     _close(_riemann_derivative(gam, dgam, d2gam), want)
+
+
+def _weyl_einsum(g, ginv, R, ric, S, variant):
+    """``_weyl`` with each outer product written as its einsum formula."""
+    m = g.shape[-1]
+    Q, eye = ginv @ ric, np.eye(m)
+    second = (np.einsum("...jk,li->...lijk", ric, eye) if variant == "standard"
+              else np.einsum("...ljki->...lijk", R))
+    corr = (np.einsum("...ik,lj->...lijk", ric, eye) - second
+            + np.einsum("...ik,...lj->...lijk", g, Q) - np.einsum("...jk,...li->...lijk", g, Q))
+    trace_part = np.einsum("...ik,lj->...lijk", g, eye) - np.einsum("...jk,li->...lijk", g, eye)
+    S_part = np.asarray(S / ((m - 1) * (m - 2)))[..., None, None, None, None]
+    return R + corr / (m - 2) - S_part * trace_part
+
+
+@pytest.mark.parametrize("variant", ["standard", "as-printed"])
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(3, 5), batch=point_or_batch, seed=st.integers(0, 2**32 - 1))
+def test_weyl_products_equal_their_einsums_bitwise(variant, m, batch, seed):
+    rng = np.random.default_rng(seed)
+    g, ginv, ric = (rng.uniform(-1.0, 1.0, batch + (m, m)) for _ in range(3))
+    R = rng.uniform(-1.0, 1.0, batch + (m,) * 4)
+    S = rng.uniform(-1.0, 1.0, batch)
+    got = _weyl(g, ginv, R, ric, S, variant)
+    assert got.shape == batch + (m,) * 4
+    assert got.tobytes() == _weyl_einsum(g, ginv, R, ric, S, variant).tobytes()

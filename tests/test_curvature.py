@@ -12,6 +12,7 @@ from dualgeo.curvature import (DegeneratePlaneError, DimensionError,
                                ricci_operator_at, riemann_at, scalar_at, sectional_at,
                                weyl_at, weyl_trace_defect)
 from dualgeo import curvature, fixtures as fx
+from dualgeo.geometry import ManifoldSpec
 
 from oracles import gram_schmidt_frame, ricci_frame_oracle, riemann_fd, scalar_frame_oracle
 
@@ -113,6 +114,19 @@ class TestRicci:
             E = orthonormal_frame_at(fisher, pt)
             assert np.allclose(E @ g @ E.T, np.eye(2), atol=1e-13)
             assert np.allclose(E, gram_schmidt_frame(g), atol=1e-13)
+
+    @pytest.mark.parametrize("metric, points", [
+        ([["1", "2"], ["2", "1"]], [0.5, 0.5]),  # indefinite
+        ([["0", "0"], ["0", "1"]], [0.5, 0.5]),  # semidefinite
+        ([["1", "x"], ["x", "1"]], [[0.5, 0.5], [2.0, 0.5], [0.25, 0.5]]),  # one point indefinite
+    ], ids=["indefinite", "semidefinite", "batch"])
+    def test_frame_of_a_metric_not_positive_definite_raises(self, metric, points):
+        M = ManifoldSpec.from_strings("not-spd", ("x", "y"), [(0.0, 3.0)] * 2, metric)
+        message = "metric not positive definite while orthonormalizing"
+        with pytest.raises(ArithmeticError, match=message):
+            orthonormal_frame_at(M, points)
+        with pytest.raises(ArithmeticError, match=message):
+            curvature._frame(M.metric_at(points))
 
 
 class TestScalar:

@@ -377,6 +377,24 @@ def test_kernel_rejects_non_finite_result():
     assert kernel([3.0]).tolist() == [9.0, 1.0]
 
 
+@pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+def test_trig_of_an_infinite_argument_is_a_domain_error(name):
+    # math raises ValueError here; it leaves the library as a DomainError naming the call
+    message = f"{name} of inf is undefined"
+    e = parse(f"{name}(x*1e400)", ["x"])
+    with pytest.raises(DomainError, match=message):
+        evaluate(e, {"x": 1.0})
+    kernel = compile_array([[e, Var("x")]], ["x"])
+    with pytest.raises(DomainError, match=message):
+        kernel([1.0])
+    with pytest.raises(DomainError, match=message):
+        kernel([[0.5], [1.0]])
+    # folding leaves the subtree as it is, so it fails only when evaluated
+    unfolded = Unary(name, Const(float("inf")))
+    assert simplify(parse(f"{name}(1e400)", ["x"])) is unfolded
+    assert differentiate(parse(f"x*{name}(1e400)", ["x"]), "x") is unfolded
+
+
 def test_kernel_finiteness_test_raises_no_numpy_warning():
     # a row of finite entries whose sum overflows, and a row holding both infinities
     big = compile_array([Const(1e308), Var("x")], ["x"])
