@@ -19,7 +19,7 @@ from .exprlang import DomainError, ParseError
 from .geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
 from .connections import (ConnectionField, conjugate, duality_residual,
                           explicit_connection, involution_defect, is_statistical)
-from .curvature import FLAT_AT_POINT_TOL, DimensionError, curvature_report
+from .curvature import FLAT_AT_POINT_TOL, curvature_report
 from .products import (ProductSpec, _max_abs, block_levi_civita_defect,
                        curvature_block_report, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, separability_test, twisted_product)
@@ -85,7 +85,7 @@ def _parse_connection(doc, M: ManifoldSpec, where: str) -> ConnectionField:
             entries[(k, i, j)] = str(src)
         try:
             return explicit_connection(M, entries)
-        except (ParseError, ValueError) as exc:
+        except ValueError as exc:
             raise SpecFileError(f"{where}.gamma", str(exc)) from exc
     raise SpecFileError(f"{where}.kind", f"unknown connection kind {kind!r}")
 
@@ -100,7 +100,7 @@ def _load_manifold_doc(doc: dict, where: str, digest: str) -> LoadedManifold:
                                       [[str(e) for e in row] for row in metric])
     except ParseError as exc:
         raise SpecFileError(f"{where}.metric", str(exc)) from exc
-    except (GeometryError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecFileError(where, str(exc)) from exc
     try:
         validate_metric(M, samples=32, seed=7)
@@ -159,10 +159,16 @@ def _load_product_doc(doc: dict, path: Path, digest: str) -> LoadedProduct:
     fiber = _load_factor(_require(doc, "fiber", None, path.name), path.parent,
                          f"{path.name}.fiber")
     twist = _require(doc, "twist", str, path.name)
+    return _product(base, fiber, twist, f"{path.name}.twist", digest)
+
+
+def _product(base: LoadedManifold, fiber: LoadedManifold, twist: str, where: str,
+             digest: str) -> LoadedProduct:
+    """The product of two loaded factors; an error of the twist names its field ``where``."""
     try:
         P = twisted_product(base.manifold, fiber.manifold, twist)
     except (ParseError, GeometryError, DomainError) as exc:
-        raise SpecFileError(f"{path.name}.twist", str(exc)) from exc
+        raise SpecFileError(where, str(exc)) from exc
     return LoadedProduct(P, base, fiber, digest)
 
 
@@ -244,8 +250,7 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) ->
         print(f"  max |Weyl| = {float(np.max(np.abs(report.weyl))):.6e}")
     if config.report_path:
         with open(config.report_path, "w") as fh:
-            json.dump(jsonable(report.to_dict()), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -412,9 +417,8 @@ def _load_twist(args) -> LoadedProduct:
         raise SpecFileError(args.command, "provide a product spec or --base/--fiber/--twist")
     base = _load_factor(args.base, Path.cwd(), "--base")
     fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
-    P = twisted_product(base.manifold, fiber.manifold, args.twist)
     digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
-    return LoadedProduct(P, base, fiber, digest)
+    return _product(base, fiber, args.twist, "--twist", digest)
 
 
 def _config_from(args) -> RunConfig:
@@ -462,8 +466,7 @@ def main(argv=None) -> int:
     try:
         *_, handler = COMMANDS[args.command]
         return handler(args, _config_from(args))
-    except (SpecFileError, ParseError, GeometryError, DomainError, SingularMetricError,
-            DimensionError, ValueError) as exc:
+    except (ValueError, DomainError, SingularMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionField, _dginv
-from .geometry import ManifoldSpec
+from .geometry import ManifoldSpec, SingularMetricError
 
 __all__ = [
     "FLAT_TOL", "CONSTANT_CURVATURE_TOL", "FLAT_AT_POINT_TOL",
@@ -128,16 +128,18 @@ def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     """Gram-Schmidt of the coordinate frame in coordinate order; rows are E_i.
 
     That frame is the inverse Cholesky factor: E = L^-1 for g = L L^T, which
-    is lower triangular with a positive diagonal, like the textbook loop.
+    is lower triangular with a positive diagonal, like the textbook loop.  A
+    metric that is not positive definite raises SingularMetricError.
     """
-    return M._memo("frame", p, lambda z: _frame(M.metric_at(z)))
+    return M._memo("frame", p, lambda z: _frame(M.metric_at(z), f" the frame of {M.name!r}"))
 
 
-def _frame(g: np.ndarray) -> np.ndarray:
+def _frame(g: np.ndarray, where: str = "") -> np.ndarray:
     try:
         return np.linalg.inv(np.linalg.cholesky(g))
     except np.linalg.LinAlgError:
-        raise ArithmeticError("metric not positive definite while orthonormalizing") from None
+        raise SingularMetricError(
+            f"metric not positive definite while orthonormalizing{where}") from None
 
 
 def _item(a):
@@ -339,6 +341,9 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32,
     R - kappa(p) (delta g - delta g) in the orthonormal frame; the l1 norm of
     D bounds |K(plane) - kappa(p)| for every 2-plane at p.  The deviation is
     the larger of that bound and the spread of kappa(p) over the samples.
+
+    In dimension 2, R = kappa(p) (delta g - delta g) holds at every point, so
+    only the spread of kappa(p) can tell: dimension 2 needs at least 2 samples.
     """
     n = M.dim
     if n < 2:
@@ -372,18 +377,7 @@ class CurvatureReport:
     scalar: float | np.ndarray
     weyl: np.ndarray | None
     flat_at_point: bool | np.ndarray
-    tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point.tolist(),
-            "riemann": self.riemann.tolist(),
-            "ricci": self.ricci.tolist(),
-            "scalar": np.asarray(self.scalar).tolist(),
-            "weyl": None if self.weyl is None else self.weyl.tolist(),
-            "flat_at_point": np.asarray(self.flat_at_point).tolist(),
-            "tolerance": self.tol,
-        }
+    tolerance: float
 
 
 def curvature_report(M: ManifoldSpec, C: ConnectionField, p,

@@ -51,9 +51,6 @@ __all__ = [
     "free_vars", "to_source", "compile_array", "FUNCTIONS",
 ]
 
-FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")
-
-
 class ParseError(ValueError):
     """Source text does not conform to the grammar."""
 
@@ -472,6 +469,7 @@ _OPS = {
         "sqrt": _function("sqrt", lambda a, da: div(da, mul(Const(2.0), fn("sqrt", a))), _sqrt),
     },
 }
+FUNCTIONS = tuple(op for op in _OPS[Unary] if op != "neg")  # the named functions, in row order
 _LEVEL_OPS = {(row.level, row.symbol): op for op, row in _OPS[Binary].items()}  # for the parser
 
 

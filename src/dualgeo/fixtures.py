@@ -8,6 +8,8 @@ definite (e.g. the sphere chart stays away from the poles).
 
 from __future__ import annotations
 
+import functools
+
 from .geometry import ManifoldSpec
 from .connections import ConnectionField, explicit_connection
 from .products import ProductSpec, twisted_product
@@ -116,7 +118,10 @@ class Fixtures:
         self.manifolds = [self.charts[name] for name in
                           ("euclidean2", "euclidean3", "sphere2", "hyperbolic2", "fisher-normal")]
         self._products: dict[tuple, ProductSpec] = {}
-        self.twists = {name: self.product(*factors) for name, factors in _TWISTS.items()}
+
+    @functools.cached_property
+    def twists(self) -> dict[str, ProductSpec]:  # the product fixtures, built on first use
+        return {name: self.product(*factors) for name, factors in _TWISTS.items()}
 
     def product(self, base: str, fiber: str, twist: str) -> ProductSpec:
         """The product of two named charts, built on first use."""

@@ -31,7 +31,7 @@ class GeometryError(ValueError):
 
 
 class SingularMetricError(ArithmeticError):
-    """Metric is numerically singular at the requested point."""
+    """Metric is numerically singular, or not positive definite, at the requested point."""
 
 
 def derivative_table(exprs: tuple, coord: str) -> tuple:

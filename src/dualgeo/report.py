@@ -111,14 +111,7 @@ class VerificationReport:
 
     def payload(self) -> dict:
         """The report as a fresh JSON-serializable dict; ``to_json`` is its text."""
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "config": jsonable(self.config),
-            "inputs": jsonable(self.inputs),
-            "checks": [jsonable(c) for c in self.checks],
-            "overall": self.overall,
-        }
+        return {**jsonable(self), "overall": self.overall}
 
     def to_json(self) -> str:
         return json.dumps(self.payload(), indent=2, sort_keys=True)

@@ -99,6 +99,13 @@ def test_spec_commands_build_each_array_and_chart_once(monkeypatch, spec_dir, ca
     capsys.readouterr()
 
 
+def test_the_plain_charts_build_no_product(monkeypatch):
+    built = []
+    monkeypatch.setattr(fx, "twisted_product", lambda *args: built.append(args))
+    assert len(fx.standard_manifolds()) == 5
+    assert built == []
+
+
 # -- symbolic work: each derivative table differentiates an entry once -------
 
 def _drop_symbolic_tables():

@@ -374,6 +374,22 @@ class TestCurvatureCommand:
         assert len(layouts) == 1
 
 
+    def test_report_holds_the_record_fields(self, spec_dir, tmp_path):
+        report = tmp_path / "curv.json"
+        assert main(["curvature", str(spec_dir / "sphere2.json"), "--report", str(report)]) == 0
+        assert set(json.loads(report.read_text())) == {
+            "point", "riemann", "ricci", "scalar", "weyl", "flat_at_point", "tolerance"}
+
+    def test_metric_not_positive_definite_at_the_point_is_usage_error(self, tmp_path, capsys):
+        # the 32 validation samples miss the narrow dip at x = 0.3, so the spec loads
+        doc = {"name": "bump", "coords": ["x", "y"], "domain": [[-1, 1], [-1, 1]],
+               "metric": [["1 - 2*exp(-100000*(x-0.3)^2)", "0"], ["0", "1"]]}
+        assert main(["curvature", write(tmp_path, "bump.json", doc), "--point", "0.3,0"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: metric not positive definite while orthonormalizing "
+                       "the frame of 'bump'\n")
+
+
 class TestConjugateCommand:
     def test_prints_negated_constant(self, spec_dir, capsys):
         assert main(["conjugate", str(spec_dir / "line_pair.json")]) == 0
@@ -432,6 +448,23 @@ class TestTwistCommand:
                      "--twist", "1"])
         assert code == 2
         assert f"{flag}: factor file must describe a manifold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("twist, message", [
+        ("x+", "unexpected end of input (at position 2)\n"),
+        ("q", "unknown identifier 'q' (at position 0)\n"),
+        ("log(x-5)", "log of non-positive value -"),
+        ("x", "twist x is not positive at ["),
+    ], ids=["syntax", "unknown-identifier", "domain", "not-positive"])
+    def test_bad_twist_names_its_field_in_both_forms(self, spec_dir, tmp_path, capsys,
+                                                     twist, message):
+        base, fiber = str(spec_dir / "line.json"), str(spec_dir / "sphere2.json")
+        assert main(["twist", "--base", base, "--fiber", fiber, "--twist", twist]) == 2
+        flags = capsys.readouterr().err
+        doc = {"kind": "twisted_product", "base": base, "fiber": fiber, "twist": twist}
+        assert main(["twist", write(tmp_path, "p.json", doc)]) == 2
+        spec = capsys.readouterr().err
+        assert spec.startswith(f"error: p.json.twist: {message}")
+        assert flags == spec.replace("error: p.json.twist: ", "error: --twist: ")
 
     def test_missing_arguments(self, capsys):
         assert main(["twist"]) == 2
@@ -540,6 +573,11 @@ class TestVerifyPaper:
         pb = json.loads(b.read_text())
         assert a.read_bytes() != b.read_bytes()
         assert [c["status"] for c in pa["checks"]] == [c["status"] for c in pb["checks"]]
+
+    @pytest.mark.parametrize("samples", [1, 8])
+    def test_few_samples_keep_every_verdict(self, samples):
+        # in dimension 2 only the spread of kappa over 16 points tells the bumpy sphere apart
+        assert verify_paper(RunConfig(samples=samples)).counts() == (58, 0, 11)
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
         def no_fixtures():

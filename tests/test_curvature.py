@@ -13,6 +13,7 @@ from dualgeo.curvature import (DegeneratePlaneError, DimensionError,
                                weyl_at, weyl_trace_defect)
 from dualgeo import curvature, fixtures as fx
 from dualgeo.geometry import ManifoldSpec
+from dualgeo.report import jsonable
 
 from oracles import gram_schmidt_frame, ricci_frame_oracle, riemann_fd, scalar_frame_oracle
 
@@ -348,7 +349,7 @@ class TestReport:
         assert rep.scalar == pytest.approx(2.0, abs=1e-10)
         assert rep.weyl is None
         assert not rep.flat_at_point
-        payload = rep.to_dict()
+        payload = jsonable(rep)
         assert payload["scalar"] == rep.scalar
         assert payload["weyl"] is None
 
