@@ -75,8 +75,8 @@ verdict, chain = verdict_and_chain(st4)
 rec42 = theorem42_analyze(st4, verdict, chain)
 print(f"\nmixed-Weyl hypothesis holds: {rec42.applies}, "
       f"agreement: {rec42.agreement}")
-# one tolerance (dualistic.BRANCH_TOL unless tol is given) decides both branch
-# conditions; the Weyl defect is exact
+# one tolerance (dualistic.BRANCH_TOL) decides both branch conditions; the
+# Weyl defect is exact
 rec43 = theorem43_analyze(st4, verdict, chain)
 hyp = rec43.hypothesis
 print(f"parallel-Weyl/Hessian branch: {rec43.branch} "

@@ -19,13 +19,13 @@ from .exprlang import DomainError, ParseError
 from .geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
 from .connections import (ConnectionField, conjugate, duality_residual,
                           explicit_connection, involution_defect, is_statistical)
-from .curvature import FLAT_AT_POINT_TOL, curvature_report
+from .curvature import curvature_report
 from .products import (ProductSpec, _max_abs, block_levi_civita_defect,
                        curvature_block_report, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, separability_test, twisted_product)
-from .dualistic import (BRANCH_TOL, ConjugacyError, TheoremRecord, dually_flat_verdict,
-                        induce_on_product, make_dualistic, reduction_chain, theorem41_analyze,
-                        theorem42_analyze, theorem43_analyze)
+from .dualistic import (ConjugacyError, TheoremRecord, dually_flat_verdict, induce_on_product,
+                        make_dualistic, reduction_chain, theorem41_analyze, theorem42_analyze,
+                        theorem43_analyze)
 from .report import RunConfig, VerificationReport, jsonable, sha256_of
 from .verify import (CURVATURE_BLOCK_IDS, MIXED_WEYL_DISPLAY_IDS, Checks, inverse_defect,
                      verify_paper)
@@ -159,16 +159,21 @@ def _load_product_doc(doc: dict, path: Path, digest: str) -> LoadedProduct:
     fiber = _load_factor(_require(doc, "fiber", None, path.name), path.parent,
                          f"{path.name}.fiber")
     twist = _require(doc, "twist", str, path.name)
-    return _product(base, fiber, twist, f"{path.name}.twist", digest)
+    return _product(base, fiber, twist, f"{path.name}.fiber", f"{path.name}.twist", digest)
 
 
-def _product(base: LoadedManifold, fiber: LoadedManifold, twist: str, where: str,
-             digest: str) -> LoadedProduct:
-    """The product of two loaded factors; an error of the twist names its field ``where``."""
+def _product(base: LoadedManifold, fiber: LoadedManifold, twist: str, fiber_field: str,
+             twist_field: str, digest: str) -> LoadedProduct:
+    """The product of two loaded factors.
+
+    A clash of the factors' coordinate names is an error of ``fiber_field``;
+    any other error is one of ``twist_field``.
+    """
     try:
         P = twisted_product(base.manifold, fiber.manifold, twist)
     except (ParseError, GeometryError, DomainError) as exc:
-        raise SpecFileError(where, str(exc)) from exc
+        clash = set(base.manifold.coords) & set(fiber.manifold.coords)
+        raise SpecFileError(fiber_field if clash else twist_field, str(exc)) from exc
     return LoadedProduct(P, base, fiber, digest)
 
 
@@ -230,15 +235,10 @@ def cmd_conjugate(loaded: LoadedManifold, config: RunConfig) -> int:
     return _finish(ck.report, config, extra={"point": point, "gamma_star": gam})
 
 
-def cmd_curvature(loaded: LoadedManifold, config: RunConfig, with_weyl: bool) -> int:
+def cmd_curvature(loaded: LoadedManifold, config: RunConfig) -> int:
     M = loaded.manifold
-    if with_weyl and M.dim <= 2:
-        print(f"error: the conformal tensor needs dim >= 3, manifold has dim {M.dim}",
-              file=sys.stderr)
-        return 2
     point = M.point(config.point) if config.point else M.center()
-    report = curvature_report(M, loaded.connection, point,
-                              tol=config.exact_tol(FLAT_AT_POINT_TOL))
+    report = curvature_report(M, loaded.connection, point)
     print(f"curvature at {point.tolist()} on {M.name!r} "
           f"({loaded.connection.provenance}):")
     print(f"  max |R^l_ijk| = {float(np.max(np.abs(report.riemann))):.6e}"
@@ -340,9 +340,8 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
                notes=_analysis_notes(f"hypothesis={'holds' if rec42.applies else 'fails'}",
                                      rec42))
         details["mixed_weyl_analysis"] = rec42
-    # both 4.3 branch conditions are exact, so --tol-exact governs them
     rec43 = theorem43_analyze(induced, fv, chain, samples=ck.n("analyzer-weyl-parallel"),
-                              tol=config.exact_tol(BRANCH_TOL), seed=seed)
+                              seed=seed)
     ck.add("analyzer-weyl-parallel", rec43.hypothesis["hessian_defect"],
            notes=_analysis_notes(f"branch={rec43.branch}", rec43))
     details["weyl_parallel_analysis"] = rec43
@@ -363,16 +362,12 @@ _OPTIONS = {
                                      "identities, duality-residual and conjugation-involution "
                                      "use it in full"),
     "--seed": dict(type=int, help="RNG seed"),
-    "--tol-exact": dict(type=float, help="tightening override for exact-identity tolerances"),
-    "--tol-fd": dict(type=float, help="tolerance of the finite-difference cross-check "
-                                      "(dgamma-fd-crosscheck); no verdict uses finite "
-                                      "differences"),
     "--point": dict(help="comma-separated chart coordinates"),
     "--report": dict(dest="report_path", metavar="REPORT",
                      help="write the machine-readable JSON report here"),
 }
 # read by every command that reports rows of the check table
-_COMMON = ("--samples", "--seed", "--tol-exact", "--report")
+_COMMON = ("--samples", "--seed", "--report")
 # One row per command, from which build_parser and main build every parser: (help,
 # arguments: (name or flag, add_argument keywords) pairs added before the run options,
 # the _OPTIONS it reads, handler(args, config), which looks cmd_* up when it runs).
@@ -381,12 +376,8 @@ COMMANDS = {
               lambda args, config: cmd_check(_load(args, LoadedManifold), config)),
     "conjugate": ("compute the conjugate connection", [("spec", {})], (*_COMMON, "--point"),
                   lambda args, config: cmd_conjugate(_load(args, LoadedManifold), config)),
-    "curvature": ("curvature report at a point",
-                  [("spec", {}), ("--weyl", dict(action="store_true", help="require the "
-                                                 "conformal tensor (error below dim 3)"))],
-                  ("--tol-exact", "--point", "--report"),
-                  lambda args, config: cmd_curvature(_load(args, LoadedManifold), config,
-                                                     args.weyl)),
+    "curvature": ("curvature report at a point", [("spec", {})], ("--point", "--report"),
+                  lambda args, config: cmd_curvature(_load(args, LoadedManifold), config)),
     "twist": ("verify twisted-product block formulas",
               [("spec", dict(nargs="?", default=None, help="product spec file")),
                ("--base", dict(help="base manifold spec file")),
@@ -396,7 +387,7 @@ COMMANDS = {
     "flatness": ("dual-flatness verdict and theorem analyzers",
                  [("spec", dict(help="product spec file with factor connections"))], _COMMON,
                  lambda args, config: cmd_flatness(_load(args, LoadedProduct), config)),
-    "verify-paper": ("run the built-in verification suite", [], (*_COMMON, "--tol-fd"),
+    "verify-paper": ("run the built-in verification suite", [], _COMMON,
                      lambda args, config: _finish(verify_paper(config), config)),
 }
 
@@ -418,7 +409,7 @@ def _load_twist(args) -> LoadedProduct:
     base = _load_factor(args.base, Path.cwd(), "--base")
     fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
     digest = sha256_of(f"{base.digest}|{fiber.digest}|{args.twist}".encode())
-    return _product(base, fiber, args.twist, "--twist", digest)
+    return _product(base, fiber, args.twist, "--fiber", "--twist", digest)
 
 
 def _config_from(args) -> RunConfig:

@@ -45,7 +45,7 @@ __all__ = [
 
 # A curvature or torsion tensor vanishes when its max |component| is below FLAT_TOL;
 # sectional curvature is constant when its deviation is below CONSTANT_CURVATURE_TOL.
-# curvature_report calls a point flat below FLAT_AT_POINT_TOL, or a tighter tolerance.
+# curvature_report calls a point flat below FLAT_AT_POINT_TOL, or the tol it is given.
 FLAT_TOL = 1e-9
 CONSTANT_CURVATURE_TOL = 1e-8
 FLAT_AT_POINT_TOL = 1e-8

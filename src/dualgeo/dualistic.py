@@ -32,8 +32,7 @@ __all__ = [
     "BRANCH_TOL",
 ]
 
-# Theorem 4.3's default tolerance for both branch conditions; ``flatness`` and
-# ``verify-paper`` pass it through RunConfig.exact_tol, which can only tighten it.
+# Theorem 4.3's tolerance for both branch conditions.
 BRANCH_TOL = 1e-8
 
 
@@ -262,8 +261,8 @@ def lemma_dual_block_report(induced: ProductDualisticStructure,
 # ---------------------------------------------------------------------------
 # theorem analyzers
 # Callers build the direct verdict and the reduction chain once per structure
-# and pass both to every analyzer; an analyzer's samples (and theorem 4.3's
-# tol) govern its own hypothesis check only.
+# and pass both to every analyzer; an analyzer's samples govern its own
+# hypothesis check only.
 
 
 @dataclass(frozen=True)
@@ -379,11 +378,10 @@ def theorem42_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdic
 
 
 def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdict,
-                      chain: ReductionChain, samples: int = 16, tol: float = BRANCH_TOL,
-                      seed: int = 42) -> TheoremRecord:
+                      chain: ReductionChain, samples: int = 16, seed: int = 42) -> TheoremRecord:
     """Parallel-Weyl / Hessian-condition branches, then the common chain.
 
-    ``tol`` decides both conditions: the Hessian-condition defect, over
+    ``BRANCH_TOL`` decides both conditions: the Hessian-condition defect, over
     ``samples`` points, and the exact covariant derivative of the Weyl
     tensor, over at most 6 of them.  That cap binds for every caller
     (``verify-paper`` and ``flatness`` pass 12) and bounds the cost of the
@@ -392,11 +390,11 @@ def theorem43_analyze(induced: ProductDualisticStructure, direct: FlatnessVerdic
     P = induced.product
     notes: list[str] = []
     hess_defect = hessian_condition_defect(P, samples=samples, seed=seed)
-    hess_holds = hess_defect < tol
+    hess_holds = hess_defect < BRANCH_TOL
     parallel_defect: float | None
     if P.n >= 4:
         parallel_defect = weyl_parallel_defect(P, samples=min(samples, 6), seed=seed)
-        parallel = parallel_defect < tol
+        parallel = parallel_defect < BRANCH_TOL
     elif P.n == 3:
         parallel_defect = 0.0
         parallel = True

@@ -123,16 +123,13 @@ def one_batch(owner, kind: str, x, build) -> np.ndarray:
     bytes.  An (n, d) batch whose bytes begin the stream's reads the first n
     rows of each array.  The sample sets of one seed are row-prefixes of one
     draw (``ManifoldSpec.sample_array``), so checks at 12, 16 and 32 points
-    share one build.  A batch that extends the stream takes over its key and
-    keeps the arrays built so far; a kind built on fewer rows than asked for
-    is built again on all of x, never on the tail alone, so that the build's
-    nested reads of x stay within the stream.  Any other point or batch
-    starts a new stream.
+    share one build when the largest is read first.  A kind built on fewer
+    rows than asked for is built again on all of x.  Any other point or
+    batch, one that extends the stream among them, starts a new stream.
 
-    Key and arrays are replaced in one assignment, and an extension copies
-    the arrays into a new dict, so each dict holds only builds on
-    row-prefixes of its own key: a concurrent caller never pairs one
-    stream's key with another's arrays.  Kinds are filled lazily.  Every
+    Key and arrays are replaced in one assignment, so each dict holds only
+    builds on row-prefixes of its own key: a concurrent caller never pairs
+    one stream's key with another's arrays.  Kinds are filled lazily.  Every
     stored array is read-only, since callers share it: an in-place edit
     raises instead of changing later reads.
     """
@@ -140,8 +137,7 @@ def one_batch(owner, kind: str, x, build) -> np.ndarray:
     key = (x.shape, x.tobytes())
     last = owner._last_batch
     if last is None or not _begins(key, last[0]):
-        arrays = dict(last[1]) if last is not None and _begins(last[0], key) else {}
-        last = owner._last_batch = (key, arrays)
+        last = owner._last_batch = (key, {})
     arrays = last[1]
     hit = arrays.get(kind)
     rows = len(x) if x.ndim == 2 else None

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ PASS, FAIL, INFO = "pass", "fail", "info"
 class RunConfig:
     samples: int = 64
     seed: int = 42
-    tol_exact: float = 1e-8
-    tol_fd: float = 1e-4
     report_path: str | None = None
     point: tuple[float, ...] | None = None
 
@@ -36,17 +33,6 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (math.isfinite(self.tol_exact) and math.isfinite(self.tol_fd)):
-            raise ValueError("tolerances must be finite")
-        if self.tol_exact <= 0 or self.tol_fd <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def exact_tol(self, check_default: float) -> float:
-        """Per-check tolerance; --tol-exact can only tighten a check's default."""
-        return min(check_default, self.tol_exact)
-
-    def fd_tol(self, check_default: float) -> float:
-        return min(check_default, self.tol_fd)
 
 
 @dataclass(frozen=True)

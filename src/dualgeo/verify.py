@@ -8,7 +8,7 @@ conformal-tensor variant, the biconditional's missing warping
 compatibility) are reported informationally rather than hidden.
 
 ``CHECKS`` is the one table of checks: each row holds a check's statement,
-its tolerance rule and its sample count.  ``verify_paper`` and the spec
+its rule, the one tolerance it is judged against and its sample count.  ``verify_paper`` and the spec
 commands in ``cli`` choose rows from it through ``Checks``; a check id that
 two commands report is one row, so it reads and judges the same in both.
 """
@@ -33,7 +33,7 @@ from .products import (MIXED_RICCI_SIGN, _max_abs, _warped_reduction,
                        hessian_condition_defect, lift_lemma_residual, mixed_ricci_table,
                        mixed_weyl_report, ricci_base_block_residual, separability_test,
                        weyl_parallel_defect)
-from .dualistic import (BRANCH_TOL, dually_flat_verdict, lemma_dual_block_report,
+from .dualistic import (dually_flat_verdict, lemma_dual_block_report,
                         make_dualistic, projection_check, reduction_chain, theorem41_analyze,
                         theorem42_analyze, theorem43_analyze, torsion_inheritance_check,
                         verdict_from_tensors)
@@ -41,10 +41,10 @@ from . import fixtures
 
 VERSION = "0.1.0"
 
-# Tolerance rules: --tol-exact or --tol-fd can only tighten an EXACT or FD
-# row's default; a FIXED row keeps its default; INFO and FLAG rows have none,
-# and a FLAG row passes or fails on a boolean.
-EXACT, FD, FIXED, INFO, FLAG = "exact", "fd", "fixed", "info", "flag"
+# Rules: a TOL row passes when its residual is below its default, the one
+# tolerance it is judged against; INFO and FLAG rows have none, and a FLAG
+# row passes or fails on a boolean.
+TOL, INFO, FLAG = "tol", "info", "flag"
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ class Check:
             return self.fixed
         return config.samples if self.cap is None else min(config.samples, self.cap)
 
-    def tolerance(self, config: RunConfig) -> float | None:
-        if self.rule == EXACT:
-            return config.exact_tol(self.default)
-        return config.fd_tol(self.default) if self.rule == FD else self.default
-
 
 CURVATURE_BLOCK_IDS = tuple(f"curvature-block {block}" for block in
                             ("R(X,Y)Z", "R(X,Y)U", "R(X,U)Y", "R(U,V)X", "R(X,U)V", "R(U,V)W"))
@@ -76,101 +71,101 @@ MIXED_WEYL_DISPLAY_IDS = ("mixed-weyl-display C(X,Y)V", "mixed-weyl-display C(V,
 # "<id>/<variant>", and is reported as "<id> [<structure name>]".
 CHECKS: dict[str, Check] = {
     "metric-spd": Check("g symmetric and positive definite on all fixtures", FLAG, cap=64),
-    "metric-symmetry": Check("g_ij = g_ji", EXACT, 1e-12, 32),
-    "inverse-metric": Check("g . g^{-1} = id", EXACT, 1e-12, 32),
-    "duality-residual": Check("X.g(Y,Z) = g(D_X Y, Z) + g(Y, D*_X Z)", EXACT, 1e-10),
+    "metric-symmetry": Check("g_ij = g_ji", TOL, 1e-12, 32),
+    "inverse-metric": Check("g . g^{-1} = id", TOL, 1e-12, 32),
+    "duality-residual": Check("X.g(Y,Z) = g(D_X Y, Z) + g(Y, D*_X Z)", TOL, 1e-10),
     "conjugation-duality": Check(
-        "X.g(Y,Z) = g(conj_X Y, Z) + g(Y, conj*_X Z) for conjugate(.)", EXACT, 1e-10),
-    "conjugation-involution": Check("conjugate(conjugate(C)) = C", EXACT, 1e-10),
-    "cubic-form-sign": Check("(nabla* g) = -(nabla g) for conjugate pairs", EXACT, 1e-10),
+        "X.g(Y,Z) = g(conj_X Y, Z) + g(Y, conj*_X Z) for conjugate(.)", TOL, 1e-10),
+    "conjugation-involution": Check("conjugate(conjugate(C)) = C", TOL, 1e-10),
+    "cubic-form-sign": Check("(nabla* g) = -(nabla g) for conjugate pairs", TOL, 1e-10),
     "torsion-relation": Check(
-        "g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) - (nabla* g)(Y,X,Z)", EXACT, 1e-10),
-    "curvature-duality": Check("g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z)", EXACT, 1e-7),
-    "riemann-antisymmetry": Check("R^l_ijk = -R^l_jik", EXACT, 1e-12),
+        "g(T(X,Y),Z) = g(T*(X,Y),Z) + (nabla* g)(X,Y,Z) - (nabla* g)(Y,X,Z)", TOL, 1e-10),
+    "curvature-duality": Check("g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z)", TOL, 1e-8),
+    "riemann-antisymmetry": Check("R^l_ijk = -R^l_jik", TOL, 1e-12),
     "flat-iff-dual-flat": Check("R = 0 exactly when R* = 0", FLAG),
-    "levi-civita-self-conjugate": Check("conjugate(levi_civita) = levi_civita", EXACT, 1e-10, 16),
+    "levi-civita-self-conjugate": Check("conjugate(levi_civita) = levi_civita", TOL, 1e-10, 16),
     "statistical-verdict": Check("torsion-free with totally symmetric cubic form", INFO, cap=32),
     "statistical-verdicts": Check(
         "torsion-free + symmetric cubic form classifies statistical structures", FLAG, cap=32),
     "statistical-conjugate": Check("the conjugate of a statistical connection is statistical",
                                    FLAG, cap=32),
     "classical-curvature": Check(
-        "sphere: S=2, K=1; half-plane: S=-2; normal-family Fisher: K=-1/2", EXACT, 1e-6, fixed=10),
+        "sphere: S=2, K=1; half-plane: S=-2; normal-family Fisher: K=-1/2", TOL, 1e-8, fixed=10),
     "constant-sectional": Check(
         "sphere and Fisher fixtures have constant K; the bumpy sphere does not", FLAG, fixed=16),
     "first-bianchi": Check("R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0 for the metric connection",
-                           EXACT, 1e-9, 12),
+                           TOL, 1e-9, 12),
     "weyl-trace-free": Check("all traces of the conformal tensor vanish (metric connection)",
-                             EXACT, 1e-8, 12),
-    "scalar-two-routes": Check("orthonormal-frame scalar equals g^{jk} Ric_jk", EXACT, 1e-10, 12),
+                             TOL, 1e-8, 12),
+    "scalar-two-routes": Check("orthonormal-frame scalar equals g^{jk} Ric_jk", TOL, 1e-10, 12),
     "ricci-two-routes": Check("orthonormal-frame Ricci equals the first-slot contraction of R",
-                              EXACT, 1e-10, fixed=4),
+                              TOL, 1e-10, fixed=4),
     "dgamma-fd-crosscheck": Check(
-        "symbolic connection derivatives match 4th-order finite differences", FD, 1e-5, fixed=6),
+        "symbolic connection derivatives match 4th-order finite differences", TOL, 1e-5, fixed=6),
     "twist-classification": Check(
         "direct / warped / proper-twisted from the twist's coordinate dependence", INFO),
-    "lift-lemma": Check("derivatives of factor metrics commute with lifts", EXACT, 1e-10, 16),
+    "lift-lemma": Check("derivatives of factor metrics commute with lifts", TOL, 1e-10, 16),
     "block-levi-civita": Check(
         "block assembly of the product metric connection matches the chart computation",
-        EXACT, 1e-8, 16),
+        TOL, 1e-8, 16),
     "curvature-block R(X,Y)Z": Check("curvature of base lifts equals the lifted base curvature",
-                                     EXACT, 1e-7, 10),
-    "curvature-block R(X,Y)U": Check("base-pair curvature has no fiber output", EXACT, 1e-7, 10),
-    "curvature-block R(X,U)Y": Check("mixed block equals (Hess_B b (X,Y) / b) U", EXACT, 1e-7, 10),
+                                     TOL, 1e-8, 10),
+    "curvature-block R(X,Y)U": Check("base-pair curvature has no fiber output", TOL, 1e-8, 10),
+    "curvature-block R(X,U)Y": Check("mixed block equals (Hess_B b (X,Y) / b) U", TOL, 1e-8, 10),
     "curvature-block R(U,V)X": Check("fiber-pair-on-base block equals UX(k)V - VX(k)U",
-                                     EXACT, 1e-7, 10),
+                                     TOL, 1e-8, 10),
     "curvature-block R(X,U)V": Check("mixed block matches the Hessian/gradient combination of k",
-                                     EXACT, 1e-7, 10),
+                                     TOL, 1e-8, 10),
     "curvature-block R(U,V)W": Check(
-        "fiber block matches the fiber curvature plus gradient terms", EXACT, 1e-7, 10),
+        "fiber block matches the fiber curvature plus gradient terms", TOL, 1e-8, 10),
     "curvature-block R(U,V)W as-printed": Check(
         "the printed pairing g(V,U) grad_B(U(k)) deviates on proper twists", INFO, cap=10),
     "curvature-block R(U,V)W variants": Check(
         "as-printed vs index-consistent fiber-block pairing", INFO, cap=10),
     "curvature-blocks-warped": Check("all block formulas reduce to the warped identities",
-                                     EXACT, 1e-8, 10),
-    "mixed-ricci": Check("|Ric(X,V)| = |(s-1) XV(k)| (sign fixed by the oracle)", EXACT, 1e-6, 10),
+                                     TOL, 1e-8, 10),
+    "mixed-ricci": Check("|Ric(X,V)| = |(s-1) XV(k)| (sign fixed by the oracle)", TOL, 1e-8, 10),
     "mixed-ricci-separable": Check("Ric(X,V) = 0 when k has no mixed cross-derivatives",
-                                   EXACT, 1e-9, 10),
-    "mixed-ricci-closed-form": Check("|Ric(X,V)| = |(s-1) XV(k)|", EXACT, 1e-6, 10),
+                                   TOL, 1e-9, 10),
+    "mixed-ricci-closed-form": Check("|Ric(X,V)| = |(s-1) XV(k)|", TOL, 1e-8, 10),
     "mixed-ricci-sign": Check("direct mixed Ricci equals (1-s)XV(k), not (s-1)XV(k)", INFO,
                               cap=10),
     "ricci-base-block": Check("Ric(X,Y) = Ric_B(X,Y) - s[Hess_B k (X,Y) + X(k)Y(k)]",
-                              EXACT, 1e-7, 10),
+                              TOL, 1e-8, 10),
     "mixed-weyl-display C(X,Y)V": Check("C(X,Y)V = ((1-s)/(n-2))[XV(k)Y - YV(k)X]",
-                                        EXACT, 1e-6, 8),
+                                        TOL, 1e-8, 8),
     "mixed-weyl-display C(V,W)X": Check("C(V,W)X = ((r-1)/(n-2))[XV(k)W - XW(k)V]",
-                                        EXACT, 1e-6, 8),
+                                        TOL, 1e-8, 8),
     "mixed-weyl-verdicts": Check("flat-along and mixed-flat conditions", INFO, cap=8),
     "mixed-weyl-separable": Check("separable twists satisfy both Weyl-flat-along conditions",
-                                  EXACT, 1e-7, 8),
+                                  TOL, 1e-8, 8),
     "weyl-variant-difference": Check(
         "standard conformal tensor vs the printed variant with a curvature term", INFO, fixed=4),
     "separability": Check("k = alpha(base) + beta(fiber)", INFO, cap=16),
-    "separability-detects-coupling": Check("d2 k / dx du = 1 for k = x u", EXACT, 1e-10, 16),
+    "separability-detects-coupling": Check("d2 k / dx du = 1 for k = x u", TOL, 1e-10, 16),
     "separability-reconstruction": Check("k = alpha(base) + beta(fiber) on separable twists",
-                                         EXACT, 1e-10, 16),
+                                         TOL, 1e-10, 16),
     "hessian-block-restriction": Check(
         "the product Hessian of k restricts to the displayed base and mixed blocks",
-        EXACT, 1e-10, fixed=6),
+        TOL, 1e-10, fixed=6),
     "hessian-condition-direct": Check("H^k(X) = -X(k) grad k holds trivially for k = 0",
-                                      EXACT, 1e-12, fixed=8),
+                                      TOL, 1e-12, fixed=8),
     "hessian-condition-warped": Check(
-        "defect |H^k(X) + X(k) grad k| = 1 for k = x on a line", EXACT, 1e-9, fixed=8),
+        "defect |H^k(X) + X(k) grad k| = 1 for k = x on a line", TOL, 1e-9, fixed=8),
     "weyl-parallel-flat": Check("the conformal tensor of a flat product is parallel",
-                                EXACT, 1e-10, fixed=3),
+                                TOL, 1e-10, fixed=3),
     "weyl-parallel-constant-curvature": Check(
         "constant-curvature products have parallel (vanishing) conformal tensor",
-        EXACT, 1e-10, fixed=3),
+        TOL, 1e-10, fixed=3),
     "weyl-parallel-twisted": Check("generic proper twists have non-parallel conformal tensor",
                                    INFO, fixed=3),
-    "conjugacy": Check("declared pair satisfies the duality relation", EXACT, 1e-9, 32),
+    "conjugacy": Check("declared pair satisfies the duality relation", TOL, 1e-9, 32),
     "induced-duality": Check("the induced pair (D, D*) satisfies the duality relation",
-                             EXACT, 1e-9, 32),
+                             TOL, 1e-9, 32),
     "induced-curvature-duality": Check("g(R(X,Y)Z,W) = -g(R*(X,Y)W,Z) for induced pairs",
-                                       EXACT, 1e-7, 24),
+                                       TOL, 1e-8, 24),
     "projection-recovery": Check("projections of (D, D*) recover the factor structures",
-                                 EXACT, 1e-9, 12),
+                                 TOL, 1e-9, 12),
     "torsion-inheritance": Check("torsion-free factors induce torsion-free D and D*", FLAG,
                                  cap=12),
     "induced-flat-flags": Check("R = 0 exactly when R* = 0 for induced pairs", FLAG, cap=24),
@@ -180,7 +175,7 @@ CHECKS: dict[str, Check] = {
         "both induced connections torsion-free with vanishing curvature", INFO, cap=32),
     "flat-flags-agree": Check("R = 0 exactly when R* = 0", FLAG, cap=32),
     "sphere-not-dually-flat": Check("the metric pair on the sphere has max |R| = 1",
-                                    FIXED, 0.1, 24),
+                                    TOL, 0.1, 24),
     "dual-curvature-blocks": Check("displayed blocks for R and R* on an induced pair", INFO,
                                    fixed=4),
     # the reduction chain a theorem analyzer receives is drawn at the mixed-Ricci count
@@ -208,8 +203,7 @@ def new_report(config: RunConfig, inputs: dict) -> VerificationReport:
     """An empty report with the header every command writes: tool, version, config, inputs."""
     return VerificationReport(
         tool="dualgeo", version=VERSION,
-        config={"samples": config.samples, "seed": config.seed,
-                "tol_exact": config.tol_exact, "tol_fd": config.tol_fd},
+        config={"samples": config.samples, "seed": config.seed},
         inputs=inputs)
 
 
@@ -248,7 +242,7 @@ class Checks:
         if row.rule == FLAG:
             return self.report.add_flag(check_id, row.statement, all(values), notes=notes)
         value = values[0] if len(values) == 1 else float(np.max(values))
-        return self.report.add(check_id, row.statement, value, row.tolerance(self.config),
+        return self.report.add(check_id, row.statement, value, row.default,
                                notes=notes, informational=row.rule == INFO)
 
     def in_table_order(self) -> VerificationReport:
@@ -440,8 +434,7 @@ def verify_paper(config: RunConfig) -> VerificationReport:
             else:
                 ck.add("theorem-mixed-weyl/reported", max(rec42.hypothesis.values()),
                        notes="; ".join(rec42.notes), name=name)
-        rec43 = theorem43_analyze(st, direct, chain, samples=n43,
-                                  tol=config.exact_tol(BRANCH_TOL), seed=seed)
+        rec43 = theorem43_analyze(st, direct, chain, samples=n43, seed=seed)
         if expected is True:
             ck.add("theorem-weyl-parallel/agrees", rec43.agreement is not False,
                    notes=f"branch={rec43.branch}", name=name)

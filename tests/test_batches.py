@@ -301,17 +301,19 @@ def test_stream_key_is_the_longest_batch(sphere):
     assert set(arrays) == {"g"} and arrays["g"].shape == (2, 2)
 
 
-def test_extension_keeps_the_kinds_built_on_its_prefix(sphere):
+def test_extension_starts_a_new_stream(sphere):
     M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
     X = M.sample_array(8, 2)
     M.inverse_metric_at(X[:4])
     M.metric_derivatives_at(X[:4])
     with _counted_builds() as builds:
-        M.metric_at(X)  # extends the stream; g is built on all 8 rows
-        M.inverse_metric_at(X[:4])
+        M.metric_at(X)  # extends the stream: a new stream, g built on all 8 rows
+        assert M._last_batch[0] == (X.shape, X.tobytes())
+        assert set(M._last_batch[1]) == {"g"}
+        M.inverse_metric_at(X[:4])  # the kinds built on the prefix went with its stream
         M.metric_derivatives_at(X[:4])
         M.inverse_metric_at(X)  # g^-1 holds 4 rows: built again on all 8
-    assert [kind for _, kind in builds] == ["g", "ginv"]
+    assert [kind for _, kind in builds] == ["g", "ginv", "dg", "ginv"]
 
 
 def test_concurrent_extensions_of_one_prefix_stay_apart():

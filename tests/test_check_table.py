@@ -1,16 +1,17 @@
 """The check table: one row per check id, shared by verify-paper and the spec commands.
 
 A check id that two commands report reads and judges the same in both: the
-same statement and the same tolerance, at the default config.
+same statement and the same tolerance, its row's default.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dualgeo.report import RunConfig
-from dualgeo.verify import CHECKS, EXACT, FD, FIXED, FLAG, INFO, Check, Checks
+from dualgeo.verify import CHECKS, FLAG, INFO, TOL, Check, Checks, verify_paper
 
 # ids reported by verify-paper and a spec command, or by two spec commands
 SHARED_IDS = {
@@ -34,17 +35,30 @@ def test_shared_ids_read_and_judge_the_same(check_reports):
         assert len(set().union(*by_command.values())) == 1, (cid, by_command)
 
 
+def test_each_row_reports_its_table_tolerance(check_reports):
+    """Every command, at every seed, judges a row against its ``CHECKS`` default alone."""
+    runs = dict(check_reports)
+    runs["verify-paper", "seed 3"] = json.loads(verify_paper(RunConfig(seed=3)).to_json())
+    judged = set()
+    for run, report in runs.items():
+        for c in report["checks"]:
+            row = CHECKS.get(c["check_id"])  # a theorem-* id has variant rows, none judged
+            assert c["tolerance"] == (row.default if row else None), (run, c["check_id"])
+            if c["tolerance"] is not None:
+                judged.add(c["check_id"])
+    assert judged == {key for key, row in CHECKS.items() if row.rule == TOL}
+
+
 def test_count_and_tolerance_rules():
-    config = RunConfig(samples=20, tol_exact=1e-11, tol_fd=1e-6)
+    config = RunConfig(samples=20)
     assert Check("s", INFO, cap=16).count(config) == 16
     assert Check("s", INFO, cap=32).count(config) == 20
     assert Check("s", INFO, fixed=40).count(config) == 40
     assert Check("s", INFO).count(config) == 20
-    assert Check("s", EXACT, 1e-7).tolerance(config) == 1e-11
-    assert Check("s", EXACT, 1e-12).tolerance(config) == 1e-12
-    assert Check("s", FD, 1e-5).tolerance(config) == 1e-6
-    assert Check("s", FIXED, 0.1).tolerance(config) == 0.1
-    assert Check("s", FLAG).tolerance(config) is None
+    # one tolerance rule: a TOL row has its default, and the other rows have none
+    assert {row.rule for row in CHECKS.values()} == {TOL, INFO, FLAG}
+    for key, row in CHECKS.items():
+        assert (row.default is not None) == (row.rule == TOL), key
 
 
 def test_rows_of_one_batch_share_their_count():

@@ -1,4 +1,4 @@
-import inspect
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -9,9 +9,8 @@ import pytest
 from dualgeo import geometry
 from dualgeo.cli import (LoadedManifold, LoadedProduct, SpecFileError, _finish, cmd_check,
                          cmd_curvature, load_spec, main)
-from dualgeo.dualistic import theorem43_analyze
 from dualgeo.report import RunConfig, VerificationReport, jsonable
-from dualgeo.verify import verify_paper
+from dualgeo.verify import CHECKS, verify_paper
 
 
 def write(tmp_path, name, payload):
@@ -124,11 +123,6 @@ class TestExitCodes:
         assert main([a.format(d=d, spec_dir=spec_dir) for a in argv]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_weyl_on_surface_is_usage_error(self, spec_dir, capsys):
-        code = main(["curvature", str(spec_dir / "sphere2.json"), "--weyl"])
-        assert code == 2
-        assert "dim >= 3" in capsys.readouterr().err
-
     # A metric can pass the SPD validation and still be near-singular where
     # g^-1 is taken: an ill-conditioned chart, or a product whose twist is so
     # small that b^2 = 1e-14 is far below the base block.
@@ -203,18 +197,6 @@ class TestExitCodes:
         assert capsys.readouterr().out.splitlines()[0] == heading
         assert reported_point(json.loads(report.read_text())) == [0.3, 1.2]
 
-    @pytest.mark.parametrize("flag", ["--tol-exact", "--tol-fd"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance_is_usage_error(self, spec_dir, tmp_path, capsys, flag, value):
-        # each flag is sent to a command that reads it
-        command = {"--tol-exact": ["check", str(spec_dir / "sphere2.json")],
-                   "--tol-fd": ["verify-paper"]}[flag]
-        report = tmp_path / "r.json"
-        code = main(command + [flag, value, "--report", str(report)])
-        assert code == 2
-        assert "finite" in capsys.readouterr().err
-        assert not report.exists()
-
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -223,19 +205,22 @@ class TestExitCodes:
 
 # The run options each command reads; it must refuse the others.
 READS = {
-    "check": {"--samples", "--seed", "--tol-exact", "--report"},
-    "conjugate": {"--samples", "--seed", "--tol-exact", "--point", "--report"},
-    "curvature": {"--tol-exact", "--point", "--report"},
-    "twist": {"--samples", "--seed", "--tol-exact", "--report"},
-    "flatness": {"--samples", "--seed", "--tol-exact", "--report"},
-    "verify-paper": {"--samples", "--seed", "--tol-exact", "--tol-fd", "--report"},
+    "check": {"--samples", "--seed", "--report"},
+    "conjugate": {"--samples", "--seed", "--point", "--report"},
+    "curvature": {"--point", "--report"},
+    "twist": {"--samples", "--seed", "--report"},
+    "flatness": {"--samples", "--seed", "--report"},
+    "verify-paper": {"--samples", "--seed", "--report"},
 }
-# option: (argument, RunConfig field, value the field takes)
+# option: (argument, RunConfig field, value the field takes); the options
+# with no field were removed, and every command refuses them: a row's
+# tolerance is its CHECKS default, and the Weyl tensor is reported from dim 3
 OPTION_VALUES = {
     "--samples": ("7", "samples", 7),
     "--seed": ("5", "seed", 5),
-    "--tol-exact": ("1e-9", "tol_exact", 1e-9),
-    "--tol-fd": ("1e-5", "tol_fd", 1e-5),
+    "--tol-exact": ("1e-9", None, None),
+    "--tol-fd": ("1e-5", None, None),
+    "--weyl": ("", None, None),
     "--point": ("1.0,0.5", "point", (1.0, 0.5)),
     "--report": ("out.json", "report_path", "out.json"),
 }
@@ -266,26 +251,6 @@ def test_each_command_accepts_only_the_options_it_reads(spec_dir, monkeypatch, c
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert seen == []
-
-
-def test_theorem43_tolerance_is_the_same_in_both_commands(spec_dir, monkeypatch):
-    """``--tol-exact`` tightens theorem 4.3's branch tolerance in both commands alike."""
-    tols = {}
-
-    def spy(command):
-        def analyze(*args, **kwargs):
-            bound = inspect.signature(theorem43_analyze).bind(*args, **kwargs)
-            bound.apply_defaults()
-            tols.setdefault(command, set()).add(bound.arguments["tol"])
-            return theorem43_analyze(*args, **kwargs)
-        return analyze
-
-    monkeypatch.setattr("dualgeo.cli.theorem43_analyze", spy("flatness"))
-    monkeypatch.setattr("dualgeo.verify.theorem43_analyze", spy("verify-paper"))
-    main(["flatness", str(spec_dir / "flat_dual_product.json"), "--samples", "8",
-          "--tol-exact", "1e-10"])
-    main(["verify-paper", "--samples", "8", "--tol-exact", "1e-10"])
-    assert tols == {"flatness": {1e-10}, "verify-paper": {1e-10}}
 
 
 def test_check_builds_each_metric_array_once(spec_dir, monkeypatch, capsys):
@@ -342,20 +307,11 @@ class TestCurvatureCommand:
             "domain": [[-1, 1]] * 3,
             "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
         }
-        code = main(["curvature", write(tmp_path, "e3.json", doc), "--weyl"])
+        code = main(["curvature", write(tmp_path, "e3.json", doc)])
         assert code == 0
         out = capsys.readouterr().out
         assert "flat at point: True" in out
-
-    @pytest.mark.parametrize("tol_exact, tolerance", [("10", 1e-8), ("1e-12", 1e-12)])
-    def test_tol_exact_only_tightens_the_flat_threshold(self, spec_dir, capsys, tmp_path,
-                                                        tol_exact, tolerance):
-        report = tmp_path / "curv.json"
-        code = main(["curvature", str(spec_dir / "sphere2.json"), "--tol-exact", tol_exact,
-                     "--report", str(report)])
-        assert code == 0
-        assert "(flat at point: False)" in capsys.readouterr().out
-        assert json.loads(report.read_text())["tolerance"] == tolerance
+        assert "max |Weyl| = 0.000000e+00" in out
 
     def test_ricci_layout_depends_on_the_dimension_only(self, spec_dir, monkeypatch, capsys):
         """A round-off entry that is 0, -0 or +-3.5e-18 prints in the others' layout."""
@@ -366,7 +322,7 @@ class TestCurvatureCommand:
             report = SimpleNamespace(riemann=np.zeros((3, 3, 3, 3)), flat_at_point=False,
                                      ricci=ricci, scalar=1.906, weyl=None)
             monkeypatch.setattr("dualgeo.cli.curvature_report", lambda *args, **kw: report)
-            assert cmd_curvature(loaded, RunConfig(), False) == 0
+            assert cmd_curvature(loaded, RunConfig()) == 0
             lines = capsys.readouterr().out.splitlines()
             start = next(n for n, line in enumerate(lines) if line.startswith("  Ricci = "))
             assert lines[start + 3].startswith("  scalar = ")
@@ -433,11 +389,15 @@ class TestTwistCommand:
         assert "note: direct" in out
         assert "mixed flat: True" in out
 
-    def test_coordinate_clash_is_usage_error(self, spec_dir, capsys):
-        code = main(["twist", "--base", str(spec_dir / "line.json"),
-                     "--fiber", str(spec_dir / "hyperbolic2.json"), "--twist", "1"])
-        assert code == 2
-        assert "clash" in capsys.readouterr().err
+    def test_coordinate_clash_is_usage_error(self, spec_dir, tmp_path, capsys):
+        # the fiber's coordinates clash with the base's: an error of the fiber, not the twist
+        base, fiber = str(spec_dir / "line.json"), str(spec_dir / "hyperbolic2.json")
+        assert main(["twist", "--base", base, "--fiber", fiber, "--twist", "1"]) == 2
+        message = "factor coordinate names clash: ['x']\n"
+        assert capsys.readouterr().err == f"error: --fiber: {message}"
+        doc = {"kind": "twisted_product", "base": base, "fiber": fiber, "twist": "1"}
+        assert main(["twist", write(tmp_path, "p.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: p.json.fiber: {message}"
 
     @pytest.mark.parametrize("flag, base, fiber", [
         ("--base", "twisted_xu.json", "sphere2.json"),
@@ -589,7 +549,11 @@ class TestVerifyPaper:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not report.exists()
 
-    def test_impossible_tolerance_fails_honestly(self, tmp_path, capsys):
-        code = main(["verify-paper", "--samples", "8", "--tol-exact", "1e-18"])
+    def test_impossible_tolerance_fails_honestly(self, capsys, monkeypatch):
+        row = CHECKS["curvature-duality"]
+        monkeypatch.setitem(CHECKS, "curvature-duality", dataclasses.replace(row, default=1e-30))
+        code = main(["verify-paper", "--samples", "8"])
         assert code == 1
-        assert "fail" in capsys.readouterr().out
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.endswith("  fail")]
+        assert len(failed) == 1 and failed[0].startswith("curvature-duality ")

@@ -65,6 +65,11 @@
   ``dict(...)`` or an ``.update(...)``), and no code compares an ``.op`` with
   a binary operator's name.  The algebraic identities of ``neg`` and ``fn``
   compare unary names, and may.
+* Each row of the check table is judged against its own tolerance:
+  ``RunConfig``'s fields are exactly ``samples``, ``seed``, ``report_path``
+  and ``point``, and no method of ``verify.Check`` takes a ``RunConfig`` and
+  reads the row's ``default``, so no run-time override of a row's tolerance
+  grows back.
 """
 
 import ast
@@ -92,6 +97,7 @@ TABLE_FILES = {"geometry.py", "connections.py"}
 OPERATOR_TABLE = "_OPS"
 BINARY_OPS = {"add", "sub", "mul", "div", "pow"}
 OPERATOR_NAMES = BINARY_OPS | {"neg", *FUNCTIONS}
+RUN_CONFIG_FIELDS = ["samples", "seed", "report_path", "point"]
 DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
 
@@ -456,6 +462,30 @@ def binary_op_comparisons(trees) -> list[str]:
             and any(_names_binary_op(side) for side in (node.left, *node.comparators))]
 
 
+def class_fields(trees, cls: str) -> list[str]:
+    """The annotated fields of each class named ``cls``, in order."""
+    return [stmt.target.id for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _takes_config(fn: ast.FunctionDef) -> bool:
+    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    return any(a.arg == "config" or (a.annotation is not None
+                                     and "RunConfig" in ast.unparse(a.annotation))
+               for a in args)
+
+
+def config_tolerances(trees) -> set[str]:
+    """``file:Check.method`` of each ``Check`` method that takes a RunConfig and reads ``default``."""
+    return {f"{name}:{node.name}.{fn.name}" for name, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "Check"
+            for fn in node.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _takes_config(fn)
+            and any(isinstance(n, ast.Attribute) and n.attr == "default" for n in ast.walk(fn))}
+
+
 def _caller_trees():
     return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
             for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -642,6 +672,12 @@ def test_analyzers_receive_their_verdict_and_chain():
     assert ANALYZERS <= {node.name for name, tree in trees if name == "dualistic.py"
                          for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert analyzer_input_calls(trees) == []
+
+
+def test_each_row_is_judged_by_its_own_tolerance():
+    trees = _trees()
+    assert class_fields(trees, "RunConfig") == RUN_CONFIG_FIELDS
+    assert config_tolerances(trees) == set()
 
 
 def test_theorems_share_one_record():
@@ -989,3 +1025,20 @@ def test_scan_flags_operator_keyed_dicts(source, found):
 ])
 def test_scan_flags_binary_op_comparisons(source, found):
     assert binary_op_comparisons([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, fields, found", [
+    ("class RunConfig:\n    samples: int = 64\n    tol_exact: float = 1e-8\n",
+     ["samples", "tol_exact"], set()),
+    ("class Check:\n    def tolerance(self, config: RunConfig):\n"
+     "        return min(self.default, config.tol_exact)\n", [], {"probe.py:Check.tolerance"}),
+    ("class Check:\n    def bound(self, run: 'RunConfig'):\n"
+     "        return run.scale * self.default\n", [], {"probe.py:Check.bound"}),
+    ("class Check:\n    default: float\n    def count(self, config):\n"
+     "        return config.samples\n", [], set()),
+    ("class Other:\n    def tolerance(self, config):\n        return self.default\n", [], set()),
+])
+def test_scan_flags_run_config_tolerances(source, fields, found):
+    trees = [("probe.py", ast.parse(source))]
+    assert class_fields(trees, "RunConfig") == fields
+    assert config_tolerances(trees) == found

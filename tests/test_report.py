@@ -11,30 +11,14 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.samples == 64 and cfg.seed == 42
-        assert cfg.tol_exact == 1e-8 and cfg.tol_fd == 1e-4
+        assert cfg.report_path is None and cfg.point is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
             RunConfig(samples=0)
-        with pytest.raises(ValueError):
-            RunConfig(tol_exact=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(tol_fd=-1.0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             RunConfig(seed=-1)
         assert RunConfig(seed=0).seed == 0
-
-    @pytest.mark.parametrize("bad", [{"tol_exact": float("nan")}, {"tol_exact": float("inf")},
-                                     {"tol_fd": float("nan")}, {"tol_fd": float("inf")}])
-    def test_non_finite_tolerance_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            RunConfig(**bad)
-
-    def test_tolerance_only_tightens(self):
-        cfg = RunConfig(tol_exact=1e-15)
-        assert cfg.exact_tol(1e-10) == 1e-15
-        loose = RunConfig(tol_exact=1e-3)
-        assert loose.exact_tol(1e-10) == 1e-10
 
 
 class TestVerificationReport:
