@@ -22,8 +22,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import exprlang
 from .exprlang import Expr, parse
-from .geometry import ManifoldSpec, _Jets, one_batch
+from .geometry import ManifoldSpec, one_batch
 from . import numdiff
 
 __all__ = [
@@ -48,7 +49,7 @@ class ConnectionField:
     _dgamma: Callable[[np.ndarray], np.ndarray]
     _d2gamma: Callable[[np.ndarray], np.ndarray] | None = None
 
-    _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
+    _last_batch = None  # one_batch's streams, newest first: (((shape, bytes), {kind: array}), ...)
 
     def _memo(self, kind: str, x, build):
         return one_batch(self, kind, x, build)
@@ -171,7 +172,7 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
             e = parse(repr(float(value)), M.coords)
         exprs[(k * d + i) * d + j] = e
     zero = parse("0", M.coords)
-    jets = _Jets(tuple(zero if e is None else e for e in exprs), (d,) * 3, M.coords)
+    jets = exprlang.jets_of(tuple(zero if e is None else e for e in exprs), (d,) * 3, M.coords)
     return ConnectionField(M, "explicit", lambda x: jets.kernel(x), lambda x: jets.d1_kernel(x))
 
 

@@ -15,9 +15,13 @@ so trees equal node for node (constants by type and ``repr``) are one
 object, and ``==`` and ``hash`` are identity.  The intern table is weak: a
 node dies with its last holder.  Symbolic work is kept across calls, never
 arrays of numbers: ``parse`` keeps the trees of the last 1024 sources parsed,
-``differentiate`` memoizes on the node, and ``compile_array`` keeps the
-kernels of the last 512 entry arrays, with their roots.  A kernel computes
-and returns each distinct entry once, and places it at each of its entries.
+``differentiate`` memoizes on the node, and the jets table ``jets_of`` keeps
+the last 512 entry arrays asked for, each with its derivative tables and its
+kernel.  ``compile_array`` returns the kernel of its array's entry there, so
+the table is also the kernel table.  A chart, an explicit connection or a
+twist built again from the same sources gets the same jets, and
+differentiates and compiles nothing.  A kernel computes and returns each
+distinct entry once, and places it at each of its entries.
 
 Grammar::
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 import re
@@ -507,9 +512,9 @@ def compile_array(exprs, coords):
 
     ``x`` holds the values of ``coords`` in order, either one point ``(d,)``
     or a batch ``(N, d)``; the result has the nesting shape of ``exprs``,
-    after the batch axis if there is one.  The process keeps one kernel per
-    entry objects, shape and coordinates, for the last 512 arrays compiled
-    (``_kernel_of``); it holds their roots, so a tree built again is the
+    after the batch axis if there is one.  The kernel is that of the jets
+    table's entry for the entry objects, shape and coordinates
+    (``jets_of``), which holds their roots, so a tree built again is the
     same object and finds its kernel.  The kernel is one generated
     straight-line scalar function, run once per point, with an assignment
     per distinct node (a shared subtree is one node, so it is computed
@@ -526,12 +531,11 @@ def compile_array(exprs, coords):
     none is inf or NaN); otherwise it takes that same pass.
     """
     shape, flat = _flatten(exprs)
-    return _kernel_of(tuple(flat), shape, tuple(coords))
+    return jets_of(tuple(flat), shape, tuple(coords)).kernel
 
 
-@functools.lru_cache(maxsize=512)
 def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str, ...]):
-    """The kernel of compile_array for row-major entries ``flat``, built on a miss."""
+    """The kernel of compile_array for row-major entries ``flat``; its jets keep it."""
     slot = {name: i for i, name in enumerate(coords)}
     namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound,
                  **{op: row.value for op, row in _OPS[Unary].items()}}
@@ -644,6 +648,89 @@ def differentiate(e: Expr, var: str) -> Expr:
         d = _row(Binary, e.op).rule(a, b, differentiate(a, var), differentiate(b, var))
     memo[var] = d
     return d
+
+
+# -- jets: an entry array with its derivatives, one per key in the process ------
+
+def derivative_table(exprs: tuple, coord: str) -> tuple:
+    """d exprs / d coord entry by entry, for a tuple of entries.
+
+    ``differentiate`` memoizes on the entry node, and equal entries are one
+    node, so each distinct entry is differentiated once per coordinate for
+    as long as it lives, and its derivatives are one object too.
+    """
+    return tuple(differentiate(e, coord) for e in exprs)
+
+
+class _Jets:
+    """An array of expressions with its derivatives over coords, and their kernels.
+
+    A chart's metric g with dg, d2g, d3g, an explicit connection's Gamma
+    with dGamma, a twist's k with dk, d2k.  The array is a row-major tuple
+    of entries of ``shape``, and so is each derivative block, with the
+    derivative indices leading: d1 has shape (d,) + shape, d2 (d, d) + shape.
+    Only ``jets_of`` makes one, so every owner of the same entries, shape
+    and coordinates shares it, and the kernel of each derivative table is
+    that of the table's own entry there.  It holds no arrays of numbers.
+    Higher derivatives are built once per symmetric class of derivative
+    indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.  Derivative
+    tables are built on first use, kernels on first evaluation.
+    """
+
+    def __init__(self, exprs: tuple, shape: tuple[int, ...], coords: tuple[str, ...]):
+        self.exprs, self.shape, self.coords = exprs, shape, coords
+
+    def block(self, table: tuple, n: int) -> tuple:
+        """The n-th array of ``shape`` in a derivative table."""
+        size = len(self.exprs)
+        return table[n * size:(n + 1) * size]
+
+    @functools.cached_property
+    def d1(self) -> tuple:
+        # block i is d_i exprs (for a metric, d1 is d_i g_jk at [i, j, k])
+        return tuple(e for c in self.coords for e in derivative_table(self.exprs, c))
+
+    @functools.cached_property
+    def d2(self) -> tuple:
+        # block (i, j) is d_i d_j exprs; block (j, i) repeats its entries
+        d = len(self.coords)
+        classes = {(i, j): derivative_table(self.block(self.d1, j), self.coords[i])
+                   for i in range(d) for j in range(i, d)}
+        return tuple(e for i in range(d) for j in range(d) for e in classes[min(i, j), max(i, j)])
+
+    @functools.cached_property
+    def d3_classes(self):
+        # (classes, index): block c of classes is d_i d_j d_k exprs for the
+        # c-th sorted triple i <= j <= k, and index[i, j, k] = c for every triple
+        d = len(self.coords)
+        triples = list(itertools.combinations_with_replacement(range(d), 3))
+        classes = tuple(e for i, j, k in triples
+                        for e in derivative_table(self.block(self.d2, j * d + k), self.coords[i]))
+        index = np.empty((d, d, d), dtype=np.intp)
+        for c, triple in enumerate(triples):
+            for i, j, k in itertools.permutations(triple):
+                index[i, j, k] = c
+        return classes, index
+
+    def _compiled(self, table: tuple, lead: tuple[int, ...]):
+        return jets_of(table, lead + self.shape, self.coords).kernel
+
+    kernel = functools.cached_property(lambda self: _kernel_of(self.exprs, self.shape, self.coords))
+    d1_kernel = functools.cached_property(lambda self: self._compiled(self.d1, (len(self.coords),)))
+    d2_kernel = functools.cached_property(
+        lambda self: self._compiled(self.d2, (len(self.coords),) * 2))
+    d3_kernel = functools.cached_property(lambda self: self._compiled(
+        self.d3_classes[0], (math.comb(len(self.coords) + 2, 3),)))
+
+
+@functools.lru_cache(maxsize=512)
+def jets_of(exprs: tuple, shape: tuple[int, ...], coords: tuple[str, ...]) -> _Jets:
+    """The jets of row-major entries ``exprs`` of ``shape`` over ``coords``.
+
+    The jets table: one per key, for the last 512 keys asked for.  It holds
+    the entries, so their derivatives and kernels live as long as the key.
+    """
+    return _Jets(exprs, shape, coords)
 
 
 def simplify(e: Expr) -> Expr:

@@ -8,8 +8,6 @@ metric degeneracies, which keeps sampling and SPD validation trivial.
 from __future__ import annotations
 
 import collections
-import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr, differentiate, evaluate, parse
+from .exprlang import Expr, derivative_table, evaluate, parse
 
 __all__ = [
     "ManifoldSpec", "GeometryError", "SingularMetricError", "validate_metric",
@@ -34,118 +32,70 @@ class SingularMetricError(ArithmeticError):
     """Metric is numerically singular, or not positive definite, at the requested point."""
 
 
-def derivative_table(exprs: tuple, coord: str) -> tuple:
-    """d exprs / d coord entry by entry, for a tuple of entries.
-
-    ``differentiate`` memoizes on the entry node, and equal entries are one
-    node, so each distinct entry is differentiated once per coordinate for
-    as long as it lives, and its derivatives are one object too.
-    """
-    return tuple(differentiate(e, coord) for e in exprs)
-
-
-class _Jets:
-    """An array of expressions with its derivatives over coords, and their kernels.
-
-    A chart's metric g with dg, d2g, d3g, an explicit connection's Gamma
-    with dGamma, a twist's k with dk, d2k.  The array is a row-major tuple
-    of entries of ``shape``, and so is each derivative block, with the
-    derivative indices leading: d1 has shape (d,) + shape, d2 (d, d) + shape.
-    Each owner builds its own; the nodes' derivative memos and the kernel
-    table (``exprlang._kernel_of``) make every derivative and kernel of the
-    same entries the same object in every owner.  It holds no arrays of
-    numbers.  Higher derivatives are built once per symmetric class of
-    derivative indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.
-    Kernels are compiled on first evaluation.
-    """
-
-    def __init__(self, exprs: tuple, shape: tuple[int, ...], coords: tuple[str, ...]):
-        self.exprs, self.shape, self.coords = exprs, shape, coords
-
-    def block(self, table: tuple, n: int) -> tuple:
-        """The n-th array of ``shape`` in a derivative table."""
-        size = len(self.exprs)
-        return table[n * size:(n + 1) * size]
-
-    @cached_property
-    def d1(self) -> tuple:
-        # block i is d_i exprs (for a metric, d1 is d_i g_jk at [i, j, k])
-        return tuple(e for c in self.coords for e in derivative_table(self.exprs, c))
-
-    @cached_property
-    def d2(self) -> tuple:
-        # block (i, j) is d_i d_j exprs; block (j, i) repeats its entries
-        d = len(self.coords)
-        classes = {(i, j): derivative_table(self.block(self.d1, j), self.coords[i])
-                   for i in range(d) for j in range(i, d)}
-        return tuple(e for i in range(d) for j in range(d) for e in classes[min(i, j), max(i, j)])
-
-    @cached_property
-    def d3_classes(self):
-        # (classes, index): block c of classes is d_i d_j d_k exprs for the
-        # c-th sorted triple i <= j <= k, and index[i, j, k] = c for every triple
-        d = len(self.coords)
-        triples = list(itertools.combinations_with_replacement(range(d), 3))
-        classes = tuple(e for i, j, k in triples
-                        for e in derivative_table(self.block(self.d2, j * d + k), self.coords[i]))
-        index = np.empty((d, d, d), dtype=np.intp)
-        for c, triple in enumerate(triples):
-            for i, j, k in itertools.permutations(triple):
-                index[i, j, k] = c
-        return classes, index
-
-    def _compiled(self, table: tuple, lead: tuple[int, ...]):
-        return exprlang._kernel_of(table, lead + self.shape, self.coords)
-
-    kernel = cached_property(lambda self: self._compiled(self.exprs, ()))
-    d1_kernel = cached_property(lambda self: self._compiled(self.d1, (len(self.coords),)))
-    d2_kernel = cached_property(lambda self: self._compiled(self.d2, (len(self.coords),) * 2))
-    d3_kernel = cached_property(lambda self: self._compiled(
-        self.d3_classes[0], (math.comb(len(self.coords) + 2, 3),)))
-
-
 def one_batch(owner, kind: str, x, build) -> np.ndarray:
-    """owner's array of this kind at x, read from its sample stream or built as build(x).
+    """owner's array of this kind at x, read from its sample streams or built as build(x).
 
     x is a point (d,) or a batch (N, d) in any form ``np.asarray`` takes; it
     is converted to floats here, so an accessor passes its point through.
 
-    An owner keeps one stream: the last point, or the longest of a run of
-    batches that are row-prefixes of each other, with the arrays built on
-    it.  A chart (``ManifoldSpec``) holds g, g^-1, dg, d2g, d3g and the
-    orthonormal frame, and a product chart also its twist data; a
-    ``ConnectionField`` holds Gamma, dGamma, R, Ric, the scalar curvature
-    and the cubic form nabla g (Levi-Civita also d2Gamma and dR).  Each
-    connection keeps its own stream, so a connection built per call is
+    An owner keeps up to ``_STREAMS_KEPT`` sample streams, newest first, in
+    ``_last_batch``: each is a point or a batch, with the arrays built on it
+    or on a row-prefix of it.  A chart (``ManifoldSpec``) holds g, g^-1, dg,
+    d2g, d3g and the orthonormal frame, and a product chart also its twist
+    data; a ``ConnectionField`` holds Gamma, dGamma, R, Ric, the scalar
+    curvature and the cubic form nabla g (Levi-Civita also d2Gamma and dR).
+    Each connection keeps its own streams, so a connection built per call is
     freed with its arrays and the chart's entries stay fixed.
 
     The key carries the shape: a (1, d) batch and the (d,) point have equal
-    bytes.  An (n, d) batch whose bytes begin the stream's reads the first n
-    rows of each array.  The sample sets of one seed are row-prefixes of one
+    bytes.  An (n, d) batch whose bytes begin a stream's reads the first n
+    rows of its arrays.  The sample sets of one seed are row-prefixes of one
     draw (``ManifoldSpec.sample_array``), so checks at 12, 16 and 32 points
-    share one build when the largest is read first.  A kind built on fewer
-    rows than asked for is built again on all of x.  Any other point or
-    batch, one that extends the stream among them, starts a new stream.
+    share one build when the largest is read first.  A read is served by
+    the newest stream that x begins and that holds the kind on at least
+    x's rows.  When none does, the kind is built on all of x, on the newest
+    stream x begins; when x begins no stream (a new point, a batch of other
+    rows, or one that extends a stream), it starts a new stream.  A new
+    stream drops, when all are taken, the stream with the fewest rows (a
+    point has none), the oldest of those if several tie: a large sample
+    set outlives the small ones and the points read after it.
 
-    Key and arrays are replaced in one assignment, so each dict holds only
-    builds on row-prefixes of its own key: a concurrent caller never pairs
-    one stream's key with another's arrays.  Kinds are filled lazily.  Every
+    Streams are replaced in one assignment, and each dict holds only builds
+    on row-prefixes of its own key: a concurrent caller never pairs one
+    stream's key with another's arrays.  Kinds are filled lazily.  Every
     stored array is read-only, since callers share it: an in-place edit
     raises instead of changing later reads.
     """
     x = np.asarray(x, dtype=float)
     key = (x.shape, x.tobytes())
-    last = owner._last_batch
-    if last is None or not _begins(key, last[0]):
-        last = owner._last_batch = (key, {})
-    arrays = last[1]
-    hit = arrays.get(kind)
-    rows = len(x) if x.ndim == 2 else None
-    if hit is None or (rows is not None and len(hit) < rows):
-        hit = build(x)
-        hit.flags.writeable = False
-        arrays[kind] = hit
-    return hit if rows is None or len(hit) == rows else hit[:rows]
+    streams = owner._last_batch or ()
+    home = None  # the newest stream x begins
+    if x.ndim != 2:  # a point begins only its own stream, and no key is kept twice
+        for stream in streams:
+            if stream[0] == key:
+                hit = stream[1].get(kind)
+                if hit is not None:
+                    return hit
+                home = stream
+                break
+    else:
+        rows = len(x)
+        for stream in streams:
+            # one tuple == settles x's own stream before the prefix test
+            if stream[0] == key or _begins(key, stream[0]):
+                hit = stream[1].get(kind)
+                if hit is not None and len(hit) >= rows:
+                    return hit if len(hit) == rows else hit[:rows]
+                home = home or stream
+    if home is None:
+        home = (key, {})
+        if len(streams) == _STREAMS_KEPT:  # an oldest point has no rows: no search
+            streams = streams[:-1] if len(streams[-1][0][0]) == 1 else _drop_one(streams)
+        owner._last_batch = (home,) + streams
+    hit = build(x)
+    hit.flags.writeable = False
+    home[1][kind] = hit
+    return hit
 
 
 def _begins(key, stream) -> bool:
@@ -157,9 +107,22 @@ def _begins(key, stream) -> bool:
             and shape[0] < stream_shape[0] and stream_data.startswith(data))
 
 
+def _rows(stream) -> int:
+    shape = stream[0][0]
+    return shape[0] if len(shape) == 2 else 0
+
+
+def _drop_one(streams: tuple) -> tuple:
+    """streams less the one with the fewest rows, the oldest of those if several tie."""
+    dropped = min(reversed(streams), key=_rows)
+    return tuple(s for s in streams if s is not dropped)
+
+
 # sample_array's largest draw per (domain, seed), oldest first
 _DRAWS = collections.OrderedDict()
 _DRAWS_KEPT = 64
+# sample streams per owner (one_batch)
+_STREAMS_KEPT = 3
 
 
 @dataclass(eq=False)
@@ -228,8 +191,9 @@ class ManifoldSpec:
         return bool(inside) if x.ndim == 1 else inside
 
     @cached_property
-    def _jets(self) -> _Jets:
-        return _Jets(tuple(e for row in self.metric for e in row), (self.dim,) * 2, self.coords)
+    def _jets(self):
+        return exprlang.jets_of(tuple(e for row in self.metric for e in row), (self.dim,) * 2,
+                                self.coords)
 
     @cached_property
     def levi_civita_connection(self):
@@ -240,9 +204,9 @@ class ManifoldSpec:
     # -- pointwise metric algebra ------------------------------------------
     # Each accessor takes one point (d,) or a batch of points (N, d) and
     # returns its arrays with the same leading shape, through the chart's
-    # sample stream (see one_batch).
+    # sample streams (see one_batch).
 
-    _last_batch = None  # one_batch's ((shape, bytes), {kind: array})
+    _last_batch = None  # one_batch's streams, newest first: (((shape, bytes), {kind: array}), ...)
 
     def _memo(self, kind: str, x, build):
         return one_batch(self, kind, x, build)

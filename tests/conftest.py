@@ -2,6 +2,7 @@ import collections
 import functools
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,20 +14,33 @@ from dualgeo import fixtures as fx
 from dualgeo.cli import LoadedProduct, load_spec, main
 
 
-@pytest.fixture
-def empty_kernels(monkeypatch):
-    """An empty kernel table of the library's size, in place of the process's for one test."""
-    kernels = functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__)
-    monkeypatch.setattr(exprlang, "_kernel_of", kernels)
-    return kernels
+def empty_symbolic_tables(monkeypatch):
+    """Put empty parse, jets and code tables in place of the process's, as at start-up.
+
+    The new tables have the library's bounds, and every live node's
+    derivative memo is dropped too, so the work that follows parses,
+    differentiates and compiles afresh; ``monkeypatch`` puts the process's
+    tables back.  Returns the new tables, as ``parses``, ``jets`` and
+    ``codes``.
+    """
+    tables = types.SimpleNamespace(
+        parses=collections.OrderedDict(),
+        jets=functools.lru_cache(**exprlang.jets_of.cache_parameters())(
+            exprlang.jets_of.__wrapped__),
+        codes=functools.lru_cache(**exprlang._code_of.cache_parameters())(
+            exprlang._code_of.__wrapped__))
+    monkeypatch.setattr(exprlang, "_PARSED", tables.parses)
+    monkeypatch.setattr(exprlang, "jets_of", tables.jets)
+    monkeypatch.setattr(exprlang, "_code_of", tables.codes)
+    for node in list(exprlang._NODES.values()):
+        object.__setattr__(node, "_derivatives", None)
+    return tables
 
 
 @pytest.fixture
-def empty_parses(monkeypatch):
-    """An empty parse table, in place of the process's for one test."""
-    parses = collections.OrderedDict()
-    monkeypatch.setattr(exprlang, "_PARSED", parses)
-    return parses
+def empty_tables(monkeypatch):
+    """Empty symbolic tables in place of the process's, for one test (see empty_symbolic_tables)."""
+    return empty_symbolic_tables(monkeypatch)
 
 
 @pytest.fixture

@@ -284,21 +284,27 @@ def test_the_draw_table_stays_within_its_bound(empty_draws):
     assert list(empty_draws) == [(M.domain, 0) for M in charts[21:] + charts[:1]]
 
 
+def _key(x) -> tuple:
+    return x.shape, x.tobytes()
+
+
 def test_stream_key_is_the_longest_batch(sphere):
-    # _last_batch keeps its layout ((shape, bytes), {kind: array}); the key
-    # is the longest batch of the run, and a single point starts a new stream
+    # _last_batch holds the streams newest first, each ((shape, bytes), {kind: array});
+    # a stream's key is the longest batch of a run of row-prefixes read longest
+    # first, and a single point starts a new stream
     M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
     X = M.sample_array(5, 9)
     for rows in (3, 5, 2, 4):
         M.metric_at(X[:rows])
-    key, arrays = M._last_batch
-    assert key == (X.shape, X.tobytes())
+    (key, arrays), (prefix_key, _) = M._last_batch
+    assert key == _key(X) and prefix_key == _key(X[:3])
     assert set(arrays) == {"g"} and arrays["g"].shape == (5, 2, 2)
     assert M.metric_at(X[:2]).base is arrays["g"]
     M.metric_at(X[0])
-    key, arrays = M._last_batch
-    assert key == (X[0].shape, X[0].tobytes())
+    key, arrays = M._last_batch[0]
+    assert key == _key(X[0])
     assert set(arrays) == {"g"} and arrays["g"].shape == (2, 2)
+    assert [key for key, _ in M._last_batch[1:]] == [_key(X), _key(X[:3])]
 
 
 def test_extension_starts_a_new_stream(sphere):
@@ -308,12 +314,54 @@ def test_extension_starts_a_new_stream(sphere):
     M.metric_derivatives_at(X[:4])
     with _counted_builds() as builds:
         M.metric_at(X)  # extends the stream: a new stream, g built on all 8 rows
-        assert M._last_batch[0] == (X.shape, X.tobytes())
-        assert set(M._last_batch[1]) == {"g"}
-        M.inverse_metric_at(X[:4])  # the kinds built on the prefix went with its stream
-        M.metric_derivatives_at(X[:4])
-        M.inverse_metric_at(X)  # g^-1 holds 4 rows: built again on all 8
-    assert [kind for _, kind in builds] == ["g", "ginv", "dg", "ginv"]
+        assert M._last_batch[0][0] == _key(X)
+        assert set(M._last_batch[0][1]) == {"g"}
+        M.inverse_metric_at(X)  # g^-1 holds 4 rows, on the prefix's stream: built on all 8
+    assert [kind for _, kind in builds] == ["g", "ginv"]
+    assert [(key, set(arrays)) for key, arrays in M._last_batch] == [
+        (_key(X), {"g", "ginv"}), (_key(X[:4]), {"g", "ginv", "dg"})]
+
+
+def test_a_prefix_read_after_an_extension_is_served_by_the_prefix_stream(sphere):
+    # the extension's stream is the newest that X[:4] begins, and it holds no
+    # g^-1 or dg: the older stream of the prefix holds both, and serves them
+    M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    X = M.sample_array(8, 2)
+    kept = M.inverse_metric_at(X[:4]), M.metric_derivatives_at(X[:4])
+    M.metric_at(X)
+    with _counted_builds() as builds:
+        again = M.inverse_metric_at(X[:4]), M.metric_derivatives_at(X[:4])
+        assert M.metric_at(X[:4]).base is M._last_batch[0][1]["g"]  # the newest holds g
+    assert builds == []
+    assert all(a is b for a, b in zip(again, kept, strict=True))
+
+
+def test_a_new_stream_drops_the_one_with_fewest_rows(sphere):
+    # a large sample set outlives the small streams and the points read after it;
+    # among streams of equal rows the oldest goes, and a point has no rows
+    M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    assert geometry._STREAMS_KEPT == 3
+    big = M.sample_array(64, 1)
+    M.metric_at(big)
+    small = [M.sample_array(6, seed) for seed in range(2, 10)]
+    for x in small:
+        M.metric_at(x)
+    assert [key for key, _ in M._last_batch] == [_key(small[-1]), _key(small[-2]), _key(big)]
+    points = M.sample_array(3, 11)
+    M.metric_at(points[0])
+    assert [key for key, _ in M._last_batch] == [_key(points[0]), _key(small[-1]), _key(big)]
+    for x in points[1:]:
+        M.metric_at(x)
+    assert [key for key, _ in M._last_batch] == [_key(points[2]), _key(small[-1]), _key(big)]
+    with _counted_builds() as builds:
+        assert M.metric_at(big[:32]).base is M._last_batch[2][1]["g"]
+    assert builds == []
+    # only points: the oldest goes
+    M = ManifoldSpec(sphere.name, sphere.coords, sphere.domain, sphere.metric)
+    points = M.sample_array(5, 12)
+    for x in points:
+        M.metric_at(x)
+    assert [key for key, _ in M._last_batch] == [_key(x) for x in points[:1:-1]]
 
 
 def test_concurrent_extensions_of_one_prefix_stay_apart():

@@ -1,19 +1,20 @@
 """One run builds each array once, and each chart once.
 
 The gate wraps ``geometry.one_batch`` during one warm ``verify_paper`` and
-during one run of each spec command on ``specs/``.  A build of a kind that
-the owner's stream already holds on a shorter row-prefix is a second build
-of that kind on one stream: reading the larger batch first would have made
-the smaller read a slice.  Charts are counted as ``ManifoldSpec``s built,
-against the distinct ones by name, coordinates, domain and metric source.
+during one run of each spec command on ``specs/``.  A build of a kind on a
+batch that equals, or is a row-prefix of, a batch the same owner built that
+kind on earlier in the run is a repeat: the earlier array held the rows.
+Charts are counted as ``ManifoldSpec``s built, against the distinct ones by
+name, coordinates, domain and metric source.
 
 The symbolic gate wraps ``exprlang.differentiate`` and records each
 (node, coordinate) pair it finds missing from the node's memo, in runs that
 start from empty symbolic tables, as a fresh process does: no pair is
 differentiated twice, and a chart's mirror metric entries are one object
 exactly when they are equal node for node.  A second run of the same work
-differentiates nothing and compiles nothing, and makes exactly as many
-array builds as the run before it, so no array of numbers outlives a call.
+differentiates nothing, misses no jets, compiles nothing, and makes exactly
+as many array builds as the run before it, so no array of numbers outlives
+a call; a second warm ``verify_paper`` calls ``differentiate`` not at all.
 
 At a fresh point the curvature path has a fixed budget: the frame is one
 Cholesky factorization and one inverse, whatever the dimension; each
@@ -22,7 +23,6 @@ to ``exprlang.evaluate``.
 """
 
 import collections
-import gc
 import itertools
 import sys
 
@@ -37,24 +37,28 @@ from dualgeo.exprlang import Const, evaluate, parse, to_source
 from dualgeo.geometry import ManifoldSpec
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
+from conftest import empty_symbolic_tables
 from oracles import tree_key
 
 
 class Recorder:
-    """Second builds of a held kind, and every chart built, while installed."""
+    """Repeated builds of a kind, and every chart built, while installed.
+
+    Each owner is held until ``check``, so no id is reused within a run.
+    """
 
     def __init__(self, monkeypatch):
         self.rebuilds, self.charts = [], []
+        self.built = {}  # (id(owner), kind) -> (owner, keys of the batches it was built on)
         original = geometry.one_batch
 
         def recording(owner, kind, x, build):
-            key, last = (x.shape, x.tobytes()), owner._last_batch
-            held = last is not None and kind in last[1] and (
-                geometry._begins(key, last[0]) or geometry._begins(last[0], key))
-
             def counted(z):
-                if held:
-                    self.rebuilds.append((repr(owner), kind, x.shape))
+                key = (z.shape, z.tobytes())
+                _, keys = self.built.setdefault((id(owner), kind), (owner, []))
+                if any(geometry._begins(key, earlier) for earlier in keys):
+                    self.rebuilds.append((repr(owner), kind, z.shape))
+                keys.append(key)
                 return build(z)
             return original(owner, kind, x, counted)
 
@@ -75,6 +79,7 @@ class Recorder:
         assert len(self.charts) == len(set(self.charts))
         self.rebuilds.clear()
         self.charts.clear()
+        self.built.clear()
 
 
 @pytest.mark.parametrize("seed", [42, 3])
@@ -108,35 +113,29 @@ def test_the_plain_charts_build_no_product(monkeypatch):
 
 # -- symbolic work: each derivative table differentiates an entry once -------
 
-def _drop_symbolic_tables():
-    """Empty the parse and kernel tables and every live node's derivative memo, as at start-up."""
-    exprlang._PARSED.clear()
-    exprlang._kernel_of.cache_clear()
-    gc.collect()
-    for node in list(exprlang._NODES.values()):
-        object.__setattr__(node, "_derivatives", None)
-
-
-def _compiled() -> int:
-    """Misses of the kernel table so far: the kernels built."""
-    return exprlang._kernel_of.cache_info().misses
+def _jets_misses() -> int:
+    """Misses of the jets table so far: the jets made."""
+    return exprlang.jets_of.cache_info().misses
 
 
 class DerivativeRecorder:
-    """Each (node, coordinate) pair differentiate computes, and every chart built, while installed.
+    """Each (node, coordinate) pair differentiate computes, each kernel compiled,
+    and every chart built, while installed.
 
     A pair is recorded when differentiate finds it missing from the node's
     memo; the recorder holds the node, so no id is reused.  A call that
     finds its pair in the memo must differentiate nothing, so a call made
-    inside it is recorded as recomputed.
+    inside it is recorded as recomputed.  ``calls`` counts every call.
     """
 
     def __init__(self, monkeypatch):
-        self.pairs, self.recomputed, self.charts = [], [], []
+        self.pairs, self.recomputed, self.charts, self.compiled = [], [], [], []
+        self.calls = 0
         differentiate = exprlang.differentiate
         hits = []  # whether each call on the stack found its pair in the memo
 
         def differentiating(e, coord):
+            self.calls += 1
             if hits and hits[-1]:
                 self.recomputed.append((e, coord))
             hits.append(coord in (e._derivatives or ()))
@@ -151,6 +150,9 @@ class DerivativeRecorder:
             if (getattr(module, "__name__", "").startswith("dualgeo")
                     and getattr(module, "differentiate", None) is differentiate):
                 monkeypatch.setattr(module, "differentiate", differentiating)
+        kernel_of = exprlang._kernel_of
+        monkeypatch.setattr(exprlang, "_kernel_of",
+                            lambda *key: self.compiled.append(key) or kernel_of(*key))
         post_init = ManifoldSpec.__post_init__
 
         def recorded(chart):
@@ -167,10 +169,11 @@ class DerivativeRecorder:
                 assert (g[j][k] is g[k][j]) == (tree_key(g[j][k]) == tree_key(g[k][j]))
         self.pairs.clear()
         self.charts.clear()
+        self.compiled.clear()
 
 
 def test_verify_paper_differentiates_each_entry_once_per_table(monkeypatch):
-    _drop_symbolic_tables()
+    empty_symbolic_tables(monkeypatch)
     recorder = DerivativeRecorder(monkeypatch)
     verify_paper(RunConfig(seed=3))
     assert len(recorder.pairs) > 200 and len(recorder.charts) > 20
@@ -201,9 +204,9 @@ def test_a_warm_verify_paper_builds_nothing_symbolic(monkeypatch):
     first_builds = list(builds)
     builds.clear()
     recorder = DerivativeRecorder(monkeypatch)
-    compiled = _compiled()
+    misses = _jets_misses()
     assert verify_paper(RunConfig(seed=3)).to_json() == first
-    assert recorder.pairs == [] and _compiled() == compiled
+    assert recorder.calls == 0 and recorder.compiled == [] and _jets_misses() == misses
     recorder.check()
     # every array of the second warm run is built again: none is reused across calls
     assert len(first_builds) > 500 and sorted(builds) == sorted(first_builds)
@@ -214,15 +217,16 @@ def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec
     for spec in sorted(spec_dir.glob("*.json")):
         product = isinstance(load_spec(str(spec)), LoadedProduct)
         for command in (("twist", "flatness") if product else ("check", "conjugate", "curvature")):
-            _drop_symbolic_tables()
+            empty_symbolic_tables(monkeypatch)
             recorder.pairs.clear()
             main([command, str(spec)])
-            assert recorder.pairs, (command, spec.name)
+            assert recorder.pairs and recorder.compiled, (command, spec.name)
             recorder.check()
-            # the same command again differentiates nothing and compiles nothing
-            compiled = _compiled()
+            # the same command again differentiates nothing, misses no jets and compiles nothing
+            misses = _jets_misses()
             main([command, str(spec)])
-            assert recorder.pairs == [] and _compiled() == compiled, (command, spec.name)
+            assert recorder.pairs == [] and recorder.compiled == [], (command, spec.name)
+            assert _jets_misses() == misses, (command, spec.name)
             recorder.check()
     capsys.readouterr()
 
@@ -234,9 +238,9 @@ def _entries(jets) -> list:
 
 def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
     # the zero entries and the mirror pair are single objects across g, dg, d2g, d3g,
-    # and a second chart of the same entries builds its own jets of the same
-    # entry objects, differentiating nothing
-    _drop_symbolic_tables()
+    # and a second chart of the same entries gets the same jets from the jets
+    # table, differentiating nothing
+    empty_symbolic_tables(monkeypatch)
     recorder = DerivativeRecorder(monkeypatch)
     sources = [["1 + x^2", "x*y", "0"], ["x*y", "2 + sin(z)", "0"], ["0", "0", "exp(y)"]]
     M = ManifoldSpec.from_strings("probe", ("x", "y", "z"), [(0.5, 1.0)] * 3, sources)
@@ -244,7 +248,7 @@ def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
     assert recorder.pairs
     recorder.check()
     again = ManifoldSpec.from_strings("again", ("x", "y", "z"), [(0.25, 1.0)] * 3, sources)
-    assert again._jets is not M._jets
+    assert again._jets is M._jets
     assert all(a is b for a, b in zip(_entries(again._jets), first, strict=True))
     assert recorder.pairs == []
     # differentiating the entries again finds every pair in the memos
@@ -289,7 +293,7 @@ def test_mirror_entries_are_one_object_only_when_equal(upper, lower, shared):
 # -- a fresh point: a fixed budget of factorizations and kernel calls ---------
 
 def _fresh_copy(name: str) -> ManifoldSpec:
-    """A new chart with the metric of a fixture, so its kernels are compiled anew."""
+    """A new chart with the metric of a fixture."""
     fixtures = fx.Fixtures()
     M = fixtures.twists[name].manifold if name in fixtures.twists else fixtures.charts[name]
     return ManifoldSpec(f"fresh-{name}", M.coords, M.domain, M.metric)
@@ -318,7 +322,7 @@ def test_a_fresh_point_has_a_fixed_budget(monkeypatch, name):
         return call
 
     M = _fresh_copy(name)
-    exprlang._kernel_of.cache_clear()
+    empty_symbolic_tables(monkeypatch)  # so its kernels are compiled anew
     monkeypatch.setattr(exprlang, "exec", exec_counting, raising=False)
     monkeypatch.setattr(exprlang, "evaluate", counting("evaluate", exprlang.evaluate))
     lc = levi_civita(M)

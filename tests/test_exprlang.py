@@ -561,7 +561,7 @@ def test_copies_are_the_interned_node():
         e.op = "sub"
 
 
-def test_a_dropped_node_dies(empty_kernels, empty_parses):
+def test_a_dropped_node_dies(empty_tables):
     e = parse("x*1.0000001234 + sin(x)", ["x"])
     dead = weakref.ref(e)
     d = differentiate(e, "x")
@@ -569,22 +569,26 @@ def test_a_dropped_node_dies(empty_kernels, empty_parses):
     M.metric_derivatives_at([0.75])
     compile_array([e, d], ["x"])([0.5])
     del e, d, M
-    empty_kernels.cache_clear()  # the table held the entries
-    empty_parses.clear()  # and this one the parsed tree
+    empty_tables.jets.cache_clear()  # the jets table held the entries
+    empty_tables.parses.clear()  # and the parse table the tree
     gc.collect()
     assert dead() is None
 
 
-def test_the_kernel_table_stays_within_its_bound(empty_kernels):
-    bound = empty_kernels.cache_parameters()["maxsize"]
+def test_the_kernel_table_stays_within_its_bound(empty_tables):
+    # the jets table is the kernel table: compile_array's kernels are its entries'
+    table = empty_tables.jets
+    bound = table.cache_parameters()["maxsize"]
     for n in range(bound + 20):
         M = ManifoldSpec.from_strings(f"m{n}", ("x",), [(0.5, 1.0)], [[f"{n + 1} + x^2"]])
         assert M.metric_at([0.75]).tolist() == [[n + 1.5625]]
-        assert empty_kernels.cache_info().currsize <= bound
-    assert empty_kernels.cache_info().currsize == bound
+        assert compile_array(M.metric, ["x"]) is M._jets.kernel
+        assert table.cache_info().currsize <= bound
+    assert table.cache_info().currsize == bound
 
 
-def test_the_parse_table_stays_within_its_bound(empty_parses):
+def test_the_parse_table_stays_within_its_bound(empty_tables):
+    empty_parses = empty_tables.parses
     bound = exprlang._PARSED_KEPT
     for n in range(bound + 20):
         e = parse(f"{n + 1} + x^2", ["x"])
@@ -607,8 +611,9 @@ def test_the_parse_table_stays_within_its_bound(empty_parses):
     ("2", ("sin",), ParseError, "coordinate names shadow built-ins: ['sin'] (at position 0)",
      ()),
 ])
-def test_parse_errors_are_raised_on_every_call_and_never_kept(empty_parses, source, coords,
+def test_parse_errors_are_raised_on_every_call_and_never_kept(empty_tables, source, coords,
                                                               error, message, valid_over):
+    empty_parses = empty_tables.parses
     if valid_over is not None:  # kept over other names, which the key holds
         parse(source, valid_over)
     for _ in range(3):
@@ -634,7 +639,7 @@ def test_kernel_on_a_table_hit_is_bitwise_evaluate(exprs, xs):
 THREADS = 4  # more than the cores of a small host, and a fixed count
 
 
-def test_threads_build_one_tree_and_equal_arrays(empty_kernels, empty_parses, empty_draws):
+def test_threads_build_one_tree_and_equal_arrays(empty_tables, empty_draws):
     # a cold build from empty tables, with the interpreter switching threads often
     sources = [["2 + sin(x*y)^2", "x*y/(1 + y^2)"], ["x*y/(1 + y^2)", "3 + exp(x - y)"]]
     x = np.array([[0.6, 0.7], [0.8, 0.9]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualgeo.connections import conjugate, explicit_connection, levi_civita
-from dualgeo import curvature
+from dualgeo import curvature, exprlang
 from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann_derivative_at,
                                sectional_at)
 from dualgeo.exprlang import DomainError, differentiate, evaluate, parse
@@ -87,18 +87,19 @@ class TestMetricDerivatives:
         fd = fd1(sphere.metric_derivatives_at, x, 0)
         assert np.allclose(d2[0], fd, atol=1e-7)
 
-    def test_kernels_compile_on_first_evaluation(self, empty_kernels):
-        # a chart whose metric the process has not seen: an empty kernel table
-        table = empty_kernels
+    def test_kernels_compile_on_first_evaluation(self, monkeypatch, empty_tables):
+        # a chart whose metric the process has not seen: empty symbolic tables
+        compiled, build = [], exprlang._kernel_of
+        monkeypatch.setattr(exprlang, "_kernel_of", lambda *key: compiled.append(key) or build(*key))
         M = ManifoldSpec.from_strings("lazy", ("a", "b"), [(-1, 1), (-1, 1)],
                                       [["2 + a*b", "0"], ["0", "exp(a)"]])
         kernels = ("kernel", "d1_kernel", "d2_kernel", "d3_kernel")
         assert not any(k in vars(M._jets) for k in kernels)
-        assert table.cache_info().currsize == 0
+        assert compiled == []
         x = [0.3, -0.4]
         M.metric_second_derivatives_at(x)
         assert [k in vars(M._jets) for k in kernels] == [False, False, True, False]
-        assert table.cache_info().currsize == 1
+        assert compiled == [(M._jets.d2, (2,) * 4, M.coords)]
         env = {"a": 0.3, "b": -0.4}
         expected = [evaluate(e, env) for e in M._jets.d2]  # row-major over (i, j, k, l)
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
@@ -181,7 +182,9 @@ class TestLastBatchCache:
         X, Y = np.eye(4)[0], np.eye(4)[2]
         for _ in range(1000):
             sectional_at(twisted4, x, X, Y)
-        assert set(twisted4._last_batch[1]) == {"g", "ginv", "dg", "d2g"}
+        [(key, arrays)] = twisted4._last_batch  # one stream: the point
+        assert key == (x.shape, x.tobytes())
+        assert set(arrays) == {"g", "ginv", "dg", "d2g"}
         assert len(builds) == 1
 
     def test_cached_arrays_are_read_only(self):
@@ -210,10 +213,10 @@ class TestLastBatchCache:
                 with pytest.raises(ValueError, match="read-only"):
                     got[(0,) * got.ndim] = 5.0
                 assert read(x).tobytes() == before.tobytes(), kind
-            # every kind cached by the chart and the connections was read
-            assert set(M._last_batch[1]) == {"g", "ginv", "dg", "d2g", "d3g", "frame", "twist"}
-            assert set(lc._last_batch[1]) == {"gamma", "dgamma", "R", "d2gamma", "dR"}
-            assert all(set(C._last_batch[1]) == {"gamma", "dgamma", "R"} for C in conns[1:])
+            # every kind cached by the chart and the connections was read, on the newest stream
+            assert set(M._last_batch[0][1]) == {"g", "ginv", "dg", "d2g", "d3g", "frame", "twist"}
+            assert set(lc._last_batch[0][1]) == {"gamma", "dgamma", "R", "d2gamma", "dR"}
+            assert all(set(C._last_batch[0][1]) == {"gamma", "dgamma", "R"} for C in conns[1:])
 
     def test_interleaved_points_and_batches(self):
         P = dict(fx.standard_twists())["twisted-4d"]

@@ -5,19 +5,19 @@ every shared sub-list walked again, every node named by its structure.
 The library's one-pass walk flattens a shared sub-list once, skips a root it
 has named, and names a compound node by identity when the mark below its
 children comes back up; nodes are interned, so that is naming by structure.
-Sources are captured where the kernel table hands them to
+Sources are captured where ``exprlang._kernel_of`` hands them to
 ``exprlang._code_of``, on generated arrays, on every kernel of a
 ``verify_paper`` run and of each spec command on ``specs/``, whether
-``compile_array`` or a chart's jets asked for it; those runs start from an
-empty kernel table, so every kernel is built and none is taken from an
+``compile_array`` or a chart's jets asked for it; those runs start from
+empty symbolic tables, so every kernel is built and none is taken from an
 earlier test.  A kernel returns each distinct entry once, so its return
 line names each entry's variable once, in order of first appearance.
 """
 
-import functools
 import math
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualgeo import exprlang
@@ -25,6 +25,7 @@ from dualgeo.cli import LoadedProduct, load_spec, main
 from dualgeo.exprlang import FUNCTIONS, Binary, Const, Unary, Var, compile_array
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
+from conftest import empty_symbolic_tables
 from oracles import kernel_source
 
 COORDS = ("x", "y")
@@ -34,18 +35,13 @@ UNARY = ("neg",) + FUNCTIONS
 BINARY = ("add", "sub", "mul", "div", "pow")
 
 
-def _empty_kernels():
-    """A fresh, empty kernel table, shaped as the library's."""
-    return functools.lru_cache(maxsize=512)(exprlang._kernel_of.__wrapped__)
-
-
 class SourceCheck:
-    """Compares each kernel the table builds with the oracle's source, while installed.
+    """Compares each kernel built with the oracle's source, while installed.
 
-    It installs an empty kernel table, so every kernel of the run is built
-    there, whether asked for by ``compile_array`` or by a chart's jets, and
-    each built kernel's source must be the oracle's for its entries.  A
-    kernel ``compile_array`` returns must be one built, and checked, for the
+    It installs empty symbolic tables, so every kernel of the run is built,
+    whether asked for by ``compile_array`` or by a chart's jets, and each
+    built kernel's source must be the oracle's for its entries.  A kernel
+    ``compile_array`` returns must be one built, and checked, for the
     source the oracle gives for the nested array it was asked for.
     """
 
@@ -53,8 +49,8 @@ class SourceCheck:
         self.checked = 0
         self.sources = []
         self.source_of = {}  # id(kernel) -> (kernel, its source)
-        code_of = exprlang._code_of
-        build = exprlang._kernel_of.__wrapped__
+        code_of = empty_symbolic_tables(monkeypatch).codes
+        build = exprlang._kernel_of
         original = exprlang.compile_array
 
         def recording(source):
@@ -75,7 +71,7 @@ class SourceCheck:
             assert self.source_of[id(kernel)][1] == kernel_source(exprs, tuple(coords))
             return kernel
 
-        monkeypatch.setattr(exprlang, "_kernel_of", functools.lru_cache(maxsize=512)(building))
+        monkeypatch.setattr(exprlang, "_kernel_of", building)
         monkeypatch.setattr(exprlang, "_code_of", recording)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("dualgeo")
@@ -123,13 +119,11 @@ def shared_arrays(draw):
 def library_source(exprs, coords=COORDS) -> str:
     """The source compile_array compiles for exprs (a hypothesis test takes no monkeypatch)."""
     sources = []
-    code_of, kernel_of = exprlang._code_of, exprlang._kernel_of
-    exprlang._code_of = lambda source: sources.append(source) or code_of(source)
-    exprlang._kernel_of = _empty_kernels()
-    try:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        code_of = empty_symbolic_tables(monkeypatch).codes
+        monkeypatch.setattr(exprlang, "_code_of",
+                            lambda source: sources.append(source) or code_of(source))
         compile_array(exprs, coords)
-    finally:
-        exprlang._code_of, exprlang._kernel_of = code_of, kernel_of
     [source] = sources
     return source
 

@@ -37,9 +37,10 @@
   subscripts of its twist terms appear only in ``products.block_gamma``, so
   ``block_connection`` and ``projection_check`` cannot carry a second copy
   of the formula they are checked against.
-* ``geometry.py`` and ``connections.py`` call ``differentiate`` only inside
-  ``geometry.derivative_table``, so every metric jet and every explicit
-  connection's dGamma differentiates each distinct entry once per coordinate.
+* ``geometry.py``, ``connections.py`` and ``exprlang.py`` call
+  ``differentiate`` only inside ``exprlang.derivative_table`` (and in its own
+  recursion), so every metric jet and every explicit connection's dGamma
+  differentiates each distinct entry once per coordinate.
 * No code calls ``np.linalg.cond``: the singular-metric check compares the
   eigenvalues of the symmetric metric instead of running an SVD.
 * ``ArgumentParser(...)`` is constructed only inside functions of ``cli.py``:
@@ -51,11 +52,14 @@
 * Only ``exprlang._intern`` calls ``__new__``: every expression node is
   made by its interning constructor, so equal trees stay one object and
   every cache keyed by node identity stays exact.
+* Only ``exprlang.jets_of``, the jets table, constructs ``_Jets``: every
+  chart, explicit connection and twist with the same entries, shape and
+  coordinates shares one jets object, with its derivative tables and
+  kernels.
 * The process-wide symbolic tables (``cache``, ``lru_cache``, weak
   dictionaries) are declared only in ``exprlang.py``: the intern table and
-  the kernel and code tables.  Every other owner of symbolic work (a
-  chart's or a connection's jets) builds its own and finds its entries'
-  derivatives and kernels there.
+  the jets, parse and code tables.  Every other owner of symbolic work (a
+  chart, a connection, a twist) takes its jets from the jets table.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -93,7 +97,8 @@ CACHE_DECORATORS = {"cache", "lru_cache"}
 TABLE_MAKERS = CACHE_DECORATORS | {"WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
 TABLE_FILES_ALLOWED = {"exprlang.py"}
 TABLE_READS = {"get", "keys", "values", "items", "copy"}
-TABLE_FILES = {"geometry.py", "connections.py"}
+TABLE_FILES = {"geometry.py", "connections.py", "exprlang.py"}
+JETS_CLASS = "_Jets"
 OPERATOR_TABLE = "_OPS"
 BINARY_OPS = {"add", "sub", "mul", "div", "pow"}
 OPERATOR_NAMES = BINARY_OPS | {"neg", *FUNCTIONS}
@@ -401,6 +406,16 @@ def new_callers(trees) -> set[str]:
     return _call_scopes(trees, lambda call: _called_name(call) == "__new__")
 
 
+def jets_constructors(trees) -> set[str]:
+    """``file:function`` of every construction of the jets class, by name or through ``__new__``."""
+    def constructs(call):
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr == "__new__":
+            return any(isinstance(a, ast.Name) and a.id == JETS_CLASS for a in call.args)
+        return _called_name(call) == JETS_CLASS
+    return _call_scopes(trees, constructs)
+
+
 def symbolic_table_files(trees) -> set[str]:
     """Files that declare a table: a ``cache``/``lru_cache`` decorator or call, or a weak dict."""
     return {name for name, tree in trees for node in ast.walk(tree)
@@ -627,7 +642,8 @@ def test_block_display_is_written_once():
 
 
 def test_tables_differentiate_in_one_helper():
-    assert table_differentiate_callers(_trees()) == {"geometry.py:derivative_table"}
+    assert table_differentiate_callers(_trees()) == {"exprlang.py:derivative_table",
+                                                     "exprlang.py:differentiate"}
 
 
 def test_no_condition_number_by_svd():
@@ -644,6 +660,10 @@ def test_parsers_are_built_per_call_in_cli():
 
 def test_only_the_intern_constructor_makes_nodes():
     assert new_callers(_trees()) == {"exprlang.py:_intern"}
+
+
+def test_only_the_jets_table_makes_jets():
+    assert jets_constructors(_trees()) == {"exprlang.py:jets_of"}
 
 
 def test_symbolic_tables_live_only_in_exprlang():
@@ -984,6 +1004,20 @@ def test_scan_flags_command_name_strings(source, found):
 ])
 def test_scan_flags_node_constructions(source, found):
     assert new_callers([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@lru_cache(maxsize=512)\ndef jets_of(e, s, c):\n    return _Jets(e, s, c)\n",
+     {"probe.py:jets_of"}),
+    ("class M:\n    def _jets(self):\n        return exprlang._Jets(self.g, (2, 2), self.c)\n",
+     {"probe.py:_jets"}),
+    ("JETS = _Jets((e,), (), ('x',))\n", {"probe.py:<module>"}),
+    ("def copy(j):\n    return object.__new__(_Jets)\n", {"probe.py:copy"}),
+    ("def _jets(self):\n    return exprlang.jets_of(self.g, (2, 2), self.c)\n", set()),
+    ("def f(j):\n    return isinstance(j, _Jets)\n", set()),
+])
+def test_scan_flags_jets_constructions(source, found):
+    assert jets_constructors([("probe.py", ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [

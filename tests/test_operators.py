@@ -172,7 +172,7 @@ PINNED = {
 
 
 def _kernel_source(e, monkeypatch) -> str:
-    """The source compile_array generates for [e] (with an empty kernel table installed)."""
+    """The source compile_array generates for [e] (with empty symbolic tables installed)."""
     sources = []
     code_of = exprlang._code_of
     monkeypatch.setattr(exprlang, "_code_of", lambda source: sources.append(source)
@@ -189,7 +189,7 @@ def test_every_operator_is_pinned():
 
 
 @pytest.mark.parametrize("name", PINNED)
-def test_operator_rules_are_unchanged(name, monkeypatch, empty_kernels):
+def test_operator_rules_are_unchanged(name, monkeypatch, empty_tables):
     e = parse(SOURCES[name], COORDS)
     dx = differentiate(e, "x")
     got = (to_source(dx), to_source(differentiate(dx, "y")), to_source(simplify(e)),
