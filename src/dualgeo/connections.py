@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import exprlang
-from .exprlang import Expr, parse
+from .exprlang import Expr, _Jets, parse
 from .geometry import ManifoldSpec, one_batch
 from . import numdiff
 
@@ -172,7 +171,7 @@ def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
             e = parse(repr(float(value)), M.coords)
         exprs[(k * d + i) * d + j] = e
     zero = parse("0", M.coords)
-    jets = exprlang.jets_of(tuple(zero if e is None else e for e in exprs), (d,) * 3, M.coords)
+    jets = _Jets(tuple(zero if e is None else e for e in exprs), (d,) * 3, M.coords)
     return ConnectionField(M, "explicit", lambda x: jets.kernel(x), lambda x: jets.d1_kernel(x))
 
 

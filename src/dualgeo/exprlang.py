@@ -15,13 +15,14 @@ so trees equal node for node (constants by type and ``repr``) are one
 object, and ``==`` and ``hash`` are identity.  The intern table is weak: a
 node dies with its last holder.  Symbolic work is kept across calls, never
 arrays of numbers: ``parse`` keeps the trees of the last 1024 sources parsed,
-``differentiate`` memoizes on the node, and the jets table ``jets_of`` keeps
-the last 512 entry arrays asked for, each with its derivative tables and its
-kernel.  ``compile_array`` returns the kernel of its array's entry there, so
-the table is also the kernel table.  A chart, an explicit connection or a
-twist built again from the same sources gets the same jets, and
-differentiates and compiles nothing.  A kernel computes and returns each
-distinct entry once, and places it at each of its entries.
+``differentiate`` memoizes on the node, and ``compile_array`` keeps the
+kernels of the last 512 entry arrays, with their roots.  A kernel computes
+and returns each distinct entry once, and places it at each of its entries.
+An owner of symbolic work (a chart's metric, an explicit connection's
+Gamma, a twist) holds its own ``_Jets`` and finds its derivatives and
+kernels in the node memos and the kernel table; jets are not shared
+between owners, so an owner built again walks its derivative tables
+again, each step a memo hit.
 
 Grammar::
 
@@ -512,9 +513,9 @@ def compile_array(exprs, coords):
 
     ``x`` holds the values of ``coords`` in order, either one point ``(d,)``
     or a batch ``(N, d)``; the result has the nesting shape of ``exprs``,
-    after the batch axis if there is one.  The kernel is that of the jets
-    table's entry for the entry objects, shape and coordinates
-    (``jets_of``), which holds their roots, so a tree built again is the
+    after the batch axis if there is one.  The process keeps one kernel per
+    entry objects, shape and coordinates, for the last 512 arrays compiled
+    (``_kernel_of``); it holds their roots, so a tree built again is the
     same object and finds its kernel.  The kernel is one generated
     straight-line scalar function, run once per point, with an assignment
     per distinct node (a shared subtree is one node, so it is computed
@@ -531,11 +532,12 @@ def compile_array(exprs, coords):
     none is inf or NaN); otherwise it takes that same pass.
     """
     shape, flat = _flatten(exprs)
-    return jets_of(tuple(flat), shape, tuple(coords)).kernel
+    return _kernel_of(tuple(flat), shape, tuple(coords))
 
 
+@functools.lru_cache(maxsize=512)
 def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str, ...]):
-    """The kernel of compile_array for row-major entries ``flat``; its jets keep it."""
+    """The kernel of compile_array for row-major entries ``flat``, built on a miss."""
     slot = {name: i for i, name in enumerate(coords)}
     namespace = {"__builtins__": {}, "_div": _div, "_pow": _pow, "_unbound": _unbound,
                  **{op: row.value for op, row in _OPS[Unary].items()}}
@@ -650,7 +652,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     return d
 
 
-# -- jets: an entry array with its derivatives, one per key in the process ------
+# -- jets: an entry array with its derivatives --------------------------------
 
 def derivative_table(exprs: tuple, coord: str) -> tuple:
     """d exprs / d coord entry by entry, for a tuple of entries.
@@ -669,9 +671,9 @@ class _Jets:
     with dGamma, a twist's k with dk, d2k.  The array is a row-major tuple
     of entries of ``shape``, and so is each derivative block, with the
     derivative indices leading: d1 has shape (d,) + shape, d2 (d, d) + shape.
-    Only ``jets_of`` makes one, so every owner of the same entries, shape
-    and coordinates shares it, and the kernel of each derivative table is
-    that of the table's own entry there.  It holds no arrays of numbers.
+    Each owner builds its own; the nodes' derivative memos and the kernel
+    table (``_kernel_of``) make every derivative and kernel of the same
+    entries the same object in every owner.  It holds no arrays of numbers.
     Higher derivatives are built once per symmetric class of derivative
     indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.  Derivative
     tables are built on first use, kernels on first evaluation.
@@ -713,24 +715,14 @@ class _Jets:
         return classes, index
 
     def _compiled(self, table: tuple, lead: tuple[int, ...]):
-        return jets_of(table, lead + self.shape, self.coords).kernel
+        return _kernel_of(table, lead + self.shape, self.coords)
 
-    kernel = functools.cached_property(lambda self: _kernel_of(self.exprs, self.shape, self.coords))
+    kernel = functools.cached_property(lambda self: self._compiled(self.exprs, ()))
     d1_kernel = functools.cached_property(lambda self: self._compiled(self.d1, (len(self.coords),)))
     d2_kernel = functools.cached_property(
         lambda self: self._compiled(self.d2, (len(self.coords),) * 2))
     d3_kernel = functools.cached_property(lambda self: self._compiled(
         self.d3_classes[0], (math.comb(len(self.coords) + 2, 3),)))
-
-
-@functools.lru_cache(maxsize=512)
-def jets_of(exprs: tuple, shape: tuple[int, ...], coords: tuple[str, ...]) -> _Jets:
-    """The jets of row-major entries ``exprs`` of ``shape`` over ``coords``.
-
-    The jets table: one per key, for the last 512 keys asked for.  It holds
-    the entries, so their derivatives and kernels live as long as the key.
-    """
-    return _Jets(exprs, shape, coords)
 
 
 def simplify(e: Expr) -> Expr:

@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import exprlang
-from .exprlang import Expr, derivative_table, evaluate, parse
+from .exprlang import Expr, _Jets, derivative_table, evaluate, parse
 
 __all__ = [
     "ManifoldSpec", "GeometryError", "SingularMetricError", "validate_metric",
@@ -68,25 +67,16 @@ def one_batch(owner, kind: str, x, build) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     key = (x.shape, x.tobytes())
+    rows = len(x) if x.ndim == 2 else None
     streams = owner._last_batch or ()
     home = None  # the newest stream x begins
-    if x.ndim != 2:  # a point begins only its own stream, and no key is kept twice
-        for stream in streams:
-            if stream[0] == key:
-                hit = stream[1].get(kind)
-                if hit is not None:
-                    return hit
-                home = stream
-                break
-    else:
-        rows = len(x)
-        for stream in streams:
-            # one tuple == settles x's own stream before the prefix test
-            if stream[0] == key or _begins(key, stream[0]):
-                hit = stream[1].get(kind)
-                if hit is not None and len(hit) >= rows:
-                    return hit if len(hit) == rows else hit[:rows]
-                home = home or stream
+    for stream in streams:
+        # one tuple == settles x's own stream; a point begins no other
+        if stream[0] == key or (rows is not None and _begins(key, stream[0])):
+            hit = stream[1].get(kind)
+            if hit is not None and (rows is None or len(hit) >= rows):
+                return hit if rows is None or len(hit) == rows else hit[:rows]
+            home = home or stream
     if home is None:
         home = (key, {})
         if len(streams) == _STREAMS_KEPT:  # an oldest point has no rows: no search
@@ -191,9 +181,8 @@ class ManifoldSpec:
         return bool(inside) if x.ndim == 1 else inside
 
     @cached_property
-    def _jets(self):
-        return exprlang.jets_of(tuple(e for row in self.metric for e in row), (self.dim,) * 2,
-                                self.coords)
+    def _jets(self) -> _Jets:
+        return _Jets(tuple(e for row in self.metric for e in row), (self.dim,) * 2, self.coords)
 
     @cached_property
     def levi_civita_connection(self):

@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exprlang
-from .exprlang import (Const, Expr, compile_array, evaluate, fn, free_vars, mul, pow_, simplify,
-                       sub, substitute)
+from .exprlang import (Const, Expr, _Jets, compile_array, evaluate, fn, free_vars, mul, pow_,
+                       simplify, sub, substitute)
 from .geometry import GeometryError, ManifoldSpec
 from .connections import ConnectionField
 from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
@@ -81,7 +81,7 @@ class ProductSpec:
     @cached_property
     def _k_jets(self):
         # the jets of k; Hessian blocks (i, j) and (j, i) hold one entry, so it is exactly symmetric
-        return exprlang.jets_of((self.log_twist,), (), self.manifold.coords)
+        return _Jets((self.log_twist,), (), self.manifold.coords)
 
     # Entries are listed in the order the tuple returns them, so a point
     # outside the domain raises the error of the first failing entry.
@@ -103,7 +103,7 @@ class ProductSpec:
     @cached_property
     def _pulled_fiber_d1_kernel(self):
         # sigma-pullback of d g_F, evaluated on the product chart
-        return exprlang.jets_of(self.fiber._jets.d1, (self.s,) * 3, self.manifold.coords).kernel
+        return exprlang._kernel_of(self.fiber._jets.d1, (self.s,) * 3, self.manifold.coords)
 
     # -- cached connections ---------------------------------------------------
 

@@ -15,22 +15,22 @@ from dualgeo.cli import LoadedProduct, load_spec, main
 
 
 def empty_symbolic_tables(monkeypatch):
-    """Put empty parse, jets and code tables in place of the process's, as at start-up.
+    """Put empty parse, kernel and code tables in place of the process's, as at start-up.
 
     The new tables have the library's bounds, and every live node's
     derivative memo is dropped too, so the work that follows parses,
     differentiates and compiles afresh; ``monkeypatch`` puts the process's
-    tables back.  Returns the new tables, as ``parses``, ``jets`` and
+    tables back.  Returns the new tables, as ``parses``, ``kernels`` and
     ``codes``.
     """
     tables = types.SimpleNamespace(
         parses=collections.OrderedDict(),
-        jets=functools.lru_cache(**exprlang.jets_of.cache_parameters())(
-            exprlang.jets_of.__wrapped__),
+        kernels=functools.lru_cache(**exprlang._kernel_of.cache_parameters())(
+            exprlang._kernel_of.__wrapped__),
         codes=functools.lru_cache(**exprlang._code_of.cache_parameters())(
             exprlang._code_of.__wrapped__))
     monkeypatch.setattr(exprlang, "_PARSED", tables.parses)
-    monkeypatch.setattr(exprlang, "jets_of", tables.jets)
+    monkeypatch.setattr(exprlang, "_kernel_of", tables.kernels)
     monkeypatch.setattr(exprlang, "_code_of", tables.codes)
     for node in list(exprlang._NODES.values()):
         object.__setattr__(node, "_derivatives", None)

@@ -12,9 +12,8 @@ The symbolic gate wraps ``exprlang.differentiate`` and records each
 start from empty symbolic tables, as a fresh process does: no pair is
 differentiated twice, and a chart's mirror metric entries are one object
 exactly when they are equal node for node.  A second run of the same work
-differentiates nothing, misses no jets, compiles nothing, and makes exactly
-as many array builds as the run before it, so no array of numbers outlives
-a call; a second warm ``verify_paper`` calls ``differentiate`` not at all.
+differentiates nothing and compiles nothing, and makes exactly as many
+array builds as the run before it, so no array of numbers outlives a call.
 
 At a fresh point the curvature path has a fixed budget: the frame is one
 Cholesky factorization and one inverse, whatever the dimension; each
@@ -113,29 +112,26 @@ def test_the_plain_charts_build_no_product(monkeypatch):
 
 # -- symbolic work: each derivative table differentiates an entry once -------
 
-def _jets_misses() -> int:
-    """Misses of the jets table so far: the jets made."""
-    return exprlang.jets_of.cache_info().misses
+def _compiled() -> int:
+    """Misses of the kernel table so far: the kernels built."""
+    return exprlang._kernel_of.cache_info().misses
 
 
 class DerivativeRecorder:
-    """Each (node, coordinate) pair differentiate computes, each kernel compiled,
-    and every chart built, while installed.
+    """Each (node, coordinate) pair differentiate computes, and every chart built, while installed.
 
     A pair is recorded when differentiate finds it missing from the node's
     memo; the recorder holds the node, so no id is reused.  A call that
     finds its pair in the memo must differentiate nothing, so a call made
-    inside it is recorded as recomputed.  ``calls`` counts every call.
+    inside it is recorded as recomputed.
     """
 
     def __init__(self, monkeypatch):
-        self.pairs, self.recomputed, self.charts, self.compiled = [], [], [], []
-        self.calls = 0
+        self.pairs, self.recomputed, self.charts = [], [], []
         differentiate = exprlang.differentiate
         hits = []  # whether each call on the stack found its pair in the memo
 
         def differentiating(e, coord):
-            self.calls += 1
             if hits and hits[-1]:
                 self.recomputed.append((e, coord))
             hits.append(coord in (e._derivatives or ()))
@@ -150,9 +146,6 @@ class DerivativeRecorder:
             if (getattr(module, "__name__", "").startswith("dualgeo")
                     and getattr(module, "differentiate", None) is differentiate):
                 monkeypatch.setattr(module, "differentiate", differentiating)
-        kernel_of = exprlang._kernel_of
-        monkeypatch.setattr(exprlang, "_kernel_of",
-                            lambda *key: self.compiled.append(key) or kernel_of(*key))
         post_init = ManifoldSpec.__post_init__
 
         def recorded(chart):
@@ -169,7 +162,6 @@ class DerivativeRecorder:
                 assert (g[j][k] is g[k][j]) == (tree_key(g[j][k]) == tree_key(g[k][j]))
         self.pairs.clear()
         self.charts.clear()
-        self.compiled.clear()
 
 
 def test_verify_paper_differentiates_each_entry_once_per_table(monkeypatch):
@@ -204,9 +196,9 @@ def test_a_warm_verify_paper_builds_nothing_symbolic(monkeypatch):
     first_builds = list(builds)
     builds.clear()
     recorder = DerivativeRecorder(monkeypatch)
-    misses = _jets_misses()
+    compiled = _compiled()
     assert verify_paper(RunConfig(seed=3)).to_json() == first
-    assert recorder.calls == 0 and recorder.compiled == [] and _jets_misses() == misses
+    assert recorder.pairs == [] and _compiled() == compiled
     recorder.check()
     # every array of the second warm run is built again: none is reused across calls
     assert len(first_builds) > 500 and sorted(builds) == sorted(first_builds)
@@ -220,13 +212,12 @@ def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec
             empty_symbolic_tables(monkeypatch)
             recorder.pairs.clear()
             main([command, str(spec)])
-            assert recorder.pairs and recorder.compiled, (command, spec.name)
+            assert recorder.pairs, (command, spec.name)
             recorder.check()
-            # the same command again differentiates nothing, misses no jets and compiles nothing
-            misses = _jets_misses()
+            # the same command again differentiates nothing and compiles nothing
+            compiled = _compiled()
             main([command, str(spec)])
-            assert recorder.pairs == [] and recorder.compiled == [], (command, spec.name)
-            assert _jets_misses() == misses, (command, spec.name)
+            assert recorder.pairs == [] and _compiled() == compiled, (command, spec.name)
             recorder.check()
     capsys.readouterr()
 
@@ -238,8 +229,8 @@ def _entries(jets) -> list:
 
 def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
     # the zero entries and the mirror pair are single objects across g, dg, d2g, d3g,
-    # and a second chart of the same entries gets the same jets from the jets
-    # table, differentiating nothing
+    # and a second chart of the same entries builds its own jets of the same
+    # entry objects, differentiating nothing
     empty_symbolic_tables(monkeypatch)
     recorder = DerivativeRecorder(monkeypatch)
     sources = [["1 + x^2", "x*y", "0"], ["x*y", "2 + sin(z)", "0"], ["0", "0", "exp(y)"]]
@@ -248,7 +239,7 @@ def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
     assert recorder.pairs
     recorder.check()
     again = ManifoldSpec.from_strings("again", ("x", "y", "z"), [(0.25, 1.0)] * 3, sources)
-    assert again._jets is M._jets
+    assert again._jets is not M._jets
     assert all(a is b for a, b in zip(_entries(again._jets), first, strict=True))
     assert recorder.pairs == []
     # differentiating the entries again finds every pair in the memos

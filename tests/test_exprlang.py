@@ -569,15 +569,15 @@ def test_a_dropped_node_dies(empty_tables):
     M.metric_derivatives_at([0.75])
     compile_array([e, d], ["x"])([0.5])
     del e, d, M
-    empty_tables.jets.cache_clear()  # the jets table held the entries
+    empty_tables.kernels.cache_clear()  # the kernel table held the entries
     empty_tables.parses.clear()  # and the parse table the tree
     gc.collect()
     assert dead() is None
 
 
 def test_the_kernel_table_stays_within_its_bound(empty_tables):
-    # the jets table is the kernel table: compile_array's kernels are its entries'
-    table = empty_tables.jets
+    # compile_array and a chart's jets share one kernel table
+    table = empty_tables.kernels
     bound = table.cache_parameters()["maxsize"]
     for n in range(bound + 20):
         M = ManifoldSpec.from_strings(f"m{n}", ("x",), [(0.5, 1.0)], [[f"{n + 1} + x^2"]])

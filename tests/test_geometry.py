@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dualgeo.connections import conjugate, explicit_connection, levi_civita
-from dualgeo import curvature, exprlang
+from dualgeo import curvature
 from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann_derivative_at,
                                sectional_at)
 from dualgeo.exprlang import DomainError, differentiate, evaluate, parse
@@ -87,19 +87,18 @@ class TestMetricDerivatives:
         fd = fd1(sphere.metric_derivatives_at, x, 0)
         assert np.allclose(d2[0], fd, atol=1e-7)
 
-    def test_kernels_compile_on_first_evaluation(self, monkeypatch, empty_tables):
-        # a chart whose metric the process has not seen: empty symbolic tables
-        compiled, build = [], exprlang._kernel_of
-        monkeypatch.setattr(exprlang, "_kernel_of", lambda *key: compiled.append(key) or build(*key))
+    def test_kernels_compile_on_first_evaluation(self, empty_tables):
+        # a chart whose metric the process has not seen: an empty kernel table
+        table = empty_tables.kernels
         M = ManifoldSpec.from_strings("lazy", ("a", "b"), [(-1, 1), (-1, 1)],
                                       [["2 + a*b", "0"], ["0", "exp(a)"]])
         kernels = ("kernel", "d1_kernel", "d2_kernel", "d3_kernel")
         assert not any(k in vars(M._jets) for k in kernels)
-        assert compiled == []
+        assert table.cache_info().currsize == 0
         x = [0.3, -0.4]
         M.metric_second_derivatives_at(x)
         assert [k in vars(M._jets) for k in kernels] == [False, False, True, False]
-        assert compiled == [(M._jets.d2, (2,) * 4, M.coords)]
+        assert table.cache_info().currsize == 1
         env = {"a": 0.3, "b": -0.4}
         expected = [evaluate(e, env) for e in M._jets.d2]  # row-major over (i, j, k, l)
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()

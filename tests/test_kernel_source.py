@@ -5,7 +5,7 @@ every shared sub-list walked again, every node named by its structure.
 The library's one-pass walk flattens a shared sub-list once, skips a root it
 has named, and names a compound node by identity when the mark below its
 children comes back up; nodes are interned, so that is naming by structure.
-Sources are captured where ``exprlang._kernel_of`` hands them to
+Sources are captured where the kernel table hands them to
 ``exprlang._code_of``, on generated arrays, on every kernel of a
 ``verify_paper`` run and of each spec command on ``specs/``, whether
 ``compile_array`` or a chart's jets asked for it; those runs start from
@@ -14,6 +14,7 @@ earlier test.  A kernel returns each distinct entry once, so its return
 line names each entry's variable once, in order of first appearance.
 """
 
+import functools
 import math
 import sys
 
@@ -36,21 +37,22 @@ BINARY = ("add", "sub", "mul", "div", "pow")
 
 
 class SourceCheck:
-    """Compares each kernel built with the oracle's source, while installed.
+    """Compares each kernel the table builds with the oracle's source, while installed.
 
-    It installs empty symbolic tables, so every kernel of the run is built,
-    whether asked for by ``compile_array`` or by a chart's jets, and each
-    built kernel's source must be the oracle's for its entries.  A kernel
-    ``compile_array`` returns must be one built, and checked, for the
-    source the oracle gives for the nested array it was asked for.
+    It installs empty symbolic tables, so every kernel of the run is built
+    in the kernel table, whether asked for by ``compile_array`` or by a
+    chart's jets, and each built kernel's source must be the oracle's for
+    its entries.  A kernel ``compile_array`` returns must be one built, and
+    checked, for the source the oracle gives for the nested array it was
+    asked for.
     """
 
     def __init__(self, monkeypatch):
         self.checked = 0
         self.sources = []
         self.source_of = {}  # id(kernel) -> (kernel, its source)
-        code_of = empty_symbolic_tables(monkeypatch).codes
-        build = exprlang._kernel_of
+        tables = empty_symbolic_tables(monkeypatch)
+        code_of, build = tables.codes, tables.kernels.__wrapped__
         original = exprlang.compile_array
 
         def recording(source):
@@ -71,7 +73,8 @@ class SourceCheck:
             assert self.source_of[id(kernel)][1] == kernel_source(exprs, tuple(coords))
             return kernel
 
-        monkeypatch.setattr(exprlang, "_kernel_of", building)
+        monkeypatch.setattr(exprlang, "_kernel_of", functools.lru_cache(
+            **tables.kernels.cache_parameters())(building))
         monkeypatch.setattr(exprlang, "_code_of", recording)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("dualgeo")

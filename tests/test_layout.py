@@ -52,14 +52,11 @@
 * Only ``exprlang._intern`` calls ``__new__``: every expression node is
   made by its interning constructor, so equal trees stay one object and
   every cache keyed by node identity stays exact.
-* Only ``exprlang.jets_of``, the jets table, constructs ``_Jets``: every
-  chart, explicit connection and twist with the same entries, shape and
-  coordinates shares one jets object, with its derivative tables and
-  kernels.
 * The process-wide symbolic tables (``cache``, ``lru_cache``, weak
   dictionaries) are declared only in ``exprlang.py``: the intern table and
-  the jets, parse and code tables.  Every other owner of symbolic work (a
-  chart, a connection, a twist) takes its jets from the jets table.
+  the parse, kernel and code tables.  Every other owner of symbolic work (a
+  chart's or a connection's jets) builds its own and finds its entries'
+  derivatives and kernels there.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -98,7 +95,6 @@ TABLE_MAKERS = CACHE_DECORATORS | {"WeakValueDictionary", "WeakKeyDictionary", "
 TABLE_FILES_ALLOWED = {"exprlang.py"}
 TABLE_READS = {"get", "keys", "values", "items", "copy"}
 TABLE_FILES = {"geometry.py", "connections.py", "exprlang.py"}
-JETS_CLASS = "_Jets"
 OPERATOR_TABLE = "_OPS"
 BINARY_OPS = {"add", "sub", "mul", "div", "pow"}
 OPERATOR_NAMES = BINARY_OPS | {"neg", *FUNCTIONS}
@@ -406,16 +402,6 @@ def new_callers(trees) -> set[str]:
     return _call_scopes(trees, lambda call: _called_name(call) == "__new__")
 
 
-def jets_constructors(trees) -> set[str]:
-    """``file:function`` of every construction of the jets class, by name or through ``__new__``."""
-    def constructs(call):
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr == "__new__":
-            return any(isinstance(a, ast.Name) and a.id == JETS_CLASS for a in call.args)
-        return _called_name(call) == JETS_CLASS
-    return _call_scopes(trees, constructs)
-
-
 def symbolic_table_files(trees) -> set[str]:
     """Files that declare a table: a ``cache``/``lru_cache`` decorator or call, or a weak dict."""
     return {name for name, tree in trees for node in ast.walk(tree)
@@ -660,10 +646,6 @@ def test_parsers_are_built_per_call_in_cli():
 
 def test_only_the_intern_constructor_makes_nodes():
     assert new_callers(_trees()) == {"exprlang.py:_intern"}
-
-
-def test_only_the_jets_table_makes_jets():
-    assert jets_constructors(_trees()) == {"exprlang.py:jets_of"}
 
 
 def test_symbolic_tables_live_only_in_exprlang():
@@ -1004,20 +986,6 @@ def test_scan_flags_command_name_strings(source, found):
 ])
 def test_scan_flags_node_constructions(source, found):
     assert new_callers([("probe.py", ast.parse(source))]) == found
-
-
-@pytest.mark.parametrize("source, found", [
-    ("@lru_cache(maxsize=512)\ndef jets_of(e, s, c):\n    return _Jets(e, s, c)\n",
-     {"probe.py:jets_of"}),
-    ("class M:\n    def _jets(self):\n        return exprlang._Jets(self.g, (2, 2), self.c)\n",
-     {"probe.py:_jets"}),
-    ("JETS = _Jets((e,), (), ('x',))\n", {"probe.py:<module>"}),
-    ("def copy(j):\n    return object.__new__(_Jets)\n", {"probe.py:copy"}),
-    ("def _jets(self):\n    return exprlang.jets_of(self.g, (2, 2), self.c)\n", set()),
-    ("def f(j):\n    return isinstance(j, _Jets)\n", set()),
-])
-def test_scan_flags_jets_constructions(source, found):
-    assert jets_constructors([("probe.py", ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [
