@@ -37,6 +37,28 @@ def empty_symbolic_tables(monkeypatch):
     return tables
 
 
+def count_straight_runs(monkeypatch) -> list[collections.Counter]:
+    """One counter per straight-line function compiled from now on: its one-point runs, by point.
+
+    It wraps ``exprlang``'s ``exec``, so a kernel found in the kernel table
+    is not counted; ``monkeypatch`` puts ``exec`` back.
+    """
+    runs = []
+
+    def exec_counting(code, namespace):
+        exec(code, namespace)
+        straight, count = namespace["kernel"], collections.Counter()
+        runs.append(count)
+
+        def counted(xs):
+            count[tuple(xs)] += 1
+            return straight(xs)
+        namespace["kernel"] = counted
+
+    monkeypatch.setattr(exprlang, "exec", exec_counting, raising=False)
+    return runs
+
+
 @pytest.fixture
 def empty_tables(monkeypatch):
     """Empty symbolic tables in place of the process's, for one test (see empty_symbolic_tables)."""

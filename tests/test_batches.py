@@ -8,6 +8,10 @@ Weyl, sectional curvature, cubic form, the Hessian of log b) must match to
 1e-14 (1 + max|.|).  The product block reports must match their per-point
 oracles in ``oracles.py``.
 
+A batch of ``exprlang._COLUMN_ROWS`` rows or more is evaluated by columns;
+the suite's report is byte for byte the one that one kernel call per point
+gives.
+
 Batches of one seed are row-prefixes of one draw, and each chart and
 connection reads them from one sample stream: every cached array read on
 a prefix must equal, bitwise, what a fresh object builds on that prefix.
@@ -16,6 +20,7 @@ a prefix must equal, bitwise, what a fresh object builds on that prefix.
 import collections
 import contextlib
 import functools
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualgeo import dualistic, fixtures as fx, geometry
+from dualgeo import dualistic, exprlang, fixtures as fx, geometry
 from dualgeo import numdiff
 from dualgeo.cli import main
 from dualgeo.connections import (ConnectionField, conjugate, cubic_form_at, dgamma_fd_defect,
@@ -438,6 +443,14 @@ def _assert_induced_gammas_built_once(monkeypatch, config):
     assert len(builds) == 2 * len(suite)
     assert builds == {(id(e["structure"].primal), label): 1
                       for e in suite for label in ("primal", "dual")}
+
+
+@pytest.mark.parametrize("samples", [16, 64, 200])
+def test_verify_paper_report_is_the_same_without_columns(monkeypatch, samples):
+    config = RunConfig(samples=samples, seed=3)
+    by_columns = verify_paper(config).to_json()
+    monkeypatch.setattr(exprlang, "_COLUMN_ROWS", math.inf)  # above every batch: one call a point
+    assert verify_paper(config).to_json() == by_columns
 
 
 def test_chart_kinds_of_another_chart_are_not_kept():

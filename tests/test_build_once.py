@@ -36,7 +36,7 @@ from dualgeo.exprlang import Const, evaluate, parse, to_source
 from dualgeo.geometry import ManifoldSpec
 from dualgeo.report import RunConfig
 from dualgeo.verify import verify_paper
-from conftest import empty_symbolic_tables
+from conftest import count_straight_runs, empty_symbolic_tables
 from oracles import tree_key
 
 
@@ -290,32 +290,31 @@ def _fresh_copy(name: str) -> ManifoldSpec:
     return ManifoldSpec(f"fresh-{name}", M.coords, M.domain, M.metric)
 
 
+def _counting(calls: collections.Counter, key: str, fn):
+    def call(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return call
+
+
+def _curvature_grid_operation(M, lc, explicit, dual, x) -> None:
+    """R, Ric, S and W of Levi-Civita, and R of a pair, at a point or a batch."""
+    riemann_at(lc, x)
+    ricci_at(M, lc, x)
+    scalar_at(M, lc, x)
+    if M.dim >= 3:
+        weyl_at(M, lc, x)
+    riemann_at(explicit, x)
+    riemann_at(dual, x)
+
+
 @pytest.mark.parametrize("name", ["fisher-normal", "twisted-4d"])
 def test_a_fresh_point_has_a_fixed_budget(monkeypatch, name):
-    runs = []  # one counter per straight-line function compiled while installed
-
-    def exec_counting(code, namespace):
-        exec(code, namespace)
-        straight, count = namespace["kernel"], collections.Counter()
-        runs.append(count)
-
-        def counted(xs):
-            count[tuple(xs)] += 1
-            return straight(xs)
-        namespace["kernel"] = counted
-
-    calls = collections.Counter()
-
-    def counting(key, fn):
-        def call(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return call
-
     M = _fresh_copy(name)
     empty_symbolic_tables(monkeypatch)  # so its kernels are compiled anew
-    monkeypatch.setattr(exprlang, "exec", exec_counting, raising=False)
-    monkeypatch.setattr(exprlang, "evaluate", counting("evaluate", exprlang.evaluate))
+    runs = count_straight_runs(monkeypatch)  # one counter per straight-line function
+    calls = collections.Counter()
+    monkeypatch.setattr(exprlang, "evaluate", _counting(calls, "evaluate", exprlang.evaluate))
     lc = levi_civita(M)
     explicit = explicit_connection(M, {(0, 0, 0): "0.3", (1, 0, 1): f"0.2*{M.coords[0]}"})
     dual = conjugate(explicit, M)
@@ -324,20 +323,36 @@ def test_a_fresh_point_has_a_fixed_budget(monkeypatch, name):
         M.metric_at(x)
         M.inverse_metric_at(x)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
-            patch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+            patch.setattr(np.linalg, "cholesky", _counting(calls, "cholesky", np.linalg.cholesky))
+            patch.setattr(np.linalg, "inv", _counting(calls, "inv", np.linalg.inv))
             orthonormal_frame_at(M, x)
         assert calls == {"cholesky": 1, "inv": 1}
         calls.clear()
-        # the curvature-grid operation: R, Ric, S and W of Levi-Civita, R of a pair
-        riemann_at(lc, x)
-        ricci_at(M, lc, x)
-        scalar_at(M, lc, x)
-        if M.dim >= 3:
-            weyl_at(M, lc, x)
-        riemann_at(explicit, x)
-        riemann_at(dual, x)
+        _curvature_grid_operation(M, lc, explicit, dual, x)  # the curvature-grid operation
     assert calls == {}
     assert len(runs) >= 5
     for count in runs:
         assert count == {tuple(x): 1 for x in points.tolist()}
+
+
+@pytest.mark.parametrize("name", ["fisher-normal", "twisted-4d"])
+def test_a_batch_makes_no_per_point_call(monkeypatch, name):
+    # a batch at the suite's 64 samples is one column call of each kernel
+    M = _fresh_copy(name)
+    empty_symbolic_tables(monkeypatch)
+    runs = count_straight_runs(monkeypatch)
+    calls = collections.Counter()
+    monkeypatch.setattr(exprlang, "evaluate", _counting(calls, "evaluate", exprlang.evaluate))
+    lc = levi_civita(M)
+    explicit = explicit_connection(M, {(0, 0, 0): "0.3", (1, 0, 1): f"0.2*{M.coords[0]}"})
+    dual = conjugate(explicit, M)
+    x = M.sample_array(64, 5)
+    assert len(x) >= exprlang._COLUMN_ROWS
+    M.metric_at(x)
+    M.inverse_metric_at(x)
+    orthonormal_frame_at(M, x)
+    _curvature_grid_operation(M, lc, explicit, dual, x)
+    assert calls == {}
+    assert len(runs) >= 5
+    for count in runs:
+        assert count == {}

@@ -21,7 +21,9 @@ from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError,
                               substitute, to_source)
 from dualgeo.geometry import ManifoldSpec
 
+from conftest import count_straight_runs
 from oracles import fd1, tree_key
+from strategies import charts
 
 
 def ev(src, coords, **env):
@@ -399,11 +401,21 @@ def test_kernel_finiteness_test_raises_no_numpy_warning():
     # a row of finite entries whose sum overflows, and a row holding both infinities
     big = compile_array([Const(1e308), Var("x")], ["x"])
     both = compile_array([parse("x*x", ["x"]), parse("-x*x", ["x"])], ["x"])
+    # by columns: one row overflows to inf, and one computes inf/inf
+    quotient = compile_array([Var("x"), parse("(x*x)/(x*x)", ["x"])], ["x"])
+    batch = np.full((exprlang._COLUMN_ROWS, 1), 0.5)
+    batch[3] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert big([1e308]).tolist() == [1e308, 1e308]
         with pytest.raises(DomainError, match=r"non-finite result inf for x\*x"):
             both([1e200])
+        assert big(np.full((exprlang._COLUMN_ROWS, 1), 1e308)).tolist() == \
+            [[1e308, 1e308]] * exprlang._COLUMN_ROWS
+        with pytest.raises(DomainError, match=r"^non-finite result inf for x\*x$"):
+            both(batch)
+        with pytest.raises(DomainError, match=r"^non-finite result nan for x\*x/\(x\*x\)$"):
+            quotient(batch)
 
 
 def test_kernel_constants_stay_out_of_the_source():
@@ -509,6 +521,112 @@ def test_kernels_of_one_structure_share_compiled_code():
     x = [0.5, 0.2]
     assert M1.metric_at(x).tolist() == [[1.75, 0.0], [0.0, math.exp(1.5 * 0.2)]]
     assert M2.metric_at(x).tolist() == [[2.75, 0.0], [0.0, math.exp(2.5 * 0.2)]]
+
+
+# -- the column path: a batch of _COLUMN_ROWS rows or more --------------------------
+
+_ROWS = min(exprlang._COLUMN_ROWS, 64)  # drawn batches stay small whatever the threshold
+
+
+def test_the_suite_batches_reach_the_column_path():
+    # validate_metric's 32 samples and the checks' 64 are evaluated by columns
+    assert 2 <= exprlang._COLUMN_ROWS <= 32
+
+
+def _fresh_kernel(exprs, coords, patch):
+    """A kernel of ``exprs`` compiled anew, and the counter of its one-point straight-line runs."""
+    runs = count_straight_runs(patch)
+    shape, flat = exprlang._flatten(exprs)
+    kernel = exprlang._kernel_of.__wrapped__(tuple(flat), shape, tuple(coords))
+    [count] = runs
+    return kernel, count
+
+
+def _assert_columns_are_the_per_point_pass(exprs, coords, x):
+    """The kernel on batch x gives the per-point pass's bytes, or raises its error.
+
+    The per-point pass is the same kernel with ``_COLUMN_ROWS`` above the
+    batch; where it succeeds, the column call alone must have made the result.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        kernel, runs = _fresh_kernel(exprs, coords, patch)
+        got, got_err = _outcome(lambda: kernel(x))
+        by_columns = not runs
+        patch.setattr(exprlang, "_COLUMN_ROWS", math.inf)
+        want, want_err = _outcome(lambda: kernel(x))
+    assert got_err == want_err
+    if want_err is None:
+        assert by_columns
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros and every bit count
+
+
+@given(_tensors, st.integers(_ROWS, _ROWS + 8).flatmap(
+    lambda n: st.lists(_points, min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_column_path_is_bitwise_the_per_point_pass(exprs, xs):
+    _assert_columns_are_the_per_point_pass(exprs, ("x", "u"), np.array(xs))
+
+
+# bases and exponents of _pow, and divisors, at and around its guards
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, -0.5, -2.0, 3.0, 1e300, -1e300)
+_EXPONENTS = st.sampled_from([Const(c) for c in (0.5, -1.5, -1.0, -2.0, 2.0, 3.0, 1e-300,
+                                                 math.inf, -math.inf)] + [Var("u")])
+_BASES = st.sampled_from([Var("x"), Unary("neg", Var("x")), Const(-0.5), Const(0.0),
+                          Binary("sub", Var("x"), Var("u"))])
+_QUOTIENTS = st.builds(Binary, st.just("div"), _nodes, st.sampled_from(
+    [Var("u"), Binary("sub", Var("u"), Const(1e-300)), Binary("mul", Var("x"), Var("u"))]))
+_EDGE_ENTRIES = st.one_of(
+    st.builds(Binary, st.just("pow"), _BASES, _EXPONENTS), _QUOTIENTS,
+    # a quotient by 0 that a later node would make finite again: 1/inf, tanh(inf), exp(-inf)
+    st.builds(Binary, st.just("div"), st.just(Const(1.0)), _QUOTIENTS),
+    st.builds(Unary, st.sampled_from(("tanh", "exp")),
+              st.builds(Unary, st.just("neg"), _QUOTIENTS)))
+_EDGE_POINTS = st.tuples(*[st.one_of(st.floats(-3, 3), st.sampled_from(_EDGES))] * 2)
+
+
+@given(st.lists(_EDGE_ENTRIES, min_size=1, max_size=4),
+       st.integers(_ROWS, _ROWS + 4).flatmap(
+           lambda n: st.lists(_EDGE_POINTS, min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_column_pow_and_div_are_bitwise_the_per_point_pass(entries, xs):
+    _assert_columns_are_the_per_point_pass([entries], ("x", "u"), np.array(xs))
+
+
+# (source, a value inside its domain, a value outside it)
+_ONE_BAD_ROW = [("log(x)", 0.5, -1.0), ("sqrt(x)", 0.5, -1e-300), ("1/(x - 1)", 0.5, 1.0),
+                ("x^0.5", 0.5, -0.25), ("x^(1e308*10)", 0.5, -0.5), ("0^(x - 1.5)", 2.0, 1.0),
+                ("exp(1000*x)", 0.5, 1.0), ("x*1e308*10", 1e-10, 1.0),
+                ("sin(x*1e308*10)", 1e-10, 1.0), ("log(x) + 1/x", 0.5, 0.0),
+                ("tanh(1/(x - 1))", 0.5, 1.0), ("exp(-(x - 1)^(-2))", 0.5, 1.0)]
+
+
+@given(st.sampled_from(_ONE_BAD_ROW), st.integers(_ROWS, _ROWS + 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_row_outside_the_domain_raises_its_error_by_columns(case, rows, data):
+    source, good, bad = case
+    e = parse(source, ["x"])
+    x = np.full((rows, 1), good)
+    first = data.draw(st.integers(0, rows - 1))
+    x[first] = bad
+    want = _outcome(lambda: evaluate(e, {"x": bad}))[1]
+    assert want is not None
+    exprs = [[Var("x"), e], [parse("x^2", ["x"]), e]]
+    _assert_columns_are_the_per_point_pass(exprs, ["x"], x)
+    assert _outcome(lambda: compile_array(exprs, ["x"])(x))[1] == want
+
+
+@given(charts(), st.integers(0, 2**16), st.sampled_from([_ROWS, _ROWS + 1, 2 * _ROWS, 64]))
+@settings(max_examples=40, deadline=None)
+def test_chart_jets_by_columns_are_bitwise_the_per_point_pass(M, seed, rows):
+    jets = M._jets
+    d = M.dim
+    x = M.sample_array(max(rows, 32), seed)
+    for table, shape in ((jets.exprs, jets.shape), (jets.d1, (d,) + jets.shape),
+                         (jets.d2, (d, d) + jets.shape)):
+        nested = np.array(table, dtype=object).reshape(shape).tolist()
+        _assert_columns_are_the_per_point_pass(nested, M.coords, x[:rows])
+        _assert_columns_are_the_per_point_pass(nested, M.coords, x[:32].reshape(4, 8, d))
 
 
 # -- interning ---------------------------------------------------------------------

@@ -7,16 +7,21 @@ its compiled kernel are compared with literals, so a change to any
 operator's rule shows here as a changed string.  An op outside the operator
 table raises the same ``ValueError`` in every walker, also under
 ``python -O``; and a domain error of ``_pow`` reaches the command line as a
-usage error.
+usage error.  A batch evaluated by columns maps each function's raw ``math``
+function, which raises exactly where the row's value raises; ``_pow`` is
+the one operator whose raw function would not, so its guards stay.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
+import struct
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualgeo import exprlang
@@ -260,3 +265,46 @@ def test_negative_base_with_infinite_exponent_is_a_domain_error(tmp_path, capsys
         evaluate(e, {"x": -0.5, "y": 0.0})
     with pytest.raises(DomainError, match=f"^{message}$"):
         compile_array([e], COORDS)([-0.5, 0.0])
+
+
+# signed zeros, infinities, nan, negatives, values near each function's overflow, huge values
+EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, -1e-300, 1e-300, 5e-324, -0.5,
+         0.5, -1.0, 1.0, -2.0, 3.0, math.pi / 2, 709.0, 711.0, -711.0, -746.0, 1e15, 1e22,
+         1e300, -1e300, 1.7976931348623157e308)
+
+
+def _bits_or_raises(f, *args):
+    """The bytes of f(*args), or None when it raises an error that the kernels catch."""
+    try:
+        return struct.pack("<d", f(*args))
+    except (ArithmeticError, ValueError):
+        return None
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_raw_math_functions_raise_exactly_where_their_rows_raise(name):
+    value, raw = exprlang._OPS[Unary][name].value, getattr(math, name)
+    by_columns = exprlang._COLUMN_OPS[name]
+    for x in EDGES:
+        want = _bits_or_raises(value, x)
+        assert _bits_or_raises(raw, x) == want, x
+        assert _bits_or_raises(lambda v: by_columns(np.array([0.5, v, 0.5]))[1], x) == want, x
+
+
+def test_pow_keeps_its_guards_by_columns():
+    # the raw math.pow is not a substitute for _pow: here it returns where _pow raises
+    assert math.pow(-0.5, math.inf) == 0.0
+    message = "^negative base -0.5 with non-integer exponent inf$"
+    with pytest.raises(DomainError, match=message):
+        exprlang._pow(-0.5, math.inf)
+    by_columns = exprlang._COLUMN_OPS["_pow"]
+    with pytest.raises(DomainError, match=message):
+        by_columns(np.array([0.5, -0.5]), math.inf)
+    for a in EDGES:
+        for b in EDGES:
+            want = _bits_or_raises(exprlang._pow, a, b)
+            # beside a row of base 1 or exponent 1, which never raises
+            for column in (lambda: by_columns(np.array([1.0, a]), b)[1],
+                           lambda: by_columns(a, np.array([1.0, b]))[1],
+                           lambda: by_columns(np.array([1.0, a]), np.array([1.0, b]))[1]):
+                assert _bits_or_raises(column) == want, (a, b)
