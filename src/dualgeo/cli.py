@@ -241,13 +241,13 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig) -> int:
     report = curvature_report(M, loaded.connection, point)
     print(f"curvature at {point.tolist()} on {M.name!r} "
           f"({loaded.connection.provenance}):")
-    print(f"  max |R^l_ijk| = {float(np.max(np.abs(report.riemann))):.6e}"
+    print(f"  max |R^l_ijk| = {float(np.abs(report.riemann).max()):.6e}"
           f"  (flat at point: {report.flat_at_point})")
     # one signed exponent format, so the layout depends on the dimension only
     print(f"  Ricci = {np.array2string(report.ricci, formatter={'float_kind': '{: .6e}'.format})}")
     print(f"  scalar = {report.scalar:.12g}")
     if report.weyl is not None:
-        print(f"  max |Weyl| = {float(np.max(np.abs(report.weyl))):.6e}")
+        print(f"  max |Weyl| = {float(np.abs(report.weyl).max()):.6e}")
     if config.report_path:
         with open(config.report_path, "w") as fh:
             fh.write(json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n")

@@ -17,6 +17,7 @@ derivative of curvature clean second ones.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,13 +50,14 @@ class ConnectionField:
     _d2gamma: Callable[[np.ndarray], np.ndarray] | None = None
 
     _last_batch = None  # one_batch's streams, newest first: (((shape, bytes), {kind: array}), ...)
+    _conjugate = None  # weakref.ref to conjugate(self), taken w.r.t. self.manifold
 
     def _memo(self, kind: str, x, build):
         return one_batch(self, kind, x, build)
 
     def _memo_on(self, M: ManifoldSpec, kind: str, x, build):
         """``_memo`` for a kind taken with M's metric, kept only when M is this chart."""
-        return one_batch(self, kind, x, build) if M is self.manifold else build(x)
+        return self._memo(kind, x, build) if M is self.manifold else build(x)
 
     def gamma_at(self, p) -> np.ndarray:
         """Rank-3 array Gamma[..., k, i, j] at the point or points."""
@@ -131,17 +133,16 @@ def levi_civita(M: ManifoldSpec) -> ConnectionField:
         return 0.5 * _raise_last(ginv, _bracket(M.metric_derivatives_at(x)))
 
     def dgamma(x: np.ndarray) -> np.ndarray:
-        ginv = M.inverse_metric_at(x)
-        dg = M.metric_derivatives_at(x)
         dbracket = _bracket(M.metric_second_derivatives_at(x))
-        return 0.5 * (_raise_last(_dginv(ginv, dg), _bracket(dg)[..., None, :, :, :])
-                      + _raise_last(ginv[..., None, :, :], dbracket))
+        return 0.5 * (_raise_last(M.inverse_metric_derivatives_at(x),
+                                  _bracket(M.metric_derivatives_at(x))[..., None, :, :, :])
+                      + _raise_last(M.inverse_metric_at(x)[..., None, :, :], dbracket))
 
     def d2gamma(x: np.ndarray) -> np.ndarray:
         ginv = M.inverse_metric_at(x)
         dg = M.metric_derivatives_at(x)
         d2g = M.metric_second_derivatives_at(x)
-        dginv = _dginv(ginv, dg)
+        dginv = M.inverse_metric_derivatives_at(x)
         dbracket = _bracket(d2g)
         return 0.5 * (_raise_last(_d2ginv(ginv, dg, dginv, d2g),
                                   _bracket(dg)[..., None, None, :, :, :])
@@ -182,40 +183,50 @@ def conjugate(C: ConnectionField, M: ManifoldSpec | None = None) -> ConnectionFi
     Gamma*^l_ik = g^{lj}(d_i g_jk - Gamma^m_ij g_mk).  Implemented by linear
     algebra rather than symbolically so it applies uniformly to connections
     whose coefficients are closures.
+
+    The conjugate w.r.t. C's own chart is built once and returned again while
+    it is alive: C holds it through a weak reference, and it holds C, so no
+    reference cycle is made.  A conjugate w.r.t. another chart is new on
+    every call.
     """
+    own = M is None or M is C.manifold
+    kept = own and C._conjugate and C._conjugate()
+    if kept:
+        return kept
     M = M or C.manifold
 
     def gamma(x: np.ndarray) -> np.ndarray:
-        g = M.metric_at(x)
-        ginv = M.inverse_metric_at(x)
-        dg = M.metric_derivatives_at(x)
-        return _raise_middle(ginv, dg - _lower_first(C.gamma_at(x), g))
+        return _raise_middle(M.inverse_metric_at(x), M.metric_derivatives_at(x) - _lowered(M, C, x))
 
     def dgamma(x: np.ndarray) -> np.ndarray:
         g = M.metric_at(x)
-        ginv = M.inverse_metric_at(x)
         dg = M.metric_derivatives_at(x)
         d2g = M.metric_second_derivatives_at(x)
-        dginv = _dginv(ginv, dg)
-        gam = C.gamma_at(x)
-        term = dg - _lower_first(gam, g)
+        term = dg - _lowered(M, C, x)
         dterm = (d2g - _lower_first(C.dgamma_at(x), g[..., None, :, :])
-                 - _lower_first(gam[..., None, :, :, :], dg))
-        return (_raise_middle(dginv, term[..., None, :, :, :])
-                + _raise_middle(ginv[..., None, :, :], dterm))
+                 - _lower_first(C.gamma_at(x)[..., None, :, :, :], dg))
+        return (_raise_middle(M.inverse_metric_derivatives_at(x), term[..., None, :, :, :])
+                + _raise_middle(M.inverse_metric_at(x)[..., None, :, :], dterm))
 
-    return ConnectionField(M, "conjugate-of", gamma, dgamma)
+    Cstar = ConnectionField(M, "conjugate-of", gamma, dgamma)
+    if own:
+        C._conjugate = weakref.ref(Cstar)
+    return Cstar
+
+
+def _lowered(M: ManifoldSpec, C: ConnectionField, x) -> np.ndarray:
+    """Gamma_ijk = Gamma^m_ij g_mk with M's metric, kept on C's stream when M is C's chart."""
+    return C._memo_on(M, "lowered", x, lambda z: _lower_first(C.gamma_at(z), M.metric_at(z)))
 
 
 def _duality_defect(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
                     p) -> np.ndarray:
     """D_ijk = d_i g_jk - Gamma^m_ij g_mk - Gamma*^m_ik g_jm at the point or points."""
     x = np.asarray(p, dtype=float)
-    g = M.metric_at(x)
-    dg = M.metric_derivatives_at(x)
-    # dg - einsum("...mij,...mk->...ijk", gam, g) - einsum("...mik,...jm->...ijk", gam_star, g)
-    return (dg - _lower_first(C.gamma_at(x), g)
-            - _lower_first(Cstar.gamma_at(x), g.swapaxes(-1, -2)).swapaxes(-2, -1))
+    # dg - einsum("...mij,...mk->...ijk", gam, g) - einsum("...mik,...jm->...ijk", gam_star, g);
+    # g is symmetric, so each side is its connection's own lowered Gamma
+    return (M.metric_derivatives_at(x) - _lowered(M, C, x)
+            - _lowered(M, Cstar, x).swapaxes(-2, -1))
 
 
 def duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField, p) -> float:
@@ -223,13 +234,13 @@ def duality_residual(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField
 
     Over a batch of points the maximum is taken over every point.
     """
-    return float(np.max(np.abs(_duality_defect(M, C, Cstar, p))))
+    return float(np.abs(_duality_defect(M, C, Cstar, p)).max())
 
 
 def involution_defect(M: ManifoldSpec, C: ConnectionField, Cstar: ConnectionField,
                       p) -> float:
     """Max |conjugate(C*) - C| on the Christoffel symbols; zero iff C is the conjugate of C*."""
-    return float(np.max(np.abs(conjugate(Cstar, M).gamma_at(p) - C.gamma_at(p))))
+    return float(np.abs(conjugate(Cstar, M).gamma_at(p) - C.gamma_at(p)).max())
 
 
 def torsion_at(C: ConnectionField, p) -> np.ndarray:
@@ -257,7 +268,7 @@ def torsion_relation_residual(g: np.ndarray, T: np.ndarray, Tstar: np.ndarray,
     """
     D = (np.einsum("...mab,...mk->...abk", T - Tstar, g)
          - cubic_star + cubic_star.swapaxes(-3, -2))
-    return float(np.max(np.sum(np.abs(D), axis=(-3, -2, -1))))
+    return float(np.abs(D).sum(axis=(-3, -2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -275,9 +286,9 @@ def is_statistical(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
     only the first-pair asymmetry is measured.
     """
     x = M.sample_array(samples, seed)
-    worst_torsion = float(np.max(np.abs(torsion_at(C, x))))
+    worst_torsion = float(np.abs(torsion_at(C, x)).max())
     cubic = cubic_form_at(M, C, x)
-    worst_cubic = float(np.max(np.abs(cubic - cubic.swapaxes(-3, -2))))
+    worst_cubic = float(np.abs(cubic - cubic.swapaxes(-3, -2)).max())
     ok = worst_torsion < 1e-10 and worst_cubic < 1e-10
     return StatisticalVerdict(ok, worst_torsion, worst_cubic)
 
@@ -290,5 +301,5 @@ def dgamma_fd_defect(C: ConnectionField, samples: int = 16, seed: int = 42) -> f
     worst = 0.0
     for l in range(M.dim):
         fd = numdiff.central_diff(lambda z: C.gamma_at(z), x, l, order=4)
-        worst = max(worst, float(np.max(np.abs(exact[:, l] - fd))))
+        worst = max(worst, float(np.abs(exact[:, l] - fd).max()))
     return worst

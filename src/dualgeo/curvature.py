@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import ConnectionField, _dginv
+from .connections import ConnectionField
 from .geometry import ManifoldSpec, SingularMetricError
 
 __all__ = [
@@ -116,7 +116,7 @@ def curvature_duality_residual(g: np.ndarray, R: np.ndarray, Rstar: np.ndarray) 
     """
     # einsum("...lijk,...lm->...ijkm", R, g) + einsum("...lijm,...lk->...ijkm", Rstar, g)
     D = _lower_riemann(R, g) + _lower_riemann(Rstar, g).swapaxes(-2, -1)
-    return float(np.max(np.sum(np.abs(D), axis=(-4, -3, -2, -1))))
+    return float(np.abs(D).sum(axis=(-4, -3, -2, -1)).max())
 
 
 def _lower_riemann(R: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -244,7 +244,7 @@ def weyl_derivative_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
     x = np.asarray(p, dtype=float)
     m = M.dim
     g, ginv, dg = M.metric_at(x), M.inverse_metric_at(x), M.metric_derivatives_at(x)
-    dginv = _dginv(ginv, dg)
+    dginv = M.inverse_metric_derivatives_at(x)
     ric = ricci_contraction(riemann_at(C, x))
     dR = riemann_derivative_at(C, x)
     dric = ricci_contraction(dR)
@@ -279,13 +279,13 @@ def weyl_trace_defect(g: np.ndarray, ginv: np.ndarray, W: np.ndarray) -> float:
         np.einsum("...ik,...lijk->...lj", ginv, lowered),
         np.einsum("...jk,...lijk->...li", ginv, lowered),
     ]
-    return max(float(np.max(np.abs(c))) for c in contractions)
+    return max(float(np.abs(c).max()) for c in contractions)
 
 
 def first_bianchi_defect(R: np.ndarray) -> float:
     """Max |R(X,Y)Z + R(Y,Z)X + R(Z,X)Y| over coordinate triples."""
     cyc = R + np.einsum("...ljki->...lijk", R) + np.einsum("...lkij->...lijk", R)
-    return float(np.max(np.abs(cyc)))
+    return float(np.abs(cyc).max())
 
 
 def sectional_at(M: ManifoldSpec, p, X, Y):
@@ -320,7 +320,7 @@ class FlatnessResult:
 
 def is_flat(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
             seed: int = 42) -> FlatnessResult:
-    worst = float(np.max(np.abs(riemann_at(C, M.sample_array(samples, seed)))))
+    worst = float(np.abs(riemann_at(C, M.sample_array(samples, seed))).max())
     return FlatnessResult(worst < FLAT_TOL, worst)
 
 
@@ -362,7 +362,7 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32,
     tensor_dev = np.sum(np.abs(framed - kappas[:, None, None, None, None] * model),
                         axis=(-4, -3, -2, -1))
     kappa = float(np.mean(kappas))
-    deviation = max(float(np.max(np.abs(kappas - kappa))), float(np.max(tensor_dev)))
+    deviation = max(float(np.abs(kappas - kappa).max()), float(tensor_dev.max()))
     return ConstantSectionalResult(deviation < CONSTANT_CURVATURE_TOL, kappa, deviation, samples,
                                    CONSTANT_CURVATURE_TOL)
 

@@ -40,11 +40,13 @@ def one_batch(owner, kind: str, x, build) -> np.ndarray:
     An owner keeps up to ``_STREAMS_KEPT`` sample streams, newest first, in
     ``_last_batch``: each is a point or a batch, with the arrays built on it
     or on a row-prefix of it.  A chart (``ManifoldSpec``) holds g, g^-1, dg,
-    d2g, d3g and the orthonormal frame, and a product chart also its twist
-    data; a ``ConnectionField`` holds Gamma, dGamma, R, Ric, the scalar
-    curvature and the cubic form nabla g (Levi-Civita also d2Gamma and dR).
-    Each connection keeps its own streams, so a connection built per call is
-    freed with its arrays and the chart's entries stay fixed.
+    d2g, d3g, d(g^-1) and the orthonormal frame, and a product chart also its
+    twist data; a ``ConnectionField`` holds Gamma, the lowered Gamma_ijk =
+    Gamma^m_ij g_mk, dGamma, R, Ric, the scalar curvature and the cubic form
+    nabla g (Levi-Civita also d2Gamma and dR).  Each connection keeps its
+    own streams, so a connection built per call is freed with its arrays and
+    the chart's entries stay fixed; it keeps its conjugate only weakly
+    (``connections.conjugate``).
 
     The key carries the shape: a (1, d) batch and the (d,) point have equal
     bytes.  An (n, d) batch whose bytes begin a stream's reads the first n
@@ -222,6 +224,14 @@ class ManifoldSpec:
     def metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dG[i, j, k] = d_i g_jk (exact symbolic derivatives)."""
         return self._memo("dg", p, self._jets.d1_kernel)
+
+    def inverse_metric_derivatives_at(self, p) -> np.ndarray:
+        """Rank-3 array dGinv[q, a, b] = d_q g^ab."""
+        return self._memo("dginv", p, self._inverse_metric_derivatives)
+
+    def _inverse_metric_derivatives(self, x: np.ndarray) -> np.ndarray:
+        from .connections import _dginv  # connections builds on this module
+        return _dginv(self.inverse_metric_at(x), self.metric_derivatives_at(x))
 
     def metric_second_derivatives_at(self, p) -> np.ndarray:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""

@@ -413,9 +413,12 @@ def riemann_block_residuals(P: ProductSpec, conn: ConnectionField,
 
 def _zero_pad(a: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
     """``a`` with zero slices added before and after along a negative ``axis``."""
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    return np.pad(a, widths)
+    shape, inside = list(a.shape), [slice(None)] * a.ndim
+    shape[axis] += before + after
+    inside[axis] = slice(before, before + a.shape[axis])
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(inside)] = a
+    return out
 
 
 def curvature_block_report(P: ProductSpec, samples: int = 16,
@@ -460,7 +463,7 @@ def mixed_ricci_table(P: ProductSpec, samples: int = 16, seed: int = 42) -> dict
 
 
 def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def ricci_base_block_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> float:

@@ -33,8 +33,8 @@ from hypothesis import example, given, settings, strategies as st
 from dualgeo import dualistic, exprlang, fixtures as fx, geometry
 from dualgeo import numdiff
 from dualgeo.cli import main
-from dualgeo.connections import (ConnectionField, conjugate, cubic_form_at, dgamma_fd_defect,
-                                 explicit_connection, levi_civita, torsion_at,
+from dualgeo.connections import (ConnectionField, _lowered, conjugate, cubic_form_at,
+                                 dgamma_fd_defect, explicit_connection, levi_civita, torsion_at,
                                  torsion_relation_residual)
 from dualgeo.curvature import (curvature_duality_residual, curvature_report,
                                is_constant_sectional, orthonormal_frame_at, ricci_at,
@@ -179,12 +179,14 @@ def _stream_reads(M, P, conns) -> dict:
     """One read per kind cached on a sample stream, by kind and owner."""
     reads = {"g": M.metric_at, "ginv": M.inverse_metric_at, "dg": M.metric_derivatives_at,
              "d2g": M.metric_second_derivatives_at, "d3g": M.metric_third_derivatives_at,
+             "dginv": M.inverse_metric_derivatives_at,
              "frame": functools.partial(orthonormal_frame_at, M)}
     if P is not None:
         reads.update({"twist": P.twist_data_at})
     for name, C in conns.items():
         reads.update({f"{name} gamma": C.gamma_at, f"{name} dgamma": C.dgamma_at,
-                      f"{name} R": functools.partial(riemann_at, C)})
+                      f"{name} R": functools.partial(riemann_at, C),
+                      f"{name} lowered": functools.partial(_lowered, M, C)})
     lc = conns["levi-civita"]
     reads.update({"levi-civita d2gamma": lc.d2gamma_at,
                   "levi-civita dR": functools.partial(riemann_derivative_at, lc)})

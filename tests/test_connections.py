@@ -1,12 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dualgeo.connections import (conjugate, cubic_form_at, dgamma_fd_defect,
-                                 duality_residual, explicit_connection, is_statistical,
-                                 levi_civita, torsion_at, torsion_relation_residual)
+from dualgeo.connections import (ConnectionField, conjugate, cubic_form_at, dgamma_fd_defect,
+                                 duality_residual, explicit_connection, involution_defect,
+                                 is_statistical, levi_civita, torsion_at,
+                                 torsion_relation_residual)
 from dualgeo import fixtures as fx
+from dualgeo.geometry import ManifoldSpec
+from dualgeo.products import _max_abs
 
 from oracles import koszul_fd_christoffel
 
@@ -85,6 +90,66 @@ class TestConjugate:
     def test_dgamma_of_explicit_matches_fd(self, fisher):
         C = explicit_connection(fisher, {(0, 0, 0): "sin(m)*s", (1, 1, 0): "m^2"})
         assert dgamma_fd_defect(C, samples=6, seed=4) < 1e-5
+
+
+class TestKeptConjugate:
+    def test_the_conjugate_is_kept_while_it_lives(self, euclid2):
+        C = explicit_connection(euclid2, {(0, 0, 0): "0.3", (1, 0, 1): "0.2*y"})
+        Cstar = conjugate(C)
+        assert conjugate(C) is Cstar and conjugate(C, euclid2) is Cstar
+        first = weakref.ref(Cstar)
+        del Cstar
+        assert first() is None  # C holds its conjugate weakly
+        again = conjugate(C)
+        assert conjugate(C) is again and again.provenance == "conjugate-of"
+
+    def test_a_conjugate_on_another_chart_is_new_on_every_call(self, euclid2):
+        C = explicit_connection(euclid2, {(0, 0, 0): "0.3", (1, 0, 1): "0.2*y"})
+        kept = conjugate(C)
+        other = ManifoldSpec(euclid2.name, euclid2.coords, euclid2.domain, euclid2.metric)
+        first, second = conjugate(C, other), conjugate(C, other)
+        assert first is not second and kept is not first and kept is not second
+        assert first.manifold is other and conjugate(C) is kept
+        x = euclid2.sample_array(4, 3)
+        assert first.gamma_at(x).tobytes() == kept.gamma_at(x).tobytes()
+        assert first.dgamma_at(x).tobytes() == kept.dgamma_at(x).tobytes()
+
+    def test_keeping_adds_no_reference_cycle(self, euclid2):
+        gc.disable()
+        try:
+            C = explicit_connection(euclid2, {(0, 0, 0): "0.3", (1, 0, 1): "0.2*y"})
+            Cstar = conjugate(C)
+            x = euclid2.sample_array(4, 3)
+            Cstar.dgamma_at(x)
+            cubic_form_at(euclid2, Cstar, x)  # fills both connections' streams
+            refs = weakref.ref(C), weakref.ref(Cstar)
+            del C, Cstar
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+class TestNoSilentNan:
+    def _nan_at_one_entry(self, M):
+        def gamma(x):
+            out = np.zeros(np.shape(x)[:-1] + (M.dim,) * 3)
+            out[..., 1, 0, 1] = np.nan
+            return out
+        return ConnectionField(M, "explicit", gamma, lambda x: np.zeros(np.shape(x)[:-1]
+                                                                         + (M.dim,) * 4))
+
+    def test_max_abs(self):
+        a = np.zeros((3, 2, 2))
+        a[1, 0, 1] = np.nan
+        assert math.isnan(_max_abs(a))
+
+    def test_duality_residual_and_involution_defect(self, euclid2):
+        C, flat = self._nan_at_one_entry(euclid2), levi_civita(euclid2)
+        x = euclid2.sample_array(5, 1)
+        assert math.isnan(duality_residual(euclid2, C, flat, x))
+        assert math.isnan(duality_residual(euclid2, flat, C, x))
+        assert math.isnan(involution_defect(euclid2, C, flat, x))
+        assert math.isnan(involution_defect(euclid2, flat, C, x))
 
 
 class TestDualityResidual:

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dualgeo.connections import conjugate, explicit_connection, levi_civita
+from dualgeo.connections import _lowered, conjugate, explicit_connection, levi_civita
 from dualgeo import curvature
 from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann_derivative_at,
                                sectional_at)
@@ -183,7 +183,7 @@ class TestLastBatchCache:
             sectional_at(twisted4, x, X, Y)
         [(key, arrays)] = twisted4._last_batch  # one stream: the point
         assert key == (x.shape, x.tobytes())
-        assert set(arrays) == {"g", "ginv", "dg", "d2g"}
+        assert set(arrays) == {"g", "ginv", "dg", "d2g", "dginv"}
         assert len(builds) == 1
 
     def test_cached_arrays_are_read_only(self):
@@ -193,12 +193,14 @@ class TestLastBatchCache:
         reads = {
             "g": M.metric_at, "ginv": M.inverse_metric_at, "dg": M.metric_derivatives_at,
             "d2g": M.metric_second_derivatives_at, "d3g": M.metric_third_derivatives_at,
+            "dginv": M.inverse_metric_derivatives_at,
             "frame": functools.partial(orthonormal_frame_at, M),
             "twist": lambda z: P.twist_data_at(z)[1],
         }
         for C in conns:
             reads.update({f"{C.provenance} {f.__name__}": f for f in (C.gamma_at, C.dgamma_at)})
             reads[f"{C.provenance} R"] = functools.partial(riemann_at, C)
+            reads[f"{C.provenance} lowered"] = functools.partial(_lowered, M, C)
         lc = conns[0]
         reads.update({"levi-civita d2gamma_at": lc.d2gamma_at,
                       "levi-civita dR": functools.partial(riemann_derivative_at, lc)})
@@ -213,9 +215,11 @@ class TestLastBatchCache:
                     got[(0,) * got.ndim] = 5.0
                 assert read(x).tobytes() == before.tobytes(), kind
             # every kind cached by the chart and the connections was read, on the newest stream
-            assert set(M._last_batch[0][1]) == {"g", "ginv", "dg", "d2g", "d3g", "frame", "twist"}
-            assert set(lc._last_batch[0][1]) == {"gamma", "dgamma", "R", "d2gamma", "dR"}
-            assert all(set(C._last_batch[0][1]) == {"gamma", "dgamma", "R"} for C in conns[1:])
+            assert set(M._last_batch[0][1]) == {"g", "ginv", "dg", "d2g", "d3g", "dginv", "frame",
+                                                "twist"}
+            assert set(lc._last_batch[0][1]) == {"gamma", "dgamma", "R", "lowered", "d2gamma", "dR"}
+            assert all(set(C._last_batch[0][1]) == {"gamma", "dgamma", "R", "lowered"}
+                       for C in conns[1:])
 
     def test_interleaved_points_and_batches(self):
         P = dict(fx.standard_twists())["twisted-4d"]

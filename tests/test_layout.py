@@ -74,6 +74,7 @@
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -103,9 +104,11 @@ DISPLAY_SUBSCRIPTS = {"...a,wv->...wav", "...u,wv->...wuv", "...v,wu->...wuv",
                       "...uv,...w->...wuv", "...uv,...c->...cuv"}
 
 
+@functools.cache
 def _trees():
-    return [(path.name, ast.parse(path.read_text(), str(path)))
-            for path in sorted(SRC.glob("*.py"))]
+    """Each module of ``src/dualgeo`` parsed once per session; no rule edits a tree."""
+    return tuple((path.name, ast.parse(path.read_text(), str(path)))
+                 for path in sorted(SRC.glob("*.py")))
 
 
 def _called_name(call: ast.Call) -> str | None:
