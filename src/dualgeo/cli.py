@@ -59,6 +59,8 @@ class LoadedProduct:
 
 
 def _require(doc: dict, field: str, kind, where: str):
+    if not isinstance(doc, dict):
+        raise SpecFileError(where, "expected an object")
     if field not in doc:
         raise SpecFileError(f"{where}.{field}", "missing required field")
     value = doc[field]

@@ -45,7 +45,7 @@ __all__ = [
 
 # A curvature or torsion tensor vanishes when its max |component| is below FLAT_TOL;
 # sectional curvature is constant when its deviation is below CONSTANT_CURVATURE_TOL.
-# curvature_report calls a point flat below FLAT_AT_POINT_TOL, or the tol it is given.
+# curvature_report calls a point flat below FLAT_AT_POINT_TOL.
 FLAT_TOL = 1e-9
 CONSTANT_CURVATURE_TOL = 1e-8
 FLAT_AT_POINT_TOL = 1e-8
@@ -380,12 +380,11 @@ class CurvatureReport:
     tolerance: float
 
 
-def curvature_report(M: ManifoldSpec, C: ConnectionField, p,
-                     tol: float = FLAT_AT_POINT_TOL) -> CurvatureReport:
+def curvature_report(M: ManifoldSpec, C: ConnectionField, p) -> CurvatureReport:
     x = np.asarray(p, dtype=float)
     R = riemann_at(C, x)
     ric = ricci_at(M, C, x)
     S = _scalar_of(M, C, x)
     W = _weyl(M.metric_at(x), M.inverse_metric_at(x), R, ric, S, "standard") if M.dim >= 3 else None
-    flat = np.max(np.abs(R), axis=(-4, -3, -2, -1)) < tol
-    return CurvatureReport(x, R, ric, _item(S), W, _item(flat), tol)
+    flat = np.max(np.abs(R), axis=(-4, -3, -2, -1)) < FLAT_AT_POINT_TOL
+    return CurvatureReport(x, R, ric, _item(S), W, _item(flat), FLAT_AT_POINT_TOL)

@@ -17,8 +17,8 @@ from .geometry import ManifoldSpec
 from .connections import (ConnectionField, _duality_defect, conjugate, involution_defect,
                           torsion_at)
 from .curvature import FLAT_TOL, ConstantSectionalResult, is_constant_sectional, riemann_at
-from .products import (ProductSpec, _max_abs, _per_point, _warped_reduction, block_connection,
-                       block_gamma, hessian_condition_defect, mixed_ricci_table,
+from .products import (_RECONSTRUCTION_TOL, ProductSpec, _max_abs, _per_point, _warped_reduction,
+                       block_connection, block_gamma, hessian_condition_defect, mixed_ricci_table,
                        mixed_weyl_report, riemann_block_residuals, separability_test,
                        weyl_parallel_defect)
 
@@ -287,6 +287,10 @@ def reduction_chain(induced: ProductDualisticStructure, samples: int,
     recon = reduced = None
     if sep.separable:
         reduced, recon = _warped_reduction(P, sep, samples, seed)
+        if recon >= _RECONSTRUCTION_TOL:
+            reduced = None
+            notes.append("the sampled split does not reconstruct the metric "
+                         f"(residual {recon:.3e}); warped reduction unavailable")
     else:
         notes.append("twist is not separable; warped reduction unavailable")
     base_verdict = dually_flat_verdict(induced.base_structure, samples, seed)

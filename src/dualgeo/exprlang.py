@@ -735,9 +735,10 @@ class _Jets:
     Each owner builds its own; the nodes' derivative memos and the kernel
     table (``_kernel_of``) make every derivative and kernel of the same
     entries the same object in every owner.  It holds no arrays of numbers.
-    Higher derivatives are built once per symmetric class of derivative
-    indices: d_i d_j for i <= j, d_i d_j d_k for i <= j <= k.  Derivative
-    tables are built on first use, kernels on first evaluation.
+    Each higher order has one rule: block (i, *rest) is d_i of block rest one
+    order lower, built once per sorted index tuple and held, entry object for
+    entry object, by its permutations; the kernel computes each distinct entry
+    once and places it.  Tables are built on first use, kernels when evaluated.
     """
 
     def __init__(self, exprs: tuple, shape: tuple[int, ...], coords: tuple[str, ...]):
@@ -753,27 +754,19 @@ class _Jets:
         # block i is d_i exprs (for a metric, d1 is d_i g_jk at [i, j, k])
         return tuple(e for c in self.coords for e in derivative_table(self.exprs, c))
 
-    @functools.cached_property
-    def d2(self) -> tuple:
-        # block (i, j) is d_i d_j exprs; block (j, i) repeats its entries
+    def _next_order(self, lower: tuple, order: int) -> tuple:
+        # block t = (i, *rest) is d_i of block rest of ``lower``; in product order a sorted t
+        # comes before its other permutations, and they take its block
         d = len(self.coords)
-        classes = {(i, j): derivative_table(self.block(self.d1, j), self.coords[i])
-                   for i in range(d) for j in range(i, d)}
-        return tuple(e for i in range(d) for j in range(d) for e in classes[min(i, j), max(i, j)])
+        blocks = {}
+        for n, t in enumerate(itertools.product(range(d), repeat=order)):
+            c = tuple(sorted(t))
+            blocks[t] = blocks[c] if c in blocks else derivative_table(
+                self.block(lower, n % d ** (order - 1)), self.coords[t[0]])
+        return tuple(itertools.chain.from_iterable(blocks.values()))
 
-    @functools.cached_property
-    def d3_classes(self):
-        # (classes, index): block c of classes is d_i d_j d_k exprs for the
-        # c-th sorted triple i <= j <= k, and index[i, j, k] = c for every triple
-        d = len(self.coords)
-        triples = list(itertools.combinations_with_replacement(range(d), 3))
-        classes = tuple(e for i, j, k in triples
-                        for e in derivative_table(self.block(self.d2, j * d + k), self.coords[i]))
-        index = np.empty((d, d, d), dtype=np.intp)
-        for c, triple in enumerate(triples):
-            for i, j, k in itertools.permutations(triple):
-                index[i, j, k] = c
-        return classes, index
+    d2 = functools.cached_property(lambda self: self._next_order(self.d1, 2))
+    d3 = functools.cached_property(lambda self: self._next_order(self.d2, 3))
 
     def _compiled(self, table: tuple, lead: tuple[int, ...]):
         return _kernel_of(table, lead + self.shape, self.coords)
@@ -782,8 +775,8 @@ class _Jets:
     d1_kernel = functools.cached_property(lambda self: self._compiled(self.d1, (len(self.coords),)))
     d2_kernel = functools.cached_property(
         lambda self: self._compiled(self.d2, (len(self.coords),) * 2))
-    d3_kernel = functools.cached_property(lambda self: self._compiled(
-        self.d3_classes[0], (math.comb(len(self.coords) + 2, 3),)))
+    d3_kernel = functools.cached_property(
+        lambda self: self._compiled(self.d3, (len(self.coords),) * 3))
 
 
 def simplify(e: Expr) -> Expr:

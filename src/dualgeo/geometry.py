@@ -239,11 +239,7 @@ class ManifoldSpec:
 
     def metric_third_derivatives_at(self, p) -> np.ndarray:
         """Rank-5 array d3G[i, j, k, l, m] = d_i d_j d_k g_lm."""
-        return self._memo("d3g", p, self._metric_third_derivatives)
-
-    def _metric_third_derivatives(self, x: np.ndarray) -> np.ndarray:
-        classes = self._jets.d3_kernel(x)  # [..., class, l, m]
-        return np.take(classes, self._jets.d3_classes[1], axis=-3)
+        return self._memo("d3g", p, self._jets.d3_kernel)
 
     def gradient_at(self, f: Expr, p) -> np.ndarray:
         """Metric gradient at a point: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""

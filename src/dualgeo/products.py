@@ -47,6 +47,9 @@ MIXED_RICCI_SIGN = -1.0
 # The Weyl-flat-along conditions (theorem 4.2's hypothesis) hold below this.
 WEYL_FLAT_TOL = 1e-7
 
+# A warped reduction reconstructs the product metric when its sampled residual is below this.
+_RECONSTRUCTION_TOL = 1e-9
+
 
 @dataclass(eq=False)
 class ProductSpec:
@@ -569,7 +572,11 @@ def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42) -> ProductSpec:
     into the fiber metric and delta becomes the warping function.  The
     product metric is identical to the original (checked on samples, to 1e-9).
     """
-    return _warped_reduction(P, separability_test(P, samples, seed), samples, seed)[0]
+    warped, residual = _warped_reduction(P, separability_test(P, samples, seed), samples, seed)
+    if residual >= _RECONSTRUCTION_TOL:
+        raise ArithmeticError(f"warped reduction failed to reconstruct the metric "
+                              f"(residual {residual:.3e})")
+    return warped
 
 
 def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int,
@@ -587,11 +594,7 @@ def _warped_reduction(P: ProductSpec, sep: SeparabilityResult, samples: int,
         f"{fiber.name}-rescaled", fiber.coords, fiber.domain,
         tuple(tuple(simplify(mul(gamma_sq, entry)) for entry in row) for row in fiber.metric))
     warped = twisted_product(P.base, rescaled, delta)
-    residual = product_metric_residual(P, warped, samples, seed)
-    if residual >= 1e-9:
-        raise ArithmeticError(f"warped reduction failed to reconstruct the metric "
-                              f"(residual {residual:.3e})")
-    return warped, residual
+    return warped, product_metric_residual(P, warped, samples, seed)
 
 
 def product_metric_residual(P1: ProductSpec, P2: ProductSpec,

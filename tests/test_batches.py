@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualgeo import dualistic, exprlang, fixtures as fx, geometry
+from dualgeo import curvature, dualistic, exprlang, fixtures as fx, geometry
 from dualgeo import numdiff
 from dualgeo.cli import main
 from dualgeo.connections import (ConnectionField, _lowered, conjugate, cubic_form_at,
@@ -605,9 +605,11 @@ def test_frame_layer_stacks(pair, seed, picks):
         _assert_close(weyl_at(M, C, X), point(lambda x: weyl_at(M, C, x)))
     # a tolerance inside the range of per-point |R| makes the flat flags differ
     tol = float(np.median(np.max(np.abs(riemann_at(C, X)), axis=(-4, -3, -2, -1))))
-    report = curvature_report(M, C, X, tol)
-    singles = [curvature_report(M, C, x, tol) for x in X]
-    assert report.point.tobytes() == X.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curvature, "FLAT_AT_POINT_TOL", tol)
+        report = curvature_report(M, C, X)
+        singles = [curvature_report(M, C, x) for x in X]
+    assert report.point.tobytes() == X.tobytes() and report.tolerance == tol
     for field in ("riemann", "ricci", "scalar", "weyl"):
         if getattr(report, field) is not None:
             _assert_close(np.asarray(getattr(report, field)),

@@ -254,8 +254,8 @@ def test_spec_commands_differentiate_each_entry_once_per_table(monkeypatch, spec
 
 
 def _entries(jets) -> list:
-    """Every entry of a chart's g, dg, d2g and d3g classes, row-major."""
-    return [*jets.exprs, *jets.d1, *jets.d2, *jets.d3_classes[0]]
+    """Every entry of a chart's g, dg, d2g and d3g, row-major."""
+    return [*jets.exprs, *jets.d1, *jets.d2, *jets.d3]
 
 
 def test_a_chart_differentiates_each_entry_once_for_all_its_jets(monkeypatch):
@@ -298,11 +298,10 @@ def test_mirror_entries_are_one_object_only_when_equal(upper, lower, shared):
     assert M.metric[1][0] is (upper if shared else lower)
     x = M.sample_array(4, 0)
     jets = M._jets
-    classes, index = jets.d3_classes
     tables = (np.array(M.metric, dtype=object),  # the flat jet blocks, nested by their shapes
               np.array(jets.d1, dtype=object).reshape((2,) * 3),
               np.array(jets.d2, dtype=object).reshape((2,) * 4),
-              np.array(classes, dtype=object).reshape((-1, 2, 2))[index])
+              np.array(jets.d3, dtype=object).reshape((2,) * 5))
     for n in range(len(x)):
         env = dict(zip(coords, x[n]))
         for kernel, exprs in zip((M.metric_at, M.metric_derivatives_at,

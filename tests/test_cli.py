@@ -89,6 +89,16 @@ class TestLoadSpec:
         with pytest.raises(SpecFileError, match="unknown connection kind"):
             load_spec(write(tmp_path, "m.json", doc))
 
+    @pytest.mark.parametrize("field, value", [("connection", ["kind"]),
+                                              ("dual_connection", "kind")])
+    def test_connection_that_is_not_an_object(self, tmp_path, capsys, field, value):
+        path = write(tmp_path, "m.json", dict(MANIFOLD_DOC, **{field: value}))
+        with pytest.raises(SpecFileError, match=f"^m.json.{field}: expected an object$"):
+            load_spec(path)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: m.json.{field}: expected an object\n"
+
 
 class TestExitCodes:
     def test_check_passes(self, spec_dir):
@@ -505,6 +515,27 @@ class TestFlatnessCommand:
         assert row["notes"].startswith("hypothesis=holds, predicted=True, direct=False, "
                                        "agreement=False; DISAGREEMENT: ")
         assert payload["details"]["mixed_weyl_analysis"]["agreement"] is False
+
+
+    def test_a_split_that_does_not_reconstruct_the_metric_is_noted(self, tmp_path, capsys):
+        # the sampled mixed Hessian (5e-11) is under the separability threshold, but the
+        # split's metric residual is not under the 1e-9 that to_warped accepts
+        factor = {"domain": [[-1, 1]], "metric": [["1"]]}
+        path = write(tmp_path, "p.json", {
+            "kind": "twisted_product", "base": dict(factor, name="lineB", coords=["x"]),
+            "fiber": dict(factor, name="lineF", coords=["u"]),
+            "twist": "exp(2*x + 2*u + 5e-11*x*u)"})
+        report = tmp_path / "flatness.json"
+        assert main(["flatness", path, "--report", str(report)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        details = json.loads(report.read_text())["details"]
+        chains = [record["chain"] for record in details.values() if "chain" in record]
+        assert chains
+        for chain in chains:
+            assert chain["separable"] is True and chain["reconstruction_residual"] >= 1e-9
+            assert any(note.startswith("the sampled split does not reconstruct the metric")
+                       for note in chain["notes"])
 
 
 class TestVerifyPaper:

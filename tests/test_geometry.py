@@ -14,7 +14,7 @@ from dualgeo.curvature import (_frame, orthonormal_frame_at, riemann_at, riemann
                                sectional_at)
 from dualgeo.exprlang import DomainError, differentiate, evaluate, parse
 from dualgeo.geometry import GeometryError, ManifoldSpec, SingularMetricError, validate_metric
-from dualgeo import fixtures as fx
+from dualgeo import exprlang, fixtures as fx
 
 from oracles import fd1
 
@@ -103,17 +103,33 @@ class TestMetricDerivatives:
         expected = [evaluate(e, env) for e in M._jets.d2]  # row-major over (i, j, k, l)
         assert M.metric_second_derivatives_at(x).tobytes() == np.array(expected).tobytes()
 
-    def test_higher_derivatives_are_built_per_index_class(self):
+    def test_higher_derivatives_are_built_per_index_class(self, monkeypatch):
         M = dict(fx.standard_twists())["twisted-4d"].manifold
         d = M.dim
-        jets = M._jets
+        tables = []  # the coordinate of each derivative table built
+        build = exprlang.derivative_table
+        monkeypatch.setattr(exprlang, "derivative_table",
+                            lambda exprs, c: tables.append(c) or build(exprs, c))
+        jets = exprlang._Jets(M._jets.exprs, M._jets.shape, M.coords)
+        assert len(jets.d1) == d * d * d and len(tables) == d
+        # at each order, one derivative table is built per sorted index tuple, and every
+        # permutation's block is, object for object, the block of its sorted tuple
+        for order in (2, 3):
+            tables.clear()
+            table = getattr(jets, f"d{order}")
+            assert len(tables) == math.comb(d + order - 1, order)
+            assert len(table) == d ** order * d * d
+            tuples = list(itertools.product(range(d), repeat=order))
+            blocks = {t: jets.block(table, n) for n, t in enumerate(tuples)}
+            assert all(a is b for t in tuples
+                       for a, b in zip(blocks[t], blocks[tuple(sorted(t))], strict=True))
+            distinct = {tuple(map(id, block)) for block in blocks.values()}
+            assert len(distinct) <= math.comb(d + order - 1, order)
         # block (j, i) of d2 holds the entry objects of block (i, j): each class is
         # differentiated once
         assert all(a is b for i in range(d) for j in range(d)
                    for a, b in zip(jets.block(jets.d2, i * d + j), jets.block(jets.d2, j * d + i),
                                    strict=True))
-        classes, index = jets.d3_classes
-        assert len(classes) == math.comb(d + 2, 3) * d * d
         x = M.sample_array(3, 2)
         d3g = M.metric_third_derivatives_at(x)
         assert d3g.shape == (3,) + (d,) * 5
@@ -135,8 +151,7 @@ def _kernel_values(M, x):
     """The five accessors' arrays at x, evaluated without the manifold's cache."""
     jets = M._jets
     g = jets.kernel(x)
-    d3g = np.take(jets.d3_kernel(x), jets.d3_classes[1], axis=-3)
-    return g, np.linalg.inv(g), jets.d1_kernel(x), jets.d2_kernel(x), d3g
+    return g, np.linalg.inv(g), jets.d1_kernel(x), jets.d2_kernel(x), jets.d3_kernel(x)
 
 
 def _connections(M):

@@ -71,6 +71,10 @@
   and ``point``, and no method of ``verify.Check`` takes a ``RunConfig`` and
   reads the row's ``default``, so no run-time override of a row's tolerance
   grows back.
+* Only ``exprlang._kernel_of`` calls ``take`` (``np.take`` or an array's
+  ``.take``, counted by outermost function): a kernel computes each distinct
+  entry once and places it at each of its entries, so no caller places a
+  kernel's values again by an index of its own.
 """
 
 import ast
@@ -242,14 +246,14 @@ def table_writers(trees, table: str) -> set[str]:
     return _node_scopes(trees, lambda node: id(node) not in declared and writes(node))
 
 
-def _node_scopes(trees, matches) -> set[str]:
-    """``file:function`` of every node that ``matches``, by innermost function."""
+def _node_scopes(trees, matches, outermost: bool = False) -> set[str]:
+    """``file:function`` of every node that ``matches``, by innermost function or ``outermost``."""
     found = set()
 
     def visit(name, node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(name, child, child.name)
+                visit(name, child, where if outermost and where != "<module>" else child.name)
                 continue
             if matches(child):
                 found.add(f"{name}:{where}")
@@ -263,6 +267,12 @@ def _node_scopes(trees, matches) -> set[str]:
 def _call_scopes(trees, matches) -> set[str]:
     """``file:function`` of every call that ``matches``, by innermost function."""
     return _node_scopes(trees, lambda node: isinstance(node, ast.Call) and matches(node))
+
+
+def take_callers(trees) -> set[str]:
+    """``file:function`` of every ``take(...)`` call, by outermost function."""
+    return _node_scopes(trees, lambda node: isinstance(node, ast.Call)
+                        and _called_name(node) == "take", outermost=True)
 
 
 def display_subscript_scopes(trees) -> set[str]:
@@ -635,6 +645,10 @@ def test_tables_differentiate_in_one_helper():
                                                      "exprlang.py:differentiate"}
 
 
+def test_only_the_kernel_places_entries():
+    assert take_callers(_trees()) == {"exprlang.py:_kernel_of"}
+
+
 def test_no_condition_number_by_svd():
     assert cond_uses(_trees()) == []
 
@@ -921,6 +935,20 @@ def test_scan_flags_display_subscripts(source, found):
 ])
 def test_scan_flags_table_differentiations(name, source, found):
     assert table_differentiate_callers([(name, ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _kernel_of(flat):\n    def kernel(x):\n        return rows.take(index, axis=-1)\n",
+     {"probe.py:_kernel_of"}),
+    ("class M:\n    def third(self, x):\n        return np.take(c, self.index, axis=-3)\n",
+     {"probe.py:third"}),
+    ("D3 = numpy.take(classes, index, axis=0)\n", {"probe.py:<module>"}),
+    ("def third(c, index):\n    return c[index]\n", set()),
+    ("def third(c, index):\n    return np.take_along_axis(c, index, axis=0)\n", set()),
+    ("take = 1\n", set()),
+])
+def test_scan_flags_take_calls(source, found):
+    assert take_callers([("probe.py", ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [
