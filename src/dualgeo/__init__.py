@@ -10,8 +10,8 @@ from .exprlang import Expr, parse, differentiate, evaluate, simplify, to_source
 from .geometry import ManifoldSpec, validate_metric
 from .connections import (ConnectionField, levi_civita, explicit_connection, conjugate,
                           duality_residual, torsion_at, cubic_form_at, is_statistical)
-from .curvature import (riemann_at, ricci_at, scalar_at, ricci_operator_at, weyl_at,
-                        sectional_at, is_flat, is_constant_sectional, curvature_report)
+from .curvature import (riemann_at, ricci_at, scalar_at, weyl_at, sectional_at,
+                        is_constant_sectional, curvature_report)
 from .products import (ProductSpec, twisted_product, block_levi_civita,
                        hessian_at, curvature_block_report, mixed_ricci_at,
                        mixed_weyl_report, separability_test, to_warped)

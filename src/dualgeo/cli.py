@@ -86,9 +86,11 @@ def _parse_connection(doc, M: ManifoldSpec, where: str) -> ConnectionField:
                                     "key must be 'k,i,j' with integer indices") from None
             entries[(k, i, j)] = str(src)
         try:
-            return explicit_connection(M, entries)
-        except ValueError as exc:
+            C = explicit_connection(M, entries)
+            C._gamma(M.sample_array(32, 7))  # the metric's samples, kept on no stream of C
+        except (ValueError, DomainError) as exc:
             raise SpecFileError(f"{where}.gamma", str(exc)) from exc
+        return C
     raise SpecFileError(f"{where}.kind", f"unknown connection kind {kind!r}")
 
 
@@ -183,14 +185,20 @@ def _product(base: LoadedManifold, fiber: LoadedManifold, twist: str, fiber_fiel
 # commands
 
 
+def _write_report(path: str, payload) -> None:
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:  # an unwritable --report path is an input error: exit 2
+        raise SpecFileError("--report", f"cannot write: {exc.strerror or exc}") from None
+
+
 def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = None) -> int:
     print(rep.render_table())
     if config.report_path:
         payload = rep.payload()
         if extra:
             payload["details"] = jsonable(extra)
-        with open(config.report_path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_report(config.report_path, payload)
     return 0 if rep.overall == "pass" else 1
 
 
@@ -251,8 +259,7 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig) -> int:
     if report.weyl is not None:
         print(f"  max |Weyl| = {float(np.abs(report.weyl).max()):.6e}")
     if config.report_path:
-        with open(config.report_path, "w") as fh:
-            fh.write(json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n")
+        _write_report(config.report_path, jsonable(report))
     return 0
 
 

@@ -52,27 +52,24 @@ class ConnectionField:
     _last_batch = None  # one_batch's streams, newest first: (((shape, bytes), {kind: array}), ...)
     _conjugate = None  # weakref.ref to conjugate(self), taken w.r.t. self.manifold
 
-    def _memo(self, kind: str, x, build):
-        return one_batch(self, kind, x, build)
-
     def _memo_on(self, M: ManifoldSpec, kind: str, x, build):
-        """``_memo`` for a kind taken with M's metric, kept only when M is this chart."""
-        return self._memo(kind, x, build) if M is self.manifold else build(x)
+        """``one_batch`` for a kind taken with M's metric, kept only when M is this chart."""
+        return one_batch(self, kind, x, build) if M is self.manifold else build(x)
 
     def gamma_at(self, p) -> np.ndarray:
         """Rank-3 array Gamma[..., k, i, j] at the point or points."""
-        return self._memo("gamma", p, self._gamma)
+        return one_batch(self, "gamma", p, self._gamma)
 
     def dgamma_at(self, p) -> np.ndarray:
         """Rank-4 array dGamma[..., l, k, i, j] = d_l Gamma^k_ij at the point or points."""
-        return self._memo("dgamma", p, self._dgamma)
+        return one_batch(self, "dgamma", p, self._dgamma)
 
     def d2gamma_at(self, p) -> np.ndarray:
         """Rank-5 array d2Gamma[..., p, q, k, i, j] = d_p d_q Gamma^k_ij (Levi-Civita only)."""
         if self._d2gamma is None:
             raise NotImplementedError(
                 f"{self.provenance!r} connections provide no second derivatives")
-        return self._memo("d2gamma", p, self._d2gamma)
+        return one_batch(self, "d2gamma", p, self._d2gamma)
 
     def __repr__(self) -> str:
         return f"ConnectionField({self.provenance!r} on {self.manifold.name!r})"

@@ -29,16 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionField
-from .geometry import ManifoldSpec, SingularMetricError
+from .geometry import ManifoldSpec, SingularMetricError, one_batch
 
 __all__ = [
     "FLAT_TOL", "CONSTANT_CURVATURE_TOL", "FLAT_AT_POINT_TOL",
-    "CurvatureReport", "FlatnessResult", "ConstantSectionalResult",
+    "CurvatureReport", "ConstantSectionalResult",
     "DimensionError", "DegeneratePlaneError",
     "riemann_at", "riemann_derivative_at", "curvature_duality_residual",
     "orthonormal_frame_at", "ricci_at", "ricci_contraction", "scalar_at",
-    "ricci_operator_at", "weyl_at", "weyl_derivative_at", "weyl_trace_defect",
-    "sectional_at", "first_bianchi_defect", "is_flat", "is_constant_sectional",
+    "weyl_at", "weyl_derivative_at", "weyl_trace_defect",
+    "sectional_at", "first_bianchi_defect", "is_constant_sectional",
     "curvature_report",
 ]
 
@@ -65,7 +65,7 @@ def riemann_at(C: ConnectionField, p) -> np.ndarray:
 
 
 def _riemann_of(C: ConnectionField, x) -> np.ndarray:  # for kinds built from R
-    return C._memo("R", x, lambda z: _riemann(C.gamma_at(z), C.dgamma_at(z)))
+    return one_batch(C, "R", x, lambda z: _riemann(C.gamma_at(z), C.dgamma_at(z)))
 
 
 # The contractions below are batched matmuls on reshaped operands; the
@@ -93,7 +93,7 @@ def riemann_derivative_at(C: ConnectionField, p) -> np.ndarray:
     Needs C's second derivatives of Gamma, so only the Levi-Civita
     connection has it.  Kept beside R on C's sample stream.
     """
-    return C._memo("dR", p, lambda z: _riemann_derivative(
+    return one_batch(C, "dR", p, lambda z: _riemann_derivative(
         C.gamma_at(z), C.dgamma_at(z), C.d2gamma_at(z)))
 
 
@@ -131,7 +131,7 @@ def orthonormal_frame_at(M: ManifoldSpec, p) -> np.ndarray:
     is lower triangular with a positive diagonal, like the textbook loop.  A
     metric that is not positive definite raises SingularMetricError.
     """
-    return M._memo("frame", p, lambda z: _frame(M.metric_at(z), f" the frame of {M.name!r}"))
+    return one_batch(M, "frame", p, lambda z: _frame(M.metric_at(z), f" the frame of {M.name!r}"))
 
 
 def _frame(g: np.ndarray, where: str = "") -> np.ndarray:
@@ -183,11 +183,6 @@ def ricci_contraction(R: np.ndarray) -> np.ndarray:
 def scalar_at(M: ManifoldSpec, C: ConnectionField, p):
     """S = sum_i Ric(E_i, E_i) over the orthonormal frame."""
     return _item(_scalar_of(M, C, p))
-
-
-def ricci_operator_at(M: ManifoldSpec, C: ConnectionField, p) -> np.ndarray:
-    """Q with g(QX, Y) = Ric(X, Y); as a matrix Q = g^{-1} Ric."""
-    return M.inverse_metric_at(p) @ ricci_at(M, C, p)
 
 
 def weyl_at(M: ManifoldSpec, C: ConnectionField, p, variant: str = "standard") -> np.ndarray:
@@ -310,18 +305,6 @@ def _sectional_numerator(R: np.ndarray, g: np.ndarray, X: np.ndarray, Y: np.ndar
 def _pair(g: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X^T g Y per point, rounded as ``X @ g @ Y`` is."""
     return ((X[..., None, :] @ g) @ Y[..., :, None])[..., 0, 0]
-
-
-@dataclass(frozen=True)
-class FlatnessResult:
-    flat: bool
-    max_abs_riemann: float
-
-
-def is_flat(M: ManifoldSpec, C: ConnectionField, samples: int = 64,
-            seed: int = 42) -> FlatnessResult:
-    worst = float(np.abs(riemann_at(C, M.sample_array(samples, seed))).max())
-    return FlatnessResult(worst < FLAT_TOL, worst)
 
 
 @dataclass(frozen=True)

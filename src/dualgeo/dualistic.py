@@ -29,11 +29,12 @@ __all__ = [
     "torsion_inheritance_check", "dually_flat_verdict", "verdict_from_tensors",
     "lemma_dual_block_report", "ReductionChain", "reduction_chain",
     "TheoremRecord", "theorem41_analyze", "theorem42_analyze", "theorem43_analyze",
-    "BRANCH_TOL",
+    "BRANCH_TOL", "DUALITY_TOL",
 ]
 
 # Theorem 4.3's tolerance for both branch conditions.
 BRANCH_TOL = 1e-8
+DUALITY_TOL = 1e-9  # make_dualistic accepts a pair whose duality residual is below this
 
 
 class ConjugacyError(ArithmeticError):
@@ -75,10 +76,10 @@ class ProductDualisticStructure(DualisticStructure):
 
 def make_dualistic(M: ManifoldSpec, C: ConnectionField,
                    Cstar: ConnectionField | None = None,
-                   samples: int = 64, seed: int = 42, tol: float = 1e-9) -> DualisticStructure:
+                   samples: int = 64, seed: int = 42) -> DualisticStructure:
     """Validate (g, C, C*) as a dualistic structure; C* defaults to conjugate(C).
 
-    A duality residual that is not below ``tol``, or an involution defect
+    A duality residual that is not below ``DUALITY_TOL``, or an involution defect
     (conjugate of C* against C) that is not below 1e-10, NaN included,
     raises ConjugacyError; the duality error names the first sample point
     where the residual is largest.
@@ -89,9 +90,9 @@ def make_dualistic(M: ManifoldSpec, C: ConnectionField,
     per_point = np.max(np.abs(_duality_defect(M, C, Cstar, x)), axis=(-3, -2, -1))
     first_worst = int(np.argmax(per_point))
     worst = float(per_point[first_worst])
-    if not worst < tol:
+    if not worst < DUALITY_TOL:
         raise ConjugacyError(
-            f"duality residual {worst:.3e} >= {tol:.1e} at {x[first_worst].tolist()}",
+            f"duality residual {worst:.3e} >= {DUALITY_TOL:.1e} at {x[first_worst].tolist()}",
             worst_point=x[first_worst], residual=worst)
     involution = involution_defect(M, C, Cstar, x)
     if not involution < 1e-10:

@@ -560,18 +560,17 @@ def compile_array(exprs, coords):
     distinct entry once, which one ``np.take`` places; constants live in its
     namespace, never in its source, so kernels of the same structure share
     one code object.  It uses the same domain-guarded operations as
-    ``evaluate``.  One point ``(d,)`` is one direct call, kept when the sum
-    of its values is finite (so none is inf or NaN).  A batch of at least
-    ``_COLUMN_ROWS`` points is one call of the same code over the coordinate
-    columns, rebound to the column operations ``_COLUMN_OPS``, whose values
-    are bitwise those of one call per point; it is kept when no node raises
-    and the sum of its values is finite.  Any other batch, or point, is run
-    once per point: a point where a node leaves the domain or an entry is
-    not finite gets a NaN row, and only those rows are then evaluated again,
-    in point order and with ``evaluate`` on each distinct entry by first
-    appearance, so the kernel raises exactly the error ``evaluate`` raises
-    for the first failing entry, in row-major order, of the first failing
-    point.
+    ``evaluate``.  One point ``(d,)`` is one direct call, kept when every
+    value is finite.  A batch of at least ``_COLUMN_ROWS`` points is one call
+    of the same code over the coordinate columns, rebound to the column
+    operations ``_COLUMN_OPS``, whose values are bitwise those of one call
+    per point; it is kept when no node raises and every value is finite.  Any
+    other batch, or point, is run once per point: a point where a node leaves
+    the domain or an entry is not finite gets a NaN row, and only those rows
+    are then evaluated again, in point order and with ``evaluate`` on each
+    distinct entry by first appearance, so the kernel raises exactly the
+    error ``evaluate`` raises for the first failing entry, in row-major
+    order, of the first failing point.
     """
     shape, flat = _flatten(exprs)
     return _kernel_of(tuple(flat), shape, tuple(coords))
@@ -644,7 +643,7 @@ def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str
         if x.ndim == 1:  # one point: keep a direct call when every value is finite
             try:
                 values = straight(x.tolist())
-                if math.isfinite(sum(values)):
+                if math.isfinite(sum(values)) or all(map(math.isfinite, values)):
                     return np.asarray(np.array(values, dtype=float).take(index))
             except (ArithmeticError, ValueError, LookupError):
                 pass
@@ -660,7 +659,7 @@ def _kernel_of(flat: tuple[Expr, ...], shape: tuple[int, ...], coords: tuple[str
                 with np.errstate(all="ignore"):
                     for i, value in enumerate(column(list(points.T.copy()))):
                         cols[i] = value
-                    if math.isfinite(cols.sum()):  # so no value is inf or NaN
+                    if math.isfinite(cols.sum()) or np.isfinite(cols).all():  # a sum can overflow
                         rows = cols.T
             except (ArithmeticError, ValueError, LookupError):
                 pass

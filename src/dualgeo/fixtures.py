@@ -17,8 +17,7 @@ from . import dualistic as _du
 
 __all__ = [
     "euclidean", "sphere2", "hyperbolic2", "fisher_normal", "hessian_exp2",
-    "bumpy_sphere2", "Fixtures", "standard_manifolds", "connection_suite",
-    "standard_twists", "dualistic_suite",
+    "bumpy_sphere2", "Fixtures", "connection_suite", "standard_twists",
 ]
 
 
@@ -143,11 +142,6 @@ class Fixtures:
                 for name, base, fiber, twist, flat, agreement in SUITE]
 
 
-def standard_manifolds() -> list[ManifoldSpec]:
-    """The five fixtures used by the conjugation and identity suites."""
-    return Fixtures().manifolds
-
-
 def connection_suite(M: ManifoldSpec) -> list[tuple[str, ConnectionField]]:
     """Levi-Civita plus two sparse explicit test connections on M."""
     suite = [("levi-civita", M.levi_civita_connection)]
@@ -169,14 +163,3 @@ def standard_twists() -> list[tuple[str, ProductSpec]]:
     Factors with the same name are one chart, shared by every product over it.
     """
     return list(Fixtures().twists.items())
-
-
-def dualistic_suite() -> list[dict]:
-    """Induced product structures with the expected analyzer outcomes.
-
-    ``expect_agreement`` marks fixtures where the warped biconditional is
-    expected to hold; the curved-fiber direct product is the documented
-    counterexample to the biconditional as printed and is reported
-    informationally.  Factors of one name are one chart and one structure.
-    """
-    return Fixtures().suite(16, 42)

@@ -199,14 +199,11 @@ class ManifoldSpec:
 
     _last_batch = None  # one_batch's streams, newest first: (((shape, bytes), {kind: array}), ...)
 
-    def _memo(self, kind: str, x, build):
-        return one_batch(self, kind, x, build)
-
     def metric_at(self, p) -> np.ndarray:
-        return self._memo("g", p, self._jets.kernel)
+        return one_batch(self, "g", p, self._jets.kernel)
 
     def inverse_metric_at(self, p) -> np.ndarray:
-        return self._memo("ginv", p, self._inverse_metric)
+        return one_batch(self, "ginv", p, self._inverse_metric)
 
     def _inverse_metric(self, x: np.ndarray) -> np.ndarray:
         g = self.metric_at(x)
@@ -223,11 +220,11 @@ class ManifoldSpec:
 
     def metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dG[i, j, k] = d_i g_jk (exact symbolic derivatives)."""
-        return self._memo("dg", p, self._jets.d1_kernel)
+        return one_batch(self, "dg", p, self._jets.d1_kernel)
 
     def inverse_metric_derivatives_at(self, p) -> np.ndarray:
         """Rank-3 array dGinv[q, a, b] = d_q g^ab."""
-        return self._memo("dginv", p, self._inverse_metric_derivatives)
+        return one_batch(self, "dginv", p, self._inverse_metric_derivatives)
 
     def _inverse_metric_derivatives(self, x: np.ndarray) -> np.ndarray:
         from .connections import _dginv  # connections builds on this module
@@ -235,11 +232,11 @@ class ManifoldSpec:
 
     def metric_second_derivatives_at(self, p) -> np.ndarray:
         """Rank-4 array d2G[i, j, k, l] = d_i d_j g_kl."""
-        return self._memo("d2g", p, self._jets.d2_kernel)
+        return one_batch(self, "d2g", p, self._jets.d2_kernel)
 
     def metric_third_derivatives_at(self, p) -> np.ndarray:
         """Rank-5 array d3G[i, j, k, l, m] = d_i d_j d_k g_lm."""
-        return self._memo("d3g", p, self._jets.d3_kernel)
+        return one_batch(self, "d3g", p, self._jets.d3_kernel)
 
     def gradient_at(self, f: Expr, p) -> np.ndarray:
         """Metric gradient at a point: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""

@@ -24,7 +24,7 @@ import numpy as np
 from . import exprlang
 from .exprlang import (Const, Expr, _Jets, compile_array, evaluate, fn, free_vars, mul, pow_,
                        simplify, sub, substitute)
-from .geometry import GeometryError, ManifoldSpec
+from .geometry import GeometryError, ManifoldSpec, one_batch
 from .connections import ConnectionField
 from .curvature import (DimensionError, _pair, ricci_at, riemann_at, weyl_at,
                         weyl_derivative_at)
@@ -100,7 +100,7 @@ class ProductSpec:
         shared and read-only.
         """
         n = self.n
-        t = self.manifold._memo("twist", x, self._twist_data_kernel)
+        t = one_batch(self.manifold, "twist", x, self._twist_data_kernel)
         return t[..., 0][()], t[..., 1:n + 1], t[..., n + 1:].reshape(t.shape[:-1] + (n, n))
 
     @cached_property
@@ -132,16 +132,6 @@ class ProductSpec:
         return np.concatenate([_mv(gBinv, k1[..., : self.r]),
                                _mv(gFinv, k1[..., self.r:]) / np.asarray(b**2)[..., None]],
                               axis=-1)
-
-    def pad_base(self, v) -> np.ndarray:
-        """Horizontal lift of base components v, or of a batch: zero over the fiber."""
-        v = np.asarray(v, dtype=float)
-        return np.concatenate([v, np.zeros(v.shape[:-1] + (self.s,))], axis=-1)
-
-    def pad_fiber(self, v) -> np.ndarray:
-        """Vertical lift of fiber components v, or of a batch: zero over the base."""
-        v = np.asarray(v, dtype=float)
-        return np.concatenate([np.zeros(v.shape[:-1] + (self.r,)), v], axis=-1)
 
     def __repr__(self) -> str:
         return (f"ProductSpec({self.base.name} x {self.fiber.name}, "
@@ -537,32 +527,31 @@ def mixed_weyl_report(P: ProductSpec, samples: int = 12, seed: int = 42) -> Mixe
 class SeparabilityResult:
     separable: bool
     max_cross_derivative: float
-    alpha: Expr | None        # base part of k, anchored at the box center
+    alpha: Expr | None        # base part of k, split at the box center
     beta: Expr | None         # fiber part of k
     reconstruction_residual: float | None
-    anchor: np.ndarray
 
 
 def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42) -> SeparabilityResult:
     """k(p,q) = alpha(p) + beta(q) iff all mixed cross-derivatives vanish (below 1e-10).
 
-    The additive split is anchored at the box center, with the constant
+    The additive split is taken at the box center, with the constant
     shared equally between the two parts, so results are reproducible.
     """
     r = P.r
-    anchor = P.manifold.center()
     X = P.manifold.sample_array(samples, seed)
     _, _, k2 = P.twist_data_at(X)
     worst = float(np.max(np.abs(k2[..., :r, r:])))
     if worst >= 1e-10:
-        return SeparabilityResult(False, worst, None, None, None, anchor)
-    base_env = dict(zip(P.base.coords, anchor[:r].tolist()))
-    fiber_env = dict(zip(P.fiber.coords, anchor[r:].tolist()))
-    k0 = evaluate(P.log_twist, P.manifold.env(anchor))
+        return SeparabilityResult(False, worst, None, None, None)
+    center = P.manifold.center()
+    base_env = dict(zip(P.base.coords, center[:r].tolist()))
+    fiber_env = dict(zip(P.fiber.coords, center[r:].tolist()))
+    k0 = evaluate(P.log_twist, P.manifold.env(center))
     alpha = simplify(sub(substitute(P.log_twist, fiber_env), Const(k0 / 2.0)))
     beta = simplify(sub(substitute(P.log_twist, base_env), Const(k0 / 2.0)))
     k, k_base, k_fiber = compile_array([P.log_twist, alpha, beta], P.manifold.coords)(X).T
-    return SeparabilityResult(True, worst, alpha, beta, _max_abs(k - k_base - k_fiber), anchor)
+    return SeparabilityResult(True, worst, alpha, beta, _max_abs(k - k_base - k_fiber))
 
 
 def to_warped(P: ProductSpec, samples: int = 32, seed: int = 42) -> ProductSpec:

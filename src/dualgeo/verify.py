@@ -199,14 +199,6 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def new_report(config: RunConfig, inputs: dict) -> VerificationReport:
-    """An empty report with the header every command writes: tool, version, config, inputs."""
-    return VerificationReport(
-        tool="dualgeo", version=VERSION,
-        config={"samples": config.samples, "seed": config.seed},
-        inputs=inputs)
-
-
 # A row's place in a report is its place in CHECKS; the per-structure
 # theorem-* rows share one place and keep the order they are added in.
 _PLACE = {key: i for i, key in enumerate(CHECKS)}
@@ -215,11 +207,12 @@ _PLACE.update({key: _PLACE["theorem-mixed-ricci/agrees"] for key in CHECKS
 
 
 class Checks:
-    """One command's report, filled from rows of ``CHECKS``."""
+    """One command's report: the header every command writes, then rows of ``CHECKS``."""
 
     def __init__(self, config: RunConfig, inputs: dict):
         self.config = config
-        self.report = new_report(config, inputs)
+        self.report = VerificationReport(tool="dualgeo", version=VERSION, inputs=inputs,
+                                         config={"samples": config.samples, "seed": config.seed})
         self._places: list[int] = []  # the CHECKS place of each row added
 
     def n(self, *keys: str) -> int:

@@ -115,7 +115,7 @@ def standard_twists():
 
 @pytest.fixture(scope="session")
 def dualistic_suite():
-    return fx.dualistic_suite()
+    return fx.Fixtures().suite(16, 42)
 
 
 @pytest.fixture(scope="session")

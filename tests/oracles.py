@@ -164,6 +164,18 @@ def twist_b_derivatives(P, x):
     return d1(x), d2(x)
 
 
+def pad_base(P, v):
+    """Horizontal lift of base components v, or of a batch: zero over the fiber."""
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([v, np.zeros(v.shape[:-1] + (P.s,))], axis=-1)
+
+
+def pad_fiber(P, v):
+    """Vertical lift of fiber components v, or of a batch: zero over the base."""
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([np.zeros(v.shape[:-1] + (P.r,)), v], axis=-1)
+
+
 def curvature_block_contractions(P, conn, base_conn, fiber_conn, x, X, Y, Z, U, V, W):
     """max_l |direct - displayed| of each curvature block on lifted block vectors."""
     r = P.r
@@ -181,20 +193,20 @@ def curvature_block_contractions(P, conn, base_conn, fiber_conn, x, X, Y, Z, U, 
     def apply(conn_, at, A, B, D):
         return np.einsum("lijk,i,j,k->l", riemann_at(conn_, at), A, B, D)
 
-    Xl, Yl, Zl = (P.pad_base(v) for v in (X, Y, Z))
-    Ul, Vl, Wl = (P.pad_fiber(v) for v in (U, V, W))
+    Xl, Yl, Zl = (pad_base(P, v) for v in (X, Y, Z))
+    Ul, Vl, Wl = (pad_fiber(P, v) for v in (U, V, W))
     Xk = float(X @ k1[:r])
     Vk = float(V @ k1[r:])
     UXk = float(U @ k2[r:, :r] @ X)
     VXk = float(V @ k2[r:, :r] @ X)
     gUV, gUW, gVW = (float(A @ g @ B) for A, B in ((Ul, Vl), (Ul, Wl), (Vl, Wl)))
-    gradB_Vk = P.pad_base(gBinv @ (V @ k2[r:, :r]))
-    gradB_Uk = P.pad_base(gBinv @ (U @ k2[r:, :r]))
-    displayed_UVW = (P.pad_fiber(apply(fiber_conn, xf, U, V, W))
+    gradB_Vk = pad_base(P, gBinv @ (V @ k2[r:, :r]))
+    gradB_Uk = pad_base(P, gBinv @ (U @ k2[r:, :r]))
+    displayed_UVW = (pad_fiber(P, apply(fiber_conn, xf, U, V, W))
                      - (grad_b_norm_sq / b**2) * (gVW * Ul - gUW * Vl)
                      + gUW * gradB_Vk - gVW * gradB_Uk)
     d = {
-        "R(X,Y)Z": apply(conn, x, Xl, Yl, Zl) - P.pad_base(apply(base_conn, xb, X, Y, Z)),
+        "R(X,Y)Z": apply(conn, x, Xl, Yl, Zl) - pad_base(P, apply(base_conn, xb, X, Y, Z)),
         "R(X,Y)U": apply(conn, x, Xl, Yl, Ul),
         "R(X,U)Y": apply(conn, x, Xl, Ul, Yl) - (float(X @ hbB @ Y) / b) * Ul,
         "R(U,V)X": apply(conn, x, Ul, Vl, Xl) - (UXk * Vl - VXk * Ul),

@@ -29,7 +29,7 @@ def report_line(number, name, ok, detail):
 
 
 def conjugation_pairs():
-    for M in fx.standard_manifolds():
+    for M in fx.Fixtures().manifolds:
         for cname, C in fx.connection_suite(M):
             yield M, cname, C, conjugate(C, M)
 

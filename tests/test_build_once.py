@@ -109,7 +109,7 @@ def test_spec_commands_build_each_array_and_chart_once(monkeypatch, spec_dir, ca
 def test_the_plain_charts_build_no_product(monkeypatch):
     built = []
     monkeypatch.setattr(fx, "twisted_product", lambda *args: built.append(args))
-    assert len(fx.standard_manifolds()) == 5
+    assert len(fx.Fixtures().manifolds) == 5
     assert built == []
 
 

@@ -27,6 +27,9 @@ MANIFOLD_DOC = {
 }
 
 
+LINE_DOC = {"name": "line", "coords": ["x"], "domain": [[-1.0, 1.0]], "metric": [["1"]]}
+
+
 class TestLoadSpec:
     def test_manifold_file(self, spec_dir):
         loaded = load_spec(str(spec_dir / "sphere2.json"))
@@ -99,6 +102,27 @@ class TestLoadSpec:
         err = capsys.readouterr().err
         assert err == f"error: m.json.{field}: expected an object\n"
 
+    @pytest.mark.parametrize("field", ["connection", "dual_connection"])
+    def test_a_domain_error_in_gamma_names_the_field(self, tmp_path, capsys, field):
+        doc = dict(LINE_DOC, **{field: {"kind": "explicit", "gamma": {"0,0,0": "log(x)"}}})
+        path = write(tmp_path, "m.json", doc)
+        with pytest.raises(SpecFileError, match=f"^m.json.{field}.gamma: log of non-positive"):
+            load_spec(path)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: m.json.{field}.gamma: log of non-positive value -")
+        assert err.count("\n") == 1
+
+    def test_a_domain_error_in_a_factor_gamma_names_the_factor(self, tmp_path, capsys):
+        base = dict(LINE_DOC, connection={"kind": "explicit", "gamma": {"0,0,0": "sqrt(x)"}})
+        fiber = dict(LINE_DOC, name="lineF", coords=["u"])
+        path = write(tmp_path, "p.json", {"kind": "twisted_product", "base": base,
+                                          "fiber": fiber, "twist": "1"})
+        assert main(["flatness", path, "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: p.json.base.connection.gamma: sqrt of negative value -")
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_check_passes(self, spec_dir):
@@ -132,6 +156,21 @@ class TestExitCodes:
                                   "twist": "1"})
         assert main([a.format(d=d, spec_dir=spec_dir) for a in argv]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{spec_dir}/sphere2.json"],
+        ["curvature", "{spec_dir}/sphere2.json"],
+        ["verify-paper", "--samples", "2"],
+    ], ids=["check", "curvature", "verify-paper"])
+    @pytest.mark.parametrize("target", ["missing/r.json", ""], ids=["missing-dir", "dir"])
+    def test_unwritable_report_is_usage_error(self, spec_dir, tmp_path, capsys, argv, target):
+        report = tmp_path / target  # a file in a directory that does not exist, or a directory
+        argv = [a.format(spec_dir=spec_dir) for a in argv] + ["--report", str(report)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --report: cannot write: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     # A metric can pass the SPD validation and still be near-singular where
     # g^-1 is taken: an ill-conditioned chart, or a product whose twist is so

@@ -49,17 +49,17 @@ class TestLeviCivita:
             assert np.max(np.abs(cubic_form_at(sphere, lc, pt))) < 1e-12
 
     def test_dgamma_matches_fd(self):
-        for M in fx.standard_manifolds():
+        for M in fx.Fixtures().manifolds:
             assert dgamma_fd_defect(levi_civita(M), samples=6, seed=11) < 1e-5
 
     def test_connection_suite_uses_the_charts_own(self):
-        for M in fx.standard_manifolds() + [fx.euclidean(1, ("x",))]:
+        for M in fx.Fixtures().manifolds + [fx.euclidean(1, ("x",))]:
             assert fx.connection_suite(M)[0][1] is M.levi_civita_connection
 
 
 class TestConjugate:
     def test_levi_civita_self_conjugate(self):
-        for M in fx.standard_manifolds():
+        for M in fx.Fixtures().manifolds:
             lc = levi_civita(M)
             lc_star = conjugate(lc, M)
             for pt in M.sample_array(16, 5):
@@ -70,14 +70,14 @@ class TestConjugate:
         assert cstar.gamma_at([0.2])[0, 0, 0] == pytest.approx(-0.7)
 
     def test_involution(self):
-        for M in fx.standard_manifolds():
+        for M in fx.Fixtures().manifolds:
             for _, C in fx.connection_suite(M):
                 double = conjugate(conjugate(C, M), M)
                 for pt in M.sample_array(64, 42):
                     assert np.max(np.abs(double.gamma_at(pt) - C.gamma_at(pt))) < 1e-10
 
     def test_conjugate_satisfies_duality(self):
-        for M in fx.standard_manifolds():
+        for M in fx.Fixtures().manifolds:
             for _, C in fx.connection_suite(M):
                 Cstar = conjugate(C, M)
                 for pt in M.sample_array(64, 42):
@@ -192,7 +192,7 @@ class TestCubicForm:
         assert cub[0, 0, 0] == pytest.approx(-1.4)
 
     def test_sign_flip_under_conjugation(self):
-        for M in fx.standard_manifolds():
+        for M in fx.Fixtures().manifolds:
             for _, C in fx.connection_suite(M):
                 Cstar = conjugate(C, M)
                 for pt in M.sample_array(64, 42):

@@ -9,7 +9,7 @@ from dualgeo.dualistic import (ConjugacyError, dually_flat_verdict, induce_on_pr
 from dualgeo.curvature import FLAT_TOL, DimensionError
 from dualgeo.products import WEYL_FLAT_TOL, twisted_product
 from dualgeo.report import jsonable
-from dualgeo import fixtures as fx
+from dualgeo import dualistic, fixtures as fx
 
 
 def induce(dB, dF, twist):
@@ -52,10 +52,11 @@ class TestMakeDualistic:
             make_dualistic(euclid1, c, c, samples=16)
         assert err.value.residual == pytest.approx(1.4)
 
-    def test_zero_tolerance_names_the_first_sample_point(self, euclid2):
-        # every residual of the exact pair is 0.0, which is not below tol = 0.0
+    def test_zero_tolerance_names_the_first_sample_point(self, euclid2, monkeypatch):
+        # every residual of the exact pair is 0.0, which is not below a tolerance of 0.0
+        monkeypatch.setattr(dualistic, "DUALITY_TOL", 0.0)
         with pytest.raises(ConjugacyError) as err:
-            make_dualistic(euclid2, levi_civita(euclid2), tol=0.0, samples=8, seed=3)
+            make_dualistic(euclid2, levi_civita(euclid2), samples=8, seed=3)
         first = euclid2.sample_array(8, 3)[0].tolist()
         assert err.value.residual == 0.0
         assert err.value.worst_point.tolist() == first

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualgeo import exprlang
 from dualgeo.exprlang import (FUNCTIONS, ArityError, Binary, Const, DomainError, ParseError,
@@ -563,6 +563,9 @@ def _assert_columns_are_the_per_point_pass(exprs, coords, x):
 
 @given(_tensors, st.integers(_ROWS, _ROWS + 8).flatmap(
     lambda n: st.lists(_points, min_size=n, max_size=n)))
+# finite values whose sum overflows
+@example([[Binary("div", Const(1.0), Unary("neg", Const(2.2250738585072014e-308))), Const(0.0),
+           Const(0.0)]], [(0.0, 0.0)] * _ROWS)
 @settings(max_examples=200, deadline=None)
 def test_column_path_is_bitwise_the_per_point_pass(exprs, xs):
     _assert_columns_are_the_per_point_pass(exprs, ("x", "u"), np.array(xs))

@@ -363,7 +363,7 @@ class TestContains:
 
 class TestValidation:
     def test_fixtures_spd(self):
-        for M in fx.standard_manifolds():
+        for M in fx.Fixtures().manifolds:
             validate_metric(M, samples=64, seed=42)
 
     def test_asymmetric_rejected(self):

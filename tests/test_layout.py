@@ -19,8 +19,9 @@
 * Only ``ManifoldSpec.sample_array`` calls ``default_rng`` and writes the
   draw table ``geometry._DRAWS``, so every sample set of a box and seed is a
   row-prefix of one draw and no second sampling path bypasses the stream.
-* Only ``verify.new_report`` constructs a ``VerificationReport``, so the
-  report header cannot drift between ``verify-paper`` and the CLI commands.
+* Only ``verify.Checks.__init__`` constructs a ``VerificationReport``, so
+  the report header cannot drift between ``verify-paper`` and the CLI
+  commands.
 * Every check's statement and sample count comes from the check table
   (``verify.CHECKS``): no ``min(samples, N)`` or ``min(config.samples, N)``
   in ``verify.py`` or ``cli.py`` outside ``Check.count``, and no string
@@ -57,6 +58,11 @@
   the parse, kernel and code tables.  Every other owner of symbolic work (a
   chart's or a connection's jets) builds its own and finds its entries'
   derivatives and kernels there.
+* Every function, class and method in ``src/dualgeo`` is named on a program
+  path: by a ``Name`` or an ``Attribute`` in ``src/`` outside ``__init__.py``
+  and outside its own definition, or anywhere in ``demos/`` or ``bench/``.
+  Dunder methods are exempt.  A helper only tests reach is deleted, not kept
+  for them.  Each module's ``__all__`` names only what the module defines.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
   some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
   with one value in use is a constant, not a parameter.  ``samples`` and
@@ -78,7 +84,9 @@
 """
 
 import ast
+import collections
 import functools
+import importlib
 from pathlib import Path
 
 import pytest
@@ -89,6 +97,7 @@ from dualgeo.verify import CHECKS
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "dualgeo"
 CALLER_DIRS = ("src", "tests", "demos", "bench")
+PROGRAM_DIRS = ("demos", "bench")
 SAMPLING_PARAMETERS = {"samples", "seed"}
 NUMDIFF_IMPORTERS = {"connections.py"}
 ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
@@ -500,9 +509,39 @@ def config_tolerances(trees) -> set[str]:
             and any(isinstance(n, ast.Attribute) and n.attr == "default" for n in ast.walk(fn))}
 
 
-def _caller_trees():
+def _caller_trees(folders=CALLER_DIRS):
     return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), str(path)))
-            for folder in CALLER_DIRS for path in sorted((ROOT / folder).rglob("*.py"))]
+            for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _reference_counts(node: ast.AST) -> collections.Counter:
+    return collections.Counter(name for child in ast.walk(node)
+                               if (name := _referenced_name(child)) is not None)
+
+
+def unreferenced_definitions(trees, program_trees) -> set[str]:
+    """``file:name`` of each function, class or method that no program path names.
+
+    A definition in ``trees`` is named by a ``Name`` or an ``Attribute`` of
+    its name in a module of ``trees`` other than ``__init__.py``, outside the
+    definition itself, or anywhere in ``program_trees``.  Dunder names are
+    exempt.  Names are matched alone, so the scan can miss an unused
+    definition, never flag a used one.
+    """
+    outside = {name for _, tree in program_trees for name in _reference_counts(tree)}
+    counts = sum((_reference_counts(tree) for file, tree in trees if file != "__init__.py"),
+                 collections.Counter())
+    return {f"{file}:{node.name}" for file, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in outside
+            and counts[node.name] <= _reference_counts(node)[node.name]}
 
 
 def _defaulted_parameters(tree: ast.AST):
@@ -603,8 +642,12 @@ def test_only_sample_array_draws_samples():
     assert table_writers(trees, "_DRAWS") == {"geometry.py:sample_array"}
 
 
-def test_only_new_report_builds_a_report():
-    assert report_constructors(_trees()) == {"verify.py:new_report"}
+def test_only_checks_builds_a_report():
+    assert report_constructors(_trees()) == {"verify.py:__init__"}
+    assert [node.name for name, tree in _trees() if name == "verify.py"
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                    for f in node.body)] == ["Checks"]
 
 
 def test_sample_counts_come_from_the_table():
@@ -680,6 +723,18 @@ def test_each_operator_is_defined_only_in_the_table():
     trees = [(name, tree) for name, tree in _trees() if name == "exprlang.py"]
     assert trees and operator_keyed_dicts(trees) == []
     assert binary_op_comparisons(_trees()) == []
+
+
+def test_every_definition_is_named_on_a_program_path():
+    assert unreferenced_definitions(_trees(), _caller_trees(PROGRAM_DIRS)) == set()
+
+
+def test_all_names_only_what_exists():
+    for name, tree in _trees():
+        module = importlib.import_module(f"dualgeo.{name[:-3]}" if name != "__init__.py"
+                                         else "dualgeo")
+        missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+        assert missing == [], name
 
 
 def test_every_parameter_default_is_overridden_somewhere():
@@ -767,6 +822,9 @@ def test_scan_flags_point_bytes(source, callers):
      {"probe.py:make"}),
     ("REP = VerificationReport('dualgeo', V, {}, {})\n", {"probe.py:<module>"}),
     ("def cmd(c):\n    return new_report(c, {'spec_digest': 'x'})\n", set()),
+    ("class Checks:\n    def __init__(self, c, i):\n"
+     "        self.report = VerificationReport('dualgeo', V, {}, i)\n", {"probe.py:__init__"}),
+    ("def cmd(c):\n    return Checks(c, {'spec_digest': 'x'}).report\n", set()),
 ])
 def test_scan_flags_report_constructors(source, found):
     assert report_constructors([("probe.py", ast.parse(source))]) == found
@@ -1075,3 +1133,28 @@ def test_scan_flags_run_config_tolerances(source, fields, found):
     trees = [("probe.py", ast.parse(source))]
     assert class_fields(trees, "RunConfig") == fields
     assert config_tolerances(trees) == found
+
+
+@pytest.mark.parametrize("source, program, found", [
+    ("def used(x):\n    return x\ndef unused(x):\n    return used(x)\n", "",
+     {"probe.py:unused"}),
+    ("def f(n):\n    return f(n - 1) if n else 0\n", "", {"probe.py:f"}),
+    ("def f(n):\n    return f(n - 1) if n else 0\n", "f(3)\n", set()),
+    ("class A:\n    def lift(self, v):\n        return v\n", "", {"probe.py:A", "probe.py:lift"}),
+    ("class A:\n    def lift(self, v):\n        return v\nX = A().lift(1)\n", "", set()),
+    ("class A:\n    def __repr__(self):\n        return 'A'\nA()\n", "", set()),
+    ("def make():\n    def build(x):\n        return x\n    return build\nmake()\n", "", set()),
+    ("__all__ = ['helper']\ndef helper():\n    pass\n", "", {"probe.py:helper"}),
+    ("def helper():\n    pass\n", "from dualgeo.probe import helper\nhelper()\n", set()),
+    ("def helper():\n    pass\n", "from dualgeo.probe import helper\n", {"probe.py:helper"}),
+    ("def helper():\n    pass\n", "ok = hasattr(mod, 'helper')\n", {"probe.py:helper"}),
+])
+def test_scan_flags_unreferenced_definitions(source, program, found):
+    trees = [("probe.py", ast.parse(source))]
+    assert unreferenced_definitions(trees, [("demo.py", ast.parse(program))]) == found
+
+
+def test_scan_ignores_names_in_the_package_init():
+    trees = [("probe.py", ast.parse("def helper():\n    pass\n")),
+             ("__init__.py", ast.parse("from .probe import helper\nX = helper\n"))]
+    assert unreferenced_definitions(trees, []) == {"probe.py:helper"}
