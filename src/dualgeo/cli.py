@@ -8,7 +8,9 @@ errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -345,7 +347,7 @@ def cmd_flatness(loaded: LoadedProduct, config: RunConfig) -> int:
     if induced.product.n >= 3:
         rec42 = theorem42_analyze(induced, fv, chain, samples=ck.n("analyzer-mixed-weyl"),
                                   seed=seed)
-        ck.add("analyzer-mixed-weyl", max(rec42.hypothesis.values()),
+        ck.add("analyzer-mixed-weyl", *rec42.hypothesis.values(),
                notes=_analysis_notes(f"hypothesis={'holds' if rec42.applies else 'fails'}",
                                      rec42))
         details["mixed_weyl_analysis"] = rec42
@@ -423,6 +425,11 @@ def _load_twist(args) -> LoadedProduct:
 
 def _config_from(args) -> RunConfig:
     options = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    report = options.get("report_path")
+    if report and (Path(report).is_dir() or not Path(report).parent.is_dir()):
+        # refused before the run, and no file is made; later failures are _write_report's
+        reason = errno.EISDIR if Path(report).is_dir() else errno.ENOENT
+        raise SpecFileError("--report", f"cannot write: {os.strerror(reason)}")
     point = options.pop("point", None)
     if point is not None:
         try:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import Expr, _Jets, parse
+from .exprlang import _Jets, parse
 from .geometry import ManifoldSpec, one_batch
 from . import numdiff
 
@@ -152,22 +152,13 @@ def levi_civita(M: ManifoldSpec) -> ConnectionField:
 
 
 def explicit_connection(M: ManifoldSpec, entries: dict) -> ConnectionField:
-    """Connection from a sparse map {(k, i, j): expression}; missing entries are zero.
-
-    Values may be expression source strings, Expr nodes, or numbers.
-    """
+    """Connection from a sparse map {(k, i, j): expression source}; missing entries are zero."""
     d = M.dim
     exprs = [None] * d**3  # row-major over (k, i, j)
-    for (k, i, j), value in entries.items():
+    for (k, i, j), src in entries.items():
         if not (0 <= k < d and 0 <= i < d and 0 <= j < d):
             raise ValueError(f"connection index {(k, i, j)} out of range for dim {d}")
-        if isinstance(value, Expr):
-            e = value
-        elif isinstance(value, str):
-            e = parse(value, M.coords)
-        else:
-            e = parse(repr(float(value)), M.coords)
-        exprs[(k * d + i) * d + j] = e
+        exprs[(k * d + i) * d + j] = parse(src, M.coords)
     zero = parse("0", M.coords)
     jets = _Jets(tuple(zero if e is None else e for e in exprs), (d,) * 3, M.coords)
     return ConnectionField(M, "explicit", lambda x: jets.kernel(x), lambda x: jets.d1_kernel(x))
@@ -295,8 +286,6 @@ def dgamma_fd_defect(C: ConnectionField, samples: int = 16, seed: int = 42) -> f
     M = C.manifold
     x = M.sample_array(samples, seed)
     exact = C.dgamma_at(x)
-    worst = 0.0
-    for l in range(M.dim):
-        fd = numdiff.central_diff(lambda z: C.gamma_at(z), x, l, order=4)
-        worst = max(worst, float(np.abs(exact[:, l] - fd).max()))
-    return worst
+    worst = [np.abs(exact[:, l] - numdiff.central_diff(C.gamma_at, x, l, order=4)).max()
+             for l in range(M.dim)]
+    return float(np.max(worst))

@@ -274,7 +274,7 @@ def weyl_trace_defect(g: np.ndarray, ginv: np.ndarray, W: np.ndarray) -> float:
         np.einsum("...ik,...lijk->...lj", ginv, lowered),
         np.einsum("...jk,...lijk->...li", ginv, lowered),
     ]
-    return max(float(np.abs(c).max()) for c in contractions)
+    return float(np.max([np.abs(c).max() for c in contractions]))
 
 
 def first_bianchi_defect(R: np.ndarray) -> float:
@@ -345,7 +345,7 @@ def is_constant_sectional(M: ManifoldSpec, samples: int = 32,
     tensor_dev = np.sum(np.abs(framed - kappas[:, None, None, None, None] * model),
                         axis=(-4, -3, -2, -1))
     kappa = float(np.mean(kappas))
-    deviation = max(float(np.abs(kappas - kappa).max()), float(tensor_dev.max()))
+    deviation = float(np.max([np.abs(kappas - kappa).max(), tensor_dev.max()]))
     return ConstantSectionalResult(deviation < CONSTANT_CURVATURE_TOL, kappa, deviation, samples,
                                    CONSTANT_CURVATURE_TOL)
 

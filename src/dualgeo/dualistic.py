@@ -26,7 +26,7 @@ __all__ = [
     "DualisticStructure", "ProductDualisticStructure", "ConjugacyError",
     "FlatnessVerdict", "make_dualistic", "induce_on_product",
     "ProjectionReport", "projection_check", "TorsionInheritanceReport",
-    "torsion_inheritance_check", "dually_flat_verdict", "verdict_from_tensors",
+    "torsion_inheritance_check", "dually_flat_verdict",
     "lemma_dual_block_report", "ReductionChain", "reduction_chain",
     "TheoremRecord", "theorem41_analyze", "theorem42_analyze", "theorem43_analyze",
     "BRANCH_TOL", "DUALITY_TOL",
@@ -131,9 +131,9 @@ class ProjectionReport:
     fiber_conjugacy_residual: float
 
     def max_residual(self) -> float:
-        return max(self.base_recovery_primal, self.base_recovery_dual,
-                   self.fiber_recovery_primal, self.fiber_recovery_dual,
-                   self.base_conjugacy_residual, self.fiber_conjugacy_residual)
+        return float(np.max([self.base_recovery_primal, self.base_recovery_dual,
+                             self.fiber_recovery_primal, self.fiber_recovery_dual,
+                             self.base_conjugacy_residual, self.fiber_conjugacy_residual]))
 
 
 def projection_check(induced: ProductDualisticStructure,
@@ -188,11 +188,12 @@ def torsion_inheritance_check(induced: ProductDualisticStructure,
     dB, dF = induced.base_structure, induced.fiber_structure
     x = P.manifold.sample_array(samples, seed)
     xb, xf = P.split(x)
-    factor_t = max(_max_abs(torsion_at(dB.primal, xb)), _max_abs(torsion_at(dB.dual, xb)),
-                   _max_abs(torsion_at(dF.primal, xf)), _max_abs(torsion_at(dF.dual, xf)))
+    factor_t = float(np.max([_max_abs(torsion_at(C, y)) for C, y in (
+        (dB.primal, xb), (dB.dual, xb), (dF.primal, xf), (dF.dual, xf))]))
     tp = _max_abs(torsion_at(induced.primal, x))
     td = _max_abs(torsion_at(induced.dual, x))
-    inherited = (factor_t >= tol) or (tp < tol and td < tol)
+    # a NaN torsion decides nothing, so nothing is inherited
+    inherited = not np.isnan([factor_t, tp, td]).any() and (factor_t >= tol or max(tp, td) < tol)
     return TorsionInheritanceReport(factor_t, tp, td, inherited)
 
 
@@ -224,14 +225,8 @@ def dually_flat_verdict(d: DualisticStructure, samples: int = 64,
     for any genuine conjugate pair.
     """
     x = d.manifold.sample_array(samples, seed)
-    return verdict_from_tensors(torsion_at(d.primal, x), torsion_at(d.dual, x),
-                                riemann_at(d.primal, x), riemann_at(d.dual, x),
-                                samples, seed)
-
-
-def verdict_from_tensors(T, Tstar, R, Rstar, samples: int, seed: int) -> FlatnessVerdict:
-    """The flatness verdict from the torsions and curvatures of a pair over one sample set."""
-    tp, td, rp, rd = (_max_abs(a) for a in (T, Tstar, R, Rstar))
+    tp, td, rp, rd = (_max_abs(a) for a in (torsion_at(d.primal, x), torsion_at(d.dual, x),
+                                            riemann_at(d.primal, x), riemann_at(d.dual, x)))
     primal_flat, dual_flat = rp < FLAT_TOL, rd < FLAT_TOL
     torsion_free = tp < FLAT_TOL and td < FLAT_TOL
     return FlatnessVerdict(tp, td, rp, rd, primal_flat, dual_flat, torsion_free,

@@ -143,18 +143,12 @@ class Fixtures:
 
 
 def connection_suite(M: ManifoldSpec) -> list[tuple[str, ConnectionField]]:
-    """Levi-Civita plus two sparse explicit test connections on M."""
-    suite = [("levi-civita", M.levi_civita_connection)]
-    first = M.coords[0]
-    if M.dim >= 2:
-        suite.append(("explicit-symmetric", explicit_connection(
-            M, {(0, 0, 0): "0.3", (1, 0, 1): "0.2", (1, 1, 0): "0.2"})))
-        suite.append(("explicit-torsionful", explicit_connection(
-            M, {(0, 0, 1): "0.5", (0, 0, 0): f"0.1*{first}"})))
-    else:
-        suite.append(("explicit-constant", explicit_connection(M, {(0, 0, 0): "0.4"})))
-        suite.append(("explicit-coordinate", explicit_connection(M, {(0, 0, 0): first})))
-    return suite
+    """Levi-Civita plus two sparse explicit test connections on M, of dimension >= 2."""
+    return [("levi-civita", M.levi_civita_connection),
+            ("explicit-symmetric", explicit_connection(
+                M, {(0, 0, 0): "0.3", (1, 0, 1): "0.2", (1, 1, 0): "0.2"})),
+            ("explicit-torsionful", explicit_connection(
+                M, {(0, 0, 1): "0.5", (0, 0, 0): f"0.1*{M.coords[0]}"}))]
 
 
 def standard_twists() -> list[tuple[str, ProductSpec]]:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprlang import Expr, _Jets, derivative_table, evaluate, parse
+from .exprlang import Expr, _Jets, parse
 
 __all__ = [
     "ManifoldSpec", "GeometryError", "SingularMetricError", "validate_metric",
@@ -154,33 +154,18 @@ class ManifoldSpec:
     def dim(self) -> int:
         return len(self.coords)
 
-    def env(self, coords_array) -> dict[str, float]:
-        x = np.asarray(coords_array, dtype=float)
-        return dict(zip(self.coords, x.tolist()))
-
     def point(self, coords_array) -> np.ndarray:
-        """The coordinates as a (d,) float array, checked against the chart's box."""
+        """The coordinates as a (d,) float array inside the chart's closed box (NaN is outside)."""
         x = np.asarray(coords_array, dtype=float)
         if x.shape != (self.dim,):
             raise GeometryError(f"point has {x.shape} coordinates, expected {self.dim}")
-        if not self.contains(x):
+        lo, hi = np.array(self.domain).T
+        if not np.all((lo <= x) & (x <= hi)):
             raise GeometryError(f"point {x.tolist()} outside domain of {self.name!r}")
         return x
 
     def center(self) -> np.ndarray:
         return self.point([(lo + hi) / 2.0 for lo, hi in self.domain])
-
-    def contains(self, coords_array) -> bool | np.ndarray:
-        """Whether a point (d,) lies in the closed box, or an (N,) mask for a batch (N, d).
-
-        False when the last axis is not the chart's dimension; NaN is outside.
-        """
-        x = np.asarray(coords_array, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != self.dim:
-            return False
-        lo, hi = np.array(self.domain).T
-        inside = np.all((lo <= x) & (x <= hi), axis=-1)
-        return bool(inside) if x.ndim == 1 else inside
 
     @cached_property
     def _jets(self) -> _Jets:
@@ -241,9 +226,7 @@ class ManifoldSpec:
     def gradient_at(self, f: Expr, p) -> np.ndarray:
         """Metric gradient at a point: components g^{ij} d_j f, so that g(grad f, X) = X(f)."""
         x = self.point(p)
-        env = self.env(x)
-        df = np.array([evaluate(d, env) for c in self.coords for d in derivative_table((f,), c)])
-        return self.inverse_metric_at(x) @ df
+        return self.inverse_metric_at(x) @ _Jets((f,), (), self.coords).d1_kernel(x)
 
     def sample_array(self, n: int, seed: int) -> np.ndarray:
         """Deterministic interior samples as an (n, d) batch, 5% margin from every box face.

@@ -197,7 +197,7 @@ def lift_lemma_residual(P: ProductSpec, samples: int = 16, seed: int = 42) -> fl
     dgF = P.fiber.metric_derivatives_at(xf)
     base_side = np.sum(np.abs(dg[..., :r, :r, :r] - dgB), axis=(-3, -2, -1))
     fiber_side = np.sum(np.abs(P._pulled_fiber_d1_kernel(x) - dgF), axis=(-3, -2, -1))
-    return float(max(np.max(base_side), np.max(fiber_side)))
+    return float(np.max([np.max(base_side), np.max(fiber_side)]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ def curvature_block_report(P: ProductSpec, samples: int = 16,
     worst_variant = raw.pop("R(U,V)W[index-consistent]")
     worst_printed = raw.pop("R(U,V)W[as-printed]")
     adopted = "index-consistent" if worst_variant <= worst_printed else "as-printed"
-    raw["R(U,V)W"] = min(worst_variant, worst_printed)
+    raw["R(U,V)W"] = float(np.min([worst_variant, worst_printed]))
     return CurvatureBlockReport(raw, worst_printed, worst_variant, adopted)
 
 
@@ -436,23 +436,22 @@ def mixed_ricci_at(P: ProductSpec, p, X, V) -> tuple[float, float]:
     The two agree up to the global sign MIXED_RICCI_SIGN; their zero sets
     coincide exactly.
     """
-    x = np.asarray(p, dtype=float)
-    ric = ricci_at(P.manifold, P.chart_levi_civita, x)
-    direct = float(X @ ric[: P.r, P.r:] @ V)
-    _, _, k2 = P.twist_data_at(x)
-    closed = (P.s - 1) * float(X @ k2[: P.r, P.r:] @ V)
-    return direct, closed
+    direct, closed = _mixed_ricci(P, np.asarray(p, dtype=float))
+    return float(X @ direct @ V), float(X @ closed @ V)
 
 
 def mixed_ricci_table(P: ProductSpec, samples: int = 16, seed: int = 42) -> dict[str, float]:
     """Worst-case mixed Ricci values over samples and coordinate directions."""
-    x = P.manifold.sample_array(samples, seed)
-    ric = ricci_at(P.manifold, P.chart_levi_civita, x)
-    _, _, k2 = P.twist_data_at(x)
-    direct = ric[..., : P.r, P.r:]
-    closed = (P.s - 1) * k2[..., : P.r, P.r:]
+    direct, closed = _mixed_ricci(P, P.manifold.sample_array(samples, seed))
     return {"max_direct": _max_abs(direct), "max_closed_form": _max_abs(closed),
             "max_residual_with_adopted_sign": _max_abs(direct - MIXED_RICCI_SIGN * closed)}
+
+
+def _mixed_ricci(P: ProductSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The direct block Ric(X,V) and its closed form (s-1)XV(k) at a point or batch x."""
+    ric = ricci_at(P.manifold, P.chart_levi_civita, x)
+    _, _, k2 = P.twist_data_at(x)
+    return ric[..., : P.r, P.r:], (P.s - 1) * k2[..., : P.r, P.r:]
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -547,7 +546,7 @@ def separability_test(P: ProductSpec, samples: int = 32, seed: int = 42) -> Sepa
     center = P.manifold.center()
     base_env = dict(zip(P.base.coords, center[:r].tolist()))
     fiber_env = dict(zip(P.fiber.coords, center[r:].tolist()))
-    k0 = evaluate(P.log_twist, P.manifold.env(center))
+    k0 = evaluate(P.log_twist, dict(zip(P.manifold.coords, center.tolist())))
     alpha = simplify(sub(substitute(P.log_twist, fiber_env), Const(k0 / 2.0)))
     beta = simplify(sub(substitute(P.log_twist, base_env), Const(k0 / 2.0)))
     k, k_base, k_fiber = compile_array([P.log_twist, alpha, beta], P.manifold.coords)(X).T

@@ -4,12 +4,14 @@ A check id that two commands report reads and judges the same in both: the
 same statement and the same tolerance, its row's default.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from dualgeo import verify
 from dualgeo.report import RunConfig
 from dualgeo.verify import CHECKS, FLAG, INFO, TOL, Check, Checks, verify_paper
 
@@ -125,3 +127,16 @@ def test_reports_list_their_rows_in_table_order(check_reports):
         rows = [order[c["check_id"]] for c in report["checks"]
                 if not c["check_id"].startswith("theorem-")]
         assert rows == sorted(set(rows)), run
+
+
+def test_reported_mixed_weyl_rows_keep_a_nan(monkeypatch):
+    # a NaN in the second hypothesis value, not only the first, reaches each row
+    analyze = verify.theorem42_analyze
+
+    def with_nan(*args, **kwargs):
+        rec = analyze(*args, **kwargs)
+        return dataclasses.replace(rec, hypothesis={**rec.hypothesis, "weyl_vwx_max": math.nan})
+    monkeypatch.setattr(verify, "theorem42_analyze", with_nan)
+    rows = [c for c in verify_paper(RunConfig(samples=4, seed=3)).checks
+            if c.check_id.startswith("theorem-mixed-weyl [") and c.status == INFO]
+    assert rows and all(math.isnan(c.max_residual) for c in rows)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dualgeo import geometry
+from dualgeo import cli, geometry
 from dualgeo.cli import (LoadedManifold, LoadedProduct, SpecFileError, _finish, cmd_check,
                          cmd_curvature, load_spec, main)
 from dualgeo.report import RunConfig, VerificationReport, jsonable
@@ -171,6 +171,20 @@ class TestExitCodes:
         assert err.startswith("error: --report: cannot write: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["check", "verify-paper"])
+    @pytest.mark.parametrize("target", ["missing/r.json", ""], ids=["missing-dir", "dir"])
+    def test_unwritable_report_is_refused_before_the_run(self, spec_dir, tmp_path, capsys,
+                                                         monkeypatch, command, target):
+        def never(*args):
+            raise AssertionError(f"{command} ran")
+        monkeypatch.setattr(cli, "cmd_check", never)
+        monkeypatch.setattr(cli, "verify_paper", never)
+        spec = [str(spec_dir / "sphere2.json")] if command == "check" else []
+        assert main([command, *spec, "--report", str(tmp_path / target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --report: cannot write: ")
+        assert list(tmp_path.iterdir()) == []
 
     # A metric can pass the SPD validation and still be near-singular where
     # g^-1 is taken: an ill-conditioned chart, or a product whose twist is so
@@ -555,6 +569,21 @@ class TestFlatnessCommand:
                                        "agreement=False; DISAGREEMENT: ")
         assert payload["details"]["mixed_weyl_analysis"]["agreement"] is False
 
+
+    def test_mixed_weyl_row_keeps_a_nan(self, spec_dir, tmp_path, monkeypatch):
+        # a NaN in the second hypothesis value, not only the first, reaches the row
+        analyze = cli.theorem42_analyze
+
+        def with_nan(*args, **kwargs):
+            rec = analyze(*args, **kwargs)
+            return dataclasses.replace(rec, hypothesis={**rec.hypothesis, "weyl_vwx_max": math.nan})
+        monkeypatch.setattr(cli, "theorem42_analyze", with_nan)
+        report = tmp_path / "flatness.json"
+        main(["flatness", str(spec_dir / "twisted_xu.json"), "--samples", "4",
+              "--report", str(report)])
+        row = next(c for c in json.loads(report.read_text())["checks"]
+                   if c["check_id"] == "analyzer-mixed-weyl")
+        assert math.isnan(row["max_residual"])
 
     def test_a_split_that_does_not_reconstruct_the_metric_is_noted(self, tmp_path, capsys):
         # the sampled mixed Hessian (5e-11) is under the separability threshold, but the

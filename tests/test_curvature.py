@@ -325,6 +325,22 @@ class TestFlatness:
         assert _max_abs_riemann(euclid1, C) < FLAT_TOL
 
 
+class TestNoSilentNan:
+    """A NaN in any part a residual reduces over, not only the first, makes it NaN."""
+
+    def test_weyl_trace_defect(self):
+        W = np.zeros((3, 3, 3, 3))
+        W[0, 1, 2, 0] = np.nan  # in the third contraction, not the first two
+        assert math.isnan(weyl_trace_defect(np.eye(3), np.eye(3), W))
+
+    def test_constant_sectional_deviation(self, monkeypatch):
+        # the tensor deviation is NaN while the spread of kappa stays finite
+        monkeypatch.setattr(curvature, "riemann_at",
+                            lambda C, x: np.full(np.shape(x)[:-1] + (2,) * 4, np.nan))
+        result = is_constant_sectional(fx.sphere2(), samples=4)
+        assert math.isnan(result.max_deviation) and not result.constant
+
+
 class TestConstantSectional:
     def test_sphere(self, sphere):
         result = is_constant_sectional(sphere, samples=16)

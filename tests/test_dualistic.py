@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from dualgeo.connections import ConnectionField, explicit_connection, levi_civita
-from dualgeo.dualistic import (ConjugacyError, dually_flat_verdict, induce_on_product,
-                               lemma_dual_block_report, make_dualistic, projection_check,
-                               reduction_chain, theorem41_analyze, theorem42_analyze,
-                               theorem43_analyze, torsion_inheritance_check)
+from dualgeo.dualistic import (ConjugacyError, ProjectionReport, dually_flat_verdict,
+                               induce_on_product, lemma_dual_block_report, make_dualistic,
+                               projection_check, reduction_chain, theorem41_analyze,
+                               theorem42_analyze, theorem43_analyze, torsion_inheritance_check)
 from dualgeo.curvature import FLAT_TOL, DimensionError
 from dualgeo.products import WEYL_FLAT_TOL, twisted_product
 from dualgeo.report import jsonable
@@ -172,6 +174,22 @@ class TestTorsionInheritance:
         rep = torsion_inheritance_check(st, samples=8)
         assert rep.factor_torsion_max > 0.5
         assert rep.induced_primal_torsion_max > 0.5  # failure is visible, not hidden
+
+
+class TestNoSilentNan:
+    """A NaN in any part a residual reduces over, not only the first, makes it NaN."""
+
+    def test_projection_max_residual(self):
+        assert math.isnan(ProjectionReport(0.0, math.nan, 0.0, 0.0, 0.0, 0.0).max_residual())
+
+    def test_a_nan_factor_torsion_is_not_inherited(self, monkeypatch):
+        # the fiber dual, the last factor connection, has a NaN torsion
+        st = induce(constant_pair("b", "x", 0.5), flat_structure("f", "u"), "exp(u)")
+        torsion_at = dualistic.torsion_at
+        monkeypatch.setattr(dualistic, "torsion_at", lambda C, x: torsion_at(C, x) * (
+            np.nan if C is st.fiber_structure.dual else 1.0))
+        rep = torsion_inheritance_check(st, samples=8)
+        assert math.isnan(rep.factor_torsion_max) and not rep.inherited
 
 
 class TestDuallyFlatVerdict:

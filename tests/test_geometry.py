@@ -135,7 +135,7 @@ class TestMetricDerivatives:
         assert d3g.shape == (3,) + (d,) * 5
         for perm in itertools.permutations(range(1, 4)):
             assert d3g.tobytes() == d3g.transpose((0,) + perm + (4, 5)).tobytes()
-        env = M.env(x[1])
+        env = dict(zip(M.coords, x[1].tolist()))
         for i, j, k in itertools.product(range(d), repeat=3):
             expected = [evaluate(differentiate(e, M.coords[k]), env)
                         for e in jets.block(jets.d2, i * d + j)]
@@ -306,14 +306,17 @@ class TestGradient:
         # g(grad f, e_i) = d_i f for every coordinate direction
         from dualgeo.exprlang import differentiate
         f = parse("m^2*s + sin(s)", fisher.coords)
+        def env(z):
+            return dict(zip(fisher.coords, np.asarray(z).tolist()))
+
         for pt in fisher.sample_array(10, 3):
             g = fisher.metric_at(pt)
             grad = fisher.gradient_at(f, pt)
             for i, coord in enumerate(fisher.coords):
-                exact = evaluate(differentiate(f, coord), fisher.env(pt))
+                exact = evaluate(differentiate(f, coord), env(pt))
                 assert float(np.eye(fisher.dim)[i] @ g @ grad) == pytest.approx(
                     exact, abs=1e-10)
-                fd = fd1(lambda z: evaluate(f, fisher.env(z)), pt, i)
+                fd = fd1(lambda z: evaluate(f, env(z)), pt, i)
                 assert float(fd) == pytest.approx(exact, abs=1e-8)
 
 
@@ -336,7 +339,7 @@ class TestSamplePoints:
 
     def test_single_point(self, hyperbolic):
         (pt,) = hyperbolic.sample_array(1, 5)
-        assert hyperbolic.contains(pt)
+        assert np.array_equal(hyperbolic.point(pt), pt)  # inside the box
 
     def test_zero_points_rejected(self, euclid2):
         with pytest.raises(GeometryError):
@@ -344,21 +347,21 @@ class TestSamplePoints:
 
 
 class TestContains:
+    """``ManifoldSpec.point`` takes the points of the closed box and refuses every other."""
+
     def test_point_in_the_closed_box(self, euclid2):
-        assert euclid2.contains([1.0, -1.0]) is True
-        assert euclid2.contains(np.array([0.5, 1.5])) is False
+        assert euclid2.point([1.0, -1.0]).tolist() == [1.0, -1.0]
+        with pytest.raises(GeometryError, match="outside domain of 'euclidean2'"):
+            euclid2.point(np.array([0.5, 1.5]))
 
     @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 99.0], [[0.5], [0.5]], 0.5])
     def test_wrong_dimension_is_outside(self, euclid2, x):
-        assert euclid2.contains(x) is False
+        with pytest.raises(GeometryError, match="coordinates, expected 2"):
+            euclid2.point(x)
 
     def test_nan_is_outside(self, euclid2):
-        assert euclid2.contains([np.nan, 0.0]) is False
-
-    def test_batch_gives_a_mask(self, euclid2):
-        X = np.array([[0.0, 0.0], [0.0, 2.0], [np.nan, 0.0], [-1.0, 1.0]])
-        mask = euclid2.contains(X)
-        assert mask.dtype == bool and mask.tolist() == [True, False, False, True]
+        with pytest.raises(GeometryError, match="outside domain"):
+            euclid2.point([np.nan, 0.0])
 
 
 class TestValidation:

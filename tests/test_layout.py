@@ -64,9 +64,12 @@
   Dunder methods are exempt.  A helper only tests reach is deleted, not kept
   for them.  Each module's ``__all__`` names only what the module defines.
 * Every defaulted parameter of a function in ``src/dualgeo`` is passed by
-  some call in ``src/``, ``tests/``, ``demos/`` or ``bench/``: a setting
-  with one value in use is a constant, not a parameter.  ``samples`` and
-  ``seed`` are exempt, as the library's sampling interface.
+  some program call: in ``src/`` outside the function's own definition, or
+  in ``demos/`` or ``bench/``.  A call from ``tests/`` does not count: a
+  setting with one value in program use is a constant, not a parameter.
+  ``samples`` and ``seed`` are exempt, as the library's sampling interface,
+  and so is ``numdiff.py``, the finite-difference module the test oracles
+  are built on.
 * Each operator is defined once, by its row in ``exprlang._OPS``: no other
   dict in ``exprlang.py`` is keyed by operator names (as a literal, a
   ``dict(...)`` or an ``.update(...)``), and no code compares an ``.op`` with
@@ -101,7 +104,8 @@ PROGRAM_DIRS = ("demos", "bench")
 SAMPLING_PARAMETERS = {"samples", "seed"}
 NUMDIFF_IMPORTERS = {"connections.py"}
 ANALYZERS = {"theorem41_analyze", "theorem42_analyze", "theorem43_analyze"}
-ANALYZER_INPUTS = {"dually_flat_verdict", "verdict_from_tensors", "reduction_chain"}
+ANALYZER_INPUTS = {"dually_flat_verdict", "reduction_chain"}
+KNOB_EXEMPT_FILES = {"numdiff.py"}
 TOBYTES_CALLERS = {"geometry.py"}
 COMMAND_TABLE = "COMMANDS"
 CACHE_DECORATORS = {"cache", "lru_cache"}
@@ -545,7 +549,7 @@ def unreferenced_definitions(trees, program_trees) -> set[str]:
 
 
 def _defaulted_parameters(tree: ast.AST):
-    """(name as called, parameter, call position or None, named parameters) of each knob.
+    """(name as called, parameter, call position or None, named parameters, def) of each knob.
 
     A knob is a parameter with a default, or a ``**`` parameter (listed as
     ``**name``).  ``__init__`` is called by its class name; a method's call
@@ -569,12 +573,12 @@ def _defaulted_parameters(tree: ast.AST):
             name = cls if child.name == "__init__" else child.name
             named = {a.arg for a in positional + args.kwonlyargs}
             for index in range(len(positional) - len(args.defaults), len(positional)):
-                found.append((name, positional[index].arg, index - skip, named))
-            found.extend((name, a.arg, None, named)
+                found.append((name, positional[index].arg, index - skip, named, child))
+            found.extend((name, a.arg, None, named, child)
                          for a, default in zip(args.kwonlyargs, args.kw_defaults)
                          if default is not None)
             if args.kwarg:
-                found.append((name, "**" + args.kwarg.arg, None, named))
+                found.append((name, "**" + args.kwarg.arg, None, named, child))
             visit(child, None)
 
     visit(tree, None)
@@ -595,22 +599,27 @@ def _passes(call: ast.Call, parameter: str, position, named) -> bool:
 
 
 def unused_knobs(trees, caller_trees) -> set[str]:
-    """``file:function.parameter`` of each knob in ``trees`` that no call passes.
+    """``file:function.parameter`` of each knob in ``trees`` that no program call passes.
 
-    Calls are matched by the called name alone, so a call of any function of
-    that name counts: the scan can miss a knob, never flag a used one.
+    A program call is in ``trees``, outside the knob's own definition, or in
+    a caller tree under ``demos/`` or ``bench/``; a call from ``tests/``
+    does not count.  Calls are matched by the called name alone, so a call
+    of any function of that name counts: the scan can miss a knob, never
+    flag a used one.  The modules of ``KNOB_EXEMPT_FILES`` are not scanned.
     """
     calls = {}
-    for _, tree in caller_trees:
+    program = [tree for file, tree in caller_trees if Path(file).parts[0] in PROGRAM_DIRS]
+    for tree in [tree for _, tree in trees] + program:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_called_name(node), []).append(node)
     return {f"{file}:{name}.{parameter}"
-            for file, tree in trees
-            for name, parameter, position, named in _defaulted_parameters(tree)
+            for file, tree in trees if file not in KNOB_EXEMPT_FILES
+            for name, parameter, position, named, definition in _defaulted_parameters(tree)
             if parameter not in SAMPLING_PARAMETERS
             and not any(_passes(call, parameter, position, named)
-                        for call in calls.get(name, []))}
+                        for call in calls.get(name, [])
+                        if all(call is not node for node in ast.walk(definition)))}
 
 
 def test_scan_sees_the_package():
@@ -946,7 +955,29 @@ def test_scan_flags_draw_table_writes(source, found):
 ])
 def test_scan_flags_unused_knobs(source, callers, found):
     trees = [("probe.py", ast.parse(source))]
-    assert unused_knobs(trees, trees + [("caller.py", ast.parse(callers))]) == found
+    assert unused_knobs(trees, [("demos/caller.py", ast.parse(callers))]) == found
+
+
+@pytest.mark.parametrize("source, caller, found", [
+    ("def f(x, tol=1e-9):\n    return x < tol\n", ("tests/test_probe.py", "f(1, tol=0.0)\n"),
+     {"probe.py:f.tol"}),
+    ("def f(x, tol=1e-9):\n    return x < tol\n", ("bench/probe.py", "f(1, tol=0.0)\n"), set()),
+    ("def f(x, tol=1e-9):\n    return f(x - 1, tol / 2) if x else tol\n", None,
+     {"probe.py:f.tol"}),
+    ("def f(x, tol=1e-9):\n    return x < tol\ndef g(x):\n    return f(x, 0.0)\n", None, set()),
+])
+def test_scan_counts_only_program_callers(source, caller, found):
+    # a test's call and the function's own recursion override nothing; another
+    # function of the package does
+    trees = [("probe.py", ast.parse(source))]
+    callers = [(caller[0], ast.parse(caller[1]))] if caller else []
+    assert unused_knobs(trees, callers) == found
+
+
+def test_scan_skips_the_oracle_module():
+    source = "def central_diff(f, x, i, h=None):\n    return f(x)\n"
+    assert unused_knobs([("numdiff.py", ast.parse(source))], []) == set()
+    assert unused_knobs([("probe.py", ast.parse(source))], []) == {"probe.py:central_diff.h"}
 
 
 @pytest.mark.parametrize("source, found", [

@@ -18,7 +18,7 @@ from dualgeo.products import (MIXED_RICCI_SIGN, block_connection, block_gamma, b
                               weyl_parallel_defect)
 from dualgeo.report import RunConfig
 from dualgeo.verify import CHECKS, CURVATURE_BLOCK_IDS
-from dualgeo import fixtures as fx
+from dualgeo import fixtures as fx, products
 
 import oracles
 from oracles import riemann_fd
@@ -246,6 +246,24 @@ class TestCurvatureBlocks:
         x = np.array([0.4, -0.2])
         assert np.allclose(riemann_at(P.chart_levi_civita, x),
                            riemann_fd(P.chart_levi_civita, x), atol=1e-6)
+
+
+class TestNoSilentNan:
+    """A NaN in any part a residual reduces over, not only the first, makes it NaN."""
+
+    def test_lift_lemma_residual(self, monkeypatch):
+        # the fiber side is NaN, the base side exact
+        P = fx.Fixtures().twists["twisted-wide-fiber"]
+        monkeypatch.setattr(P.fiber, "metric_derivatives_at",
+                            lambda x: np.full(np.shape(x)[:-1] + (2,) * 3, np.nan))
+        assert math.isnan(lift_lemma_residual(P, samples=4))
+
+    def test_curvature_block_report(self, monkeypatch, standard_twists):
+        # the as-printed fiber block is NaN, the index-consistent one exact
+        monkeypatch.setattr(products, "riemann_block_residuals", lambda *args: {
+            "R(X,Y)Z": 0.0, "R(U,V)W[index-consistent]": 0.0, "R(U,V)W[as-printed]": math.nan})
+        rep = curvature_block_report(standard_twists["twisted-wide-fiber"], samples=4)
+        assert math.isnan(rep.residuals["R(U,V)W"])
 
 
 class TestMixedRicci:
