@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -151,6 +152,8 @@ def _load_factor(ref, base_dir: Path, where: str) -> LoadedManifold:
         return _load_manifold_doc(ref, where, "inline")
     if not isinstance(ref, str):
         raise SpecFileError(where, "expected a path string or an inline manifold object")
+    if not ref:  # an empty path would name the directory it is read from
+        raise SpecFileError(where, "empty path")
     path = (base_dir / ref).resolve()
     doc, digest = _read_doc(path)
     # the kind is read before loading, since a product may name itself as a factor
@@ -196,7 +199,7 @@ def _write_report(path: str, payload) -> None:
 
 def _finish(rep: VerificationReport, config: RunConfig, extra: dict | None = None) -> int:
     print(rep.render_table())
-    if config.report_path:
+    if config.report_path is not None:
         payload = rep.payload()
         if extra:
             payload["details"] = jsonable(extra)
@@ -260,7 +263,7 @@ def cmd_curvature(loaded: LoadedManifold, config: RunConfig) -> int:
     print(f"  scalar = {report.scalar:.12g}")
     if report.weyl is not None:
         print(f"  max |Weyl| = {float(np.abs(report.weyl).max()):.6e}")
-    if config.report_path:
+    if config.report_path is not None:
         _write_report(config.report_path, jsonable(report))
     return 0
 
@@ -413,9 +416,9 @@ def _load(args, kind: type):
 
 def _load_twist(args) -> LoadedProduct:
     """The product of the spec file, or of ``--base``/``--fiber``/``--twist``."""
-    if args.spec:
+    if args.spec is not None:
         return _load(args, LoadedProduct)
-    if not (args.base and args.fiber and args.twist):
+    if None in (args.base, args.fiber, args.twist):
         raise SpecFileError(args.command, "provide a product spec or --base/--fiber/--twist")
     base = _load_factor(args.base, Path.cwd(), "--base")
     fiber = _load_factor(args.fiber, Path.cwd(), "--fiber")
@@ -426,10 +429,13 @@ def _load_twist(args) -> LoadedProduct:
 def _config_from(args) -> RunConfig:
     options = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     report = options.get("report_path")
-    if report and (Path(report).is_dir() or not Path(report).parent.is_dir()):
-        # refused before the run, and no file is made; later failures are _write_report's
-        reason = errno.EISDIR if Path(report).is_dir() else errno.ENOENT
-        raise SpecFileError("--report", f"cannot write: {os.strerror(reason)}")
+    if report is not None:
+        # refused before the run, and no file is made; later failures are _write_report's.
+        # An empty path names no file, though Path("") is the working directory.
+        missing = not report or not Path(report).parent.is_dir()
+        if missing or Path(report).is_dir():
+            reason = errno.ENOENT if missing else errno.EISDIR
+            raise SpecFileError("--report", f"cannot write: {os.strerror(reason)}")
     point = options.pop("point", None)
     if point is not None:
         try:
@@ -457,11 +463,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, built on its first use and kept for the process."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"dualgeo {name}"), name)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse by the named command's parser alone; the full one takes what that cannot."""
+    """Parse by the named command's kept parser alone; the full one takes what that cannot.
+
+    A parse only reads the kept parser (each option's default is SUPPRESS or
+    ``None``, never a shared mutable), so no call sees another's options.  The
+    full parser, whose help, usage and error texts ``main`` prints, is built
+    afresh on each call that needs it.
+    """
     if argv and argv[0] in COMMANDS:
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"dualgeo {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args

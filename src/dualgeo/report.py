@@ -103,8 +103,15 @@ class VerificationReport:
         return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
+# JSON leaves as they are, by exact type: a numpy scalar (``np.float64`` is a float
+# subclass) still takes ``.item()`` below
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def jsonable(obj):
     """Recursively convert report payloads to JSON-serializable structures."""
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, Expr):
         return to_source(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

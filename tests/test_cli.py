@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -184,6 +186,20 @@ class TestExitCodes:
         assert main([command, *spec, "--report", str(tmp_path / target)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: --report: cannot write: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["check", "verify-paper"])
+    def test_an_empty_report_path_is_refused_before_the_run(self, spec_dir, tmp_path, capsys,
+                                                            monkeypatch, command):
+        def never(*args):
+            raise AssertionError(f"{command} ran")
+        monkeypatch.setattr(cli, "cmd_check", never)
+        monkeypatch.setattr(cli, "verify_paper", never)
+        monkeypatch.chdir(tmp_path)
+        spec = [str(spec_dir / "sphere2.json")] if command == "check" else []
+        assert main([command, *spec, "--report", ""]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: --report: cannot write: {os.strerror(errno.ENOENT)}\n")
         assert list(tmp_path.iterdir()) == []
 
     # A metric can pass the SPD validation and still be near-singular where
@@ -492,6 +508,14 @@ class TestTwistCommand:
     def test_missing_arguments(self, capsys):
         assert main(["twist"]) == 2
         assert "provide a product spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--base", "--fiber", "--twist"])
+    def test_an_empty_flag_is_named(self, spec_dir, capsys, flag):
+        given = {"--base": str(spec_dir / "line.json"), "--fiber": str(spec_dir / "sphere2.json"),
+                 "--twist": "exp(x)", flag: ""}
+        assert main(["twist", *(part for item in given.items() for part in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("docs, spec, field", [
         ({"self.json": ("self.json", "self.json")}, "self.json", "self.json.base"),

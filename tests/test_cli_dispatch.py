@@ -2,8 +2,10 @@
 
 Help, an unknown command and every usage error still come from the full
 parser (``build_parser``), word for word; a valid command is parsed by its
-own parser alone, built afresh on each call, and runs the module-level
-``cmd_*`` handler that ``main`` finds when it runs.
+own parser alone, built on the command's first use and kept for the process
+(never at import), and runs the module-level ``cmd_*`` handler that ``main``
+finds when it runs.  A kept parser carries no option from one call to the
+next.
 """
 
 import argparse
@@ -61,7 +63,12 @@ VALID_ARGVS = [
 
 @pytest.fixture
 def built(monkeypatch):
-    """The ``prog`` of every ArgumentParser constructed while the test runs."""
+    """The ``prog`` of every ArgumentParser constructed while the test runs.
+
+    The kept command parsers are dropped first, so each command's next call
+    is its first.
+    """
+    cli._command_parser.cache_clear()
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -82,11 +89,27 @@ def test_a_valid_command_builds_only_its_own_parser(spec_dir, built, capsys, arg
     assert built == [f"dualgeo {argv[0]}"]
 
 
-def test_no_parser_outlives_its_call(spec_dir, built, capsys):
+def test_a_second_call_builds_no_parser(spec_dir, built, capsys):
     argv = ["curvature", str(spec_dir / "sphere2.json")]
     assert main(argv) == 0
     assert main(argv) == 0
-    assert built == ["dualgeo curvature"] * 2
+    assert built == ["dualgeo curvature"]
+
+
+def test_options_do_not_leak_between_calls(spec_dir, monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(cli, "cmd_check", lambda loaded, config: configs.append(config) or 0)
+    check = ["check", str(spec_dir / "sphere2.json")]
+    assert main(check + ["--samples", "8", "--seed", "5"]) == 0
+    assert main(check) == 0
+    assert configs == [RunConfig(samples=8, seed=5), RunConfig()]
+
+    conjugate = ["conjugate", str(spec_dir / "line_pair.json")]
+    assert main(conjugate + ["--point", "0.5"]) == 0
+    assert "conjugate connection at [0.5]" in capsys.readouterr().out
+    assert main(conjugate) == 0
+    center = cli.load_spec(conjugate[1]).manifold.center().tolist()
+    assert f"conjugate connection at {center}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("handler, argv", [

@@ -46,8 +46,10 @@
   eigenvalues of the symmetric metric instead of running an SVD.
 * ``ArgumentParser(...)`` is constructed only inside functions of ``cli.py``:
   no module-level code builds a parser, directly or through a function that
-  does, and ``cli.py`` caches no function (``cache``/``lru_cache``), so each
-  ``main`` call builds the parsers it uses and no more survive it.
+  does, and the one function ``cli.py`` caches (``cache``/``lru_cache``) is
+  ``_command_parser``, so a command's parser is built on its first use and
+  kept, and every other parser (the full one, for help and usage) is built
+  by the call that prints from it.
 * A command's name appears in ``cli.py`` as a string only in the command
   table (``cli.COMMANDS``), so one row holds everything about a command.
 * Only ``exprlang._intern`` calls ``__new__``: every expression node is
@@ -57,7 +59,8 @@
   dictionaries) are declared only in ``exprlang.py``: the intern table and
   the parse, kernel and code tables.  Every other owner of symbolic work (a
   chart's or a connection's jets) builds its own and finds its entries'
-  derivatives and kernels there.
+  derivatives and kernels there.  The one table elsewhere is the kept
+  command parsers, ``cli._command_parser``, which holds no symbolic work.
 * Every function, class and method in ``src/dualgeo`` is named on a program
   path: by a ``Name`` or an ``Attribute`` in ``src/`` outside ``__init__.py``
   and outside its own definition, or anywhere in ``demos/`` or ``bench/``.
@@ -400,7 +403,7 @@ def parser_constructions(trees) -> set[str]:
     """``file:function`` of every ``ArgumentParser(...)`` construction."""
     return _call_scopes(trees, lambda call: _called_name(call) == "ArgumentParser")
 
-    """``file:<module>`` where module-level code builds a parser, directly or via a function."""
+
 def import_time_parsers(trees) -> set[str]:
     """``file:<module>`` where module-level code builds a parser, directly or through a function."""
     makers = {scope.split(":")[1] for scope in parser_constructions(trees)} | {"ArgumentParser"}
@@ -426,6 +429,15 @@ def cached_functions(trees) -> set[str]:
 def new_callers(trees) -> set[str]:
     """``file:function`` of every ``__new__(...)`` call."""
     return _call_scopes(trees, lambda call: _called_name(call) == "__new__")
+
+
+def table_calls(trees) -> set[str]:
+    """``file:function`` of each table made by a call, as ``lru_cache(...)(f)`` or a weak dict."""
+    decorators = {id(d) for _, tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  for d in node.decorator_list}
+    return _call_scopes(trees, lambda call: id(call) not in decorators
+                        and _called_name(call) in TABLE_MAKERS)
 
 
 def symbolic_table_files(trees) -> set[str]:
@@ -705,12 +717,13 @@ def test_no_condition_number_by_svd():
     assert cond_uses(_trees()) == []
 
 
-def test_parsers_are_built_per_call_in_cli():
+def test_parsers_are_built_in_cli_never_at_import():
     trees = _trees()
     scopes = parser_constructions(trees)
     assert scopes and {scope.split(":")[0] for scope in scopes} == {"cli.py"}
     assert import_time_parsers(trees) == set()
-    assert {f for f in cached_functions(trees) if f.startswith("cli.py:")} == set()
+    assert {f for f in cached_functions(trees) if f.startswith("cli.py:")} == {
+        "cli.py:_command_parser"}
 
 
 def test_only_the_intern_constructor_makes_nodes():
@@ -720,7 +733,11 @@ def test_only_the_intern_constructor_makes_nodes():
 def test_symbolic_tables_live_only_in_exprlang():
     # the draw table (geometry._DRAWS) holds arrays of numbers, not symbolic work, so this
     # rule does not confine it; test_only_sample_array_draws_samples does
-    assert symbolic_table_files(_trees()) == TABLE_FILES_ALLOWED
+    trees = _trees()
+    outside = [(name, tree) for name, tree in trees if name not in TABLE_FILES_ALLOWED]
+    assert symbolic_table_files(trees) == TABLE_FILES_ALLOWED | {"cli.py"}
+    assert cached_functions(outside) == {"cli.py:_command_parser"}
+    assert table_calls(outside) == set()
 
 
 def test_command_names_appear_only_in_the_table():
@@ -1119,6 +1136,17 @@ def test_scan_flags_node_constructions(source, found):
 ])
 def test_scan_flags_symbolic_tables(source, found):
     assert symbolic_table_files([("probe.py", ast.parse(source))]) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@functools.lru_cache(maxsize=8)\ndef kernel_of(flat):\n    pass\n", set()),
+    ("@cache\ndef jets(metric):\n    pass\n", set()),
+    ("JETS = functools.lru_cache(maxsize=8)(Jets)\n", {"probe.py:<module>"}),
+    ("def table():\n    return weakref.WeakValueDictionary()\n", {"probe.py:table"}),
+    ("SEEN = {}\n", set()),
+])
+def test_scan_flags_table_calls(source, found):
+    assert table_calls([("probe.py", ast.parse(source))]) == found
 
 
 @pytest.mark.parametrize("source, found", [

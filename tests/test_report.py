@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ class TestJsonable:
         assert out["val"] == 1.5
         assert out["expr"] == "x^2.0"
         json.dumps(out)
+
+    def test_leaves_come_out_as_exact_python_types(self):
+        leaves = [np.float64(1.5), np.int64(3), np.bool_(True), float("nan")]
+        out = jsonable({"d": {"a": leaves[0]}, "l": [leaves[1]], "t": (leaves[2], leaves[3])})
+        f, i, b, nan = out["d"]["a"], out["l"][0], *out["t"]
+        assert type(f) is float and f == 1.5
+        assert type(i) is int and i == 3
+        assert type(b) is bool and b is True
+        assert type(nan) is float and math.isnan(nan)
+        assert json.dumps(out, sort_keys=True) == \
+            '{"d": {"a": 1.5}, "l": [3], "t": [true, NaN]}'
 
     def test_dataclass(self):
         rec = CheckRecord("id", "stmt", 0.5, 1.0, "pass", "")
